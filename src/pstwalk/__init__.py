@@ -113,6 +113,7 @@ from .transfer import (
     fidelity_scan,
     pst_decide,
     pst_partner,
+    pst_partners,
     universal_pst_pair,
     verify_pst_numeric,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import symbolic_pi_multiple, two_adic_valuation
-from .errors import FixedStateError, InvalidSizeError
+from .errors import InvalidSizeError
 from .graphs import (
     ADJACENCY,
     LAPLACIAN,
@@ -25,7 +25,7 @@ from .graphs import (
     hamiltonian,
 )
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose
-from .transfer import pst_decide, pst_partner
+from .transfer import pst_decide, pst_partners
 
 CATALOG_GUARD = 30  # vertex limit for exhaustive s-pair sweeps
 
@@ -430,31 +430,34 @@ class CatalogEntry:
     tau_symbolic: str | None
 
 
-def _as_pair_state(y: np.ndarray) -> tuple[int, int, int] | None:
-    """Recognize +-(e_a + s e_b) with s in {-1, +1}; canonical a < b and
-    positive leading entry."""
-    order = np.argsort(-np.abs(y))
-    a, b = int(order[0]), int(order[1])
-    rest = np.abs(y[[i for i in range(len(y)) if i not in (a, b)]])
-    if abs(abs(y[a]) - 1.0) > 1e-7 or abs(abs(y[b]) - 1.0) > 1e-7:
-        return None
-    if rest.size and float(rest.max()) > 1e-8:
-        return None
-    if a > b:
-        a, b = b, a
-    sign = 1.0 if y[a] > 0 else -1.0
-    s = int(round(sign * y[b]))
-    if s not in (-1, 1):
-        return None
-    return s, a, b
+def _pair_shapes(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of Y of the form +-(e_a + s e_b) with s in {-1, +1}: the two
+    largest magnitudes within 1e-7 of one and every other entry within 1e-8
+    of zero. Returns (columns, s, a, b) with a < b; s is read with the entry
+    at a taken positive."""
+    mag = np.abs(Y)
+    order = np.argsort(-mag, axis=0)[:3]
+    cols = np.arange(Y.shape[1])
+    ok = np.all(np.abs(mag[order[:2], cols] - 1.0) <= 1e-7, axis=0)
+    if Y.shape[0] > 2:
+        ok &= mag[order[2], cols] <= 1e-8
+    cols = cols[ok]
+    a, b = np.sort(order[:2, ok], axis=0)
+    s = np.where((Y[a, cols] > 0) == (Y[b, cols] > 0), 1, -1)
+    return cols, s, a, b
 
 
 def pair_plus_catalog(
     family: str, kind: str, *sizes: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> list[CatalogEntry]:
-    """Run the transfer engine over every pair state (s = -1) and plus state
-    (s = +1); entries are recorded exactly when the unique partner is itself
-    an s-pair state."""
+    """Every pair state (s = -1) and plus state (s = +1) e_u + s e_v, u < v,
+    whose unique transfer partner is itself an s-pair state.
+
+    One pass per sweep: the n(n-1) states form one state matrix for
+    pst_partners, so the support mask is one product per eigenvalue cluster
+    and each distinct support gets one ratio table. Only partners of pair
+    shape are confirmed with pst_decide; entries come in (u, v, s) order.
+    """
     if family == "path":
         g = build_path(sizes[0])
     elif family == "cycle":
@@ -467,32 +470,27 @@ def pair_plus_catalog(
         raise ValueError(f"unknown family {family!r}")
     if g.n > CATALOG_GUARD:
         raise InvalidSizeError(f"catalog sweep guarded to {CATALOG_GUARD} vertices")
+    if g.n < 2:
+        return []
     dec = decompose(hamiltonian(g, kind), cfg)
+    states = [(u, v, s) for u in range(g.n) for v in range(u + 1, g.n) for s in (-1, 1)]
+    X = np.zeros((g.n, len(states)))
+    for c, (u, v, s) in enumerate(states):
+        X[u, c], X[v, c] = 1.0, s
+    partners, found, _ = pst_partners(dec, X, cfg)
+    hits = np.nonzero(found)[0]
+    cols, ps, pu, pv = _pair_shapes(partners[:, hits])
     entries: list[CatalogEntry] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            for s in (-1, 1):
-                x = np.zeros(g.n)
-                x[u] = 1.0
-                x[v] = float(s)
-                try:
-                    partner = pst_partner(dec, x, cfg)
-                except FixedStateError:
-                    continue
-                if partner is None:
-                    continue
-                shape = _as_pair_state(partner)
-                if shape is None:
-                    continue
-                verdict = pst_decide(dec, x, partner, cfg)
-                if not verdict.decision:
-                    continue
-                entries.append(
-                    CatalogEntry(
-                        s=s, u=u, v=v,
-                        partner_s=shape[0], partner_u=shape[1], partner_v=shape[2],
-                        tau=verdict.tau_min,
-                        tau_symbolic=verdict.tau_symbolic,
-                    )
-                )
+    for c, t, a, b in zip(hits[cols].tolist(), ps.tolist(), pu.tolist(), pv.tolist()):
+        verdict = pst_decide(dec, X[:, c], partners[:, c], cfg)
+        if not verdict.decision:
+            continue
+        u, v, s = states[c]
+        entries.append(
+            CatalogEntry(
+                s=s, u=u, v=v, partner_s=t, partner_u=a, partner_v=b,
+                tau=verdict.tau_min,
+                tau_symbolic=verdict.tau_symbolic,
+            )
+        )
     return entries

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import reconstruct_fraction, squarefree_split, two_adic_valuation
+from .arith import reconstruct_fraction, squarefree_split
 from .errors import InvalidStateError, NotApplicableError
 from .graphs import LAPLACIAN, Hamiltonian, covering_radius
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
@@ -71,26 +71,23 @@ def _validate_support(supp) -> np.ndarray:
     return vals
 
 
-def ratio_condition(
-    supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES, eigen_residual: float = 0.0
-) -> RatioTable | NonPeriodic:
+def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTable | NonPeriodic:
     """Reconstruct each (lam_1 - lam_j)/(lam_1 - lam_2) as a reduced fraction.
 
     Two-element supports are trivially periodic (empty table). A fraction is
-    accepted when its residual is within max(int_tol, 10 * eigen_residual) and
-    the implied common period aligns all phases (see PHASE_ALIGNMENT); any
-    failure yields NonPeriodic with the offending support position.
+    accepted when its residual is within int_tol and the implied common
+    period aligns all phases (see PHASE_ALIGNMENT); any failure yields
+    NonPeriodic with the offending support position.
     """
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
     if len(vals) == 2:
         return RatioTable(vals[0], vals[1], (), (), ())
-    accept = max(cfg.int_tol, 10.0 * eigen_residual)
     ps, qs, res = [], [], []
     for j in range(2, len(vals)):
         ratio = (vals[0] - vals[j]) / gap
         p, q, err = reconstruct_fraction(ratio, cfg.q_max)
-        if err > accept:
+        if err > cfg.int_tol:
             return NonPeriodic(offending_index=j, ratio=ratio, residual=err)
         ps.append(p)
         qs.append(q)
@@ -275,8 +272,3 @@ def covering_radius_bound_check(
         periodic=periodic,
         conjugate_closed=closed,
     )
-
-
-def nu2(a: int) -> float:
-    """2-adic valuation with nu2(0) = +inf."""
-    return two_adic_valuation(a)

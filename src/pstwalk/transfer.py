@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import symbolic_pi_multiple
+from .arith import symbolic_pi_multiple, two_adic_valuation
 from .errors import (
     FixedStateError,
     InvalidSizeError,
@@ -198,31 +198,82 @@ def pst_decide(
     )
 
 
+def _flip_positions(table: RatioTable) -> list[int]:
+    """Support positions whose components change sign in the partner: those
+    of largest 2-adic valuation of q_j when some q_j is even, else those with
+    odd p_j (the table's implicit first two ratios are 0/1 and 1/1)."""
+    ps = (0, 1) + table.p
+    qs = (1, 1) + table.q
+    if any(q % 2 == 0 for q in qs):
+        vals = [two_adic_valuation(q) for q in qs]
+        eta = max(vals)
+        return [pos for pos, v in enumerate(vals) if v == eta]
+    return [pos for pos, p in enumerate(ps) if p % 2 == 1]
+
+
+def pst_partners(
+    dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer partners of every column of the state matrix X, shape (n, b).
+
+    Returns (partners, found, fixed): partners has shape (n, b), and its
+    column c is the partner of X[:, c] where the bool mask found[c] is set
+    and NaN elsewhere; fixed (b,) marks single-eigenvalue supports. A column
+    that is neither found nor fixed is not periodic. Nothing is raised for
+    those states; an empty support raises InvalidStateError.
+
+    The (k, b) support mask is built one cluster at a time from
+    ||E_j x|| > tol_supp * ||x||, so no (k, n, b) component tensor is held.
+    Columns sharing a support share one ratio table and flip pattern, and
+    each group's partners are X_g - 2 * sum_{j in flips} E_j X_g.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != dec.n:
+        raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
+    if not np.all(np.isfinite(X)):
+        raise InvalidStateError("state has non-finite entries")
+    cutoff = cfg.tol_supp * np.linalg.norm(X, axis=0)
+    if np.any(cutoff == 0.0):
+        raise InvalidStateError("state must be nonzero")
+    mask = np.empty((dec.k, X.shape[1]), dtype=bool)
+    for j in range(dec.k):
+        mask[j] = np.linalg.norm(dec.projectors[j] @ X, axis=0) > cutoff
+    sizes = mask.sum(axis=0)
+    if np.any(sizes == 0):
+        raise InvalidStateError("state has empty eigenvalue support at this tolerance")
+    found = np.zeros(X.shape[1], dtype=bool)
+    partners = np.full(X.shape, np.nan)
+    groups: dict[bytes, list[int]] = {}
+    for c, pattern in enumerate(mask.T):
+        groups.setdefault(pattern.tobytes(), []).append(c)
+    for cols in groups.values():
+        idx = np.nonzero(mask[:, cols[0]])[0]
+        if len(idx) == 1:
+            continue
+        table = ratio_condition(dec.eigenvalues[idx], cfg)
+        if isinstance(table, NonPeriodic):
+            continue
+        xg = X[:, cols]
+        flip = None
+        for pos in _flip_positions(table):
+            comp = dec.projectors[idx[pos]] @ xg
+            flip = comp if flip is None else flip + comp
+        partners[:, cols] = xg - 2.0 * flip
+        found[cols] = True
+    return partners, found, sizes == 1
+
+
 def pst_partner(
     dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray | None:
     """The unique state admitting transfer from x, or None when x is not
-    periodic. Constructed by flipping the support components selected by the
-    parity pattern of the reconstructed ratio integers."""
+    periodic; the one-column case of pst_partners. Raises FixedStateError
+    for a single-eigenvalue support."""
     x = as_state(x, dec.n)
-    prof = support(dec, x, cfg)
-    if prof.kind == FIXED:
+    partners, found, fixed = pst_partners(dec, x[:, None], cfg)
+    if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
-    if prof.size == 2:
-        return x - 2.0 * prof.components[1]
-    table = ratio_condition(prof.eigenvalues, cfg)
-    if isinstance(table, NonPeriodic):
-        return None
-    ps = (0, 1) + table.p
-    qs = (1, 1) + table.q
-    if any(q % 2 == 0 for q in qs):
-        vals = [math.inf if q == 0 else (q & -q).bit_length() - 1 for q in qs]
-        eta = max(vals)
-        flips = [pos for pos, v in enumerate(vals) if v == eta]
-    else:
-        flips = [pos for pos, p in enumerate(ps) if p % 2 == 1]
-    y = x - 2.0 * prof.components[flips].sum(axis=0)
-    return y
+    return partners[:, 0] if found[0] else None
 
 
 def verify_pst_numeric(
