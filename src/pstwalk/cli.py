@@ -9,6 +9,7 @@ or parse failures, 3 for numerical failures, 4 for invalid requests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,7 +28,7 @@ from .families import (
 from .graphs import ADJACENCY, LAPLACIAN, hamiltonian, load_custom
 from .periodicity import NonPeriodic, classify_form, minimum_period, ratio_condition
 from .sensitivity import fidelity_derivatives
-from .spectral import ToleranceConfig, decompose
+from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
 from .states import FIXED, support
 from .synthesis import SynthesisRequest, synthesize
 from .transfer import (
@@ -47,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser, kind: bool = True) -> None:
         p.add_argument("--custom-matrix", help="matrix JSON for --kind custom")
     p.add_argument("--tol-group", type=float)
     p.add_argument("--tol-supp", type=float)
-    p.add_argument("--tol-proj", type=float)
     p.add_argument("--tol-phase", type=float)
     p.add_argument("--q-max", type=int)
     p.add_argument("--int-tol", type=float)
@@ -56,18 +56,9 @@ def _add_common(p: argparse.ArgumentParser, kind: bool = True) -> None:
 
 
 def _config(args) -> ToleranceConfig:
-    base = ToleranceConfig()
-    overrides = {}
-    for field in ("tol_group", "tol_supp", "tol_proj", "tol_phase", "q_max", "int_tol"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if not overrides:
-        return base
-    return ToleranceConfig(
-        **{f: overrides.get(f, getattr(base, f)) for f in (
-            "tol_group", "tol_supp", "tol_proj", "tol_phase", "q_max", "int_tol")}
-    )
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(ToleranceConfig)
+                 if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
 
 
 def _load_hamiltonian(args, cfg):

@@ -100,13 +100,12 @@ def product_pst(
     )
 
 
-def _block(top_left: np.ndarray | None, bottom_right: np.ndarray | None, m: int, n: int) -> np.ndarray:
-    out = np.zeros((m + n, m + n), dtype=complex)
-    if top_left is not None:
-        out[:m, :m] = top_left
-    if bottom_right is not None:
-        out[m:, m:] = bottom_right
-    return out
+def _factor_term(dec, t: float, shift: float, c: float) -> np.ndarray:
+    """One factor's diagonal block of the join operator: its walk with every
+    eigenvalue shifted by `shift`, less exp(i t c) J/m. The factor's all-ones
+    component J/m, which the join's own rank-two part replaces, lies in the
+    cluster whose shifted eigenvalue is c."""
+    return np.exp(1j * t * shift) * transition_matrix(dec, t) - np.exp(1j * t * c) / dec.n
 
 
 def join_transition_matrix(
@@ -118,40 +117,25 @@ def join_transition_matrix(
     check: bool = True,
 ) -> np.ndarray:
     """Closed-form walk operator of the join at time t, assembled from the
-    factors' spectra; disconnected factors contribute their correction terms.
-    For the adjacency walk both factors must be regular.
+    factors' spectra: a rank-two part on the all-ones directions plus one
+    term per factor. For the adjacency walk both factors must be regular.
 
     With check=True the result is cross-validated against the generic
     spectral operator of the join to 1e-8.
     """
     m, n = g.n, h.n
-    jm, jn = np.ones((m, m)), np.ones((n, n))
     if kind == LAPLACIAN:
-        dec_g = decompose(hamiltonian(g, LAPLACIAN), cfg)
-        dec_h = decompose(hamiltonian(h, LAPLACIAN), cfg)
         total = m + n
         u = np.ones((total, total), dtype=complex) / total
         corner = np.zeros((total, total))
-        corner[:m, :m] = n * n * jm
+        corner[:m, :m] = n * n
         corner[:m, m:] = -m * n
         corner[m:, :m] = -m * n
-        corner[m:, m:] = m * m * jn
+        corner[m:, m:] = m * m
         u = u + np.exp(1j * t * total) / (m * n * total) * corner
-        zero_tol = cfg.tol_group * max(1.0, dec_g.scale, dec_h.scale)
-        for lam, proj in zip(dec_g.eigenvalues, dec_g.projectors):
-            if lam > zero_tol:
-                u += np.exp(1j * t * (lam + n)) * _block(proj, None, m, n)
-            else:
-                ker = proj - jm / m  # vanishes when g is connected
-                if np.max(np.abs(ker)) > 1e-12:
-                    u += np.exp(1j * t * n) * _block(ker, None, m, n)
-        for mu, proj in zip(dec_h.eigenvalues, dec_h.projectors):
-            if mu > zero_tol:
-                u += np.exp(1j * t * (mu + m)) * _block(None, proj, m, n)
-            else:
-                ker = proj - jn / n
-                if np.max(np.abs(ker)) > 1e-12:
-                    u += np.exp(1j * t * m) * _block(None, ker, m, n)
+        # L(G + H) restricted to G's mean-zero vectors is L(G) + |H| I
+        shift_g = c_g = float(n)
+        shift_h = c_h = float(m)
     elif kind == ADJACENCY:
         if not (g.is_regular() and h.is_regular()):
             raise NotApplicableError("adjacency join formula needs regular factors")
@@ -164,25 +148,12 @@ def join_transition_matrix(
         vvec = np.concatenate([(k - lam_p) * np.ones(m), m * np.ones(n)])
         u = np.exp(1j * t * lam_p) / (m * disc * (k - lam_m)) * np.outer(uvec, uvec)
         u = u + np.exp(1j * t * lam_m) / (m * disc * (lam_p - k)) * np.outer(vvec, vvec)
-        dec_g = decompose(hamiltonian(g, ADJACENCY), cfg)
-        dec_h = decompose(hamiltonian(h, ADJACENCY), cfg)
-        reg_tol = cfg.tol_group * max(1.0, dec_g.scale, dec_h.scale)
-        for lam, proj in zip(dec_g.eigenvalues, dec_g.projectors):
-            if lam < k - reg_tol:
-                u += np.exp(1j * t * lam) * _block(proj, None, m, n)
-            else:
-                ker = proj - jm / m  # extra top-eigenvalue multiplicity: g disconnected
-                if np.max(np.abs(ker)) > 1e-12:
-                    u += np.exp(1j * t * k) * _block(ker, None, m, n)
-        for mu, proj in zip(dec_h.eigenvalues, dec_h.projectors):
-            if mu < ell - reg_tol:
-                u += np.exp(1j * t * mu) * _block(None, proj, m, n)
-            else:
-                ker = proj - jn / n
-                if np.max(np.abs(ker)) > 1e-12:
-                    u += np.exp(1j * t * ell) * _block(None, ker, m, n)
+        shift_g, c_g = 0.0, k
+        shift_h, c_h = 0.0, ell
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    u[:m, :m] += _factor_term(decompose(hamiltonian(g, kind), cfg), t, shift_g, c_g)
+    u[m:, m:] += _factor_term(decompose(hamiltonian(h, kind), cfg), t, shift_h, c_h)
 
     if check:
         dec_join = decompose(hamiltonian(join(g, h), kind), cfg)

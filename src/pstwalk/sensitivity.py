@@ -28,7 +28,7 @@ class SensitivityReport:
 
 
 def _moments(dec, y_unit: np.ndarray, k_max: int) -> np.ndarray:
-    weights = np.linalg.norm(dec.projectors @ y_unit, axis=1) ** 2
+    weights = dec.norms(y_unit) ** 2
     return np.array([float(dec.eigenvalues**k @ weights) for k in range(k_max + 1)])
 
 

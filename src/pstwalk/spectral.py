@@ -1,5 +1,10 @@
-"""Eigendecomposition into distinct eigenvalues with orthogonal projectors,
-and the walk operator built from them."""
+"""Eigendecomposition into distinct eigenvalues, each held as a block of
+orthonormal eigenvectors, and the walk operator built from them.
+
+The spectral projector of cluster j is E_j = V_j V_j^T, where V_j is the
+cluster's column block of `vectors`. It is applied to a state as
+V_j (V_j^T x), which is independent of the basis eigh picked inside the
+cluster, and is never stored: a decomposition holds O(n^2) numbers."""
 
 from __future__ import annotations
 
@@ -15,19 +20,18 @@ from .graphs import Hamiltonian
 class ToleranceConfig:
     """Numerical thresholds used throughout the package.
 
-    tol_group scales by max(1, ||M||_inf) and tol_proj by n at the point of
-    use; the remaining fields are used as stored.
+    tol_group scales by max(1, ||M||_inf) at the point of use; the remaining
+    fields are used as stored.
     """
 
     tol_group: float = 1e-8   # eigenvalue clustering
     tol_supp: float = 1e-8    # support membership, relative to ||x||
-    tol_proj: float = 1e-9    # projector algebra residuals
     tol_phase: float = 1e-8   # phase-match residual for transfer checks
     q_max: int = 10_000       # denominator cap for rational reconstruction
     int_tol: float = 1e-6     # integrality detection
 
     def __post_init__(self):
-        for name in ("tol_group", "tol_supp", "tol_proj", "tol_phase", "int_tol"):
+        for name in ("tol_group", "tol_supp", "tol_phase", "int_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.q_max < 1:
@@ -39,10 +43,12 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (strictly decreasing) with their projectors."""
+    """Distinct eigenvalues (strictly decreasing) with their eigenvector blocks:
+    cluster j is spanned by the columns vectors[:, offsets[j]:offsets[j + 1]]."""
 
     eigenvalues: np.ndarray          # shape (k,), descending
-    projectors: np.ndarray           # shape (k, n, n), symmetric
+    vectors: np.ndarray              # shape (n, n), columns grouped by cluster
+    offsets: np.ndarray              # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                     # ||M||_inf of the decomposed matrix
     ambiguous: bool = False          # some cluster gap was < 2x the threshold
@@ -50,20 +56,47 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return self.projectors.shape[1]
+        return self.vectors.shape[0]
 
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
 
+    def block(self, j: int) -> np.ndarray:
+        """V_j, the (n, m_j) orthonormal eigenvector block of cluster j."""
+        return self.vectors[:, self.offsets[j]:self.offsets[j + 1]]
+
+    def cluster_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-column values (along axis 0) over each cluster: (k[, b])."""
+        return np.add.reduceat(values, self.offsets[:-1], axis=0)
+
+    def norms(self, x) -> np.ndarray:
+        """||E_j x|| for every cluster j, shape (k,) for a state and (k, b)
+        for an (n, b) state matrix."""
+        c = self.vectors.T @ np.asarray(x, dtype=float)
+        return np.sqrt(self.cluster_sums(c * c))
+
+    def components(self, x, rows=None) -> np.ndarray:
+        """E_j x for each cluster j in rows (every cluster by default), as
+        the rows of an (m, n) array; x is a single state."""
+        blocks = [self.block(j) for j in (range(self.k) if rows is None else rows)]
+        return np.array([v @ (v.T @ x) for v in blocks]).reshape(len(blocks), self.n)
+
+    def projector(self, j: int) -> np.ndarray:
+        """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
+        v = self.block(j)
+        e = v @ v.T
+        return (e + e.T) / 2.0
+
     def reconstruct(self) -> np.ndarray:
-        return np.einsum("k,kij->ij", self.eigenvalues, self.projectors)
+        return (self.vectors * np.repeat(self.eigenvalues, self.multiplicities)) @ self.vectors.T
 
     def eigenvector(self, j: int) -> np.ndarray:
-        """Deterministic unit eigenvector for the j-th distinct eigenvalue."""
-        e = self.projectors[j]
-        col = int(np.argmax(np.diag(e)))
-        vec = e[:, col]
+        """Deterministic unit eigenvector for the j-th distinct eigenvalue:
+        the column of E_j with the largest diagonal entry."""
+        v = self.block(j)
+        col = int(np.argmax(np.einsum("ij,ij->i", v, v)))  # diag(E_j)
+        vec = v @ v[col]
         nrm = np.linalg.norm(vec)
         if nrm == 0.0:
             raise NumericFailureError("projector has no nonzero column")
@@ -95,7 +128,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     Single-linkage clustering on the sorted spectrum with threshold
     tol_group * max(1, ||M||_inf); each cluster's eigenvalue is the mean and
-    its projector is assembled from the cluster's orthonormal eigenvectors.
+    its eigenvectors become one contiguous column block, blocks in
+    descending eigenvalue order.
     """
     mat = _as_matrix(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -117,16 +151,11 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
             clusters.append([i])
     clusters.reverse()  # descending eigenvalue order
 
-    n = mat.shape[0]
-    values = np.empty(len(clusters))
-    projectors = np.empty((len(clusters), n, n))
-    mults = []
-    for j, idx in enumerate(clusters):
-        values[j] = float(np.mean(evals[idx]))
-        block = evecs[:, idx]
-        e = block @ block.T
-        projectors[j] = (e + e.T) / 2.0
-        mults.append(len(idx))
+    # np.mean per cluster costs microseconds; a singleton's mean is its value
+    values = np.array([np.mean(evals[idx]) if len(idx) > 1 else evals[idx[0]] for idx in clusters])
+    mults = tuple(len(idx) for idx in clusters)
+    vectors = evecs[:, np.concatenate(clusters)]
+    offsets = np.concatenate(([0], np.cumsum(mults)))
 
     ambiguous = False
     warnings = []
@@ -138,12 +167,13 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
                 f"cluster gap {gap:.3e} between eigenvalues {values[j - 1]:.6g} "
                 f"and {values[j]:.6g} is below twice the clustering threshold"
             )
-    values.setflags(write=False)
-    projectors.setflags(write=False)
+    for arr in (values, vectors, offsets):
+        arr.setflags(write=False)
     return SpectralDecomposition(
         eigenvalues=values,
-        projectors=projectors,
-        multiplicities=tuple(mults),
+        vectors=vectors,
+        offsets=offsets,
+        multiplicities=mults,
         scale=scale,
         ambiguous=ambiguous,
         warnings=tuple(warnings),
@@ -153,15 +183,15 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
     """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x."""
     x = as_state(x, dec.n)
-    components = dec.projectors @ x            # (k, n)
-    phases = np.exp(1j * t * dec.eigenvalues)  # (k,)
-    return phases @ components
+    coef = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities)) * (dec.vectors.T @ x)
+    return dec.vectors @ coef.real + 1j * (dec.vectors @ coef.imag)
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Full walk operator at time t (complex symmetric unitary)."""
-    phases = np.exp(1j * t * dec.eigenvalues)
-    return np.einsum("k,kij->ij", phases, dec.projectors)
+    phases = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
+    v = dec.vectors
+    return (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
 
 
 def fidelity(dec: SpectralDecomposition, t: float, x, y) -> float:

@@ -53,17 +53,15 @@ class CospectralityCertificate:
 def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SupportProfile:
     """Set of eigenvalues whose projection of x is nonzero (relative threshold)."""
     x = as_state(x, dec.n)
-    comps = dec.projectors @ x
-    norms = np.linalg.norm(comps, axis=1)
     cutoff = cfg.tol_supp * float(np.linalg.norm(x))
-    idx = tuple(int(j) for j in np.nonzero(norms > cutoff)[0])
+    idx = tuple(int(j) for j in np.nonzero(dec.norms(x) > cutoff)[0])
     if not idx:
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
     kind = FIXED if len(idx) == 1 else SIZE2 if len(idx) == 2 else GENERAL
     return SupportProfile(
         indices=idx,
         eigenvalues=dec.eigenvalues[list(idx)],
-        components=comps[list(idx)],
+        components=dec.components(x, idx),
         kind=kind,
     )
 
@@ -85,8 +83,9 @@ def check_strong_cospectrality(
 ) -> CospectralityCertificate:
     """Classify E_j x = +-E_j y over the support of x.
 
-    The sign per eigenvalue is whichever of ||E_j x - E_j y||, ||E_j x + E_j y||
-    is smaller; the winner must fall below tol_supp*||x|| and the loser must
+    The sign per eigenvalue is whichever of ||E_j (x - y)||, ||E_j (x + y)||
+    is smaller (equal to ||V_j^T x -+ V_j^T y||, V_j having orthonormal
+    columns); the winner must fall below tol_supp*||x|| and the loser must
     exceed ten times that, otherwise the classification is refused as
     numerically ambiguous. Raises FixedStateError for single-eigenvalue
     supports and NotCospectralError at the first violating eigenvalue.
@@ -99,23 +98,21 @@ def check_strong_cospectrality(
         raise FixedStateError("a fixed state cannot be strongly cospectral")
     tol = cfg.tol_supp * float(np.linalg.norm(x))
 
+    # residuals for the + and - classifications, and the weights of y
+    d_plus, d_minus, y_norms = dec.norms(np.column_stack((x - y, x + y, y))).T
     plus, minus = [], []
     worst = 0.0
     for pos, j in enumerate(prof.indices):
-        ex = prof.components[pos]
-        ey = dec.projectors[j] @ y
-        d_plus = float(np.linalg.norm(ex - ey))   # residual for the + classification
-        d_minus = float(np.linalg.norm(ex + ey))
-        win, lose = (d_plus, d_minus) if d_plus <= d_minus else (d_minus, d_plus)
+        win, lose = sorted((float(d_plus[j]), float(d_minus[j])))
         if win > tol or lose < 10.0 * tol:
             raise NotCospectralError(float(dec.eigenvalues[j]))
         worst = max(worst, win)
-        (plus if d_plus <= d_minus else minus).append(pos)
+        (plus if d_plus[j] <= d_minus[j] else minus).append(pos)
     # y may not carry support outside sigma_x
-    off = [j for j in range(dec.k) if j not in prof.indices]
-    for j in off:
-        if np.linalg.norm(dec.projectors[j] @ y) > tol:
-            raise NotCospectralError(float(dec.eigenvalues[j]))
+    outside = y_norms > tol
+    outside[list(prof.indices)] = False
+    if outside.any():
+        raise NotCospectralError(float(dec.eigenvalues[np.argmax(outside)]))
     if not plus or not minus:
         raise InvalidPairError("pair is numerically indistinguishable from y = +-x")
     return CospectralityCertificate(
@@ -159,15 +156,15 @@ def moment_check(
 ) -> bool:
     """True iff x^T M^k x = y^T M^k y for k = 0..k_max within 1e-8 * scale**k.
 
-    Moments are computed spectrally from the projector weights, states
+    Moments are computed spectrally from the weights ||E_j x||^2, states
     unit-normalized first.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
-    wx = np.linalg.norm(dec.projectors @ x, axis=1) ** 2 / np.dot(x, x)
-    wy = np.linalg.norm(dec.projectors @ y, axis=1) ** 2 / np.dot(y, y)
+    wx = dec.norms(x) ** 2 / np.dot(x, x)
+    wy = dec.norms(y) ** 2 / np.dot(y, y)
     for k in range(k_max + 1):
         powers = dec.eigenvalues**k
         if abs(powers @ wx - powers @ wy) > 1e-8 * dec.scale**k:
@@ -209,5 +206,5 @@ def involution_from_partition(
     acts as the identity off the support."""
     q = np.eye(dec.n)
     for pos in cert.minus_positions:
-        q = q - 2.0 * dec.projectors[cert.profile.indices[pos]]
+        q = q - 2.0 * dec.projector(cert.profile.indices[pos])
     return q

@@ -45,6 +45,8 @@ from .spectral import (
 )
 from .states import FIXED, check_strong_cospectrality, support
 
+SCAN_BLOCK = 1 << 18   # complex phase factors per block of the fidelity grid
+
 
 @dataclass(eq=False)
 class PstVerdict:
@@ -222,10 +224,10 @@ def pst_partners(
     that is neither found nor fixed is not periodic. Nothing is raised for
     those states; an empty support raises InvalidStateError.
 
-    The (k, b) support mask is built one cluster at a time from
-    ||E_j x|| > tol_supp * ||x||, so no (k, n, b) component tensor is held.
-    Columns sharing a support share one ratio table and flip pattern, and
-    each group's partners are X_g - 2 * sum_{j in flips} E_j X_g.
+    The (k, b) support mask is ||E_j x|| > tol_supp * ||x|| from one
+    product V^T X. Columns sharing a support share one ratio table and flip
+    pattern, and each group's partners are X_g - 2 V_F (V_F^T X_g), with V_F
+    the eigenvector columns of the flipped clusters.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != dec.n:
@@ -235,9 +237,7 @@ def pst_partners(
     cutoff = cfg.tol_supp * np.linalg.norm(X, axis=0)
     if np.any(cutoff == 0.0):
         raise InvalidStateError("state must be nonzero")
-    mask = np.empty((dec.k, X.shape[1]), dtype=bool)
-    for j in range(dec.k):
-        mask[j] = np.linalg.norm(dec.projectors[j] @ X, axis=0) > cutoff
+    mask = dec.norms(X) > cutoff
     sizes = mask.sum(axis=0)
     if np.any(sizes == 0):
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
@@ -254,11 +254,8 @@ def pst_partners(
         if isinstance(table, NonPeriodic):
             continue
         xg = X[:, cols]
-        flip = None
-        for pos in _flip_positions(table):
-            comp = dec.projectors[idx[pos]] @ xg
-            flip = comp if flip is None else flip + comp
-        partners[:, cols] = xg - 2.0 * flip
+        vf = np.hstack([dec.block(j) for j in idx[_flip_positions(table)]])
+        partners[:, cols] = xg - 2.0 * vf @ (vf.T @ xg)
         found[cols] = True
     return partners, found, sizes == 1
 
@@ -320,19 +317,25 @@ def fidelity_scan(
     steps: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> ScanResult:
-    """Uniformly sampled fidelity with a golden-section refinement of the peak."""
+    """Uniformly sampled fidelity, evaluated in blocks of at most SCAN_BLOCK
+    phase factors, with a golden-section refinement of the peak."""
     if steps < 2:
         raise InvalidStateError("steps must be at least 2")
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
-    amps = dec.projectors @ x @ y  # c_j = y^T E_j x
+    cx, cy = (dec.vectors.T @ np.column_stack((x, y))).T
+    amps = dec.cluster_sums(cx * cy)  # c_j = y^T E_j x
     denom = float(np.dot(x, x) * np.dot(y, y))
 
     def f(t: float) -> float:
         return float(abs(np.exp(1j * t * dec.eigenvalues) @ amps) ** 2 / denom)
 
     times = np.linspace(0.0, t_max, steps)
-    values = np.array([f(t) for t in times])
+    values = np.empty(steps)
+    rows = max(1, SCAN_BLOCK // dec.k)
+    for s in range(0, steps, rows):
+        phases = np.exp(1j * np.outer(times[s:s + rows], dec.eigenvalues))
+        values[s:s + rows] = np.abs(phases @ amps) ** 2 / denom
     best = int(np.argmax(values))
     lo = times[max(best - 1, 0)]
     hi = times[min(best + 1, steps - 1)]

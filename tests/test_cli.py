@@ -208,3 +208,17 @@ def test_graph_and_state_json_round_trip():
     x = np.array([1.0 / 7.0, -math.sqrt(2.0), 3e-17])
     back_x = serialize.state_from_doc(json.loads(serialize.dumps(serialize.state_to_doc(x))))
     assert np.array_equal(back_x, x)
+
+
+def test_tolerance_overrides(tmp_path, capsys):
+    from pstwalk.cli import _config, build_parser
+
+    g = _graph_file(tmp_path, "p7.json", pw.build_path(7))
+    x = _state_file(tmp_path, "x.json", pair_state(7, 0, 6))
+    args = build_parser().parse_args(["analyze", g, x, "--tol-supp", "1e-7", "--q-max", "100"])
+    assert _config(args) == pw.ToleranceConfig(tol_supp=1e-7, q_max=100)
+    assert _config(build_parser().parse_args(["analyze", g, x])) == pw.ToleranceConfig()
+    # --tol-proj set a threshold nothing read; it is now a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", g, x, "--tol-proj", "1e-9"])
+    assert exc.value.code == 2

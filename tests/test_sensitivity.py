@@ -78,7 +78,7 @@ def test_cauchy_schwarz_step(rng):
     # (sum a_j lam_j)^2 <= sum a_j lam_j^2 for the support weights
     for dec, x, y, tau in _collect_pairs(rng, 6):
         yv = unit(y)
-        weights = np.linalg.norm(dec.projectors @ yv, axis=1) ** 2
+        weights = dec.norms(yv) ** 2
         lin = float(dec.eigenvalues @ weights)
         quad = float(dec.eigenvalues**2 @ weights)
         assert lin * lin <= quad + 1e-12
