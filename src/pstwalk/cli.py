@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize
 from .arith import symbolic_pi_multiple
-from .errors import NumericFailureError, PstwalkError
+from .errors import FixedStateError, NumericFailureError, PstwalkError
 from .families import (
     complete_bipartite_pst,
     complete_graph_pst,
@@ -35,7 +35,7 @@ from .transfer import (
     extremal_min_pst_search,
     fidelity_scan,
     pst_decide,
-    pst_partner,
+    pst_partners,
     verify_pst_numeric,
 )
 
@@ -145,18 +145,20 @@ def cmd_partner(args) -> tuple[dict, str]:
     ham = _load_hamiltonian(args, cfg)
     x = _load_state(args.x, ham.n)
     dec = decompose(ham, cfg)
-    partner = pst_partner(dec, x, cfg)
-    if partner is None:
+    partners, found, fixed, taus = pst_partners(dec, x[:, None], cfg)
+    if fixed[0]:
+        raise FixedStateError("fixed states admit no transfer")
+    if not found[0]:
         return {"partner": None, "tau": None, "tau_symbolic": None,
                 "reason": "not-periodic"}, "no partner (not periodic)"
-    verdict = pst_decide(dec, x, partner, cfg)
+    tau = float(taus[0])
     doc = {
-        "partner": serialize.state_to_doc(partner),
-        "tau": verdict.tau_min,
-        "tau_symbolic": verdict.tau_symbolic,
+        "partner": serialize.state_to_doc(partners[:, 0]),
+        "tau": tau,
+        "tau_symbolic": symbolic_pi_multiple(tau),
         "reason": None,
     }
-    return doc, f"partner found, tau={verdict.tau_min:.12g}"
+    return doc, f"partner found, tau={tau:.12g}"
 
 
 def cmd_synthesize(args) -> tuple[dict, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -205,69 +206,64 @@ def _groups_for(values: np.ndarray, vectors: np.ndarray, wanted: list[float]) ->
     return groups
 
 
+def _add_case(cases: list[FamilyCase], family: str, kind: str, n: int, basis,
+              case: str, tau: float, wanted: list[float], kept: tuple[int, ...],
+              flipped: tuple[int, ...], required_all: tuple[int, ...] = (),
+              required_any: tuple[int, ...] = ()) -> None:
+    """Append the case when every wanted eigenvalue occurs in the (values,
+    vectors) basis."""
+    groups = _groups_for(*basis, wanted)
+    if groups is not None:
+        cases.append(
+            FamilyCase(
+                family=family, kind=kind, case=case, n=n,
+                tau=tau, tau_symbolic=symbolic_pi_multiple(tau),
+                groups=groups, kept=kept, flipped=flipped,
+                required_all=required_all, required_any=required_any,
+            )
+        )
+
+
 def cycle_pst_families(n: int) -> list[FamilyCase]:
     """All transfer-supporting support shapes of the n-cycle with at least
     three eigenvalues; empty when no case divides n."""
     if n < 3:
         raise InvalidSizeError("cycle needs n >= 3")
-    values, vectors = cycle_eigenbasis(n)
     cases: list[FamilyCase] = []
+    add = partial(_add_case, cases, "cycle", ADJACENCY, n, cycle_eigenbasis(n))
     r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
-
-    def add(case, tau, wanted, kept, flipped, req_all=(), req_any=()):
-        groups = _groups_for(values, vectors, wanted)
-        if groups is not None:
-            cases.append(
-                FamilyCase(
-                    family="cycle", kind=ADJACENCY, case=case, n=n,
-                    tau=tau, tau_symbolic=symbolic_pi_multiple(tau),
-                    groups=groups, kept=kept, flipped=flipped,
-                    required_all=req_all, required_any=req_any,
-                )
-            )
 
     if n % 2 == 0 and (n // 2) % 3 == 0:
         # integer support avoiding 0: subset of {+-1, +-2} with a +-1 component
         add("int-pm1", math.pi, [2.0, 1.0, -1.0, -2.0],
-            kept=(0, 3), flipped=(1, 2), req_any=(1, 2))
+            kept=(0, 3), flipped=(1, 2), required_any=(1, 2))
     if n % 2 == 0 and (n // 2) % 6 == 0:
         # integer support containing 0 and a +-1 component
         add("int-with0", math.pi, [2.0, 1.0, 0.0, -1.0, -2.0],
-            kept=(0, 2, 4), flipped=(1, 3), req_all=(2,), req_any=(1, 3))
+            kept=(0, 2, 4), flipped=(1, 3), required_all=(2,), required_any=(1, 3))
     if n % 4 == 0:
         add("int-0pm2", math.pi / 2.0, [2.0, 0.0, -2.0],
-            kept=(1,), flipped=(0, 2), req_all=(0, 1, 2))
+            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
     if n % 12 == 0:
         add("surd3", math.pi / r3, [r3, 0.0, -r3],
-            kept=(1,), flipped=(0, 2), req_all=(0, 1, 2))
+            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
     if n % 8 == 0:
         add("surd2", math.pi / r2, [r2, 0.0, -r2],
-            kept=(1,), flipped=(0, 2), req_all=(0, 1, 2))
+            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
     return cases
 
 
 def path_pst_families(n: int, kind: str) -> list[FamilyCase]:
     """Transfer-supporting support shapes of the n-path (three eigenvalues or
-    more); empty when no case divides n (adjacency keys on n+1)."""
+    more); empty when no case divides n (adjacency keys on n+1). Every
+    eigenvalue of a case is required."""
     if n < 3:
         raise InvalidSizeError("path families need n >= 3")
     r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
     cases: list[FamilyCase] = []
     if kind == ADJACENCY:
-        values, vectors = path_adj_eigenbasis(n)
-
-        def add(case, tau, wanted, kept, flipped):
-            groups = _groups_for(values, vectors, wanted)
-            if groups is not None:
-                cases.append(
-                    FamilyCase(
-                        family="path", kind=kind, case=case, n=n,
-                        tau=tau, tau_symbolic=symbolic_pi_multiple(tau),
-                        groups=groups, kept=kept, flipped=flipped,
-                        required_all=tuple(range(len(wanted))),
-                    )
-                )
-
+        add = partial(_add_case, cases, "path", kind, n, path_adj_eigenbasis(n),
+                      required_all=(0, 1, 2))
         if (n + 1) % 6 == 0:
             # NOTE: with support {0, +-1} the phases only align at pi, not pi/2
             add("int-pm1", math.pi, [1.0, 0.0, -1.0], kept=(1,), flipped=(0, 2))
@@ -278,30 +274,17 @@ def path_pst_families(n: int, kind: str) -> list[FamilyCase]:
 
     if kind != LAPLACIAN:
         raise ValueError(f"unknown kind {kind!r}")
-    values, vectors = path_lap_eigenbasis(n)
-
-    def addl(case, tau, wanted, kept, flipped, req_all=()):
-        groups = _groups_for(values, vectors, wanted)
-        if groups is not None:
-            cases.append(
-                FamilyCase(
-                    family="path", kind=kind, case=case, n=n,
-                    tau=tau, tau_symbolic=symbolic_pi_multiple(tau),
-                    groups=groups, kept=kept, flipped=flipped,
-                    required_all=req_all,
-                )
-            )
-
+    add = partial(_add_case, cases, "path", kind, n, path_lap_eigenbasis(n))
     if n % 6 == 0:
-        addl("int-0123", math.pi, [3.0, 2.0, 1.0, 0.0], kept=(1, 3), flipped=(0, 2))
-        addl("surd3", math.pi / r3, [2.0 + r3, 2.0, 2.0 - r3],
-             kept=(1,), flipped=(0, 2), req_all=(0, 1, 2))
+        add("int-0123", math.pi, [3.0, 2.0, 1.0, 0.0], kept=(1, 3), flipped=(0, 2))
+        add("surd3", math.pi / r3, [2.0 + r3, 2.0, 2.0 - r3],
+            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
     elif n % 3 == 0:
-        addl("int-013", math.pi, [3.0, 1.0, 0.0], kept=(2,), flipped=(0, 1),
-             req_all=(0, 1, 2))
+        add("int-013", math.pi, [3.0, 1.0, 0.0], kept=(2,), flipped=(0, 1),
+            required_all=(0, 1, 2))
     if n % 4 == 0:
-        addl("surd2", math.pi / r2, [2.0 + r2, 2.0, 2.0 - r2],
-             kept=(1,), flipped=(0, 2), req_all=(0, 1, 2))
+        add("surd2", math.pi / r2, [2.0 + r2, 2.0, 2.0 - r2],
+            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
     return cases
 
 
@@ -477,7 +460,7 @@ def pair_plus_catalog(
     X = np.zeros((g.n, len(states)))
     for c, (u, v, s) in enumerate(states):
         X[u, c], X[v, c] = 1.0, s
-    partners, found, _ = pst_partners(dec, X, cfg)
+    partners, found, _, _ = pst_partners(dec, X, cfg)
     hits = np.nonzero(found)[0]
     cols, ps, pu, pv = _pair_shapes(partners[:, hits])
     entries: list[CatalogEntry] = []

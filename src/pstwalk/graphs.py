@@ -133,10 +133,9 @@ def build_empty(n: int) -> Graph:
 def build_hypercube(d: int) -> Graph:
     if d < 1:
         raise InvalidSizeError("hypercube needs dimension >= 1")
-    g = build_path(2)
-    for _ in range(d - 1):
-        g = cartesian_product(g, build_path(2))
-    return g
+    # the d-fold box product of P2: vertices are bit strings, edges flip one bit
+    return make_graph(2**d, [(u, u | 1 << b) for u in range(2**d) for b in range(d)
+                             if not u >> b & 1])
 
 
 def build_petersen() -> Graph:
@@ -173,22 +172,29 @@ def join(g: Graph, h: Graph) -> Graph:
     return make_graph(m + h.n, edges)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
+def _distances(g: Graph, sources) -> list[int]:
+    """Breadth-first graph distance from the nearest source to every vertex;
+    -1 for vertices no source reaches."""
     adj = [[] for _ in range(g.n)]
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
+    dist = [-1] * g.n
+    queue = deque()
+    for u in sources:
+        dist[u] = 0
+        queue.append(u)
     while queue:
         u = queue.popleft()
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
                 queue.append(v)
-    return len(seen) == g.n
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return min(_distances(g, [0])) >= 0
 
 
 def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
@@ -206,21 +212,7 @@ def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
     sources = [int(u) for u in np.nonzero(np.abs(x) > tol_supp * nrm)[0]]
     if not sources:
         raise InvalidStateError("state has empty support at this tolerance")
-    adj = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = [-1] * g.n
-    queue = deque()
-    for u in sources:
-        dist[u] = 0
-        queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = _distances(g, sources)
     if min(dist) < 0:
         return math.inf
     return float(max(dist))

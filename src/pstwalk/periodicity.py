@@ -20,6 +20,11 @@ from .states import support
 # continued-fraction fits of irrational ratios into NonPeriodic verdicts.
 PHASE_ALIGNMENT = 1e-7
 
+# A period's denominator lcm must stay below this bound: ratio_condition reports
+# a support whose running lcm reaches it as NonPeriodic, and minimum_period
+# refuses such a table.
+MAX_LCM = 2**63
+
 SIZE2 = "size2"
 INTEGER = "integer"
 QUADRATIC = "quadratic"
@@ -39,6 +44,17 @@ class RatioTable:
     @property
     def lcm(self) -> int:
         return math.lcm(*self.q) if self.q else 1
+
+    @property
+    def flips(self) -> tuple[int, ...]:
+        """Support positions whose components change sign at half the
+        minimum period: those with odd r_j = lcm * p_j / q_j, where positions
+        0 and 1 carry the implicit ratios 0/1 and 1/1. The r_j have gcd 1, so
+        the relative phase of position j there is (-1)**r_j."""
+        q = self.lcm
+        ps = (0, 1) + self.p
+        qs = (1, 1) + self.q
+        return tuple(pos for pos, (p, qj) in enumerate(zip(ps, qs)) if (q // qj) * p % 2)
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,9 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
     Two-element supports are trivially periodic (empty table). A fraction is
     accepted when its residual is within int_tol and the implied common
     period aligns all phases (see PHASE_ALIGNMENT); any failure yields
-    NonPeriodic with the offending support position.
+    NonPeriodic with the offending support position. So does the position
+    at which the running lcm of the denominators reaches 2**63, the bound
+    minimum_period enforces.
     """
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
@@ -92,7 +110,11 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
         ps.append(p)
         qs.append(q)
         res.append(err)
-    lcm = math.lcm(*qs)
+    lcm = 1
+    for j, (q, err) in enumerate(zip(qs, res), start=2):
+        lcm = math.lcm(lcm, q)
+        if lcm >= MAX_LCM:
+            return NonPeriodic(offending_index=j, ratio=(vals[0] - vals[j]) / gap, residual=err)
     for j, err in enumerate(res, start=2):
         # phase misalignment at the common period is 2*pi*lcm*err
         if 2.0 * math.pi * lcm * err > PHASE_ALIGNMENT:
@@ -108,7 +130,7 @@ def minimum_period(
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
     q = table.lcm
-    if q >= 2**63:
+    if q >= MAX_LCM:
         raise OverflowError(f"denominator lcm {q} exceeds 2**63")
     return 2.0 * math.pi * q / gap
 

@@ -26,11 +26,10 @@ MAX_PARTITION_SUPPORT = 20
 
 @dataclass(eq=False)
 class SupportProfile:
-    """Support eigenvalues of a state with the projected components u_j = E_j x."""
+    """Support eigenvalues of a state, by their positions in the decomposition."""
 
     indices: tuple[int, ...]      # positions in the decomposition (descending eigenvalues)
     eigenvalues: np.ndarray       # support eigenvalues, descending
-    components: np.ndarray        # shape (m, n); row j is E_j x
     kind: str                     # fixed | size2 | general
 
     @property
@@ -61,7 +60,6 @@ def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERA
     return SupportProfile(
         indices=idx,
         eigenvalues=dec.eigenvalues[list(idx)],
-        components=dec.components(x, idx),
         kind=kind,
     )
 
@@ -137,12 +135,13 @@ def enumerate_partners(
     m = prof.size
     if m > MAX_PARTITION_SUPPORT:
         raise TooManyPartitionsError(f"support size {m} exceeds {MAX_PARTITION_SUPPORT}")
+    comps = dec.components(x, prof.indices)
     partners = []
     for mask in range(1, 2 ** (m - 1)):
         flip = np.zeros(dec.n)
         for bit in range(m - 1):
             if mask >> bit & 1:
-                flip += prof.components[1 + bit]
+                flip += comps[1 + bit]
         partners.append(x - 2.0 * flip)
     return partners
 

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import symbolic_pi_multiple, two_adic_valuation
+from .arith import symbolic_pi_multiple
 from .errors import (
     FixedStateError,
     InvalidSizeError,
@@ -128,10 +128,12 @@ def pst_decide(
     """Decide perfect state transfer between x and y.
 
     Decision tree: strong cospectrality, then the ratio condition on the
-    support, then (for supports of size >= 3) the parity conditions on the
-    reconstructed integers, dispatched on whether the second-largest support
-    eigenvalue sits in the plus or minus class. Valuations are taken on exact
-    reconstructed integers, never on floats.
+    support, then the parity condition: with the largest support eigenvalue
+    in the plus class, the minus class must be exactly the ratio table's
+    flips (the positions with odd r_j, read on exact reconstructed
+    integers). The case label records the support size and, for three or
+    more eigenvalues, whether the second-largest sits in the plus (2a) or
+    minus (2b) class.
     """
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
@@ -154,29 +156,13 @@ def pst_decide(
             sigma_plus=cert.sigma_plus,
             sigma_minus=cert.sigma_minus,
         )
-    rho = minimum_period(sup, table, cfg)
-    tau = rho / 2.0
-    m = prof.size
+    tau = minimum_period(sup, table, cfg) / 2.0
     form = classify_form(sup, cfg)
-
-    if m == 2:
-        case = "size2"
-        ok = True
-    else:
-        plus = set(cert.plus_positions)
-        minus = set(cert.minus_positions)
-        if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
-            plus, minus = minus, plus
-        case = "2a" if 1 in plus else "2b"
-        q = table.lcm
-        ok = True
-        for pos in range(1, m):
-            p_j, q_j = (1, 1) if pos == 1 else (table.p[pos - 2], table.q[pos - 2])
-            r_j = (q // q_j) * p_j  # exact: q is the lcm of the q_j
-            if (r_j % 2 == 0) != (pos in plus):
-                ok = False
-                break
-    if not ok:
+    minus = set(cert.minus_positions)
+    if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
+        minus = set(cert.plus_positions)
+    case = "size2" if prof.size == 2 else "2b" if 1 in minus else "2a"
+    if minus != set(table.flips):
         return _refusal(
             f"parity-condition-failed({case})",
             sigma_plus=cert.sigma_plus,
@@ -200,34 +186,23 @@ def pst_decide(
     )
 
 
-def _flip_positions(table: RatioTable) -> list[int]:
-    """Support positions whose components change sign in the partner: those
-    of largest 2-adic valuation of q_j when some q_j is even, else those with
-    odd p_j (the table's implicit first two ratios are 0/1 and 1/1)."""
-    ps = (0, 1) + table.p
-    qs = (1, 1) + table.q
-    if any(q % 2 == 0 for q in qs):
-        vals = [two_adic_valuation(q) for q in qs]
-        eta = max(vals)
-        return [pos for pos, v in enumerate(vals) if v == eta]
-    return [pos for pos, p in enumerate(ps) if p % 2 == 1]
-
-
 def pst_partners(
     dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transfer partners of every column of the state matrix X, shape (n, b).
 
-    Returns (partners, found, fixed): partners has shape (n, b), and its
-    column c is the partner of X[:, c] where the bool mask found[c] is set
-    and NaN elsewhere; fixed (b,) marks single-eigenvalue supports. A column
-    that is neither found nor fixed is not periodic. Nothing is raised for
-    those states; an empty support raises InvalidStateError.
+    Returns (partners, found, fixed, tau): partners has shape (n, b), and
+    its column c is the partner of X[:, c] where the bool mask found[c] is
+    set and NaN elsewhere; tau (b,) is the minimum transfer time, half the
+    minimum period, where found and NaN elsewhere; fixed (b,) marks
+    single-eigenvalue supports. A column that is neither found nor fixed is
+    not periodic. Nothing is raised for those states; an empty support
+    raises InvalidStateError.
 
     The (k, b) support mask is ||E_j x|| > tol_supp * ||x|| from one
-    product V^T X. Columns sharing a support share one ratio table and flip
-    pattern, and each group's partners are X_g - 2 V_F (V_F^T X_g), with V_F
-    the eigenvector columns of the flipped clusters.
+    product V^T X. Columns sharing a support share one ratio table, and each
+    group's partners are X_g - 2 V_F (V_F^T X_g), with V_F the eigenvector
+    columns of the table's flips.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != dec.n:
@@ -243,6 +218,7 @@ def pst_partners(
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
     found = np.zeros(X.shape[1], dtype=bool)
     partners = np.full(X.shape, np.nan)
+    tau = np.full(X.shape[1], np.nan)
     groups: dict[bytes, list[int]] = {}
     for c, pattern in enumerate(mask.T):
         groups.setdefault(pattern.tobytes(), []).append(c)
@@ -250,14 +226,16 @@ def pst_partners(
         idx = np.nonzero(mask[:, cols[0]])[0]
         if len(idx) == 1:
             continue
-        table = ratio_condition(dec.eigenvalues[idx], cfg)
+        sup = dec.eigenvalues[idx]
+        table = ratio_condition(sup, cfg)
         if isinstance(table, NonPeriodic):
             continue
         xg = X[:, cols]
-        vf = np.hstack([dec.block(j) for j in idx[_flip_positions(table)]])
+        vf = np.hstack([dec.block(j) for j in idx[list(table.flips)]])
         partners[:, cols] = xg - 2.0 * vf @ (vf.T @ xg)
+        tau[cols] = minimum_period(sup, table, cfg) / 2.0
         found[cols] = True
-    return partners, found, sizes == 1
+    return partners, found, sizes == 1, tau
 
 
 def pst_partner(
@@ -267,7 +245,7 @@ def pst_partner(
     periodic; the one-column case of pst_partners. Raises FixedStateError
     for a single-eigenvalue support."""
     x = as_state(x, dec.n)
-    partners, found, fixed = pst_partners(dec, x[:, None], cfg)
+    partners, found, fixed, _ = pst_partners(dec, x[:, None], cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
     return partners[:, 0] if found[0] else None

@@ -114,7 +114,7 @@ def test_batch_matches_single_state(case):
     cols.append(dec.eigenvector(0) + 0.5 * dec.eigenvector(dec.k - 1))
     cols.append(rng.normal(size=n))
     X = np.stack(cols, axis=1)
-    partners, found, fixed = pw.pst_partners(dec, X)
+    partners, found, fixed, _ = pw.pst_partners(dec, X)
     assert partners.shape == X.shape
     for c in range(X.shape[1]):
         try:
@@ -170,5 +170,5 @@ def test_flip_selection_takes_largest_valuation():
     assert np.max(np.abs(y - [1.0, 1.0, -1.0, 1.0])) <= 1e-12
     verdict = pw.pst_decide(dec, x, y)
     assert verdict.decision and verdict.tau_symbolic == "pi"
-    partners, found, _ = pw.pst_partners(dec, np.stack([x, -x], axis=1))
+    partners, found, _, _ = pw.pst_partners(dec, np.stack([x, -x], axis=1))
     assert found.all() and np.array_equal(partners[:, 1], -partners[:, 0])

@@ -6,7 +6,7 @@ import pytest
 
 import pstwalk as pw
 from conftest import basis_state, pair_state
-from pstwalk import serialize
+from pstwalk import cli, serialize
 from pstwalk.cli import main
 
 
@@ -222,3 +222,27 @@ def test_tolerance_overrides(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", g, x, "--tol-proj", "1e-9"])
     assert exc.value.code == 2
+
+
+def test_partner_two_eigenvalue_state_without_cospectral_margin(tmp_path, capsys, monkeypatch):
+    # the partner differs from x by 6e-8, under the margin pst_decide asks of
+    # a pair; the partner command reads tau from the same partner pass
+    monkeypatch.setattr(cli, "pst_decide", None)
+    v1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    v2 = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    g = _graph_file(tmp_path, "p2.json", pw.build_path(2))
+    x = _state_file(tmp_path, "x.json", v1 + 3e-8 * v2)
+    code, doc, err = _run(capsys, ["partner", g, x])
+    assert code == 0
+    assert doc["tau"] == math.pi / 2.0 and doc["tau_symbolic"] == "pi/2"
+    assert np.max(np.abs(np.array(doc["partner"]) - (v1 - 3e-8 * v2))) <= 1e-15
+    assert err.startswith("partner found")
+
+
+def test_p280_end_pair_is_not_periodic(tmp_path, capsys):
+    g = _graph_file(tmp_path, "p280.json", pw.build_path(280))
+    x = _state_file(tmp_path, "x.json", pair_state(280, 0, 279))
+    code, doc, _ = _run(capsys, ["analyze", g, x])
+    assert code == 0 and doc["periodic"] is False and doc["rho"] is None
+    code, doc, _ = _run(capsys, ["partner", g, x])
+    assert code == 0 and doc["partner"] is None and doc["reason"] == "not-periodic"

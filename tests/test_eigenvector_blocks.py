@@ -20,7 +20,6 @@ from conftest import random_tree
 from pstwalk.errors import FixedStateError, InvalidPairError, NotCospectralError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
 from pstwalk.states import FIXED, GENERAL, SIZE2
-from pstwalk.transfer import _flip_positions
 
 transfer = importlib.import_module("pstwalk.transfer")
 
@@ -41,12 +40,10 @@ def dense_projectors(matrix, dec):
 
 
 def _dense_support(dec, P, x, cfg=pw.DEFAULT_TOLERANCES):
-    comps = P @ x
-    norms = np.linalg.norm(comps, axis=1)
+    norms = np.linalg.norm(P @ x, axis=1)
     idx = tuple(int(j) for j in np.nonzero(norms > cfg.tol_supp * float(np.linalg.norm(x)))[0])
     kind = FIXED if len(idx) == 1 else SIZE2 if len(idx) == 2 else GENERAL
-    return pw.SupportProfile(indices=idx, eigenvalues=dec.eigenvalues[list(idx)],
-                             components=comps[list(idx)], kind=kind)
+    return pw.SupportProfile(indices=idx, eigenvalues=dec.eigenvalues[list(idx)], kind=kind)
 
 
 def _dense_cospectrality(dec, P, x, y, cfg=pw.DEFAULT_TOLERANCES, profile=None):
@@ -56,7 +53,7 @@ def _dense_cospectrality(dec, P, x, y, cfg=pw.DEFAULT_TOLERANCES, profile=None):
     tol = cfg.tol_supp * float(np.linalg.norm(x))
     plus, minus, worst = [], [], 0.0
     for pos, j in enumerate(prof.indices):
-        ex, ey = prof.components[pos], P[j] @ y
+        ex, ey = P[j] @ x, P[j] @ y
         d_plus, d_minus = float(np.linalg.norm(ex - ey)), float(np.linalg.norm(ex + ey))
         win, lose = (d_plus, d_minus) if d_plus <= d_minus else (d_minus, d_plus)
         if win > tol or lose < 10.0 * tol:
@@ -87,7 +84,7 @@ def _dense_partners(dec, P, X, cfg=pw.DEFAULT_TOLERANCES):
         table = ratio_condition(dec.eigenvalues[idx], cfg)
         if isinstance(table, NonPeriodic):
             continue
-        flip = sum(P[idx[pos]] @ X[:, c] for pos in _flip_positions(table))
+        flip = sum(P[idx[pos]] @ X[:, c] for pos in table.flips)
         partners[:, c] = X[:, c] - 2.0 * flip
         found[c] = True
     return partners, found, sizes == 1
@@ -214,7 +211,7 @@ def test_consumers_match_dense_projectors(case):
 
     prof, ref_prof = pw.support(dec, x), _dense_support(dec, P, x)
     assert prof.indices == ref_prof.indices and prof.kind == ref_prof.kind
-    assert np.max(np.abs(prof.components - ref_prof.components)) <= TOL
+    assert np.max(np.abs(dec.components(x, prof.indices) - P[list(ref_prof.indices)] @ x)) <= TOL
 
     off = [j for j in range(dec.k) if j not in prof.indices]
     if y_kind == "partner" and prof.kind != FIXED:
@@ -262,7 +259,7 @@ def test_consumers_match_dense_projectors(case):
                 assert (got is None and want is None) or np.array_equal(got, want)
 
     X = np.column_stack([x, y, np.eye(n)[0]])
-    partners, found, fixed = pw.pst_partners(dec, X)
+    partners, found, fixed, _ = pw.pst_partners(dec, X)
     ref_partners, ref_found, ref_fixed = _dense_partners(dec, P, X)
     assert np.array_equal(found, ref_found) and np.array_equal(fixed, ref_fixed)
     if found.any():
