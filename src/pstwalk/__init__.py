@@ -12,6 +12,7 @@ from .constructions import (
     product_pst,
 )
 from .errors import (
+    AmbiguousCospectralityError,
     FixedStateError,
     GraphError,
     InvalidAutomorphismError,
@@ -72,7 +73,6 @@ from .periodicity import (
     closed_form_period,
     covering_radius_bound_check,
     is_conjugate_closed,
-    minimum_period,
     ratio_condition,
     spectral_gap_check,
 )
@@ -102,6 +102,7 @@ from .states import (
     involution_from_partition,
     moment_check,
     support,
+    support_mask,
 )
 from .synthesis import SynthesisRequest, involution_certificate, synthesize
 from .transfer import (

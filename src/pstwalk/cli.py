@@ -26,7 +26,7 @@ from .families import (
     path_pst_families,
 )
 from .graphs import ADJACENCY, LAPLACIAN, hamiltonian, load_custom
-from .periodicity import NonPeriodic, classify_form, minimum_period, ratio_condition
+from .periodicity import NonPeriodic, classify_form, ratio_condition
 from .sensitivity import fidelity_derivatives
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
 from .states import FIXED, support
@@ -42,15 +42,13 @@ from .transfer import (
 KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": "custom"}
 
 
-def _add_common(p: argparse.ArgumentParser, kind: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, kind: bool = True, tolerances: bool = True) -> None:
     if kind:
         p.add_argument("--kind", choices=sorted(KINDS), default="adj")
         p.add_argument("--custom-matrix", help="matrix JSON for --kind custom")
-    p.add_argument("--tol-group", type=float)
-    p.add_argument("--tol-supp", type=float)
-    p.add_argument("--tol-phase", type=float)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--int-tol", type=float)
+    if tolerances:  # --tol-group, --tol-supp, --tol-phase, --q-max, --int-tol
+        for f in dataclasses.fields(ToleranceConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the result to this path")
 
@@ -61,7 +59,7 @@ def _config(args) -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
 
 
-def _load_hamiltonian(args, cfg):
+def _load_hamiltonian(args):
     g = serialize.graph_from_doc(serialize.load_json(args.graph))
     kind = KINDS[args.kind]
     if kind == "custom":
@@ -92,7 +90,7 @@ def _form_doc(form) -> dict | None:
 
 def cmd_analyze(args) -> tuple[dict, str]:
     cfg = _config(args)
-    ham = _load_hamiltonian(args, cfg)
+    ham = _load_hamiltonian(args)
     x = _load_state(args.state, ham.n)
     dec = decompose(ham, cfg)
     prof = support(dec, x, cfg)
@@ -113,7 +111,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
             doc["periodic"] = False
             summary = "not periodic"
         else:
-            rho = minimum_period(prof.eigenvalues, table, cfg)
+            rho = table.period
             doc["periodic"] = True
             doc["rho"] = rho
             doc["rho_symbolic"] = symbolic_pi_multiple(rho)
@@ -125,7 +123,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
 
 def cmd_pst(args) -> tuple[dict, str]:
     cfg = _config(args)
-    ham = _load_hamiltonian(args, cfg)
+    ham = _load_hamiltonian(args)
     x = _load_state(args.x, ham.n)
     y = _load_state(args.y, ham.n)
     dec = decompose(ham, cfg)
@@ -142,7 +140,7 @@ def cmd_pst(args) -> tuple[dict, str]:
 
 def cmd_partner(args) -> tuple[dict, str]:
     cfg = _config(args)
-    ham = _load_hamiltonian(args, cfg)
+    ham = _load_hamiltonian(args)
     x = _load_state(args.x, ham.n)
     dec = decompose(ham, cfg)
     partners, found, fixed, taus = pst_partners(dec, x[:, None], cfg)
@@ -162,10 +160,9 @@ def cmd_partner(args) -> tuple[dict, str]:
 
 
 def cmd_synthesize(args) -> tuple[dict, str]:
-    cfg = _config(args)
     x = serialize.state_from_doc(serialize.load_json(args.x))
     y = serialize.state_from_doc(serialize.load_json(args.y))
-    m = synthesize(SynthesisRequest(x=x, y=y, tau=args.tau, m1=args.m1, m2=args.m2), cfg)
+    m = synthesize(SynthesisRequest(x=x, y=y, tau=args.tau, m1=args.m1, m2=args.m2))
     doc = serialize.matrix_to_doc(m)
     return doc, f"synthesized {len(x)}x{len(x)} Hamiltonian for tau={args.tau:.12g}"
 
@@ -251,11 +248,11 @@ def cmd_family(args) -> tuple[dict, str]:
 
 def cmd_scan(args) -> tuple[dict, str]:
     cfg = _config(args)
-    ham = _load_hamiltonian(args, cfg)
+    ham = _load_hamiltonian(args)
     x = _load_state(args.x, ham.n)
     y = _load_state(args.y, ham.n)
     dec = decompose(ham, cfg)
-    result = fidelity_scan(dec, x, y, args.tmax, args.steps, cfg)
+    result = fidelity_scan(dec, x, y, args.tmax, args.steps)
     doc = {
         "peak_time": result.peak_time,
         "peak_value": result.peak_value,
@@ -274,7 +271,7 @@ def cmd_scan(args) -> tuple[dict, str]:
 
 def cmd_sensitivity(args) -> tuple[dict, str]:
     cfg = _config(args)
-    ham = _load_hamiltonian(args, cfg)
+    ham = _load_hamiltonian(args)
     x = _load_state(args.x, ham.n)
     y = _load_state(args.y, ham.n)
     dec = decompose(ham, cfg)
@@ -350,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
-    _add_common(p, kind=False)
+    _add_common(p, kind=False, tolerances=False)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("family", help="closed-form family pairs and s-pair catalog")

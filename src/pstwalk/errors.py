@@ -42,6 +42,11 @@ class NotCospectralError(PstwalkError):
         super().__init__(message or f"not strongly cospectral at eigenvalue {eigenvalue}")
 
 
+class AmbiguousCospectralityError(NotCospectralError):
+    """Both sign residuals at the carried eigenvalue are within ten times the
+    support tolerance, so its sign is not numerically determined."""
+
+
 class TooManyPartitionsError(PstwalkError):
     """Support too large to enumerate all strongly cospectral partners."""
 

@@ -128,8 +128,8 @@ class FamilyPair:
 
 @dataclass(eq=False)
 class FamilyCase:
-    """One support shape admitting transfer; `kept`/`flipped` index `groups`
-    and define the partner's sign pattern."""
+    """One support shape admitting transfer; `kept` indexes the `groups` the
+    partner keeps, and it flips the others."""
 
     family: str
     kind: str
@@ -139,7 +139,6 @@ class FamilyCase:
     tau_symbolic: str | None
     groups: list[EigenGroup]
     kept: tuple[int, ...]
-    flipped: tuple[int, ...]
     required_all: tuple[int, ...] = ()
     required_any: tuple[int, ...] = ()
 
@@ -208,8 +207,7 @@ def _groups_for(values: np.ndarray, vectors: np.ndarray, wanted: list[float]) ->
 
 def _add_case(cases: list[FamilyCase], family: str, kind: str, n: int, basis,
               case: str, tau: float, wanted: list[float], kept: tuple[int, ...],
-              flipped: tuple[int, ...], required_all: tuple[int, ...] = (),
-              required_any: tuple[int, ...] = ()) -> None:
+              required_all: tuple[int, ...] = (), required_any: tuple[int, ...] = ()) -> None:
     """Append the case when every wanted eigenvalue occurs in the (values,
     vectors) basis."""
     groups = _groups_for(*basis, wanted)
@@ -218,7 +216,7 @@ def _add_case(cases: list[FamilyCase], family: str, kind: str, n: int, basis,
             FamilyCase(
                 family=family, kind=kind, case=case, n=n,
                 tau=tau, tau_symbolic=symbolic_pi_multiple(tau),
-                groups=groups, kept=kept, flipped=flipped,
+                groups=groups, kept=kept,
                 required_all=required_all, required_any=required_any,
             )
         )
@@ -235,21 +233,17 @@ def cycle_pst_families(n: int) -> list[FamilyCase]:
 
     if n % 2 == 0 and (n // 2) % 3 == 0:
         # integer support avoiding 0: subset of {+-1, +-2} with a +-1 component
-        add("int-pm1", math.pi, [2.0, 1.0, -1.0, -2.0],
-            kept=(0, 3), flipped=(1, 2), required_any=(1, 2))
+        add("int-pm1", math.pi, [2.0, 1.0, -1.0, -2.0], kept=(0, 3), required_any=(1, 2))
     if n % 2 == 0 and (n // 2) % 6 == 0:
         # integer support containing 0 and a +-1 component
         add("int-with0", math.pi, [2.0, 1.0, 0.0, -1.0, -2.0],
-            kept=(0, 2, 4), flipped=(1, 3), required_all=(2,), required_any=(1, 3))
+            kept=(0, 2, 4), required_all=(2,), required_any=(1, 3))
     if n % 4 == 0:
-        add("int-0pm2", math.pi / 2.0, [2.0, 0.0, -2.0],
-            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
+        add("int-0pm2", math.pi / 2.0, [2.0, 0.0, -2.0], kept=(1,), required_all=(0, 1, 2))
     if n % 12 == 0:
-        add("surd3", math.pi / r3, [r3, 0.0, -r3],
-            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
+        add("surd3", math.pi / r3, [r3, 0.0, -r3], kept=(1,), required_all=(0, 1, 2))
     if n % 8 == 0:
-        add("surd2", math.pi / r2, [r2, 0.0, -r2],
-            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
+        add("surd2", math.pi / r2, [r2, 0.0, -r2], kept=(1,), required_all=(0, 1, 2))
     return cases
 
 
@@ -266,25 +260,22 @@ def path_pst_families(n: int, kind: str) -> list[FamilyCase]:
                       required_all=(0, 1, 2))
         if (n + 1) % 6 == 0:
             # NOTE: with support {0, +-1} the phases only align at pi, not pi/2
-            add("int-pm1", math.pi, [1.0, 0.0, -1.0], kept=(1,), flipped=(0, 2))
-            add("surd3", math.pi / r3, [r3, 0.0, -r3], kept=(1,), flipped=(0, 2))
+            add("int-pm1", math.pi, [1.0, 0.0, -1.0], kept=(1,))
+            add("surd3", math.pi / r3, [r3, 0.0, -r3], kept=(1,))
         if (n + 1) % 4 == 0:
-            add("surd2", math.pi / r2, [r2, 0.0, -r2], kept=(1,), flipped=(0, 2))
+            add("surd2", math.pi / r2, [r2, 0.0, -r2], kept=(1,))
         return cases
 
     if kind != LAPLACIAN:
         raise ValueError(f"unknown kind {kind!r}")
     add = partial(_add_case, cases, "path", kind, n, path_lap_eigenbasis(n))
     if n % 6 == 0:
-        add("int-0123", math.pi, [3.0, 2.0, 1.0, 0.0], kept=(1, 3), flipped=(0, 2))
-        add("surd3", math.pi / r3, [2.0 + r3, 2.0, 2.0 - r3],
-            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
+        add("int-0123", math.pi, [3.0, 2.0, 1.0, 0.0], kept=(1, 3))
+        add("surd3", math.pi / r3, [2.0 + r3, 2.0, 2.0 - r3], kept=(1,), required_all=(0, 1, 2))
     elif n % 3 == 0:
-        add("int-013", math.pi, [3.0, 1.0, 0.0], kept=(2,), flipped=(0, 1),
-            required_all=(0, 1, 2))
+        add("int-013", math.pi, [3.0, 1.0, 0.0], kept=(2,), required_all=(0, 1, 2))
     if n % 4 == 0:
-        add("surd2", math.pi / r2, [2.0 + r2, 2.0, 2.0 - r2],
-            kept=(1,), flipped=(0, 2), required_all=(0, 1, 2))
+        add("surd2", math.pi / r2, [2.0 + r2, 2.0, 2.0 - r2], kept=(1,), required_all=(0, 1, 2))
     return cases
 
 

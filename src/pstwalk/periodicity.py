@@ -1,6 +1,6 @@
 """Periodicity of states: the ratio condition with exact rational
-reconstruction, spectral-form classification (integer vs quadratic), minimum
-periods, and the covering-radius bound report."""
+reconstruction and the minimum period read from its table, spectral-form
+classification (integer vs quadratic), and the covering-radius bound report."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .states import support
 PHASE_ALIGNMENT = 1e-7
 
 # A period's denominator lcm must stay below this bound: ratio_condition reports
-# a support whose running lcm reaches it as NonPeriodic, and minimum_period
+# a support whose running lcm reaches it as NonPeriodic, and RatioTable.period
 # refuses such a table.
 MAX_LCM = 2**63
 
@@ -44,6 +44,15 @@ class RatioTable:
     @property
     def lcm(self) -> int:
         return math.lcm(*self.q) if self.q else 1
+
+    @property
+    def period(self) -> float:
+        """The minimum period 2*pi*lcm(q_j)/(lam_1 - lam_2); 2*pi/(lam_1 - lam_2)
+        for two eigenvalues."""
+        q = self.lcm
+        if q >= MAX_LCM:
+            raise OverflowError(f"denominator lcm {q} exceeds 2**63")
+        return 2.0 * math.pi * q / (self.lambda1 - self.lambda2)
 
     @property
     def flips(self) -> tuple[int, ...]:
@@ -95,7 +104,7 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
     period aligns all phases (see PHASE_ALIGNMENT); any failure yields
     NonPeriodic with the offending support position. So does the position
     at which the running lcm of the denominators reaches 2**63, the bound
-    minimum_period enforces.
+    RatioTable.period enforces.
     """
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
@@ -121,18 +130,6 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
             ratio = (vals[0] - vals[j]) / gap
             return NonPeriodic(offending_index=j, ratio=ratio, residual=err)
     return RatioTable(vals[0], vals[1], tuple(ps), tuple(qs), tuple(res))
-
-
-def minimum_period(
-    supp, table: RatioTable, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> float:
-    """2*pi/(lam_1 - lam_2) for two eigenvalues, else 2*pi*lcm(q_j)/(lam_1 - lam_2)."""
-    vals = _validate_support(supp)
-    gap = vals[0] - vals[1]
-    q = table.lcm
-    if q >= MAX_LCM:
-        raise OverflowError(f"denominator lcm {q} exceeds 2**63")
-    return 2.0 * math.pi * q / gap
 
 
 def classify_form(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralForm:

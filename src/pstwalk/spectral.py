@@ -20,8 +20,8 @@ from .graphs import Hamiltonian
 class ToleranceConfig:
     """Numerical thresholds used throughout the package.
 
-    tol_group scales by max(1, ||M||_inf) at the point of use; the remaining
-    fields are used as stored.
+    tol_group scales by ||M||_inf at the point of use; the remaining fields
+    are used as stored.
     """
 
     tol_group: float = 1e-8   # eigenvalue clustering
@@ -127,7 +127,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     """Group the spectrum of a real symmetric matrix into distinct eigenvalues.
 
     Single-linkage clustering on the sorted spectrum with threshold
-    tol_group * max(1, ||M||_inf); each cluster's eigenvalue is the mean and
+    tol_group * ||M||_inf, so that scaling M by c > 0 scales every cluster
+    gap and the threshold alike; each cluster's eigenvalue is the mean and
     its eigenvectors become one contiguous column block, blocks in
     descending eigenvalue order.
     """
@@ -142,7 +143,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
-    threshold = cfg.tol_group * max(1.0, scale)
+    threshold = cfg.tol_group * scale
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[i - 1] <= threshold:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AmbiguousCospectralityError,
     FixedStateError,
     InvalidAutomorphismError,
     InvalidPairError,
@@ -49,13 +50,28 @@ class CospectralityCertificate:
     profile: SupportProfile
 
 
-def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SupportProfile:
-    """Set of eigenvalues whose projection of x is nonzero (relative threshold)."""
-    x = as_state(x, dec.n)
-    cutoff = cfg.tol_supp * float(np.linalg.norm(x))
-    idx = tuple(int(j) for j in np.nonzero(dec.norms(x) > cutoff)[0])
-    if not idx:
+def support_mask(dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The (k, b) support mask ||E_j x|| > tol_supp * ||x|| of each column x
+    of the (n, b) state matrix X; InvalidStateError for a zero, non-finite
+    or empty-support column."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != dec.n:
+        raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
+    if not np.all(np.isfinite(X)):
+        raise InvalidStateError("state has non-finite entries")
+    cutoff = cfg.tol_supp * np.linalg.norm(X, axis=0)
+    if np.any(cutoff == 0.0):
+        raise InvalidStateError("state must be nonzero")
+    mask = dec.norms(X) > cutoff
+    if not np.all(mask.any(axis=0)):
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
+    return mask
+
+
+def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SupportProfile:
+    """Support of the state x: the one-column case of support_mask."""
+    x = as_state(x, dec.n)
+    idx = tuple(int(j) for j in np.nonzero(support_mask(dec, x[:, None], cfg)[:, 0])[0])
     kind = FIXED if len(idx) == 1 else SIZE2 if len(idx) == 2 else GENERAL
     return SupportProfile(
         indices=idx,
@@ -73,37 +89,36 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def check_strong_cospectrality(
-    dec: SpectralDecomposition,
-    x,
-    y,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    profile: SupportProfile | None = None,
+    dec: SpectralDecomposition, x, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> CospectralityCertificate:
     """Classify E_j x = +-E_j y over the support of x.
 
     The sign per eigenvalue is whichever of ||E_j (x - y)||, ||E_j (x + y)||
     is smaller (equal to ||V_j^T x -+ V_j^T y||, V_j having orthonormal
-    columns); the winner must fall below tol_supp*||x|| and the loser must
-    exceed ten times that, otherwise the classification is refused as
-    numerically ambiguous. Raises FixedStateError for single-eigenvalue
-    supports and NotCospectralError at the first violating eigenvalue.
+    columns). Raises, in this order: FixedStateError for a single-eigenvalue
+    support of x, InvalidPairError, NotCospectralError where a winner exceeds
+    tol_supp*||x|| or y leaves the support, and AmbiguousCospectralityError
+    where a loser is also below ten times that tolerance.
     """
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
-    _check_pair(x, y)
-    prof = profile if profile is not None else support(dec, x, cfg)
+    prof = support(dec, x, cfg)
     if prof.kind == FIXED:
         raise FixedStateError("a fixed state cannot be strongly cospectral")
+    _check_pair(x, y)
     tol = cfg.tol_supp * float(np.linalg.norm(x))
 
     # residuals for the + and - classifications, and the weights of y
     d_plus, d_minus, y_norms = dec.norms(np.column_stack((x - y, x + y, y))).T
     plus, minus = [], []
     worst = 0.0
+    ambiguous = None  # raised only when no eigenvalue fails outright
     for pos, j in enumerate(prof.indices):
         win, lose = sorted((float(d_plus[j]), float(d_minus[j])))
-        if win > tol or lose < 10.0 * tol:
+        if win > tol:
             raise NotCospectralError(float(dec.eigenvalues[j]))
+        if lose < 10.0 * tol and ambiguous is None:
+            ambiguous = float(dec.eigenvalues[j])
         worst = max(worst, win)
         (plus if d_plus[j] <= d_minus[j] else minus).append(pos)
     # y may not carry support outside sigma_x
@@ -111,6 +126,8 @@ def check_strong_cospectrality(
     outside[list(prof.indices)] = False
     if outside.any():
         raise NotCospectralError(float(dec.eigenvalues[np.argmax(outside)]))
+    if ambiguous is not None:
+        raise AmbiguousCospectralityError(ambiguous)
     if not plus or not minus:
         raise InvalidPairError("pair is numerically indistinguishable from y = +-x")
     return CospectralityCertificate(
@@ -146,13 +163,7 @@ def enumerate_partners(
     return partners
 
 
-def moment_check(
-    dec: SpectralDecomposition,
-    x,
-    y,
-    k_max: int,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> bool:
+def moment_check(dec: SpectralDecomposition, x, y, k_max: int) -> bool:
     """True iff x^T M^k x = y^T M^k y for k = 0..k_max within 1e-8 * scale**k.
 
     Moments are computed spectrally from the weights ||E_j x||^2, states

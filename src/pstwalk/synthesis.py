@@ -44,7 +44,7 @@ def _complete_basis(seed: list[np.ndarray], n: int) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def synthesize(req: SynthesisRequest, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def synthesize(req: SynthesisRequest) -> np.ndarray:
     """Dense symmetric matrix M with transfer from x to y at exactly tau and
     sign-partition sizes (m1, m2).
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .arith import symbolic_pi_multiple
 from .errors import (
+    AmbiguousCospectralityError,
     FixedStateError,
     InvalidSizeError,
     InvalidStateError,
@@ -31,7 +32,6 @@ from .periodicity import (
     RatioTable,
     SpectralForm,
     classify_form,
-    minimum_period,
     ratio_condition,
 )
 from .spectral import (
@@ -43,7 +43,7 @@ from .spectral import (
     evolve,
     fidelity,
 )
-from .states import FIXED, check_strong_cospectrality, support
+from .states import check_strong_cospectrality, support_mask
 
 SCAN_BLOCK = 1 << 18   # complex phase factors per block of the fidelity grid
 
@@ -127,27 +127,25 @@ def pst_decide(
 ) -> PstVerdict:
     """Decide perfect state transfer between x and y.
 
-    Decision tree: strong cospectrality, then the ratio condition on the
-    support, then the parity condition: with the largest support eigenvalue
-    in the plus class, the minus class must be exactly the ratio table's
-    flips (the positions with odd r_j, read on exact reconstructed
-    integers). The case label records the support size and, for three or
-    more eigenvalues, whether the second-largest sits in the plus (2a) or
-    minus (2b) class.
+    Decision tree: strong cospectrality over the support of x (refused as
+    fixed-state, not-cospectral or ambiguous-cospectrality), then the ratio
+    condition on that support, then the parity condition: with the largest
+    support eigenvalue in the plus class, the minus class must be exactly
+    the ratio table's flips (the positions with odd r_j, read on exact
+    reconstructed integers). The case label records the support size and,
+    for three or more eigenvalues, whether the second-largest sits in the
+    plus (2a) or minus (2b) class.
     """
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    prof = support(dec, x, cfg)
-    if prof.kind == FIXED:
-        return _refusal("fixed-state")
     try:
-        cert = check_strong_cospectrality(dec, x, y, cfg, profile=prof)
+        cert = check_strong_cospectrality(dec, x, y, cfg)
     except FixedStateError:
         return _refusal("fixed-state")
+    except AmbiguousCospectralityError as exc:
+        return _refusal("ambiguous-cospectrality", detail=float(exc.eigenvalue))
     except NotCospectralError as exc:
         return _refusal("not-cospectral", detail=float(exc.eigenvalue))
 
-    sup = prof.eigenvalues
+    sup = cert.profile.eigenvalues
     table = ratio_condition(sup, cfg)
     if isinstance(table, NonPeriodic):
         return _refusal(
@@ -156,12 +154,12 @@ def pst_decide(
             sigma_plus=cert.sigma_plus,
             sigma_minus=cert.sigma_minus,
         )
-    tau = minimum_period(sup, table, cfg) / 2.0
+    tau = table.period / 2.0
     form = classify_form(sup, cfg)
     minus = set(cert.minus_positions)
     if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
         minus = set(cert.plus_positions)
-    case = "size2" if prof.size == 2 else "2b" if 1 in minus else "2a"
+    case = "size2" if len(sup) == 2 else "2b" if 1 in minus else "2a"
     if minus != set(table.flips):
         return _refusal(
             f"parity-condition-failed({case})",
@@ -196,26 +194,15 @@ def pst_partners(
     set and NaN elsewhere; tau (b,) is the minimum transfer time, half the
     minimum period, where found and NaN elsewhere; fixed (b,) marks
     single-eigenvalue supports. A column that is neither found nor fixed is
-    not periodic. Nothing is raised for those states; an empty support
-    raises InvalidStateError.
+    not periodic. Nothing is raised for those states; a column that
+    support_mask refuses raises InvalidStateError.
 
-    The (k, b) support mask is ||E_j x|| > tol_supp * ||x|| from one
-    product V^T X. Columns sharing a support share one ratio table, and each
-    group's partners are X_g - 2 V_F (V_F^T X_g), with V_F the eigenvector
-    columns of the table's flips.
+    Columns sharing a support share one ratio table, and each group's
+    partners are X_g - 2 V_F (V_F^T X_g), with V_F the eigenvector columns
+    of the table's flips.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != dec.n:
-        raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
-    if not np.all(np.isfinite(X)):
-        raise InvalidStateError("state has non-finite entries")
-    cutoff = cfg.tol_supp * np.linalg.norm(X, axis=0)
-    if np.any(cutoff == 0.0):
-        raise InvalidStateError("state must be nonzero")
-    mask = dec.norms(X) > cutoff
-    sizes = mask.sum(axis=0)
-    if np.any(sizes == 0):
-        raise InvalidStateError("state has empty eigenvalue support at this tolerance")
+    mask = support_mask(dec, X, cfg)
     found = np.zeros(X.shape[1], dtype=bool)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
@@ -233,9 +220,9 @@ def pst_partners(
         xg = X[:, cols]
         vf = np.hstack([dec.block(j) for j in idx[list(table.flips)]])
         partners[:, cols] = xg - 2.0 * vf @ (vf.T @ xg)
-        tau[cols] = minimum_period(sup, table, cfg) / 2.0
+        tau[cols] = table.period / 2.0
         found[cols] = True
-    return partners, found, sizes == 1, tau
+    return partners, found, mask.sum(axis=0) == 1, tau
 
 
 def pst_partner(
@@ -287,14 +274,7 @@ def universal_pst_pair(
     return u + v, u - v, tau
 
 
-def fidelity_scan(
-    dec: SpectralDecomposition,
-    x,
-    y,
-    t_max: float,
-    steps: int,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> ScanResult:
+def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) -> ScanResult:
     """Uniformly sampled fidelity, evaluated in blocks of at most SCAN_BLOCK
     phase factors, with a golden-section refinement of the peak."""
     if steps < 2:
@@ -342,10 +322,13 @@ def _laplacian_spread_oracle(n: int) -> dict:
     """Exhaustive maximum Laplacian spread over connected unweighted graphs.
 
     The minimum period of any state is at least 2*pi/spread, so the maximum
-    spread certifies the least achievable period. Guarded to n <= 6.
+    spread certifies the least achievable period. A graph is connected iff
+    its second-smallest Laplacian eigenvalue is positive (Fiedler); for
+    n <= 6 that eigenvalue is at least 2 - 2cos(pi/6) ~ 0.268 on connected
+    graphs, far from the 1e-9 cut. Guarded to 2 <= n <= 6.
     """
-    if n > 6:
-        raise InvalidSizeError("exhaustive search is guarded to n <= 6")
+    if not 2 <= n <= 6:
+        raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
     pairs = list(combinations(range(n), 2))
     iu = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     best = 0.0
@@ -356,11 +339,10 @@ def _laplacian_spread_oracle(n: int) -> dict:
         a = np.zeros((n, n))
         a[iu] = bits
         a += a.T
-        reach = np.linalg.matrix_power(np.eye(n) + a, n - 1)
-        if np.min(reach[0]) <= 0:
+        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+        if w[1] <= 1e-9:  # disconnected: the Laplacian kernel has dimension > 1
             continue
         checked += 1
-        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
         spread = float(w[-1] - w[0])
         if spread > best + 1e-9:
             best = spread

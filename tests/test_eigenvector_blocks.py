@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
-from pstwalk.errors import FixedStateError, InvalidPairError, NotCospectralError
+from pstwalk.errors import (
+    AmbiguousCospectralityError,
+    FixedStateError,
+    InvalidPairError,
+    NotCospectralError,
+)
 from pstwalk.periodicity import NonPeriodic, ratio_condition
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
@@ -46,23 +51,27 @@ def _dense_support(dec, P, x, cfg=pw.DEFAULT_TOLERANCES):
     return pw.SupportProfile(indices=idx, eigenvalues=dec.eigenvalues[list(idx)], kind=kind)
 
 
-def _dense_cospectrality(dec, P, x, y, cfg=pw.DEFAULT_TOLERANCES, profile=None):
-    prof = profile if profile is not None else _dense_support(dec, P, x, cfg)
+def _dense_cospectrality(dec, P, x, y, cfg=pw.DEFAULT_TOLERANCES):
+    prof = _dense_support(dec, P, x, cfg)
     if prof.kind == FIXED:
         raise FixedStateError("fixed")
     tol = cfg.tol_supp * float(np.linalg.norm(x))
-    plus, minus, worst = [], [], 0.0
+    plus, minus, worst, ambiguous = [], [], 0.0, []
     for pos, j in enumerate(prof.indices):
         ex, ey = P[j] @ x, P[j] @ y
         d_plus, d_minus = float(np.linalg.norm(ex - ey)), float(np.linalg.norm(ex + ey))
         win, lose = (d_plus, d_minus) if d_plus <= d_minus else (d_minus, d_plus)
-        if win > tol or lose < 10.0 * tol:
+        if win > tol:
             raise NotCospectralError(float(dec.eigenvalues[j]))
+        if lose < 10.0 * tol:
+            ambiguous.append(float(dec.eigenvalues[j]))
         worst = max(worst, win)
         (plus if d_plus <= d_minus else minus).append(pos)
     for j in range(dec.k):
         if j not in prof.indices and np.linalg.norm(P[j] @ y) > tol:
             raise NotCospectralError(float(dec.eigenvalues[j]))
+    if ambiguous:
+        raise AmbiguousCospectralityError(ambiguous[0])
     if not plus or not minus:
         raise InvalidPairError("indistinguishable")
     return pw.CospectralityCertificate(
@@ -244,9 +253,8 @@ def test_consumers_match_dense_projectors(case):
             assert abs(cert.residual - ref_cert.residual) <= TOL
 
         def dense_decide():
-            with mock.patch.object(transfer, "support", lambda d, s, c: _dense_support(d, P, s, c)), \
-                    mock.patch.object(transfer, "check_strong_cospectrality",
-                                      lambda d, a, b, c, profile: _dense_cospectrality(d, P, a, b, c, profile)):
+            with mock.patch.object(transfer, "check_strong_cospectrality",
+                                   lambda d, a, b, c: _dense_cospectrality(d, P, a, b, c)):
                 return pw.pst_decide(dec, x, y)
 
         verdict, ref = _assert_same_outcome(lambda: pw.pst_decide(dec, x, y), dense_decide)

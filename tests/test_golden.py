@@ -36,6 +36,9 @@ CASES = [
      ["family", "complete-bipartite-adj", "4", "4", "--seed", "1"], 0),
     ("family-complete-bipartite-lap-2-8",
      ["family", "complete-bipartite-lap", "2", "8", "--seed", "1"], 0),
+    ("analyze-c8-fixed", ["analyze", "c8.json", "c8_ones.json"], 0),
+    ("pst-p7-not-cospectral", ["pst", "p7.json", "p7_x.json", "p7_e01.json"], 0),
+    ("extremal-6-lap-exhaustive", ["extremal", "6", "--kind", "lap", "--exhaustive"], 0),
 ]
 
 

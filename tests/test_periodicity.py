@@ -38,12 +38,12 @@ def test_ratio_condition_two_eigenvalues_trivial():
 
 def test_minimum_period():
     table = pw.ratio_condition(np.array([5.0, 1.0]))
-    assert pw.minimum_period(np.array([5.0, 1.0]), table) == pytest.approx(2.0 * math.pi / 4.0)
+    assert table.period == pytest.approx(2.0 * math.pi / 4.0)
 
     # vertex state on the 4-cycle: period pi, confirmed by the evolution itself
     dec, prof = _support_of(pw.build_cycle(4), pw.ADJACENCY, basis_state(4, 0))
     table = pw.ratio_condition(prof.eigenvalues)
-    rho = pw.minimum_period(prof.eigenvalues, table)
+    rho = table.period
     assert rho == pytest.approx(math.pi, abs=1e-12)
     z = pw.evolve(dec, rho, basis_state(4, 0))
     gamma = z[0] / abs(z[0])
@@ -52,7 +52,7 @@ def test_minimum_period():
     # complete graph support {n-1, -1}: period 2 pi / n
     for n in (3, 5, 8):
         sup = np.array([float(n - 1), -1.0])
-        assert pw.minimum_period(sup, pw.ratio_condition(sup)) == pytest.approx(2.0 * math.pi / n)
+        assert pw.ratio_condition(sup).period == pytest.approx(2.0 * math.pi / n)
 
 
 def test_phase_alignment_invariant(rng):
@@ -66,7 +66,7 @@ def test_phase_alignment_invariant(rng):
         dec, prof = _support_of(graph, kind, x)
         table = pw.ratio_condition(prof.eigenvalues)
         assert isinstance(table, RatioTable)
-        rho = pw.minimum_period(prof.eigenvalues, table)
+        rho = table.period
         phases = np.exp(1j * rho * prof.eigenvalues)
         assert np.max(np.abs(phases - phases[0])) <= 1e-7
         for divisor in (2, 3, 5, 7):
@@ -77,7 +77,7 @@ def test_phase_alignment_invariant(rng):
 def test_minimum_period_overflow_guard():
     table = RatioTable(2.0, 1.0, p=(3, 5), q=(2**62, 2**62 - 1), residuals=(0.0, 0.0))
     with pytest.raises(OverflowError):
-        pw.minimum_period(np.array([2.0, 1.0, 0.5]), table)
+        table.period
     with pytest.raises(pw.InvalidStateError):
         pw.ratio_condition(np.array([1.0]))
 
@@ -115,7 +115,7 @@ def test_closed_form_period_consistency():
     ]:
         table = pw.ratio_condition(sup)
         assert isinstance(table, RatioTable)
-        rho = pw.minimum_period(sup, table)
+        rho = table.period
         form = pw.classify_form(sup)
         closed = pw.closed_form_period(form)
         assert closed == pytest.approx(rho, rel=1e-9)

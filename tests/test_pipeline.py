@@ -1,0 +1,278 @@
+"""One analysis pipeline: support_mask is the only support rule, the period
+is read from the ratio table, check_strong_cospectrality owns the support
+and the fixed-state test, near-tie signs are refused as ambiguous, the
+eigenvalue clustering has no scale floor, and the spread oracle reads
+connectivity from the Laplacian spectrum."""
+
+import ast
+import math
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pstwalk as pw
+from conftest import basis_state, pair_state, random_connected_graph, random_support_state
+from pstwalk import serialize
+from pstwalk.cli import main
+from pstwalk.transfer import _laplacian_spread_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
+
+
+def _dec(graph, kind=pw.ADJACENCY, scale=1.0):
+    return pw.decompose(scale * pw.hamiltonian(graph, kind).matrix)
+
+
+def test_support_is_the_one_column_case_of_support_mask(rng):
+    for n in (4, 7, 10):
+        dec = _dec(random_connected_graph(rng, n, extra_edges=3), pw.LAPLACIAN)
+        X = rng.normal(size=(n, 6))
+        X[:, 0] = dec.eigenvector(1)  # a fixed state
+        X[:, 1] = random_support_state(rng, dec, [0, dec.k - 1])
+        mask = pw.support_mask(dec, X)
+        assert mask.shape == (dec.k, 6)
+        for c in range(6):
+            assert pw.support(dec, X[:, c]).indices == tuple(np.nonzero(mask[:, c])[0])
+        _, _, fixed, _ = pw.pst_partners(dec, X)
+        assert np.array_equal(fixed, mask.sum(axis=0) == 1) and fixed[0]
+
+
+@pytest.mark.parametrize("column,message", [
+    (np.zeros(4), "state must be nonzero"),
+    (np.array([1.0, np.nan, 0.0, 0.0]), "state has non-finite entries"),
+])
+def test_support_refusals_are_shared(column, message):
+    dec = _dec(pw.build_path(4))
+    X = np.column_stack((np.ones(4), column))
+    for call in (lambda: pw.support_mask(dec, X), lambda: pw.pst_partners(dec, X),
+                 lambda: pw.support(dec, column)):
+        with pytest.raises(pw.InvalidStateError, match=message):
+            call()
+
+
+def test_empty_support_is_refused_by_every_consumer():
+    # a state spread evenly over four clusters has ||E_j x|| = ||x|| / 2, so a
+    # support tolerance of 0.6 leaves it no support
+    dec = _dec(pw.build_path(4))
+    x = dec.vectors.sum(axis=1)
+    cfg = pw.ToleranceConfig(tol_supp=0.6)
+    message = "state has empty eigenvalue support at this tolerance"
+    for call in (lambda: pw.support(dec, x, cfg), lambda: pw.pst_partners(dec, x[:, None], cfg),
+                 lambda: pw.check_strong_cospectrality(dec, x, -x[::-1], cfg),
+                 lambda: pw.pst_decide(dec, x, -x[::-1], cfg)):
+        with pytest.raises(pw.InvalidStateError, match=message):
+            call()
+
+
+def test_state_matrix_shape_is_checked():
+    dec = _dec(pw.build_path(4))
+    for bad in (np.ones(4), np.ones((3, 2))):
+        with pytest.raises(pw.InvalidStateError, match=r"state matrix must have shape \(4, b\)"):
+            pw.support_mask(dec, bad)
+
+
+def test_fixed_state_is_refused_before_the_pair_contract():
+    dec = _dec(pw.build_complete(5))
+    x = np.ones(5)
+    y = 2.0 * basis_state(5, 0)  # another norm
+    with pytest.raises(pw.FixedStateError):
+        pw.check_strong_cospectrality(dec, x, y)
+    assert pw.pst_decide(dec, x, y).reason == "fixed-state"
+    # a non-fixed x against a y of another norm still breaks the pair contract
+    with pytest.raises(pw.InvalidPairError):
+        pw.check_strong_cospectrality(dec, basis_state(5, 0), y)
+    with pytest.raises(pw.InvalidPairError):
+        pw.pst_decide(dec, basis_state(5, 0), y)
+
+
+def test_certificate_carries_the_support_pst_decide_reads():
+    dec = _dec(pw.build_path(7))
+    x, y = pair_state(7, 0, 6), pair_state(7, 2, 4)
+    cert = pw.check_strong_cospectrality(dec, x, y)
+    assert cert.profile.indices == pw.support(dec, x).indices
+    verdict = pw.pst_decide(dec, x, y)
+    assert verdict.decision
+    assert verdict.tau_min == pw.ratio_condition(cert.profile.eigenvalues).period / 2.0
+
+
+def reference_minimum_period(supp, table):
+    """The period formula before it moved onto the table: the gap from the
+    support, the lcm from the table."""
+    vals = np.asarray(supp, dtype=float)
+    return 2.0 * math.pi * table.lcm / (vals[0] - vals[1])
+
+
+def test_period_is_bit_identical_to_the_support_formula(rng):
+    supports = [np.array([5.0, 1.0]), np.array([4.0, 0.0, -1.0, -2.0]),
+                np.array([2.0 + math.sqrt(3.0), 2.0, 2.0 - math.sqrt(3.0)])]
+    for family, kind, n in (("path", pw.ADJACENCY, 7), ("cycle", pw.ADJACENCY, 12),
+                            ("path", pw.LAPLACIAN, 12), ("hypercube", pw.LAPLACIAN, 3)):
+        graph = {"path": pw.build_path, "cycle": pw.build_cycle,
+                 "hypercube": pw.build_hypercube}[family](n)
+        dec = _dec(graph, kind)
+        for u, v in combinations(range(min(dec.n, 8)), 2):
+            prof = pw.support(dec, pair_state(dec.n, u, v))
+            if prof.size >= 2:
+                supports.append(prof.eigenvalues)
+    for _ in range(200):  # random gaps and offsets with rational ratios
+        gap, top = rng.uniform(0.1, 10.0), rng.uniform(-5.0, 5.0)
+        ratios = [1.0] + sorted(rng.integers(2, 40, size=3) / rng.integers(1, 6, size=3))
+        supports.append(top - gap * np.array([0.0] + sorted(set(ratios))))
+    periodic = 0
+    for sup in supports:
+        table = pw.ratio_condition(sup)
+        if isinstance(table, pw.RatioTable):
+            periodic += 1
+            assert table.period == reference_minimum_period(sup, table)
+    assert periodic >= 200
+
+
+P2_V1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+P2_V2 = np.array([1.0, -1.0]) / math.sqrt(2.0)
+
+
+def test_ambiguous_sign_is_refused_as_ambiguous():
+    # partner differs from x by 6e-8 on the eigenvalue -1: the winning
+    # residual is 0 and the losing one 6e-8, under ten times the tolerance
+    dec = _dec(pw.build_path(2))
+    x = P2_V1 + 3e-8 * P2_V2
+    y = pw.pst_partner(dec, x)
+    with pytest.raises(pw.AmbiguousCospectralityError) as exc:
+        pw.check_strong_cospectrality(dec, x, y)
+    assert isinstance(exc.value, pw.NotCospectralError) and exc.value.eigenvalue == -1.0
+    verdict = pw.pst_decide(dec, x, y)
+    assert (verdict.decision, verdict.reason, verdict.detail) == \
+        (False, "ambiguous-cospectrality", -1.0)
+    assert pw.verify_pst_numeric(dec, x, y, math.pi / 2.0).passed
+
+
+def test_clear_violation_outranks_an_earlier_ambiguous_sign():
+    # P3 eigenvalues sqrt(2), 0, -sqrt(2): x and y nearly tie on sqrt(2)
+    # (ambiguous) and differ in magnitude on 0 (a clear violation)
+    dec = _dec(pw.build_path(3))
+    v = dec.vectors
+    x = v @ np.array([3e-8, 0.6, 0.8])
+    y = v @ np.array([-3e-8, 0.8, 0.6])
+    with pytest.raises(pw.NotCospectralError) as exc:
+        pw.check_strong_cospectrality(dec, x, y)
+    assert type(exc.value) is pw.NotCospectralError
+    assert exc.value.eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert pw.pst_decide(dec, x, y).reason == "not-cospectral"
+    # so is weight of y on -sqrt(2), outside the support of x
+    x = v @ np.array([2e-8, 0.6, 0.0])
+    y = v @ np.array([-2e-8, 0.6, 1e-8])
+    with pytest.raises(pw.NotCospectralError) as exc:
+        pw.check_strong_cospectrality(dec, x, y)
+    assert type(exc.value) is pw.NotCospectralError
+    assert exc.value.eigenvalue == pytest.approx(-math.sqrt(2.0), abs=1e-12)
+    y[:] = v @ np.array([-2e-8, 0.6, 0.0])
+    with pytest.raises(pw.AmbiguousCospectralityError):
+        pw.check_strong_cospectrality(dec, x, y)
+
+
+def test_cli_pst_on_the_printed_partner_is_ambiguous(tmp_path, capsys):
+    graph = tmp_path / "p2.json"
+    graph.write_text(serialize.dumps(serialize.graph_to_doc(pw.build_path(2))))
+    x = tmp_path / "x.json"
+    x.write_text(serialize.dumps(serialize.state_to_doc(P2_V1 + 3e-8 * P2_V2)))
+    y = tmp_path / "y.json"
+    assert main(["partner", str(graph), str(x), "--out", str(y)]) == 0
+    capsys.readouterr()
+    y.write_text(serialize.dumps(serialize.load_json(str(y))["partner"]))
+    assert main(["pst", str(graph), str(x), str(y)]) == 0
+    out = capsys.readouterr()
+    assert '"reason": "ambiguous-cospectrality"' in out.out
+    assert out.err.startswith("no (ambiguous-cospectrality)")
+
+
+SCALES = (1e-9, 1e-6, math.sqrt(2.0), 1e6)
+
+
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_scaling_the_matrix_divides_the_transfer_time(kind, rng):
+    if kind == pw.ADJACENCY:  # the P7 end pair
+        graph, x, y = pw.build_path(7), pair_state(7, 0, 6), pair_state(7, 2, 4)
+    else:  # a Laplacian path family pair
+        graph = pw.build_path(12)
+        pair = pw.path_pst_families(12, pw.LAPLACIAN)[0].sample(rng, min_coef=0.2)
+        x, y = pair.x, pair.y
+    base = pw.pst_decide(_dec(graph, kind), x, y)
+    assert base.decision
+    for c in SCALES:
+        dec = _dec(graph, kind, c)
+        assert dec.k == _dec(graph, kind).k
+        verdict = pw.pst_decide(dec, x, y)
+        assert (verdict.decision, verdict.case) == (base.decision, base.case)
+        assert verdict.tau_min * c == pytest.approx(base.tau_min, rel=1e-9)
+
+
+def test_zero_matrix_is_one_cluster():
+    dec = pw.decompose(np.zeros((4, 4)))
+    assert dec.k == 1 and dec.multiplicities == (4,)
+
+
+def reference_spread_oracle(n):
+    """The spread oracle with the reachability test it used before:
+    (I + A)^(n-1) has a positive first row iff the graph is connected."""
+    pairs = list(combinations(range(n), 2))
+    iu = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    best, attained, checked = 0.0, 0, 0
+    for mask in range(2 ** len(pairs)):
+        a = np.zeros((n, n))
+        a[iu] = [(mask >> k) & 1 for k in range(len(pairs))]
+        a += a.T
+        if np.min(np.linalg.matrix_power(np.eye(n) + a, n - 1)[0]) <= 0:
+            continue
+        checked += 1
+        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+        spread = float(w[-1] - w[0])
+        if spread > best + 1e-9:
+            best, attained = spread, 1
+        elif spread > best - 1e-9:
+            attained += 1
+    return {"n": n, "connected_graphs": checked, "max_spread": best, "attained_count": attained}
+
+
+def test_spread_oracle_reads_connectivity_from_the_spectrum():
+    for n in range(2, 6):
+        assert _laplacian_spread_oracle(n) == reference_spread_oracle(n)
+    # connected labelled graphs on n vertices (OEIS A001187)
+    counts = [_laplacian_spread_oracle(n)["connected_graphs"] for n in range(2, 7)]
+    assert counts == [1, 4, 38, 728, 26704]
+    with pytest.raises(pw.InvalidSizeError):
+        _laplacian_spread_oracle(1)
+
+
+def test_synthesize_takes_no_tolerance_flags(tmp_path, capsys):
+    x = tmp_path / "x.json"
+    x.write_text("[1, 0, 0]")
+    y = tmp_path / "y.json"
+    y.write_text("[0, 0, 1]")
+    argv = ["synthesize", str(x), str(y), "--tau", "1", "--m1", "1", "--m2", "1"]
+    assert main(argv + ["--seed", "3"]) == 0
+    for flag in ("--tol-group", "--tol-supp", "--tol-phase", "--q-max", "--int-tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2
+
+
+def _functions_ignoring_cfg():
+    """Library functions that take a `cfg` parameter and never read it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if "cfg" not in [a.arg for a in node.args.args + node.args.kwonlyargs]:
+                continue
+            reads = any(isinstance(n, ast.Name) and n.id == "cfg" and isinstance(n.ctx, ast.Load)
+                        for stmt in node.body for n in ast.walk(stmt))
+            if not reads:
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_no_function_takes_a_cfg_it_does_not_read():
+    assert _functions_ignoring_cfg() == []

@@ -71,7 +71,7 @@ def test_flips_at_half_period_negate_the_relative_phase():
     # r_j parity is the sign of exp(i*tau*(lam_1 - lam_j)) at tau = rho / 2
     sup = np.array([4.0, 0.0, -1.0, -2.0])  # ratios 5/4 and 3/2
     table = pw.ratio_condition(sup)
-    tau = pw.minimum_period(sup, table) / 2.0
+    tau = table.period / 2.0
     signs = np.real(np.exp(1j * tau * (sup[0] - sup)))
     assert np.max(np.abs(np.abs(signs) - 1.0)) <= 1e-12
     assert table.flips == tuple(int(j) for j in np.nonzero(signs < 0)[0]) == (2,)
@@ -135,4 +135,4 @@ def test_ratio_condition_stops_where_the_lcm_reaches_int64():
     assert verdict.offending_index == 6 and verdict.residual == 0.0
     table = pw.ratio_condition(sup[:-1])
     assert isinstance(table, RatioTable) and table.lcm == math.prod(primes[:4])
-    assert math.isfinite(pw.minimum_period(sup[:-1], table))
+    assert math.isfinite(table.period)
