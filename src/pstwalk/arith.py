@@ -64,10 +64,11 @@ def symbolic_pi_multiple(tau: float, rel_tol: float = 1e-9) -> str | None:
     if not (tau > 0) or not math.isfinite(tau):
         return None
     r = tau / math.pi
-    # Rational multiple of pi. A small denominator cap plus a tight residual
-    # keeps huge-denominator approximants of surds (e.g. 1/sqrt(2)) out.
+    # Rational multiple of pi. Small numerator and denominator caps plus a
+    # tight residual keep close approximants of surds (e.g. 1/sqrt(2) and
+    # 1000*sqrt(2)) out.
     fr = Fraction(r).limit_denominator(10**4)
-    if fr > 0 and abs(r - float(fr)) <= min(rel_tol, 1e-10) * r:
+    if 0 < fr.numerator <= 10**4 and abs(r - float(fr)) <= min(rel_tol, 1e-10) * r:
         return _render_pi_fraction(fr.numerator, fr.denominator, 1)
     # Quadratic-surd multiple: r**2 rational => r = a*sqrt(u) / (b*sqrt(v)).
     fr2 = Fraction(r * r).limit_denominator(10**8)

@@ -117,7 +117,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
             doc["rho_symbolic"] = symbolic_pi_multiple(rho)
             summary = f"periodic with rho={rho:.12g}"
         if prof.size >= 3:
-            doc["spectral_form"] = _form_doc(classify_form(prof.eigenvalues, cfg))
+            doc["spectral_form"] = _form_doc(classify_form(table, cfg))
     return doc, f"support size {prof.size} ({prof.kind}); {summary}"
 
 
@@ -392,6 +392,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, summary = args.func(args)
+        text = serialize.dumps(doc)
+        if getattr(args, "out", None) and args.func is not cmd_scan:
+            serialize.write_text(args.out, text + "\n")
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -404,10 +407,7 @@ def main(argv=None) -> int:
     except (PstwalkError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    text = serialize.dumps(doc)
     print(text)
-    if getattr(args, "out", None) and args.func is not cmd_scan:
-        serialize.write_text(args.out, text + "\n")
     print(summary, file=sys.stderr)
     return 0
 

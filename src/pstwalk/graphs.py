@@ -38,20 +38,12 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         a = self.adjacency()
-        return np.diag(a.sum(axis=1)) - a
+        with np.errstate(over="ignore"):  # an infinite degree is refused by decompose
+            return np.diag(a.sum(axis=1)) - a
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix)."""
         return self.adjacency().sum(axis=1)
-
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for a, b, _ in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
 
     def is_regular(self, tol: float = 1e-12) -> bool:
         d = self.degrees()
@@ -90,6 +82,8 @@ def make_graph(n: int, edges) -> Graph:
             raise GraphError(f"edge ({u},{v}) out of range for n={n}")
         if w <= 0:
             raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
+        if not math.isfinite(w):
+            raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
         if u > v:
             u, v = v, u
         if (u, v) in seen:

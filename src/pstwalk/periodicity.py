@@ -1,6 +1,6 @@
 """Periodicity of states: the ratio condition with exact rational
-reconstruction and the minimum period read from its table, spectral-form
-classification (integer vs quadratic), and the covering-radius bound report."""
+reconstruction, and the minimum period and the spectral form (integer vs
+quadratic) read from its table; the covering-radius bound report."""
 
 from __future__ import annotations
 
@@ -25,7 +25,10 @@ PHASE_ALIGNMENT = 1e-7
 # refuses such a table.
 MAX_LCM = 2**63
 
-SIZE2 = "size2"
+# classify_form gives no form for a step u = (lam_1 - lam_2)/lcm at or above
+# this bound: there u**2 >= 2**52, and every such double rounds to an integer.
+MAX_FORM_STEP = 2.0**26
+
 INTEGER = "integer"
 QUADRATIC = "quadratic"
 NONPERIODIC = "nonperiodic"
@@ -55,15 +58,19 @@ class RatioTable:
         return 2.0 * math.pi * q / (self.lambda1 - self.lambda2)
 
     @property
+    def r(self) -> tuple[int, ...]:
+        """The integers r_j = lcm * p_j / q_j of every support position, where
+        positions 0 and 1 carry the implicit ratios 0/1 and 1/1, so that
+        lam_j = lam_1 - r_j * (lam_1 - lam_2) / lcm. They have gcd 1."""
+        q = self.lcm
+        return (0, q) + tuple(q // qj * p for p, qj in zip(self.p, self.q))
+
+    @property
     def flips(self) -> tuple[int, ...]:
         """Support positions whose components change sign at half the
-        minimum period: those with odd r_j = lcm * p_j / q_j, where positions
-        0 and 1 carry the implicit ratios 0/1 and 1/1. The r_j have gcd 1, so
-        the relative phase of position j there is (-1)**r_j."""
-        q = self.lcm
-        ps = (0, 1) + self.p
-        qs = (1, 1) + self.q
-        return tuple(pos for pos, (p, qj) in enumerate(zip(ps, qs)) if (q // qj) * p % 2)
+        minimum period: those with odd r_j, since the relative phase of
+        position j there is (-1)**r_j."""
+        return tuple(pos for pos, rj in enumerate(self.r) if rj % 2)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class SpectralForm:
     """Shape of a support: integer spectrum or half-integers a + b_j*sqrt(d)
     over two, with the gcd g used by the closed-form minimum period."""
 
-    variant: str                      # size2 | integer | quadratic | nonperiodic
+    variant: str                      # integer | quadratic | nonperiodic
     a: int | None = None
     b: tuple[int, ...] | None = None
     delta: int | None = None          # 1 for integer spectra
@@ -132,74 +139,43 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
     return RatioTable(vals[0], vals[1], tuple(ps), tuple(qs), tuple(res))
 
 
-def classify_form(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralForm:
-    """Fit the support as integers or as (a + b_j*sqrt(delta))/2 with delta > 1
-    square-free; NonPeriodic when neither closed form holds."""
-    vals = _validate_support(supp)
-    if len(vals) == 2:
-        return SpectralForm(variant=SIZE2)
+def classify_form(
+    table: RatioTable | NonPeriodic, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> SpectralForm | None:
+    """Read the closed form of a support from its ratio table.
 
-    rounded = np.round(vals)
-    if np.max(np.abs(vals - rounded)) <= cfg.int_tol:
-        ints = [int(v) for v in rounded]
-        diffs = [ints[0] - v for v in ints[1:]]
-        return SpectralForm(
-            variant=INTEGER,
-            a=0,
-            b=tuple(2 * v for v in ints),
-            delta=1,
-            g=math.gcd(*diffs),
-        )
-
-    candidates: list[int] = []
-    for i in range(len(vals)):
-        for j in range(i, len(vals)):
-            a = vals[i] + vals[j]
-            if abs(a - round(a)) <= 2.0 * cfg.int_tol:
-                a_int = int(round(a))
-                if a_int not in candidates:
-                    candidates.append(a_int)
-    for a in candidates:
-        form = _fit_quadratic(vals, a, cfg)
-        if form is not None:
-            return form
-    return SpectralForm(variant=NONPERIODIC)
-
-
-def _fit_quadratic(vals: np.ndarray, a: int, cfg: ToleranceConfig) -> SpectralForm | None:
-    ts = 2.0 * vals - a
-    squares = ts**2
-    ns = np.round(squares)
-    if np.max(np.abs(squares - ns)) > 100.0 * cfg.int_tol * max(1.0, float(np.abs(ts).max())):
+    A periodic support of an integer Hamiltonian is all integers or all
+    quadratic integers (a + b_j*sqrt(delta))/2 with one square-free
+    delta > 1 (Godsil, "Periodic graphs", EJC 18, 2011). With
+    u = (lam_1 - lam_2)/lcm and the table's integers r_j = lcm*p_j/q_j
+    (RatioTable.r), lam_j = lam_1 - u*r_j, so the form is integer
+    when u and lam_1 are integers, and quadratic when u = g*sqrt(delta),
+    the r_j pair up as r_j + r_{m-1-j} = r_last (conjugates) and
+    a = 2*lam_1 - r_last*u is an integer; then b_j = g*(r_last - 2*r_j).
+    Integrality is absolute, to int_tol. A NonPeriodic table gives the
+    nonperiodic variant; a periodic table with neither form gives None.
+    """
+    if isinstance(table, NonPeriodic):
+        return SpectralForm(variant=NONPERIODIC)
+    u = (table.lambda1 - table.lambda2) / table.lcm
+    if u >= MAX_FORM_STEP:
         return None
-    delta = None
-    bs = []
-    for t, nsq in zip(ts, ns):
-        nsq = int(nsq)
-        if nsq == 0:
-            if abs(t) > cfg.int_tol:
-                return None
-            bs.append(0)
-            continue
-        s, d = squarefree_split(nsq)
-        if s * s * d != nsq:
+    nsq = round(u * u)
+    if nsq == 0 or abs(u - math.sqrt(nsq)) > cfg.int_tol:
+        return None
+    g, delta = squarefree_split(nsq)
+    r = table.r
+    if delta == 1:
+        lam1 = round(table.lambda1)
+        if abs(table.lambda1 - lam1) > cfg.int_tol:
             return None
-        if delta is None:
-            delta = d
-        elif d != delta:
-            return None
-        bs.append(int(math.copysign(s, t)))
-    if delta is None or delta <= 1:
+        return SpectralForm(INTEGER, a=0, b=tuple(2 * (lam1 - g * rj) for rj in r), delta=1, g=g)
+    last = r[-1]
+    twice_center = 2.0 * table.lambda1 - last * u
+    a = round(twice_center)
+    if abs(twice_center - a) > cfg.int_tol or any(rj + rk != last for rj, rk in zip(r, reversed(r))):
         return None
-    root = math.sqrt(delta)
-    if np.max(np.abs(vals - (a + np.array(bs) * root) / 2.0)) > cfg.int_tol:
-        return None
-    # closure under conjugation forces equal parity of the b_j
-    diffs = [bs[0] - b for b in bs[1:]]
-    if any(d % 2 for d in diffs):
-        return None
-    g = math.gcd(*(d // 2 for d in diffs))
-    return SpectralForm(variant=QUADRATIC, a=a, b=tuple(bs), delta=delta, g=g)
+    return SpectralForm(QUADRATIC, a=a, b=tuple(g * (last - 2 * rj) for rj in r), delta=delta, g=g)
 
 
 def closed_form_period(form: SpectralForm) -> float | None:
@@ -222,16 +198,8 @@ def spectral_gap_check(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 def is_conjugate_closed(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Whether the support admits an integer or quadratic closed form (in the
     latter case both members of each conjugate pair must be present)."""
-    vals = _validate_support(supp)
-    if len(vals) == 2:
-        rounded = np.round(vals)
-        if np.max(np.abs(vals - rounded)) <= cfg.int_tol:
-            return True
-        # conjugate pair (a +- b sqrt(d))/2: sum integer and difference^2 integer
-        s = vals[0] + vals[1]
-        dsq = (vals[0] - vals[1]) ** 2
-        return abs(s - round(s)) <= 2 * cfg.int_tol and abs(dsq - round(dsq)) <= 1e-4
-    return classify_form(vals, cfg).variant in (INTEGER, QUADRATIC)
+    form = classify_form(ratio_condition(supp, cfg), cfg)
+    return form is not None and form.variant in (INTEGER, QUADRATIC)
 
 
 @dataclass(frozen=True)
@@ -272,7 +240,7 @@ def covering_radius_bound_check(
 
     table = ratio_condition(prof.eigenvalues, cfg) if prof.size >= 2 else None
     periodic = isinstance(table, RatioTable)
-    closed = prof.size >= 2 and is_conjugate_closed(prof.eigenvalues, cfg)
+    closed = periodic and classify_form(table, cfg) is not None
 
     bound: float | None
     if prof.size == 2:

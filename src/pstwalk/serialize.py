@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .errors import GraphError
 from .graphs import Graph, make_graph
 
 
@@ -66,16 +67,26 @@ def graph_to_doc(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}
 
 
+def _integer(value, what: str) -> int:
+    """A vertex count or index from JSON: an integer or an integral float. A
+    boolean, a string or a non-integral number is refused, not converted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise GraphError(f"{what} must be an integer, got {value!r}")
+
+
 def graph_from_doc(doc) -> Graph:
     edges = []
     for item in doc.get("edges", []):
         if len(item) == 2:
             u, v = item
-            edges.append((int(u), int(v), 1.0))
+            w = 1.0
         else:
             u, v, w = item
-            edges.append((int(u), int(v), float(w)))
-    return make_graph(int(doc["n"]), edges)
+        edges.append((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"), float(w)))
+    return make_graph(_integer(doc["n"], "vertex count n"), edges)
 
 
 def state_to_doc(x) -> list:

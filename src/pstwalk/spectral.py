@@ -8,6 +8,7 @@ cluster, and is never stored: a decomposition holds O(n^2) numbers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,8 +136,13 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     mat = _as_matrix(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidStateError("matrix must be square")
-    scale = float(np.linalg.norm(mat, np.inf))
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, scale):
+    with np.errstate(over="ignore"):
+        # a non-finite entry or an overflowing row sum leaves scale nan or inf
+        scale = float(np.linalg.norm(mat, np.inf))
+        if not math.isfinite(scale):
+            raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
+        asymmetry = np.max(np.abs(mat - mat.T))  # inf, so refused, if it overflows
+    if asymmetry > 1e-12 * max(1.0, scale):
         raise InvalidStateError("matrix must be symmetric")
     try:
         evals, evecs = np.linalg.eigh(mat)

@@ -27,13 +27,7 @@ from .graphs import (
     hamiltonian,
     join,
 )
-from .periodicity import (
-    NonPeriodic,
-    RatioTable,
-    SpectralForm,
-    classify_form,
-    ratio_condition,
-)
+from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import (
     DEFAULT_TOLERANCES,
     SpectralDecomposition,
@@ -60,7 +54,6 @@ class PstVerdict:
     sigma_plus: np.ndarray | None = None    # partition for the pair as given
     sigma_minus: np.ndarray | None = None
     ratio_table: RatioTable | None = None
-    spectral_form: SpectralForm | None = None
     case: str | None = None                 # size2 | 2a | 2b
     reason: str | None = None
     detail: float | None = None
@@ -155,7 +148,6 @@ def pst_decide(
             sigma_minus=cert.sigma_minus,
         )
     tau = table.period / 2.0
-    form = classify_form(sup, cfg)
     minus = set(cert.minus_positions)
     if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
         minus = set(cert.plus_positions)
@@ -166,7 +158,6 @@ def pst_decide(
             sigma_plus=cert.sigma_plus,
             sigma_minus=cert.sigma_minus,
             ratio_table=table,
-            spectral_form=form,
             case=case,
         )
     # phase is shared by every plus eigenvalue of the pair as given
@@ -179,7 +170,6 @@ def pst_decide(
         sigma_plus=cert.sigma_plus,
         sigma_minus=cert.sigma_minus,
         ratio_table=table,
-        spectral_form=form,
         case=case,
     )
 

@@ -86,3 +86,8 @@ def test_symbolic_rendering():
     assert symbolic_pi_multiple(1.7) is None
     # golden-ratio multiple must not be mistaken for a rational multiple
     assert symbolic_pi_multiple(math.pi * (1 + math.sqrt(5)) / 2) is None
+    # a large surd multiple must not be mistaken for a rational multiple
+    # either; rational multiples with a numerator above 10**4 are not rendered
+    assert symbolic_pi_multiple(1000 * math.pi * math.sqrt(2)) == "2000*pi/sqrt(2)"
+    assert symbolic_pi_multiple(10**4 * math.pi / 7) == "10000*pi/7"
+    assert symbolic_pi_multiple(10001 * math.pi / 7) is None

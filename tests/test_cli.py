@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,3 +247,82 @@ def test_p280_end_pair_is_not_periodic(tmp_path, capsys):
     assert code == 0 and doc["periodic"] is False and doc["rho"] is None
     code, doc, _ = _run(capsys, ["partner", g, x])
     assert code == 0 and doc["partner"] is None and doc["reason"] == "not-periodic"
+
+
+@pytest.mark.parametrize("weight,kind,code,message", [
+    # finite weights whose Laplacian degree or adjacency norm overflows
+    ("1e308", "lap", 3, "matrix has a non-finite entry or infinity-norm"),
+    ("1e308", "adj", 3, "matrix has a non-finite entry or infinity-norm"),
+    # 1e400 parses to inf
+    ("1e400", "lap", 4, "edge (0,1) has non-finite weight inf"),
+    ("1e400", "adj", 4, "edge (0,1) has non-finite weight inf"),
+])
+def test_overflowing_weights_exit_cleanly(tmp_path, capsys, weight, kind, code, message):
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 3, "edges": [[0, 1, %s], [1, 2, %s]]}' % (weight, weight))
+    x = _state_file(tmp_path, "x.json", np.array([1.0, 0.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, doc, err = _run(capsys, ["analyze", str(g), x, "--kind", kind])
+    assert (got, doc) == (code, None)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"n": 3.5, "edges": [[0, 1], [1, 2]]}', "vertex count n must be an integer, got 3.5"),
+    ('{"n": true, "edges": []}', "vertex count n must be an integer, got True"),
+    ('{"n": 3, "edges": [[0, 1.5], [1, 2]]}', "edge endpoint must be an integer, got 1.5"),
+    ('{"n": 3, "edges": [[0, true], [1, 2]]}', "edge endpoint must be an integer, got True"),
+    ('{"n": "3", "edges": [[0, 1], [1, 2]]}', "vertex count n must be an integer, got '3'"),
+    ('{"n": 3, "edges": [[0, 1e400], [1, 2]]}', "edge endpoint must be an integer, got inf"),
+])
+def test_loader_refuses_non_integral_sizes_and_endpoints(tmp_path, capsys, doc, message):
+    g = tmp_path / "g.json"
+    g.write_text(doc)
+    x = _state_file(tmp_path, "x.json", np.array([1.0, 0.0, 0.0]))
+    code, out, err = _run(capsys, ["analyze", str(g), x])
+    assert (code, out) == (4, None)
+    assert err == f"error: {message}\n"
+    # an integral float is still a valid size and index
+    assert serialize.graph_from_doc({"n": 3.0, "edges": [[0, 1.0]]}) == pw.make_graph(3, [(0, 1)])
+
+
+def test_serialization_and_out_failures_are_handled(tmp_path, capsys, monkeypatch):
+    g = _graph_file(tmp_path, "p3.json", pw.build_path(3))
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    # a document that cannot be written is an invalid request, not a traceback
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: ({"rho": math.inf}, "summary"))
+    code, doc, err = _run(capsys, ["analyze", g, x])
+    assert (code, doc, err) == (4, None, "error: cannot serialize non-finite float\n")
+    monkeypatch.undo()
+    # an --out path that cannot be written is an I/O failure
+    code, doc, err = _run(capsys, ["analyze", g, x, "--out", str(tmp_path / "absent" / "o.json")])
+    assert (code, doc) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_form_agrees_with_periodic(tmp_path, capsys):
+    # Laplacian support {1e5, 1, 0}: all integers, but not periodic
+    g = _write(tmp_path, "g.json", {"n": 4, "edges": [[0, 1, 5e4], [2, 3, 0.5]]})
+    x = _state_file(tmp_path, "x.json", basis_state(4, 0, 2))
+    code, doc, _ = _run(capsys, ["analyze", g, x, "--kind", "lap"])
+    assert code == 0 and doc["periodic"] is False
+    assert doc["spectral_form"]["variant"] == "nonperiodic"
+
+    # 1e-3 times P7 with the end pair: periodic, with no integer or quadratic
+    # form at this scale, and the period rendered from its surd
+    g = _graph_file(tmp_path, "p7.json", pw.build_path(7))
+    m = _write(tmp_path, "m.json", serialize.matrix_to_doc(1e-3 * pw.build_path(7).adjacency()))
+    x = _state_file(tmp_path, "x.json", pair_state(7, 0, 6))
+    code, doc, _ = _run(capsys, ["analyze", g, x, "--kind", "custom", "--custom-matrix", m])
+    assert code == 0 and doc["periodic"] is True
+    assert doc["rho"] == pytest.approx(2000 * math.pi / math.sqrt(2.0), rel=1e-12)
+    assert doc["rho_symbolic"] == "2000*pi/sqrt(2)"
+    assert doc["spectral_form"] is None
+
+    # P3 with weight 1e200: periodic, and no integer form with 200-digit b
+    g = _write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1, 1e200], [1, 2, 1e200]]})
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    code, doc, _ = _run(capsys, ["analyze", g, x])
+    assert code == 0 and doc["periodic"] is True
+    assert doc["spectral_form"] is None

@@ -53,6 +53,9 @@ def test_graph_validation():
         pw.make_graph(3, [(0, 1, -2.0)])
     with pytest.raises(pw.GraphError):
         pw.make_graph(3, [(0, 5)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(pw.GraphError, match="non-finite"):
+            pw.make_graph(3, [(0, 1, bad)])
 
 
 def test_adjacency_exact_symmetry():

@@ -83,14 +83,14 @@ def test_minimum_period_overflow_guard():
 
 
 def test_classify_form_integer():
-    form = pw.classify_form(np.array([2.0, 1.0, -1.0, -2.0]))
+    form = pw.classify_form(pw.ratio_condition(np.array([2.0, 1.0, -1.0, -2.0])))
     assert form.variant == "integer"
     assert form.delta == 1
     assert form.g == 1
 
 
 def test_classify_form_quadratic():
-    form = pw.classify_form(np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)]))
+    form = pw.classify_form(pw.ratio_condition(np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)])))
     assert form.variant == "quadratic"
     assert form.a == 0
     assert form.delta == 2
@@ -102,7 +102,7 @@ def test_classify_form_quadratic():
 
 def test_classify_form_golden_ratio_rejected():
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    form = pw.classify_form(np.array([phi, 1.0, -1.0 / phi]))
+    form = pw.classify_form(pw.ratio_condition(np.array([phi, 1.0, -1.0 / phi])))
     assert form.variant == "nonperiodic"
 
 
@@ -116,7 +116,7 @@ def test_closed_form_period_consistency():
         table = pw.ratio_condition(sup)
         assert isinstance(table, RatioTable)
         rho = table.period
-        form = pw.classify_form(sup)
+        form = pw.classify_form(table)
         closed = pw.closed_form_period(form)
         assert closed == pytest.approx(rho, rel=1e-9)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_decompose_path3_laplacian():
 def test_decompose_rejects_asymmetric():
     with pytest.raises(pw.InvalidStateError):
         pw.decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_decompose_refuses_non_finite_and_overflowing_matrices():
+    big = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(pw.NumericFailureError, match="non-finite"):
+                pw.decompose(np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(pw.NumericFailureError, match="non-finite"):
+            pw.decompose(big)  # finite entries, infinite row sum
+        # an asymmetry that overflows is still refused as asymmetric
+        with pytest.raises(pw.InvalidStateError):
+            pw.decompose(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 @pytest.mark.parametrize("n,extra", [(4, 2), (7, 4), (12, 6)])

@@ -129,7 +129,7 @@ def test_closed_form_time_fast_path():
     for g, kind, x, y in cases:
         verdict = pw.pst_decide(_dec(g, kind), x, y)
         assert verdict.decision
-        closed = pw.closed_form_period(verdict.spectral_form)
+        closed = pw.closed_form_period(pw.classify_form(verdict.ratio_table))
         assert closed is not None
         assert verdict.tau_min == pytest.approx(closed / 2.0, rel=1e-9)
 
