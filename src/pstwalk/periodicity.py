@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import reconstruct_fraction, squarefree_split
-from .errors import InvalidStateError, NotApplicableError
+from .errors import InvalidStateError, NotApplicableError, NumericFailureError
 from .graphs import LAPLACIAN, Hamiltonian, covering_radius
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
 from .states import support
@@ -51,11 +51,17 @@ class RatioTable:
     @property
     def period(self) -> float:
         """The minimum period 2*pi*lcm(q_j)/(lam_1 - lam_2); 2*pi/(lam_1 - lam_2)
-        for two eigenvalues."""
+        for two eigenvalues. Raises NumericFailureError when that quotient is
+        not finite (a gap so small, e.g. subnormal, that it overflows)."""
         q = self.lcm
         if q >= MAX_LCM:
             raise OverflowError(f"denominator lcm {q} exceeds 2**63")
-        return 2.0 * math.pi * q / (self.lambda1 - self.lambda2)
+        with np.errstate(over="ignore"):
+            rho = 2.0 * math.pi * q / (self.lambda1 - self.lambda2)
+        if not math.isfinite(rho):
+            raise NumericFailureError(
+                f"minimum period overflows: eigenvalue gap {self.lambda1 - self.lambda2:.3g} is too small")
+        return rho
 
     @property
     def r(self) -> tuple[int, ...]:

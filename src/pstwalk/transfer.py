@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .spectral import (
 from .states import check_strong_cospectrality, support_mask
 
 SCAN_BLOCK = 1 << 18   # complex phase factors per block of the fidelity grid
+SPREAD_CHUNK = 1024    # edge masks per stacked eigvalsh call of the spread oracle
 
 
 @dataclass(eq=False)
@@ -308,38 +308,48 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
     return ScanResult(times=times, values=values, peak_time=float(peak_t), peak_value=float(peak_v))
 
 
-def _laplacian_spread_oracle(n: int) -> dict:
-    """Exhaustive maximum Laplacian spread over connected unweighted graphs.
+def _spread_oracle(n: int, kind: str) -> dict:
+    """Exhaustive maximum spread (largest minus smallest eigenvalue) of the
+    Laplacian or adjacency matrix over connected unweighted graphs on n
+    vertices, guarded to 2 <= n <= 6.
 
     The minimum period of any state is at least 2*pi/spread, so the maximum
-    spread certifies the least achievable period. A graph is connected iff
-    its second-smallest Laplacian eigenvalue is positive (Fiedler); for
-    n <= 6 that eigenvalue is at least 2 - 2cos(pi/6) ~ 0.268 on connected
-    graphs, far from the 1e-9 cut. Guarded to 2 <= n <= 6.
+    spread certifies the least achievable period. The 2^(n(n-1)/2) edge
+    masks are unpacked SPREAD_CHUNK at a time into stacks of adjacency and
+    Laplacian matrices, with one eigvalsh call per stack. A graph counts as
+    connected iff its second-smallest Laplacian eigenvalue exceeds 1e-9
+    (Fiedler); for n <= 6 that eigenvalue is at least 2 - 2cos(pi/6) ~ 0.268
+    on connected graphs, far from the cut. Returns n, connected_graphs,
+    max_spread (the spread of the first connected graph within 1e-9 of the
+    maximum, recomputed from that one matrix) and attained_count (connected
+    graphs whose spread exceeds max_spread - 1e-9).
     """
     if not 2 <= n <= 6:
         raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
-    pairs = list(combinations(range(n), 2))
-    iu = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    best = 0.0
-    attained = 0
-    checked = 0
-    for mask in range(2 ** len(pairs)):
-        bits = np.array([(mask >> k) & 1 for k in range(len(pairs))], dtype=float)
-        a = np.zeros((n, n))
-        a[iu] = bits
-        a += a.T
-        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
-        if w[1] <= 1e-9:  # disconnected: the Laplacian kernel has dimension > 1
-            continue
-        checked += 1
-        spread = float(w[-1] - w[0])
-        if spread > best + 1e-9:
-            best = spread
-            attained = 1
-        elif spread > best - 1e-9:
-            attained += 1
-    return {"n": n, "connected_graphs": checked, "max_spread": best, "attained_count": attained}
+    iu = np.triu_indices(n, 1)
+    m = len(iu[0])
+    spreads = np.full(1 << m, -np.inf)   # -inf marks a disconnected graph
+    for start in range(0, 1 << m, SPREAD_CHUNK):
+        masks = np.arange(start, min(start + SPREAD_CHUNK, 1 << m))
+        a = np.zeros((len(masks), n, n))
+        a[:, iu[0], iu[1]] = (masks[:, None] >> np.arange(m)) & 1
+        a += a.transpose(0, 2, 1)
+        w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
+        connected = w[:, 1] > 1e-9
+        w = np.linalg.eigvalsh(a[connected]) if kind == ADJACENCY else w[connected]
+        spreads[masks[connected]] = w[:, -1] - w[:, 0]
+    first = int(np.argmax(spreads >= spreads.max() - 1e-9))
+    a = np.zeros((n, n))
+    a[iu] = (first >> np.arange(m)) & 1
+    a += a.T
+    w = np.linalg.eigvalsh(a if kind == ADJACENCY else np.diag(a.sum(axis=1)) - a)
+    best = float(w[-1] - w[0])
+    return {
+        "n": n,
+        "connected_graphs": int(np.count_nonzero(spreads > -np.inf)),
+        "max_spread": best,
+        "attained_count": int(np.count_nonzero(spreads > best - 1e-9)),
+    }
 
 
 def extremal_min_pst_search(
@@ -354,7 +364,8 @@ def extremal_min_pst_search(
     Laplacian: any join graph works (spread exactly n); a star is emitted and
     the claim is exact. Adjacency: the split graph of an empty part of size
     ceil(n/3) with a complete part; the optimality of that shape is an
-    asymptotic fact, so for finite n the report labels it as unverified.
+    asymptotic fact, so for finite n the report labels it as unverified
+    unless the exhaustive oracle (2 <= n <= 6) finds no larger spread.
     """
     if n < 2:
         raise InvalidSizeError("need n >= 2")
@@ -366,7 +377,6 @@ def extremal_min_pst_search(
         x, y = ones + w, ones - w
         tau = math.pi / n
         optimality = "exact: the Laplacian spread of an n-vertex graph is at most n, attained exactly by join graphs"
-        oracle = _laplacian_spread_oracle(n) if exhaustive else None
     elif kind == ADJACENCY:
         a = math.ceil(n / 3)
         g = join(build_empty(a), build_complete(n - a))
@@ -381,9 +391,11 @@ def extremal_min_pst_search(
         x, y = u + v, u - v
         tau = math.pi / disc
         optimality = "asymptotic: maximal adjacency spread by this split graph is guaranteed only for sufficiently large n; unverified at this n"
-        oracle = None
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    oracle = _spread_oracle(n, kind) if exhaustive else None
+    if kind == ADJACENCY and oracle and abs(oracle["max_spread"] - disc) <= 1e-9:
+        optimality = "verified at this n: no connected graph on n vertices has a larger adjacency spread than this split graph (exhaustive check); in general its maximality is guaranteed only for sufficiently large n"
     dec = decompose(hamiltonian(g, kind), cfg)
     verdict = pst_decide(dec, x, y, cfg)
     return ExtremalReport(

@@ -326,3 +326,27 @@ def test_analyze_form_agrees_with_periodic(tmp_path, capsys):
     code, doc, _ = _run(capsys, ["analyze", g, x])
     assert code == 0 and doc["periodic"] is True
     assert doc["spectral_form"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "partner", "pst"])
+def test_subnormal_period_is_a_numeric_failure(tmp_path, capsys, command):
+    # P3 with weights 1e-310: the eigenvalue gap is subnormal and 2*pi/gap
+    # overflows, so the period is refused rather than printed as inf
+    g = _write(tmp_path, "g.json", {"n": 3, "edges": [[0, 1, 1e-310], [1, 2, 1e-310]]})
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    y = _state_file(tmp_path, "y.json", basis_state(3, 2))
+    argv = [command, g, x] + ([y] if command == "pst" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, argv)
+    assert (code, doc) == (3, None)
+    assert err == "error: minimum period overflows: eigenvalue gap 1.41e-310 is too small\n"
+
+
+def test_extremal_exhaustive_guard_holds_for_both_kinds(capsys):
+    for kind in ("adj", "lap"):
+        code, doc, err = _run(capsys, ["extremal", "7", "--kind", kind, "--exhaustive"])
+        assert (code, doc) == (4, None)
+        assert err == "error: exhaustive search is guarded to 2 <= n <= 6\n"
+        code, doc, _ = _run(capsys, ["extremal", "7", "--kind", kind])
+        assert code == 0 and doc["oracle"] is None

@@ -39,6 +39,7 @@ CASES = [
     ("analyze-c8-fixed", ["analyze", "c8.json", "c8_ones.json"], 0),
     ("pst-p7-not-cospectral", ["pst", "p7.json", "p7_x.json", "p7_e01.json"], 0),
     ("extremal-6-lap-exhaustive", ["extremal", "6", "--kind", "lap", "--exhaustive"], 0),
+    ("extremal-6-adj-exhaustive", ["extremal", "6", "--kind", "adj", "--exhaustive"], 0),
 ]
 
 

@@ -1,8 +1,8 @@
 """One analysis pipeline: support_mask is the only support rule, the period
 is read from the ratio table, check_strong_cospectrality owns the support
 and the fixed-state test, near-tie signs are refused as ambiguous, the
-eigenvalue clustering has no scale floor, and the spread oracle reads
-connectivity from the Laplacian spectrum."""
+eigenvalue clustering has no scale floor, and one chunked spread oracle
+serves both Hamiltonians, reading connectivity from the Laplacian spectrum."""
 
 import ast
 import math
@@ -16,7 +16,7 @@ import pstwalk as pw
 from conftest import basis_state, pair_state, random_connected_graph, random_support_state
 from pstwalk import serialize
 from pstwalk.cli import main
-from pstwalk.transfer import _laplacian_spread_oracle
+from pstwalk.transfer import _spread_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
 
@@ -213,36 +213,117 @@ def test_zero_matrix_is_one_cluster():
     assert dec.k == 1 and dec.multiplicities == (4,)
 
 
-def reference_spread_oracle(n):
-    """The spread oracle with the reachability test it used before:
-    (I + A)^(n-1) has a positive first row iff the graph is connected."""
+def _mask_graph(n, mask):
     pairs = list(combinations(range(n), 2))
     iu = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    a = np.zeros((n, n))
+    a[iu] = [(mask >> k) & 1 for k in range(len(pairs))]
+    return a + a.T
+
+
+def _keep_max(best, attained, spread):
+    if spread > best + 1e-9:
+        return spread, 1
+    if spread > best - 1e-9:
+        return best, attained + 1
+    return best, attained
+
+
+def reachability_spread_oracle(n):
+    """The Laplacian spread oracle with the reachability test it used first:
+    (I + A)^(n-1) has a positive first row iff the graph is connected."""
     best, attained, checked = 0.0, 0, 0
-    for mask in range(2 ** len(pairs)):
-        a = np.zeros((n, n))
-        a[iu] = [(mask >> k) & 1 for k in range(len(pairs))]
-        a += a.T
+    for mask in range(2 ** (n * (n - 1) // 2)):
+        a = _mask_graph(n, mask)
         if np.min(np.linalg.matrix_power(np.eye(n) + a, n - 1)[0]) <= 0:
             continue
         checked += 1
         w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
-        spread = float(w[-1] - w[0])
-        if spread > best + 1e-9:
-            best, attained = spread, 1
-        elif spread > best - 1e-9:
-            attained += 1
+        best, attained = _keep_max(best, attained, float(w[-1] - w[0]))
+    return {"n": n, "connected_graphs": checked, "max_spread": best, "attained_count": attained}
+
+
+def reference_spread_oracle(n, kind):
+    """The per-mask oracle the chunked one replaced: one eigvalsh per edge
+    mask, connectivity from the Laplacian's second eigenvalue, and a running
+    maximum that restarts its count on a spread more than 1e-9 above it."""
+    best, attained, checked = 0.0, 0, 0
+    for mask in range(2 ** (n * (n - 1) // 2)):
+        a = _mask_graph(n, mask)
+        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+        if w[1] <= 1e-9:
+            continue
+        checked += 1
+        if kind == pw.ADJACENCY:
+            w = np.linalg.eigvalsh(a)
+        best, attained = _keep_max(best, attained, float(w[-1] - w[0]))
     return {"n": n, "connected_graphs": checked, "max_spread": best, "attained_count": attained}
 
 
 def test_spread_oracle_reads_connectivity_from_the_spectrum():
     for n in range(2, 6):
-        assert _laplacian_spread_oracle(n) == reference_spread_oracle(n)
+        assert _spread_oracle(n, pw.LAPLACIAN) == reachability_spread_oracle(n)
     # connected labelled graphs on n vertices (OEIS A001187)
-    counts = [_laplacian_spread_oracle(n)["connected_graphs"] for n in range(2, 7)]
+    counts = [_spread_oracle(n, pw.LAPLACIAN)["connected_graphs"] for n in range(2, 7)]
     assert counts == [1, 4, 38, 728, 26704]
     with pytest.raises(pw.InvalidSizeError):
-        _laplacian_spread_oracle(1)
+        _spread_oracle(1, pw.LAPLACIAN)
+
+
+@pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
+def test_chunked_spread_oracle_equals_the_per_mask_loop(kind):
+    for n in range(2, 7):
+        assert _spread_oracle(n, kind) == reference_spread_oracle(n, kind)
+
+
+def test_adjacency_spread_maximum_is_the_split_graph():
+    # Breen, Riasanovsky, Tait and Urschel: the spread of the split graph
+    # with an empty part of size ceil(n/3) is sqrt(k^2 + 4a(n-a)), k = n-a-1
+    oracles = [_spread_oracle(n, pw.ADJACENCY) for n in range(2, 7)]
+    for n, oracle in zip(range(2, 7), oracles):
+        a = math.ceil(n / 3)
+        k = n - a - 1
+        assert abs(oracle["max_spread"] - math.sqrt(k * k + 4 * a * (n - a))) <= 1e-12
+    expected = [2.0, 3.0, math.sqrt(17), math.sqrt(28), math.sqrt(41)]
+    assert [o["max_spread"] for o in oracles] == pytest.approx(expected, abs=1e-12)
+    assert [o["connected_graphs"] for o in oracles] == [1, 4, 38, 728, 26704]
+    assert [o["attained_count"] for o in oracles] == [1, 1, 6, 10, 15]
+
+
+@pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
+def test_spread_oracle_refuses_sizes_outside_2_to_6(kind):
+    for n in (-1, 0, 1, 7, 8):
+        with pytest.raises(pw.InvalidSizeError):
+            _spread_oracle(n, kind)
+        with pytest.raises(pw.InvalidSizeError):
+            pw.extremal_min_pst_search(n, kind, exhaustive=True)
+
+
+def test_adjacency_exhaustive_search_verifies_the_split_graph():
+    for n in range(2, 7):
+        plain = pw.extremal_min_pst_search(n, pw.ADJACENCY)
+        rep = pw.extremal_min_pst_search(n, pw.ADJACENCY, exhaustive=True)
+        assert plain.oracle is None and "unverified at this n" in plain.optimality
+        assert rep.oracle == _spread_oracle(n, pw.ADJACENCY)
+        assert rep.optimality.startswith("verified at this n")
+        assert rep.tau == plain.tau and rep.verdict.decision
+        assert abs(rep.oracle["max_spread"] * rep.tau - math.pi) <= 1e-12
+
+
+def test_subnormal_gap_period_is_a_numeric_failure():
+    # P3 with weights 1e-310: 2*pi/gap overflows; every consumer of the
+    # period raises instead of reporting an infinite transfer time
+    dec = _dec(pw.make_graph(3, [(0, 1, 1e-310), (1, 2, 1e-310)]))
+    x, y = basis_state(3, 0), basis_state(3, 2)
+    table = pw.ratio_condition(dec.eigenvalues)
+    with pytest.raises(pw.NumericFailureError):
+        table.period
+    with pytest.raises(pw.NumericFailureError):
+        pw.pst_decide(dec, x, y)
+    with pytest.raises(pw.NumericFailureError):
+        pw.pst_partners(dec, np.column_stack((x, y)))
+    with pytest.raises(pw.NumericFailureError):
+        pw.pst_partner(dec, x)
 
 
 def test_synthesize_takes_no_tolerance_flags(tmp_path, capsys):
