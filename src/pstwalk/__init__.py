@@ -19,6 +19,7 @@ from .errors import (
     InvalidPairError,
     InvalidSizeError,
     InvalidStateError,
+    MalformedDocumentError,
     NotApplicableError,
     NotCospectralError,
     NumericFailureError,

@@ -3,7 +3,8 @@ scan | sensitivity | extremal.
 
 Each invocation prints exactly one JSON document on stdout (a yes or a no is
 still exit 0) and a one-line human summary on stderr. Exit codes: 2 for I/O
-or parse failures, 3 for numerical failures, 4 for invalid requests.
+or parse failures (a document of the wrong shape included), 3 for numerical
+failures, 4 for invalid requests.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ import numpy as np
 
 from . import serialize
 from .arith import symbolic_pi_multiple
-from .errors import FixedStateError, NumericFailureError, PstwalkError
+from .errors import FixedStateError, MalformedDocumentError, NumericFailureError, PstwalkError
 from .families import (
+    CATALOG_GUARD,
     complete_bipartite_pst,
     complete_graph_pst,
     cycle_pst_families,
     pair_plus_catalog,
     path_pst_families,
 )
-from .graphs import ADJACENCY, LAPLACIAN, hamiltonian, load_custom
+from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, hamiltonian, load_custom
 from .periodicity import NonPeriodic, classify_form, ratio_condition
 from .sensitivity import fidelity_derivatives
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
@@ -39,7 +41,17 @@ from .transfer import (
     verify_pst_numeric,
 )
 
-KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": "custom"}
+KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": CUSTOM}
+# family subcommand name: (pair_plus_catalog family, Hamiltonian kind)
+FAMILIES = {
+    "complete": ("complete", ADJACENCY),
+    "cycle": ("cycle", ADJACENCY),
+    "path-adj": ("path", ADJACENCY),
+    "path-lap": ("path", LAPLACIAN),
+    "complete-bipartite-adj": ("complete-bipartite", ADJACENCY),
+    "complete-bipartite-lap": ("complete-bipartite", LAPLACIAN),
+}
+RANDOM_DRAWS = 64  # random states tried for a complete or complete bipartite pair
 
 
 def _add_common(p: argparse.ArgumentParser, kind: bool = True, tolerances: bool = True) -> None:
@@ -59,40 +71,32 @@ def _config(args) -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
 
 
-def _load_hamiltonian(args):
+def _inputs(args, *state_names: str) -> tuple:
+    """(cfg, dec, *states) for a graph subcommand: the tolerances, the
+    decomposed --kind Hamiltonian of the graph file, and the state file
+    named by each of state_names, checked against the graph's size. Inputs
+    are read in that order, so the first bad one is the one reported."""
+    cfg = _config(args)
     g = serialize.graph_from_doc(serialize.load_json(args.graph))
     kind = KINDS[args.kind]
-    if kind == "custom":
-        if not args.custom_matrix:
-            raise PstwalkError("--kind custom needs --custom-matrix")
-        return load_custom(serialize.matrix_from_doc(serialize.load_json(args.custom_matrix)), g)
-    return hamiltonian(g, kind)
-
-
-def _load_state(path: str, n: int) -> np.ndarray:
-    x = serialize.state_from_doc(serialize.load_json(path))
-    if len(x) != n:
-        raise PstwalkError(f"state in {path} has length {len(x)}, graph has {n} vertices")
-    return x
-
-
-def _form_doc(form) -> dict | None:
-    if form is None:
-        return None
-    return {
-        "variant": form.variant,
-        "a": form.a,
-        "b": None if form.b is None else list(form.b),
-        "delta": form.delta,
-        "g": form.g,
-    }
+    if kind != CUSTOM:
+        ham = hamiltonian(g, kind)
+    elif args.custom_matrix:
+        ham = load_custom(serialize.matrix_from_doc(serialize.load_json(args.custom_matrix)), g)
+    else:
+        raise PstwalkError("--kind custom needs --custom-matrix")
+    states = []
+    for name in state_names:
+        path = getattr(args, name)
+        x = serialize.state_from_doc(serialize.load_json(path))
+        if len(x) != g.n:
+            raise PstwalkError(f"state in {path} has length {len(x)}, graph has {g.n} vertices")
+        states.append(x)
+    return (cfg, decompose(ham, cfg), *states)
 
 
 def cmd_analyze(args) -> tuple[dict, str]:
-    cfg = _config(args)
-    ham = _load_hamiltonian(args)
-    x = _load_state(args.state, ham.n)
-    dec = decompose(ham, cfg)
+    cfg, dec, x = _inputs(args, "state")
     prof = support(dec, x, cfg)
     doc = {
         "support": [float(v) for v in prof.eigenvalues],
@@ -117,16 +121,13 @@ def cmd_analyze(args) -> tuple[dict, str]:
             doc["rho_symbolic"] = symbolic_pi_multiple(rho)
             summary = f"periodic with rho={rho:.12g}"
         if prof.size >= 3:
-            doc["spectral_form"] = _form_doc(classify_form(table, cfg))
+            form = classify_form(table, cfg)
+            doc["spectral_form"] = None if form is None else dataclasses.asdict(form)
     return doc, f"support size {prof.size} ({prof.kind}); {summary}"
 
 
 def cmd_pst(args) -> tuple[dict, str]:
-    cfg = _config(args)
-    ham = _load_hamiltonian(args)
-    x = _load_state(args.x, ham.n)
-    y = _load_state(args.y, ham.n)
-    dec = decompose(ham, cfg)
+    cfg, dec, x, y = _inputs(args, "x", "y")
     verdict = pst_decide(dec, x, y, cfg)
     doc = verdict.to_dict()
     if verdict.decision:
@@ -139,10 +140,7 @@ def cmd_pst(args) -> tuple[dict, str]:
 
 
 def cmd_partner(args) -> tuple[dict, str]:
-    cfg = _config(args)
-    ham = _load_hamiltonian(args)
-    x = _load_state(args.x, ham.n)
-    dec = decompose(ham, cfg)
+    cfg, dec, x = _inputs(args, "x")
     partners, found, fixed, taus = pst_partners(dec, x[:, None], cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
@@ -167,91 +165,56 @@ def cmd_synthesize(args) -> tuple[dict, str]:
     return doc, f"synthesized {len(x)}x{len(x)} Hamiltonian for tau={args.tau:.12g}"
 
 
-def _family_pairs(args, cfg, rng):
-    name = args.name
-    params = [int(p) for p in args.params]
-    pairs = []
-    catalog_args = None
-    if name == "complete":
-        (n,) = params
-        x = rng.normal(size=n)
-        got = complete_graph_pst(n, x, cfg)
-        while got is None:
-            x = rng.normal(size=n)
-            got = complete_graph_pst(n, x, cfg)
-        y, tau = got
-        pairs.append((x, y, tau, "random-state"))
-        catalog_args = ("complete", ADJACENCY, (n,))
-    elif name == "cycle":
-        (n,) = params
-        for case in cycle_pst_families(n):
-            sample = case.sample(rng, min_coef=0.2)
-            pairs.append((sample.x, sample.y, sample.tau, case.case))
-        catalog_args = ("cycle", ADJACENCY, (n,))
-    elif name in ("path-adj", "path-lap"):
-        (n,) = params
-        kind = ADJACENCY if name.endswith("adj") else LAPLACIAN
-        for case in path_pst_families(n, kind):
-            sample = case.sample(rng, min_coef=0.2)
-            pairs.append((sample.x, sample.y, sample.tau, case.case))
-        catalog_args = ("path", kind, (n,))
-    elif name in ("complete-bipartite-adj", "complete-bipartite-lap"):
-        m, n = params
-        kind = ADJACENCY if name.endswith("adj") else LAPLACIAN
-        for _ in range(64):
-            x = rng.normal(size=m + n)
-            got = complete_bipartite_pst(m, n, kind, x, cfg)
+def _family_pairs(family: str, kind: str, sizes: list[int], cfg, rng) -> list[tuple]:
+    """(x, y, tau, provenance) transfer pairs of a closed-form family: for
+    complete and complete bipartite graphs the partner of the first of
+    RANDOM_DRAWS random states that is not fixed (none if all are), for
+    cycles and paths one sample of each case."""
+    if family in ("complete", "complete-bipartite"):
+        for _ in range(RANDOM_DRAWS):
+            x = rng.normal(size=sum(sizes))
+            got = (complete_graph_pst(*sizes, x, cfg) if family == "complete"
+                   else complete_bipartite_pst(*sizes, kind, x, cfg))
             if got is not None:
-                pairs.append((x, got[0], got[1], "random-state"))
-                break
-        catalog_args = ("complete-bipartite", kind, (m, n))
-    else:
-        raise PstwalkError(f"unknown family {name!r}")
-    return pairs, catalog_args
+                return [(x, *got, "random-state")]
+        return []
+    cases = cycle_pst_families(*sizes) if family == "cycle" else path_pst_families(*sizes, kind)
+    samples = [case.sample(rng, min_coef=0.2) for case in cases]
+    return [(s.x, s.y, s.tau, s.case) for s in samples]
 
 
 def cmd_family(args) -> tuple[dict, str]:
     cfg = _config(args)
     rng = np.random.default_rng(args.seed)
-    pairs, catalog_args = _family_pairs(args, cfg, rng)
-    doc_pairs = []
-    for x, y, tau, provenance in pairs:
-        doc_pairs.append(
-            {
-                "x": serialize.state_to_doc(x),
-                "y": serialize.state_to_doc(y),
-                "tau": tau,
-                "tau_symbolic": symbolic_pi_multiple(tau),
-                "provenance": provenance,
-            }
-        )
-    catalog_doc = []
-    family, kind, sizes = catalog_args
-    if sum(sizes) <= 30:
-        for entry in pair_plus_catalog(family, kind, *sizes, cfg=cfg):
-            catalog_doc.append(
-                {
-                    "s": entry.s, "u": entry.u, "v": entry.v,
-                    "partner_s": entry.partner_s,
-                    "partner_u": entry.partner_u, "partner_v": entry.partner_v,
-                    "tau": entry.tau, "tau_symbolic": entry.tau_symbolic,
-                }
-            )
+    family, kind = FAMILIES[args.name]
+    sizes = [int(p) for p in args.params]
+    arity = 2 if family == "complete-bipartite" else 1
+    if len(sizes) != arity:
+        raise PstwalkError(f"family {args.name} takes {arity} size(s), got {len(sizes)}")
+    pairs = [
+        {
+            "x": serialize.state_to_doc(x),
+            "y": serialize.state_to_doc(y),
+            "tau": tau,
+            "tau_symbolic": symbolic_pi_multiple(tau),
+            "provenance": provenance,
+        }
+        for x, y, tau, provenance in _family_pairs(family, kind, sizes, cfg, rng)
+    ]
+    catalog = []
+    if sum(sizes) <= CATALOG_GUARD:
+        catalog = [dataclasses.asdict(e) for e in pair_plus_catalog(family, kind, *sizes, cfg=cfg)]
     doc = {
         "family": args.name,
-        "parameters": [int(p) for p in args.params],
-        "pst_pairs": doc_pairs,
-        "pair_plus_catalog": catalog_doc,
+        "parameters": sizes,
+        "pst_pairs": pairs,
+        "pair_plus_catalog": catalog,
     }
-    return doc, f"{len(doc_pairs)} family pair(s), {len(catalog_doc)} catalog entrie(s)"
+    return doc, f"{len(pairs)} family pair(s), {len(catalog)} catalog entrie(s)"
 
 
 def cmd_scan(args) -> tuple[dict, str]:
-    cfg = _config(args)
-    ham = _load_hamiltonian(args)
-    x = _load_state(args.x, ham.n)
-    y = _load_state(args.y, ham.n)
-    dec = decompose(ham, cfg)
+    _, dec, x, y = _inputs(args, "x", "y")
     result = fidelity_scan(dec, x, y, args.tmax, args.steps)
     doc = {
         "peak_time": result.peak_time,
@@ -270,11 +233,7 @@ def cmd_scan(args) -> tuple[dict, str]:
 
 
 def cmd_sensitivity(args) -> tuple[dict, str]:
-    cfg = _config(args)
-    ham = _load_hamiltonian(args)
-    x = _load_state(args.x, ham.n)
-    y = _load_state(args.y, ham.n)
-    dec = decompose(ham, cfg)
+    cfg, dec, x, y = _inputs(args, "x", "y")
     if args.tau is not None:
         tau = args.tau
     else:
@@ -297,7 +256,7 @@ def cmd_sensitivity(args) -> tuple[dict, str]:
 def cmd_extremal(args) -> tuple[dict, str]:
     cfg = _config(args)
     kind = KINDS[args.kind]
-    if kind == "custom":
+    if kind == CUSTOM:
         raise PstwalkError("extremal search supports --kind adj or lap")
     rep = extremal_min_pst_search(args.n, kind, cfg, exhaustive=args.exhaustive)
     doc = {
@@ -315,75 +274,47 @@ def cmd_extremal(args) -> tuple[dict, str]:
     return doc, f"extremal tau={rep.tau:.12g} ({rep.tau_symbolic})"
 
 
+_TIME = {"type": float, "required": True}
+_SIZE = {"type": int, "required": True}
+# subcommand: (help, arguments before the common options as (name,
+# add_argument keywords), _add_common keywords); its handler is cmd_<name>,
+# read when the parser is built. A graph subcommand's positionals are the
+# graph and the states its handler passes to _inputs
+COMMANDS = {
+    "analyze": ("support and periodicity of a state",
+                [("graph", {}), ("state", {})], {}),
+    "pst": ("decide transfer between two states",
+            [("graph", {}), ("x", {}), ("y", {})], {}),
+    "partner": ("unique transfer partner of a state",
+                [("graph", {}), ("x", {})], {}),
+    "synthesize": ("Hamiltonian realizing a prescribed transfer",
+                   [("x", {}), ("y", {}), ("--tau", _TIME), ("--m1", _SIZE), ("--m2", _SIZE)],
+                   {"kind": False, "tolerances": False}),
+    "family": ("closed-form family pairs and s-pair catalog",
+               [("name", {"choices": list(FAMILIES)}), ("params", {"nargs": "+"})],
+               {"kind": False}),
+    "scan": ("fidelity series over a time window",
+             [("graph", {}), ("x", {}), ("y", {}), ("--tmax", _TIME),
+              ("--steps", {"type": int, "default": 400})], {}),
+    "sensitivity": ("readout-time sensitivity of a transfer pair",
+                    [("graph", {}), ("x", {}), ("y", {}), ("--tau", {"type": float})], {}),
+    "extremal": ("least minimum transfer time at a given size",
+                 [("n", {"type": int}), ("--exhaustive", {"action": "store_true"})], {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pstwalk",
         description="Decide, construct, and verify perfect state transfer between real pure states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="support and periodicity of a state")
-    p.add_argument("graph")
-    p.add_argument("state")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("pst", help="decide transfer between two states")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_common(p)
-    p.set_defaults(func=cmd_pst)
-
-    p = sub.add_parser("partner", help="unique transfer partner of a state")
-    p.add_argument("graph")
-    p.add_argument("x")
-    _add_common(p)
-    p.set_defaults(func=cmd_partner)
-
-    p = sub.add_parser("synthesize", help="Hamiltonian realizing a prescribed transfer")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    _add_common(p, kind=False, tolerances=False)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("family", help="closed-form family pairs and s-pair catalog")
-    p.add_argument(
-        "name",
-        choices=[
-            "complete", "cycle", "path-adj", "path-lap",
-            "complete-bipartite-adj", "complete-bipartite-lap",
-        ],
-    )
-    p.add_argument("params", nargs="+")
-    _add_common(p, kind=False)
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("scan", help="fidelity series over a time window")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=400)
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("sensitivity", help="readout-time sensitivity of a transfer pair")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--tau", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("extremal", help="least minimum transfer time at a given size")
-    p.add_argument("n", type=int)
-    p.add_argument("--exhaustive", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_extremal)
+    for name, (help_text, arguments, common) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
+        _add_common(p, **common)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -398,7 +329,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, MalformedDocumentError) as exc:
         print(f"error: malformed input document ({exc})", file=sys.stderr)
         return 2
     except NumericFailureError as exc:

@@ -18,6 +18,11 @@ class GraphError(PstwalkError, ValueError):
     """Malformed graph input (self-loop, duplicate edge, bad weight, ...)."""
 
 
+class MalformedDocumentError(PstwalkError):
+    """A JSON input document does not have the shape of a graph, state or
+    matrix document (a state that is not a flat list of numbers, ...)."""
+
+
 class PatternMismatchError(PstwalkError, ValueError):
     """A custom Hamiltonian is asymmetric or violates the graph zero pattern."""
 

@@ -2,8 +2,11 @@
 paths (adjacency and Laplacian), and complete bipartite graphs.
 
 Each family case records which eigenvalue groups a state may occupy and which
-components flip sign in its partner; the engine re-verifies every emitted
-pair, and on any disagreement the engine's decision wins.
+components flip sign in its partner. Only pair_plus_catalog runs the engine:
+it keeps an entry only when pst_decide confirms it. The closed-form pairs of
+FamilyCase.match and FamilyCase.sample, complete_graph_pst,
+complete_bipartite_pst and the CLI `family` command are checked against the
+engine in the tests only.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, MalformedDocumentError
 from .graphs import Graph, make_graph
 
 
@@ -77,15 +77,37 @@ def _integer(value, what: str) -> int:
     raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _weight(value) -> float:
+    """An edge weight from JSON: a number, not a boolean or a string."""
+    if not _is_number(value):
+        raise GraphError(f"edge weight must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(items, what: str) -> list[float]:
+    """A flat JSON list of numbers (booleans are not numbers), as floats."""
+    if not isinstance(items, list) or not all(map(_is_number, items)):
+        raise MalformedDocumentError(f"{what} must be a flat list of numbers")
+    return [float(v) for v in items]
+
+
 def graph_from_doc(doc) -> Graph:
-    edges = []
-    for item in doc.get("edges", []):
-        if len(item) == 2:
-            u, v = item
-            w = 1.0
-        else:
-            u, v, w = item
-        edges.append((_integer(u, "edge endpoint"), _integer(v, "edge endpoint"), float(w)))
+    """A graph from {"n": n, "edges": [[u, v], [u, v, w], ...]}. A document of
+    another shape is a MalformedDocumentError; a non-integral n or endpoint,
+    or a weight that is not a number, is a GraphError."""
+    items = doc.get("edges", []) if isinstance(doc, dict) else None
+    if not isinstance(items, list) or not all(
+        isinstance(item, list) and len(item) in (2, 3) for item in items
+    ):
+        raise MalformedDocumentError(
+            "a graph document must be an object whose edges are [u, v] or [u, v, w] lists"
+        )
+    edges = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint"), _weight(w[0]) if w else 1.0)
+             for u, v, *w in items]
     return make_graph(_integer(doc["n"], "vertex count n"), edges)
 
 
@@ -94,7 +116,7 @@ def state_to_doc(x) -> list:
 
 
 def state_from_doc(doc) -> np.ndarray:
-    return np.asarray([float(v) for v in doc], dtype=float)
+    return np.asarray(_numbers(doc, "a state document"), dtype=float)
 
 
 def matrix_to_doc(m) -> dict:
@@ -103,8 +125,11 @@ def matrix_to_doc(m) -> dict:
 
 
 def matrix_from_doc(doc) -> np.ndarray:
-    m = np.asarray([[float(v) for v in row] for row in doc["rows"]], dtype=float)
-    if m.shape != (int(doc["n"]), int(doc["n"])):
+    if not isinstance(doc, dict) or not isinstance(doc["rows"], list):
+        raise MalformedDocumentError("a matrix document must be an object whose rows are lists")
+    m = np.asarray([_numbers(row, "a matrix row") for row in doc["rows"]], dtype=float)
+    n = _integer(doc["n"], "matrix size n")
+    if m.shape != (n, n):
         raise ValueError("matrix rows do not match the declared size")
     return m
 

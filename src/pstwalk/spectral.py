@@ -110,17 +110,33 @@ def _as_matrix(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
+STATE_PEAK = (1e-75, 1e75)  # range of a state's largest |entry|
+
+
+def check_magnitudes(x) -> None:
+    """Refuse a state, or any column of an (n, b) state matrix, that has a
+    non-finite entry, is zero, or whose largest |entry| lies outside
+    STATE_PEAK. Inside that range ||x||^2 and the product ||x||^2 ||y||^2
+    of a fidelity neither overflow nor underflow for n below 10^4."""
+    peak = np.abs(x).max(axis=0, initial=0.0)
+    if ((peak >= STATE_PEAK[0]) & (peak <= STATE_PEAK[1])).all():
+        return
+    if not np.isfinite(peak).all():
+        raise InvalidStateError("state has non-finite entries")
+    if not peak.all():
+        raise InvalidStateError("state must be nonzero")
+    raise InvalidStateError("state's largest |entry| must lie in [1e-75, 1e75]")
+
+
 def as_state(x, n: int | None = None) -> np.ndarray:
-    """Validate a nonzero real vector."""
+    """Validate a real vector: finite, nonzero, and of a representable
+    magnitude (check_magnitudes)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidStateError("state must be a one-dimensional real vector")
     if n is not None and x.shape[0] != n:
         raise InvalidStateError(f"state has length {x.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidStateError("state has non-finite entries")
-    if np.linalg.norm(x) == 0.0:
-        raise InvalidStateError("state must be nonzero")
+    check_magnitudes(x)
     return x
 
 
@@ -144,6 +160,10 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         asymmetry = np.max(np.abs(mat - mat.T))  # inf, so refused, if it overflows
     if asymmetry > 1e-12 * max(1.0, scale):
         raise InvalidStateError("matrix must be symmetric")
+    if not math.isfinite(2.0 * scale):
+        # every |eigenvalue| is at most scale, so below this bound no
+        # eigenvalue difference (gap, spread, ratio numerator) overflows
+        raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
     try:
         evals, evecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -202,7 +222,9 @@ def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def fidelity(dec: SpectralDecomposition, t: float, x, y) -> float:
-    """|y^T U(t) x|^2 normalized by the state norms; lands in [0, 1]."""
+    """|y^T U(t) x|^2 normalized by the state norms. Roundoff above 1 is
+    clamped to 1 up to 1 + 1e-9; a larger value is returned unclamped, so an
+    inconsistent evolution shows instead of reading as a perfect transfer."""
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
     z = evolve(dec, t, x)

@@ -16,7 +16,13 @@ from .errors import (
     NotCospectralError,
     TooManyPartitionsError,
 )
-from .spectral import DEFAULT_TOLERANCES, SpectralDecomposition, ToleranceConfig, as_state
+from .spectral import (
+    DEFAULT_TOLERANCES,
+    SpectralDecomposition,
+    ToleranceConfig,
+    as_state,
+    check_magnitudes,
+)
 
 FIXED = "fixed"
 SIZE2 = "size2"
@@ -52,17 +58,13 @@ class CospectralityCertificate:
 
 def support_mask(dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """The (k, b) support mask ||E_j x|| > tol_supp * ||x|| of each column x
-    of the (n, b) state matrix X; InvalidStateError for a zero, non-finite
-    or empty-support column."""
+    of the (n, b) state matrix X; InvalidStateError for a column that
+    check_magnitudes refuses or that has an empty support."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != dec.n:
         raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
-    if not np.all(np.isfinite(X)):
-        raise InvalidStateError("state has non-finite entries")
-    cutoff = cfg.tol_supp * np.linalg.norm(X, axis=0)
-    if np.any(cutoff == 0.0):
-        raise InvalidStateError("state must be nonzero")
-    mask = dec.norms(X) > cutoff
+    check_magnitudes(X)
+    mask = dec.norms(X) > cfg.tol_supp * np.linalg.norm(X, axis=0)
     if not np.all(mask.any(axis=0)):
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
     return mask

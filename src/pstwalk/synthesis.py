@@ -64,8 +64,8 @@ def synthesize(req: SynthesisRequest) -> np.ndarray:
     tau = float(req.tau)
     if m1 < 1 or m2 < 1 or m1 + m2 > n:
         raise SynthesisError(f"invalid-request: need m1, m2 >= 1 and m1+m2 <= n, got ({m1}, {m2}, {n})")
-    if not tau > 0:
-        raise SynthesisError("invalid-request: tau must be positive")
+    if not 0 < tau < math.inf:
+        raise SynthesisError("invalid-request: tau must be positive and finite")
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if abs(nx - ny) > 1e-10 * max(nx, ny):
         raise InvalidPairError("states must have equal norms")

@@ -34,7 +34,6 @@ from .spectral import (
     as_state,
     decompose,
     evolve,
-    fidelity,
 )
 from .states import check_strong_cospectrality, support_mask
 
@@ -233,8 +232,8 @@ def verify_pst_numeric(
 ) -> PstVerification:
     """Evolve x to time tau, extract the best unit phase against y, and pass
     iff the residual ||U(tau) x - gamma y|| is within tol_phase * ||x||."""
-    if not tau > 0:
-        raise InvalidStateError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise InvalidStateError("tau must be positive and finite")
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
     z = evolve(dec, tau, x)
@@ -269,6 +268,8 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
     phase factors, with a golden-section refinement of the peak."""
     if steps < 2:
         raise InvalidStateError("steps must be at least 2")
+    if not math.isfinite(t_max):
+        raise InvalidStateError("t_max must be finite")
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
     cx, cy = (dec.vectors.T @ np.column_stack((x, y))).T

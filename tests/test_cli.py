@@ -350,3 +350,121 @@ def test_extremal_exhaustive_guard_holds_for_both_kinds(capsys):
         assert err == "error: exhaustive search is guarded to 2 <= n <= 6\n"
         code, doc, _ = _run(capsys, ["extremal", "7", "--kind", kind])
         assert code == 0 and doc["oracle"] is None
+
+
+P3_DOC = '{"n": 3, "edges": [[0, 1], [1, 2]]}'
+STATE_SHAPE = "a state document must be a flat list of numbers"
+GRAPH_SHAPE = "a graph document must be an object whose edges are [u, v] or [u, v, w] lists"
+MATRIX_SHAPE = "a matrix document must be an object whose rows are lists"
+
+
+@pytest.mark.parametrize("command,graph,state,matrix,message", [
+    ("analyze", P3_DOC, "5", None, STATE_SHAPE),
+    ("analyze", P3_DOC, "[[1, 0, 0]]", None, STATE_SHAPE),
+    ("analyze", P3_DOC, '[1, "0", 0]', None, STATE_SHAPE),
+    ("analyze", P3_DOC, "[1, true, 0]", None, STATE_SHAPE),
+    ("synthesize", None, "5", None, STATE_SHAPE),
+    ("analyze", "[]", "[1, 0, 0]", None, GRAPH_SHAPE),
+    ("analyze", '{"n": 3, "edges": 5}', "[1, 0, 0]", None, GRAPH_SHAPE),
+    ("analyze", '{"n": 3, "edges": [5]}', "[1, 0, 0]", None, GRAPH_SHAPE),
+    ("analyze", '{"n": 3, "edges": [[0, 1, 1, 1]]}', "[1, 0, 0]", None, GRAPH_SHAPE),
+    ("analyze", P3_DOC, "[1, 0, 0]", '{"n": 3, "rows": 7}', MATRIX_SHAPE),
+    ("analyze", P3_DOC, "[1, 0, 0]", "[[0, 1, 0], [1, 0, 1], [0, 1, 0]]", MATRIX_SHAPE),
+    ("analyze", P3_DOC, "[1, 0, 0]", '{"n": 3, "rows": [[0, 1, 0], [1, 0, null], [0, 1, 0]]}',
+     "a matrix row must be a flat list of numbers"),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, command, graph, state, matrix, message):
+    x = tmp_path / "x.json"
+    x.write_text(state)
+    if command == "synthesize":
+        argv = ["synthesize", str(x), str(x), "--tau", "1", "--m1", "1", "--m2", "1"]
+    else:
+        g = tmp_path / "g.json"
+        g.write_text(graph)
+        argv = ["analyze", str(g), str(x)]
+        if matrix is not None:
+            m = tmp_path / "m.json"
+            m.write_text(matrix)
+            argv += ["--kind", "custom", "--custom-matrix", str(m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, argv)
+    assert (code, doc) == (2, None)
+    assert err == f"error: malformed input document ({message})\n"
+
+
+@pytest.mark.parametrize("graph,matrix,message", [
+    ('{"n": 3, "edges": [[0, 1, "1.5"], [1, 2]]}', None, "edge weight must be a number, got '1.5'"),
+    ('{"n": 3, "edges": [[0, 1, null], [1, 2]]}', None, "edge weight must be a number, got None"),
+    ('{"n": 3, "edges": [[0, 1, true], [1, 2]]}', None, "edge weight must be a number, got True"),
+    (P3_DOC, '{"n": 3.5, "rows": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}',
+     "matrix size n must be an integer, got 3.5"),
+])
+def test_loader_refuses_non_numeric_weights_and_matrix_sizes(tmp_path, capsys, graph, matrix,
+                                                           message):
+    g = _write(tmp_path, "g.json", json.loads(graph))
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    argv = ["analyze", g, x]
+    if matrix is not None:
+        argv += ["--kind", "custom", "--custom-matrix", _write(tmp_path, "m.json", json.loads(matrix))]
+    code, doc, err = _run(capsys, argv)
+    assert (code, doc) == (4, None)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command,flag,message", [
+    ("synthesize", "--tau", "invalid-request: tau must be positive and finite"),
+    ("scan", "--tmax", "t_max must be finite"),
+    ("sensitivity", "--tau", "tau must be positive and finite"),
+])
+def test_non_finite_times_exit_4(tmp_path, capsys, command, flag, value, message):
+    x = _state_file(tmp_path, "x.json", basis_state(8, 0, 4))
+    y = _state_file(tmp_path, "y.json", basis_state(8, 2, 6))
+    if command == "synthesize":
+        argv = [command, x, y, "--m1", "1", "--m2", "1"]
+    else:
+        argv = [command, _graph_file(tmp_path, "c8.json", pw.build_cycle(8)), x, y]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, argv + [f"{flag}={value}"])
+    assert (code, doc) == (4, None)
+    assert err == f"error: {message}\n"
+
+
+def test_spread_overflowing_matrix_is_a_numeric_failure(tmp_path, capsys):
+    # ||A||_inf = 1e308 is finite, but the spread 2e308 of P2 is not
+    g = _write(tmp_path, "g.json", {"n": 2, "edges": [[0, 1, 1e308]]})
+    x = _state_file(tmp_path, "x.json", basis_state(2, 0))
+    y = _state_file(tmp_path, "y.json", basis_state(2, 1))
+    for argv in (["analyze", g, x], ["partner", g, x], ["pst", g, x, y]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc, err = _run(capsys, argv)
+        assert (code, doc) == (3, None)
+        assert err == "error: matrix infinity-norm 1e+308 overflows eigenvalue differences\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["family", "complete", "4", "5"], "family complete takes 1 size(s), got 2"),
+    (["family", "cycle", "8", "2"], "family cycle takes 1 size(s), got 2"),
+    (["family", "complete-bipartite-adj", "4"], "family complete-bipartite-adj takes 2 size(s), got 1"),
+])
+def test_family_refuses_a_wrong_number_of_sizes(capsys, argv, message):
+    code, doc, err = _run(capsys, argv)
+    assert (code, doc) == (4, None)
+    assert err == f"error: {message}\n"
+
+
+def test_family_random_draws_are_bounded(capsys, monkeypatch):
+    # a complete-graph state that is never accepted ends the draws after 64
+    calls = []
+
+    def never(n, x, cfg):
+        calls.append(x)
+        assert len(calls) <= 1000, "the random draws do not stop"
+
+    monkeypatch.setattr(cli, "complete_graph_pst", never)
+    code, doc, _ = _run(capsys, ["family", "complete", "4"])
+    assert code == 0 and doc["pst_pairs"] == [] and len(calls) == cli.RANDOM_DRAWS == 64
+    assert len(doc["pair_plus_catalog"]) > 0

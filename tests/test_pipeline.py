@@ -6,6 +6,8 @@ serves both Hamiltonians, reading connectivity from the Laplacian spectrum."""
 
 import ast
 import math
+import re
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -50,6 +52,27 @@ def test_support_refusals_are_shared(column, message):
                  lambda: pw.support(dec, column)):
         with pytest.raises(pw.InvalidStateError, match=message):
             call()
+
+
+@pytest.mark.parametrize("peak", [1e200, 1e76, 1e-76, 1e-320])
+def test_states_of_unrepresentable_magnitude_are_refused(peak):
+    # beyond 1e75 the squared norms of a fidelity overflow, below 1e-75 they
+    # underflow; either way the state is refused before any arithmetic
+    dec = _dec(pw.build_path(4))
+    x = np.array([peak, 0.0, 0.0, -peak])
+    y = np.array([0.0, peak, -peak, 0.0])
+    message = re.escape("state's largest |entry| must lie in [1e-75, 1e75]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: pw.support(dec, x), lambda: pw.pst_partners(dec, x[:, None]),
+                     lambda: pw.pst_decide(dec, x, y), lambda: pw.verify_pst_numeric(dec, x, y, 1.0),
+                     lambda: pw.fidelity_scan(dec, x, y, 1.0, 10)):
+            with pytest.raises(pw.InvalidStateError, match=message):
+                call()
+    # the bounds themselves are representable, and decide as a unit state does
+    for scale in (1e75, 1e-75):
+        verdict = pw.pst_decide(dec, scale * pair_state(4, 0, 3), scale * pair_state(4, 1, 2))
+        assert verdict.decision == pw.pst_decide(dec, pair_state(4, 0, 3), pair_state(4, 1, 2)).decision
 
 
 def test_empty_support_is_refused_by_every_consumer():
@@ -357,3 +380,27 @@ def _functions_ignoring_cfg():
 
 def test_no_function_takes_a_cfg_it_does_not_read():
     assert _functions_ignoring_cfg() == []
+
+
+def _unused_imports():
+    """Module-level imports of src/pstwalk/*.py that their module never reads.
+    __init__.py, whose imports are the package's re-exports, and
+    `from __future__ import annotations` are exempt."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{path.name}:{name}" for name in imported if name not in read]
+    return found
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    assert _unused_imports() == []

@@ -165,3 +165,15 @@ def test_cluster_ambiguity_flag():
     dec = pw.decompose(m)
     assert dec.ambiguous
     assert dec.warnings
+
+
+def test_decompose_refuses_a_norm_whose_eigenvalue_differences_overflow():
+    # ||M||_inf = 1e308 is finite, but the eigenvalues +-1e308 are 2e308 apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(pw.NumericFailureError, match="overflows eigenvalue differences"):
+            pw.decompose(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    # a norm of 8e307 still decomposes, and its spread is finite
+    dec = pw.decompose(np.array([[0.0, 8e307], [8e307, 0.0]]))
+    assert dec.eigenvalues[0] - dec.eigenvalues[-1] == pytest.approx(1.6e308, rel=1e-12)
+

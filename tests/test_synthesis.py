@@ -96,3 +96,10 @@ def test_involution_certificate(rng):
 
     with pytest.raises(pw.NotCospectralError):
         pw.involution_certificate(k4, basis_state(4, 0), basis_state(4, 1))
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+def test_synthesis_refuses_a_time_that_is_not_positive_and_finite(tau):
+    x, y = basis_state(3, 0), basis_state(3, 2)
+    with pytest.raises(pw.SynthesisError, match="tau must be positive and finite"):
+        pw.synthesize(pw.SynthesisRequest(x=x, y=y, tau=tau, m1=1, m2=1))

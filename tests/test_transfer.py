@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,3 +248,20 @@ def test_fidelity_scan():
     c5 = _dec(pw.build_cycle(5))
     scan = pw.fidelity_scan(c5, basis_state(5, 0), basis_state(5, 1), 50.0, 2000)
     assert scan.peak_value < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_times_are_refused_without_a_warning(t):
+    dec = _dec(pw.build_cycle(8))
+    x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pw.InvalidStateError, match="tau must be positive and finite"):
+            pw.verify_pst_numeric(dec, x, y, t)
+        with pytest.raises(pw.InvalidStateError, match="t_max must be finite"):
+            pw.fidelity_scan(dec, x, y, t, 10)
+    with pytest.raises(pw.InvalidStateError, match="tau must be positive and finite"):
+        pw.verify_pst_numeric(dec, x, y, 0.0)
+    # a finite window is still scanned, and the transfer time still verified
+    assert pw.verify_pst_numeric(dec, x, y, math.pi / 2).passed
+    assert pw.fidelity_scan(dec, x, y, 4.0, 10).peak_value == pytest.approx(1.0, abs=1e-9)
