@@ -61,9 +61,9 @@ def symbolic_pi_multiple(tau: float, rel_tol: float = 1e-9) -> str | None:
     Returns None when tau does not match such a form (e.g. the underlying
     eigenvalue gap is not a quadratic integer).
     """
-    if not (tau > 0) or not math.isfinite(tau):
-        return None
     r = tau / math.pi
+    if not 1e-7 < r < 1e5:
+        return None  # every a*pi/(b*sqrt(d)) with a, b, d <= 10**4 is in [1e-6, 1e4] * pi
     # Rational multiple of pi. Small numerator and denominator caps plus a
     # tight residual keep close approximants of surds (e.g. 1/sqrt(2) and
     # 1000*sqrt(2)) out.

@@ -4,7 +4,7 @@ scan | sensitivity | extremal.
 Each invocation prints exactly one JSON document on stdout (a yes or a no is
 still exit 0) and a one-line human summary on stderr. Exit codes: 2 for I/O
 or parse failures (a document of the wrong shape included), 3 for numerical
-failures, 4 for invalid requests.
+failures and memory exhaustion, 4 for invalid requests.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def cmd_sensitivity(args) -> tuple[dict, str]:
         if not verdict.decision:
             raise PstwalkError(f"pair does not transfer ({verdict.reason}); pass --tau explicitly")
         tau = verdict.tau_min
-    report = fidelity_derivatives(dec, x, y, tau, k_max=4, cfg=cfg)
+    report = fidelity_derivatives(dec, x, y, tau, k_max=2, cfg=cfg)
     doc = {
         "tau": report.tau,
         "d2": report.d2,
@@ -332,8 +332,8 @@ def main(argv=None) -> int:
     except (KeyError, IndexError, MalformedDocumentError) as exc:
         print(f"error: malformed input document ({exc})", file=sys.stderr)
         return 2
-    except NumericFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericFailureError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (PstwalkError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSizeError, InvalidStateError, NotApplicableError, NumericFailureError
+from .errors import InvalidStateError, NotApplicableError, NumericFailureError
 from .graphs import ADJACENCY, LAPLACIAN, Graph, cartesian_product, hamiltonian, is_connected, join
 from .spectral import (
     DEFAULT_TOLERANCES,
@@ -18,8 +18,6 @@ from .spectral import (
     transition_matrix,
 )
 from .transfer import pst_decide, verify_pst_numeric
-
-PRODUCT_GUARD = 4096
 
 
 @dataclass(eq=False)
@@ -65,8 +63,7 @@ def product_pst(
     second factor state is (up to sign) periodic at tau while the first
     transfers at tau.
     """
-    if g.n * h.n > PRODUCT_GUARD:
-        raise InvalidSizeError(f"product dimension {g.n * h.n} exceeds {PRODUCT_GUARD}")
+    ham_p = hamiltonian(cartesian_product(g, h), kind)  # refuses a product above DENSE_GUARD
     x1 = as_state(x1, g.n)
     y1 = as_state(y1, g.n)
     x2 = as_state(x2, h.n)
@@ -86,7 +83,7 @@ def product_pst(
 
     xp = np.kron(x1, x2)
     yp = np.kron(y1, y2)
-    dec_p = decompose(hamiltonian(cartesian_product(g, h), kind), cfg)
+    dec_p = decompose(ham_p, cfg)
     product_passed = bool(verify_pst_numeric(dec_p, xp, yp, tau, cfg).passed)
     return ProductPstWitness(
         decision=decision,
@@ -139,8 +136,7 @@ def join_transition_matrix(
     elif kind == ADJACENCY:
         if not (g.is_regular() and h.is_regular()):
             raise NotApplicableError("adjacency join formula needs regular factors")
-        k = float(g.degrees()[0]) if m else 0.0
-        ell = float(h.degrees()[0]) if n else 0.0
+        k, ell = float(g.degrees()[0]), float(h.degrees()[0])
         disc = math.sqrt((k - ell) ** 2 + 4.0 * m * n)
         lam_p = 0.5 * (k + ell + disc)
         lam_m = 0.5 * (k + ell - disc)

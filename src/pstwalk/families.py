@@ -26,6 +26,7 @@ from .graphs import (
     build_complete_bipartite,
     build_cycle,
     build_path,
+    check_dense,
     hamiltonian,
 )
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose
@@ -45,7 +46,7 @@ def cycle_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 3:
         raise InvalidSizeError("cycle needs n >= 3")
     values = np.empty(n)
-    vectors = np.empty((n, n))
+    vectors = np.empty((check_dense(n), n))
     grid = np.arange(n)
     values[0] = 2.0
     vectors[:, 0] = 1.0 / math.sqrt(n)
@@ -68,7 +69,7 @@ def path_adj_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     sine eigenvector, j = 1..n (column j-1)."""
     if n < 1:
         raise InvalidSizeError("path needs n >= 1")
-    js = np.arange(1, n + 1)
+    js = np.arange(1, check_dense(n) + 1)
     values = 2.0 * np.cos(js * np.pi / (n + 1))
     grid = np.arange(1, n + 1)
     vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(grid, js) * np.pi / (n + 1))
@@ -80,7 +81,7 @@ def path_lap_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     cosine eigenvector, j = 0..n-1."""
     if n < 1:
         raise InvalidSizeError("path needs n >= 1")
-    js = np.arange(n)
+    js = np.arange(check_dense(n))
     values = 2.0 * (1.0 - np.cos(js * np.pi / n))
     grid = 2.0 * np.arange(n) + 1.0
     vectors = math.sqrt(2.0 / n) * np.cos(np.outer(grid, js) * np.pi / (2 * n))
@@ -228,8 +229,6 @@ def _add_case(cases: list[FamilyCase], family: str, kind: str, n: int, basis,
 def cycle_pst_families(n: int) -> list[FamilyCase]:
     """All transfer-supporting support shapes of the n-cycle with at least
     three eigenvalues; empty when no case divides n."""
-    if n < 3:
-        raise InvalidSizeError("cycle needs n >= 3")
     cases: list[FamilyCase] = []
     add = partial(_add_case, cases, "cycle", ADJACENCY, n, cycle_eigenbasis(n))
     r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -435,18 +434,13 @@ def pair_plus_catalog(
     and each distinct support gets one ratio table. Only partners of pair
     shape are confirmed with pst_decide; entries come in (u, v, s) order.
     """
-    if family == "path":
-        g = build_path(sizes[0])
-    elif family == "cycle":
-        g = build_cycle(sizes[0])
-    elif family == "complete":
-        g = build_complete(sizes[0])
-    elif family == "complete-bipartite":
-        g = build_complete_bipartite(sizes[0], sizes[1])
-    else:
+    build = {"path": build_path, "cycle": build_cycle, "complete": build_complete,
+             "complete-bipartite": build_complete_bipartite}.get(family)
+    if build is None:
         raise ValueError(f"unknown family {family!r}")
-    if g.n > CATALOG_GUARD:
+    if sum(sizes) > CATALOG_GUARD:  # checked before the graph is built
         raise InvalidSizeError(f"catalog sweep guarded to {CATALOG_GUARD} vertices")
+    g = build(*sizes)
     if g.n < 2:
         return []
     dec = decompose(hamiltonian(g, kind), cfg)

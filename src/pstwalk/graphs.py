@@ -7,7 +7,7 @@ conventions map label j to index j-1; cycles are 0-based already.
 from __future__ import annotations
 
 import math
-from collections import deque
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,25 +15,47 @@ import numpy as np
 
 from .errors import GraphError, InvalidSizeError, InvalidStateError, PatternMismatchError
 
-Edge = tuple[int, int, float]
-
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
 CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+DENSE_GUARD = 4096  # vertex limit for a dense n x n matrix
+
+
+def check_dense(n: int) -> int:
+    """n, or InvalidSizeError above DENSE_GUARD, before an n x n array is allocated."""
+    if n > DENSE_GUARD:
+        raise InvalidSizeError(f"{n} vertices exceed the dense limit of {DENSE_GUARD}")
+    return n
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable weighted graph: `n` vertices, canonical sorted edge list."""
+    """Immutable weighted graph on `n` vertices: read-only arrays of edge
+    endpoints `src` < `dst` and weights `w`, sorted by (src, dst). Equality
+    and hashing compare `n` and the edge triples."""
 
     n: int
-    edges: tuple[Edge, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The (u, v, w) triples with u < v, in (u, v) order."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a = np.zeros((check_dense(self.n), self.n))
+        a[self.src, self.dst] = self.w
+        a[self.dst, self.src] = self.w
         return a
 
     def laplacian(self) -> np.ndarray:
@@ -63,132 +85,144 @@ class Hamiltonian:
         return self.graph.n
 
 
-def make_graph(n: int, edges) -> Graph:
-    """Validate and canonicalize an edge list (u < v, sorted, weights > 0)."""
+def _integer(value, what: str) -> int:
+    """A vertex count or index: an integer or an integral float. A boolean,
+    a string or a non-integral number is refused, not converted."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or (
+            isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise GraphError(f"{what} must be an integer, got {value!r}")
+
+
+def _weight(value) -> float:
+    """An edge weight: a number, not a boolean or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise GraphError(f"edge weight must be a number, got {value!r}")
+
+
+def _graph(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+    """The one validator: the graph on n vertices with edges (u[i], v[i], w[i])
+    in any order and orientation. It refuses, as a per-edge check in input order
+    would, the first self-loop, endpoint out of range, weight not positive and
+    finite, or repeated edge."""
     if n < 1:
         raise InvalidSizeError("graph needs at least one vertex")
-    seen = set()
-    canon = []
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # stable: a repeat sorts after the edge it repeats
+    src, dst = lo[order], hi[order]
+    bad = (u == v) | (lo < 0) | (hi >= n) | ~(w > 0) | ~np.isfinite(w)
+    bad[order[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        a, b, x = int(u[i]), int(v[i]), float(w[i])
+        if a == b:
+            raise GraphError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+        if not 0 < x < math.inf:
+            raise GraphError(f"edge ({a},{b}) has {'non-positive' if x <= 0 else 'non-finite'} weight {x}")
+        raise GraphError(f"duplicate edge ({min(a, b)},{max(a, b)})")
+    return Graph(n, _freeze(src), _freeze(dst), _freeze(w[order]))
+
+
+def make_graph(n, edges) -> Graph:
+    """The graph on n vertices with the (u, v) or (u, v, w) edges given, in
+    any order and orientation; a missing weight is 1. n and the endpoints
+    must be integers or integral floats and the weights numbers: a boolean,
+    a string or a fractional value is refused, not converted."""
+    us, vs, ws = [], [], []
     for item in edges:
-        if len(item) == 2:
-            u, v = item
-            w = 1.0
-        else:
-            u, v, w = item
-        u, v, w = int(u), int(v), float(w)
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        if w <= 0:
-            raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
-        if not math.isfinite(w):
-            raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        canon.append((u, v, w))
-    canon.sort()
-    return Graph(n=n, edges=tuple(canon))
+        u, v, w = item if len(item) == 3 else (*item, 1.0)
+        us.append(u if type(u) is int else _integer(u, "edge endpoint"))
+        vs.append(v if type(v) is int else _integer(v, "edge endpoint"))
+        ws.append(w if type(w) is float else _weight(w))
+    try:
+        ends = np.array([us, vs], dtype=np.int64)
+    except OverflowError:  # an endpoint beyond int64 is out of range; _graph names the edge
+        ends = np.array([us, vs], dtype=object)
+    return _graph(_integer(n, "vertex count n"), *ends, np.array(ws, dtype=float))
 
 
 def build_path(n: int) -> Graph:
-    if n < 1:
-        raise InvalidSizeError("path needs n >= 1")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    u = np.arange(max(n - 1, 0))
+    return _graph(n, u, u + 1, np.ones(len(u)))
 
 
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidSizeError("cycle needs n >= 3")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    u = np.arange(n)
+    return _graph(n, u, (u + 1) % n, np.ones(n))
 
 
 def build_complete(n: int) -> Graph:
-    if n < 1:
-        raise InvalidSizeError("complete graph needs n >= 1")
-    return make_graph(n, list(combinations(range(n), 2)))
+    u, v = np.triu_indices(max(n, 0), 1)
+    return _graph(n, u, v, np.ones(len(u)))
 
 
 def build_complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise InvalidSizeError("complete bipartite graph needs m, n >= 1")
-    return make_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return _graph(m + n, np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), np.ones(m * n))
 
 
 def build_empty(n: int) -> Graph:
-    if n < 1:
-        raise InvalidSizeError("empty graph needs n >= 1")
-    return make_graph(n, [])
+    return _graph(n, *np.zeros((2, 0), dtype=np.int64), np.zeros(0))
 
 
 def build_hypercube(d: int) -> Graph:
     if d < 1:
         raise InvalidSizeError("hypercube needs dimension >= 1")
-    # the d-fold box product of P2: vertices are bit strings, edges flip one bit
-    return make_graph(2**d, [(u, u | 1 << b) for u in range(2**d) for b in range(d)
-                             if not u >> b & 1])
+    # the d-fold box product of P2: vertices are bit strings, edges set one clear bit
+    u, bit = np.divmod(np.arange(d << d), d)
+    keep = (u >> bit) & 1 == 0
+    u = u[keep]
+    return _graph(1 << d, u, u | 1 << bit[keep], np.ones(len(u)))
 
 
 def build_petersen() -> Graph:
     """Kneser graph on 2-subsets of a 5-set (disjointness adjacency)."""
-    subsets = list(combinations(range(5), 2))
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(subsets)), 2)
-        if not set(subsets[i]) & set(subsets[j])
-    ]
-    return make_graph(10, edges)
+    subsets = np.array(list(combinations(range(5), 2)))
+    u, v = np.triu_indices(10, 1)
+    disjoint = (subsets[u, :, None] != subsets[v, None, :]).all(axis=(1, 2))
+    return _graph(10, u[disjoint], v[disjoint], np.ones(15))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: vertex (a, b) maps to index a*|V(h)| + b, so the
     adjacency/Laplacian matrices equal the Kronecker sum of the factors'."""
-    nh = h.n
-    edges = []
-    for a, b, w in g.edges:
-        for k in range(nh):
-            edges.append((a * nh + k, b * nh + k, w))
-    for a, b, w in h.edges:
-        for k in range(g.n):
-            edges.append((k * nh + a, k * nh + b, w))
-    return make_graph(g.n * nh, edges)
+    k, row = np.arange(h.n), np.arange(g.n)[:, None] * h.n
+    u = np.concatenate([(g.src[:, None] * h.n + k).ravel(), (row + h.src).ravel()])
+    v = np.concatenate([(g.dst[:, None] * h.n + k).ravel(), (row + h.dst).ravel()])
+    return _graph(g.n * h.n, u, v, np.concatenate([np.repeat(g.w, h.n), np.tile(h.w, g.n)]))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all cross edges with weight one; g's vertices first."""
-    m = g.n
-    edges = list(g.edges)
-    edges += [(m + a, m + b, w) for a, b, w in h.edges]
-    edges += [(i, m + j, 1.0) for i in range(m) for j in range(h.n)]
-    return make_graph(m + h.n, edges)
+    m, n = g.n, h.n
+    u = np.concatenate([g.src, m + h.src, np.repeat(np.arange(m), n)])
+    v = np.concatenate([g.dst, m + h.dst, m + np.tile(np.arange(n), m)])
+    return _graph(m + n, u, v, np.concatenate([g.w, h.w, np.ones(m * n)]))
 
 
-def _distances(g: Graph, sources) -> list[int]:
-    """Breadth-first graph distance from the nearest source to every vertex;
-    -1 for vertices no source reaches."""
-    adj = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = [-1] * g.n
-    queue = deque()
-    for u in sources:
-        dist[u] = 0
-        queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def _distances(g: Graph, reached: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from the nearest vertex of the mask `reached` to
+    every vertex, one sweep of the edge arrays per step; -1 where none reaches."""
+    dist = np.full(g.n, -1)
+    step = 0
+    while reached.any():
+        dist[reached] = step
+        reached = np.zeros(g.n, dtype=bool)
+        reached[g.dst[dist[g.src] == step]] = True
+        reached[g.src[dist[g.dst] == step]] = True
+        reached &= dist < 0
+        step += 1
     return dist
 
 
 def is_connected(g: Graph) -> bool:
-    return min(_distances(g, [0])) >= 0
+    return bool(_distances(g, np.arange(g.n) == 0).min() >= 0)
 
 
 def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
@@ -203,13 +237,11 @@ def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         raise InvalidStateError("zero vector has no covering radius")
-    sources = [int(u) for u in np.nonzero(np.abs(x) > tol_supp * nrm)[0]]
-    if not sources:
+    sources = np.abs(x) > tol_supp * nrm
+    if not sources.any():
         raise InvalidStateError("state has empty support at this tolerance")
     dist = _distances(g, sources)
-    if min(dist) < 0:
-        return math.inf
-    return float(max(dist))
+    return math.inf if dist.min() < 0 else float(dist.max())
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -234,12 +266,10 @@ def load_custom(matrix, g: Graph) -> Hamiltonian:
         raise PatternMismatchError(f"matrix shape {m.shape} does not match n={g.n}")
     if not np.array_equal(m, m.T):
         raise PatternMismatchError("custom Hamiltonian must be exactly symmetric")
-    adjacent = {(u, v) for u, v, _ in g.edges}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            has_edge = (u, v) in adjacent
-            if has_edge and m[u, v] == 0.0:
-                raise PatternMismatchError(f"entry ({u},{v}) is zero on an edge")
-            if not has_edge and m[u, v] != 0.0:
-                raise PatternMismatchError(f"entry ({u},{v}) is nonzero off the edge set")
+    edge = g.adjacency() != 0.0
+    wrong = np.argwhere(np.triu(edge != (m != 0.0), 1))
+    if len(wrong):
+        u, v = wrong[0].tolist()  # the first in row order
+        what = "zero on an edge" if edge[u, v] else "nonzero off the edge set"
+        raise PatternMismatchError(f"entry ({u},{v}) is {what}")
     return Hamiltonian(CUSTOM, _freeze(m), g)

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import GraphError, MalformedDocumentError
-from .graphs import Graph, make_graph
+from .errors import MalformedDocumentError
+from .graphs import Graph, _integer, make_graph
 
 
 def format_float(x: float) -> str:
@@ -67,38 +67,18 @@ def graph_to_doc(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}
 
 
-def _integer(value, what: str) -> int:
-    """A vertex count or index from JSON: an integer or an integral float. A
-    boolean, a string or a non-integral number is refused, not converted."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise GraphError(f"{what} must be an integer, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _weight(value) -> float:
-    """An edge weight from JSON: a number, not a boolean or a string."""
-    if not _is_number(value):
-        raise GraphError(f"edge weight must be a number, got {value!r}")
-    return float(value)
-
-
 def _numbers(items, what: str) -> list[float]:
     """A flat JSON list of numbers (booleans are not numbers), as floats."""
-    if not isinstance(items, list) or not all(map(_is_number, items)):
+    if not isinstance(items, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
         raise MalformedDocumentError(f"{what} must be a flat list of numbers")
     return [float(v) for v in items]
 
 
 def graph_from_doc(doc) -> Graph:
     """A graph from {"n": n, "edges": [[u, v], [u, v, w], ...]}. A document of
-    another shape is a MalformedDocumentError; a non-integral n or endpoint,
-    or a weight that is not a number, is a GraphError."""
+    another shape is a MalformedDocumentError; make_graph refuses its values
+    (a non-integral n or endpoint, a weight that is not a number, ...)."""
     items = doc.get("edges", []) if isinstance(doc, dict) else None
     if not isinstance(items, list) or not all(
         isinstance(item, list) and len(item) in (2, 3) for item in items
@@ -106,9 +86,7 @@ def graph_from_doc(doc) -> Graph:
         raise MalformedDocumentError(
             "a graph document must be an object whose edges are [u, v] or [u, v, w] lists"
         )
-    edges = [(_integer(u, "edge endpoint"), _integer(v, "edge endpoint"), _weight(w[0]) if w else 1.0)
-             for u, v, *w in items]
-    return make_graph(_integer(doc["n"], "vertex count n"), edges)
+    return make_graph(doc["n"], items)
 
 
 def state_to_doc(x) -> list:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPairError, SynthesisError
+from .graphs import check_dense
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose
 from .states import check_strong_cospectrality, involution_from_partition
 
@@ -59,7 +60,7 @@ def synthesize(req: SynthesisRequest) -> np.ndarray:
     """
     x = as_state(req.x)
     y = as_state(req.y, len(req.x))
-    n = len(x)
+    n = check_dense(len(x))
     m1, m2 = int(req.m1), int(req.m2)
     tau = float(req.tau)
     if m1 < 1 or m2 < 1 or m1 + m2 > n:

@@ -25,6 +25,7 @@ from .graphs import (
     build_empty,
     hamiltonian,
     join,
+    make_graph,
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import (
@@ -340,10 +341,8 @@ def _spread_oracle(n: int, kind: str) -> dict:
         w = np.linalg.eigvalsh(a[connected]) if kind == ADJACENCY else w[connected]
         spreads[masks[connected]] = w[:, -1] - w[:, 0]
     first = int(np.argmax(spreads >= spreads.max() - 1e-9))
-    a = np.zeros((n, n))
-    a[iu] = (first >> np.arange(m)) & 1
-    a += a.T
-    w = np.linalg.eigvalsh(a if kind == ADJACENCY else np.diag(a.sum(axis=1)) - a)
+    g = make_graph(n, np.transpose(iu)[(first >> np.arange(m)) & 1 == 1])
+    w = np.linalg.eigvalsh(hamiltonian(g, kind).matrix)
     best = float(w[-1] - w[0])
     return {
         "n": n,

@@ -91,3 +91,8 @@ def test_symbolic_rendering():
     assert symbolic_pi_multiple(1000 * math.pi * math.sqrt(2)) == "2000*pi/sqrt(2)"
     assert symbolic_pi_multiple(10**4 * math.pi / 7) == "10000*pi/7"
     assert symbolic_pi_multiple(10001 * math.pi / 7) is None
+    # beyond every rendered form; r * r would overflow or underflow
+    for tau in (math.pi / 2e-200, 1e300, 1e-300, 5e-324, -math.pi, math.inf, math.nan):
+        assert symbolic_pi_multiple(tau) is None
+    assert symbolic_pi_multiple(10**4 * math.pi) == "10000*pi"
+    assert symbolic_pi_multiple(math.pi / 10**4) == "pi/10000"

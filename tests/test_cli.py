@@ -468,3 +468,63 @@ def test_family_random_draws_are_bounded(capsys, monkeypatch):
     code, doc, _ = _run(capsys, ["family", "complete", "4"])
     assert code == 0 and doc["pst_pairs"] == [] and len(calls) == cli.RANDOM_DRAWS == 64
     assert len(doc["pair_plus_catalog"]) > 0
+
+
+def _p2(tmp_path, weight):
+    """Files of P2 with the given edge weight and of the states e0 and e1."""
+    x = _state_file(tmp_path, "x.json", basis_state(2, 0))
+    y = _state_file(tmp_path, "y.json", basis_state(2, 1))
+    return _write(tmp_path, "g.json", {"n": 2, "edges": [[0, 1, weight]]}), x, y
+
+
+@pytest.mark.parametrize("command,key", [("pst", "tau_symbolic"), ("partner", "tau_symbolic"),
+                                         ("analyze", "rho_symbolic")])
+def test_time_beyond_any_symbolic_form_is_numeric_only(tmp_path, capsys, command, key):
+    # P2 with weight 1e-200 transfers at pi/2e-200; squaring tau/pi overflowed
+    g, x, y = _p2(tmp_path, 1e-200)
+    argv = [command, g, x, y] if command == "pst" else [command, g, x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, argv)
+    assert code == 0 and doc[key] is None
+    assert len(err.splitlines()) == 1
+    dec = pw.decompose(pw.hamiltonian(pw.make_graph(2, [(0, 1, 1e-200)]), pw.ADJACENCY))
+    verdict = pw.pst_decide(dec, basis_state(2, 0), basis_state(2, 1))
+    assert verdict.decision and verdict.tau_symbolic is None
+    assert verdict.tau_min == pytest.approx(math.pi / 2e-200)
+
+
+def test_sensitivity_at_large_scale_runs_clean(tmp_path, capsys):
+    # only the second moment is printed; the fourth overflowed at weight 1e100
+    g, x, y = _p2(tmp_path, 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, ["sensitivity", g, x, y])
+    assert code == 0 and doc["d2"] == pytest.approx(-2e200) and doc["pass"] is True
+    assert len(err.splitlines()) == 1
+
+
+def test_graph_above_the_dense_limit_exits_4(tmp_path, capsys):
+    g = _write(tmp_path, "g.json", {"n": 1000000, "edges": [[0, 1]]})
+    x = _state_file(tmp_path, "x.json", basis_state(2, 0))
+    code, doc, err = _run(capsys, ["analyze", g, x])
+    assert (code, doc) == (4, None)
+    assert err == "error: 1000000 vertices exceed the dense limit of 4096\n"
+    code, doc, err = _run(capsys, ["family", "path-adj", "5000"])
+    assert (code, doc) == (4, None)
+    assert err == "error: 5000 vertices exceed the dense limit of 4096\n"
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB\n"),
+])
+def test_memory_exhaustion_exits_3(tmp_path, capsys, monkeypatch, exc, line):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", exhausted)
+    g = _graph_file(tmp_path, "p3.json", pw.build_path(3))
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    code, doc, err = _run(capsys, ["analyze", g, x])
+    assert (code, doc, err) == (3, None, line)
