@@ -4,7 +4,7 @@ including the closed-form join transition matrices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .spectral import (
     as_state,
     decompose,
     transition_matrix,
+    walk,
 )
 from .transfer import pst_decide, verify_pst_numeric
 
@@ -101,8 +102,9 @@ def _factor_term(dec, t: float, shift: float, c: float) -> np.ndarray:
     """One factor's diagonal block of the join operator: its walk with every
     eigenvalue shifted by `shift`, less exp(i t c) J/m. The factor's all-ones
     component J/m, which the join's own rank-two part replaces, lies in the
-    cluster whose shifted eigenvalue is c."""
-    return np.exp(1j * t * shift) * transition_matrix(dec, t) - np.exp(1j * t * c) / dec.n
+    cluster whose shifted eigenvalue is c, and takes that cluster's phase."""
+    dec = replace(dec, eigenvalues=dec.eigenvalues + shift)
+    return transition_matrix(dec, t) - walk(dec, t)[np.argmin(np.abs(dec.eigenvalues - c))] / dec.n
 
 
 def join_transition_matrix(

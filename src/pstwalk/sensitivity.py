@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError
+from .errors import NotApplicableError, NumericFailureError
 from .graphs import hamiltonian
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose, fidelity
+from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose, fidelity
 from .states import support
 from .transfer import extremal_min_pst_search, verify_pst_numeric
 
@@ -23,88 +23,65 @@ class SensitivityReport:
     d2: float
     bound_lo: float                 # -(lam_max - lam_min)^2 / 2 over the support
     bound_ok: bool
-    near_zero: bool                 # d2 in (-1e-10, 0): indistinguishable from fixed
+    near_zero: bool                 # d2 / scale^2 in (-1e-10, 0): indistinguishable from fixed
     odd_max_abs: float              # largest |odd-order derivative| seen numerically
 
 
-def _moments(dec, y_unit: np.ndarray, k_max: int) -> np.ndarray:
-    weights = dec.norms(y_unit) ** 2
-    return np.array([float(dec.eigenvalues**k @ weights) for k in range(k_max + 1)])
-
-
 def fidelity_derivatives(
-    dec,
-    x,
-    y,
-    tau: float,
-    k_max: int = 4,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    dec, x, y, tau: float, k_max: int = 4, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> SensitivityReport:
     """Derivatives of f(t) = |y^T U(t) x|^2 at a verified transfer time.
 
     Odd orders vanish; even order k equals an alternating binomial sum of
-    moment products with sign +1 for k = 0 mod 4 and -1 for k = 2 mod 4. The
-    moments are computed spectrally (never by repeated matrix powers), with
-    both states unit-normalized. Refuses inputs that do not transfer at tau.
+    moment products with sign +1 for k = 0 mod 4 and -1 for k = 2 mod 4. It
+    is summed on dec.moments, in units of scale**k, and rescaled once (an
+    order beyond the float range reads +-inf or 0); bound_ok and near_zero
+    compare in those units. Refuses inputs that do not transfer at tau;
+    NumericFailureError when d2 or its bound leaves the float range.
     """
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    if not verify_pst_numeric(dec, x, y, tau, cfg).passed:
+    if not verify_pst_numeric(dec, x, y, tau, cfg).passed:  # validates x and y
         raise NotApplicableError("the moment formula is valid only at a transfer time")
-    y_unit = y / np.linalg.norm(y)
     kk = max(k_max, 2)
-    moments = _moments(dec, y_unit, kk)
-    derivs: dict[int, float] = {}
-    for k in range(1, kk + 1):
-        if k % 2 == 1:
-            derivs[k] = 0.0
-            continue
-        sign = -1.0 if k % 4 == 2 else 1.0
-        total = 0.0
-        for j in range(k + 1):
-            total += (-1.0) ** j * math.comb(k, j) * moments[j] * moments[k - j]
-        derivs[k] = sign * total
-    d2 = derivs[2]
-
-    prof = support(dec, y_unit, cfg)
-    lam_max = float(prof.eigenvalues[0])
-    lam_min = float(prof.eigenvalues[-1])
-    bound_lo = -0.5 * (lam_max - lam_min) ** 2
-    near_zero = -1e-10 < d2 < 0.0
-    bound_ok = (d2 >= bound_lo - 1e-6) and d2 < 0.0
+    moments = dec.moments(y, kk)
+    unit = {k: 0.0 for k in range(1, kk + 1)}  # d^k f/dt^k / scale**k
+    for k in range(2, kk + 1, 2):
+        terms = [(-1.0) ** j * math.comb(k, j) * moments[j] * moments[k - j] for j in range(k + 1)]
+        unit[k] = (-1.0) ** (k // 2) * sum(terms)
+    prof = support(dec, y, cfg)
+    gap = float(prof.eigenvalues[0] - prof.eigenvalues[-1]) / (dec.scale or 1.0)
+    bound_unit = -0.5 * gap * gap
+    # value * scale**k in Python floats, left to right: +-inf or 0 out of range
+    derivs = {k: math.prod([float(v)] + [dec.scale] * k) for k, v in unit.items()}
+    d2, bound_lo = derivs[2], math.prod([bound_unit, dec.scale, dec.scale])
+    if not (math.isfinite(d2) and math.isfinite(bound_lo)) or (d2 == 0.0) != (unit[2] == 0.0):
+        raise NumericFailureError(f"f''(tau) leaves the float range at matrix scale {dec.scale:.3g}")
     # numeric corroboration of vanishing odd orders; limited to k <= 3 where
     # the stencil's roundoff still resolves zero
-    odd = [
-        abs(finite_difference_oracle(dec, x, y, tau, k, 1e-3))
-        for k in range(1, min(kk, 3) + 1, 2)
-    ]
+    odd = max(abs(finite_difference_oracle(dec, x, y, tau, k, 1e-3))
+              for k in range(1, min(kk, 3) + 1, 2))
     return SensitivityReport(
         tau=tau,
         derivatives=derivs,
         d2=d2,
         bound_lo=bound_lo,
-        bound_ok=bound_ok,
-        near_zero=near_zero,
-        odd_max_abs=max(odd) if odd else 0.0,
+        bound_ok=bound_unit - 1e-6 <= unit[2] < 0.0,
+        near_zero=-1e-10 < unit[2] < 0.0,
+        odd_max_abs=odd,
     )
 
 
 def finite_difference_oracle(dec, x, y, tau: float, k: int, h: float) -> float:
     """Order-k derivative of the fidelity at tau from a 9-point central
-    stencil (weights solved from the local Vandermonde system)."""
+    stencil (weights solved from the local Vandermonde system), its samples
+    from one fidelity call on the stencil's times."""
     if h <= 0:
         raise ValueError("h must be positive")
     if not 1 <= k <= 8:
         raise ValueError("stencil supports derivative orders 1..8")
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
     offsets = np.arange(-4, 5, dtype=float)
     vander = np.vander(offsets, 9, increasing=True).T  # row p: offsets**p
-    rhs = np.zeros(9)
-    rhs[k] = math.factorial(k)
-    weights = np.linalg.solve(vander, rhs) / h**k
-    samples = np.array([fidelity(dec, tau + o * h, x, y) for o in offsets])
-    return float(weights @ samples)
+    weights = np.linalg.solve(vander, math.factorial(k) * np.eye(9)[k]) / h**k
+    return float(weights @ fidelity(dec, tau + offsets * h, x, y))
 
 
 @dataclass(eq=False)
@@ -126,9 +103,7 @@ def sensitivity_extremal(
     -(lam_max - lam_min)^2 / 2 exactly (-n^2/2 for the Laplacian walk)."""
     rep = extremal_min_pst_search(n, kind, cfg)
     dec = decompose(hamiltonian(rep.graph, kind), cfg)
-    x = rep.x / np.linalg.norm(rep.x)
-    y = rep.y / np.linalg.norm(rep.y)
-    sr = fidelity_derivatives(dec, x, y, rep.tau, 2, cfg)
+    sr = fidelity_derivatives(dec, rep.x, rep.y, rep.tau, 2, cfg)
     return ExtremalSensitivity(
         kind=kind,
         n=n,

@@ -77,6 +77,17 @@ class SpectralDecomposition:
         c = self.vectors.T @ np.asarray(x, dtype=float)
         return np.sqrt(self.cluster_sums(c * c))
 
+    def overlaps(self, x, y) -> np.ndarray:
+        """c_j = y^T E_j x, shape (k,), whose walk is y^T U(t) x."""
+        cx, cy = (self.vectors.T @ np.column_stack((x, y))).T
+        return self.cluster_sums(cx * cy)
+
+    def moments(self, x, k_max: int) -> np.ndarray:
+        """x^T M^k x / x^T x in units of scale**k (1 for the zero matrix) for
+        k = 0..k_max: sums of (lambda_j / scale)^k ||E_j x||^2 / ||x||^2."""
+        w = self.norms(x) ** 2 / np.dot(x, x)
+        return np.vander(self.eigenvalues / (self.scale or 1.0), k_max + 1, increasing=True).T @ w
+
     def components(self, x, rows=None) -> np.ndarray:
         """E_j x for each cluster j in rows (every cluster by default), as
         the rows of an (m, n) array; x is a single state."""
@@ -111,6 +122,7 @@ def _as_matrix(m) -> np.ndarray:
 
 
 STATE_PEAK = (1e-75, 1e75)  # range of a state's largest |entry|
+SCAN_BLOCK = 1 << 18          # phase factors walk forms at once for an array of times
 
 
 def check_magnitudes(x) -> None:
@@ -207,27 +219,54 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     )
 
 
+def walk(dec: SpectralDecomposition, t, coef=None):
+    """sum_j exp(i t lambda_j) coef[j] over the clusters j (coef of shape (k,)),
+    or without coef the phases exp(i t lambda_j): every time evolution forms
+    its phases here. t is a scalar or a 1-D array (the leading axis of the
+    result, SCAN_BLOCK phase factors at a time); NumericFailureError when
+    some t * lambda_j is not finite."""
+    times = np.asarray(t, dtype=float)
+    lam = dec.eigenvalues
+    reach = abs(float(times)) if times.ndim == 0 else float(np.abs(times).max(initial=0.0))
+    # max |t * lambda_j| as a Python float, which overflows to inf quietly
+    if not math.isfinite(reach * float(max(lam[0], -lam[-1]))):
+        raise NumericFailureError(f"walk phase t*lambda is not finite for |t| up to {reach:.3g}")
+    if times.ndim == 0:
+        phases = np.exp(1j * (times * lam))
+        return phases if coef is None else phases @ coef
+    out = np.empty(times.shape + ((dec.k,) if coef is None else ()), dtype=complex)
+    rows = max(1, SCAN_BLOCK // dec.k)
+    for s in range(0, len(times), rows):
+        phases = np.exp(1j * np.multiply.outer(times[s:s + rows], lam))
+        out[s:s + rows] = phases if coef is None else phases @ coef
+    return out
+
+
+def normalized_fidelity(amp, x, y):
+    """|amp|^2 / (||x||^2 ||y||^2) for amplitudes y^T U x (scalar or array).
+    Roundoff above 1 is clamped to 1 up to 1 + 1e-9; a larger value is shown,
+    so an inconsistent evolution does not read as a perfect transfer."""
+    val = np.abs(amp) ** 2 / (np.dot(x, x) * np.dot(y, y))
+    val = np.where(val <= 1.0 + 1e-9, np.minimum(val, 1.0), val)
+    return float(val) if val.ndim == 0 else val
+
+
 def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
     """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x."""
     x = as_state(x, dec.n)
-    coef = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities)) * (dec.vectors.T @ x)
+    coef = np.repeat(walk(dec, t), dec.multiplicities) * (dec.vectors.T @ x)
     return dec.vectors @ coef.real + 1j * (dec.vectors @ coef.imag)
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Full walk operator at time t (complex symmetric unitary)."""
-    phases = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
+    phases = np.repeat(walk(dec, t), dec.multiplicities)
     v = dec.vectors
     return (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
 
 
-def fidelity(dec: SpectralDecomposition, t: float, x, y) -> float:
-    """|y^T U(t) x|^2 normalized by the state norms. Roundoff above 1 is
-    clamped to 1 up to 1 + 1e-9; a larger value is returned unclamped, so an
-    inconsistent evolution shows instead of reading as a perfect transfer."""
+def fidelity(dec: SpectralDecomposition, t: float | np.ndarray, x, y) -> float | np.ndarray:
+    """normalized_fidelity of the walk of overlaps(x, y) at t (scalar or 1-D)."""
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
-    z = evolve(dec, t, x)
-    amp = y @ z
-    val = float(abs(amp) ** 2 / (np.dot(x, x) * np.dot(y, y)))
-    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
+    return normalized_fidelity(walk(dec, t, dec.overlaps(x, y)), x, y)

@@ -99,6 +99,8 @@ def synthesize(req: SynthesisRequest) -> np.ndarray:
     off_step = math.pi / (g * tau * math.sqrt(2.0))
     for k in range(m1 + m2, n):
         thetas[k] = floor - (k - m1 - m2 + 1) * off_step
+    if not np.isfinite(thetas).all():
+        raise SynthesisError(f"invalid-request: tau {tau:.3g} is too small: pi/(g*tau) overflows")
     return (w * thetas) @ w.T
 
 

@@ -35,10 +35,11 @@ from .spectral import (
     as_state,
     decompose,
     evolve,
+    normalized_fidelity,
+    walk,
 )
 from .states import check_strong_cospectrality, support_mask
 
-SCAN_BLOCK = 1 << 18   # complex phase factors per block of the fidelity grid
 SPREAD_CHUNK = 1024    # edge masks per stacked eigvalsh call of the spread oracle
 
 
@@ -240,10 +241,10 @@ def verify_pst_numeric(
     z = evolve(dec, tau, x)
     inner = complex(y @ z)
     gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
+    # formed in full: as ||x||^2 + ||y||^2 - 2|inner| it cancels at tol_phase
     residual = float(np.linalg.norm(z - gamma * y))
-    fid = float(abs(inner) ** 2 / (np.dot(x, x) * np.dot(y, y)))
     return PstVerification(
-        fidelity=min(fid, 1.0),
+        fidelity=normalized_fidelity(inner, x, y),
         phase=gamma,
         residual=residual,
         passed=residual <= cfg.tol_phase * float(np.linalg.norm(x)),
@@ -265,48 +266,38 @@ def universal_pst_pair(
 
 
 def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) -> ScanResult:
-    """Uniformly sampled fidelity, evaluated in blocks of at most SCAN_BLOCK
-    phase factors, with a golden-section refinement of the peak."""
+    """Uniformly sampled fidelity with a golden-section refinement of the
+    peak, every value the walk of one overlaps(x, y)."""
     if steps < 2:
         raise InvalidStateError("steps must be at least 2")
     if not math.isfinite(t_max):
         raise InvalidStateError("t_max must be finite")
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
-    cx, cy = (dec.vectors.T @ np.column_stack((x, y))).T
-    amps = dec.cluster_sums(cx * cy)  # c_j = y^T E_j x
-    denom = float(np.dot(x, x) * np.dot(y, y))
-
-    def f(t: float) -> float:
-        return float(abs(np.exp(1j * t * dec.eigenvalues) @ amps) ** 2 / denom)
-
+    amps = dec.overlaps(x, y)
     times = np.linspace(0.0, t_max, steps)
-    values = np.empty(steps)
-    rows = max(1, SCAN_BLOCK // dec.k)
-    for s in range(0, steps, rows):
-        phases = np.exp(1j * np.outer(times[s:s + rows], dec.eigenvalues))
-        values[s:s + rows] = np.abs(phases @ amps) ** 2 / denom
+    values = normalized_fidelity(walk(dec, times, amps), x, y)
     best = int(np.argmax(values))
-    lo = times[max(best - 1, 0)]
-    hi = times[min(best + 1, steps - 1)]
+    a = times[max(best - 1, 0)]
+    b = times[min(best + 1, steps - 1)]
+    # the search compares |amplitudes|, which order as the fidelities do
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - golden * (b - a)
     d = a + golden * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = abs(walk(dec, c, amps)), abs(walk(dec, d, amps))
     for _ in range(80):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - golden * (b - a)
-            fc = f(c)
+            fc = abs(walk(dec, c, amps))
         else:
             a, c, fc = c, d, fd
             d = a + golden * (b - a)
-            fd = f(d)
+            fd = abs(walk(dec, d, amps))
     peak_t = (a + b) / 2.0
-    peak_v = f(peak_t)
+    peak_v = normalized_fidelity(walk(dec, peak_t, amps), x, y)
     if values[best] > peak_v:
-        peak_t, peak_v = float(times[best]), float(values[best])
+        peak_t, peak_v = times[best], values[best]
     return ScanResult(times=times, values=values, peak_time=float(peak_t), peak_value=float(peak_v))
 
 

@@ -504,6 +504,25 @@ def test_sensitivity_at_large_scale_runs_clean(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("weight,argv,code,message", [
+    # t * lambda reaches 1e400
+    (1e100, ["scan", "--tmax", "1e300"], 3, "walk phase t*lambda is not finite for |t| up to 1e+300"),
+    # f''(tau) = -2e-400 rounds to -0
+    (1e-200, ["sensitivity"], 3, "f''(tau) leaves the float range at matrix scale 1e-200"),
+    # pi / tau is not finite
+    (None, ["synthesize", "--tau", "1e-320", "--m1", "1", "--m2", "1"], 4,
+     "invalid-request: tau 1e-320 is too small: pi/(g*tau) overflows"),
+])
+def test_extreme_finite_scales_exit_cleanly(tmp_path, capsys, weight, argv, code, message):
+    g, x, y = _p2(tmp_path, weight)
+    files = [x, y] if weight is None else [g, x, y]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, doc, err = _run(capsys, argv[:1] + files + argv[1:])
+    assert (got, doc) == (code, None)
+    assert err == f"error: {message}\n"
+
+
 def test_graph_above_the_dense_limit_exits_4(tmp_path, capsys):
     g = _write(tmp_path, "g.json", {"n": 1000000, "edges": [[0, 1]]})
     x = _state_file(tmp_path, "x.json", basis_state(2, 0))

@@ -322,7 +322,7 @@ def test_fidelity_grid_in_blocks(monkeypatch):
     mat = pw.hamiltonian(pw.build_cycle(8), pw.ADJACENCY).matrix
     dec = pw.decompose(mat)
     x, y = np.eye(8)[0] + np.eye(8)[4], np.eye(8)[2] + np.eye(8)[6]
-    monkeypatch.setattr(transfer, "SCAN_BLOCK", 2 * dec.k + 1)
+    monkeypatch.setattr("pstwalk.spectral.SCAN_BLOCK", 2 * dec.k + 1)
     scan = pw.fidelity_scan(dec, x, y, 5.0, 101)
     want = _dense_scan_values(dec, dense_projectors(mat, dec), x, y, scan.times)
     assert np.max(np.abs(scan.values - want)) <= TOL

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,3 +131,50 @@ def test_extremal_matches_finite_difference():
     dec = _dec(g.graph, pw.LAPLACIAN)
     fd = pw.finite_difference_oracle(dec, unit(g.x), unit(g.y), g.tau, 2, 1e-3)
     assert abs(fd - rep.d2) <= max(1e-4, 1e-3 * abs(rep.d2))
+
+
+def _p7_end_pair(c):
+    """Decomposition of c times the P7 adjacency matrix, the end pair
+    e0 - e6 with its partner, and their transfer time."""
+    dec = _dec(pw.make_graph(7, [(u, u + 1, c) for u in range(6)]))
+    x = basis_state(7, 0, (6, -1.0))
+    y = pw.pst_partner(dec, x)
+    return dec, x, y, pw.pst_decide(dec, x, y).tau_min
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_derivatives_scale_as_c_to_the_k(c):
+    want = pw.fidelity_derivatives(*_p7_end_pair(1.0), k_max=6).derivatives
+    got = pw.fidelity_derivatives(*_p7_end_pair(c), k_max=6).derivatives
+    for k in range(1, 7):
+        assert got[k] == pytest.approx(c**k * want[k], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3])
+def test_sensitivity_verdict_is_scale_invariant(c):
+    # the second derivative is about -4 c^2: at c = 1e-6 it once read as near zero
+    report = pw.fidelity_derivatives(*_p7_end_pair(c), k_max=2)
+    assert report.bound_ok and not report.near_zero
+    assert report.bound_lo <= report.d2 < 0.0
+
+
+def test_moments_run_clean_at_large_scale():
+    # P2 with weight w: f(t) = sin^2(w t), f'' = -2 w^2 and f'''' = 8 w^4 at
+    # pi / 2w; the fourth derivative, 8e400, is beyond the float range
+    dec = _dec(pw.make_graph(2, [(0, 1, 1e100)]))
+    x, y = basis_state(2, 0), basis_state(2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pw.fidelity_derivatives(dec, x, y, math.pi / 2e100, k_max=4)
+        assert pw.moment_check(dec, x, y, 4)
+    assert report.d2 == pytest.approx(-2e200, rel=1e-12)
+    assert report.derivatives[4] == math.inf and report.bound_ok
+
+
+def test_underflowing_second_derivative_is_a_numeric_failure():
+    # f''(tau) = -2e-400 rounds to -0 at weight 1e-200
+    dec = _dec(pw.make_graph(2, [(0, 1, 1e-200)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pw.NumericFailureError, match="leaves the float range"):
+            pw.fidelity_derivatives(dec, basis_state(2, 0), basis_state(2, 1), math.pi / 2e-200)
