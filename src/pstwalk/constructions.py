@@ -14,6 +14,7 @@ from .spectral import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     as_state,
+    check_phase,
     decompose,
     transition_matrix,
     walk,
@@ -118,6 +119,8 @@ def join_transition_matrix(
     """Closed-form walk operator of the join at time t, assembled from the
     factors' spectra: a rank-two part on the all-ones directions plus one
     term per factor. For the adjacency walk both factors must be regular.
+    Every phase passes the walk kernel's check_phase guard, so a t at which
+    some t * lambda is not finite raises NumericFailureError.
 
     With check=True the result is cross-validated against the generic
     spectral operator of the join to 1e-8.
@@ -125,6 +128,7 @@ def join_transition_matrix(
     m, n = g.n, h.n
     if kind == LAPLACIAN:
         total = m + n
+        check_phase(abs(t), float(total))
         u = np.ones((total, total), dtype=complex) / total
         corner = np.zeros((total, total))
         corner[:m, :m] = n * n
@@ -142,6 +146,7 @@ def join_transition_matrix(
         disc = math.sqrt((k - ell) ** 2 + 4.0 * m * n)
         lam_p = 0.5 * (k + ell + disc)
         lam_m = 0.5 * (k + ell - disc)
+        check_phase(abs(t), max(lam_p, -lam_m))
         uvec = np.concatenate([(k - lam_m) * np.ones(m), m * np.ones(n)])
         vvec = np.concatenate([(k - lam_p) * np.ones(m), m * np.ones(n)])
         u = np.exp(1j * t * lam_p) / (m * disc * (k - lam_m)) * np.outer(uvec, uvec)

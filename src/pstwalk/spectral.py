@@ -219,6 +219,14 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     )
 
 
+def check_phase(reach: float, lam: float) -> None:
+    """NumericFailureError unless every phase exp(i t lambda) with |t| <= reach
+    and |lambda| <= lam can be formed: reach * lam is taken as a Python float,
+    which overflows to inf quietly, and must be finite."""
+    if not math.isfinite(reach * lam):
+        raise NumericFailureError(f"walk phase t*lambda is not finite for |t| up to {reach:.3g}")
+
+
 def walk(dec: SpectralDecomposition, t, coef=None):
     """sum_j exp(i t lambda_j) coef[j] over the clusters j (coef of shape (k,)),
     or without coef the phases exp(i t lambda_j): every time evolution forms
@@ -228,9 +236,7 @@ def walk(dec: SpectralDecomposition, t, coef=None):
     times = np.asarray(t, dtype=float)
     lam = dec.eigenvalues
     reach = abs(float(times)) if times.ndim == 0 else float(np.abs(times).max(initial=0.0))
-    # max |t * lambda_j| as a Python float, which overflows to inf quietly
-    if not math.isfinite(reach * float(max(lam[0], -lam[-1]))):
-        raise NumericFailureError(f"walk phase t*lambda is not finite for |t| up to {reach:.3g}")
+    check_phase(reach, float(max(lam[0], -lam[-1])))
     if times.ndim == 0:
         phases = np.exp(1j * (times * lam))
         return phases if coef is None else phases @ coef

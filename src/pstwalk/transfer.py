@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     build_complete,
     build_empty,
+    check_dense,
     hamiltonian,
     join,
     make_graph,
@@ -40,7 +41,7 @@ from .spectral import (
 )
 from .states import check_strong_cospectrality, support_mask
 
-SPREAD_CHUNK = 1024    # edge masks per stacked eigvalsh call of the spread oracle
+SPREAD_CHUNK = 1024    # edge masks per relabelling pass, and keys per stacked eigvalsh, of the spread oracle
 
 
 @dataclass(eq=False)
@@ -301,38 +302,75 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
     return ScanResult(times=times, values=values, peak_time=float(peak_t), peak_value=float(peak_v))
 
 
+def _degree_sorted_keys(n: int) -> np.ndarray:
+    """Every edge mask on n vertices (bit e is edge e of triu_indices(n, 1)),
+    re-packed after relabelling its vertices by descending degree, ties kept
+    in label order. A relabelling keeps the spectra of A and L, so masks
+    sharing a key share their spectra. Built SPREAD_CHUNK masks at a time."""
+    iu = np.triu_indices(n, 1)
+    m = len(iu[0])
+    # a float incidence matrix: the degree product runs in BLAS, and its
+    # small integer counts are exact
+    incidence = np.zeros((m, n))
+    incidence[np.arange(m), iu[0]] = incidence[np.arange(m), iu[1]] = 1.0
+    position = np.zeros((n, n), dtype=np.int64)   # edge index of {u, v}
+    position[iu] = position[iu[1], iu[0]] = np.arange(m)
+    position = position.ravel()
+    keys = np.empty(1 << m, dtype=np.int64)
+    for start in range(0, 1 << m, SPREAD_CHUNK):
+        masks = np.arange(start, min(start + SPREAD_CHUNK, 1 << m))
+        bits = (masks[:, None] >> np.arange(m)) & 1
+        order = np.argsort(-(bits @ incidence), axis=1, kind="stable")
+        label = np.empty_like(order)   # new label of each old vertex
+        label[np.arange(len(masks))[:, None], order] = np.arange(n)
+        keys[start:start + len(masks)] = (bits << position[label[:, iu[0]] * n + label[:, iu[1]]]).sum(axis=1)
+    return keys
+
+
+def _mask_spreads(n: int, kind: str) -> np.ndarray:
+    """Spread (largest minus smallest eigenvalue) of the Laplacian or
+    adjacency matrix of every edge mask on n vertices, -inf where the graph
+    is disconnected. One eigvalsh per distinct degree-sorted key, in stacks
+    of SPREAD_CHUNK keys, scattered back to every mask with that key. A
+    graph counts as connected iff its second-smallest Laplacian eigenvalue
+    exceeds 1e-9 (Fiedler); for n <= 6 that eigenvalue is at least
+    2 - 2cos(pi/6) ~ 0.268 on connected graphs, far from the cut."""
+    iu = np.triu_indices(n, 1)
+    keys, inverse = np.unique(_degree_sorted_keys(n), return_inverse=True)
+    spreads = np.empty(len(keys))
+    for start in range(0, len(keys), SPREAD_CHUNK):
+        chunk = keys[start:start + SPREAD_CHUNK]
+        a = np.zeros((len(chunk), n, n))
+        a[:, iu[0], iu[1]] = (chunk[:, None] >> np.arange(len(iu[0]))) & 1
+        a += a.transpose(0, 2, 1)
+        w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
+        connected = w[:, 1] > 1e-9
+        if kind == ADJACENCY:
+            w = np.linalg.eigvalsh(a)
+        spreads[start:start + len(chunk)] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
+    return spreads[inverse]
+
+
 def _spread_oracle(n: int, kind: str) -> dict:
     """Exhaustive maximum spread (largest minus smallest eigenvalue) of the
     Laplacian or adjacency matrix over connected unweighted graphs on n
     vertices, guarded to 2 <= n <= 6.
 
     The minimum period of any state is at least 2*pi/spread, so the maximum
-    spread certifies the least achievable period. The 2^(n(n-1)/2) edge
-    masks are unpacked SPREAD_CHUNK at a time into stacks of adjacency and
-    Laplacian matrices, with one eigvalsh call per stack. A graph counts as
-    connected iff its second-smallest Laplacian eigenvalue exceeds 1e-9
-    (Fiedler); for n <= 6 that eigenvalue is at least 2 - 2cos(pi/6) ~ 0.268
-    on connected graphs, far from the cut. Returns n, connected_graphs,
-    max_spread (the spread of the first connected graph within 1e-9 of the
-    maximum, recomputed from that one matrix) and attained_count (connected
-    graphs whose spread exceeds max_spread - 1e-9).
+    spread certifies the least achievable period. The spreads of all
+    2^(n(n-1)/2) labelled graphs come from _mask_spreads, which runs one
+    eigvalsh per degree-sorted relabelling (936 at n = 6) rather than one
+    per edge mask; every count is still over labelled graphs. Returns n,
+    connected_graphs, max_spread (the spread of the first connected graph
+    within 1e-9 of the maximum, recomputed from that one matrix) and
+    attained_count (connected graphs whose spread exceeds max_spread - 1e-9).
     """
     if not 2 <= n <= 6:
         raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
+    spreads = _mask_spreads(n, kind)
     iu = np.triu_indices(n, 1)
-    m = len(iu[0])
-    spreads = np.full(1 << m, -np.inf)   # -inf marks a disconnected graph
-    for start in range(0, 1 << m, SPREAD_CHUNK):
-        masks = np.arange(start, min(start + SPREAD_CHUNK, 1 << m))
-        a = np.zeros((len(masks), n, n))
-        a[:, iu[0], iu[1]] = (masks[:, None] >> np.arange(m)) & 1
-        a += a.transpose(0, 2, 1)
-        w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
-        connected = w[:, 1] > 1e-9
-        w = np.linalg.eigvalsh(a[connected]) if kind == ADJACENCY else w[connected]
-        spreads[masks[connected]] = w[:, -1] - w[:, 0]
     first = int(np.argmax(spreads >= spreads.max() - 1e-9))
-    g = make_graph(n, np.transpose(iu)[(first >> np.arange(m)) & 1 == 1])
+    g = make_graph(n, np.transpose(iu)[(first >> np.arange(len(iu[0]))) & 1 == 1])
     w = np.linalg.eigvalsh(hamiltonian(g, kind).matrix)
     best = float(w[-1] - w[0])
     return {
@@ -357,9 +395,15 @@ def extremal_min_pst_search(
     ceil(n/3) with a complete part; the optimality of that shape is an
     asymptotic fact, so for finite n the report labels it as unverified
     unless the exhaustive oracle (2 <= n <= 6) finds no larger spread.
+    Both size guards, DENSE_GUARD and with exhaustive 2 <= n <= 6, raise
+    InvalidSizeError before any graph is built.
     """
     if n < 2:
         raise InvalidSizeError("need n >= 2")
+    if kind not in (LAPLACIAN, ADJACENCY):
+        raise ValueError(f"unknown kind {kind!r}")
+    oracle = _spread_oracle(n, kind) if exhaustive else None
+    check_dense(n)
     if kind == LAPLACIAN:
         g = join(build_empty(1), build_empty(n - 1))  # star: simplest join
         w = np.concatenate([[float(n - 1)], -np.ones(n - 1)])
@@ -368,7 +412,7 @@ def extremal_min_pst_search(
         x, y = ones + w, ones - w
         tau = math.pi / n
         optimality = "exact: the Laplacian spread of an n-vertex graph is at most n, attained exactly by join graphs"
-    elif kind == ADJACENCY:
+    else:
         a = math.ceil(n / 3)
         g = join(build_empty(a), build_complete(n - a))
         k_reg = float(n - a - 1)
@@ -382,9 +426,6 @@ def extremal_min_pst_search(
         x, y = u + v, u - v
         tau = math.pi / disc
         optimality = "asymptotic: maximal adjacency spread by this split graph is guaranteed only for sufficiently large n; unverified at this n"
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    oracle = _spread_oracle(n, kind) if exhaustive else None
     if kind == ADJACENCY and oracle and abs(oracle["max_spread"] - disc) <= 1e-9:
         optimality = "verified at this n: no connected graph on n vertices has a larger adjacency spread than this split graph (exhaustive check); in general its maximality is guaranteed only for sufficiently large n"
     dec = decompose(hamiltonian(g, kind), cfg)

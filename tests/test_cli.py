@@ -352,6 +352,20 @@ def test_extremal_exhaustive_guard_holds_for_both_kinds(capsys):
         assert code == 0 and doc["oracle"] is None
 
 
+@pytest.mark.parametrize("kind", ["adj", "lap"])
+@pytest.mark.parametrize("flags,message", [
+    ([], f"{10**20} vertices exceed the dense limit of 4096"),
+    (["--exhaustive"], "exhaustive search is guarded to 2 <= n <= 6"),
+], ids=["plain", "exhaustive"])
+def test_extremal_refuses_a_huge_n_before_building_a_graph(capsys, kind, flags, message):
+    # 10**20 does not fit a C long: any graph built first would fail on that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, ["extremal", "--kind", kind, *flags, "--", str(10**20)])
+    assert (code, doc) == (4, None)
+    assert err == f"error: {message}\n"
+
+
 P3_DOC = '{"n": 3, "edges": [[0, 1], [1, 2]]}'
 STATE_SHAPE = "a state document must be a flat list of numbers"
 GRAPH_SHAPE = "a graph document must be an object whose edges are [u, v] or [u, v, w] lists"

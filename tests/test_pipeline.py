@@ -18,7 +18,7 @@ import pstwalk as pw
 from conftest import basis_state, pair_state, random_connected_graph, random_support_state
 from pstwalk import serialize
 from pstwalk.cli import main
-from pstwalk.transfer import _spread_oracle
+from pstwalk.transfer import _degree_sorted_keys, _mask_spreads, _spread_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
 
@@ -297,6 +297,45 @@ def test_spread_oracle_reads_connectivity_from_the_spectrum():
 def test_chunked_spread_oracle_equals_the_per_mask_loop(kind):
     for n in range(2, 7):
         assert _spread_oracle(n, kind) == reference_spread_oracle(n, kind)
+
+
+def _per_mask_spreads(n, kind, masks):
+    spreads = []
+    for mask in masks:
+        a = _mask_graph(n, int(mask))
+        w = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)
+        if w[1] <= 1e-9:
+            spreads.append(-np.inf)
+            continue
+        if kind == pw.ADJACENCY:
+            w = np.linalg.eigvalsh(a)
+        spreads.append(w[-1] - w[0])
+    return np.array(spreads)
+
+
+@pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
+def test_relabelled_spreads_equal_the_per_mask_spectra(kind):
+    # a degree-sorted relabelling keeps the spectrum, so the spread shared by
+    # a key is each of its masks' own spread up to roundoff
+    for n in range(2, 6):
+        spreads = _mask_spreads(n, kind)
+        want = _per_mask_spreads(n, kind, range(len(spreads)))
+        assert np.array_equal(spreads == -np.inf, want == -np.inf)
+        assert np.allclose(spreads, want, rtol=0.0, atol=1e-12)
+    masks = np.random.default_rng(6).choice(1 << 15, size=2000, replace=False)
+    spreads = _mask_spreads(6, kind)[masks]
+    want = _per_mask_spreads(6, kind, masks)
+    assert np.array_equal(spreads == -np.inf, want == -np.inf)
+    assert np.allclose(spreads, want, rtol=0.0, atol=1e-12)
+
+
+def test_degree_sorted_keys_cover_every_isomorphism_class():
+    # isomorphic masks may keep distinct keys, but non-isomorphic ones never
+    # share one, so there are at least as many keys as graphs on n vertices
+    # (OEIS A000088)
+    counts = [len(np.unique(_degree_sorted_keys(n))) for n in range(2, 7)]
+    assert all(c >= g for c, g in zip(counts, [2, 4, 11, 34, 156]))
+    assert counts == [2, 4, 16, 84, 936]
 
 
 def test_adjacency_spread_maximum_is_the_split_graph():

@@ -93,10 +93,13 @@ X5, Y5 = pair_state(5, 0, 1), pair_state(5, 2, 3)
     lambda: pw.verify_pst_numeric(K5, X5, Y5, 1e308),
     lambda: pw.fidelity_scan(K5, X5, Y5, 1e308, 16),
     lambda: pw.finite_difference_oracle(K5, X5, Y5, 1e308, 1, 1e-3),
+    lambda: pw.join_transition_matrix(pw.build_cycle(3), pw.build_complete(2), pw.ADJACENCY, 1e308),
+    lambda: pw.join_transition_matrix(pw.build_cycle(3), pw.build_complete(2), pw.LAPLACIAN, 1e308),
 ], ids=["evolve", "transition_matrix", "fidelity", "verify_pst_numeric", "fidelity_scan",
-        "finite_difference_oracle"])
+        "finite_difference_oracle", "join_transition_matrix-adj", "join_transition_matrix-lap"])
 def test_overflowing_phase_is_a_numeric_failure(call):
-    # t * lambda = 4e308 is not finite; each consumer stops at the kernel's guard
+    # t * lambda = 4e308 (5e308 for the Laplacian join's closed-form phase) is
+    # not finite; each consumer stops at the kernel's guard
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericFailureError, match="walk phase t\\*lambda is not finite"):
