@@ -15,7 +15,6 @@ from .errors import (
     AmbiguousCospectralityError,
     FixedStateError,
     GraphError,
-    InvalidAutomorphismError,
     InvalidPairError,
     InvalidSizeError,
     InvalidStateError,
@@ -26,7 +25,6 @@ from .errors import (
     PatternMismatchError,
     PstwalkError,
     SynthesisError,
-    TooManyPartitionsError,
 )
 from .families import (
     CatalogEntry,
@@ -66,23 +64,16 @@ from .graphs import (
     make_graph,
 )
 from .periodicity import (
-    CoveringRadiusReport,
     NonPeriodic,
     RatioTable,
     SpectralForm,
     classify_form,
-    closed_form_period,
-    covering_radius_bound_check,
-    is_conjugate_closed,
     ratio_condition,
-    spectral_gap_check,
 )
 from .sensitivity import (
-    ExtremalSensitivity,
     SensitivityReport,
     fidelity_derivatives,
     finite_difference_oracle,
-    sensitivity_extremal,
 )
 from .spectral import (
     DEFAULT_TOLERANCES,
@@ -97,15 +88,11 @@ from .spectral import (
 from .states import (
     CospectralityCertificate,
     SupportProfile,
-    automorphism_fix_check,
     check_strong_cospectrality,
-    enumerate_partners,
-    involution_from_partition,
-    moment_check,
     support,
     support_mask,
 )
-from .synthesis import SynthesisRequest, involution_certificate, synthesize
+from .synthesis import SynthesisRequest, synthesize
 from .transfer import (
     ExtremalReport,
     PstVerdict,

@@ -52,14 +52,6 @@ class AmbiguousCospectralityError(NotCospectralError):
     support tolerance, so its sign is not numerically determined."""
 
 
-class TooManyPartitionsError(PstwalkError):
-    """Support too large to enumerate all strongly cospectral partners."""
-
-
-class InvalidAutomorphismError(PstwalkError, ValueError):
-    """The supplied permutation does not commute with the Hamiltonian."""
-
-
 class NotApplicableError(PstwalkError):
     """Preconditions of a check (e.g. entrywise nonnegativity) do not hold."""
 

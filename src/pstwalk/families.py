@@ -45,8 +45,8 @@ def cycle_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, vectors) with vectors as orthonormal columns."""
     if n < 3:
         raise InvalidSizeError("cycle needs n >= 3")
-    values = np.empty(n)
-    vectors = np.empty((check_dense(n), n))
+    values = np.empty(check_dense(n))
+    vectors = np.empty((n, n))
     grid = np.arange(n)
     values[0] = 2.0
     vectors[:, 0] = 1.0 / math.sqrt(n)

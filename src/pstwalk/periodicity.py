@@ -1,6 +1,6 @@
 """Periodicity of states: the ratio condition with exact rational
 reconstruction, and the minimum period and the spectral form (integer vs
-quadratic) read from its table; the covering-radius bound report."""
+quadratic) read from its table."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import reconstruct_fraction, squarefree_split
-from .errors import InvalidStateError, NotApplicableError, NumericFailureError
-from .graphs import LAPLACIAN, Hamiltonian, covering_radius
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
-from .states import support
+from .errors import InvalidStateError, NumericFailureError
+from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
 
 # A reconstructed period rho must align every support phase to within this
 # bound on max_j |exp(i rho lam_j) - exp(i rho lam_1)|; it converts plausible
@@ -182,86 +180,3 @@ def classify_form(
     if abs(twice_center - a) > cfg.int_tol or any(rj + rk != last for rj, rk in zip(r, reversed(r))):
         return None
     return SpectralForm(QUADRATIC, a=a, b=tuple(g * (last - 2 * rj) for rj in r), delta=delta, g=g)
-
-
-def closed_form_period(form: SpectralForm) -> float | None:
-    """2*pi/(g*sqrt(delta)) when the integer/quadratic fit applies."""
-    if form.variant in (INTEGER, QUADRATIC) and form.g:
-        return 2.0 * math.pi / (form.g * math.sqrt(form.delta))
-    return None
-
-
-def spectral_gap_check(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """All pairwise support differences at least one (boundary counts).
-
-    For conjugate-closed supports of size >= 3 this is a necessary condition
-    for periodicity, so it serves as a fast pre-filter.
-    """
-    vals = _validate_support(supp)
-    return bool(np.min(vals[:-1] - vals[1:]) >= 1.0 - cfg.int_tol)
-
-
-def is_conjugate_closed(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Whether the support admits an integer or quadratic closed form (in the
-    latter case both members of each conjugate pair must be present)."""
-    form = classify_form(ratio_condition(supp, cfg), cfg)
-    return form is not None and form.variant in (INTEGER, QUADRATIC)
-
-
-@dataclass(frozen=True)
-class CoveringRadiusReport:
-    radius: float
-    support_size: int
-    max_row_sum: float
-    bound: float | None       # None when the bound's hypotheses do not apply
-    satisfied: bool | None
-    periodic: bool
-    conjugate_closed: bool
-
-
-def covering_radius_bound_check(
-    ham: Hamiltonian, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CoveringRadiusReport:
-    """Report the covering radius of x against its support-size bound.
-
-    Requires the working matrix and x entrywise nonnegative; Laplacians are
-    handled through k*I - L with k the maximum weighted degree, which has the
-    same support structure and a nonnegative sign pattern.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.min(x) < 0:
-        raise NotApplicableError("state must be entrywise nonnegative")
-    if ham.kind == LAPLACIAN:
-        k = float(np.max(np.diag(ham.matrix)))
-        work = k * np.eye(ham.n) - ham.matrix
-    else:
-        work = ham.matrix
-    if np.min(work) < -1e-12:
-        raise NotApplicableError("matrix must be entrywise nonnegative")
-
-    dec = decompose(work, cfg)
-    prof = support(dec, x, cfg)
-    r = covering_radius(ham.graph, x, cfg.tol_supp)
-    row_sum = float(np.max(work.sum(axis=1)))
-
-    table = ratio_condition(prof.eigenvalues, cfg) if prof.size >= 2 else None
-    periodic = isinstance(table, RatioTable)
-    closed = periodic and classify_form(table, cfg) is not None
-
-    bound: float | None
-    if prof.size == 2:
-        bound = 1.0
-    elif prof.size >= 3 and periodic and closed:
-        bound = 2.0 * row_sum
-    else:
-        bound = None
-    satisfied = None if bound is None else bool(r <= bound + 1e-9)
-    return CoveringRadiusReport(
-        radius=r,
-        support_size=prof.size,
-        max_row_sum=row_sum,
-        bound=bound,
-        satisfied=satisfied,
-        periodic=periodic,
-        conjugate_closed=closed,
-    )

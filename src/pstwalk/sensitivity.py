@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericFailureError
-from .graphs import hamiltonian
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose, fidelity
+from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, fidelity
 from .states import support
-from .transfer import extremal_min_pst_search, verify_pst_numeric
+from .transfer import verify_pst_numeric
 
 
 @dataclass(eq=False)
@@ -82,34 +81,3 @@ def finite_difference_oracle(dec, x, y, tau: float, k: int, h: float) -> float:
     vander = np.vander(offsets, 9, increasing=True).T  # row p: offsets**p
     weights = np.linalg.solve(vander, math.factorial(k) * np.eye(9)[k]) / h**k
     return float(weights @ fidelity(dec, tau + offsets * h, x, y))
-
-
-@dataclass(eq=False)
-class ExtremalSensitivity:
-    kind: str
-    n: int
-    tau: float
-    d2: float
-    bound_lo: float
-    attained: bool
-    report: SensitivityReport
-
-
-def sensitivity_extremal(
-    n: int, kind: str, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ExtremalSensitivity:
-    """Graph and unit pair with the most readout-sensitive transfer among
-    n-vertex graphs: the extremal-time pair, whose second derivative attains
-    -(lam_max - lam_min)^2 / 2 exactly (-n^2/2 for the Laplacian walk)."""
-    rep = extremal_min_pst_search(n, kind, cfg)
-    dec = decompose(hamiltonian(rep.graph, kind), cfg)
-    sr = fidelity_derivatives(dec, rep.x, rep.y, rep.tau, 2, cfg)
-    return ExtremalSensitivity(
-        kind=kind,
-        n=n,
-        tau=rep.tau,
-        d2=sr.d2,
-        bound_lo=sr.bound_lo,
-        attained=abs(sr.d2 - sr.bound_lo) <= 1e-8 * max(1.0, abs(sr.bound_lo)),
-        report=sr,
-    )

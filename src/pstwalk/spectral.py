@@ -33,8 +33,10 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("tol_group", "tol_supp", "tol_phase", "int_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.tol_supp >= 1:  # ||E_j x|| <= ||x||: every support would be empty
+            raise ValueError("tol_supp must be below 1")
         if self.q_max < 1:
             raise ValueError("q_max must be at least 1")
 

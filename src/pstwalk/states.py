@@ -1,5 +1,5 @@
-"""Eigenvalue supports, fixed-state detection, strong cospectrality with its
-sign partition, partner enumeration, and moment/automorphism checks."""
+"""Eigenvalue supports, fixed-state detection, and strong cospectrality with
+its sign partition."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ import numpy as np
 from .errors import (
     AmbiguousCospectralityError,
     FixedStateError,
-    InvalidAutomorphismError,
     InvalidPairError,
     InvalidStateError,
     NotCospectralError,
-    TooManyPartitionsError,
 )
 from .spectral import (
     DEFAULT_TOLERANCES,
@@ -27,8 +25,6 @@ from .spectral import (
 FIXED = "fixed"
 SIZE2 = "size2"
 GENERAL = "general"
-
-MAX_PARTITION_SUPPORT = 20
 
 
 @dataclass(eq=False)
@@ -140,74 +136,3 @@ def check_strong_cospectrality(
         residual=worst,
         profile=prof,
     )
-
-
-def enumerate_partners(
-    dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> list[np.ndarray]:
-    """All 2**(m-1) - 1 states strongly cospectral with x, one per proper
-    bipartition of the support with the largest eigenvalue kept positive."""
-    x = as_state(x, dec.n)
-    prof = support(dec, x, cfg)
-    if prof.kind == FIXED:
-        raise FixedStateError("fixed states have no strongly cospectral partners")
-    m = prof.size
-    if m > MAX_PARTITION_SUPPORT:
-        raise TooManyPartitionsError(f"support size {m} exceeds {MAX_PARTITION_SUPPORT}")
-    comps = dec.components(x, prof.indices)
-    partners = []
-    for mask in range(1, 2 ** (m - 1)):
-        flip = np.zeros(dec.n)
-        for bit in range(m - 1):
-            if mask >> bit & 1:
-                flip += comps[1 + bit]
-        partners.append(x - 2.0 * flip)
-    return partners
-
-
-def moment_check(dec: SpectralDecomposition, x, y, k_max: int) -> bool:
-    """True iff x^T M^k x = y^T M^k y for k = 0..k_max within 1e-8 * scale**k,
-    compared on SpectralDecomposition.moments of the unit-normalized states."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    return bool(np.all(np.abs(dec.moments(x, k_max) - dec.moments(y, k_max)) <= 1e-8))
-
-
-def automorphism_fix_check(perm, dec: SpectralDecomposition, m, x, y,
-                           cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """For an automorphism P of the Hamiltonian and a strongly cospectral pair,
-    report whether (P y = y) implies (P x = x); the implication always holds
-    for valid inputs.
-
-    `perm` maps vertex u to perm[u]; `m` is the Hamiltonian matrix (or an
-    object with a .matrix attribute).
-    """
-    mat = getattr(m, "matrix", None)
-    mat = np.asarray(mat if mat is not None else m, dtype=float)
-    n = mat.shape[0]
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise InvalidAutomorphismError("perm is not a permutation of the vertices")
-    if np.max(np.abs(mat[np.ix_(perm, perm)] - mat)) > 1e-12 * max(1.0, float(np.abs(mat).max())):
-        raise InvalidAutomorphismError("permutation does not preserve the Hamiltonian")
-    check_strong_cospectrality(dec, x, y, cfg)  # validates the pair contract
-    x = as_state(x, n)
-    y = as_state(y, n)
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    fixes_y = np.linalg.norm(y[inv] - y) <= 1e-10 * np.linalg.norm(y)
-    fixes_x = np.linalg.norm(x[inv] - x) <= 1e-10 * np.linalg.norm(x)
-    return (not fixes_y) or fixes_x
-
-
-def involution_from_partition(
-    dec: SpectralDecomposition, cert: CospectralityCertificate
-) -> np.ndarray:
-    """Orthogonal Q with Q^2 = I and Q x = y: flips the minus projectors and
-    acts as the identity off the support."""
-    q = np.eye(dec.n)
-    for pos in cert.minus_positions:
-        q = q - 2.0 * dec.projector(cert.profile.indices[pos])
-    return q

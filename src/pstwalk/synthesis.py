@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import InvalidPairError, SynthesisError
 from .graphs import check_dense
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose
-from .states import check_strong_cospectrality, involution_from_partition
+from .spectral import as_state
 
 _DEP_TOL = 1e-8  # near-dependence threshold for basis completion
 
@@ -102,12 +101,3 @@ def synthesize(req: SynthesisRequest) -> np.ndarray:
     if not np.isfinite(thetas).all():
         raise SynthesisError(f"invalid-request: tau {tau:.3g} is too small: pi/(g*tau) overflows")
     return (w * thetas) @ w.T
-
-
-def involution_certificate(m, x, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal polynomial-in-M certificate Q with Q^2 = I and Q x = y:
-    flips the minus projectors of the pair's partition and acts as the
-    identity off the support. Raises NotCospectralError for non-pairs."""
-    dec = decompose(m, cfg)
-    cert = check_strong_cospectrality(dec, x, y, cfg)
-    return involution_from_partition(dec, cert)

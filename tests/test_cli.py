@@ -431,6 +431,8 @@ def test_loader_refuses_non_numeric_weights_and_matrix_sizes(tmp_path, capsys, g
     ("synthesize", "--tau", "invalid-request: tau must be positive and finite"),
     ("scan", "--tmax", "t_max must be finite"),
     ("sensitivity", "--tau", "tau must be positive and finite"),
+    # a NaN tolerance once passed the `<= 0` test and split C8's double eigenvalue
+    ("pst", "--tol-group", "tol_group must be positive and finite"),
 ])
 def test_non_finite_times_exit_4(tmp_path, capsys, command, flag, value, message):
     x = _state_file(tmp_path, "x.json", basis_state(8, 0, 4))
@@ -546,6 +548,10 @@ def test_graph_above_the_dense_limit_exits_4(tmp_path, capsys):
     code, doc, err = _run(capsys, ["family", "path-adj", "5000"])
     assert (code, doc) == (4, None)
     assert err == "error: 5000 vertices exceed the dense limit of 4096\n"
+    # the cycle eigenbasis checks the limit before its first allocation
+    code, doc, err = _run(capsys, ["family", "cycle", str(10**20)])
+    assert (code, doc) == (4, None)
+    assert err == f"error: {10**20} vertices exceed the dense limit of 4096\n"
 
 
 @pytest.mark.parametrize("exc,line", [

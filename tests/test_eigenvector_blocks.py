@@ -2,8 +2,9 @@
 
 `dense_projectors` rebuilds the (k, n, n) tensor of E_j = V_j V_j^T from a
 fresh eigh of the matrix, and the `_dense_*` functions are the formulas that
-read that tensor directly. Every consumer of the decomposition must agree
-with them to 1e-12, with identical verdicts and reasons.
+read that tensor, or the matrix itself, directly. Every consumer of the decomposition must agree
+with them to 1e-12 (the moments, in units of scale**k, to 1e-10), with
+identical verdicts and reasons.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
+from oracles import all_partners
 from pstwalk.errors import (
     AmbiguousCospectralityError,
     FixedStateError,
@@ -105,11 +107,13 @@ def _dense_scan_values(dec, P, x, y, times):
     return np.array([abs(np.exp(1j * t * dec.eigenvalues) @ amps) ** 2 / denom for t in times])
 
 
-def _dense_moment_check(dec, P, x, y, k_max):
-    wx = np.linalg.norm(P @ x, axis=1) ** 2 / np.dot(x, x)
-    wy = np.linalg.norm(P @ y, axis=1) ** 2 / np.dot(y, y)
-    return all(abs(dec.eigenvalues**k @ wx - dec.eigenvalues**k @ wy) <= 1e-8 * dec.scale**k
-               for k in range(k_max + 1))
+def _dense_moments(mat, scale, x, k_max):
+    """x^T M^k x / (x^T x * scale**k) for k = 0..k_max, by repeated dense
+    products with M / scale."""
+    powers = [x]
+    for _ in range(k_max):
+        powers.append(mat @ powers[-1] / (scale or 1.0))
+    return np.array([x @ p for p in powers]) / np.dot(x, x)
 
 
 def _dense_join(g, h, kind, t):
@@ -234,7 +238,7 @@ def test_consumers_match_dense_projectors(case):
             y = y + 1e-6 * np.linalg.norm(x) * z / np.linalg.norm(z)
             y *= np.linalg.norm(x) / np.linalg.norm(y)
     elif y_kind == "cospectral" and 2 <= prof.size <= 8:
-        y = pw.enumerate_partners(dec, x)[-1]
+        y = all_partners(dec, x)[-1]
     else:
         y = np.zeros(n)
         a, b = rng.choice(n, size=2, replace=False) if n > 2 else (0, n - 1)
@@ -285,7 +289,8 @@ def test_consumers_match_dense_projectors(case):
     assert abs(_dense_scan_values(dec, P, x, y, [scan.peak_time])[0] - scan.peak_value) <= TOL
     assert scan.peak_value >= ref_values.max() - TOL
 
-    assert pw.moment_check(dec, x, y, 6) == _dense_moment_check(dec, P, x, y, 6)
+    for v in (x, y):
+        assert np.max(np.abs(dec.moments(v, 6) - _dense_moments(mat, dec.scale, v, 6))) <= 1e-10
 
 
 def _regular_factors():

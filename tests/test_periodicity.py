@@ -115,62 +115,69 @@ def test_closed_form_period_consistency():
     ]:
         table = pw.ratio_condition(sup)
         assert isinstance(table, RatioTable)
-        rho = table.period
         form = pw.classify_form(table)
-        closed = pw.closed_form_period(form)
-        assert closed == pytest.approx(rho, rel=1e-9)
+        assert form.variant in ("integer", "quadratic")
+        assert 2.0 * math.pi / (form.g * math.sqrt(form.delta)) == pytest.approx(table.period, rel=1e-9)
 
 
 def test_spectral_gap_check():
-    assert pw.spectral_gap_check(np.array([2.0, 0.0, -2.0]))
-    assert not pw.spectral_gap_check(np.array([1.5, 1.0, -1.0]))
+    # every gap of a closed-form support is at least one (the boundary counts)
+    int_tol = pw.DEFAULT_TOLERANCES.int_tol
+    form = pw.classify_form(pw.ratio_condition(np.array([2.0, 0.0, -2.0])))
+    assert form.variant == "integer"
+    assert np.min(-np.diff([2.0, 0.0, -2.0])) >= 1.0 - int_tol
+    # a periodic support with a gap of one half has no closed form
+    assert pw.classify_form(pw.ratio_condition(np.array([1.5, 1.0, -1.0]))) is None
+    assert np.min(-np.diff([1.5, 1.0, -1.0])) < 1.0 - int_tol
     # end vertex of the 4-path: golden-ratio spectrum hits the boundary gap of
     # exactly one, which counts as passing
     dec, prof = _support_of(pw.build_path(4), pw.ADJACENCY, basis_state(4, 0))
     assert prof.size == 4
-    assert pw.spectral_gap_check(prof.eigenvalues)
+    assert np.min(-np.diff(prof.eigenvalues)) >= 1.0 - int_tol
+
+
+def _closed(sup):
+    form = pw.classify_form(pw.ratio_condition(np.array(sup)))
+    return form is not None and form.variant in ("integer", "quadratic")
 
 
 def test_conjugate_closure_detection():
-    assert pw.is_conjugate_closed(np.array([2.0, 1.0, -2.0]))
-    assert pw.is_conjugate_closed(np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)]))
+    assert _closed([2.0, 1.0, -2.0])
+    assert _closed([math.sqrt(2.0), 0.0, -math.sqrt(2.0)])
     # a lone member of a conjugate pair is not closed
-    assert not pw.is_conjugate_closed(np.array([2.0, math.sqrt(2.0), 0.0]))
+    assert not _closed([2.0, math.sqrt(2.0), 0.0])
 
 
 def test_covering_radius_bound_check():
-    star = pw.hamiltonian(pw.build_complete_bipartite(1, 3), pw.ADJACENCY)
-    # sum of center and one leaf: support size 2, radius at most 1
-    rep = pw.covering_radius_bound_check(star, np.array([1.0, 1.0, 1.0, 1.0]))
-    assert rep.support_size >= 2
-    if rep.support_size == 2:
-        assert rep.bound == 1.0 and rep.satisfied
+    # the covering radius of a nonnegative state is at most 1 for two support
+    # eigenvalues, and at most twice the largest row sum of the nonnegative
+    # matrix for a periodic closed-form support
+    star = pw.build_complete_bipartite(1, 3)
+    x = np.ones(4)
+    dec, prof = _support_of(star, pw.ADJACENCY, x)
+    assert prof.size >= 2
+    if prof.size == 2:
+        assert pw.covering_radius(star, x) <= 1.0
 
-    c6 = pw.hamiltonian(pw.build_cycle(6), pw.ADJACENCY)
-    rep = pw.covering_radius_bound_check(c6, basis_state(6, 0))
-    assert rep.radius == 3.0
-    assert rep.max_row_sum == 2.0
-    assert rep.bound == 4.0 and rep.satisfied
+    c6 = pw.build_cycle(6)
+    dec, prof = _support_of(c6, pw.ADJACENCY, basis_state(6, 0))
+    assert prof.size >= 3 and _closed(prof.eigenvalues)
+    row_sum = np.max(pw.hamiltonian(c6, pw.ADJACENCY).matrix.sum(axis=1))
+    assert pw.covering_radius(c6, basis_state(6, 0)) == 3.0 <= 2.0 * row_sum
+    assert pw.covering_radius(c6, np.ones(6)) == 0.0
 
-    rep = pw.covering_radius_bound_check(c6, np.ones(6))
-    assert rep.radius == 0.0
-
-    with pytest.raises(pw.NotApplicableError):
-        pw.covering_radius_bound_check(c6, np.array([1.0, -1.0, 0, 0, 0, 0]))
-
-    # Laplacian route goes through the reflected nonnegative matrix
-    lap = pw.hamiltonian(pw.build_path(4), pw.LAPLACIAN)
-    rep = pw.covering_radius_bound_check(lap, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert rep.radius == 3.0
-    assert rep.support_size >= rep.radius + 1
+    # a Laplacian shares its supports with the nonnegative k*I - L
+    p4 = pw.build_path(4)
+    dec, prof = _support_of(p4, pw.LAPLACIAN, basis_state(4, 0))
+    r = pw.covering_radius(p4, basis_state(4, 0))
+    assert r == 3.0
+    assert prof.size >= r + 1
 
 
 def test_star_two_eigenvalue_state_bound():
     # center vertex of a star: support is the plus/minus sqrt(3) pair, so the
     # covering radius obeys the two-eigenvalue bound of one
-    ham = pw.hamiltonian(pw.build_complete_bipartite(1, 3), pw.ADJACENCY)
-    rep = pw.covering_radius_bound_check(ham, basis_state(4, 0))
-    assert rep.support_size == 2
-    assert rep.bound == 1.0
-    assert rep.radius == 1.0
-    assert rep.satisfied
+    star = pw.build_complete_bipartite(1, 3)
+    dec, prof = _support_of(star, pw.ADJACENCY, basis_state(4, 0))
+    assert prof.size == 2
+    assert pw.covering_radius(star, basis_state(4, 0)) == 1.0

@@ -72,7 +72,7 @@ def test_bound_and_odd_vanishing(rng):
 
 def test_moment_symmetry_on_pairs(rng):
     for dec, x, y, tau in _collect_pairs(rng, 6):
-        assert pw.moment_check(dec, x, y, 8)
+        assert np.max(np.abs(dec.moments(x, 8) - dec.moments(y, 8))) <= 1e-8
 
 
 def test_cauchy_schwarz_step(rng):
@@ -115,22 +115,28 @@ def test_refuses_non_transfer_input():
         pw.fidelity_derivatives(dec, basis_state(5, 0), basis_state(5, 1), 1.0)
 
 
+def _extremal_sensitivity(n, kind):
+    """The extremal-time pair on n vertices, its decomposition and the
+    second-order report of its transfer."""
+    rep = pw.extremal_min_pst_search(n, kind)
+    dec = _dec(rep.graph, kind)
+    return rep, dec, pw.fidelity_derivatives(dec, rep.x, rep.y, rep.tau, 2)
+
+
 def test_sensitivity_extremal():
-    rep = pw.sensitivity_extremal(6, pw.LAPLACIAN)
-    assert rep.d2 == pytest.approx(-18.0, abs=1e-8)
-    assert rep.bound_lo == pytest.approx(-18.0, abs=1e-8)
-    assert rep.attained
-    rep2 = pw.sensitivity_extremal(2, pw.ADJACENCY)
-    assert rep2.d2 == pytest.approx(-2.0, abs=1e-10)
-    assert rep2.attained
+    # the extremal-time pair attains f'' = -(lam_max - lam_min)^2 / 2 exactly
+    # (-n^2/2 for the Laplacian walk)
+    for n, kind, d2, tol in ((6, pw.LAPLACIAN, -18.0, 1e-8), (2, pw.ADJACENCY, -2.0, 1e-10)):
+        sr = _extremal_sensitivity(n, kind)[2]
+        assert sr.d2 == pytest.approx(d2, abs=tol)
+        assert sr.bound_lo == pytest.approx(d2, abs=1e-8)
+        assert abs(sr.d2 - sr.bound_lo) <= 1e-8 * max(1.0, abs(sr.bound_lo))
 
 
 def test_extremal_matches_finite_difference():
-    rep = pw.sensitivity_extremal(6, pw.LAPLACIAN)
-    g = pw.extremal_min_pst_search(6, pw.LAPLACIAN)
-    dec = _dec(g.graph, pw.LAPLACIAN)
-    fd = pw.finite_difference_oracle(dec, unit(g.x), unit(g.y), g.tau, 2, 1e-3)
-    assert abs(fd - rep.d2) <= max(1e-4, 1e-3 * abs(rep.d2))
+    rep, dec, sr = _extremal_sensitivity(6, pw.LAPLACIAN)
+    fd = pw.finite_difference_oracle(dec, unit(rep.x), unit(rep.y), rep.tau, 2, 1e-3)
+    assert abs(fd - sr.d2) <= max(1e-4, 1e-3 * abs(sr.d2))
 
 
 def _p7_end_pair(c):
@@ -166,7 +172,7 @@ def test_moments_run_clean_at_large_scale():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = pw.fidelity_derivatives(dec, x, y, math.pi / 2e100, k_max=4)
-        assert pw.moment_check(dec, x, y, 4)
+        assert np.max(np.abs(dec.moments(x, 4) - dec.moments(y, 4))) <= 1e-8
     assert report.d2 == pytest.approx(-2e200, rel=1e-12)
     assert report.derivatives[4] == math.inf and report.bound_ok
 

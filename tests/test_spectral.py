@@ -177,3 +177,21 @@ def test_decompose_refuses_a_norm_whose_eigenvalue_differences_overflow():
     dec = pw.decompose(np.array([[0.0, 8e307], [8e307, 0.0]]))
     assert dec.eigenvalues[0] - dec.eigenvalues[-1] == pytest.approx(1.6e308, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["tol_group", "tol_supp", "tol_phase", "int_tol"])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    # NaN passes a `value <= 0` test: at tol_group = nan the double
+    # eigenvalue of C8 once split into two clusters
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        pw.ToleranceConfig(**{name: value})
+
+
+def test_support_tolerance_must_be_below_one():
+    # ||E_j x|| <= ||x||, so at tol_supp >= 1 no state has a support; at
+    # 1e308 the threshold tol_supp * ||x|| once overflowed with a warning
+    for value in (1.0, 1e308):
+        with pytest.raises(ValueError, match="tol_supp must be below 1"):
+            pw.ToleranceConfig(tol_supp=value)
+    assert pw.ToleranceConfig(tol_supp=0.999).tol_supp == 0.999

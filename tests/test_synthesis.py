@@ -5,6 +5,7 @@ import pytest
 
 import pstwalk as pw
 from conftest import basis_state, unit
+from oracles import involution
 
 
 def _random_request(rng, n):
@@ -78,24 +79,25 @@ def test_involution_certificate(rng):
     y = rng.normal(size=6)
     y = unit(y - (y @ x) * x)
     m = pw.synthesize(pw.SynthesisRequest(x=x, y=y, tau=1.5, m1=2, m2=3))
-    q = pw.involution_certificate(m, x, y)
+    dec = pw.decompose(m)
+    q = involution(dec, pw.check_strong_cospectrality(dec, x, y))
     assert np.max(np.abs(q @ q - np.eye(6))) <= 1e-8
     assert np.linalg.norm(q @ x - y) <= 1e-8
 
     # on the complete-graph plus pair
-    k4 = pw.hamiltonian(pw.build_complete(4), pw.ADJACENCY)
+    dec = pw.decompose(pw.hamiltonian(pw.build_complete(4), pw.ADJACENCY))
     x4, y4 = basis_state(4, 0, 2), basis_state(4, 1, 3)
-    q4 = pw.involution_certificate(k4, x4, y4)
+    cert = pw.check_strong_cospectrality(dec, x4, y4)
+    q4 = involution(dec, cert)
     assert np.max(np.abs(q4 @ q4 - np.eye(4))) <= 1e-10
     assert np.linalg.norm(q4 @ x4 - y4) <= 1e-10
     # trace counts the flipped dimensions
-    dec = pw.decompose(k4)
-    cert = pw.check_strong_cospectrality(dec, x4, y4)
     flipped = sum(dec.multiplicities[cert.profile.indices[p]] for p in cert.minus_positions)
     assert np.trace(q4) == pytest.approx(4 - 2 * flipped, abs=1e-9)
 
+    # a pair that is not strongly cospectral has no certificate
     with pytest.raises(pw.NotCospectralError):
-        pw.involution_certificate(k4, basis_state(4, 0), basis_state(4, 1))
+        pw.check_strong_cospectrality(dec, basis_state(4, 0), basis_state(4, 1))
 
 
 @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
