@@ -27,7 +27,7 @@ from .families import (
     pair_plus_catalog,
     path_pst_families,
 )
-from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, hamiltonian, load_custom
+from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, check_dense, hamiltonian, load_custom
 from .periodicity import NonPeriodic, classify_form, ratio_condition
 from .sensitivity import fidelity_derivatives
 from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
@@ -171,6 +171,7 @@ def _family_pairs(family: str, kind: str, sizes: list[int], cfg, rng) -> list[tu
     RANDOM_DRAWS random states that is not fixed (none if all are), for
     cycles and paths one sample of each case."""
     if family in ("complete", "complete-bipartite"):
+        check_dense(sum(sizes))  # before a draw of that length
         for _ in range(RANDOM_DRAWS):
             x = rng.normal(size=sum(sizes))
             got = (complete_graph_pst(*sizes, x, cfg) if family == "complete"

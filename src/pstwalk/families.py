@@ -444,10 +444,12 @@ def pair_plus_catalog(
     if g.n < 2:
         return []
     dec = decompose(hamiltonian(g, kind), cfg)
-    states = [(u, v, s) for u in range(g.n) for v in range(u + 1, g.n) for s in (-1, 1)]
-    X = np.zeros((g.n, len(states)))
-    for c, (u, v, s) in enumerate(states):
-        X[u, c], X[v, c] = 1.0, s
+    # column c is e_u[c] + s[c] e_v[c], in (u, v, s) order
+    u, v = np.repeat(np.triu_indices(g.n, 1), 2, axis=1)
+    s = np.tile([-1, 1], len(u) // 2)
+    X = np.zeros((g.n, len(u)))
+    X[u, np.arange(len(u))] = 1.0
+    X[v, np.arange(len(u))] = s
     partners, found, _, _ = pst_partners(dec, X, cfg)
     hits = np.nonzero(found)[0]
     cols, ps, pu, pv = _pair_shapes(partners[:, hits])
@@ -456,10 +458,9 @@ def pair_plus_catalog(
         verdict = pst_decide(dec, X[:, c], partners[:, c], cfg)
         if not verdict.decision:
             continue
-        u, v, s = states[c]
         entries.append(
             CatalogEntry(
-                s=s, u=u, v=v, partner_s=t, partner_u=a, partner_v=b,
+                s=int(s[c]), u=int(u[c]), v=int(v[c]), partner_s=t, partner_u=a, partner_v=b,
                 tau=verdict.tau_min,
                 tau_symbolic=verdict.tau_symbolic,
             )

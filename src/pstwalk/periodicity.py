@@ -112,34 +112,29 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
 
     Two-element supports are trivially periodic (empty table). A fraction is
     accepted when its residual is within int_tol and the implied common
-    period aligns all phases (see PHASE_ALIGNMENT); any failure yields
-    NonPeriodic with the offending support position. So does the position
-    at which the running lcm of the denominators reaches 2**63, the bound
-    RatioTable.period enforces.
+    period aligns all phases (see PHASE_ALIGNMENT), and the lcm of the
+    denominators must stay below 2**63, the bound RatioTable.period
+    enforces. One pass over the support: after each fraction the running
+    lcm and the running worst residual are checked, and the first position
+    at which any test fails yields NonPeriodic. The final lcm is a multiple
+    of every running lcm, so a misalignment seen early persists and the
+    decision is that of checking the whole table; offending_index is the
+    first position at which the support is known to be nonperiodic.
     """
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
-    if len(vals) == 2:
-        return RatioTable(vals[0], vals[1], (), (), ())
     ps, qs, res = [], [], []
+    lcm, worst = 1, 0.0
     for j in range(2, len(vals)):
         ratio = (vals[0] - vals[j]) / gap
         p, q, err = reconstruct_fraction(ratio, cfg.q_max)
-        if err > cfg.int_tol:
+        lcm, worst = math.lcm(lcm, q), max(worst, err)
+        # phase misalignment at the running lcm, 2*pi*lcm*worst, never shrinks
+        if err > cfg.int_tol or lcm >= MAX_LCM or 2.0 * math.pi * lcm * worst > PHASE_ALIGNMENT:
             return NonPeriodic(offending_index=j, ratio=ratio, residual=err)
         ps.append(p)
         qs.append(q)
         res.append(err)
-    lcm = 1
-    for j, (q, err) in enumerate(zip(qs, res), start=2):
-        lcm = math.lcm(lcm, q)
-        if lcm >= MAX_LCM:
-            return NonPeriodic(offending_index=j, ratio=(vals[0] - vals[j]) / gap, residual=err)
-    for j, err in enumerate(res, start=2):
-        # phase misalignment at the common period is 2*pi*lcm*err
-        if 2.0 * math.pi * lcm * err > PHASE_ALIGNMENT:
-            ratio = (vals[0] - vals[j]) / gap
-            return NonPeriodic(offending_index=j, ratio=ratio, residual=err)
     return RatioTable(vals[0], vals[1], tuple(ps), tuple(qs), tuple(res))
 
 

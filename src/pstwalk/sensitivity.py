@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericFailureError
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, fidelity
-from .states import support
+from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, fidelity
+from .states import _check_pair, support
 from .transfer import verify_pst_numeric
 
 
@@ -35,10 +35,13 @@ def fidelity_derivatives(
     moment products with sign +1 for k = 0 mod 4 and -1 for k = 2 mod 4. It
     is summed on dec.moments, in units of scale**k, and rescaled once (an
     order beyond the float range reads +-inf or 0); bound_ok and near_zero
-    compare in those units. Refuses inputs that do not transfer at tau;
-    NumericFailureError when d2 or its bound leaves the float range.
+    compare in those units. Refuses a pair that check_strong_cospectrality
+    refuses (InvalidPairError: unequal norms, or y = +-x) and inputs that do
+    not transfer at tau; NumericFailureError when d2 or its bound leaves the
+    float range.
     """
-    if not verify_pst_numeric(dec, x, y, tau, cfg).passed:  # validates x and y
+    _check_pair(as_state(x, dec.n), as_state(y, dec.n))
+    if not verify_pst_numeric(dec, x, y, tau, cfg).passed:
         raise NotApplicableError("the moment formula is valid only at a transfer time")
     kk = max(k_max, 2)
     moments = dec.moments(y, kk)

@@ -191,17 +191,21 @@ def pst_partners(
 
     Columns sharing a support share one ratio table, and each group's
     partners are X_g - 2 V_F (V_F^T X_g), with V_F the eigenvector columns
-    of the table's flips.
+    of the table's flips. The groups come from one np.unique over the
+    bit-packed mask columns, each viewed as a single void scalar, and one
+    stable argsort of the group labels split at the group sizes, so each
+    group lists its columns in ascending order.
     """
     X = np.asarray(X, dtype=float)
     mask = support_mask(dec, X, cfg)
     found = np.zeros(X.shape[1], dtype=bool)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
-    groups: dict[bytes, list[int]] = {}
-    for c, pattern in enumerate(mask.T):
-        groups.setdefault(pattern.tobytes(), []).append(c)
-    for cols in groups.values():
+    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
+    _, labels, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                  return_inverse=True, return_counts=True)
+    order = np.argsort(labels, kind="stable")
+    for cols in np.split(order, np.cumsum(counts))[:-1]:
         idx = np.nonzero(mask[:, cols[0]])[0]
         if len(idx) == 1:
             continue

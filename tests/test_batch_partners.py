@@ -1,5 +1,7 @@
 """The batched partner pass against the one-state pipeline it replaces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,7 +149,13 @@ def test_sweep_reconstructs_each_support_ratio_once(monkeypatch):
                 x = np.zeros(n)
                 x[u], x[v] = 1.0, s
                 supports.add(pw.support(dec, x).indices)
-    distinct_ratios = sum(len(idx) - 2 for idx in supports if len(idx) > 2)
+    # each of the three supports of more than two eigenvalues is
+    # nonperiodic, so its ratio table stops at its first ratio
+    big = [idx for idx in supports if len(idx) > 2]
+    assert len(big) == 3
+    assert all(isinstance(pw.ratio_condition(dec.eigenvalues[list(idx)]), periodicity.NonPeriodic)
+               for idx in big)
+    distinct_ratios = sum(len(idx) - 2 for idx in big)
 
     calls = []
     original = periodicity.reconstruct_fraction
@@ -158,7 +166,46 @@ def test_sweep_reconstructs_each_support_ratio_once(monkeypatch):
 
     monkeypatch.setattr(periodicity, "reconstruct_fraction", counting)
     pw.pair_plus_catalog("path", pw.ADJACENCY, n)
-    assert 0 < len(calls) <= distinct_ratios
+    assert len(calls) == len(big) < distinct_ratios
+
+
+@pytest.mark.parametrize("k", [8, 9, 17])
+def test_grouping_across_packed_bytes(k):
+    # k eigenvalue clusters pack into ceil(k/8) bytes per mask column; the
+    # supports below differ only in the bit of cluster 7, 8 or k-1, and every
+    # fourth eigenvalue is moved off the integers so that some supports are
+    # nonperiodic. Each column must get what it gets on its own, and
+    # permuting the columns must permute every output alike
+    rng = np.random.default_rng(k)
+    vals = np.arange(k, 0, -1, dtype=float)
+    vals[3::4] += math.sqrt(2.0) / 10.0
+    dec = pw.decompose(np.diag(vals))
+    assert dec.k == k
+    supports = [[0, 1], [0, 1, 7], [0, 1, k - 1], [0, 1, 7, k - 1], [2], [k - 1], list(range(k))]
+    if k > 8:
+        # [0] is fixed and [0, 8] is not; [0, 3] is periodic and [0, 3, 8] is not
+        supports += [[0], [0, 8], [0, 3], [0, 3, 8], [0, 1, 8], [0, 1, 7, 8], [7, 8], [8]]
+    supports += [sorted(rng.choice(k, size=rng.integers(1, k + 1), replace=False)) for _ in range(30)]
+    cols = []
+    for sup in supports:
+        for _ in range(2):   # two states per support share its group
+            x = np.zeros(k)
+            x[sup] = rng.choice([-1.0, 1.0], size=len(sup)) * rng.uniform(0.5, 1.0, size=len(sup))
+            cols.append(x)
+    X = np.stack(cols, axis=1)
+    partners, found, fixed, tau = pw.pst_partners(dec, X)
+    assert found.any() and (~found & ~fixed).any() and fixed.any()
+    for c in range(X.shape[1]):
+        single, s_found, s_fixed, s_tau = pw.pst_partners(dec, X[:, [c]])
+        assert (found[c], fixed[c]) == (s_found[0], s_fixed[0])
+        assert np.array_equal(tau[c], s_tau[0], equal_nan=True)
+        assert np.allclose(partners[:, c], single[:, 0], rtol=0.0, atol=1e-12, equal_nan=True)
+    perm = rng.permutation(X.shape[1])
+    p_partners, p_found, p_fixed, p_tau = pw.pst_partners(dec, X[:, perm])
+    assert np.array_equal(p_found, found[perm]) and np.array_equal(p_fixed, fixed[perm])
+    assert np.array_equal(p_tau, tau[perm], equal_nan=True)
+    assert np.allclose(p_partners, partners[:, perm], rtol=0.0, atol=1e-12, equal_nan=True)
+    assert [a.shape for a in pw.pst_partners(dec, X[:, :0])] == [(k, 0), (0,), (0,), (0,)]
 
 
 def test_flip_selection_takes_largest_valuation():

@@ -135,6 +135,16 @@ def test_sensitivity_command(tmp_path, capsys):
     assert doc["bound_lo"] <= doc["d2"]
 
 
+def test_sensitivity_at_tau_refuses_y_equal_to_x(tmp_path, capsys):
+    # pst refuses the pair e0, e0 on P2; so does sensitivity with --tau
+    g = _graph_file(tmp_path, "p2.json", pw.build_path(2))
+    x = _state_file(tmp_path, "x.json", basis_state(2, 0))
+    for command in (["pst", g, x, x], ["sensitivity", g, x, x, "--tau", repr(math.pi)]):
+        code, doc, err = _run(capsys, command)
+        assert (code, doc) == (4, None)
+        assert err == "error: y must differ from both x and -x\n"
+
+
 def test_extremal_command(capsys):
     code, doc, _ = _run(capsys, ["extremal", "9", "--kind", "adj"])
     assert code == 0
@@ -552,6 +562,12 @@ def test_graph_above_the_dense_limit_exits_4(tmp_path, capsys):
     code, doc, err = _run(capsys, ["family", "cycle", str(10**20)])
     assert (code, doc) == (4, None)
     assert err == f"error: {10**20} vertices exceed the dense limit of 4096\n"
+    # the complete families refuse the size before drawing a random state of it
+    for argv, n in ((["family", "complete", str(10**20)], 10**20),
+                    (["family", "complete-bipartite-adj", str(10**20), "3"], 10**20 + 3)):
+        code, doc, err = _run(capsys, argv)
+        assert (code, doc) == (4, None)
+        assert err == f"error: {n} vertices exceed the dense limit of 4096\n"
 
 
 @pytest.mark.parametrize("exc,line", [

@@ -115,6 +115,19 @@ def test_refuses_non_transfer_input():
         pw.fidelity_derivatives(dec, basis_state(5, 0), basis_state(5, 1), 1.0)
 
 
+def test_refuses_what_the_cospectrality_check_refuses():
+    # on P2, e0 returns to itself at tau = pi, so the numeric check alone
+    # would pass y = +-x; unequal norms are refused before it too
+    dec = _dec(pw.build_path(2))
+    e0 = basis_state(2, 0)
+    for y in (e0, -e0):
+        assert pw.verify_pst_numeric(dec, e0, y, math.pi).passed
+        with pytest.raises(pw.InvalidPairError, match="y must differ from both x and -x"):
+            pw.fidelity_derivatives(dec, e0, y, math.pi)
+    with pytest.raises(pw.InvalidPairError, match="states must have equal norms"):
+        pw.fidelity_derivatives(dec, e0, 2.0 * basis_state(2, 1), math.pi / 2.0)
+
+
 def _extremal_sensitivity(n, kind):
     """The extremal-time pair on n vertices, its decomposition and the
     second-order report of its transfer."""
