@@ -23,6 +23,13 @@ class ToleranceConfig:
 
     tol_group scales by ||M||_inf at the point of use; the remaining fields
     are used as stored.
+
+    int_tol bounds a ratio's continued-fraction residual in
+    periodicity.ratio_condition, but at the defaults it never decides
+    there: the phase test refuses any residual above
+    PHASE_ALIGNMENT / (2 pi) ~ 1.6e-8 (at lcm 1, and more as the lcm grows),
+    so an int_tol above that cannot change a periodicity or transfer
+    decision. It still sets the integrality tests of classify_form.
     """
 
     tol_group: float = 1e-8   # eigenvalue clustering
@@ -154,6 +161,117 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return x
 
 
+BIPARTITE_MIN_N = 64  # measured crossover of the SVD route against eigh
+
+
+def _bipartite_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted parts P, Q of a 2-colouring of the exact-nonzero
+    off-diagonal pattern of the symmetric mat, or None when that pattern has
+    an odd cycle or is complete bipartite (every P-Q entry nonzero).
+
+    A complete bipartite pattern is left to eigh: its adjacency has rank 2,
+    eigh deflates the rest of the spectrum, and the SVD of the rank-one block
+    is erratic (12 ms for the 75 x 225 block of K_{75,225}, 0.6 ms for its
+    transpose, 5 ms for eigh); summed over K_{p,q} with 64 <= p + q <= 256
+    the SVD took 1.8x eigh's time.
+
+    Vertex 0's row settles the dense patterns before any edge list is made:
+    a complete bipartite pattern is its non-neighbours against its neighbours
+    with no other nonzero, and a triangle through vertex 0 (a complete graph,
+    a join) has no 2-colouring. Otherwise a breadth-first search over
+    the pattern's adjacency lists colours each component from its least
+    vertex, refuses at the first edge inside a colour and stops once every
+    vertex has a colour; one vectorised pass over the nonzeros then checks
+    that each joins P to Q. That is O(n + m) after the O(n^2) scan for the
+    pattern."""
+    n = len(mat)
+    mask = mat != 0
+    np.fill_diagonal(mask, False)
+    nbrs = mask[0]
+    d = np.count_nonzero(nbrs)
+    if (np.count_nonzero(mask) == 2 * d * (n - d) > 0 and mask[~nbrs][:, nbrs].all()
+            or mask[nbrs][:, nbrs].any()):
+        return None
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, n)
+    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+    adj = cols.tolist()
+    colour = [-1] * n
+    left = n
+    for root in range(n):
+        if not left:
+            break
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        left -= 1
+        queue = [root]
+        for u in queue:  # grows while it is read
+            if not left:
+                break
+            other = 1 - colour[u]
+            for v in adj[starts[u]:starts[u + 1]]:
+                if colour[v] < 0:
+                    colour[v] = other
+                    left -= 1
+                    queue.append(v)
+                elif colour[v] != other:
+                    return None
+    side = np.array(colour, dtype=bool)
+    if (side[rows] == side[cols]).any():
+        return None
+    return np.flatnonzero(~side), np.flatnonzero(side)
+
+
+def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a symmetric mat = cI + A whose diagonal is the one
+    constant c and whose off-diagonal part A is zero inside P and inside Q,
+    from the SVD of the half-size block B = M[P, Q] = U S V^T (Golub and
+    Van Loan, Matrix Computations, 8.6): A has the eigenpairs
+    (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|), and 0 on the
+    |P| - |Q| columns of U (or |Q| - |P| of V) past r, as [u; 0] (or
+    [0; v]), written back to the rows P and Q. The eigenvalues
+    c - s, c, c + s reversed are ascending as S is descending."""
+    c = mat[0, 0]
+    u, s, vt = np.linalg.svd(mat[np.ix_(p, q)])
+    n, r = len(mat), len(s)
+    w = np.concatenate((c - s, np.full(n - 2 * r, c), (c + s)[::-1]))
+    v = np.zeros((n, n))
+    ur, vr = math.sqrt(0.5) * u[:, :r], math.sqrt(0.5) * vt[:r].T
+    v[p, :r], v[q, :r] = ur, -vr
+    v[p, n - r:], v[q, n - r:] = ur[:, ::-1], vr[:, ::-1]
+    if len(p) > r:
+        v[p, r:n - r] = u[:, r:]
+    else:
+        v[q, r:n - r] = vt[r:].T
+    return w, v
+
+
+def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage clusters of the ascending evals: their boundaries
+    (k + 1 indices into evals) and their means, each bit for bit np.mean of
+    its members. A singleton's mean is its value. np.mean adds fewer than 8
+    members one by one from +0.0 and 8 or more pairwise, so the clusters of
+    2 to 7 are summed column by column over a zero-padded (m, 7) array (a sum
+    from +0.0 is never -0.0, so each padding zero adds exactly nothing) and
+    the few larger ones take one np.mean each. np.add.reduceat would not do:
+    it adds x0 + (x1 + ...)."""
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(evals) > threshold) + 1, [len(evals)]))
+    counts = np.diff(bounds)
+    values = evals[bounds[:-1]]
+    small = np.flatnonzero((counts > 1) & (counts < 8))
+    if small.size:
+        members = bounds[small, None] + np.arange(7)
+        padded = np.where(members < bounds[small + 1, None], evals[np.minimum(members, len(evals) - 1)], 0.0)
+        total = np.zeros(len(small))
+        for column in padded.T:
+            total += column
+        values[small] = total / counts[small]
+    for j in np.flatnonzero(counts >= 8):
+        values[j] = np.mean(evals[bounds[j]:bounds[j + 1]])
+    return bounds, values
+
+
 def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the spectrum of a real symmetric matrix into distinct eigenvalues.
 
@@ -162,6 +280,21 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     gap and the threshold alike; each cluster's eigenvalue is the mean and
     its eigenvectors become one contiguous column block, blocks in
     descending eigenvalue order.
+
+    The sorted spectrum comes from np.linalg.eigh, or from the SVD of a
+    half-size block (_bipartite_eigh) when M is exactly symmetric with n at
+    least BIPARTITE_MIN_N, one exact constant c on its diagonal, and an
+    off-diagonal nonzero pattern that is bipartite but not complete
+    bipartite: the adjacency of a bipartite graph or the Laplacian of a
+    regular one (hypercubes, even cycles). In the order of the parts P, Q,
+    M = cI + [[0, B], [B^T, 0]] has the eigenpairs
+    (c +- s_i, [u_i; +-v_i]/sqrt(2)) from B = U S V^T, and c on the extra
+    null vectors of the longer side. The SVD of B costs about a third of
+    eigh's time on M for large n (Q10 on one core with one BLAS thread:
+    50 ms against 170 ms). BIPARTITE_MIN_N is the crossover measured on
+    paths, cycles and hypercubes; it is also why every recorded CLI golden,
+    all of them smaller, keeps its bytes: the two factorisations agree to
+    rounding, not in their last bits.
     """
     mat = _as_matrix(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -178,36 +311,31 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         # every |eigenvalue| is at most scale, so below this bound no
         # eigenvalue difference (gap, spread, ratio numerator) overflows
         raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
+    diag = mat.diagonal()
+    parts = None
+    if len(mat) >= BIPARTITE_MIN_N and asymmetry == 0 and (diag == diag[0]).all():
+        parts = _bipartite_parts(mat)
     try:
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
     threshold = cfg.tol_group * scale
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[i - 1] <= threshold:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    clusters.reverse()  # descending eigenvalue order
+    bounds, means = _clusters(evals, threshold)
+    # blocks in descending eigenvalue order, each block's columns ascending:
+    # block j starts at offsets[j] and takes evals' columns from bounds[k - 1 - j]
+    values = means[::-1].copy()
+    offsets = len(evals) - bounds[::-1]
+    counts = np.diff(offsets)
+    vectors = evecs[:, np.arange(len(evals)) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)]
+    mults = tuple(counts.tolist())
 
-    # np.mean per cluster costs microseconds; a singleton's mean is its value
-    values = np.array([np.mean(evals[idx]) if len(idx) > 1 else evals[idx[0]] for idx in clusters])
-    mults = tuple(len(idx) for idx in clusters)
-    vectors = evecs[:, np.concatenate(clusters)]
-    offsets = np.concatenate(([0], np.cumsum(mults)))
-
-    ambiguous = False
-    warnings = []
-    for j in range(1, len(values)):
-        gap = values[j - 1] - values[j]
-        if gap < 2.0 * threshold:
-            ambiguous = True
-            warnings.append(
-                f"cluster gap {gap:.3e} between eigenvalues {values[j - 1]:.6g} "
-                f"and {values[j]:.6g} is below twice the clustering threshold"
-            )
+    gaps = values[:-1] - values[1:]
+    warnings = tuple(
+        f"cluster gap {gaps[j]:.3e} between eigenvalues {values[j]:.6g} "
+        f"and {values[j + 1]:.6g} is below twice the clustering threshold"
+        for j in np.flatnonzero(gaps < 2.0 * threshold)
+    )
     for arr in (values, vectors, offsets):
         arr.setflags(write=False)
     return SpectralDecomposition(
@@ -216,8 +344,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         offsets=offsets,
         multiplicities=mults,
         scale=scale,
-        ambiguous=ambiguous,
-        warnings=tuple(warnings),
+        ambiguous=bool(warnings),
+        warnings=warnings,
     )
 
 

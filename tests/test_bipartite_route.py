@@ -1,0 +1,219 @@
+"""The SVD route of decompose: for a matrix cI + [[0, B], [B^T, 0]] on the
+parts P, Q of a bipartite pattern, spectral._bipartite_eigh forms the
+eigenpairs from the SVD of B. Called directly, so that small n is covered
+as well, it must give what np.linalg.eigh gives: the same multiplicities,
+eigenvalues to 1e-12 * scale, projectors to 1e-10, and the same pst_decide
+and pst_partner verdicts. decompose takes it only from BIPARTITE_MIN_N on,
+for an exactly symmetric matrix with one constant on its diagonal and a
+bipartite, not complete bipartite, off-diagonal pattern."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import pstwalk as pw
+from pstwalk import spectral
+from conftest import pair_state
+
+MIN_N = spectral.BIPARTITE_MIN_N
+
+
+def _graph_matrix(g, kind):
+    return pw.hamiltonian(g, kind).matrix
+
+
+def _parts(n, p):
+    p = np.asarray(p)
+    return p, np.setdiff1d(np.arange(n), p)
+
+
+def _cases():
+    """(name, matrix, parts): parts None means the colouring's own parts."""
+    cases = []
+    for d in (3, 4, 6):
+        for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+            cases.append((f"Q{d}-{kind}", _graph_matrix(pw.build_hypercube(d), kind), None))
+    for n in (7, 8, 65):
+        cases.append((f"P{n}", _graph_matrix(pw.build_path(n), pw.ADJACENCY), None))
+    for n in (6, 8, 64):
+        for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+            cases.append((f"C{n}-{kind}", _graph_matrix(pw.build_cycle(n), kind), None))
+    # complete bipartite patterns: decompose leaves them to eigh, so their parts are given
+    cases.append(("K2,5", _graph_matrix(pw.build_complete_bipartite(2, 5), pw.ADJACENCY), _parts(7, [0, 1])))
+    cases.append(("K5,2", _graph_matrix(pw.build_complete_bipartite(5, 2), pw.ADJACENCY),
+                  _parts(7, range(5))))
+    cases.append(("K3,3-lap", _graph_matrix(pw.build_complete_bipartite(3, 3), pw.LAPLACIAN),
+                  _parts(6, range(3))))
+    star = pw.make_graph(7, [(0, j) for j in range(1, 7)])
+    cases.append(("star7", _graph_matrix(star, pw.ADJACENCY), _parts(7, [0])))
+    # P3 + P4 + an isolated vertex, and the edgeless graph
+    split = pw.make_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    cases.append(("P3+P4+K1", _graph_matrix(split, pw.ADJACENCY), None))
+    cases.append(("edgeless", _graph_matrix(pw.make_graph(5, []), pw.ADJACENCY), None))
+    # signed weights on a 6-cycle with a chord across it and a pendant vertex,
+    # shifted by 0.75 I: parts of 3 and 4, so c is also the extra eigenvalue
+    signed = 0.75 * np.eye(7)
+    for u, v, w in ((0, 1, 2.0), (1, 2, -1.0), (2, 3, 0.5), (3, 4, -3.0), (4, 5, 1.5), (5, 0, -0.25),
+                    (0, 3, 1.0), (5, 6, -2.0)):
+        signed[u, v] = signed[v, u] = w
+    cases.append(("signed", signed, None))
+    cases.append(("shifted-edgeless", 2.5 * np.eye(4), None))
+    return cases
+
+
+CASES = _cases()
+
+
+def _route_decompose(monkeypatch, mat, parts):
+    """decompose with the route forced at this n on these parts."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "BIPARTITE_MIN_N", 1)
+        m.setattr(spectral, "_bipartite_parts", lambda _mat: parts)
+        return pw.decompose(mat)
+
+
+def _eigh_decompose(monkeypatch, mat):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "BIPARTITE_MIN_N", len(mat) + 1)
+        return pw.decompose(mat)
+
+
+def _test_states(n, rng):
+    """Basis states and e_u +- e_v pairs: every pair for small n, a seeded
+    sample of 12 otherwise."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if len(pairs) > 12:
+        pairs = [pairs[i] for i in rng.choice(len(pairs), 12, replace=False)]
+    states = [np.eye(n)[u] for u in range(min(n, 4))]
+    for u, v in pairs:
+        states += [pair_state(n, u, v, 1.0), pair_state(n, u, v, -1.0)]
+    return states
+
+
+def _partner(dec, x):
+    try:
+        return pw.pst_partner(dec, x)
+    except pw.FixedStateError:
+        return "fixed"
+
+
+@pytest.mark.parametrize("name,mat,parts", CASES, ids=[c[0] for c in CASES])
+def test_route_matches_eigh(monkeypatch, name, mat, parts):
+    if parts is None:
+        parts = spectral._bipartite_parts(mat)
+        assert parts is not None
+    else:
+        assert spectral._bipartite_parts(mat) is None  # complete bipartite: eigh
+    p, q = parts
+    n = len(mat)
+    scale = max(np.linalg.norm(mat, np.inf), 1.0)
+
+    w, v = spectral._bipartite_eigh(mat, p, q)
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mat @ v, v * w, rtol=0, atol=1e-12 * scale)
+
+    got = _route_decompose(monkeypatch, mat, parts)
+    want = _eigh_decompose(monkeypatch, mat)
+    assert got.multiplicities == want.multiplicities
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * scale)
+    for j in range(want.k):
+        np.testing.assert_allclose(got.projector(j), want.projector(j), rtol=0, atol=1e-10)
+    assert got.warnings == want.warnings
+
+    rng = np.random.default_rng(n)
+    for x in _test_states(n, rng):
+        y_got, y_want = _partner(got, x), _partner(want, x)
+        if isinstance(y_want, str) or y_want is None:
+            assert isinstance(y_got, type(y_want)) and y_got == y_want
+            continue
+        np.testing.assert_allclose(y_got, y_want, rtol=0, atol=1e-9)
+        for y in (y_want, np.roll(x, 1)):
+            a, b = pw.pst_decide(got, x, y), pw.pst_decide(want, x, y)
+            assert (a.decision, a.reason, a.case) == (b.decision, b.reason, b.case)
+            if b.decision:
+                assert a.tau_min == pytest.approx(b.tau_min, rel=1e-12)
+                assert a.tau_symbolic == b.tau_symbolic
+
+
+def _route_calls(monkeypatch, mat):
+    """How many times decompose(mat) ran the route."""
+    calls = []
+    real = spectral._bipartite_eigh
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_bipartite_eigh", spy)
+        pw.decompose(mat)
+    return len(calls)
+
+
+def test_route_taken_from_the_crossover_on(monkeypatch):
+    for build, kind in ((pw.build_path, pw.ADJACENCY), (pw.build_cycle, pw.LAPLACIAN)):
+        assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
+        assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
+    assert _route_calls(monkeypatch, _graph_matrix(pw.build_path(MIN_N - 1), pw.ADJACENCY)) == 0
+    assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(7), pw.LAPLACIAN)) == 1
+
+
+@pytest.mark.parametrize("mat", [
+    _graph_matrix(pw.build_cycle(MIN_N + 1), pw.ADJACENCY),          # odd cycle
+    _graph_matrix(pw.build_cycle(MIN_N + 1), pw.LAPLACIAN),
+    _graph_matrix(pw.build_path(MIN_N + 6), pw.LAPLACIAN),           # degrees 1 and 2
+    _graph_matrix(pw.build_complete_bipartite(30, 50), pw.ADJACENCY),
+    _graph_matrix(pw.build_complete(MIN_N), pw.ADJACENCY),
+], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete"])
+def test_route_declined(monkeypatch, mat):
+    assert _route_calls(monkeypatch, mat) == 0
+
+
+def test_route_declines_a_matrix_that_is_not_exactly_symmetric(monkeypatch):
+    mat = _graph_matrix(pw.build_path(MIN_N), pw.ADJACENCY).copy()
+    mat[0, 1] += 1e-15  # inside decompose's symmetry tolerance
+    assert _route_calls(monkeypatch, mat) == 0
+    assert pw.decompose(mat).k == MIN_N
+
+
+def test_colouring_finds_an_odd_cycle_anywhere():
+    # the odd cycle sits in the last component, after a bipartite one
+    g = pw.make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+    assert spectral._bipartite_parts(_graph_matrix(g, pw.ADJACENCY)) is None
+    g = pw.make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)])
+    p, q = spectral._bipartite_parts(_graph_matrix(g, pw.ADJACENCY))
+    assert p.tolist() == [0, 2, 4, 6, 8] and q.tolist() == [1, 3, 5, 7]
+
+
+def _reference_clusters(evals, threshold):
+    """The per-eigenvalue loop decompose used before its clustering was
+    vectorised: the reference for bit equality."""
+    clusters = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] <= threshold:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    values = np.array([np.mean(evals[idx]) if len(idx) > 1 else evals[idx[0]] for idx in clusters])
+    return [len(idx) for idx in clusters], values
+
+
+def test_clusters_bit_identical_to_the_loop():
+    rng = np.random.default_rng(7)
+    q10 = np.linalg.eigvalsh(_graph_matrix(pw.build_hypercube(10), pw.LAPLACIAN))
+    spectra = [q10, np.array([-0.0, -0.0, 0.0]), np.array([5.0])]
+    for _ in range(50):
+        sizes = rng.choice([1, 2, 3, 5, 7, 8, 9, 40], size=rng.integers(1, 12))
+        centres = np.sort(rng.uniform(-1e3, 1e3, len(sizes)))
+        spectra.append(np.sort(np.concatenate(
+            [c + rng.uniform(-1e-9, 1e-9, s) for c, s in zip(centres, sizes)])))
+    for evals in spectra:
+        threshold = 1e-8 * max(1.0, np.abs(evals).max())
+        bounds, values = spectral._clusters(evals, threshold)
+        sizes, want = _reference_clusters(evals, threshold)
+        assert np.diff(bounds).tolist() == sizes
+        assert values.tobytes() == want.tobytes()
+    assert 252 in np.diff(spectral._clusters(q10, 1e-8 * 20)[0])  # Q10's eigenvalue 0 (as 10)

@@ -1,7 +1,9 @@
 """Metamorphic properties of pst_decide over random connected weighted graphs
 and the family builders: relabelling the vertices keeps the verdict and the
 time, negating either state or swapping them keeps the decision, and scaling
-the weights by c > 0 divides the time by c.
+the weights by c > 0 divides the time by c. The same relations hold, with tau
+to 1e-12 relative, on graphs decompose factors by the SVD of a half-size
+block, where relabelling moves the parts P and Q that make up the block.
 
 A shift of M by s*I is left out: it should keep tau and multiply the phase
 by exp(i*tau*s), but a large shift still collapses the clusters (ROADMAP
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
+from pstwalk import spectral
 
 FAMILIES = {
     "path": (pw.build_path, 2, 12),
@@ -60,12 +63,12 @@ def _dec(g, kind):
     return pw.decompose(pw.hamiltonian(g, kind))
 
 
-def _same_verdict(got, want, tau_scale=1.0, reason=True):
+def _same_verdict(got, want, tau_scale=1.0, reason=True, rel=1e-9):
     assert got.decision == want.decision
     if reason:
         assert got.reason == want.reason
     if want.decision:
-        assert got.tau_min == pytest.approx(want.tau_min / tau_scale, rel=1e-9)
+        assert got.tau_min == pytest.approx(want.tau_min / tau_scale, rel=rel)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -97,3 +100,56 @@ def test_metamorphic_cases_include_transfers():
     assert want.decision and want.tau_min == pytest.approx(math.pi / math.sqrt(2))
     scaled = pw.make_graph(3, [(a, b, 7.0 * w) for a, b, w in g.edges])
     _same_verdict(pw.pst_decide(_dec(scaled, pw.ADJACENCY), x, y), want, tau_scale=7.0)
+
+
+def _route_graphs():
+    """Graphs decompose factors by the SVD of a half-size block (Q8, P129
+    with a 65 x 64 block and one extra kernel vector, K_{40,90} less one
+    edge with a 40 x 90 block) and K_{40,90}, whose complete pattern stays
+    on eigh; each with pair states (u, v, s)."""
+    k4090 = [(u, v) for u in range(40) for v in range(40, 130)]
+    return [
+        ("Q8", pw.build_hypercube(8), [(0, 1, 1.0), (0, 3, -1.0), (5, 9, 1.0)]),
+        ("P129", pw.build_path(129), [(0, 128, 1.0), (3, 125, -1.0), (60, 64, 1.0)]),
+        ("K40,90", pw.make_graph(130, k4090), [(0, 40, 1.0), (1, 41, -1.0), (0, 1, 1.0)]),
+        ("K40,90-e", pw.make_graph(130, k4090[1:]), [(0, 40, 1.0), (1, 41, 1.0), (2, 50, -1.0)]),
+    ]
+
+
+@pytest.mark.parametrize("name,g,pairs", _route_graphs(), ids=[c[0] for c in _route_graphs()])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_svd_route_metamorphic(name, g, pairs, kind):
+    ham = pw.hamiltonian(g, kind)
+    parts = spectral._bipartite_parts(ham.matrix)
+    on_route = name != "K40,90" and (kind == pw.ADJACENCY or name == "Q8")
+    assert (parts is not None and len(set(np.diag(ham.matrix))) == 1) == on_route
+    dec = pw.decompose(ham)
+    p = np.random.default_rng(g.n).permutation(g.n)
+    relabelled = pw.make_graph(g.n, [(int(p[a]), int(p[b]), w) for a, b, w in g.edges])
+    if on_route:  # the parts follow the vertices, so other rows make up B
+        moved = spectral._bipartite_parts(pw.hamiltonian(relabelled, kind).matrix)
+        images = {tuple(np.sort(p[part])) for part in parts}
+        assert images == {tuple(part) for part in moved}
+        assert not np.array_equal(moved[0], parts[0])
+    scaled = pw.make_graph(g.n, [(a, b, 3.7 * w) for a, b, w in g.edges])
+    dec_relabelled, dec_scaled = _dec(relabelled, kind), _dec(scaled, kind)
+    yes = 0
+    for u, v, s in pairs:
+        x = np.zeros(g.n)
+        x[u], x[v] = 1.0, s
+        try:
+            y = pw.pst_partner(dec, x)
+        except pw.FixedStateError:
+            y = None
+        if y is None:
+            y = np.roll(x, 1)
+        want = pw.pst_decide(dec, x, y)
+        yes += want.decision
+        px, py = np.empty(g.n), np.empty(g.n)
+        px[p], py[p] = x, y
+        _same_verdict(pw.pst_decide(dec_relabelled, px, py), want, rel=1e-12)
+        _same_verdict(pw.pst_decide(dec, -x, y), want, rel=1e-12)
+        _same_verdict(pw.pst_decide(dec, x, -y), want, rel=1e-12)
+        _same_verdict(pw.pst_decide(dec, y, x), want, reason=False, rel=1e-12)
+        _same_verdict(pw.pst_decide(dec_scaled, x, y), want, tau_scale=3.7, rel=1e-12)
+    assert yes or name in ("P129", "K40,90-e")
