@@ -161,7 +161,21 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return x
 
 
-BIPARTITE_MIN_N = 64  # measured crossover of the SVD route against eigh
+BIPARTITE_MIN_N = 64  # measured crossover of the bipartite route against eigh
+ASYMMETRY_BAND = 64   # rows per band of _asymmetry
+
+
+def _asymmetry(mat: np.ndarray) -> float:
+    """max |m_ij - m_ji| over the square mat, exactly, one band of
+    ASYMMETRY_BAND rows at a time against the matching columns from the
+    diagonal on: no transposed temporary of the whole matrix is made, and
+    each band's transposed read stays in cache (2.3 ms against 6.7 ms for
+    np.max(np.abs(mat - mat.T)) on Q10). Inf when a difference overflows."""
+    out = 0.0
+    for i in range(0, len(mat), ASYMMETRY_BAND):
+        j = i + ASYMMETRY_BAND
+        out = max(out, float(np.abs(mat[i:j, i:] - mat[i:, i:j].T).max()))
+    return out
 
 
 def _bipartite_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -223,28 +237,71 @@ def _bipartite_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.flatnonzero(~side), np.flatnonzero(side)
 
 
+def _route_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The parts P, Q on which the exactly symmetric mat takes the bipartite
+    route (_bipartite_eigh), or None when it goes to eigh: n below
+    BIPARTITE_MIN_N, more than one value on the diagonal, or a pattern that
+    _bipartite_parts refuses. decompose and the route's own recursion both
+    choose here."""
+    diag = mat.diagonal()
+    if len(mat) < BIPARTITE_MIN_N or (diag != diag[0]).any():
+        return None
+    return _bipartite_parts(mat)
+
+
 def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of a symmetric mat = cI + A whose diagonal is the one
+    """The eigenpairs of a symmetric mat = cI + A whose diagonal is the one
     constant c and whose off-diagonal part A is zero inside P and inside Q,
-    from the SVD of the half-size block B = M[P, Q] = U S V^T (Golub and
-    Van Loan, Matrix Computations, 8.6): A has the eigenpairs
-    (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|), and 0 on the
-    |P| - |Q| columns of U (or |Q| - |P| of V) past r, as [u; 0] (or
-    [0; v]), written back to the rows P and Q. The eigenvalues
-    c - s, c, c + s reversed are ascending as S is descending."""
-    c = mat[0, 0]
-    u, s, vt = np.linalg.svd(mat[np.ix_(p, q)])
-    n, r = len(mat), len(s)
-    w = np.concatenate((c - s, np.full(n - 2 * r, c), (c + s)[::-1]))
-    v = np.zeros((n, n))
-    ur, vr = math.sqrt(0.5) * u[:, :r], math.sqrt(0.5) * vt[:r].T
-    v[p, :r], v[q, :r] = ur, -vr
-    v[p, n - r:], v[q, n - r:] = ur[:, ::-1], vr[:, ::-1]
-    if len(p) > r:
-        v[p, r:n - r] = u[:, r:]
+    eigenvalues descending, from an SVD of the half-size block
+    B = M[P, Q] = U S V^T (Golub and Van Loan, Matrix Computations, 8.6):
+    A has the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|),
+    and 0 on the |P| - |Q| columns of U (or |Q| - |P| of V) past r, as
+    [u; 0] (or [0; v]), written to the rows P and Q. The eigenvalues
+    c + s, c, c - s reversed are descending as S is.
+
+    A square B that is exactly symmetric has the SVD of its eigenpairs:
+    B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
+    U = W and V = W sign(Lambda) (sign(0) = +1), columns sorted by |lambda|
+    descending. W Lambda W^T comes from the route decompose would take
+    (_route_parts), so a B that is itself bI + [[0, B'], [B'^T, 0]] takes
+    this route again. For a bipartite G, the half block of G x K2 from
+    cartesian_product(G, build_path(2)) is +-(I + A(G)) in G's vertex
+    order; that of the hypercube Q_d as build_hypercube labels it is I plus
+    the adjacency of a relabelled Q_{d-1} whose own half block is again
+    exactly symmetric, so Q10 goes 1024 -> 512 -> ... -> one eigh of a
+    32 x 32 matrix, with no SVD. Any other B keeps np.linalg.svd.
+
+    The rows P and Q of the result are each one gather of U's or V's
+    columns into their final, descending, order, scaled in place (by
+    1/sqrt(2), +-1/sqrt(2), or 1 on the null vectors) and copied once into
+    their rows: no zero-filled matrix, no column scatter, and no regrouping
+    of columns afterwards."""
+    c, b = mat[0, 0], mat[np.ix_(p, q)]
+    if len(p) == len(q) and _asymmetry(b) == 0:
+        sub = _route_parts(b)
+        lam, w = np.linalg.eigh(b) if sub is None else _bipartite_eigh(b, *sub)
+        col = np.argsort(-np.abs(lam), kind="stable")
+        s, sign = np.abs(lam[col]), np.where(lam[col] < 0, -1.0, 1.0)
+        u = v = w
     else:
-        v[q, r:n - r] = vt[r:].T
-    return w, v
+        u, s, vt = np.linalg.svd(b)
+        v, col, sign = vt.T, np.arange(len(s)), np.ones(len(s))
+    del b  # done with: the peak is vectors, U, V and one block
+    n, r = len(mat), len(s)
+    h = math.sqrt(0.5)
+    # columns: c + s, c on the null vectors of the longer side (zero on the
+    # other), c - s reversed
+    vectors = np.empty((n, n))
+    for rows, basis, head, tail in ((p, u, np.full(r, h), np.full(r, h)),
+                                    (q, v, h * sign, -h * sign[::-1])):
+        nulls = np.arange(r, len(rows)) if len(rows) > r else np.zeros(n - 2 * r, dtype=int)
+        block = np.take(basis, np.concatenate((col, nulls, col[::-1])), axis=1)
+        block *= np.concatenate((head, np.ones(n - 2 * r), tail))
+        if len(rows) == r:
+            block[:, r:n - r] = 0.0
+        vectors[rows] = block
+        del block  # so the next take does not hold a second block alive
+    return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), vectors
 
 
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -289,45 +346,59 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     regular one (hypercubes, even cycles). In the order of the parts P, Q,
     M = cI + [[0, B], [B^T, 0]] has the eigenpairs
     (c +- s_i, [u_i; +-v_i]/sqrt(2)) from B = U S V^T, and c on the extra
-    null vectors of the longer side. The SVD of B costs about a third of
-    eigh's time on M for large n (Q10 on one core with one BLAS thread:
-    50 ms against 170 ms). BIPARTITE_MIN_N is the crossover measured on
-    paths, cycles and hypercubes; it is also why every recorded CLI golden,
-    all of them smaller, keeps its bytes: the two factorisations agree to
-    rounding, not in their last bits.
+    null vectors of the longer side. A square B that is exactly symmetric
+    needs no SVD: B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T,
+    and W Lambda W^T comes from this same choice of route, so the half
+    block of every hypercube Q_d as build_hypercube labels it, and of every
+    G x K2 from cartesian_product(G, build_path(2)) with G bipartite, is
+    factored by the route again while it qualifies. On one core
+    with one BLAS thread, Q10 as labelled takes 9-12 ms (down to one eigh of
+    a 32 x 32 matrix), relabelled at random 42-50 ms (np.linalg.svd of its
+    512 x 512 block), and 115-130 ms for eigh of the whole matrix.
+    BIPARTITE_MIN_N is the crossover measured on paths, cycles and
+    hypercubes; it is also why every recorded CLI golden, all of them
+    smaller, keeps its bytes: the factorisations agree to rounding, not in
+    their last bits.
+
+    Raises InvalidStateError for an empty, non-square or asymmetric matrix
+    and NumericFailureError for a non-finite or overflowing one.
     """
     mat = _as_matrix(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidStateError("matrix must be square")
+    if not mat.size:
+        raise InvalidStateError("matrix must have at least one row")
     with np.errstate(over="ignore"):
         # a non-finite entry or an overflowing row sum leaves scale nan or inf
         scale = float(np.linalg.norm(mat, np.inf))
         if not math.isfinite(scale):
             raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
-        asymmetry = np.max(np.abs(mat - mat.T))  # inf, so refused, if it overflows
+        asymmetry = _asymmetry(mat)  # inf, so refused, if it overflows
     if asymmetry > 1e-12 * max(1.0, scale):
         raise InvalidStateError("matrix must be symmetric")
     if not math.isfinite(2.0 * scale):
         # every |eigenvalue| is at most scale, so below this bound no
         # eigenvalue difference (gap, spread, ratio numerator) overflows
         raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
-    diag = mat.diagonal()
-    parts = None
-    if len(mat) >= BIPARTITE_MIN_N and asymmetry == 0 and (diag == diag[0]).all():
-        parts = _bipartite_parts(mat)
+    parts = _route_parts(mat) if asymmetry == 0 else None
     try:
         evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
     threshold = cfg.tol_group * scale
-    bounds, means = _clusters(evals, threshold)
-    # blocks in descending eigenvalue order, each block's columns ascending:
-    # block j starts at offsets[j] and takes evals' columns from bounds[k - 1 - j]
+    n = len(evals)
+    bounds, means = _clusters(evals if parts is None else evals[::-1], threshold)
     values = means[::-1].copy()
-    offsets = len(evals) - bounds[::-1]
+    offsets = n - bounds[::-1]
     counts = np.diff(offsets)
-    vectors = evecs[:, np.arange(len(evals)) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)]
+    if parts is None:
+        # eigh's columns regrouped in descending cluster order, each block's
+        # columns ascending: block j starts at offsets[j] and takes evals'
+        # columns from bounds[k - 1 - j]
+        vectors = evecs[:, np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)]
+    else:
+        vectors = evecs  # the route wrote them descending
     mults = tuple(counts.tolist())
 
     gaps = values[:-1] - values[1:]

@@ -1,11 +1,13 @@
-"""The SVD route of decompose: for a matrix cI + [[0, B], [B^T, 0]] on the
-parts P, Q of a bipartite pattern, spectral._bipartite_eigh forms the
-eigenpairs from the SVD of B. Called directly, so that small n is covered
-as well, it must give what np.linalg.eigh gives: the same multiplicities,
-eigenvalues to 1e-12 * scale, projectors to 1e-10, and the same pst_decide
-and pst_partner verdicts. decompose takes it only from BIPARTITE_MIN_N on,
-for an exactly symmetric matrix with one constant on its diagonal and a
-bipartite, not complete bipartite, off-diagonal pattern."""
+"""The bipartite route of decompose: for a matrix cI + [[0, B], [B^T, 0]] on
+the parts P, Q of a bipartite pattern, spectral._bipartite_eigh forms the
+eigenpairs from an SVD of B, which an exactly symmetric square B takes from
+its own eigenpairs by the same route (recursively) and any other B from
+np.linalg.svd. Called directly, so that small n is covered as well, it must
+give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
+1e-12 * scale, projectors to 1e-10, and the same pst_decide and pst_partner
+verdicts. decompose takes it only from BIPARTITE_MIN_N on, for an exactly
+symmetric matrix with one constant on its diagonal and a bipartite, not
+complete bipartite, off-diagonal pattern."""
 
 import itertools
 
@@ -59,17 +61,59 @@ def _cases():
         signed[u, v] = signed[v, u] = w
     cases.append(("signed", signed, None))
     cases.append(("shifted-edgeless", 2.5 * np.eye(4), None))
+    # hypercubes as build_hypercube labels them and bipartite G x K2: the
+    # half block is exactly symmetric, and from Q7 on it takes the route again
+    for d in (7, 8, 9, 10):
+        for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+            cases.append((f"Q{d}-{kind}", _graph_matrix(pw.build_hypercube(d), kind), None))
+    k2 = pw.build_path(2)
+    cases.append(("P40xK2", _graph_matrix(pw.cartesian_product(pw.build_path(40), k2), pw.ADJACENCY), None))
+    for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+        cases.append((f"C32xK2-{kind}", _graph_matrix(pw.cartesian_product(pw.build_cycle(32), k2), kind),
+                      None))
+    cases.append(("signed-symmetric-block", _halves(_signed_block(), 0.75), None))
+    # an upper triangular block: equal parts, B != B^T, so np.linalg.svd
+    cases.append(("asymmetric-block", _halves(np.triu(np.arange(1.0, 37.0).reshape(6, 6)), -1.0), None))
     return cases
+
+
+def _signed_block():
+    """A signed symmetric 32 x 32 block whose spectrum has negative
+    eigenvalues and the exact eigenvalue 0: signed weights on the band
+    |i - j| in {1, 2} of 0..29 (its triangles tie the two copies of the
+    pattern in [[0, B], [B, 0]] together), and leaves 30 and 31 on vertex 29
+    with one weight, which make e_30 - e_31 a kernel vector. Seeded so that
+    distinct |lambda| lie at least 0.04 apart: a nearly repeated singular
+    value leaves the projectors of eigh and of the route alike
+    ill-conditioned."""
+    rng = np.random.default_rng(6)
+    b = np.zeros((32, 32))
+    for k, weights in ((1, [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]), (2, [-2.0, -1.0, 1.0, 2.0])):
+        for i in range(30 - k):
+            b[i, i + k] = b[i + k, i] = rng.choice(weights)
+    b[29, 30] = b[30, 29] = b[29, 31] = b[31, 29] = 2.0
+    return b
+
+
+def _halves(b, c):
+    """cI + [[0, B], [B^T, 0]], with parts 0..m-1 and m..2m-1."""
+    m = len(b)
+    mat = c * np.eye(2 * m)
+    mat[:m, m:] = b
+    mat[m:, :m] = b.T
+    return mat
 
 
 CASES = _cases()
 
 
 def _route_decompose(monkeypatch, mat, parts):
-    """decompose with the route forced at this n on these parts."""
+    """decompose with the route forced at every n, on these parts for mat
+    itself and on its own colouring for each half block it recurses into."""
+    colouring = spectral._bipartite_parts
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "_bipartite_parts", lambda _mat: parts)
+        m.setattr(spectral, "_bipartite_parts", lambda sub: parts if sub is mat else colouring(sub))
         return pw.decompose(mat)
 
 
@@ -110,8 +154,8 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
     scale = max(np.linalg.norm(mat, np.inf), 1.0)
 
     w, v = spectral._bipartite_eigh(mat, p, q)
-    assert np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(mat), rtol=0, atol=1e-12 * scale)
+    assert np.all(np.diff(w) <= 0)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(mat)[::-1], rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
     np.testing.assert_allclose(mat @ v, v * w, rtol=0, atol=1e-12 * scale)
 
@@ -158,7 +202,31 @@ def test_route_taken_from_the_crossover_on(monkeypatch):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(pw.build_path(MIN_N - 1), pw.ADJACENCY)) == 0
-    assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(7), pw.LAPLACIAN)) == 1
+    # Q7's 64 x 64 half block takes the route again; its 32 x 32 one goes to eigh
+    assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(7), pw.LAPLACIAN)) == 2
+    for d in (8, 9, 10):
+        assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.ADJACENCY)) == d - 5
+
+
+def test_symmetric_half_block_needs_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    q8 = pw.build_hypercube(8)
+    p = np.random.default_rng(8).permutation(q8.n)
+    relabelled = pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])
+    cases = {name: mat for name, mat, _ in CASES}
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", refuse)
+        for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+            assert pw.decompose(pw.hamiltonian(q8, kind)).multiplicities == (1, 8, 28, 56, 70, 56, 28, 8, 1)
+            with pytest.raises(AssertionError, match="svd called"):
+                pw.decompose(pw.hamiltonian(relabelled, kind))
+        for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "signed-symmetric-block"):
+            spectral._bipartite_eigh(cases[name], *spectral._bipartite_parts(cases[name]))
+        mat = cases["asymmetric-block"]
+        with pytest.raises(AssertionError, match="svd called"):
+            spectral._bipartite_eigh(mat, *spectral._bipartite_parts(mat))
 
 
 @pytest.mark.parametrize("mat", [

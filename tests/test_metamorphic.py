@@ -2,8 +2,10 @@
 and the family builders: relabelling the vertices keeps the verdict and the
 time, negating either state or swapping them keeps the decision, and scaling
 the weights by c > 0 divides the time by c. The same relations hold, with tau
-to 1e-12 relative, on graphs decompose factors by the SVD of a half-size
-block, where relabelling moves the parts P and Q that make up the block.
+to 1e-12 relative, on graphs decompose factors through a half-size block,
+where relabelling moves the parts P and Q that make up the block: in their
+own labelling Q8 and P40 x K2 have an exactly symmetric block, factored by
+decompose's own route, and relabelled ones a block np.linalg.svd factors.
 
 A shift of M by s*I is left out: it should keep tau and multiply the phase
 by exp(i*tau*s), but a large shift still collapses the clusters (ROADMAP
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from conftest import random_tree
+from conftest import pair_state, random_tree
 from pstwalk import spectral
 
 FAMILIES = {
@@ -103,10 +105,11 @@ def test_metamorphic_cases_include_transfers():
 
 
 def _route_graphs():
-    """Graphs decompose factors by the SVD of a half-size block (Q8, P129
-    with a 65 x 64 block and one extra kernel vector, K_{40,90} less one
-    edge with a 40 x 90 block) and K_{40,90}, whose complete pattern stays
-    on eigh; each with pair states (u, v, s)."""
+    """Graphs decompose factors through a half-size block (Q8, by its own
+    route as labelled and by an SVD once relabelled, P129 with a 65 x 64
+    block and one extra kernel vector, K_{40,90} less one edge with a
+    40 x 90 block) and K_{40,90}, whose complete pattern stays on eigh; each
+    with pair states (u, v, s)."""
     k4090 = [(u, v) for u in range(40) for v in range(40, 130)]
     return [
         ("Q8", pw.build_hypercube(8), [(0, 1, 1.0), (0, 3, -1.0), (5, 9, 1.0)]),
@@ -153,3 +156,51 @@ def test_svd_route_metamorphic(name, g, pairs, kind):
         _same_verdict(pw.pst_decide(dec, y, x), want, reason=False, rel=1e-12)
         _same_verdict(pw.pst_decide(dec_scaled, x, y), want, tau_scale=3.7, rel=1e-12)
     assert yes or name in ("P129", "K40,90-e")
+
+
+def _svd_calls_decompose(monkeypatch, g, kind):
+    """decompose(g's kind), with how many times it reached np.linalg.svd."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        return pw.decompose(pw.hamiltonian(g, kind)), len(calls)
+
+
+CROSS_ROUTE = [
+    ("Q8", pw.build_hypercube(8), pw.ADJACENCY, (0, 3, -1.0), (255, 252, -1.0)),
+    ("Q8-lap", pw.build_hypercube(8), pw.LAPLACIAN, (5, 9, 1.0), (250, 246, 1.0)),
+    ("P40xK2", pw.cartesian_product(pw.build_path(40), pw.build_path(2)), pw.ADJACENCY,
+     (6, 7, -1.0), (72, 73, -1.0)),
+]
+
+
+@pytest.mark.parametrize("name,g,kind,x,y", CROSS_ROUTE, ids=[c[0] for c in CROSS_ROUTE])
+def test_cross_route_metamorphic(monkeypatch, name, g, kind, x, y):
+    """In their own labelling these graphs take the bipartite route on an
+    exactly symmetric half block (recursively on Q8), with no SVD; under a
+    seeded relabelling the half block is not symmetric and np.linalg.svd
+    factors it. Both give one verdict (PST between antipodal pair states on
+    Q8, none from the P40 x K2 pair state to its mirror image), tau to 1e-12
+    relative, and one partner once the relabelled one is mapped back."""
+    x, y = pair_state(g.n, *x), pair_state(g.n, *y)
+    dec, natural_svds = _svd_calls_decompose(monkeypatch, g, kind)
+    p = np.random.default_rng(g.n).permutation(g.n)
+    relabelled = pw.make_graph(g.n, [(int(p[a]), int(p[b]), w) for a, b, w in g.edges])
+    dec_relabelled, relabelled_svds = _svd_calls_decompose(monkeypatch, relabelled, kind)
+    assert natural_svds == 0 and relabelled_svds > 0
+    px, py = np.empty(g.n), np.empty(g.n)
+    px[p], py[p] = x, y
+    want = pw.pst_decide(dec, x, y)
+    assert want.decision == name.startswith("Q8")
+    _same_verdict(pw.pst_decide(dec_relabelled, px, py), want, rel=1e-12)
+    partner, moved = pw.pst_partner(dec, x), pw.pst_partner(dec_relabelled, px)
+    if partner is None:
+        assert moved is None and not want.decision
+    else:
+        np.testing.assert_allclose(moved[p], partner, rtol=0, atol=1e-10)

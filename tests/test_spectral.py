@@ -42,6 +42,12 @@ def test_decompose_rejects_asymmetric():
         pw.decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3), (1, 1, 1)])
+def test_decompose_refuses_empty_and_non_square_matrices(shape):
+    with pytest.raises(pw.InvalidStateError, match="matrix must"):
+        pw.decompose(np.zeros(shape))
+
+
 def test_decompose_refuses_non_finite_and_overflowing_matrices():
     big = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
     with warnings.catch_warnings():
