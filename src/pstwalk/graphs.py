@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +21,7 @@ CUSTOM = "custom"
 
 
 DENSE_GUARD = 4096  # vertex limit for a dense n x n matrix
+REGULAR_TOL = 1e-12  # is_regular: every degree within REGULAR_TOL * max(1, |d_0|) of d_0
 
 
 def check_dense(n: int) -> int:
@@ -28,6 +29,21 @@ def check_dense(n: int) -> int:
     if n > DENSE_GUARD:
         raise InvalidSizeError(f"{n} vertices exceed the dense limit of {DENSE_GUARD}")
     return n
+
+
+def _vertex_sums(n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row sums of the matrix with values on the edges (src, dst), each added
+    in column order from 0.0; an overflowing sum is inf, with no warning."""
+    return np.bincount(np.concatenate((dst, src)), np.concatenate((values, values)), n)
+
+
+def _dense(n: int, src: np.ndarray, dst: np.ndarray, diagonal, values: np.ndarray) -> np.ndarray:
+    """The one dense builder: diagonal, values on the edges, zero elsewhere."""
+    a = np.zeros((check_dense(n), n))
+    a[src, dst] = values
+    a[dst, src] = values
+    np.fill_diagonal(a, diagonal)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,32 +69,35 @@ class Graph:
         return hash((self.n, self.edges))
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((check_dense(self.n), self.n))
-        a[self.src, self.dst] = self.w
-        a[self.dst, self.src] = self.w
-        return a
+        return _dense(self.n, self.src, self.dst, 0.0, self.w)
 
     def laplacian(self) -> np.ndarray:
-        a = self.adjacency()
-        with np.errstate(over="ignore"):  # an infinite degree is refused by decompose
-            return np.diag(a.sum(axis=1)) - a
+        return _dense(self.n, self.src, self.dst, self.degrees(), -self.w)
 
     def degrees(self) -> np.ndarray:
-        """Weighted degrees (row sums of the adjacency matrix)."""
-        return self.adjacency().sum(axis=1)
+        """Weighted degrees (row sums of the adjacency matrix), from the edge arrays."""
+        return _vertex_sums(self.n, self.src, self.dst, self.w)
 
-    def is_regular(self, tol: float = 1e-12) -> bool:
+    def is_regular(self) -> bool:
         d = self.degrees()
-        return self.n == 0 or bool(np.max(np.abs(d - d[0])) <= tol * max(1.0, abs(d[0])))
+        return self.n == 0 or bool(np.max(np.abs(d - d[0])) <= REGULAR_TOL * max(1.0, abs(d[0])))
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Real symmetric matrix respecting a graph's adjacency pattern."""
+    """Real symmetric matrix held as its `diagonal` and the `values` on the
+    edges graph.src, graph.dst; the dense `matrix` is built from them, so it
+    is exactly symmetric with off-diagonal support on the edges."""
 
     kind: str
-    matrix: np.ndarray
     graph: Graph
+    diagonal: np.ndarray
+    values: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        g = self.graph
+        object.__setattr__(self, "matrix", _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values)))
 
     @property
     def n(self) -> int:
@@ -251,10 +270,11 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
 
 def hamiltonian(g: Graph, kind: str) -> Hamiltonian:
     """Adjacency or Laplacian Hamiltonian of a graph, built exactly."""
+    check_dense(g.n)
     if kind == ADJACENCY:
-        return Hamiltonian(ADJACENCY, _freeze(g.adjacency()), g)
+        return Hamiltonian(ADJACENCY, g, _freeze(np.zeros(g.n)), g.w)
     if kind == LAPLACIAN:
-        return Hamiltonian(LAPLACIAN, _freeze(g.laplacian()), g)
+        return Hamiltonian(LAPLACIAN, g, _freeze(g.degrees()), _freeze(-g.w))
     raise ValueError(f"unknown Hamiltonian kind {kind!r}; use load_custom for custom matrices")
 
 
@@ -272,4 +292,4 @@ def load_custom(matrix, g: Graph) -> Hamiltonian:
         u, v = wrong[0].tolist()  # the first in row order
         what = "zero on an edge" if edge[u, v] else "nonzero off the edge set"
         raise PatternMismatchError(f"entry ({u},{v}) is {what}")
-    return Hamiltonian(CUSTOM, _freeze(m), g)
+    return Hamiltonian(CUSTOM, g, _freeze(m.diagonal().copy()), _freeze(m[g.src, g.dst]))

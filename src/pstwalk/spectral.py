@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import Hamiltonian
+from .graphs import Hamiltonian, _vertex_sums
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,6 @@ class SpectralDecomposition:
         return vec / nrm
 
 
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, Hamiltonian):
-        return m.matrix
-    return np.asarray(m, dtype=float)
-
-
 STATE_PEAK = (1e-75, 1e75)  # range of a state's largest |entry|
 SCAN_BLOCK = 1 << 18          # phase factors walk forms at once for an array of times
 
@@ -178,43 +172,33 @@ def _asymmetry(mat: np.ndarray) -> float:
     return out
 
 
-def _bipartite_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The sorted parts P, Q of a 2-colouring of the exact-nonzero
-    off-diagonal pattern of the symmetric mat, or None when that pattern has
-    an odd cycle or is complete bipartite (every P-Q entry nonzero).
-
-    A complete bipartite pattern is left to eigh: its adjacency has rank 2,
-    eigh deflates the rest of the spectrum, and the SVD of the rank-one block
-    is erratic (12 ms for the 75 x 225 block of K_{75,225}, 0.6 ms for its
-    transpose, 5 ms for eigh); summed over K_{p,q} with 64 <= p + q <= 256
-    the SVD took 1.8x eigh's time.
-
-    Vertex 0's row settles the dense patterns before any edge list is made:
-    a complete bipartite pattern is its non-neighbours against its neighbours
-    with no other nonzero, and a triangle through vertex 0 (a complete graph,
-    a join) has no 2-colouring. Otherwise a breadth-first search over
-    the pattern's adjacency lists colours each component from its least
-    vertex, refuses at the first edge inside a colour and stops once every
-    vertex has a colour; one vectorised pass over the nonzeros then checks
-    that each joins P to Q. That is O(n + m) after the O(n^2) scan for the
-    pattern."""
-    n = len(mat)
-    mask = mat != 0
-    np.fill_diagonal(mask, False)
-    nbrs = mask[0]
-    d = np.count_nonzero(nbrs)
-    if (np.count_nonzero(mask) == 2 * d * (n - d) > 0 and mask[~nbrs][:, nbrs].all()
-            or mask[nbrs][:, nbrs].any()):
+def _route_parts(n: int, diagonal: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted parts P, Q on which the exactly symmetric n x n matrix
+    with this diagonal and its off-diagonal nonzeros on the edges src < dst,
+    sorted by (src, dst), takes the bipartite route (_bipartite_eigh); None
+    (eigh) below BIPARTITE_MIN_N or for two diagonal values. Vertex 0's
+    edges settle the dense patterns in O(m): a triangle through it has no
+    2-colouring, and a complete bipartite pattern is left to eigh, which
+    deflates its rank-2 adjacency, while the SVD of its rank-one block is
+    erratic (1.8x eigh's time over K_{p,q}, 64 <= p + q <= 256). Otherwise
+    a breadth-first search colours each component from its least vertex,
+    refuses at the first edge inside a colour and stops once every vertex
+    is coloured; one pass over the edges then checks each joins P to Q."""
+    if n < BIPARTITE_MIN_N or (diagonal != diagonal[0]).any():
         return None
-    flat = np.flatnonzero(mask)
-    rows, cols = np.divmod(flat, n)
-    starts = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
-    adj = cols.tolist()
+    d = int(np.searchsorted(src, 1))  # vertex 0's edges come first
+    nbrs = np.zeros(n, dtype=bool)
+    nbrs[dst[:d]] = True
+    if (nbrs[src] & nbrs[dst]).any() or len(src) == d * (n - d) > 0 and (nbrs[src] != nbrs[dst]).all():
+        return None
+    ends = np.concatenate((src, dst))
+    order = np.argsort(ends, kind="stable")
+    adj = np.concatenate((dst, src))[order].tolist()
+    starts = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
     colour = [-1] * n
     left = n
     for root in range(n):
-        if not left:
-            break
         if colour[root] >= 0:
             continue
         colour[root] = 0
@@ -232,21 +216,17 @@ def _bipartite_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
                 elif colour[v] != other:
                     return None
     side = np.array(colour, dtype=bool)
-    if (side[rows] == side[cols]).any():
+    if (side[src] == side[dst]).any():
         return None
     return np.flatnonzero(~side), np.flatnonzero(side)
 
 
-def _route_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The parts P, Q on which the exactly symmetric mat takes the bipartite
-    route (_bipartite_eigh), or None when it goes to eigh: n below
-    BIPARTITE_MIN_N, more than one value on the diagonal, or a pattern that
-    _bipartite_parts refuses. decompose and the route's own recursion both
-    choose here."""
-    diag = mat.diagonal()
-    if len(mat) < BIPARTITE_MIN_N or (diag != diag[0]).any():
-        return None
-    return _bipartite_parts(mat)
+def _dense_route_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_route_parts of the exactly symmetric mat, its nonzeros above the diagonal as
+    edges, read from one mask (Q10, one core: 0.7 ms; np.nonzero(np.triu(mat, 1)): 6.6 ms)."""
+    src, dst = np.divmod(np.flatnonzero(mat != 0), len(mat))
+    upper = src < dst
+    return _route_parts(len(mat), mat.diagonal(), src[upper], dst[upper])
 
 
 def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,23 +242,20 @@ def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.n
     A square B that is exactly symmetric has the SVD of its eigenpairs:
     B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
     U = W and V = W sign(Lambda) (sign(0) = +1), columns sorted by |lambda|
-    descending. W Lambda W^T comes from the route decompose would take
-    (_route_parts), so a B that is itself bI + [[0, B'], [B'^T, 0]] takes
-    this route again. For a bipartite G, the half block of G x K2 from
-    cartesian_product(G, build_path(2)) is +-(I + A(G)) in G's vertex
-    order; that of the hypercube Q_d as build_hypercube labels it is I plus
-    the adjacency of a relabelled Q_{d-1} whose own half block is again
-    exactly symmetric, so Q10 goes 1024 -> 512 -> ... -> one eigh of a
-    32 x 32 matrix, with no SVD. Any other B keeps np.linalg.svd.
+    descending. W Lambda W^T comes from the route decompose takes for a raw
+    matrix (_dense_route_parts), so a B that is itself bI + [[0, B'], [B'^T, 0]]
+    takes the route again: for a bipartite G, the half block of G x K2 from
+    cartesian_product(G, build_path(2)) is +-(I + A(G)); that of Q_d as
+    build_hypercube labels it is I plus the adjacency of a relabelled
+    Q_{d-1}, so Q10 goes 1024 -> 512 -> ... -> one eigh of a 32 x 32
+    matrix, with no SVD. Any other B keeps np.linalg.svd.
 
     The rows P and Q of the result are each one gather of U's or V's
-    columns into their final, descending, order, scaled in place (by
-    1/sqrt(2), +-1/sqrt(2), or 1 on the null vectors) and copied once into
-    their rows: no zero-filled matrix, no column scatter, and no regrouping
-    of columns afterwards."""
+    columns in their final order, scaled in place and copied once into
+    their rows: no zero-filled matrix, no scatter, no regrouping afterwards."""
     c, b = mat[0, 0], mat[np.ix_(p, q)]
     if len(p) == len(q) and _asymmetry(b) == 0:
-        sub = _route_parts(b)
+        sub = _dense_route_parts(b)
         lam, w = np.linalg.eigh(b) if sub is None else _bipartite_eigh(b, *sub)
         col = np.argsort(-np.abs(lam), kind="stable")
         s, sign = np.abs(lam[col]), np.where(lam[col] < 0, -1.0, 1.0)
@@ -329,6 +306,14 @@ def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarr
     return bounds, values
 
 
+def _check_scale(scale: float) -> None:
+    """NumericFailureError unless ||M||_inf and twice it (bounding every eigenvalue gap) are finite."""
+    if not math.isfinite(scale):
+        raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
+    if not math.isfinite(2.0 * scale):
+        raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
+
+
 def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the spectrum of a real symmetric matrix into distinct eigenvalues.
 
@@ -338,49 +323,43 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     its eigenvectors become one contiguous column block, blocks in
     descending eigenvalue order.
 
-    The sorted spectrum comes from np.linalg.eigh, or from the SVD of a
-    half-size block (_bipartite_eigh) when M is exactly symmetric with n at
-    least BIPARTITE_MIN_N, one exact constant c on its diagonal, and an
-    off-diagonal nonzero pattern that is bipartite but not complete
-    bipartite: the adjacency of a bipartite graph or the Laplacian of a
-    regular one (hypercubes, even cycles). In the order of the parts P, Q,
-    M = cI + [[0, B], [B^T, 0]] has the eigenpairs
-    (c +- s_i, [u_i; +-v_i]/sqrt(2)) from B = U S V^T, and c on the extra
-    null vectors of the longer side. A square B that is exactly symmetric
-    needs no SVD: B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T,
-    and W Lambda W^T comes from this same choice of route, so the half
-    block of every hypercube Q_d as build_hypercube labels it, and of every
-    G x K2 from cartesian_product(G, build_path(2)) with G bipartite, is
-    factored by the route again while it qualifies. On one core
-    with one BLAS thread, Q10 as labelled takes 9-12 ms (down to one eigh of
-    a 32 x 32 matrix), relabelled at random 42-50 ms (np.linalg.svd of its
-    512 x 512 block), and 115-130 ms for eigh of the whole matrix.
+    m is a Hamiltonian or a raw matrix. A Hamiltonian is exactly symmetric
+    by construction: ||M||_inf = max_i (|d_i| + sum of |v| at i) and the
+    route come from its diagonal and edge arrays, with no pass over the
+    dense matrix. A raw matrix must be symmetric to 1e-12 * max(1, ||M||_inf)
+    and, when exactly symmetric, has its nonzeros above the diagonal as edges.
+
+    The sorted spectrum comes from np.linalg.eigh, or from the half-size
+    block B of M = cI + [[0, B], [B^T, 0]] (_bipartite_eigh) when
+    _route_parts finds parts P, Q: from n = BIPARTITE_MIN_N on, the
+    adjacency of a bipartite graph or the Laplacian of a regular one
+    (Q10: 9-12 ms against 115-130 ms for eigh, on one core).
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
-    hypercubes; it is also why every recorded CLI golden, all of them
-    smaller, keeps its bytes: the factorisations agree to rounding, not in
-    their last bits.
+    hypercubes; it also keeps the bytes of every recorded CLI golden, all
+    smaller: the factorisations agree to rounding, not in their last bits.
 
     Raises InvalidStateError for an empty, non-square or asymmetric matrix
-    and NumericFailureError for a non-finite or overflowing one.
+    and NumericFailureError for a non-finite or overflowing M.
     """
-    mat = _as_matrix(m)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidStateError("matrix must be square")
-    if not mat.size:
-        raise InvalidStateError("matrix must have at least one row")
-    with np.errstate(over="ignore"):
-        # a non-finite entry or an overflowing row sum leaves scale nan or inf
-        scale = float(np.linalg.norm(mat, np.inf))
-        if not math.isfinite(scale):
-            raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
-        asymmetry = _asymmetry(mat)  # inf, so refused, if it overflows
-    if asymmetry > 1e-12 * max(1.0, scale):
-        raise InvalidStateError("matrix must be symmetric")
-    if not math.isfinite(2.0 * scale):
-        # every |eigenvalue| is at most scale, so below this bound no
-        # eigenvalue difference (gap, spread, ratio numerator) overflows
-        raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
-    parts = _route_parts(mat) if asymmetry == 0 else None
+    if isinstance(m, Hamiltonian):
+        g, mat = m.graph, m.matrix
+        with np.errstate(over="ignore"):  # an overflowing row sum is inf, so refused
+            scale = float(np.max(np.abs(m.diagonal) + _vertex_sums(g.n, g.src, g.dst, np.abs(m.values))))
+        _check_scale(scale)
+        parts = _route_parts(g.n, m.diagonal, g.src, g.dst)
+    else:
+        mat = np.asarray(m, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise InvalidStateError("matrix must be square")
+        if not mat.size:
+            raise InvalidStateError("matrix must have at least one row")
+        with np.errstate(over="ignore"):  # a non-finite entry or row sum leaves scale nan or inf
+            scale = float(np.linalg.norm(mat, np.inf))
+            asymmetry = _asymmetry(mat) if math.isfinite(scale) else 0.0  # inf if it overflows
+        if asymmetry > 1e-12 * max(1.0, scale):
+            raise InvalidStateError("matrix must be symmetric")
+        _check_scale(scale)
+        parts = _dense_route_parts(mat) if asymmetry == 0 else None
     try:
         evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts)
     except np.linalg.LinAlgError as exc:

@@ -110,8 +110,14 @@ def adjacency(g):
 
 
 def laplacian(g):
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    n, edges = g
+    lap = np.zeros((n, n))
+    for u, v, w in edges:
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] = -w
+        lap[v, u] = -w
+    return lap
 
 
 def load_custom(matrix, g):

@@ -7,7 +7,9 @@ give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
 1e-12 * scale, projectors to 1e-10, and the same pst_decide and pst_partner
 verdicts. decompose takes it only from BIPARTITE_MIN_N on, for an exactly
 symmetric matrix with one constant on its diagonal and a bipartite, not
-complete bipartite, off-diagonal pattern."""
+complete bipartite, edge pattern: spectral._route_parts decides, from a
+Hamiltonian's edge arrays or from a raw matrix's nonzeros above the
+diagonal."""
 
 import itertools
 
@@ -23,6 +25,14 @@ MIN_N = spectral.BIPARTITE_MIN_N
 
 def _graph_matrix(g, kind):
     return pw.hamiltonian(g, kind).matrix
+
+
+def _forced_parts(mat):
+    """_route_parts of mat, its edges the nonzeros above the diagonal, with
+    the route allowed at every n."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "BIPARTITE_MIN_N", 1)
+        return spectral._route_parts(len(mat), mat.diagonal(), *np.nonzero(np.triu(mat, 1)))
 
 
 def _parts(n, p):
@@ -110,10 +120,10 @@ CASES = _cases()
 def _route_decompose(monkeypatch, mat, parts):
     """decompose with the route forced at every n, on these parts for mat
     itself and on its own colouring for each half block it recurses into."""
-    colouring = spectral._bipartite_parts
+    colouring = spectral._dense_route_parts
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "_bipartite_parts", lambda sub: parts if sub is mat else colouring(sub))
+        m.setattr(spectral, "_dense_route_parts", lambda sub: parts if sub is mat else colouring(sub))
         return pw.decompose(mat)
 
 
@@ -145,10 +155,10 @@ def _partner(dec, x):
 @pytest.mark.parametrize("name,mat,parts", CASES, ids=[c[0] for c in CASES])
 def test_route_matches_eigh(monkeypatch, name, mat, parts):
     if parts is None:
-        parts = spectral._bipartite_parts(mat)
+        parts = _forced_parts(mat)
         assert parts is not None
     else:
-        assert spectral._bipartite_parts(mat) is None  # complete bipartite: eigh
+        assert _forced_parts(mat) is None  # complete bipartite: eigh
     p, q = parts
     n = len(mat)
     scale = max(np.linalg.norm(mat, np.inf), 1.0)
@@ -223,10 +233,10 @@ def test_symmetric_half_block_needs_no_svd(monkeypatch):
             with pytest.raises(AssertionError, match="svd called"):
                 pw.decompose(pw.hamiltonian(relabelled, kind))
         for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "signed-symmetric-block"):
-            spectral._bipartite_eigh(cases[name], *spectral._bipartite_parts(cases[name]))
+            spectral._bipartite_eigh(cases[name], *_forced_parts(cases[name]))
         mat = cases["asymmetric-block"]
         with pytest.raises(AssertionError, match="svd called"):
-            spectral._bipartite_eigh(mat, *spectral._bipartite_parts(mat))
+            spectral._bipartite_eigh(mat, *_forced_parts(mat))
 
 
 @pytest.mark.parametrize("mat", [
@@ -250,10 +260,56 @@ def test_route_declines_a_matrix_that_is_not_exactly_symmetric(monkeypatch):
 def test_colouring_finds_an_odd_cycle_anywhere():
     # the odd cycle sits in the last component, after a bipartite one
     g = pw.make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
-    assert spectral._bipartite_parts(_graph_matrix(g, pw.ADJACENCY)) is None
+    assert _forced_parts(_graph_matrix(g, pw.ADJACENCY)) is None
     g = pw.make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)])
-    p, q = spectral._bipartite_parts(_graph_matrix(g, pw.ADJACENCY))
+    p, q = _forced_parts(_graph_matrix(g, pw.ADJACENCY))
     assert p.tolist() == [0, 2, 4, 6, 8] and q.tolist() == [1, 3, 5, 7]
+
+
+def _k(p, q, shift=0):
+    """The edges of K_{p,q} on the vertices shift .. shift + p + q - 1."""
+    return [(shift + u, shift + p + v) for u in range(p) for v in range(q)]
+
+
+def _components():
+    """Two interleaved paths: 0, 2, ..., 78 and 3, 1, 5, 7, ..., 79. Coloured
+    from its least vertex, each puts that vertex in P: 0, 4, 8, ... and the
+    odd vertices at an even distance from 1."""
+    odd = [3, 1] + list(range(5, 80, 2))
+    edges = [(u, u + 2) for u in range(0, 78, 2)] + list(zip(odd, odd[1:]))
+    p = list(range(0, 80, 4)) + [v for i, v in enumerate(odd) if (i - 1) % 2 == 0]
+    return pw.make_graph(80, edges), sorted(p)
+
+
+ROUTE_PARTS = [
+    ("K64,96", pw.make_graph(160, _k(64, 96)), None),
+    ("K96,64", pw.make_graph(160, _k(96, 64)), None),
+    ("C65", pw.build_cycle(65), None),
+    ("K1+K64,64", pw.make_graph(129, _k(64, 64, shift=1)), [0] + list(range(1, 65))),
+    ("K64,64+K1", pw.make_graph(129, _k(64, 64)), list(range(64)) + [128]),
+    ("K64,64-e", pw.make_graph(128, _k(64, 64)[1:]), list(range(64))),
+    ("two-components", *_components()),
+]
+
+
+@pytest.mark.parametrize("name,g,p", ROUTE_PARTS, ids=[c[0] for c in ROUTE_PARTS])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_route_parts_from_either_entry(monkeypatch, name, g, p, kind):
+    """The parts from a Hamiltonian's edge arrays and from its dense matrix
+    agree: None for a complete bipartite pattern (vertex 0's edges decide)
+    and an odd cycle; otherwise each component coloured from its least
+    vertex, which lands in P. A Laplacian takes the route only when the
+    graph is regular."""
+    ham = pw.hamiltonian(g, kind)
+    got = spectral._route_parts(g.n, ham.diagonal, g.src, g.dst)
+    dense = spectral._dense_route_parts(ham.matrix)
+    if p is None or not (kind == pw.ADJACENCY or g.is_regular()):
+        assert got is None and dense is None
+        assert _route_calls(monkeypatch, ham) == 0
+        return
+    assert got[0].tolist() == dense[0].tolist() == p
+    assert got[1].tolist() == dense[1].tolist() == sorted(set(range(g.n)) - set(p))
+    assert _route_calls(monkeypatch, ham) >= 1
 
 
 def _reference_clusters(evals, threshold):

@@ -18,11 +18,12 @@ from pstwalk.graphs import DENSE_GUARD, check_dense
 
 def _same(g, r):
     """g has the reference graph's n and edge triples (weights bit-exact,
-    types kept) and the reference's adjacency and Laplacian matrices."""
+    types kept) and, bit for bit, the reference's adjacency and Laplacian
+    matrices."""
     assert (g.n, g.edges) == r
     assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
-    assert np.array_equal(pw.hamiltonian(g, pw.ADJACENCY).matrix, ref.adjacency(r))
-    assert np.array_equal(pw.hamiltonian(g, pw.LAPLACIAN).matrix, ref.laplacian(r))
+    assert pw.hamiltonian(g, pw.ADJACENCY).matrix.tobytes() == ref.adjacency(r).tobytes()
+    assert pw.hamiltonian(g, pw.LAPLACIAN).matrix.tobytes() == ref.laplacian(r).tobytes()
 
 
 def test_builders_match_reference():
@@ -188,7 +189,7 @@ def test_dense_guard_refuses_before_allocating():
     assert check_dense(DENSE_GUARD) == DENSE_GUARD
     big = pw.make_graph(n, [(0, 1)])  # a graph this size is fine until a dense matrix is asked for
     assert big.edges == ((0, 1, 1.0),)
-    for call in (big.adjacency, big.laplacian, big.degrees,
+    for call in (big.adjacency, big.laplacian,
                  lambda: pw.hamiltonian(big, pw.ADJACENCY),
                  lambda: pw.hamiltonian(big, pw.LAPLACIAN),
                  lambda: pw.cycle_eigenbasis(n),
@@ -198,6 +199,13 @@ def test_dense_guard_refuses_before_allocating():
                  lambda: pw.path_pst_families(n, pw.LAPLACIAN),
                  lambda: pw.path_least_pst_time(n, pw.ADJACENCY)):
         _refused_before_allocating(call)
+    tracemalloc.start()  # degrees come from the edge arrays: no dense matrix, no refusal
+    try:
+        degrees, regular = big.degrees(), big.is_regular()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert degrees[:3].tolist() == [1.0, 1.0, 0.0] and not regular and peak < 1 << 20
     x, y = np.zeros(n), np.zeros(n)
     x[0], y[1] = 1.0, 1.0
     request = pw.SynthesisRequest(x=x, y=y, tau=1.0, m1=1, m2=1)
