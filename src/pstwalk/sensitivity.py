@@ -58,9 +58,10 @@ def fidelity_derivatives(
     if not (math.isfinite(d2) and math.isfinite(bound_lo)) or (d2 == 0.0) != (unit[2] == 0.0):
         raise NumericFailureError(f"f''(tau) leaves the float range at matrix scale {dec.scale:.3g}")
     # numeric corroboration of vanishing odd orders; limited to k <= 3 where
-    # the stencil's roundoff still resolves zero
-    odd = max(abs(finite_difference_oracle(dec, x, y, tau, k, 1e-3))
-              for k in range(1, min(kk, 3) + 1, 2))
+    # the stencil's roundoff still resolves zero. Both orders read one sampling.
+    h = 1e-3
+    samples = fidelity(dec, tau + STENCIL * h, x, y)
+    odd = max(abs(float(_stencil_weights(k, h) @ samples)) for k in range(1, min(kk, 3) + 1, 2))
     return SensitivityReport(
         tau=tau,
         derivatives=derivs,
@@ -72,15 +73,22 @@ def fidelity_derivatives(
     )
 
 
+STENCIL = np.arange(-4, 5, dtype=float)  # offsets of the 9-point central stencil, in units of h
+
+
+def _stencil_weights(k: int, h: float) -> np.ndarray:
+    """Weights of the order-k derivative on the samples at tau + STENCIL * h,
+    solved from the local Vandermonde system."""
+    vander = np.vander(STENCIL, 9, increasing=True).T  # row p: offsets**p
+    return np.linalg.solve(vander, math.factorial(k) * np.eye(9)[k]) / h**k
+
+
 def finite_difference_oracle(dec, x, y, tau: float, k: int, h: float) -> float:
     """Order-k derivative of the fidelity at tau from a 9-point central
-    stencil (weights solved from the local Vandermonde system), its samples
-    from one fidelity call on the stencil's times."""
+    stencil (_stencil_weights), its samples from one fidelity call on the
+    stencil's times."""
     if h <= 0:
         raise ValueError("h must be positive")
     if not 1 <= k <= 8:
         raise ValueError("stencil supports derivative orders 1..8")
-    offsets = np.arange(-4, 5, dtype=float)
-    vander = np.vander(offsets, 9, increasing=True).T  # row p: offsets**p
-    weights = np.linalg.solve(vander, math.factorial(k) * np.eye(9)[k]) / h**k
-    return float(weights @ fidelity(dec, tau + offsets * h, x, y))
+    return float(_stencil_weights(k, h) @ fidelity(dec, tau + STENCIL * h, x, y))

@@ -221,18 +221,44 @@ def _route_parts(n: int, diagonal: np.ndarray, src: np.ndarray,
     return np.flatnonzero(~side), np.flatnonzero(side)
 
 
-def _dense_route_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_route_parts of the exactly symmetric mat, its nonzeros above the diagonal as
-    edges, read from one mask (Q10, one core: 0.7 ms; np.nonzero(np.triu(mat, 1)): 6.6 ms)."""
+def _dense_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the square mat above the diagonal as edges src < dst,
+    sorted by (src, dst), read from one mask (Q10, one core: 0.7 ms;
+    np.nonzero(np.triu(mat, 1)): 6.6 ms)."""
     src, dst = np.divmod(np.flatnonzero(mat != 0), len(mat))
     upper = src < dst
-    return _route_parts(len(mat), mat.diagonal(), src[upper], dst[upper])
+    return src[upper], dst[upper]
 
 
-def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _half_block_edges(b: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarray,
+                      dst: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The edges of the square half block b = M[P, Q] in _dense_edges' form,
+    or None unless b is exactly symmetric, read from M's edges (src, dst),
+    which each join P to Q, in O(m) with no pass over b: the edge
+    (p_i, q_k) is the entry (i, k) of b, and b is zero off these entries,
+    so b is symmetric iff b[i, k] == b[k, i] on each of them, and its
+    nonzeros above the diagonal are those with i < k. The same edges, in
+    the same order, as _dense_edges(b)."""
+    h = len(p)
+    in_q = np.zeros(2 * h, dtype=bool)
+    in_q[q] = True
+    rank = np.empty(2 * h, dtype=np.intp)
+    rank[p] = rank[q] = np.arange(h)
+    flip = in_q[src]
+    i, k = rank[np.where(flip, dst, src)], rank[np.where(flip, src, dst)]
+    values = b[i, k]
+    if (values != b[k, i]).any():
+        return None
+    keep = (i < k) & (values != 0)
+    return np.divmod(np.sort(i[keep] * h + k[keep]), h)
+
+
+def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarray,
+                    dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eigenpairs of a symmetric mat = cI + A whose diagonal is the one
     constant c and whose off-diagonal part A is zero inside P and inside Q,
-    eigenvalues descending, from an SVD of the half-size block
+    with its off-diagonal nonzeros on the edges (src, dst), eigenvalues
+    descending, from an SVD of the half-size block
     B = M[P, Q] = U S V^T (Golub and Van Loan, Matrix Computations, 8.6):
     A has the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|),
     and 0 on the |P| - |Q| columns of U (or |Q| - |P| of V) past r, as
@@ -243,20 +269,22 @@ def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.n
     B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
     U = W and V = W sign(Lambda) (sign(0) = +1), columns sorted by |lambda|
     descending. W Lambda W^T comes from the route decompose takes for a raw
-    matrix (_dense_route_parts), so a B that is itself bI + [[0, B'], [B'^T, 0]]
-    takes the route again: for a bipartite G, the half block of G x K2 from
-    cartesian_product(G, build_path(2)) is +-(I + A(G)); that of Q_d as
-    build_hypercube labels it is I plus the adjacency of a relabelled
-    Q_{d-1}, so Q10 goes 1024 -> 512 -> ... -> one eigh of a 32 x 32
-    matrix, with no SVD. Any other B keeps np.linalg.svd.
+    matrix, B's symmetry and edges read from M's (_half_block_edges), so a B
+    that is itself bI + [[0, B'], [B'^T, 0]] takes the route again: for a
+    bipartite G, the half block of G x K2 from cartesian_product(G,
+    build_path(2)) is +-(I + A(G)); that of Q_d as build_hypercube labels it
+    is I plus the adjacency of a relabelled Q_{d-1}, so Q10 goes
+    1024 -> 512 -> ... -> one eigh of a 32 x 32 matrix, with no SVD. Any
+    other B keeps np.linalg.svd.
 
     The rows P and Q of the result are each one gather of U's or V's
     columns in their final order, scaled in place and copied once into
     their rows: no zero-filled matrix, no scatter, no regrouping afterwards."""
     c, b = mat[0, 0], mat[np.ix_(p, q)]
-    if len(p) == len(q) and _asymmetry(b) == 0:
-        sub = _dense_route_parts(b)
-        lam, w = np.linalg.eigh(b) if sub is None else _bipartite_eigh(b, *sub)
+    edges = _half_block_edges(b, p, q, src, dst) if len(p) == len(q) else None
+    if edges is not None:
+        sub = _route_parts(len(b), b.diagonal(), *edges)
+        lam, w = np.linalg.eigh(b) if sub is None else _bipartite_eigh(b, *sub, *edges)
         col = np.argsort(-np.abs(lam), kind="stable")
         s, sign = np.abs(lam[col]), np.where(lam[col] < 0, -1.0, 1.0)
         u = v = w
@@ -346,7 +374,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         with np.errstate(over="ignore"):  # an overflowing row sum is inf, so refused
             scale = float(np.max(np.abs(m.diagonal) + _vertex_sums(g.n, g.src, g.dst, np.abs(m.values))))
         _check_scale(scale)
-        parts = _route_parts(g.n, m.diagonal, g.src, g.dst)
+        edges = g.src, g.dst
+        parts = _route_parts(g.n, m.diagonal, *edges)
     else:
         mat = np.asarray(m, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -359,9 +388,10 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         if asymmetry > 1e-12 * max(1.0, scale):
             raise InvalidStateError("matrix must be symmetric")
         _check_scale(scale)
-        parts = _dense_route_parts(mat) if asymmetry == 0 else None
+        edges = _dense_edges(mat) if asymmetry == 0 else None
+        parts = None if edges is None else _route_parts(len(mat), mat.diagonal(), *edges)
     try:
-        evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts)
+        evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts, *edges)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
 
@@ -409,8 +439,9 @@ def check_phase(reach: float, lam: float) -> None:
 
 def walk(dec: SpectralDecomposition, t, coef=None):
     """sum_j exp(i t lambda_j) coef[j] over the clusters j (coef of shape (k,)),
-    or without coef the phases exp(i t lambda_j): every time evolution forms
-    its phases here. t is a scalar or a 1-D array (the leading axis of the
+    or without coef the phases exp(i t lambda_j): every time evolution at
+    given times forms its phases here (a uniform grid from 0 takes
+    _grid_walk). t is a scalar or a 1-D array (the leading axis of the
     result, SCAN_BLOCK phase factors at a time); NumericFailureError when
     some t * lambda_j is not finite."""
     times = np.asarray(t, dtype=float)
@@ -426,6 +457,25 @@ def walk(dec: SpectralDecomposition, t, coef=None):
         phases = np.exp(1j * np.multiply.outer(times[s:s + rows], lam))
         out[s:s + rows] = phases if coef is None else phases @ coef
     return out
+
+
+def _grid_walk(dec: SpectralDecomposition, t_max: float, steps: int, coef) -> np.ndarray:
+    """walk(dec, t, coef) on the steps >= 2 uniform times t_m = m dt from 0 to
+    t_max, from a factorised phase table: with B = ceil(sqrt(steps)) and
+    A = ceil(steps / B), t_{aB+b} = aB dt + b dt, so the amplitudes are the
+    (A, k) coarse phases exp(i aB dt lambda) scaled by coef, times the (k, B)
+    fine phases exp(i b dt lambda), raveled: (A + B) k exponentials and one
+    complex GEMM in place of steps k exponentials. Each phase's rounding error
+    is within a few eps |t_max| max|lambda| of the direct one; the guard is
+    walk's, on |t_max|."""
+    lam = dec.eigenvalues
+    check_phase(abs(t_max), float(max(lam[0], -lam[-1])))
+    dt = t_max / (steps - 1)
+    cols = math.isqrt(steps - 1) + 1  # B
+    # integer multiples of dt, each rounded once, as np.linspace's own times
+    coarse = np.exp(1j * np.multiply.outer(np.arange(0, steps, cols) * dt, lam))
+    fine = np.exp(1j * np.multiply.outer(np.arange(cols) * dt, lam))
+    return ((coarse * coef) @ fine.T).ravel()[:steps]
 
 
 def normalized_fidelity(amp, x, y):

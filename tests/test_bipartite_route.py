@@ -27,12 +27,17 @@ def _graph_matrix(g, kind):
     return pw.hamiltonian(g, kind).matrix
 
 
+def _edges(mat):
+    """The nonzeros of mat above the diagonal, sorted by (row, column)."""
+    return np.nonzero(np.triu(mat, 1))
+
+
 def _forced_parts(mat):
     """_route_parts of mat, its edges the nonzeros above the diagonal, with
     the route allowed at every n."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        return spectral._route_parts(len(mat), mat.diagonal(), *np.nonzero(np.triu(mat, 1)))
+        return spectral._route_parts(len(mat), mat.diagonal(), *_edges(mat))
 
 
 def _parts(n, p):
@@ -120,10 +125,10 @@ CASES = _cases()
 def _route_decompose(monkeypatch, mat, parts):
     """decompose with the route forced at every n, on these parts for mat
     itself and on its own colouring for each half block it recurses into."""
-    colouring = spectral._dense_route_parts
+    colouring = spectral._route_parts
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "_dense_route_parts", lambda sub: parts if sub is mat else colouring(sub))
+        m.setattr(spectral, "_route_parts", lambda n, *rest: parts if n == len(mat) else colouring(n, *rest))
         return pw.decompose(mat)
 
 
@@ -163,7 +168,7 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
     n = len(mat)
     scale = max(np.linalg.norm(mat, np.inf), 1.0)
 
-    w, v = spectral._bipartite_eigh(mat, p, q)
+    w, v = spectral._bipartite_eigh(mat, p, q, *_edges(mat))
     assert np.all(np.diff(w) <= 0)
     np.testing.assert_allclose(w, np.linalg.eigvalsh(mat)[::-1], rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
@@ -218,13 +223,88 @@ def test_route_taken_from_the_crossover_on(monkeypatch):
         assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.ADJACENCY)) == d - 5
 
 
+def _q8_relabelled():
+    q8 = pw.build_hypercube(8)
+    p = np.random.default_rng(8).permutation(q8.n)
+    return pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])
+
+
+def _split_labels():
+    """P = {0, 65, ..., 127} and Q = {1, ..., 64} with the half block I + A,
+    A the 64-cycle 0, 7, 14, ... (7j mod 64): B is symmetric, but M's edges,
+    sorted by their least end (mostly in Q, so by B's column), do not list
+    its entries in (row, column) order."""
+    p, q = [0] + list(range(65, 128)), list(range(1, 65))
+    cycle = [(7 * j % 64, 7 * (j + 1) % 64) for j in range(64)]
+    pairs = [(i, i) for i in range(64)] + cycle + [(k, i) for i, k in cycle]
+    return pw.make_graph(128, [(p[i], q[k]) for i, k in pairs])
+
+
+def _half_block_cases():
+    graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (7, 8, 9, 10)] + [
+        ("P40xK2", pw.cartesian_product(pw.build_path(40), pw.build_path(2))),
+        ("C32xK2", pw.cartesian_product(pw.build_cycle(32), pw.build_path(2))),
+        ("Q8-relabelled", _q8_relabelled()),  # B is not symmetric: np.linalg.svd
+        ("split-labels", _split_labels()),
+    ]
+    cases = [(f"{name}-{kind}", pw.hamiltonian(g, kind)) for name, g in graphs
+             for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
+    # Q7 with zero values on the edges (0, 2) and (1, 3), which are the
+    # entries (0, 1) and (1, 0) of its half block: that block is still
+    # symmetric, and its zeros are no edges of it
+    q7 = pw.build_hypercube(7)
+    values = q7.w.copy()
+    values[[1, 7]] = 0.0
+    cases.append(("Q7-zero-values", pw.Hamiltonian(pw.ADJACENCY, q7, np.zeros(q7.n), values)))
+    return cases
+
+
+HALF_BLOCK_CASES = _half_block_cases()
+NO_HALF_BLOCK_ROUTE = {"P40xK2-laplacian", "Q8-relabelled-adjacency", "Q8-relabelled-laplacian"}
+
+
+def _dense_half_block_edges(b, *_):
+    """The half block's symmetry and edges from b itself, by _asymmetry and
+    the nonzero mask: the O(n^2) passes per level the edge arrays replace."""
+    return spectral._dense_edges(b) if spectral._asymmetry(b) == 0 else None
+
+
+def _bytes(dec):
+    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.vectors.tobytes(), dec.scale,
+            dec.multiplicities, dec.warnings)
+
+
+@pytest.mark.parametrize("name,ham", HALF_BLOCK_CASES, ids=[c[0] for c in HALF_BLOCK_CASES])
+def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
+    """At every level of the route, the half block's symmetry and edges, and
+    so its parts, are what the dense passes over it give, and the
+    decomposition, from either entry, is bit-identical to theirs."""
+    seen = []
+    real = spectral._half_block_edges
+
+    def check(b, *rest):
+        got, want = real(b, *rest), _dense_half_block_edges(b)
+        assert (got is None) == (want is None)
+        for a, w in zip(got or (), want or ()):
+            assert a.dtype == w.dtype and np.array_equal(a, w)
+        seen.append(got is not None)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_half_block_edges", check)
+        got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_half_block_edges", _dense_half_block_edges)
+        want = _bytes(pw.decompose(ham))
+    assert got == [want, want]
+    assert any(seen) == (name not in NO_HALF_BLOCK_ROUTE)
+
+
 def test_symmetric_half_block_needs_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
-    q8 = pw.build_hypercube(8)
-    p = np.random.default_rng(8).permutation(q8.n)
-    relabelled = pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])
+    q8, relabelled = pw.build_hypercube(8), _q8_relabelled()
     cases = {name: mat for name, mat, _ in CASES}
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", refuse)
@@ -233,10 +313,10 @@ def test_symmetric_half_block_needs_no_svd(monkeypatch):
             with pytest.raises(AssertionError, match="svd called"):
                 pw.decompose(pw.hamiltonian(relabelled, kind))
         for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "signed-symmetric-block"):
-            spectral._bipartite_eigh(cases[name], *_forced_parts(cases[name]))
+            spectral._bipartite_eigh(cases[name], *_forced_parts(cases[name]), *_edges(cases[name]))
         mat = cases["asymmetric-block"]
         with pytest.raises(AssertionError, match="svd called"):
-            spectral._bipartite_eigh(mat, *_forced_parts(mat))
+            spectral._bipartite_eigh(mat, *_forced_parts(mat), *_edges(mat))
 
 
 @pytest.mark.parametrize("mat", [
@@ -302,7 +382,7 @@ def test_route_parts_from_either_entry(monkeypatch, name, g, p, kind):
     graph is regular."""
     ham = pw.hamiltonian(g, kind)
     got = spectral._route_parts(g.n, ham.diagonal, g.src, g.dst)
-    dense = spectral._dense_route_parts(ham.matrix)
+    dense = spectral._route_parts(g.n, ham.matrix.diagonal(), *spectral._dense_edges(ham.matrix))
     if p is None or not (kind == pw.ADJACENCY or g.is_regular()):
         assert got is None and dense is None
         assert _route_calls(monkeypatch, ham) == 0

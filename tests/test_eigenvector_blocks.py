@@ -328,6 +328,7 @@ def test_fidelity_grid_in_blocks(monkeypatch):
     dec = pw.decompose(mat)
     x, y = np.eye(8)[0] + np.eye(8)[4], np.eye(8)[2] + np.eye(8)[6]
     monkeypatch.setattr("pstwalk.spectral.SCAN_BLOCK", 2 * dec.k + 1)
-    scan = pw.fidelity_scan(dec, x, y, 5.0, 101)
-    want = _dense_scan_values(dec, dense_projectors(mat, dec), x, y, scan.times)
-    assert np.max(np.abs(scan.values - want)) <= TOL
+    times = np.linspace(0.0, 5.0, 101)
+    got = pw.fidelity(dec, times, x, y)
+    want = _dense_scan_values(dec, dense_projectors(mat, dec), x, y, times)
+    assert np.max(np.abs(got - want)) <= TOL

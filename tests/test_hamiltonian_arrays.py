@@ -75,7 +75,8 @@ def test_route_reached_from_both_entries():
     want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}
     assert on_route == want | {"Q6-laplacian", "Q7-laplacian", "C64xK2-laplacian"}  # the regular ones
     for name, ham in HAMILTONIANS:
-        dense = spectral._dense_route_parts(np.array(ham.matrix))
+        raw = np.array(ham.matrix)
+        dense = spectral._route_parts(ham.n, raw.diagonal(), *spectral._dense_edges(raw))
         assert (dense is not None) == (name in on_route)
 
 

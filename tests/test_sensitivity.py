@@ -70,6 +70,17 @@ def test_bound_and_odd_vanishing(rng):
         assert report.odd_max_abs <= 1e-4
 
 
+@pytest.mark.parametrize("k_max", [1, 3, 7])
+def test_odd_max_abs_is_the_oracle_calls_bit_for_bit(rng, k_max):
+    # one sampling serves both odd orders: it reads exactly what a separate
+    # finite_difference_oracle call per order reads (k = 1 only below k_max 3)
+    for dec, x, y, tau in _collect_pairs(rng, 12):
+        report = pw.fidelity_derivatives(dec, x, y, tau, k_max=k_max)
+        orders = (1,) if k_max < 3 else (1, 3)
+        want = max(abs(pw.finite_difference_oracle(dec, x, y, tau, k, 1e-3)) for k in orders)
+        assert report.odd_max_abs == want
+
+
 def test_moment_symmetry_on_pairs(rng):
     for dec, x, y, tau in _collect_pairs(rng, 6):
         assert np.max(np.abs(dec.moments(x, 8) - dec.moments(y, 8))) <= 1e-8

@@ -21,6 +21,7 @@ from pstwalk.errors import NumericFailureError
 from test_metamorphic import cases
 
 TIMES = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12)
+EPS = np.finfo(float).eps
 
 
 def _reference_fidelity(dec, t, x, y):
@@ -60,13 +61,47 @@ def test_fidelity_of_an_array_equals_the_scalar_calls(case, times):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _check_scan(dec, x, y, t_max, steps):
+    """The scan's grid, formed from a factorised phase table, against the
+    fidelity at its times: to 16 eps (1 + |t_max| max|lambda|), the rounding
+    of phases t lambda formed in two factors, and to 1e-12 against the evolve
+    path while that rounding stays below it (|t_max| <= 20). The refined peak
+    is the scalar fidelity at its time whenever it beats the grid."""
+    scan = pw.fidelity_scan(dec, x, y, t_max, steps)
+    assert np.array_equal(scan.times, np.linspace(0.0, t_max, steps))
+    bound = 16 * EPS * (1.0 + abs(t_max) * np.abs(dec.eigenvalues).max())
+    assert np.max(np.abs(scan.values - pw.fidelity(dec, scan.times, x, y))) <= bound
+    if abs(t_max) <= 20.0:
+        ref = [_reference_fidelity(dec, t, x, y) for t in scan.times]
+        assert np.max(np.abs(scan.values - ref)) <= 1e-12
+    best = int(np.argmax(scan.values))
+    if (scan.peak_time, scan.peak_value) != (scan.times[best], scan.values[best]):
+        assert scan.peak_value == pw.fidelity(dec, scan.peak_time, x, y)
+        assert scan.peak_value >= scan.values[best]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases(), st.floats(0.5, 20.0), st.integers(2, 300))
 def test_scan_values_are_the_fidelity_of_its_times(case, t_max, steps):
     g, kind, x, y, _ = case
+    _check_scan(_dec(g, kind), x, y, t_max, steps)
+
+
+SCAN_GRAPHS = {"P40": pw.build_path(40), "C31": pw.build_cycle(31),
+               "Q6": pw.build_hypercube(6), "K9": pw.build_complete(9)}
+
+
+@pytest.mark.parametrize("name", SCAN_GRAPHS)
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+@pytest.mark.parametrize("t_max", [0.0, 1e-3, -5.0, 1e5])
+def test_scan_grid_at_edge_sizes_and_times(name, kind, t_max):
+    # steps around the square 256 = 16^2 (full last row, one more, one less),
+    # the fewest, a prime and a long grid
+    g = SCAN_GRAPHS[name]
     dec = _dec(g, kind)
-    scan = pw.fidelity_scan(dec, x, y, t_max, steps)
-    assert np.array_equal(scan.values, pw.fidelity(dec, scan.times, x, y))
+    x, y = pair_state(g.n, 0, 1, 1.0), pair_state(g.n, g.n - 2, g.n - 1, 1.0)
+    for steps in (2, 3, 17, 255, 256, 257, 4001):
+        _check_scan(dec, x, y, t_max, steps)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
