@@ -309,6 +309,60 @@ def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarr
     return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), vectors
 
 
+def _mirrored(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray,
+              values: np.ndarray) -> bool:
+    """Whether the exactly symmetric n x n matrix with this diagonal and
+    these values on the edges src < dst, sorted by (src, dst), is mirror
+    symmetric: JMJ = M for the reversal J: i -> n - 1 - i. Exact, in
+    O(m log m) with no pass over a dense matrix: the diagonal is a
+    palindrome, and the keys (n-1-dst) n + (n-1-src) of the reversed edges,
+    sorted, with their values, are the edge keys src n + dst with theirs.
+    An edge whose value is zero is no entry of M and is dropped, so a
+    Hamiltonian and its dense matrix give the same answer."""
+    if (diagonal != diagonal[::-1]).any():
+        return False
+    keep = values != 0
+    src, dst, values = src[keep], dst[keep], values[keep]
+    image = (n - 1 - dst) * n + (n - 1 - src)
+    order = np.argsort(image, kind="stable")
+    return bool(np.array_equal(image[order], src * n + dst) and np.array_equal(values[order], values))
+
+
+def _mirror_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a mirror-symmetric (_mirrored) mat from two eighs of
+    about half its size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+    With h = n // 2, A the leading h x h block and B the top right one,
+    JMJ = M makes BJ symmetric, and [w; Jw] / sqrt(2) for each eigenvector w
+    of A + BJ, [w; -Jw] / sqrt(2) for each of A - BJ, are eigenvectors of M
+    with the same eigenvalues. For odd n the middle row b and entry c join
+    the symmetric block as [[A + BJ, sqrt(2) b], [sqrt(2) b^T, c]], whose
+    eigenvector (w, z) gives [w; sqrt(2) z; Jw] / sqrt(2); the antisymmetric
+    ones are zero in the middle row. Returns the symmetric block's
+    eigenvalues, ascending, then the antisymmetric block's, ascending, with
+    their unit eigenvectors as the columns in the same order."""
+    n = len(mat)
+    h = n // 2
+    s = n - h  # the symmetric block's size: h, or h + 1 with the middle row
+    a, bj = mat[:h, :h], mat[:h, ::-1][:, :h]  # B J: B's columns reversed
+    sym = np.empty((s, s))
+    np.add(a, bj, out=sym[:h, :h])
+    if s > h:
+        sym[h, :h] = sym[:h, h] = math.sqrt(2.0) * mat[:h, h]
+        sym[h, h] = mat[h, h]
+    lam_s, w_s = np.linalg.eigh(sym)
+    lam_a, w_a = np.linalg.eigh(a - bj)
+    r = math.sqrt(0.5)
+    vectors = np.empty((n, n))
+    np.multiply(w_s[:h], r, out=vectors[:h, :s])
+    np.multiply(w_s[:h][::-1], r, out=vectors[s:, :s])
+    np.multiply(w_a, r, out=vectors[:h, s:])
+    np.multiply(w_a[::-1], -r, out=vectors[s:, s:])
+    if s > h:
+        vectors[h, :s] = w_s[h]
+        vectors[h, s:] = 0.0
+    return np.concatenate((lam_s, lam_a)), vectors
+
+
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-linkage clusters of the ascending evals: their boundaries
     (k + 1 indices into evals) and their means, each bit for bit np.mean of
@@ -357,14 +411,23 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     dense matrix. A raw matrix must be symmetric to 1e-12 * max(1, ||M||_inf)
     and, when exactly symmetric, has its nonzeros above the diagonal as edges.
 
-    The sorted spectrum comes from np.linalg.eigh, or from the half-size
-    block B of M = cI + [[0, B], [B^T, 0]] (_bipartite_eigh) when
-    _route_parts finds parts P, Q: from n = BIPARTITE_MIN_N on, the
-    adjacency of a bipartite graph or the Laplacian of a regular one
-    (Q10: 9-12 ms against 115-130 ms for eigh, on one core).
+    The spectrum comes from one of three routes, chosen from the diagonal
+    and the edges:
+    - the bipartite route (_bipartite_eigh), from the half-size block B of
+      M = cI + [[0, B], [B^T, 0]] when _route_parts finds parts P, Q: from
+      n = BIPARTITE_MIN_N on, the adjacency of a bipartite graph or the
+      Laplacian of a regular one (Q10: 9-12 ms against 115-130 ms for eigh,
+      on one core);
+    - else the mirror route (_mirror_eigh), two eighs of about n/2 from
+      n = BIPARTITE_MIN_N on when JMJ = M for the reversal J (_mirrored):
+      path Laplacians, odd cycles, complete graphs and K_{p,p} as their
+      builders label them (C299 Laplacian: 6 ms against 10.4 ms, one core);
+    - else np.linalg.eigh.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all
     smaller: the factorisations agree to rounding, not in their last bits.
+    The mirror route's two ascending spectra are merged by one stable
+    argsort, folded into the gather that groups the columns by cluster.
 
     Raises InvalidStateError for an empty, non-square or asymmetric matrix
     and NumericFailureError for a non-finite or overflowing M.
@@ -374,8 +437,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         with np.errstate(over="ignore"):  # an overflowing row sum is inf, so refused
             scale = float(np.max(np.abs(m.diagonal) + _vertex_sums(g.n, g.src, g.dst, np.abs(m.values))))
         _check_scale(scale)
-        edges = g.src, g.dst
-        parts = _route_parts(g.n, m.diagonal, *edges)
+        diagonal, edges, entries = m.diagonal, (g.src, g.dst), m.values
     else:
         mat = np.asarray(m, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -388,15 +450,24 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         if asymmetry > 1e-12 * max(1.0, scale):
             raise InvalidStateError("matrix must be symmetric")
         _check_scale(scale)
-        edges = _dense_edges(mat) if asymmetry == 0 else None
-        parts = None if edges is None else _route_parts(len(mat), mat.diagonal(), *edges)
+        diagonal, edges = mat.diagonal(), _dense_edges(mat) if asymmetry == 0 else None
+        entries = None if edges is None else mat[edges]
+    n = len(mat)
+    parts = None if edges is None else _route_parts(n, diagonal, *edges)
+    mirror = (parts is None and edges is not None and n >= BIPARTITE_MIN_N
+              and _mirrored(n, diagonal, *edges, entries))
     try:
-        evals, evecs = np.linalg.eigh(mat) if parts is None else _bipartite_eigh(mat, *parts, *edges)
+        if parts is not None:
+            evals, evecs = _bipartite_eigh(mat, *parts, *edges)
+        else:
+            evals, evecs = _mirror_eigh(mat) if mirror else np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
+    if mirror:
+        merge = np.argsort(evals, kind="stable")
+        evals = evals[merge]
 
     threshold = cfg.tol_group * scale
-    n = len(evals)
     bounds, means = _clusters(evals if parts is None else evals[::-1], threshold)
     values = means[::-1].copy()
     offsets = n - bounds[::-1]
@@ -404,8 +475,9 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     if parts is None:
         # eigh's columns regrouped in descending cluster order, each block's
         # columns ascending: block j starts at offsets[j] and takes evals'
-        # columns from bounds[k - 1 - j]
-        vectors = evecs[:, np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)]
+        # columns from bounds[k - 1 - j] (the mirror route's through merge)
+        cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
+        vectors = evecs[:, merge[cols] if mirror else cols]
     else:
         vectors = evecs  # the route wrote them descending
     mults = tuple(counts.tolist())
@@ -442,8 +514,9 @@ def walk(dec: SpectralDecomposition, t, coef=None):
     or without coef the phases exp(i t lambda_j): every time evolution at
     given times forms its phases here (a uniform grid from 0 takes
     _grid_walk). t is a scalar or a 1-D array (the leading axis of the
-    result, SCAN_BLOCK phase factors at a time); NumericFailureError when
-    some t * lambda_j is not finite."""
+    result, SCAN_BLOCK phase factors at a time); for a scalar t, coef may
+    also be (k, m), m sums from one set of phases, shape (m,).
+    NumericFailureError when some t * lambda_j is not finite."""
     times = np.asarray(t, dtype=float)
     lam = dec.eigenvalues
     reach = abs(float(times)) if times.ndim == 0 else float(np.abs(times).max(initial=0.0))
@@ -466,11 +539,14 @@ def _grid_walk(dec: SpectralDecomposition, t_max: float, steps: int, coef) -> np
     (A, k) coarse phases exp(i aB dt lambda) scaled by coef, times the (k, B)
     fine phases exp(i b dt lambda), raveled: (A + B) k exponentials and one
     complex GEMM in place of steps k exponentials. Each phase's rounding error
-    is within a few eps |t_max| max|lambda| of the direct one; the guard is
-    walk's, on |t_max|."""
+    is within a few eps |t_max| max|lambda| of the direct one. The guard is
+    walk's, on the larger of |t_max| and the last time (steps - 1) dt, which
+    can round past t_max, and to inf near the float maximum: every time
+    formed here or by np.linspace(0, t_max, steps) is within it."""
     lam = dec.eigenvalues
-    check_phase(abs(t_max), float(max(lam[0], -lam[-1])))
-    dt = t_max / (steps - 1)
+    last = float(steps - 1)  # Python floats, so that the last time overflows quietly
+    dt = float(t_max) / last
+    check_phase(max(abs(dt * last), abs(t_max)), float(max(lam[0], -lam[-1])))
     cols = math.isqrt(steps - 1) + 1  # B
     # integer multiples of dt, each rounded once, as np.linspace's own times
     coarse = np.exp(1j * np.multiply.outer(np.arange(0, steps, cols) * dt, lam))

@@ -272,9 +272,27 @@ def universal_pst_pair(
 
 
 def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) -> ScanResult:
-    """Uniformly sampled fidelity with a golden-section refinement of the
-    peak, every value the walk of one overlaps(x, y): the grid's from
-    _grid_walk's factorised phase table, the refinement's from scalar walks."""
+    """Uniformly sampled fidelity with its peak refined by a safeguarded
+    Newton iteration, every value the walk of one overlaps(x, y) = c: the
+    grid's from _grid_walk's factorised phase table (whose guard also covers
+    np.linspace's times), the refinement's from scalar walks.
+
+    The refinement finds a stationary point of g(t) = |a(t)|^2, with
+    a(t) = sum_j exp(i t lambda_j) c_j, from the grid's argmax inside the
+    bracket of its two grid neighbours. Each step is one walk of
+    C = [c, i mu c, -mu^2 c], mu = lambda / scale, which gives a, a' / scale
+    and a'' / scale^2 without overflow. It stops once Re(conj(a) a') is
+    within its rounding bound in units of scale,
+    8 eps (1 + |t| scale) (sum|c| |a'| + |a| sum|mu c|), whose middle factor
+    covers the rounding of the phases t lambda_j (at once where the
+    amplitudes are roundoff); once a Newton step is below half an ulp of t;
+    or once the bracket holds no float between its ends. Otherwise the sign
+    of g' moves one end of the bracket to t, and the next t is the Newton
+    step t - g'/g'' where g'' < 0 and it stays inside the bracket, else the
+    bracket's midpoint (measured: at most 5 walks on grids that resolve the
+    walk, |dt| (lambda_max - lambda_min) <= pi). The peak is the scalar
+    fidelity at the final time, or the grid's best value where that is
+    higher."""
     if steps < 2:
         raise InvalidStateError("steps must be at least 2")
     if not math.isfinite(t_max):
@@ -282,40 +300,36 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
     amps = dec.overlaps(x, y)
-    times = np.linspace(0.0, t_max, steps)
     values = normalized_fidelity(_grid_walk(dec, t_max, steps, amps), x, y)
+    times = np.linspace(0.0, t_max, steps)
     best = int(np.argmax(values))
-    a = times[max(best - 1, 0)]
-    b = times[min(best + 1, steps - 1)]
-    # the search compares |amplitudes|, which order as the fidelities do. Its
-    # bracket reaches a few ulps well before the last step, after which its
-    # points repeat (about 17 of 82 on the benchmark's large graphs): each
-    # distinct time is walked once.
-    walked = {}
-
-    def magnitude(t):
-        if t not in walked:
-            walked[t] = abs(walk(dec, t, amps))
-        return walked[t]
-
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = magnitude(c), magnitude(d)
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = magnitude(c)
+    t = float(times[best])
+    lo, hi = sorted((float(times[max(best - 1, 0)]), float(times[min(best + 1, steps - 1)])))
+    scale = dec.scale or 1.0
+    mu = dec.eigenvalues / scale
+    coef = np.column_stack((amps, 1j * mu * amps, -(mu * mu) * amps))
+    total, moment = float(np.abs(amps).sum()), float(np.abs(mu * amps).sum())
+    bound = 8.0 * np.finfo(float).eps
+    for _ in range(64):  # caps the walks; each step shrinks the bracket, so it ends anyway
+        a, d1, d2 = walk(dec, t, coef).tolist()
+        slope = (a.conjugate() * d1).real  # g' / (2 scale)
+        if abs(slope) <= bound * (1.0 + abs(t) * scale) * (total * abs(d1) + abs(a) * moment):
+            break
+        if slope > 0.0:
+            lo = t
         else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = magnitude(d)
-    peak_t = (a + b) / 2.0
-    peak_v = normalized_fidelity(walk(dec, peak_t, amps), x, y)
-    if values[best] > peak_v:
-        peak_t, peak_v = times[best], values[best]
-    return ScanResult(times=times, values=values, peak_time=float(peak_t), peak_value=float(peak_v))
+            hi = t
+        curve = abs(d1) ** 2 + (a.conjugate() * d2).real  # g'' / (2 scale^2)
+        step = t - slope / curve / scale if curve < 0.0 else math.nan
+        if step == t:  # a Newton step below half an ulp of t: converged
+            break
+        t = step if lo < step < hi else lo + (hi - lo) / 2.0
+        if not lo < t < hi:
+            break
+    peak = normalized_fidelity(walk(dec, t, amps), x, y)
+    if values[best] > peak:
+        t, peak = times[best], values[best]
+    return ScanResult(times=times, values=values, peak_time=float(t), peak_value=float(peak))
 
 
 def _degree_sorted_keys(n: int) -> np.ndarray:

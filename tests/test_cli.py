@@ -533,6 +533,9 @@ def test_sensitivity_at_large_scale_runs_clean(tmp_path, capsys):
 @pytest.mark.parametrize("weight,argv,code,message", [
     # t * lambda reaches 1e400
     (1e100, ["scan", "--tmax", "1e300"], 3, "walk phase t*lambda is not finite for |t| up to 1e+300"),
+    # t_max * lambda is finite, but the grid's last time 3 * (t_max / 3) is not
+    (1.0, ["scan", "--tmax", "1.7976931348623157e308", "--steps", "4"], 3,
+     "walk phase t*lambda is not finite for |t| up to inf"),
     # f''(tau) = -2e-400 rounds to -0
     (1e-200, ["sensitivity"], 3, "f''(tau) leaves the float range at matrix scale 1e-200"),
     # pi / tau is not finite
@@ -547,6 +550,17 @@ def test_extreme_finite_scales_exit_cleanly(tmp_path, capsys, weight, argv, code
         got, doc, err = _run(capsys, argv[:1] + files + argv[1:])
     assert (got, doc) == (code, None)
     assert err == f"error: {message}\n"
+
+
+def test_scan_up_to_the_float_maximum_runs_clean(tmp_path, capsys):
+    # the grid's times 0 and t_max are finite, and so is every refinement time
+    g, x, y = _p2(tmp_path, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc, err = _run(capsys, ["scan", g, x, y, "--tmax", "1.7976931348623157e308", "--steps", "2"])
+    assert code == 0 and doc["times"] == [0.0, 1.7976931348623157e308]
+    assert 0.0 <= doc["peak_time"] <= 1.7976931348623157e308
+    assert len(err.splitlines()) == 1
 
 
 def test_graph_above_the_dense_limit_exits_4(tmp_path, capsys):

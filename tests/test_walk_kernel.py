@@ -8,6 +8,7 @@ sample by a full evolution U(t) x, then y^T U(t) x.
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
+from pstwalk import transfer
 from conftest import basis_state, pair_state
 from pstwalk.errors import NumericFailureError
 from test_metamorphic import cases
@@ -102,6 +104,96 @@ def test_scan_grid_at_edge_sizes_and_times(name, kind, t_max):
     x, y = pair_state(g.n, 0, 1, 1.0), pair_state(g.n, g.n - 2, g.n - 1, 1.0)
     for steps in (2, 3, 17, 255, 256, 257, 4001):
         _check_scan(dec, x, y, t_max, steps)
+
+
+def _walks(monkeypatch, *args):
+    """fidelity_scan(*args) and the number of scalar walks it made."""
+    calls = []
+    real = transfer.walk
+
+    def spy(*a):
+        calls.append(a[1])
+        return real(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(transfer, "walk", spy)
+        return pw.fidelity_scan(*args), len(calls)
+
+
+@pytest.mark.parametrize("name", SCAN_GRAPHS)
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_peak_refinement_walks(monkeypatch, name, kind):
+    """The Newton refinement walks at most 5 times, plus the final walk of the
+    peak, on every grid of test_scan_grid_at_edge_sizes_and_times that
+    resolves the walk: |dt| (lambda_max - lambda_min) <= pi. On a coarser grid
+    (t_max = 1e5, or -5 at 2 or 3 steps) the bracket holds many oscillations
+    and bisection must first reach a concave stretch, so only the loop's own
+    bound of 64 walks holds there. The peak lies in the scanned window, for
+    t_max <= 0 too."""
+    g = SCAN_GRAPHS[name]
+    dec = _dec(g, kind)
+    spread = dec.eigenvalues[0] - dec.eigenvalues[-1]
+    x, y = pair_state(g.n, 0, 1, 1.0), pair_state(g.n, g.n - 2, g.n - 1, 1.0)
+    for t_max in (0.0, 1e-3, -5.0, 1e5):
+        for steps in (2, 3, 17, 255, 256, 257, 4001):
+            scan, walks = _walks(monkeypatch, dec, x, y, t_max, steps)
+            assert walks <= (6 if abs(t_max) / (steps - 1) * spread <= math.pi else 65)
+            assert min(0.0, t_max) <= scan.peak_time <= max(0.0, t_max)
+            assert scan.peak_value >= scan.values.max()
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+@pytest.mark.parametrize("t_max", [2.0, 5.0])
+def test_antipodal_peak_to_a_few_ulp(d, kind, t_max):
+    # Q_d transfers a vertex to its antipode at every odd multiple of pi/2;
+    # the golden-section refinement stopped about 5e-9 away
+    dec = _dec(pw.build_hypercube(d), kind)
+    n = 1 << d
+    scan = pw.fidelity_scan(dec, basis_state(n, 0), basis_state(n, n - 1), t_max, 256)
+    want = round(scan.peak_time / (math.pi / 2)) * (math.pi / 2)
+    assert abs(scan.peak_time - want) <= 4 * np.spacing(want)
+    assert scan.peak_value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_roundoff_amplitudes_stop_at_the_first_walk(monkeypatch):
+    # on C102 the overlaps of (26, 27) with (0, 1) cancel to roundoff: one
+    # Newton walk sees a derivative inside its rounding bound, then the peak
+    # takes the final walk
+    dec = _dec(pw.build_cycle(102), pw.ADJACENCY)
+    x, y = pair_state(102, 26, 27, 1.0), pair_state(102, 0, 1, 1.0)
+    assert np.abs(pw.fidelity(dec, np.linspace(0.0, 2.0, 256), x, y)).max() < 1e-28
+    _, walks = _walks(monkeypatch, dec, x, y, 2.0, 256)
+    assert walks == 2
+
+
+P2 = _dec(pw.build_path(2), pw.ADJACENCY)
+DBL_MAX = sys.float_info.max
+
+
+def test_scan_near_the_float_maximum_is_refused_cleanly():
+    # np.linspace(0, t_max, steps) forms (steps - 1) * dt, which rounds to inf
+    # for 162 of these (t_max, steps); each is refused before any time is formed
+    x, y = basis_state(2, 0), basis_state(2, 1)
+    done = refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t_max in (DBL_MAX, -DBL_MAX, 1e308):
+            for steps in range(2, 300):
+                overflows = math.isinf((steps - 1) * (t_max / (steps - 1)))
+                try:
+                    scan = pw.fidelity_scan(P2, x, y, t_max, steps)
+                except NumericFailureError:
+                    assert overflows
+                    refused += 1
+                    continue
+                assert not overflows and np.isfinite(scan.times).all()
+                assert min(0.0, t_max) <= scan.peak_time <= max(0.0, t_max)
+                done += 1
+        # numpy scalars too: the guard forms the last time as a Python float
+        with pytest.raises(NumericFailureError):
+            pw.fidelity_scan(P2, x, y, np.float64(DBL_MAX), np.int64(4))
+    assert (done, refused) == (732, 162)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
