@@ -533,14 +533,14 @@ def test_sensitivity_at_large_scale_runs_clean(tmp_path, capsys):
 @pytest.mark.parametrize("weight,argv,code,message", [
     # t * lambda reaches 1e400
     (1e100, ["scan", "--tmax", "1e300"], 3, "walk phase t*lambda is not finite for |t| up to 1e+300"),
-    # t_max * lambda is finite, but the grid's last time 3 * (t_max / 3) is not
-    (1.0, ["scan", "--tmax", "1.7976931348623157e308", "--steps", "4"], 3,
-     "walk phase t*lambda is not finite for |t| up to inf"),
     # f''(tau) = -2e-400 rounds to -0
     (1e-200, ["sensitivity"], 3, "f''(tau) leaves the float range at matrix scale 1e-200"),
     # pi / tau is not finite
     (None, ["synthesize", "--tau", "1e-320", "--m1", "1", "--m2", "1"], 4,
      "invalid-request: tau 1e-320 is too small: pi/(g*tau) overflows"),
+    # t_max * lambda is finite, but the grid's last time 3 * (t_max / 3) is not
+    (1.0, ["scan", "--tmax", "1.7976931348623157e308", "--steps", "4"], 3,
+     "walk phase t*lambda is not finite for |t| up to inf"),
 ])
 def test_extreme_finite_scales_exit_cleanly(tmp_path, capsys, weight, argv, code, message):
     g, x, y = _p2(tmp_path, weight)
