@@ -76,9 +76,7 @@ from .sensitivity import (
     finite_difference_oracle,
 )
 from .spectral import (
-    DEFAULT_TOLERANCES,
     SpectralDecomposition,
-    ToleranceConfig,
     as_state,
     decompose,
     evolve,
@@ -93,6 +91,7 @@ from .states import (
     support_mask,
 )
 from .synthesis import SynthesisRequest, synthesize
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 from .transfer import (
     ExtremalReport,
     PstVerdict,

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .tolerances import PI_FRACTION_FIT, PI_RANGE, PI_SQUARE_FIT, PI_SURD_FIT
+
 
 def two_adic_valuation(a: int) -> float:
     """Exponent of the largest power of two dividing a; +inf for a = 0."""
@@ -55,24 +57,25 @@ def _render_pi_fraction(a: int, b: int, d: int) -> str:
     return f"{num}/({b}*{root})"
 
 
-def symbolic_pi_multiple(tau: float, rel_tol: float = 1e-9) -> str | None:
-    """Render tau as "a*pi/(b*sqrt(d))" when that fit is exact to rel_tol.
+def symbolic_pi_multiple(tau: float) -> str | None:
+    """Render tau as "a*pi/(b*sqrt(d))" when that fit is exact to the
+    tolerance block's PI_* thresholds.
 
     Returns None when tau does not match such a form (e.g. the underlying
     eigenvalue gap is not a quadratic integer).
     """
     r = tau / math.pi
-    if not 1e-7 < r < 1e5:
-        return None  # every a*pi/(b*sqrt(d)) with a, b, d <= 10**4 is in [1e-6, 1e4] * pi
+    if not PI_RANGE[0] < r < PI_RANGE[1]:
+        return None
     # Rational multiple of pi. Small numerator and denominator caps plus a
     # tight residual keep close approximants of surds (e.g. 1/sqrt(2) and
     # 1000*sqrt(2)) out.
     fr = Fraction(r).limit_denominator(10**4)
-    if 0 < fr.numerator <= 10**4 and abs(r - float(fr)) <= min(rel_tol, 1e-10) * r:
+    if 0 < fr.numerator <= 10**4 and abs(r - float(fr)) <= PI_FRACTION_FIT * r:
         return _render_pi_fraction(fr.numerator, fr.denominator, 1)
     # Quadratic-surd multiple: r**2 rational => r = a*sqrt(u) / (b*sqrt(v)).
     fr2 = Fraction(r * r).limit_denominator(10**8)
-    if fr2 <= 0 or abs(r * r - float(fr2)) > 1e-12 * r * r:
+    if fr2 <= 0 or abs(r * r - float(fr2)) > PI_SQUARE_FIT * r * r:
         return None
     sa, u = squarefree_split(fr2.numerator)
     sb, v = squarefree_split(fr2.denominator)
@@ -85,6 +88,6 @@ def symbolic_pi_multiple(tau: float, rel_tol: float = 1e-9) -> str | None:
     if d == 1 or max(a, b, d) > 10**4:
         return None  # not a clean surd; degrade to numeric-only rendering
     fit = a * math.pi / (b * math.sqrt(d))
-    if abs(fit - tau) > rel_tol * tau:
+    if abs(fit - tau) > PI_SURD_FIT * tau:
         return None
     return _render_pi_fraction(a, b, d)

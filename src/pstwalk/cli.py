@@ -30,9 +30,10 @@ from .families import (
 from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, check_dense, hamiltonian, load_custom
 from .periodicity import NonPeriodic, classify_form, ratio_condition
 from .sensitivity import fidelity_derivatives
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, decompose
+from .spectral import decompose
 from .states import FIXED, support
 from .synthesis import SynthesisRequest, synthesize
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 from .transfer import (
     extremal_min_pst_search,
     fidelity_scan,

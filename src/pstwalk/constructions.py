@@ -10,15 +10,9 @@ import numpy as np
 
 from .errors import InvalidStateError, NotApplicableError, NumericFailureError
 from .graphs import ADJACENCY, LAPLACIAN, Graph, cartesian_product, hamiltonian, is_connected, join
-from .spectral import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    as_state,
-    check_phase,
-    decompose,
-    transition_matrix,
-    walk,
-)
+from .spectral import as_state, check_phase, decompose, transition_matrix, walk
+from .states import coincident
+from .tolerances import DEFAULT_TOLERANCES, JOIN_CHECK, MEAN_ZERO, PHASE_ALIGNMENT, ToleranceConfig
 from .transfer import pst_decide, verify_pst_numeric
 
 
@@ -74,8 +68,7 @@ def product_pst(
     dec_h = decompose(hamiltonian(h, kind), cfg)
 
     ver_g = verify_pst_numeric(dec_g, x1, y1, tau, cfg)
-    same = min(np.linalg.norm(x2 - y2), np.linalg.norm(x2 + y2)) <= 1e-10 * np.linalg.norm(x2)
-    if same:
+    if coincident(x2, y2):
         mode = "pst-periodic"
         ver_h = verify_pst_numeric(dec_h, x2, x2, tau, cfg)  # periodicity of x2 at tau
     else:
@@ -123,7 +116,7 @@ def join_transition_matrix(
     some t * lambda is not finite raises NumericFailureError.
 
     With check=True the result is cross-validated against the generic
-    spectral operator of the join to 1e-8.
+    spectral operator of the join to JOIN_CHECK.
     """
     m, n = g.n, h.n
     if kind == LAPLACIAN:
@@ -162,7 +155,7 @@ def join_transition_matrix(
         dec_join = decompose(hamiltonian(join(g, h), kind), cfg)
         generic = transition_matrix(dec_join, t)
         err = float(np.max(np.abs(u - generic)))
-        if err > 1e-8:
+        if err > JOIN_CHECK:
             raise NumericFailureError(f"join formula disagrees with the spectral operator by {err:.2e}")
     return u
 
@@ -188,20 +181,29 @@ def join_pst(
     exactly when x1 transfers to y1 in the first factor, at the same time.
     Combined mode: both factors must transfer at the common tau and some
     plus-class eigenvalue pair (lam, theta) must satisfy
-    tau*(lam - theta + delta*(|h| - |g|)) = 0 mod 2*pi, with delta = 1 for the
-    Laplacian walk and 0 for the adjacency walk. Both modes are cross-checked
-    numerically on the join.
+    tau*(lam - theta + delta*(|h| - |g|)) = 0 mod 2*pi to PHASE_ALIGNMENT, with
+    delta = 1 for the Laplacian walk and 0 for the adjacency walk. Both modes
+    are cross-checked numerically on the join.
     """
     x1 = as_state(x1, g.n)
     y1 = as_state(y1, g.n)
-    if abs(float(x1.sum())) > 1e-10 * np.linalg.norm(x1):
-        raise NotApplicableError("x1 must be orthogonal to the all-ones vector")
+    combined = x2 is not None
+    if combined:
+        if tau is None:
+            raise InvalidStateError("combined mode needs an explicit tau")
+        if not (is_connected(g) and is_connected(h)):
+            raise NotApplicableError("combined join analysis needs connected factors")
+        x2 = as_state(x2, h.n)
+        y2 = as_state(y2, h.n)
+    for name, x in (("x1", x1), ("x2", x2))[:1 + combined]:
+        if abs(float(x.sum())) > MEAN_ZERO * np.linalg.norm(x):
+            raise NotApplicableError(f"{name} must be orthogonal to the all-ones vector")
     if kind == ADJACENCY and not (g.is_regular() and h.is_regular()):
         raise NotApplicableError("adjacency join analysis needs regular factors")
     dec_g = decompose(hamiltonian(g, kind), cfg)
     dec_join = decompose(hamiltonian(join(g, h), kind), cfg)
 
-    if x2 is None:
+    if not combined:
         verdict_g = pst_decide(dec_g, x1, y1, cfg)
         t = tau if tau is not None else verdict_g.tau_min
         ex = np.concatenate([x1, np.zeros(h.n)])
@@ -221,14 +223,6 @@ def join_pst(
             y=ey,
         )
 
-    if tau is None:
-        raise InvalidStateError("combined mode needs an explicit tau")
-    if not (is_connected(g) and is_connected(h)):
-        raise NotApplicableError("combined join analysis needs connected factors")
-    x2 = as_state(x2, h.n)
-    y2 = as_state(y2, h.n)
-    if abs(float(x2.sum())) > 1e-10 * np.linalg.norm(x2):
-        raise NotApplicableError("x2 must be orthogonal to the all-ones vector")
     dec_h = decompose(hamiltonian(h, kind), cfg)
     verdict_g = pst_decide(dec_g, x1, y1, cfg)
     verdict_h = pst_decide(dec_h, x2, y2, cfg)
@@ -244,7 +238,7 @@ def join_pst(
     if factors_ok:
         for lam in verdict_g.sigma_plus:
             for theta in verdict_h.sigma_plus:
-                if _mod_2pi_distance(tau * (float(lam) - float(theta) + shift)) <= 1e-7:
+                if _mod_2pi_distance(tau * (float(lam) - float(theta) + shift)) <= PHASE_ALIGNMENT:
                     hit = (float(lam), float(theta))
                     break
             if hit:

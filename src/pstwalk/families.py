@@ -29,7 +29,8 @@ from .graphs import (
     check_dense,
     hamiltonian,
 )
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, decompose
+from .spectral import as_state, decompose
+from .tolerances import DEFAULT_TOLERANCES, GROUP_MATCH, SHAPE_UNIT, SHAPE_ZERO, ToleranceConfig
 from .transfer import pst_decide, pst_partners
 
 CATALOG_GUARD = 30  # vertex limit for exhaustive s-pair sweeps
@@ -146,9 +147,9 @@ class FamilyCase:
     required_all: tuple[int, ...] = ()
     required_any: tuple[int, ...] = ()
 
-    def sample(self, rng: np.random.Generator, min_coef: float = 1e-3) -> FamilyPair:
-        """Random valid instance; coefficients are drawn away from zero so
-        required components cannot vanish."""
+    def sample(self, rng: np.random.Generator, min_coef: float) -> FamilyPair:
+        """Random valid instance; coefficients are drawn from [min_coef, 1)
+        in magnitude, away from zero, so required components cannot vanish."""
         chosen = set(self.required_all)
         anys = [g for g in self.required_any if g not in chosen]
         if anys:
@@ -202,7 +203,7 @@ class FamilyCase:
 def _groups_for(values: np.ndarray, vectors: np.ndarray, wanted: list[float]) -> list[EigenGroup] | None:
     groups = []
     for v in wanted:
-        cols = np.nonzero(np.abs(values - v) <= 1e-9)[0]
+        cols = np.nonzero(np.abs(values - v) <= GROUP_MATCH)[0]
         if len(cols) == 0:
             return None
         groups.append(EigenGroup(value=v, vectors=vectors[:, cols]))
@@ -408,15 +409,15 @@ class CatalogEntry:
 
 def _pair_shapes(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of Y of the form +-(e_a + s e_b) with s in {-1, +1}: the two
-    largest magnitudes within 1e-7 of one and every other entry within 1e-8
-    of zero. Returns (columns, s, a, b) with a < b; s is read with the entry
-    at a taken positive."""
+    largest magnitudes within SHAPE_UNIT of one and every other entry within
+    SHAPE_ZERO of zero. Returns (columns, s, a, b) with a < b; s is read with
+    the entry at a taken positive."""
     mag = np.abs(Y)
     order = np.argsort(-mag, axis=0)[:3]
     cols = np.arange(Y.shape[1])
-    ok = np.all(np.abs(mag[order[:2], cols] - 1.0) <= 1e-7, axis=0)
+    ok = np.all(np.abs(mag[order[:2], cols] - 1.0) <= SHAPE_UNIT, axis=0)
     if Y.shape[0] > 2:
-        ok &= mag[order[2], cols] <= 1e-8
+        ok &= mag[order[2], cols] <= SHAPE_ZERO
     cols = cols[ok]
     a, b = np.sort(order[:2, ok], axis=0)
     s = np.where((Y[a, cols] > 0) == (Y[b, cols] > 0), 1, -1)

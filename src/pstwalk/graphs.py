@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import GraphError, InvalidSizeError, InvalidStateError, PatternMismatchError
+from .tolerances import DEFAULT_TOLERANCES, REGULAR_TOL
 
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
@@ -21,7 +23,6 @@ CUSTOM = "custom"
 
 
 DENSE_GUARD = 4096  # vertex limit for a dense n x n matrix
-REGULAR_TOL = 1e-12  # is_regular: every degree within REGULAR_TOL * max(1, |d_0|) of d_0
 
 
 def check_dense(n: int) -> int:
@@ -79,25 +80,29 @@ class Graph:
         return _vertex_sums(self.n, self.src, self.dst, self.w)
 
     def is_regular(self) -> bool:
+        """Whether every degree is within REGULAR_TOL * |d_0| of d_0: relative
+        with no floor, so scaling every weight by c > 0 keeps the answer."""
         d = self.degrees()
-        return self.n == 0 or bool(np.max(np.abs(d - d[0])) <= REGULAR_TOL * max(1.0, abs(d[0])))
+        return self.n == 0 or bool(np.max(np.abs(d - d[0])) <= REGULAR_TOL * abs(d[0]))
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Real symmetric matrix held as its `diagonal` and the `values` on the
-    edges graph.src, graph.dst; the dense `matrix` is built from them, so it
-    is exactly symmetric with off-diagonal support on the edges."""
+    edges graph.src, graph.dst; the dense `matrix` is built from them on
+    first read, so it is exactly symmetric with off-diagonal support on the
+    edges."""
 
     kind: str
     graph: Graph
     diagonal: np.ndarray
     values: np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only, built once."""
         g = self.graph
-        object.__setattr__(self, "matrix", _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values)))
+        return _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values))
 
     @property
     def n(self) -> int:
@@ -244,11 +249,12 @@ def is_connected(g: Graph) -> bool:
     return bool(_distances(g, np.arange(g.n) == 0).min() >= 0)
 
 
-def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
+def covering_radius(g: Graph, x) -> float:
     """Largest graph distance from any vertex to the support of x.
 
-    The support uses the same relative threshold as eigenvalue-support
-    membership. Returns math.inf when some vertex is unreachable.
+    The support uses the relative threshold of eigenvalue-support
+    membership, DEFAULT_TOLERANCES.tol_supp. Returns math.inf when some
+    vertex is unreachable.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -256,7 +262,7 @@ def covering_radius(g: Graph, x, tol_supp: float = 1e-8) -> float:
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         raise InvalidStateError("zero vector has no covering radius")
-    sources = np.abs(x) > tol_supp * nrm
+    sources = np.abs(x) > DEFAULT_TOLERANCES.tol_supp * nrm
     if not sources.any():
         raise InvalidStateError("state has empty support at this tolerance")
     dist = _distances(g, sources)

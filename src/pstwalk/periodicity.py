@@ -11,12 +11,7 @@ import numpy as np
 
 from .arith import reconstruct_fraction, squarefree_split
 from .errors import InvalidStateError, NumericFailureError
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig
-
-# A reconstructed period rho must align every support phase to within this
-# bound on max_j |exp(i rho lam_j) - exp(i rho lam_1)|; it converts plausible
-# continued-fraction fits of irrational ratios into NonPeriodic verdicts.
-PHASE_ALIGNMENT = 1e-7
+from .tolerances import DEFAULT_TOLERANCES, PHASE_ALIGNMENT, ToleranceConfig
 
 # A period's denominator lcm must stay below this bound: ratio_condition reports
 # a support whose running lcm reaches it as NonPeriodic, and RatioTable.period
@@ -111,15 +106,17 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
     """Reconstruct each (lam_1 - lam_j)/(lam_1 - lam_2) as a reduced fraction.
 
     Two-element supports are trivially periodic (empty table). A fraction is
-    accepted when its residual is within int_tol and the implied common
-    period aligns all phases (see PHASE_ALIGNMENT), and the lcm of the
+    accepted when the implied common period aligns all phases,
+    2 pi lcm max_j|residual_j| <= PHASE_ALIGNMENT, and the lcm of the
     denominators must stay below 2**63, the bound RatioTable.period
     enforces. One pass over the support: after each fraction the running
     lcm and the running worst residual are checked, and the first position
-    at which any test fails yields NonPeriodic. The final lcm is a multiple
-    of every running lcm, so a misalignment seen early persists and the
-    decision is that of checking the whole table; offending_index is the
-    first position at which the support is known to be nonperiodic.
+    at which either test fails yields NonPeriodic. The final lcm is a
+    multiple of every running lcm, so a misalignment seen early persists and
+    the decision is that of checking the whole table; offending_index is the
+    first position at which the support is known to be nonperiodic. It reads
+    no int_tol: a residual above PHASE_ALIGNMENT / (2 pi) ~ 1.6e-8 already
+    fails the phase test at that position.
     """
     vals = _validate_support(supp)
     gap = vals[0] - vals[1]
@@ -130,7 +127,7 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
         p, q, err = reconstruct_fraction(ratio, cfg.q_max)
         lcm, worst = math.lcm(lcm, q), max(worst, err)
         # phase misalignment at the running lcm, 2*pi*lcm*worst, never shrinks
-        if err > cfg.int_tol or lcm >= MAX_LCM or 2.0 * math.pi * lcm * worst > PHASE_ALIGNMENT:
+        if lcm >= MAX_LCM or 2.0 * math.pi * lcm * worst > PHASE_ALIGNMENT:
             return NonPeriodic(offending_index=j, ratio=ratio, residual=err)
         ps.append(p)
         qs.append(q)

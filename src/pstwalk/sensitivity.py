@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericFailureError
-from .spectral import DEFAULT_TOLERANCES, ToleranceConfig, as_state, fidelity
-from .states import _check_pair, support
+from .spectral import as_state, fidelity
+from .states import check_pair, support
+from .tolerances import BOUND_SLACK, DEFAULT_TOLERANCES, NEAR_ZERO, STENCIL_STEP, ToleranceConfig
 from .transfer import verify_pst_numeric
 
 
@@ -22,7 +23,7 @@ class SensitivityReport:
     d2: float
     bound_lo: float                 # -(lam_max - lam_min)^2 / 2 over the support
     bound_ok: bool
-    near_zero: bool                 # d2 / scale^2 in (-1e-10, 0): indistinguishable from fixed
+    near_zero: bool                 # d2 / scale^2 in (-NEAR_ZERO, 0): indistinguishable from fixed
     odd_max_abs: float              # largest |odd-order derivative| seen numerically
 
 
@@ -40,7 +41,7 @@ def fidelity_derivatives(
     not transfer at tau; NumericFailureError when d2 or its bound leaves the
     float range.
     """
-    _check_pair(as_state(x, dec.n), as_state(y, dec.n))
+    check_pair(as_state(x, dec.n), as_state(y, dec.n))
     if not verify_pst_numeric(dec, x, y, tau, cfg).passed:
         raise NotApplicableError("the moment formula is valid only at a transfer time")
     kk = max(k_max, 2)
@@ -59,16 +60,15 @@ def fidelity_derivatives(
         raise NumericFailureError(f"f''(tau) leaves the float range at matrix scale {dec.scale:.3g}")
     # numeric corroboration of vanishing odd orders; limited to k <= 3 where
     # the stencil's roundoff still resolves zero. Both orders read one sampling.
-    h = 1e-3
-    samples = fidelity(dec, tau + STENCIL * h, x, y)
-    odd = max(abs(float(_stencil_weights(k, h) @ samples)) for k in range(1, min(kk, 3) + 1, 2))
+    samples = fidelity(dec, tau + STENCIL * STENCIL_STEP, x, y)
+    odd = max(abs(float(_stencil_weights(k, STENCIL_STEP) @ samples)) for k in range(1, min(kk, 3) + 1, 2))
     return SensitivityReport(
         tau=tau,
         derivatives=derivs,
         d2=d2,
         bound_lo=bound_lo,
-        bound_ok=bound_unit - 1e-6 <= unit[2] < 0.0,
-        near_zero=-1e-10 < unit[2] < 0.0,
+        bound_ok=bound_unit - BOUND_SLACK <= unit[2] < 0.0,
+        near_zero=-NEAR_ZERO < unit[2] < 0.0,
         odd_max_abs=odd,
     )
 

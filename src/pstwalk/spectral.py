@@ -9,46 +9,13 @@ cluster, and is never stored: a decomposition holds O(n^2) numbers."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
 from .graphs import Hamiltonian, _vertex_sums
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used throughout the package.
-
-    tol_group scales by ||M||_inf at the point of use; the remaining fields
-    are used as stored.
-
-    int_tol bounds a ratio's continued-fraction residual in
-    periodicity.ratio_condition, but at the defaults it never decides
-    there: the phase test refuses any residual above
-    PHASE_ALIGNMENT / (2 pi) ~ 1.6e-8 (at lcm 1, and more as the lcm grows),
-    so an int_tol above that cannot change a periodicity or transfer
-    decision. It still sets the integrality tests of classify_form.
-    """
-
-    tol_group: float = 1e-8   # eigenvalue clustering
-    tol_supp: float = 1e-8    # support membership, relative to ||x||
-    tol_phase: float = 1e-8   # phase-match residual for transfer checks
-    q_max: int = 10_000       # denominator cap for rational reconstruction
-    int_tol: float = 1e-6     # integrality detection
-
-    def __post_init__(self):
-        for name in ("tol_group", "tol_supp", "tol_phase", "int_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.tol_supp >= 1:  # ||E_j x|| <= ||x||: every support would be empty
-            raise ValueError("tol_supp must be below 1")
-        if self.q_max < 1:
-            raise ValueError("q_max must be at least 1")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
 @dataclass(eq=False)
@@ -61,8 +28,12 @@ class SpectralDecomposition:
     offsets: np.ndarray              # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                     # ||M||_inf of the decomposed matrix
-    ambiguous: bool = False          # some cluster gap was < 2x the threshold
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()   # one per cluster gap below GAP_WARNING x the threshold
+
+    @property
+    def ambiguous(self) -> bool:
+        """Whether some cluster gap was below GAP_WARNING times the clustering threshold."""
+        return bool(self.warnings)
 
     @property
     def n(self) -> int:
@@ -124,7 +95,6 @@ class SpectralDecomposition:
         return vec / nrm
 
 
-STATE_PEAK = (1e-75, 1e75)  # range of a state's largest |entry|
 SCAN_BLOCK = 1 << 18          # phase factors walk forms at once for an array of times
 
 
@@ -408,7 +378,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     m is a Hamiltonian or a raw matrix. A Hamiltonian is exactly symmetric
     by construction: ||M||_inf = max_i (|d_i| + sum of |v| at i) and the
     route come from its diagonal and edge arrays, with no pass over the
-    dense matrix. A raw matrix must be symmetric to 1e-12 * max(1, ||M||_inf)
+    dense matrix. A raw matrix must be symmetric to SYMMETRY_TOL * ||M||_inf,
+    relative with no floor, so that scaling M by c > 0 keeps the verdict,
     and, when exactly symmetric, has its nonzeros above the diagonal as edges.
 
     The spectrum comes from one of three routes, chosen from the diagonal
@@ -447,7 +418,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         with np.errstate(over="ignore"):  # a non-finite entry or row sum leaves scale nan or inf
             scale = float(np.linalg.norm(mat, np.inf))
             asymmetry = _asymmetry(mat) if math.isfinite(scale) else 0.0  # inf if it overflows
-        if asymmetry > 1e-12 * max(1.0, scale):
+        if asymmetry > SYMMETRY_TOL * scale:
             raise InvalidStateError("matrix must be symmetric")
         _check_scale(scale)
         diagonal, edges = mat.diagonal(), _dense_edges(mat) if asymmetry == 0 else None
@@ -486,7 +457,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     warnings = tuple(
         f"cluster gap {gaps[j]:.3e} between eigenvalues {values[j]:.6g} "
         f"and {values[j + 1]:.6g} is below twice the clustering threshold"
-        for j in np.flatnonzero(gaps < 2.0 * threshold)
+        for j in np.flatnonzero(gaps < GAP_WARNING * threshold)
     )
     for arr in (values, vectors, offsets):
         arr.setflags(write=False)
@@ -496,7 +467,6 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         offsets=offsets,
         multiplicities=mults,
         scale=scale,
-        ambiguous=bool(warnings),
         warnings=warnings,
     )
 
@@ -556,10 +526,11 @@ def _grid_walk(dec: SpectralDecomposition, t_max: float, steps: int, coef) -> np
 
 def normalized_fidelity(amp, x, y):
     """|amp|^2 / (||x||^2 ||y||^2) for amplitudes y^T U x (scalar or array).
-    Roundoff above 1 is clamped to 1 up to 1 + 1e-9; a larger value is shown,
-    so an inconsistent evolution does not read as a perfect transfer."""
+    Roundoff above 1 is clamped to 1 up to 1 + FIDELITY_CLAMP; a larger value
+    is shown, so an inconsistent evolution does not read as a perfect
+    transfer."""
     val = np.abs(amp) ** 2 / (np.dot(x, x) * np.dot(y, y))
-    val = np.where(val <= 1.0 + 1e-9, np.minimum(val, 1.0), val)
+    val = np.where(val <= 1.0 + FIDELITY_CLAMP, np.minimum(val, 1.0), val)
     return float(val) if val.ndim == 0 else val
 
 

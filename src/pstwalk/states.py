@@ -14,13 +14,8 @@ from .errors import (
     InvalidStateError,
     NotCospectralError,
 )
-from .spectral import (
-    DEFAULT_TOLERANCES,
-    SpectralDecomposition,
-    ToleranceConfig,
-    as_state,
-    check_magnitudes,
-)
+from .spectral import SpectralDecomposition, as_state, check_magnitudes
+from .tolerances import AMBIGUITY_BAND, DEFAULT_TOLERANCES, PAIR_TOL, ToleranceConfig
 
 FIXED = "fixed"
 SIZE2 = "size2"
@@ -78,11 +73,20 @@ def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERA
     )
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
+def coincident(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y = +-x under the pair rule: min(||x - y||, ||x + y||) is
+    within PAIR_TOL * ||x||. Coincident states have equal norms to that
+    bound, so they pass check_pair's norm test."""
+    return bool(min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= PAIR_TOL * np.linalg.norm(x))
+
+
+def check_pair(x: np.ndarray, y: np.ndarray) -> None:
+    """The pair rule: InvalidPairError unless ||x|| and ||y|| agree to
+    PAIR_TOL * max(||x||, ||y||) and y is not coincident with +-x."""
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if abs(nx - ny) > 1e-10 * max(nx, ny):
+    if abs(nx - ny) > PAIR_TOL * max(nx, ny):
         raise InvalidPairError("states must have equal norms")
-    if min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= 1e-10 * nx:
+    if coincident(x, y):
         raise InvalidPairError("y must differ from both x and -x")
 
 
@@ -96,14 +100,14 @@ def check_strong_cospectrality(
     columns). Raises, in this order: FixedStateError for a single-eigenvalue
     support of x, InvalidPairError, NotCospectralError where a winner exceeds
     tol_supp*||x|| or y leaves the support, and AmbiguousCospectralityError
-    where a loser is also below ten times that tolerance.
+    where a loser is also below AMBIGUITY_BAND times that tolerance.
     """
     x = as_state(x, dec.n)
     y = as_state(y, dec.n)
     prof = support(dec, x, cfg)
     if prof.kind == FIXED:
         raise FixedStateError("a fixed state cannot be strongly cospectral")
-    _check_pair(x, y)
+    check_pair(x, y)
     tol = cfg.tol_supp * float(np.linalg.norm(x))
 
     # residuals for the + and - classifications, and the weights of y
@@ -115,7 +119,7 @@ def check_strong_cospectrality(
         win, lose = sorted((float(d_plus[j]), float(d_minus[j])))
         if win > tol:
             raise NotCospectralError(float(dec.eigenvalues[j]))
-        if lose < 10.0 * tol and ambiguous is None:
+        if lose < AMBIGUITY_BAND * tol and ambiguous is None:
             ambiguous = float(dec.eigenvalues[j])
         worst = max(worst, win)
         (plus if d_plus[j] <= d_minus[j] else minus).append(pos)

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPairError, SynthesisError
+from .errors import SynthesisError
 from .graphs import check_dense
 from .spectral import as_state
-
-_DEP_TOL = 1e-8  # near-dependence threshold for basis completion
+from .states import check_pair, coincident
+from .tolerances import DEP_TOL
 
 
 @dataclass(eq=False)
@@ -37,7 +37,7 @@ def _complete_basis(seed: list[np.ndarray], n: int) -> np.ndarray:
             for b in basis:
                 cand = cand - (b @ cand) * b
         nrm = np.linalg.norm(cand)
-        if nrm > _DEP_TOL:
+        if nrm > DEP_TOL:
             basis.append(cand / nrm)
     if len(basis) != n:
         raise SynthesisError("basis completion failed")
@@ -66,13 +66,11 @@ def synthesize(req: SynthesisRequest) -> np.ndarray:
         raise SynthesisError(f"invalid-request: need m1, m2 >= 1 and m1+m2 <= n, got ({m1}, {m2}, {n})")
     if not 0 < tau < math.inf:
         raise SynthesisError("invalid-request: tau must be positive and finite")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if abs(nx - ny) > 1e-10 * max(nx, ny):
-        raise InvalidPairError("states must have equal norms")
-    plus, minus = x + y, x - y
-    if min(np.linalg.norm(plus), np.linalg.norm(minus)) < 1e-10 * nx:
+    if coincident(x, y):  # before check_pair, which would refuse it as InvalidPairError
         raise SynthesisError("degenerate-pair: y coincides with x or -x")
+    check_pair(x, y)
 
+    plus, minus = x + y, x - y
     v1 = plus / np.linalg.norm(plus)
     v2 = minus / np.linalg.norm(minus)
     vmat = _complete_basis([v1, v2], n)

@@ -30,9 +30,7 @@ from .graphs import (
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import (
-    DEFAULT_TOLERANCES,
     SpectralDecomposition,
-    ToleranceConfig,
     _grid_walk,
     as_state,
     decompose,
@@ -41,6 +39,7 @@ from .spectral import (
     walk,
 )
 from .states import check_strong_cospectrality, support_mask
+from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
 SPREAD_CHUNK = 1024    # edge masks per relabelling pass, and keys per stacked eigvalsh, of the spread oracle
 
@@ -363,7 +362,7 @@ def _mask_spreads(n: int, kind: str) -> np.ndarray:
     is disconnected. One eigvalsh per distinct degree-sorted key, in stacks
     of SPREAD_CHUNK keys, scattered back to every mask with that key. A
     graph counts as connected iff its second-smallest Laplacian eigenvalue
-    exceeds 1e-9 (Fiedler); for n <= 6 that eigenvalue is at least
+    exceeds FIEDLER_CUT (Fiedler); for n <= 6 that eigenvalue is at least
     2 - 2cos(pi/6) ~ 0.268 on connected graphs, far from the cut."""
     iu = np.triu_indices(n, 1)
     keys, inverse = np.unique(_degree_sorted_keys(n), return_inverse=True)
@@ -374,7 +373,7 @@ def _mask_spreads(n: int, kind: str) -> np.ndarray:
         a[:, iu[0], iu[1]] = (chunk[:, None] >> np.arange(len(iu[0]))) & 1
         a += a.transpose(0, 2, 1)
         w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
-        connected = w[:, 1] > 1e-9
+        connected = w[:, 1] > FIEDLER_CUT
         if kind == ADJACENCY:
             w = np.linalg.eigvalsh(a)
         spreads[start:start + len(chunk)] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
@@ -392,14 +391,14 @@ def _spread_oracle(n: int, kind: str) -> dict:
     eigvalsh per degree-sorted relabelling (936 at n = 6) rather than one
     per edge mask; every count is still over labelled graphs. Returns n,
     connected_graphs, max_spread (the spread of the first connected graph
-    within 1e-9 of the maximum, recomputed from that one matrix) and
-    attained_count (connected graphs whose spread exceeds max_spread - 1e-9).
+    within SPREAD_TIE of the maximum, recomputed from that one matrix) and
+    attained_count (connected graphs whose spread exceeds max_spread - SPREAD_TIE).
     """
     if not 2 <= n <= 6:
         raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
     spreads = _mask_spreads(n, kind)
     iu = np.triu_indices(n, 1)
-    first = int(np.argmax(spreads >= spreads.max() - 1e-9))
+    first = int(np.argmax(spreads >= spreads.max() - SPREAD_TIE))
     g = make_graph(n, np.transpose(iu)[(first >> np.arange(len(iu[0]))) & 1 == 1])
     w = np.linalg.eigvalsh(hamiltonian(g, kind).matrix)
     best = float(w[-1] - w[0])
@@ -407,7 +406,7 @@ def _spread_oracle(n: int, kind: str) -> dict:
         "n": n,
         "connected_graphs": int(np.count_nonzero(spreads > -np.inf)),
         "max_spread": best,
-        "attained_count": int(np.count_nonzero(spreads > best - 1e-9)),
+        "attained_count": int(np.count_nonzero(spreads > best - SPREAD_TIE)),
     }
 
 
@@ -456,7 +455,7 @@ def extremal_min_pst_search(
         x, y = u + v, u - v
         tau = math.pi / disc
         optimality = "asymptotic: maximal adjacency spread by this split graph is guaranteed only for sufficiently large n; unverified at this n"
-    if kind == ADJACENCY and oracle and abs(oracle["max_spread"] - disc) <= 1e-9:
+    if kind == ADJACENCY and oracle and abs(oracle["max_spread"] - disc) <= SPREAD_TIE:
         optimality = "verified at this n: no connected graph on n vertices has a larger adjacency spread than this split graph (exhaustive check); in general its maximality is guaranteed only for sufficiently large n"
     dec = decompose(hamiltonian(g, kind), cfg)
     verdict = pst_decide(dec, x, y, cfg)

@@ -65,6 +65,14 @@ def test_both_entries_decompose_alike(name, ham):
     assert pw.decompose(ham).scale == np.linalg.norm(raw, np.inf)
 
 
+def test_matrix_is_built_once_on_first_read():
+    ham = pw.hamiltonian(pw.build_cycle(5), pw.LAPLACIAN)
+    assert "matrix" not in vars(ham)
+    m = ham.matrix
+    assert ham.matrix is m and not m.flags.writeable
+    assert m.tobytes() == pw.build_cycle(5).laplacian().tobytes()
+
+
 def test_route_reached_from_both_entries():
     # from n = 64 (Q6) on, the bipartite adjacencies, the regular Laplacians
     # and the custom matrices with a constant diagonal take the route,

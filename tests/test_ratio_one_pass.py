@@ -1,8 +1,10 @@
 """The one-pass ratio condition against the three-pass reference: the same
 periodic/nonperiodic decision on every support, and the same RatioTable,
-field by field, on every periodic one."""
+field by field, on every periodic one. ratio_condition reads no int_tol, so
+its result does not move with it; classify_form still does."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +14,18 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from oracles import three_pass_ratio_condition
-from pstwalk.periodicity import PHASE_ALIGNMENT, RatioTable
+from pstwalk.periodicity import INTEGER, PHASE_ALIGNMENT, RatioTable
 
 INT_TOL = pw.DEFAULT_TOLERANCES.int_tol
+INT_TOLS = (1e-12, 1e-6, 1e-3)   # far below the phase test's residual bound, the default, far above
 PRIMES = (9973, 9967, 9949, 9941, 9931)   # their product passes 2**63 at the fifth
 MARGINS = (-3.0, -1.0, -0.01, 0.01, 1.0, 3.0)   # log10 of the distance to a threshold
 
 
-def _assert_same(sup):
-    got, want = pw.ratio_condition(sup), three_pass_ratio_condition(sup)
+def _assert_same(sup, cfg=pw.DEFAULT_TOLERANCES):
+    """ratio_condition(sup, cfg) against the three-pass reference at the
+    default tolerances; cfg may differ from them in int_tol alone."""
+    got, want = pw.ratio_condition(sup, cfg), three_pass_ratio_condition(sup)
     assert isinstance(got, RatioTable) == isinstance(want, RatioTable), (sup, got, want)
     if isinstance(want, RatioTable):
         assert got == want
@@ -90,15 +95,17 @@ def prime_supports(draw):
 @given(st.one_of(rational_supports(perturb=False), rational_supports(perturb=True),
                  surd_supports(), prime_supports()))
 def test_one_pass_matches_three_pass(sup):
-    _assert_same(sup)
+    got = _assert_same(sup)
+    for int_tol in INT_TOLS:  # the same table, or NonPeriodic at the same position
+        assert _assert_same(sup, replace(pw.DEFAULT_TOLERANCES, int_tol=int_tol)) == got
 
 
 @pytest.mark.parametrize("position", [0, -1])
 def test_margin_supports_land_on_both_sides(position):
     # ratios 3/2, 7/3, 11/4 (lcm 12), on the first or the last ratio: ten
     # times under the phase threshold stays periodic and ten times over it
-    # is refused; around int_tol (far above the phase threshold) both sides
-    # are refused, the side under it by the phase test
+    # is refused; around the default int_tol (far above the phase threshold)
+    # both sides are refused, by the phase test
     fracs = [Fraction(3, 2), Fraction(7, 3), Fraction(11, 4)]
     phase_unit = PHASE_ALIGNMENT / (2.0 * math.pi * 12)
     for unit, k, periodic in ((phase_unit, -1.0, True), (phase_unit, 1.0, False),
@@ -109,3 +116,16 @@ def test_margin_supports_land_on_both_sides(position):
         assert isinstance(got, RatioTable) is periodic
         if not periodic:
             assert got.residual == pytest.approx(unit * 10.0 ** k, rel=1e-6)
+
+
+def test_int_tol_still_sets_the_spectral_form():
+    # the support 2, 1, 0 shifted by 1e-7: its table is the same at every
+    # int_tol, but lambda1 is an integer to 1e-6 and not to 1e-8
+    sup = np.array([2.0, 1.0, 0.0]) + 1e-7
+    table = pw.ratio_condition(sup)
+    assert isinstance(table, RatioTable) and table.lcm == 1
+    for int_tol in INT_TOLS:
+        assert pw.ratio_condition(sup, replace(pw.DEFAULT_TOLERANCES, int_tol=int_tol)) == table
+    form = pw.classify_form(table)
+    assert form.variant == INTEGER and form.b == (4, 2, 0)
+    assert pw.classify_form(table, replace(pw.DEFAULT_TOLERANCES, int_tol=1e-8)) is None

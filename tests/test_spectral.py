@@ -171,6 +171,7 @@ def test_cluster_ambiguity_flag():
     dec = pw.decompose(m)
     assert dec.ambiguous
     assert dec.warnings
+    assert not pw.decompose(np.diag([0.0, 1.0])).ambiguous
 
 
 def test_decompose_refuses_a_norm_whose_eigenvalue_differences_overflow():
