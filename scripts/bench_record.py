@@ -13,11 +13,14 @@ machine speed does not favour one side. The last stdout line of each run is
 its result and the line before it its report.
 
 BENCH_<L>.json holds, per workload and end-to-end metric, the parent's and
-the change's median and interquartile range over the seeds and the ratio of
-the medians; per run, attempted, failed, correct and the verdict digest;
-the seeds and seconds; the parent commit, the working tree's HEAD, whether
-the tree differs from it and a digest of its src/ files; and the machine
-block (nproc, python, numpy, scipy, BLAS) of the first report.
+the change's median and interquartile range over the seeds, the ratio of
+the medians, and the pairs (one per seed) with the change's wins among
+them: a win is a pair where the change is better in the metric's
+`better` direction in BENCHMARK.json, and a tie counts for neither side;
+per run, attempted, failed, correct and the verdict digest; the seeds and
+seconds; the parent commit, the working tree's HEAD, whether the tree
+differs from it and a digest of its src/ files; and the machine block
+(nproc, python, numpy, scipy, BLAS) of the first report.
 """
 
 import argparse
@@ -56,6 +59,20 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def directions() -> dict:
+    """metric name -> "higher" or "lower", from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def wins(parent: list[float], change: list[float], better: str | None) -> dict:
+    """The pairs, and those the change wins in the better direction (None
+    without one); a tie counts for neither side."""
+    sign = {"higher": 1, "lower": -1}.get(better)
+    won = None if sign is None else sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return {"wins": won, "pairs": len(parent)}
+
+
 def summary(values: list[float]) -> dict:
     # quantiles needs two points; one run repeated gives its own value thrice
     q1, median, q3 = statistics.quantiles(values * 2 if len(values) == 1 else values,
@@ -73,6 +90,7 @@ def main():
     args = ap.parse_args()
 
     parent = git("rev-parse", "--verify", args.parent + "^{commit}")
+    better = directions()
     runs = {w: {"parent": [], "change": []} for w in args.workloads}
     machine = None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -106,7 +124,8 @@ def main():
             p = summary([r["metrics"][name] for r in sides["parent"]])
             c = summary([r["metrics"][name] for r in sides["change"]])
             metrics[name] = {"parent": p, "change": c,
-                             "ratio": c["median"] / p["median"] if p["median"] else None}
+                             "ratio": c["median"] / p["median"] if p["median"] else None,
+                             **wins(p["values"], c["values"], better.get(name))}
         digests_match = all(a["sha256_16"] == b["sha256_16"]
                             for a, b in zip(sides["parent"], sides["change"]))
         workloads[workload] = {"metrics": metrics, "digests_match": digests_match, "runs": sides}

@@ -200,47 +200,70 @@ def _dense_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src[upper], dst[upper]
 
 
-def _half_block_edges(b: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarray,
-                      dst: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The edges of the square half block b = M[P, Q] in _dense_edges' form,
-    or None unless b is exactly symmetric, read from M's edges (src, dst),
-    which each join P to Q, in O(m) with no pass over b: the edge
-    (p_i, q_k) is the entry (i, k) of b, and b is zero off these entries,
-    so b is symmetric iff b[i, k] == b[k, i] on each of them, and its
-    nonzeros above the diagonal are those with i < k. The same edges, in
-    the same order, as _dense_edges(b)."""
-    h = len(p)
-    in_q = np.zeros(2 * h, dtype=bool)
+def _block_entries(n: int, p: np.ndarray, q: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for each edge (src, dst) of the n x n M, which each join P to
+    Q: the edge (p_i, q_k) is the entry (i, k) of B = M[P, Q]."""
+    in_q = np.zeros(n, dtype=bool)
     in_q[q] = True
-    rank = np.empty(2 * h, dtype=np.intp)
-    rank[p] = rank[q] = np.arange(h)
+    rank = np.empty(n, dtype=np.intp)
+    rank[p] = np.arange(len(p))
+    rank[q] = np.arange(len(q))
     flip = in_q[src]
-    i, k = rank[np.where(flip, dst, src)], rank[np.where(flip, src, dst)]
-    values = b[i, k]
-    if (values != b[k, i]).any():
+    return rank[np.where(flip, dst, src)], rank[np.where(flip, src, dst)]
+
+
+def _dense_block(shape: tuple[int, int], i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """The route's one dense builder: B = M[P, Q] of the given shape, with the
+    entries at (i, k) (_block_entries) and zero elsewhere, float for float
+    the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0),
+    made only where eigh or svd reads it."""
+    b = np.zeros(shape)
+    b[i, k] = entries
+    return b
+
+
+def _half_block_edges(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The square h x h half block b = M[P, Q], whose entries (i, k) are
+    M's edges (_block_entries), in decompose's edge form: its diagonal, its
+    edges i < k with a nonzero entry, sorted by (i, k), and those entries;
+    None unless b is exactly symmetric. In O(m log m) with no dense b: b is
+    zero off the entries, so it is symmetric iff each entry equals the one
+    at (k, i), or 0 where (k, i) is no entry. The same edges, in the same
+    order, as _dense_edges(b)."""
+    key = i * h + k
+    order = np.argsort(key)
+    key, i, k, entries = key[order], i[order], k[order], entries[order]
+    mirror = k * h + i
+    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+    if (entries != np.where(key[at] == mirror, entries[at], 0.0)).any():
         return None
-    keep = (i < k) & (values != 0)
-    return np.divmod(np.sort(i[keep] * h + k[keep]), h)
+    diagonal = np.zeros(h)
+    on = i == k
+    diagonal[i[on]] = entries[on]
+    keep = (i < k) & (entries != 0)
+    return diagonal, i[keep], k[keep], entries[keep]
 
 
-def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarray,
-                    dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of a symmetric mat = cI + A whose diagonal is the one
-    constant c and whose off-diagonal part A is zero inside P and inside Q,
-    with its off-diagonal nonzeros on the edges (src, dst), eigenvalues
-    descending, from an SVD of the half-size block
+def _bipartite_eigh(n: int, c: float, p: np.ndarray, q: np.ndarray, src: np.ndarray,
+                    dst: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of the symmetric n x n M = cI + A whose off-diagonal
+    part A is zero inside P and inside Q and holds the entries on the edges
+    (src, dst), eigenvalues descending, from an SVD of the half-size block
     B = M[P, Q] = U S V^T (Golub and Van Loan, Matrix Computations, 8.6):
     A has the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|),
     and 0 on the |P| - |Q| columns of U (or |Q| - |P| of V) past r, as
     [u; 0] (or [0; v]), written to the rows P and Q. The eigenvalues
-    c + s, c, c - s reversed are descending as S is.
+    c + s, c, c - s reversed are descending as S is. M itself is never
+    formed: B is made dense (_dense_block) only where eigh or svd reads it.
 
     A square B that is exactly symmetric has the SVD of its eigenpairs:
     B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
     U = W and V = W sign(Lambda) (sign(0) = +1), columns sorted by |lambda|
     descending. W Lambda W^T comes from the route decompose takes for a raw
-    matrix, B's symmetry and edges read from M's (_half_block_edges), so a B
-    that is itself bI + [[0, B'], [B'^T, 0]] takes the route again: for a
+    matrix, B's symmetry and edge form read from M's (_half_block_edges), so
+    a B that is itself bI + [[0, B'], [B'^T, 0]] takes the route again: for a
     bipartite G, the half block of G x K2 from cartesian_product(G,
     build_path(2)) is +-(I + A(G)); that of Q_d as build_hypercube labels it
     is I plus the adjacency of a relabelled Q_{d-1}, so Q10 goes
@@ -250,19 +273,22 @@ def _bipartite_eigh(mat: np.ndarray, p: np.ndarray, q: np.ndarray, src: np.ndarr
     The rows P and Q of the result are each one gather of U's or V's
     columns in their final order, scaled in place and copied once into
     their rows: no zero-filled matrix, no scatter, no regrouping afterwards."""
-    c, b = mat[0, 0], mat[np.ix_(p, q)]
-    edges = _half_block_edges(b, p, q, src, dst) if len(p) == len(q) else None
-    if edges is not None:
-        sub = _route_parts(len(b), b.diagonal(), *edges)
-        lam, w = np.linalg.eigh(b) if sub is None else _bipartite_eigh(b, *sub, *edges)
+    shape, (i, k) = (len(p), len(q)), _block_entries(n, p, q, src, dst)
+    half = _half_block_edges(len(p), i, k, entries) if len(p) == len(q) else None
+    if half is not None:
+        diagonal, b_src, b_dst, b_entries = half
+        sub = _route_parts(len(p), diagonal, b_src, b_dst)
+        if sub is None:
+            lam, w = np.linalg.eigh(_dense_block(shape, i, k, entries))
+        else:
+            lam, w = _bipartite_eigh(len(p), diagonal[0], *sub, b_src, b_dst, b_entries)
         col = np.argsort(-np.abs(lam), kind="stable")
         s, sign = np.abs(lam[col]), np.where(lam[col] < 0, -1.0, 1.0)
         u = v = w
     else:
-        u, s, vt = np.linalg.svd(b)
+        u, s, vt = np.linalg.svd(_dense_block(shape, i, k, entries))
         v, col, sign = vt.T, np.arange(len(s)), np.ones(len(s))
-    del b  # done with: the peak is vectors, U, V and one block
-    n, r = len(mat), len(s)
+    r = len(s)
     h = math.sqrt(0.5)
     # columns: c + s, c on the null vectors of the longer side (zero on the
     # other), c - s reversed
@@ -387,13 +413,17 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     - the bipartite route (_bipartite_eigh), from the half-size block B of
       M = cI + [[0, B], [B^T, 0]] when _route_parts finds parts P, Q: from
       n = BIPARTITE_MIN_N on, the adjacency of a bipartite graph or the
-      Laplacian of a regular one (Q10: 9-12 ms against 115-130 ms for eigh,
-      on one core);
+      Laplacian of a regular one. It reads only the diagonal and the edge
+      entries, so a Hamiltonian on it never builds its dense matrix (Q10,
+      Hamiltonian built and decomposed: 11-16 ms against 230-290 ms for
+      eigh of its matrix, one core of a 2-vCPU machine, scipy-openblas);
     - else the mirror route (_mirror_eigh), two eighs of about n/2 from
       n = BIPARTITE_MIN_N on when JMJ = M for the reversal J (_mirrored):
       path Laplacians, odd cycles, complete graphs and K_{p,p} as their
-      builders label them (C299 Laplacian: 6 ms against 10.4 ms, one core);
+      builders label them (C299 Laplacian: 6 ms against 10 ms, same machine);
     - else np.linalg.eigh.
+    Only these last two read a Hamiltonian's matrix, which it builds and
+    keeps on first read.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all
     smaller: the factorisations agree to rounding, not in their last bits.
@@ -404,11 +434,11 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     and NumericFailureError for a non-finite or overflowing M.
     """
     if isinstance(m, Hamiltonian):
-        g, mat = m.graph, m.matrix
+        g, mat = m.graph, None  # m.matrix is built below only for the mirror route and eigh
         with np.errstate(over="ignore"):  # an overflowing row sum is inf, so refused
             scale = float(np.max(np.abs(m.diagonal) + _vertex_sums(g.n, g.src, g.dst, np.abs(m.values))))
         _check_scale(scale)
-        diagonal, edges, entries = m.diagonal, (g.src, g.dst), m.values
+        n, diagonal, edges, entries = g.n, m.diagonal, (g.src, g.dst), m.values
     else:
         mat = np.asarray(m, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -421,16 +451,16 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         if asymmetry > SYMMETRY_TOL * scale:
             raise InvalidStateError("matrix must be symmetric")
         _check_scale(scale)
-        diagonal, edges = mat.diagonal(), _dense_edges(mat) if asymmetry == 0 else None
+        n, diagonal, edges = len(mat), mat.diagonal(), _dense_edges(mat) if asymmetry == 0 else None
         entries = None if edges is None else mat[edges]
-    n = len(mat)
     parts = None if edges is None else _route_parts(n, diagonal, *edges)
     mirror = (parts is None and edges is not None and n >= BIPARTITE_MIN_N
               and _mirrored(n, diagonal, *edges, entries))
     try:
         if parts is not None:
-            evals, evecs = _bipartite_eigh(mat, *parts, *edges)
+            evals, evecs = _bipartite_eigh(n, diagonal[0], *parts, *edges, entries)
         else:
+            mat = m.matrix if mat is None else mat
             evals, evecs = _mirror_eigh(mat) if mirror else np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc

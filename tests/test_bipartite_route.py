@@ -9,7 +9,8 @@ verdicts. decompose takes it only from BIPARTITE_MIN_N on, for an exactly
 symmetric matrix with one constant on its diagonal and a bipartite, not
 complete bipartite, edge pattern: spectral._route_parts decides, from a
 Hamiltonian's edge arrays or from a raw matrix's nonzeros above the
-diagonal."""
+diagonal. The route reads only M's edge form, so a Hamiltonian on it never
+builds its dense matrix."""
 
 import itertools
 
@@ -30,6 +31,13 @@ def _graph_matrix(g, kind):
 def _edges(mat):
     """The nonzeros of mat above the diagonal, sorted by (row, column)."""
     return np.nonzero(np.triu(mat, 1))
+
+
+def _bipartite_eigh(mat, p, q):
+    """spectral._bipartite_eigh on mat's edge form: its constant diagonal,
+    its nonzeros above the diagonal and their entries."""
+    src, dst = _edges(mat)
+    return spectral._bipartite_eigh(len(mat), mat[0, 0], p, q, src, dst, mat[src, dst])
 
 
 def _forced_parts(mat):
@@ -168,7 +176,7 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
     n = len(mat)
     scale = max(np.linalg.norm(mat, np.inf), 1.0)
 
-    w, v = spectral._bipartite_eigh(mat, p, q, *_edges(mat))
+    w, v = _bipartite_eigh(mat, p, q)
     assert np.all(np.diff(w) <= 0)
     np.testing.assert_allclose(w, np.linalg.eigvalsh(mat)[::-1], rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
@@ -263,10 +271,15 @@ HALF_BLOCK_CASES = _half_block_cases()
 NO_HALF_BLOCK_ROUTE = {"P40xK2-laplacian", "Q8-relabelled-adjacency", "Q8-relabelled-laplacian"}
 
 
-def _dense_half_block_edges(b, *_):
-    """The half block's symmetry and edges from b itself, by _asymmetry and
-    the nonzero mask: the O(n^2) passes per level the edge arrays replace."""
-    return spectral._dense_edges(b) if spectral._asymmetry(b) == 0 else None
+def _dense_half_block_edges(h, i, k, entries):
+    """The half block's symmetry and edge form from b itself, by _asymmetry
+    and the nonzero mask: the O(n^2) passes per level the edge arrays
+    replace."""
+    b = spectral._dense_block((h, h), i, k, entries)
+    if spectral._asymmetry(b):
+        return None
+    edges = spectral._dense_edges(b)
+    return (b.diagonal(), *edges, b[edges])
 
 
 def _bytes(dec):
@@ -276,28 +289,80 @@ def _bytes(dec):
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCK_CASES, ids=[c[0] for c in HALF_BLOCK_CASES])
 def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
-    """At every level of the route, the half block's symmetry and edges, and
-    so its parts, are what the dense passes over it give, and the
-    decomposition, from either entry, is bit-identical to theirs."""
+    """At every level of the route, the block B built from the parent's edge
+    form is the gather M[P, Q] from the parent's dense M, byte for byte, and
+    the half block's symmetry and edge form, and so its parts, are what the
+    dense passes over it give; the decomposition, from either entry, is
+    bit-identical to theirs."""
     seen = []
-    real = spectral._half_block_edges
+    real = spectral._bipartite_eigh
 
-    def check(b, *rest):
-        got, want = real(b, *rest), _dense_half_block_edges(b)
-        assert (got is None) == (want is None)
-        for a, w in zip(got or (), want or ()):
-            assert a.dtype == w.dtype and np.array_equal(a, w)
-        seen.append(got is not None)
-        return got
+    def check(n, c, p, q, src, dst, entries):
+        mat = np.zeros((n, n))
+        mat[src, dst] = mat[dst, src] = entries
+        np.fill_diagonal(mat, c)
+        i, k = spectral._block_entries(n, p, q, src, dst)
+        assert spectral._dense_block((len(p), len(q)), i, k, entries).tobytes() == mat[np.ix_(p, q)].tobytes()
+        if len(p) == len(q):
+            got = spectral._half_block_edges(len(p), i, k, entries)
+            want = _dense_half_block_edges(len(p), i, k, entries)
+            assert (got is None) == (want is None)
+            for a, w in zip(got or (), want or ()):
+                assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+            seen.append(got is not None)
+        return real(n, c, p, q, src, dst, entries)
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_half_block_edges", check)
+        m.setattr(spectral, "_bipartite_eigh", check)
         got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
         m.setattr(spectral, "_half_block_edges", _dense_half_block_edges)
         want = _bytes(pw.decompose(ham))
     assert got == [want, want]
     assert any(seen) == (name not in NO_HALF_BLOCK_ROUTE)
+
+
+def _random_weighted():
+    """A seeded G(70, 0.1) with weights in [1, 4): triangles and an uneven
+    diagonal keep it on eigh."""
+    rng = np.random.default_rng(70)
+    u, v = np.triu_indices(70, 1)
+    keep = rng.random(len(u)) < 0.1
+    return pw.make_graph(70, [(a, b, w) for a, b, w in zip(u[keep].tolist(), v[keep].tolist(),
+                                                          rng.uniform(1.0, 4.0, keep.sum()).tolist())])
+
+
+def _lazy_cases():
+    k2 = pw.build_path(2)
+    graphs = ([(f"Q{d}", pw.build_hypercube(d)) for d in range(6, 11)]
+              + [(f"P{n}", pw.build_path(n)) for n in (64, 65, 100, 300)]
+              + [(f"C{n}", pw.build_cycle(n)) for n in (64, 128, 300)]
+              + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
+                 ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
+                 ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
+                 ("Q8-relabelled", _q8_relabelled()),  # B is not symmetric: np.linalg.svd
+                 ("random-weighted", _random_weighted())])
+    return [(f"{name}-{kind}", g, kind) for name, g in graphs for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
+
+
+LAZY_CASES = _lazy_cases()
+# the irregular Laplacians take the mirror route, the random graph eigh
+OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian", "P40xK2-laplacian",
+             "random-weighted-adjacency", "random-weighted-laplacian"}
+
+
+@pytest.mark.parametrize("name,g,kind", LAZY_CASES, ids=[c[0] for c in LAZY_CASES])
+def test_route_never_builds_the_dense_matrix(name, g, kind):
+    """A Hamiltonian on the bipartite route is decomposed from its edge
+    arrays alone: its dense matrix is not built, and the decomposition is
+    bit-identical to that of the same matrix given as a raw ndarray. The
+    mirror route and eigh still read the matrix."""
+    ham = pw.hamiltonian(g, kind)
+    on_route = spectral._route_parts(g.n, ham.diagonal, g.src, g.dst) is not None
+    assert on_route == (name not in OFF_ROUTE)
+    got = _bytes(pw.decompose(ham))
+    assert ("matrix" in vars(ham)) == (not on_route)
+    assert got == _bytes(pw.decompose(np.array(ham.matrix)))
 
 
 def test_symmetric_half_block_needs_no_svd(monkeypatch):
@@ -313,10 +378,10 @@ def test_symmetric_half_block_needs_no_svd(monkeypatch):
             with pytest.raises(AssertionError, match="svd called"):
                 pw.decompose(pw.hamiltonian(relabelled, kind))
         for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "signed-symmetric-block"):
-            spectral._bipartite_eigh(cases[name], *_forced_parts(cases[name]), *_edges(cases[name]))
+            _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
         mat = cases["asymmetric-block"]
         with pytest.raises(AssertionError, match="svd called"):
-            spectral._bipartite_eigh(mat, *_forced_parts(mat), *_edges(mat))
+            _bipartite_eigh(mat, *_forced_parts(mat))
 
 
 @pytest.mark.parametrize("mat", [

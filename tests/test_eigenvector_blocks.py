@@ -9,6 +9,7 @@ identical verdicts and reasons.
 
 import importlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -320,6 +321,22 @@ def test_decomposition_holds_no_projector_tensor():
     # count the buffer each array keeps alive, not just its view
     held = sum((a.base if isinstance(a.base, np.ndarray) else a).nbytes for a in arrays)
     assert held <= (n * n + 2 * n + 2) * 8
+
+
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_route_peak_below_twice_the_matrix(kind):
+    """decompose(Q9) on the bipartite route allocates less than two n x n
+    float arrays at its peak: the vectors and the half-size blocks, with no
+    dense n x n matrix of the Hamiltonian besides."""
+    ham = pw.hamiltonian(pw.build_hypercube(9), kind)
+    n = ham.n
+    tracemalloc.start()
+    try:
+        pw.decompose(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 def test_fidelity_grid_in_blocks(monkeypatch):
