@@ -2,14 +2,19 @@
 orthonormal eigenvectors, and the walk operator built from them.
 
 The spectral projector of cluster j is E_j = V_j V_j^T, where V_j is the
-cluster's column block of `vectors`. It is applied to a state as
-V_j (V_j^T x), which is independent of the basis eigh picked inside the
-cluster, and is never stored: a decomposition holds O(n^2) numbers."""
+cluster's column block of the eigenvector matrix V. It is applied to a
+state as V_j (V_j^T x), which is independent of the basis eigh picked
+inside the cluster, and is never stored. Every stage reads V through
+V^T x (project) and V c (lift): eigh and the mirror route hold V as one
+dense (n, n) array, and the bipartite route holds it factored
+(BipartiteBasis), in O(n) numbers per level and the dense blocks of its
+last eigh or SVD, so a hypercube, path adjacency or even cycle is decided
+with no (n, n) array at all."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,17 +23,142 @@ from .graphs import Hamiltonian, _vertex_sums
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
+class BipartiteBasis:
+    """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, as
+    the bipartite route (_bipartite_eigh) finds them, held factored. With
+    B = U S W^T and r = min(|P|, |Q|), V's columns are, in order: the r plus
+    vectors [u_i; sign_i w_i] / sqrt(2) for i = col[0], col[1], ...; the
+    null columns u_i (rows P) or w_i (rows Q) for i >= r of the longer side;
+    the r minus vectors [u_i; -sign_i w_i] / sqrt(2) in reverse.
+
+    For an SVD, u and v are U and W (dense), and col (0, 1, ...) and sign
+    (all +1) are None. For a square symmetric B = W Lambda W^T, u and v are
+    one basis W, dense from eigh or itself a BipartiteBasis one level down,
+    col sorts |lambda| descending and sign is sign(lambda). Such levels
+    chain down to a last basis (bottom), dense or an SVD, and V^T x is then
+    one gather of x's rows by all L levels' parts at once (gather), the
+    bottom's projection, the levels' butterflies, which turn each level's
+    pair (a, b) of part coefficients into (a + b, a - b) / sqrt(2), as one
+    2^L x 2^L matrix (mix), and one gather of the rows into V's column order
+    (order), into which each level's col and sign are folded. V c (lift) is
+    its transpose, through the inverse gathers unorder and scatter; neither
+    makes an (n, n) array. dense() builds V itself."""
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray | BipartiteBasis,
+                 v: np.ndarray | BipartiteBasis, col: np.ndarray | None = None,
+                 sign: np.ndarray | None = None):
+        self.p, self.q, self.u, self.v, self.col, self.sign = p, q, u, v, col, sign
+        self.n = n = len(p) + len(q)
+        if col is None:
+            return
+        h = len(p)
+        # the row of V's column j among the butterfly's 2h rows: a plus
+        # vector is a + b where sign is +1, a - b where it is -1
+        plus = np.where(sign > 0, col, col + h)
+        perm = np.concatenate((plus, np.where(sign > 0, col + h, col)[::-1]))
+        rows = np.column_stack((p, q))
+        pair = math.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])  # (a, b) -> (a + b, a - b) / sqrt(2)
+        if isinstance(u, BipartiteBasis) and u.col is not None:
+            self.bottom = u.bottom
+            self.gather = rows[u.gather]
+            self.order = np.concatenate((u.order, u.order + h))[perm]
+            self.mix = np.einsum("ab,ts->atsb", pair, u.mix).reshape(2 * len(u.mix), -1)
+        else:
+            self.bottom, self.gather, self.order, self.mix = u, rows, perm, pair
+        self.scatter = np.empty(n, dtype=np.intp)
+        self.scatter[self.gather.ravel()] = np.arange(n)
+        self.unorder = np.argsort(self.order)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        if self.col is None:
+            n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+            a, b = self.u.T @ x[self.p], self.v.T @ x[self.q]
+            out = np.empty((n, x.shape[1]))
+            np.add(a[:r], b[:r], out=out[:r])
+            np.subtract(a[:r], b[:r], out=out[n - r:][::-1])
+            out[:r] *= h
+            out[n - r:] *= h
+            out[r:n - r] = a[r:] if len(self.p) > r else b[r:]
+            return out
+        rows, sides = len(self.gather), len(self.mix)
+        z = _project(self.bottom, x[self.gather].reshape(rows, -1))
+        z = z.reshape(rows, sides, -1).transpose(1, 0, 2).reshape(sides, -1)
+        return (self.mix @ z).reshape(self.n, -1)[self.order]
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """V c for an (n, b) c."""
+        if self.col is None:
+            n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+            parts = []
+            for side, sub, fold in ((self.p, self.u, np.add), (self.q, self.v, np.subtract)):
+                z = np.empty((len(side), c.shape[1]))
+                fold(c[:r], c[n - r:][::-1], out=z[:r])
+                z[:r] *= h
+                if len(side) > r:  # the null columns are the longer side's
+                    z[r:] = c[r:n - r]
+                parts.append(sub @ z)
+            out = np.empty((n, c.shape[1]))
+            out[self.p], out[self.q] = parts
+            return out
+        rows, sides = len(self.gather), len(self.mix)
+        z = (self.mix.T @ c[self.unorder].reshape(sides, -1)).reshape(sides, rows, -1)
+        z = z.transpose(1, 0, 2).reshape(rows, -1)
+        return _lift(self.bottom, z).reshape(self.n, -1)[self.scatter]
+
+    def dense(self) -> np.ndarray:
+        """V as one (n, n) array. The rows P and Q are each one gather of
+        the dense basis's columns in their final order, scaled in place and
+        copied once into their rows: no zero-filled matrix, no scatter."""
+        n, r = self.n, min(len(self.p), len(self.q))
+        u = _dense(self.u)
+        v = u if self.v is self.u else _dense(self.v)
+        col = np.arange(r) if self.col is None else self.col
+        sign = np.ones(r) if self.sign is None else self.sign
+        h = math.sqrt(0.5)
+        # columns: c + s, c on the null vectors of the longer side (zero on the
+        # other), c - s reversed
+        vectors = np.empty((n, n))
+        for rows, basis, head, tail in ((self.p, u, np.full(r, h), np.full(r, h)),
+                                        (self.q, v, h * sign, -h * sign[::-1])):
+            nulls = np.arange(r, len(rows)) if len(rows) > r else np.zeros(n - 2 * r, dtype=int)
+            block = np.take(basis, np.concatenate((col, nulls, col[::-1])), axis=1)
+            block *= np.concatenate((head, np.ones(n - 2 * r), tail))
+            if len(rows) == r:
+                block[:, r:n - r] = 0.0
+            vectors[rows] = block
+            del block  # so the next take does not hold a second block alive
+        return vectors
+
+
+def _project(basis: np.ndarray | BipartiteBasis, x: np.ndarray) -> np.ndarray:
+    return basis.T @ x if isinstance(basis, np.ndarray) else basis.project(x)
+
+
+def _lift(basis: np.ndarray | BipartiteBasis, c: np.ndarray) -> np.ndarray:
+    return basis @ c if isinstance(basis, np.ndarray) else basis.lift(c)
+
+
+def _dense(basis: np.ndarray | BipartiteBasis) -> np.ndarray:
+    return basis if isinstance(basis, np.ndarray) else basis.dense()
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (strictly decreasing) with their eigenvector blocks:
-    cluster j is spanned by the columns vectors[:, offsets[j]:offsets[j + 1]]."""
+    """Distinct eigenvalues (strictly decreasing) with their eigenvector
+    blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
+    V, which basis holds dense or factored (BipartiteBasis). The stages read
+    V only through project and lift; vectors, block, projector, eigenvector,
+    reconstruct and transition_matrix read V itself, which a factored basis
+    builds on first read and keeps."""
 
-    eigenvalues: np.ndarray          # shape (k,), descending
-    vectors: np.ndarray              # shape (n, n), columns grouped by cluster
-    offsets: np.ndarray              # shape (k + 1,), cluster column boundaries
+    eigenvalues: np.ndarray                   # shape (k,), descending
+    basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
+    offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
-    scale: float                     # ||M||_inf of the decomposed matrix
-    warnings: tuple[str, ...] = ()   # one per cluster gap below GAP_WARNING x the threshold
+    scale: float                              # ||M||_inf of the decomposed matrix
+    warnings: tuple[str, ...] = ()            # one per cluster gap below GAP_WARNING x the threshold
+    _vectors: np.ndarray | None = field(default=None, init=False, repr=False)  # a factored V, once built
 
     @property
     def ambiguous(self) -> bool:
@@ -37,11 +167,36 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return int(self.offsets[-1])
 
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """V, (n, n) and read-only: a dense basis itself, a factored one
+        built (BipartiteBasis.dense) on first read and kept."""
+        if isinstance(self.basis, np.ndarray):
+            return self.basis
+        if self._vectors is None:
+            self._vectors = self.basis.dense()
+            self._vectors.setflags(write=False)
+        return self._vectors
+
+    def project(self, x) -> np.ndarray:
+        """V^T x for a state (n,) or an (n, b) state matrix."""
+        x = np.asarray(x, dtype=float)
+        if isinstance(self.basis, np.ndarray):
+            return self.basis.T @ x
+        return self.basis.project(x.reshape(self.n, -1)).reshape(x.shape)
+
+    def lift(self, c) -> np.ndarray:
+        """V c for coefficients (n,) or (n, b)."""
+        c = np.asarray(c, dtype=float)
+        if isinstance(self.basis, np.ndarray):
+            return self.basis @ c
+        return self.basis.lift(c.reshape(self.n, -1)).reshape(c.shape)
 
     def block(self, j: int) -> np.ndarray:
         """V_j, the (n, m_j) orthonormal eigenvector block of cluster j."""
@@ -54,12 +209,12 @@ class SpectralDecomposition:
     def norms(self, x) -> np.ndarray:
         """||E_j x|| for every cluster j, shape (k,) for a state and (k, b)
         for an (n, b) state matrix."""
-        c = self.vectors.T @ np.asarray(x, dtype=float)
+        c = self.project(x)
         return np.sqrt(self.cluster_sums(c * c))
 
     def overlaps(self, x, y) -> np.ndarray:
         """c_j = y^T E_j x, shape (k,), whose walk is y^T U(t) x."""
-        cx, cy = (self.vectors.T @ np.column_stack((x, y))).T
+        cx, cy = self.project(np.column_stack((x, y))).T
         return self.cluster_sums(cx * cy)
 
     def moments(self, x, k_max: int) -> np.ndarray:
@@ -70,9 +225,29 @@ class SpectralDecomposition:
 
     def components(self, x, rows=None) -> np.ndarray:
         """E_j x for each cluster j in rows (every cluster by default), as
-        the rows of an (m, n) array; x is a single state."""
-        blocks = [self.block(j) for j in (range(self.k) if rows is None else rows)]
-        return np.array([v @ (v.T @ x) for v in blocks]).reshape(len(blocks), self.n)
+        the rows of an (m, n) array; x is a single state: the lift of V^T x
+        kept on one cluster per column."""
+        rows = range(self.k) if rows is None else rows
+        c = self.project(x)
+        coef = np.zeros((self.n, len(rows)))
+        for i, j in enumerate(rows):
+            coef[self.offsets[j]:self.offsets[j + 1], i] = c[self.offsets[j]:self.offsets[j + 1]]
+        return self.lift(coef).T
+
+    def reflect(self, x, clusters) -> np.ndarray:
+        """x - 2 sum_j E_j x over the given clusters j, for a state (n,) or
+        an (n, b) state matrix: the lift of V^T x kept on those clusters'
+        columns. A dense basis keeps the arithmetic V_F (V_F^T x) on the
+        gathered columns V_F, whose bytes the CLI prints."""
+        x = np.asarray(x, dtype=float)
+        cols = np.concatenate([np.arange(self.offsets[j], self.offsets[j + 1]) for j in clusters])
+        if isinstance(self.basis, np.ndarray):
+            vf = self.basis[:, cols]
+            return x - 2.0 * vf @ (vf.T @ x)
+        c = self.project(x)
+        flipped = np.zeros_like(c)
+        flipped[cols] = c[cols]
+        return x - 2.0 * self.lift(flipped)
 
     def projector(self, j: int) -> np.ndarray:
         """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
@@ -247,16 +422,17 @@ def _half_block_edges(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray
 
 
 def _bipartite_eigh(n: int, c: float, p: np.ndarray, q: np.ndarray, src: np.ndarray,
-                    dst: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    dst: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, BipartiteBasis]:
     """The eigenpairs of the symmetric n x n M = cI + A whose off-diagonal
     part A is zero inside P and inside Q and holds the entries on the edges
     (src, dst), eigenvalues descending, from an SVD of the half-size block
     B = M[P, Q] = U S V^T (Golub and Van Loan, Matrix Computations, 8.6):
     A has the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|),
     and 0 on the |P| - |Q| columns of U (or |Q| - |P| of V) past r, as
-    [u; 0] (or [0; v]), written to the rows P and Q. The eigenvalues
-    c + s, c, c - s reversed are descending as S is. M itself is never
-    formed: B is made dense (_dense_block) only where eigh or svd reads it.
+    [u; 0] (or [0; v]) on the rows P and Q. The eigenvalues c + s, c,
+    c - s reversed are descending as S is. Neither M nor its eigenvectors
+    are formed: those are returned factored (BipartiteBasis), and B is made
+    dense (_dense_block) only where eigh or svd reads it.
 
     A square B that is exactly symmetric has the SVD of its eigenpairs:
     B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
@@ -267,12 +443,9 @@ def _bipartite_eigh(n: int, c: float, p: np.ndarray, q: np.ndarray, src: np.ndar
     bipartite G, the half block of G x K2 from cartesian_product(G,
     build_path(2)) is +-(I + A(G)); that of Q_d as build_hypercube labels it
     is I plus the adjacency of a relabelled Q_{d-1}, so Q10 goes
-    1024 -> 512 -> ... -> one eigh of a 32 x 32 matrix, with no SVD. Any
-    other B keeps np.linalg.svd.
-
-    The rows P and Q of the result are each one gather of U's or V's
-    columns in their final order, scaled in place and copied once into
-    their rows: no zero-filled matrix, no scatter, no regrouping afterwards."""
+    1024 -> 512 -> ... -> one eigh of a 32 x 32 matrix, with no SVD, and its
+    basis holds O(n) numbers per level and that 32 x 32 W. Any other B
+    keeps np.linalg.svd, whose U and V are the basis's two dense blocks."""
     shape, (i, k) = (len(p), len(q)), _block_entries(n, p, q, src, dst)
     half = _half_block_edges(len(p), i, k, entries) if len(p) == len(q) else None
     if half is not None:
@@ -283,26 +456,13 @@ def _bipartite_eigh(n: int, c: float, p: np.ndarray, q: np.ndarray, src: np.ndar
         else:
             lam, w = _bipartite_eigh(len(p), diagonal[0], *sub, b_src, b_dst, b_entries)
         col = np.argsort(-np.abs(lam), kind="stable")
-        s, sign = np.abs(lam[col]), np.where(lam[col] < 0, -1.0, 1.0)
-        u = v = w
+        s = np.abs(lam[col])
+        basis = BipartiteBasis(p, q, w, w, col, np.where(lam[col] < 0, -1.0, 1.0))
     else:
         u, s, vt = np.linalg.svd(_dense_block(shape, i, k, entries))
-        v, col, sign = vt.T, np.arange(len(s)), np.ones(len(s))
+        basis = BipartiteBasis(p, q, u, vt.T)
     r = len(s)
-    h = math.sqrt(0.5)
-    # columns: c + s, c on the null vectors of the longer side (zero on the
-    # other), c - s reversed
-    vectors = np.empty((n, n))
-    for rows, basis, head, tail in ((p, u, np.full(r, h), np.full(r, h)),
-                                    (q, v, h * sign, -h * sign[::-1])):
-        nulls = np.arange(r, len(rows)) if len(rows) > r else np.zeros(n - 2 * r, dtype=int)
-        block = np.take(basis, np.concatenate((col, nulls, col[::-1])), axis=1)
-        block *= np.concatenate((head, np.ones(n - 2 * r), tail))
-        if len(rows) == r:
-            block[:, r:n - r] = 0.0
-        vectors[rows] = block
-        del block  # so the next take does not hold a second block alive
-    return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), vectors
+    return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), basis
 
 
 def _mirrored(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -414,9 +574,11 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
       M = cI + [[0, B], [B^T, 0]] when _route_parts finds parts P, Q: from
       n = BIPARTITE_MIN_N on, the adjacency of a bipartite graph or the
       Laplacian of a regular one. It reads only the diagonal and the edge
-      entries, so a Hamiltonian on it never builds its dense matrix (Q10,
-      Hamiltonian built and decomposed: 11-16 ms against 230-290 ms for
-      eigh of its matrix, one core of a 2-vCPU machine, scipy-openblas);
+      entries, so a Hamiltonian on it never builds its dense matrix, and
+      it returns V factored (BipartiteBasis), so no (n, n) array is made
+      unless vectors is read (Q10, Hamiltonian built and decomposed: 5-6 ms
+      against 230-270 ms for eigh of its matrix, one core of a 2-vCPU
+      machine, scipy-openblas);
     - else the mirror route (_mirror_eigh), two eighs of about n/2 from
       n = BIPARTITE_MIN_N on when JMJ = M for the reversal J (_mirrored):
       path Laplacians, odd cycles, complete graphs and K_{p,p} as their
@@ -478,9 +640,10 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         # columns ascending: block j starts at offsets[j] and takes evals'
         # columns from bounds[k - 1 - j] (the mirror route's through merge)
         cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
-        vectors = evecs[:, merge[cols] if mirror else cols]
+        basis = evecs[:, merge[cols] if mirror else cols]
+        basis.setflags(write=False)
     else:
-        vectors = evecs  # the route wrote them descending
+        basis = evecs  # the route's factored basis, columns descending
     mults = tuple(counts.tolist())
 
     gaps = values[:-1] - values[1:]
@@ -489,11 +652,11 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         f"and {values[j + 1]:.6g} is below twice the clustering threshold"
         for j in np.flatnonzero(gaps < GAP_WARNING * threshold)
     )
-    for arr in (values, vectors, offsets):
+    for arr in (values, offsets):
         arr.setflags(write=False)
     return SpectralDecomposition(
         eigenvalues=values,
-        vectors=vectors,
+        basis=basis,
         offsets=offsets,
         multiplicities=mults,
         scale=scale,
@@ -567,8 +730,8 @@ def normalized_fidelity(amp, x, y):
 def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
     """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x."""
     x = as_state(x, dec.n)
-    coef = np.repeat(walk(dec, t), dec.multiplicities) * (dec.vectors.T @ x)
-    return dec.vectors @ coef.real + 1j * (dec.vectors @ coef.imag)
+    coef = np.repeat(walk(dec, t), dec.multiplicities) * dec.project(x)
+    return dec.lift(coef.real) + 1j * dec.lift(coef.imag)
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:

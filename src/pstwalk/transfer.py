@@ -190,11 +190,11 @@ def pst_partners(
     support_mask refuses raises InvalidStateError.
 
     Columns sharing a support share one ratio table, and each group's
-    partners are X_g - 2 V_F (V_F^T X_g), with V_F the eigenvector columns
-    of the table's flips. The groups come from one np.unique over the
-    bit-packed mask columns, each viewed as a single void scalar, and one
-    stable argsort of the group labels split at the group sizes, so each
-    group lists its columns in ascending order.
+    partners are its reflection X_g - 2 sum_j E_j X_g over the table's
+    flips (SpectralDecomposition.reflect). The groups come from one
+    np.unique over the bit-packed mask columns, each viewed as a single void
+    scalar, and one stable argsort of the group labels split at the group
+    sizes, so each group lists its columns in ascending order.
     """
     X = np.asarray(X, dtype=float)
     mask = support_mask(dec, X, cfg)
@@ -213,9 +213,7 @@ def pst_partners(
         table = ratio_condition(sup, cfg)
         if isinstance(table, NonPeriodic):
             continue
-        xg = X[:, cols]
-        vf = np.hstack([dec.block(j) for j in idx[list(table.flips)]])
-        partners[:, cols] = xg - 2.0 * vf @ (vf.T @ xg)
+        partners[:, cols] = dec.reflect(X[:, cols], idx[list(table.flips)])
         tau[cols] = table.period / 2.0
         found[cols] = True
     return partners, found, mask.sum(axis=0) == 1, tau

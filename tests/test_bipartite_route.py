@@ -35,9 +35,11 @@ def _edges(mat):
 
 def _bipartite_eigh(mat, p, q):
     """spectral._bipartite_eigh on mat's edge form: its constant diagonal,
-    its nonzeros above the diagonal and their entries."""
+    its nonzeros above the diagonal and their entries; the eigenvectors
+    built from the factored basis."""
     src, dst = _edges(mat)
-    return spectral._bipartite_eigh(len(mat), mat[0, 0], p, q, src, dst, mat[src, dst])
+    w, basis = spectral._bipartite_eigh(len(mat), mat[0, 0], p, q, src, dst, mat[src, dst])
+    return w, basis.dense()
 
 
 def _forced_parts(mat):

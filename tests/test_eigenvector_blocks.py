@@ -27,6 +27,7 @@ from pstwalk.errors import (
     NotCospectralError,
 )
 from pstwalk.periodicity import NonPeriodic, ratio_condition
+from pstwalk.spectral import BipartiteBasis
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -314,20 +315,38 @@ def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
     assert np.max(np.abs(u - _dense_join(g, h, kind, t))) <= TOL
 
 
+def _held_bytes(obj, seen):
+    """The bytes of every buffer the ndarrays of obj keep alive, a view
+    counted by its base and each buffer once, through the basis record's
+    arrays and the records it holds."""
+    total = 0
+    for v in vars(obj).values():
+        if isinstance(v, np.ndarray):
+            buf = v.base if isinstance(v.base, np.ndarray) else v
+            if id(buf) not in seen:
+                seen.add(id(buf))
+                total += buf.nbytes
+        elif isinstance(v, BipartiteBasis):
+            total += _held_bytes(v, seen)
+    return total
+
+
 def test_decomposition_holds_no_projector_tensor():
+    """P400 adjacency takes the bipartite route, whose basis holds the SVD's
+    U and V of 200 x 200 each and O(n) numbers besides: no n x n array."""
     n = 400
     dec = pw.decompose(pw.hamiltonian(pw.build_path(n), pw.ADJACENCY))
-    arrays = [v for v in vars(dec).values() if isinstance(v, np.ndarray)]
-    # count the buffer each array keeps alive, not just its view
-    held = sum((a.base if isinstance(a.base, np.ndarray) else a).nbytes for a in arrays)
-    assert held <= (n * n + 2 * n + 2) * 8
+    assert isinstance(dec.basis, BipartiteBasis)
+    assert _held_bytes(dec, set()) <= (n * n / 2 + 4 * n) * 8
 
 
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_route_peak_below_twice_the_matrix(kind):
-    """decompose(Q9) on the bipartite route allocates less than two n x n
-    float arrays at its peak: the vectors and the half-size blocks, with no
-    dense n x n matrix of the Hamiltonian besides."""
+    """decompose(Q9) on the bipartite route allocates less than a quarter of
+    one n x n float array at its peak (the bound was twice that array while
+    the route built V; the name keeps the test's id): no dense matrix of the
+    Hamiltonian and no dense V, only the factored basis and the route's
+    O(n) arrays."""
     ham = pw.hamiltonian(pw.build_hypercube(9), kind)
     n = ham.n
     tracemalloc.start()
@@ -336,7 +355,7 @@ def test_route_peak_below_twice_the_matrix(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * n * 8
+    assert peak < n * n * 8 / 4
 
 
 def test_fidelity_grid_in_blocks(monkeypatch):

@@ -1,0 +1,195 @@
+"""The bipartite route's factored eigenvectors (spectral.BipartiteBasis).
+
+A route-taking decomposition holds V factored: an SVD of the half block,
+with null columns when |P| != |Q|, or a chain of symmetric half blocks down
+to one dense eigh. Its stages read V only through project (V^T x) and lift
+(V c), and vectors builds V on first read. project and lift must agree with
+that V; a hypercube pair must be decided with V never built, every yes
+confirmed by scipy's expm; and relabelling the vertices, which can move a
+graph from the chain to the SVD, must not change a verdict."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pstwalk as pw
+from pstwalk.spectral import BipartiteBasis
+from conftest import pair_state, random_tree
+
+
+def _weighted_bipartite(seed, n, extra):
+    """A random tree on n vertices with weights in [0.5, 3) and up to extra
+    more edges across its two colour classes: bipartite, not complete
+    bipartite, and with parts of unequal size for most seeds."""
+    rng = np.random.default_rng(seed)
+    edges = {(u, v) for u, v, _ in random_tree(rng, n).edges}
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side = np.zeros(n, dtype=bool)  # the tree's 2-colouring, by breadth-first search from 0
+    seen, queue = {0}, [0]
+    for u in queue:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                side[v] = not side[u]
+                queue.append(v)
+    p, q = np.flatnonzero(~side), np.flatnonzero(side)
+    for _ in range(extra):
+        a, b = int(rng.choice(p)), int(rng.choice(q))
+        edges.add((min(a, b), max(a, b)))
+    return pw.make_graph(n, [(u, v, float(rng.uniform(0.5, 3.0))) for u, v in sorted(edges)])
+
+
+def _check_basis(dec, rng):
+    """project and lift against the materialised V, the round trip, and
+    the cluster sums of project(x)^2 against norms(x)^2."""
+    n = dec.n
+    X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
+    x = X[:, 0]
+    size = np.linalg.norm(X)
+    v = dec.vectors
+    np.testing.assert_allclose(dec.project(X), v.T @ X, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(dec.lift(X), v @ X, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(dec.project(x), v.T @ x, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(dec.lift(dec.project(x)), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
+    c = dec.project(x)
+    np.testing.assert_allclose(dec.cluster_sums(c * c), dec.norms(x) ** 2, rtol=0,
+                               atol=1e-13 * np.dot(x, x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 160), extra=st.integers(0, 40))
+def test_svd_basis_with_null_columns(seed, n, extra):
+    g = _weighted_bipartite(seed, n, extra)
+    dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
+    basis = dec.basis
+    assert isinstance(basis, BipartiteBasis) and basis.col is None
+    _check_basis(dec, np.random.default_rng(seed))
+
+
+def _chain_graphs():
+    k2 = pw.build_path(2)
+    graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (6, 7, 8)]
+    graphs += [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
+               ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
+               ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
+               ("tree70xK2", pw.cartesian_product(random_tree(np.random.default_rng(70), 70), k2))]
+    return graphs
+
+
+CHAIN_GRAPHS = _chain_graphs()
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(CHAIN_GRAPHS), kind=st.sampled_from([pw.ADJACENCY, pw.LAPLACIAN]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chain_basis(case, kind, seed):
+    name, g = case
+    if kind == pw.LAPLACIAN and not g.is_regular():
+        kind = pw.ADJACENCY  # an irregular Laplacian takes the mirror route or eigh
+    dec = pw.decompose(pw.hamiltonian(g, kind))
+    assert isinstance(dec.basis, BipartiteBasis) and dec.basis.col is not None, name
+    _check_basis(dec, np.random.default_rng(seed))
+
+
+def test_chain_reaches_an_svd_at_its_bottom():
+    # C64 x K2: its half block I + A(C64) takes the route again, and that
+    # route's 32 x 32 block I + shift is not symmetric
+    g = pw.cartesian_product(pw.build_cycle(64), pw.build_path(2))
+    dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
+    assert isinstance(dec.basis.bottom, BipartiteBasis) and dec.basis.bottom.col is None
+    _check_basis(dec, np.random.default_rng(64))
+
+
+def _expm_transfer(ham, x, y, tau):
+    """|y^T exp(i tau M) x| / (||x|| ||y||) from scipy's expm of the dense M."""
+    u = scipy.linalg.expm(1j * tau * np.array(ham.matrix))
+    return abs(y @ (u @ x)) / (np.linalg.norm(x) * np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("d", [8, 9])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
+    """A Q8 or Q9 pair through partner, decide, verify, scan and derivatives
+    never builds V; the yes verdict holds under expm, and the partner is the
+    one the dense V gives through V_F (V_F^T x)."""
+    n = 1 << d
+    ham = pw.hamiltonian(pw.build_hypercube(d), kind)
+    dec = pw.decompose(ham)
+    x = pair_state(n, 3, 100, 1.0)
+
+    def refuse(self):
+        raise AssertionError("vectors materialised")
+
+    with monkeypatch.context() as m:
+        m.setattr(BipartiteBasis, "dense", refuse)
+        y = pw.pst_partner(dec, x)
+        verdict = pw.pst_decide(dec, x, y)
+        assert verdict.decision
+        check = pw.verify_pst_numeric(dec, x, y, verdict.tau_min)
+        scan = pw.fidelity_scan(dec, x, y, 2.0 * verdict.tau_min, 64)
+        report = pw.fidelity_derivatives(dec, x, y, verdict.tau_min)
+    assert dec._vectors is None
+    assert check.passed and report.bound_ok
+    assert scan.peak_value == pytest.approx(1.0, abs=1e-9)
+    assert _expm_transfer(ham, x, y, verdict.tau_min) == pytest.approx(1.0, abs=1e-9)
+    antipodes = pair_state(n, 3 ^ (n - 1), 100 ^ (n - 1), 1.0)  # up to sign
+    assert min(np.abs(y - antipodes).max(), np.abs(y + antipodes).max()) <= 1e-9
+    dense = dataclasses.replace(dec, basis=np.array(dec.vectors))
+    np.testing.assert_allclose(y, pw.pst_partner(dense, x), rtol=0, atol=1e-9)
+
+
+def _relabelled(g, perm):
+    return pw.make_graph(g.n, [(int(perm[a]), int(perm[b]), w) for a, b, w in g.edges])
+
+
+RELABEL_CASES = [("Q8", pw.build_hypercube(8), pw.ADJACENCY),
+                 ("P128", pw.build_path(128), pw.ADJACENCY),
+                 ("C128", pw.build_cycle(128), pw.LAPLACIAN)]
+
+
+@pytest.mark.parametrize("name,g,kind", RELABEL_CASES, ids=[c[0] for c in RELABEL_CASES])
+def test_relabelling_keeps_verdicts(name, g, kind):
+    """Verdicts, reasons and transfer times agree between a graph and a
+    seeded relabelling of it, and so do partners once relabelled back. The
+    relabelling moves Q8's half block off symmetry, from the chain to the
+    SVD."""
+    rng = np.random.default_rng(128)
+    perm = rng.permutation(g.n)
+    natural = pw.decompose(pw.hamiltonian(g, kind))
+    moved = pw.decompose(pw.hamiltonian(_relabelled(g, perm), kind))
+    assert isinstance(natural.basis, BipartiteBasis) and isinstance(moved.basis, BipartiteBasis)
+    if name == "Q8":
+        assert natural.basis.col is not None and moved.basis.col is None
+    for _ in range(8):
+        u, v = (int(a) for a in rng.choice(g.n, size=2, replace=False))
+        x = pair_state(g.n, u, v, float(rng.choice([-1.0, 1.0])))
+        x_moved = np.empty(g.n)
+        x_moved[perm] = x
+        y = pw.pst_partner(natural, x)
+        y_moved = pw.pst_partner(moved, x_moved)
+        assert (y is None) == (y_moved is None)
+        if y is None:
+            y = pair_state(g.n, *(int(a) for a in rng.choice(g.n, size=2, replace=False)))
+        else:
+            np.testing.assert_allclose(y_moved[perm], y, rtol=0, atol=1e-9)
+        y_in_moved = np.empty(g.n)
+        y_in_moved[perm] = y
+        a, b = pw.pst_decide(natural, x, y), pw.pst_decide(moved, x_moved, y_in_moved)
+        assert (a.decision, a.reason) == (b.decision, b.reason)
+        if a.decision:
+            assert b.tau_min == pytest.approx(a.tau_min, rel=1e-12)
+
+
+def test_vectors_built_once_and_read_only():
+    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(7), pw.ADJACENCY))
+    assert dec._vectors is None
+    v = dec.vectors
+    assert dec.vectors is v and not v.flags.writeable
+    assert np.shares_memory(dec.block(1), v)

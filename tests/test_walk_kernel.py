@@ -237,7 +237,7 @@ def test_fidelity_above_one_shows_alike():
     # eigenvectors scaled by 1.001 inflate every amplitude by 1.001^2: the
     # fidelity reads 1.001^4, above the 1 + 1e-9 clamp, on every path
     dec = _dec(pw.build_path(2), pw.ADJACENCY)
-    bad = dataclasses.replace(dec, vectors=dec.vectors * 1.001)
+    bad = dataclasses.replace(dec, basis=dec.vectors * 1.001)
     x, y = basis_state(2, 0), basis_state(2, 1)
     want = 1.001**4
     assert pw.fidelity(bad, math.pi / 2, x, y) == pytest.approx(want, rel=1e-12)
