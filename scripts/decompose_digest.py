@@ -1,0 +1,93 @@
+"""sha256 digests of 96 decompositions, to check that a change keeps their bytes.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python scripts/decompose_digest.py [--parent REV]
+
+The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
+C32xK2, C64xK2 and a seeded relabelled Q8, each with both kinds, and each
+kind decomposed as a Hamiltonian h, as the raw matrix np.array(h.matrix) and
+as 2.5 M + 0.75 I. The digest of one decomposition covers its eigenvalues,
+offsets, materialised vectors, scale, multiplicities and warnings. The
+script prints the digest of each input and one over all of them.
+
+With --parent, the committed src/ of REV is exported (git archive) into a
+temporary directory, this script runs again in a fresh interpreter that
+imports pstwalk from there, and each input is reported as matching or
+differing. Only runs on one machine can be compared: LAPACK's last bits
+depend on the CPU. The exit status is 0 either way.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import pstwalk as pw
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def inputs():
+    """(name, Hamiltonian or raw matrix) for the 96 decompositions."""
+    q8 = pw.build_hypercube(8)
+    p = np.random.default_rng(8).permutation(q8.n)
+    k2 = pw.build_path(2)
+    graphs = ([(f"Q{d}", pw.build_hypercube(d)) for d in range(6, 11)]
+              + [(f"P{n}", pw.build_path(n)) for n in (64, 65, 100, 300)]
+              + [(f"C{n}", pw.build_cycle(n)) for n in (64, 128, 300)]
+              + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
+                 ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
+                 ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
+                 ("Q8-relabelled", pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges]))])
+    for name, g in graphs:
+        for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+            h = pw.hamiltonian(g, kind)
+            yield f"{name}-{kind}-hamiltonian", h
+            yield f"{name}-{kind}-raw", np.array(h.matrix)
+            yield f"{name}-{kind}-shifted", 2.5 * h.matrix + 0.75 * np.eye(g.n)
+
+
+def digest(dec) -> str:
+    h = hashlib.sha256()
+    for arr in (dec.eigenvalues, dec.offsets, dec.vectors):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr((dec.scale, dec.multiplicities, dec.warnings)).encode())
+    return h.hexdigest()
+
+
+def parent_digests(rev: str) -> dict:
+    """name -> digest, as this script prints them for REV's committed src/."""
+    with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
+        lines = subprocess.run([sys.executable, __file__], env=env, check=True, capture_output=True,
+                               text=True).stdout.splitlines()
+    return dict(line.split() for line in lines)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="git revision whose decompositions to compare against")
+    args = ap.parse_args()
+
+    found = {name: digest(pw.decompose(m)) for name, m in inputs()}
+    found["overall"] = hashlib.sha256("".join(found.values()).encode()).hexdigest()
+    want = parent_digests(args.parent) if args.parent else {}
+    for name, value in found.items():
+        status = "" if not want else "  match" if want.get(name) == value else "  DIFFERS"
+        print(f"{name:40s} {value}{status}")
+    if want:
+        same = sum(want.get(name) == value for name, value in found.items() if name != "overall")
+        print(f"{same} of {len(found) - 1} inputs byte-identical to {args.parent}")
+
+
+if __name__ == "__main__":
+    main()

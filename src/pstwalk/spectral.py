@@ -14,35 +14,35 @@ with no (n, n) array at all."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import Hamiltonian, _vertex_sums
+from .graphs import Hamiltonian
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
 class BipartiteBasis:
     """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, as
     the bipartite route (_bipartite_eigh) finds them, held factored. With
-    B = U S W^T and r = min(|P|, |Q|), V's columns are, in order: the r plus
-    vectors [u_i; sign_i w_i] / sqrt(2) for i = col[0], col[1], ...; the
-    null columns u_i (rows P) or w_i (rows Q) for i >= r of the longer side;
-    the r minus vectors [u_i; -sign_i w_i] / sqrt(2) in reverse.
+    B = U S W^T and r = min(|P|, |Q|), V's columns are the r plus vectors
+    [u_i; sign_i w_i] / sqrt(2) for i = col[0], col[1], ...; the null columns
+    u_i (rows P) or w_i (rows Q), i >= r, of the longer side; and the r minus
+    vectors [u_i; -sign_i w_i] / sqrt(2) in reverse.
 
     For an SVD, u and v are U and W (dense), and col (0, 1, ...) and sign
     (all +1) are None. For a square symmetric B = W Lambda W^T, u and v are
-    one basis W, dense from eigh or itself a BipartiteBasis one level down,
-    col sorts |lambda| descending and sign is sign(lambda). Such levels
-    chain down to a last basis (bottom), dense or an SVD, and V^T x is then
-    one gather of x's rows by all L levels' parts at once (gather), the
-    bottom's projection, the levels' butterflies, which turn each level's
-    pair (a, b) of part coefficients into (a + b, a - b) / sqrt(2), as one
-    2^L x 2^L matrix (mix), and one gather of the rows into V's column order
-    (order), into which each level's col and sign are folded. V c (lift) is
-    its transpose, through the inverse gathers unorder and scatter; neither
-    makes an (n, n) array. dense() builds V itself."""
+    one basis W (dense, or a BipartiteBasis one level down), col sorts
+    |lambda| descending and sign is sign(lambda). Such levels chain down to
+    a last basis (bottom), and V^T x is one gather of x's rows by all L
+    levels' parts (gather), the bottom's projection, the levels' butterflies
+    (a, b) -> (a + b, a - b) / sqrt(2) as one 2^L x 2^L matrix (mix), and one
+    gather into V's column order (order), which folds in each level's col
+    and sign. V c (lift) is its transpose, through the inverse gathers
+    unorder and scatter; neither makes an (n, n) array. dense() builds V."""
 
     def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray | BipartiteBasis,
                  v: np.ndarray | BipartiteBasis, col: np.ndarray | None = None,
@@ -111,8 +111,8 @@ class BipartiteBasis:
         the dense basis's columns in their final order, scaled in place and
         copied once into their rows: no zero-filled matrix, no scatter."""
         n, r = self.n, min(len(self.p), len(self.q))
-        u = _dense(self.u)
-        v = u if self.v is self.u else _dense(self.v)
+        u = self.u if isinstance(self.u, np.ndarray) else self.u.dense()
+        v = u if self.v is self.u else self.v  # an SVD's W is dense
         col = np.arange(r) if self.col is None else self.col
         sign = np.ones(r) if self.sign is None else self.sign
         h = math.sqrt(0.5)
@@ -132,15 +132,17 @@ class BipartiteBasis:
 
 
 def _project(basis: np.ndarray | BipartiteBasis, x: np.ndarray) -> np.ndarray:
-    return basis.T @ x if isinstance(basis, np.ndarray) else basis.project(x)
+    """V^T x for x of shape (n,) or (n, b), on x's own shape."""
+    if isinstance(basis, np.ndarray):
+        return basis.T @ x
+    return basis.project(x.reshape(basis.n, -1)).reshape(x.shape)
 
 
 def _lift(basis: np.ndarray | BipartiteBasis, c: np.ndarray) -> np.ndarray:
-    return basis @ c if isinstance(basis, np.ndarray) else basis.lift(c)
-
-
-def _dense(basis: np.ndarray | BipartiteBasis) -> np.ndarray:
-    return basis if isinstance(basis, np.ndarray) else basis.dense()
+    """V c for c of shape (n,) or (n, b), on c's own shape."""
+    if isinstance(basis, np.ndarray):
+        return basis @ c
+    return basis.lift(c.reshape(basis.n, -1)).reshape(c.shape)
 
 
 @dataclass(eq=False)
@@ -186,17 +188,11 @@ class SpectralDecomposition:
 
     def project(self, x) -> np.ndarray:
         """V^T x for a state (n,) or an (n, b) state matrix."""
-        x = np.asarray(x, dtype=float)
-        if isinstance(self.basis, np.ndarray):
-            return self.basis.T @ x
-        return self.basis.project(x.reshape(self.n, -1)).reshape(x.shape)
+        return _project(self.basis, np.asarray(x, dtype=float))
 
     def lift(self, c) -> np.ndarray:
         """V c for coefficients (n,) or (n, b)."""
-        c = np.asarray(c, dtype=float)
-        if isinstance(self.basis, np.ndarray):
-            return self.basis @ c
-        return self.basis.lift(c.reshape(self.n, -1)).reshape(c.shape)
+        return _lift(self.basis, np.asarray(c, dtype=float))
 
     def block(self, j: int) -> np.ndarray:
         """V_j, the (n, m_j) orthonormal eigenvector block of cluster j."""
@@ -304,6 +300,21 @@ BIPARTITE_MIN_N = 64  # measured crossover of the bipartite route against eigh
 ASYMMETRY_BAND = 64   # rows per band of _asymmetry
 
 
+class EdgeForm(NamedTuple):
+    """The real symmetric n x n M as every route reads it: its diagonal, its
+    nonzero entries on the edges src < dst, sorted by (src, dst), and
+    scale = ||M||_inf; dense() gives M. src, dst and entries are None for a
+    matrix symmetric only to within SYMMETRY_TOL, which eigh reads as is."""
+
+    n: int
+    diagonal: np.ndarray
+    src: np.ndarray | None
+    dst: np.ndarray | None
+    entries: np.ndarray | None
+    scale: float
+    dense: Callable[[], np.ndarray]
+
+
 def _asymmetry(mat: np.ndarray) -> float:
     """max |m_ij - m_ji| over the square mat, exactly, one band of
     ASYMMETRY_BAND rows at a time against the matching columns from the
@@ -317,19 +328,70 @@ def _asymmetry(mat: np.ndarray) -> float:
     return out
 
 
-def _route_parts(n: int, diagonal: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The sorted parts P, Q on which the exactly symmetric n x n matrix
-    with this diagonal and its off-diagonal nonzeros on the edges src < dst,
-    sorted by (src, dst), takes the bipartite route (_bipartite_eigh); None
-    (eigh) below BIPARTITE_MIN_N or for two diagonal values. Vertex 0's
-    edges settle the dense patterns in O(m): a triangle through it has no
-    2-colouring, and a complete bipartite pattern is left to eigh, which
-    deflates its rank-2 adjacency, while the SVD of its rank-one block is
-    erratic (1.8x eigh's time over K_{p,q}, 64 <= p + q <= 256). Otherwise
-    a breadth-first search colours each component from its least vertex,
+def _dense_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the square mat above the diagonal as edges src < dst,
+    sorted by (src, dst), read from one mask (Q10, one core: 0.7 ms;
+    np.nonzero(np.triu(mat, 1)): 6.6 ms)."""
+    src, dst = np.divmod(np.flatnonzero(mat != 0), len(mat))
+    upper = src < dst
+    return src[upper], dst[upper]
+
+
+def _edge_scale(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray, entries: np.ndarray) -> float:
+    """||M||_inf = max_i (sum of |entries| at i, then + |d_i|) in one bincount,
+    which adds in input order, as graphs._vertex_sums, and leaves an
+    overflowing row sum inf with no warning, unlike a ufunc."""
+    size = np.abs(entries)
+    ends = np.concatenate((dst, src, np.arange(n)))
+    return float(np.bincount(ends, np.concatenate((size, size, np.abs(diagonal))), n).max())
+
+
+def _edge_form(m) -> EdgeForm:
+    """decompose's one door: the EdgeForm of a Hamiltonian, from its arrays
+    with no dense pass (a value of 0 is no entry of M, and its edge is
+    dropped, as the nonzero mask of M drops it), or of a raw matrix, which
+    must be square, non-empty and symmetric to SYMMETRY_TOL * ||M||_inf,
+    relative with no floor, so that scaling M by c > 0 keeps the verdict.
+    ||M||_inf and twice it, which bounds every eigenvalue gap, are finite."""
+    if isinstance(m, Hamiltonian):
+        g, src, dst, values = m.graph, m.graph.src, m.graph.dst, m.values
+        scale = _edge_scale(g.n, m.diagonal, src, dst, values)
+        if np.count_nonzero(values) < len(values):
+            keep = values != 0
+            src, dst, values = src[keep], dst[keep], values[keep]
+        form = EdgeForm(g.n, m.diagonal, src, dst, values, scale, lambda: m.matrix)
+    else:
+        mat = np.asarray(m, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise InvalidStateError("matrix must be square")
+        if not mat.size:
+            raise InvalidStateError("matrix must have at least one row")
+        with np.errstate(over="ignore"):  # a non-finite entry or row sum leaves scale nan or inf
+            scale = float(np.linalg.norm(mat, np.inf))
+            asymmetry = _asymmetry(mat) if math.isfinite(scale) else 0.0  # inf if it overflows
+        if asymmetry > SYMMETRY_TOL * scale:
+            raise InvalidStateError("matrix must be symmetric")
+        src, dst = _dense_edges(mat) if asymmetry == 0 else (None, None)
+        form = EdgeForm(len(mat), mat.diagonal(), src, dst, None if src is None else mat[src, dst], scale,
+                        lambda: mat)
+    if not math.isfinite(form.scale):
+        raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
+    if not math.isfinite(2.0 * form.scale):
+        raise NumericFailureError(f"matrix infinity-norm {form.scale:.3g} overflows eigenvalue differences")
+    return form
+
+
+def _route_parts(form: EdgeForm) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sorted parts P, Q on which the form takes the bipartite route
+    (_bipartite_eigh); None below BIPARTITE_MIN_N or for two diagonal
+    values. Vertex 0's edges settle the dense patterns in O(m): a triangle
+    through it has no 2-colouring, and a complete bipartite pattern is left
+    to the routes after it, while the SVD of its rank-one block is erratic
+    (1.8x eigh's time over K_{p,q}, 64 <= p + q <= 256). Otherwise a
+    breadth-first search colours each component from its least vertex,
     refuses at the first edge inside a colour and stops once every vertex
     is coloured; one pass over the edges then checks each joins P to Q."""
+    n, diagonal, src, dst = form.n, form.diagonal, form.src, form.dst
     if n < BIPARTITE_MIN_N or (diagonal != diagonal[0]).any():
         return None
     d = int(np.searchsorted(src, 1))  # vertex 0's edges come first
@@ -366,15 +428,6 @@ def _route_parts(n: int, diagonal: np.ndarray, src: np.ndarray,
     return np.flatnonzero(~side), np.flatnonzero(side)
 
 
-def _dense_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of the square mat above the diagonal as edges src < dst,
-    sorted by (src, dst), read from one mask (Q10, one core: 0.7 ms;
-    np.nonzero(np.triu(mat, 1)): 6.6 ms)."""
-    src, dst = np.divmod(np.flatnonzero(mat != 0), len(mat))
-    upper = src < dst
-    return src[upper], dst[upper]
-
-
 def _block_entries(n: int, p: np.ndarray, q: np.ndarray, src: np.ndarray,
                    dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, k) for each edge (src, dst) of the n x n M, which each join P to
@@ -398,15 +451,11 @@ def _dense_block(shape: tuple[int, int], i: np.ndarray, k: np.ndarray, entries: 
     return b
 
 
-def _half_block_edges(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The square h x h half block b = M[P, Q], whose entries (i, k) are
-    M's edges (_block_entries), in decompose's edge form: its diagonal, its
-    edges i < k with a nonzero entry, sorted by (i, k), and those entries;
-    None unless b is exactly symmetric. In O(m log m) with no dense b: b is
-    zero off the entries, so it is symmetric iff each entry equals the one
-    at (k, i), or 0 where (k, i) is no entry. The same edges, in the same
-    order, as _dense_edges(b)."""
+def _half_block(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> EdgeForm | None:
+    """The EdgeForm of the h x h half block B = M[P, Q] with M's entries at
+    (i, k) (_block_entries), or None unless B is exactly symmetric, in
+    O(m log m) with no dense B: each entry equals the one at (k, i), or 0
+    where (k, i) is no entry. Its edges are those of _dense_edges(B)."""
     key = i * h + k
     order = np.argsort(key)
     key, i, k, entries = key[order], i[order], k[order], entries[order]
@@ -417,71 +466,57 @@ def _half_block_edges(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray
     diagonal = np.zeros(h)
     on = i == k
     diagonal[i[on]] = entries[on]
-    keep = (i < k) & (entries != 0)
-    return diagonal, i[keep], k[keep], entries[keep]
+    upper = i < k
+    src, dst, values = i[upper], k[upper], entries[upper]
+    return EdgeForm(h, diagonal, src, dst, values, _edge_scale(h, diagonal, src, dst, values),
+                    lambda: _dense_block((h, h), i, k, entries))
 
 
-def _bipartite_eigh(n: int, c: float, p: np.ndarray, q: np.ndarray, src: np.ndarray,
-                    dst: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, BipartiteBasis]:
-    """The eigenpairs of the symmetric n x n M = cI + A whose off-diagonal
-    part A is zero inside P and inside Q and holds the entries on the edges
-    (src, dst), eigenvalues descending, from an SVD of the half-size block
-    B = M[P, Q] = U S V^T (Golub and Van Loan, Matrix Computations, 8.6):
-    A has the eigenpairs (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|),
-    and 0 on the |P| - |Q| columns of U (or |Q| - |P| of V) past r, as
-    [u; 0] (or [0; v]) on the rows P and Q. The eigenvalues c + s, c,
-    c - s reversed are descending as S is. Neither M nor its eigenvectors
-    are formed: those are returned factored (BipartiteBasis), and B is made
-    dense (_dense_block) only where eigh or svd reads it.
+def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, BipartiteBasis]:
+    """The eigenpairs, descending, of the form's M = cI + A, A zero inside P
+    and inside Q, from an SVD of the half-size block B = M[P, Q] = U S V^T
+    (Golub and Van Loan, Matrix Computations, 8.6): A has the eigenpairs
+    (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|), and 0 on the
+    columns [u; 0] (or [0; v]) of U (or V) past r. Neither M nor V is
+    formed: V is returned factored (BipartiteBasis), and B is made dense
+    (_dense_block) only where eigh or svd reads it.
 
-    A square B that is exactly symmetric has the SVD of its eigenpairs:
-    B = B^T = W Lambda W^T gives B = W |Lambda| (sign(Lambda) W)^T, so
-    U = W and V = W sign(Lambda) (sign(0) = +1), columns sorted by |lambda|
-    descending. W Lambda W^T comes from the route decompose takes for a raw
-    matrix, B's symmetry and edge form read from M's (_half_block_edges), so
-    a B that is itself bI + [[0, B'], [B'^T, 0]] takes the route again: for a
-    bipartite G, the half block of G x K2 from cartesian_product(G,
-    build_path(2)) is +-(I + A(G)); that of Q_d as build_hypercube labels it
-    is I plus the adjacency of a relabelled Q_{d-1}, so Q10 goes
-    1024 -> 512 -> ... -> one eigh of a 32 x 32 matrix, with no SVD, and its
-    basis holds O(n) numbers per level and that 32 x 32 W. Any other B
-    keeps np.linalg.svd, whose U and V are the basis's two dense blocks."""
-    shape, (i, k) = (len(p), len(q)), _block_entries(n, p, q, src, dst)
-    half = _half_block_edges(len(p), i, k, entries) if len(p) == len(q) else None
+    An exactly symmetric square B = W Lambda W^T has the SVD U = W,
+    V = W sign(Lambda) (sign(0) = +1), columns by |lambda| descending. Such
+    a B is itself an EdgeForm (_half_block), and W Lambda W^T comes from
+    the same route table as M's (_eigenpairs): the half block of a
+    bipartite G x K2 (cartesian_product(G, build_path(2))) is +-(I + A(G)),
+    that of Q_d as build_hypercube labels it is I plus a relabelled
+    Q_{d-1}'s adjacency, so Q10 goes 1024 -> 512 -> ... -> one eigh of a
+    32 x 32 W, with no SVD, and that of K_{p,p} x K2 takes the mirror route
+    from p = 32 on. Any other B keeps np.linalg.svd."""
+    n, c = form.n, form.diagonal[0]
+    shape, (i, k) = (len(p), len(q)), _block_entries(n, p, q, form.src, form.dst)
+    half = _half_block(len(p), i, k, form.entries) if len(p) == len(q) else None
     if half is not None:
-        diagonal, b_src, b_dst, b_entries = half
-        sub = _route_parts(len(p), diagonal, b_src, b_dst)
-        if sub is None:
-            lam, w = np.linalg.eigh(_dense_block(shape, i, k, entries))
-        else:
-            lam, w = _bipartite_eigh(len(p), diagonal[0], *sub, b_src, b_dst, b_entries)
+        lam, w = _eigenpairs(half)
         col = np.argsort(-np.abs(lam), kind="stable")
         s = np.abs(lam[col])
         basis = BipartiteBasis(p, q, w, w, col, np.where(lam[col] < 0, -1.0, 1.0))
     else:
-        u, s, vt = np.linalg.svd(_dense_block(shape, i, k, entries))
+        u, s, vt = np.linalg.svd(_dense_block(shape, i, k, form.entries))
         basis = BipartiteBasis(p, q, u, vt.T)
     r = len(s)
     return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), basis
 
 
-def _mirrored(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray,
-              values: np.ndarray) -> bool:
-    """Whether the exactly symmetric n x n matrix with this diagonal and
-    these values on the edges src < dst, sorted by (src, dst), is mirror
-    symmetric: JMJ = M for the reversal J: i -> n - 1 - i. Exact, in
-    O(m log m) with no pass over a dense matrix: the diagonal is a
-    palindrome, and the keys (n-1-dst) n + (n-1-src) of the reversed edges,
-    sorted, with their values, are the edge keys src n + dst with theirs.
-    An edge whose value is zero is no entry of M and is dropped, so a
-    Hamiltonian and its dense matrix give the same answer."""
-    if (diagonal != diagonal[::-1]).any():
+def _mirrored(form: EdgeForm) -> bool:
+    """Whether the form's M is mirror symmetric: JMJ = M for the reversal
+    J: i -> n - 1 - i. Exact, in O(m log m) with no pass over a dense
+    matrix: the diagonal is a palindrome, and the keys
+    (n-1-dst) n + (n-1-src) of the reversed edges, sorted, with their
+    entries, are the edge keys src n + dst with theirs."""
+    n, src, dst, entries = form.n, form.src, form.dst, form.entries
+    if (form.diagonal != form.diagonal[::-1]).any():
         return False
-    keep = values != 0
-    src, dst, values = src[keep], dst[keep], values[keep]
     image = (n - 1 - dst) * n + (n - 1 - src)
     order = np.argsort(image, kind="stable")
-    return bool(np.array_equal(image[order], src * n + dst) and np.array_equal(values[order], values))
+    return bool(np.array_equal(image[order], src * n + dst) and np.array_equal(entries[order], entries))
 
 
 def _mirror_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,6 +554,32 @@ def _mirror_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((lam_s, lam_a)), vectors
 
 
+def _bipartite_route(form: EdgeForm):
+    parts = _route_parts(form)
+    return None if parts is None else _bipartite_eigh(form, *parts)
+
+
+def _mirror_route(form: EdgeForm):
+    if form.n < BIPARTITE_MIN_N or not _mirrored(form):
+        return None
+    evals, vectors = _mirror_eigh(form.dense())
+    merge = np.argsort(evals, kind="stable")  # its two ascending runs, merged as eigh orders them
+    return evals[merge], vectors[:, merge]
+
+
+ROUTES = (_bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dense()))
+
+
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, np.ndarray | BipartiteBasis]:
+    """(values, V) from the first route of ROUTES that does not pass the form
+    on (None): descending with V factored from the bipartite route, else
+    ascending with V dense. A form without edges goes to eigh."""
+    for route in ROUTES if form.src is not None else ROUTES[-1:]:
+        pairs = route(form)
+        if pairs is not None:
+            return pairs
+
+
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-linkage clusters of the ascending evals: their boundaries
     (k + 1 indices into evals) and their means, each bit for bit np.mean of
@@ -544,14 +605,6 @@ def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarr
     return bounds, values
 
 
-def _check_scale(scale: float) -> None:
-    """NumericFailureError unless ||M||_inf and twice it (bounding every eigenvalue gap) are finite."""
-    if not math.isfinite(scale):
-        raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
-    if not math.isfinite(2.0 * scale):
-        raise NumericFailureError(f"matrix infinity-norm {scale:.3g} overflows eigenvalue differences")
-
-
 def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the spectrum of a real symmetric matrix into distinct eigenvalues.
 
@@ -561,90 +614,42 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     its eigenvectors become one contiguous column block, blocks in
     descending eigenvalue order.
 
-    m is a Hamiltonian or a raw matrix. A Hamiltonian is exactly symmetric
-    by construction: ||M||_inf = max_i (|d_i| + sum of |v| at i) and the
-    route come from its diagonal and edge arrays, with no pass over the
-    dense matrix. A raw matrix must be symmetric to SYMMETRY_TOL * ||M||_inf,
-    relative with no floor, so that scaling M by c > 0 keeps the verdict,
-    and, when exactly symmetric, has its nonzeros above the diagonal as edges.
-
-    The spectrum comes from one of three routes, chosen from the diagonal
-    and the edges:
-    - the bipartite route (_bipartite_eigh), from the half-size block B of
-      M = cI + [[0, B], [B^T, 0]] when _route_parts finds parts P, Q: from
-      n = BIPARTITE_MIN_N on, the adjacency of a bipartite graph or the
-      Laplacian of a regular one. It reads only the diagonal and the edge
-      entries, so a Hamiltonian on it never builds its dense matrix, and
-      it returns V factored (BipartiteBasis), so no (n, n) array is made
-      unless vectors is read (Q10, Hamiltonian built and decomposed: 5-6 ms
-      against 230-270 ms for eigh of its matrix, one core of a 2-vCPU
-      machine, scipy-openblas);
-    - else the mirror route (_mirror_eigh), two eighs of about n/2 from
-      n = BIPARTITE_MIN_N on when JMJ = M for the reversal J (_mirrored):
-      path Laplacians, odd cycles, complete graphs and K_{p,p} as their
-      builders label them (C299 Laplacian: 6 ms against 10 ms, same machine);
-    - else np.linalg.eigh.
-    Only these last two read a Hamiltonian's matrix, which it builds and
-    keeps on first read.
+    A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
+    EdgeForm, and the spectrum comes from the first route of one table
+    (_eigenpairs) that takes it, the first two from n = BIPARTITE_MIN_N on:
+    - the bipartite route (_bipartite_eigh), for M = cI + [[0, B], [B^T, 0]]:
+      bipartite adjacencies, regular bipartite Laplacians. It never reads
+      the dense matrix, which a Hamiltonian builds on first read, and holds
+      V factored (Q10, Hamiltonian built and decomposed: 5-6 ms against
+      230-270 ms for eigh, one core of a 2-vCPU machine);
+    - the mirror route (_mirror_eigh), two eighs of about n/2 when JMJ = M
+      for the reversal J: path Laplacians, odd cycles, K_n and K_{p,p} as
+      their builders label them (C299 Laplacian: 6 ms against 10 ms);
+    - np.linalg.eigh, the only route for a form without edges.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all
     smaller: the factorisations agree to rounding, not in their last bits.
-    The mirror route's two ascending spectra are merged by one stable
-    argsort, folded into the gather that groups the columns by cluster.
 
     Raises InvalidStateError for an empty, non-square or asymmetric matrix
     and NumericFailureError for a non-finite or overflowing M.
     """
-    if isinstance(m, Hamiltonian):
-        g, mat = m.graph, None  # m.matrix is built below only for the mirror route and eigh
-        with np.errstate(over="ignore"):  # an overflowing row sum is inf, so refused
-            scale = float(np.max(np.abs(m.diagonal) + _vertex_sums(g.n, g.src, g.dst, np.abs(m.values))))
-        _check_scale(scale)
-        n, diagonal, edges, entries = g.n, m.diagonal, (g.src, g.dst), m.values
-    else:
-        mat = np.asarray(m, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidStateError("matrix must be square")
-        if not mat.size:
-            raise InvalidStateError("matrix must have at least one row")
-        with np.errstate(over="ignore"):  # a non-finite entry or row sum leaves scale nan or inf
-            scale = float(np.linalg.norm(mat, np.inf))
-            asymmetry = _asymmetry(mat) if math.isfinite(scale) else 0.0  # inf if it overflows
-        if asymmetry > SYMMETRY_TOL * scale:
-            raise InvalidStateError("matrix must be symmetric")
-        _check_scale(scale)
-        n, diagonal, edges = len(mat), mat.diagonal(), _dense_edges(mat) if asymmetry == 0 else None
-        entries = None if edges is None else mat[edges]
-    parts = None if edges is None else _route_parts(n, diagonal, *edges)
-    mirror = (parts is None and edges is not None and n >= BIPARTITE_MIN_N
-              and _mirrored(n, diagonal, *edges, entries))
+    form = _edge_form(m)
     try:
-        if parts is not None:
-            evals, evecs = _bipartite_eigh(n, diagonal[0], *parts, *edges, entries)
-        else:
-            mat = m.matrix if mat is None else mat
-            evals, evecs = _mirror_eigh(mat) if mirror else np.linalg.eigh(mat)
+        evals, basis = _eigenpairs(form)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    if mirror:
-        merge = np.argsort(evals, kind="stable")
-        evals = evals[merge]
-
-    threshold = cfg.tol_group * scale
-    bounds, means = _clusters(evals if parts is None else evals[::-1], threshold)
+    dense = isinstance(basis, np.ndarray)
+    n, threshold = form.n, cfg.tol_group * form.scale
+    bounds, means = _clusters(evals if dense else evals[::-1], threshold)
     values = means[::-1].copy()
     offsets = n - bounds[::-1]
     counts = np.diff(offsets)
-    if parts is None:
-        # eigh's columns regrouped in descending cluster order, each block's
-        # columns ascending: block j starts at offsets[j] and takes evals'
-        # columns from bounds[k - 1 - j] (the mirror route's through merge)
+    if dense:
+        # clusters descending, each block's columns ascending: block j starts
+        # at offsets[j] and takes V's columns from bounds[k - 1 - j]
         cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
-        basis = evecs[:, merge[cols] if mirror else cols]
+        basis = basis[:, cols]
         basis.setflags(write=False)
-    else:
-        basis = evecs  # the route's factored basis, columns descending
-    mults = tuple(counts.tolist())
 
     gaps = values[:-1] - values[1:]
     warnings = tuple(
@@ -654,14 +659,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     )
     for arr in (values, offsets):
         arr.setflags(write=False)
-    return SpectralDecomposition(
-        eigenvalues=values,
-        basis=basis,
-        offsets=offsets,
-        multiplicities=mults,
-        scale=scale,
-        warnings=warnings,
-    )
+    return SpectralDecomposition(eigenvalues=values, basis=basis, offsets=offsets,
+                                 multiplicities=tuple(counts.tolist()), scale=form.scale, warnings=warnings)
 
 
 def check_phase(reach: float, lam: float) -> None:

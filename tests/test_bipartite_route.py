@@ -7,10 +7,10 @@ give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
 1e-12 * scale, projectors to 1e-10, and the same pst_decide and pst_partner
 verdicts. decompose takes it only from BIPARTITE_MIN_N on, for an exactly
 symmetric matrix with one constant on its diagonal and a bipartite, not
-complete bipartite, edge pattern: spectral._route_parts decides, from a
-Hamiltonian's edge arrays or from a raw matrix's nonzeros above the
-diagonal. The route reads only M's edge form, so a Hamiltonian on it never
-builds its dense matrix."""
+complete bipartite, edge pattern: spectral._route_parts decides, from the
+EdgeForm that decompose's door makes of a Hamiltonian's edge arrays or of a
+raw matrix's nonzeros above the diagonal. The route reads only that form,
+so a Hamiltonian on it never builds its dense matrix."""
 
 import itertools
 
@@ -20,6 +20,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import pair_state
+from test_hamiltonian_arrays import assert_one_form, assert_same_form
 
 MIN_N = spectral.BIPARTITE_MIN_N
 
@@ -33,21 +34,26 @@ def _edges(mat):
     return np.nonzero(np.triu(mat, 1))
 
 
-def _bipartite_eigh(mat, p, q):
-    """spectral._bipartite_eigh on mat's edge form: its constant diagonal,
-    its nonzeros above the diagonal and their entries; the eigenvectors
-    built from the factored basis."""
+def _form(mat):
+    """mat's EdgeForm: its diagonal, its nonzeros above the diagonal and
+    their entries, and its infinity norm."""
     src, dst = _edges(mat)
-    w, basis = spectral._bipartite_eigh(len(mat), mat[0, 0], p, q, src, dst, mat[src, dst])
+    return spectral.EdgeForm(len(mat), mat.diagonal(), src, dst, mat[src, dst], np.linalg.norm(mat, np.inf),
+                             lambda: mat)
+
+
+def _bipartite_eigh(mat, p, q):
+    """spectral._bipartite_eigh on mat's edge form; the eigenvectors built
+    from the factored basis."""
+    w, basis = spectral._bipartite_eigh(_form(mat), p, q)
     return w, basis.dense()
 
 
 def _forced_parts(mat):
-    """_route_parts of mat, its edges the nonzeros above the diagonal, with
-    the route allowed at every n."""
+    """_route_parts of mat's edge form, with the route allowed at every n."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        return spectral._route_parts(len(mat), mat.diagonal(), *_edges(mat))
+        return spectral._route_parts(_form(mat))
 
 
 def _parts(n, p):
@@ -138,7 +144,7 @@ def _route_decompose(monkeypatch, mat, parts):
     colouring = spectral._route_parts
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "_route_parts", lambda n, *rest: parts if n == len(mat) else colouring(n, *rest))
+        m.setattr(spectral, "_route_parts", lambda form: parts if form.n == len(mat) else colouring(form))
         return pw.decompose(mat)
 
 
@@ -167,6 +173,22 @@ def _partner(dec, x):
         return "fixed"
 
 
+def assert_same_verdicts(got, want, n):
+    """pst_partner and pst_decide agree on got and want for the test states."""
+    for x in _test_states(n, np.random.default_rng(n)):
+        y_got, y_want = _partner(got, x), _partner(want, x)
+        if isinstance(y_want, str) or y_want is None:
+            assert isinstance(y_got, type(y_want)) and y_got == y_want
+            continue
+        np.testing.assert_allclose(y_got, y_want, rtol=0, atol=1e-9)
+        for y in (y_want, np.roll(x, 1)):
+            a, b = pw.pst_decide(got, x, y), pw.pst_decide(want, x, y)
+            assert (a.decision, a.reason, a.case) == (b.decision, b.reason, b.case)
+            if b.decision:
+                assert a.tau_min == pytest.approx(b.tau_min, rel=1e-12)
+                assert a.tau_symbolic == b.tau_symbolic
+
+
 @pytest.mark.parametrize("name,mat,parts", CASES, ids=[c[0] for c in CASES])
 def test_route_matches_eigh(monkeypatch, name, mat, parts):
     if parts is None:
@@ -191,20 +213,7 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
     for j in range(want.k):
         np.testing.assert_allclose(got.projector(j), want.projector(j), rtol=0, atol=1e-10)
     assert got.warnings == want.warnings
-
-    rng = np.random.default_rng(n)
-    for x in _test_states(n, rng):
-        y_got, y_want = _partner(got, x), _partner(want, x)
-        if isinstance(y_want, str) or y_want is None:
-            assert isinstance(y_got, type(y_want)) and y_got == y_want
-            continue
-        np.testing.assert_allclose(y_got, y_want, rtol=0, atol=1e-9)
-        for y in (y_want, np.roll(x, 1)):
-            a, b = pw.pst_decide(got, x, y), pw.pst_decide(want, x, y)
-            assert (a.decision, a.reason, a.case) == (b.decision, b.reason, b.case)
-            if b.decision:
-                assert a.tau_min == pytest.approx(b.tau_min, rel=1e-12)
-                assert a.tau_symbolic == b.tau_symbolic
+    assert_same_verdicts(got, want, n)
 
 
 def _route_calls(monkeypatch, mat):
@@ -273,15 +282,15 @@ HALF_BLOCK_CASES = _half_block_cases()
 NO_HALF_BLOCK_ROUTE = {"P40xK2-laplacian", "Q8-relabelled-adjacency", "Q8-relabelled-laplacian"}
 
 
-def _dense_half_block_edges(h, i, k, entries):
-    """The half block's symmetry and edge form from b itself, by _asymmetry
-    and the nonzero mask: the O(n^2) passes per level the edge arrays
-    replace."""
+def _dense_half_block(h, i, k, entries):
+    """The half block's symmetry and edge form from b itself, by _asymmetry,
+    the nonzero mask and the dense infinity norm: the O(n^2) passes per
+    level the edge arrays replace."""
     b = spectral._dense_block((h, h), i, k, entries)
     if spectral._asymmetry(b):
         return None
     edges = spectral._dense_edges(b)
-    return (b.diagonal(), *edges, b[edges])
+    return spectral.EdgeForm(h, b.diagonal(), *edges, b[edges], np.linalg.norm(b, np.inf), lambda: b)
 
 
 def _bytes(dec):
@@ -299,26 +308,27 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
     seen = []
     real = spectral._bipartite_eigh
 
-    def check(n, c, p, q, src, dst, entries):
+    def check(form, p, q):
+        n, src, dst, entries = form.n, form.src, form.dst, form.entries
         mat = np.zeros((n, n))
         mat[src, dst] = mat[dst, src] = entries
-        np.fill_diagonal(mat, c)
+        np.fill_diagonal(mat, form.diagonal)
         i, k = spectral._block_entries(n, p, q, src, dst)
         assert spectral._dense_block((len(p), len(q)), i, k, entries).tobytes() == mat[np.ix_(p, q)].tobytes()
         if len(p) == len(q):
-            got = spectral._half_block_edges(len(p), i, k, entries)
-            want = _dense_half_block_edges(len(p), i, k, entries)
+            got = spectral._half_block(len(p), i, k, entries)
+            want = _dense_half_block(len(p), i, k, entries)
             assert (got is None) == (want is None)
-            for a, w in zip(got or (), want or ()):
-                assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+            if got is not None:
+                assert_same_form(got, want)
             seen.append(got is not None)
-        return real(n, c, p, q, src, dst, entries)
+        return real(form, p, q)
 
     with monkeypatch.context() as m:
         m.setattr(spectral, "_bipartite_eigh", check)
         got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_half_block_edges", _dense_half_block_edges)
+        m.setattr(spectral, "_half_block", _dense_half_block)
         want = _bytes(pw.decompose(ham))
     assert got == [want, want]
     assert any(seen) == (name not in NO_HALF_BLOCK_ROUTE)
@@ -356,15 +366,15 @@ OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian
 @pytest.mark.parametrize("name,g,kind", LAZY_CASES, ids=[c[0] for c in LAZY_CASES])
 def test_route_never_builds_the_dense_matrix(name, g, kind):
     """A Hamiltonian on the bipartite route is decomposed from its edge
-    arrays alone: its dense matrix is not built, and the decomposition is
-    bit-identical to that of the same matrix given as a raw ndarray. The
-    mirror route and eigh still read the matrix."""
+    arrays alone: its dense matrix is not built, and the same matrix given as
+    a raw ndarray passes the door into the same form. The mirror route and
+    eigh still read the matrix."""
     ham = pw.hamiltonian(g, kind)
-    on_route = spectral._route_parts(g.n, ham.diagonal, g.src, g.dst) is not None
+    on_route = spectral._route_parts(spectral._edge_form(ham)) is not None
     assert on_route == (name not in OFF_ROUTE)
-    got = _bytes(pw.decompose(ham))
+    pw.decompose(ham)
     assert ("matrix" in vars(ham)) == (not on_route)
-    assert got == _bytes(pw.decompose(np.array(ham.matrix)))
+    assert_one_form(ham)
 
 
 def test_symmetric_half_block_needs_no_svd(monkeypatch):
@@ -442,20 +452,20 @@ ROUTE_PARTS = [
 @pytest.mark.parametrize("name,g,p", ROUTE_PARTS, ids=[c[0] for c in ROUTE_PARTS])
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_route_parts_from_either_entry(monkeypatch, name, g, p, kind):
-    """The parts from a Hamiltonian's edge arrays and from its dense matrix
-    agree: None for a complete bipartite pattern (vertex 0's edges decide)
-    and an odd cycle; otherwise each component coloured from its least
-    vertex, which lands in P. A Laplacian takes the route only when the
-    graph is regular."""
+    """The parts from the form of a Hamiltonian, which its dense matrix
+    shares (assert_one_form): None for a complete bipartite pattern (vertex
+    0's edges decide) and an odd cycle; otherwise each component coloured
+    from its least vertex, which lands in P. A Laplacian takes the route
+    only when the graph is regular."""
     ham = pw.hamiltonian(g, kind)
-    got = spectral._route_parts(g.n, ham.diagonal, g.src, g.dst)
-    dense = spectral._route_parts(g.n, ham.matrix.diagonal(), *spectral._dense_edges(ham.matrix))
+    got = spectral._route_parts(spectral._edge_form(ham))
+    assert_one_form(ham)
     if p is None or not (kind == pw.ADJACENCY or g.is_regular()):
-        assert got is None and dense is None
+        assert got is None
         assert _route_calls(monkeypatch, ham) == 0
         return
-    assert got[0].tolist() == dense[0].tolist() == p
-    assert got[1].tolist() == dense[1].tolist() == sorted(set(range(g.n)) - set(p))
+    assert got[0].tolist() == p
+    assert got[1].tolist() == sorted(set(range(g.n)) - set(p))
     assert _route_calls(monkeypatch, ham) >= 1
 
 

@@ -1,8 +1,9 @@
 """The Hamiltonian as arrays: a diagonal and the values on its graph's edges,
-with the dense matrix built from them. decompose reads the infinity norm and
-the bipartite route from those arrays; given the same matrix as a raw
-ndarray it must decompose it bit for bit alike. Degrees come from the edge
-arrays too, and decide regularity for the adjacency join formulas."""
+with the dense matrix built from them. decompose's door reads the infinity
+norm and the edge form from those arrays; given the same matrix as a raw
+ndarray it must give the same EdgeForm, field by field, so that every route
+reads the same and both decompose bit for bit alike. Degrees come from the
+edge arrays too, and decide regularity for the adjacency join formulas."""
 
 import numpy as np
 import pytest
@@ -46,7 +47,18 @@ def _hamiltonians():
         # integer custom matrices: a constant diagonal (the route's shape) and a varying one
         out.append((f"{name}-custom", pw.load_custom(2.0 * a - 3.0 * np.eye(g.n), g)))
         out.append((f"{name}-custom-diag", pw.load_custom(-a + np.diag(np.arange(g.n) % 4), g)))
+    out.append(("Q6+e03-zero", _zero_valued_edge()))
     return out
+
+
+def _zero_valued_edge():
+    """Q6 plus the edge (0, 3) with the value 0.0: the triangle 0-1-3 is no
+    triangle of M, which is Q6's bipartite adjacency."""
+    q6 = pw.build_hypercube(6)
+    g = pw.make_graph(64, list(q6.edges) + [(0, 3)])
+    values = g.w.copy()
+    values[(g.src == 0) & (g.dst == 3)] = 0.0
+    return pw.Hamiltonian(pw.ADJACENCY, g, np.zeros(64), values)
 
 
 HAMILTONIANS = _hamiltonians()
@@ -57,12 +69,41 @@ def _bytes(dec):
             dec.multiplicities, dec.ambiguous, dec.warnings)
 
 
+def assert_same_form(got, want):
+    """Two EdgeForms field by field: n, the diagonal, the edges and their
+    entries byte for byte, the scale equal, and dense() the same matrix."""
+    assert got.n == want.n and got.scale == want.scale
+    for name in ("diagonal", "src", "dst", "entries"):
+        a, w = getattr(got, name), getattr(want, name)
+        assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+    assert got.dense().tobytes() == want.dense().tobytes()
+
+
+def assert_one_form(ham):
+    """The door test: a Hamiltonian and its dense matrix as a raw ndarray
+    pass decompose's door into one EdgeForm. Every route reads only the
+    form, so both entries take one route and decompose bit for bit alike."""
+    assert_same_form(spectral._edge_form(ham), spectral._edge_form(np.array(ham.matrix)))
+
+
 @pytest.mark.parametrize("name,ham", HAMILTONIANS, ids=[h[0] for h in HAMILTONIANS])
 def test_both_entries_decompose_alike(name, ham):
     assert not ham.matrix.flags.writeable
-    raw = np.array(ham.matrix)
-    assert _bytes(pw.decompose(ham)) == _bytes(pw.decompose(raw))
-    assert pw.decompose(ham).scale == np.linalg.norm(raw, np.inf)
+    assert_one_form(ham)
+    assert pw.decompose(ham).scale == np.linalg.norm(np.array(ham.matrix), np.inf)
+
+
+def test_zero_valued_edge_takes_one_route(monkeypatch):
+    """A value of 0 is no entry of M: from the Hamiltonian, as from its dense
+    matrix, whose nonzero mask never sees it, Q6 plus a zero-valued edge
+    takes the bipartite route, and both decompose bit for bit alike."""
+    ham = _zero_valued_edge()
+    calls = []
+    real = spectral._bipartite_eigh
+    monkeypatch.setattr(spectral, "_bipartite_eigh", lambda *args: calls.append(1) or real(*args))
+    got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
+    assert calls == [1, 1]
+    assert got[0] == got[1]
 
 
 def test_matrix_is_built_once_on_first_read():
@@ -75,17 +116,13 @@ def test_matrix_is_built_once_on_first_read():
 
 def test_route_reached_from_both_entries():
     # from n = 64 (Q6) on, the bipartite adjacencies, the regular Laplacians
-    # and the custom matrices with a constant diagonal take the route,
-    # whichever entry decompose is given
-    on_route = {name for name, ham in HAMILTONIANS
-                if spectral._route_parts(ham.n, ham.diagonal, ham.graph.src, ham.graph.dst)}
+    # and the custom matrices with a constant diagonal take the route; both
+    # entries give one form (test_both_entries_decompose_alike)
+    on_route = {name for name, ham in HAMILTONIANS if spectral._route_parts(spectral._edge_form(ham))}
     bipartite = ("Q6", "Q7", "K40,90-e", "C64xK2", "C64xK2-w", "P70-w")
     want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}
-    assert on_route == want | {"Q6-laplacian", "Q7-laplacian", "C64xK2-laplacian"}  # the regular ones
-    for name, ham in HAMILTONIANS:
-        raw = np.array(ham.matrix)
-        dense = spectral._route_parts(ham.n, raw.diagonal(), *spectral._dense_edges(raw))
-        assert (dense is not None) == (name in on_route)
+    # the regular Laplacians, and Q6 with a zero-valued edge
+    assert on_route == want | {"Q6-laplacian", "Q7-laplacian", "C64xK2-laplacian", "Q6+e03-zero"}
 
 
 def test_arrays_of_each_kind():

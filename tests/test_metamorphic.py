@@ -121,7 +121,7 @@ def _route_graphs():
 
 def _route_parts(ham):
     """The parts decompose(ham) factors on, from the Hamiltonian's arrays."""
-    return spectral._route_parts(ham.n, ham.diagonal, ham.graph.src, ham.graph.dst)
+    return spectral._route_parts(spectral._edge_form(ham))
 
 
 @pytest.mark.parametrize("name,g,pairs", _route_graphs(), ids=[c[0] for c in _route_graphs()])

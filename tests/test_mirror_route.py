@@ -13,7 +13,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import pair_state
-from test_bipartite_route import _bytes
+from test_bipartite_route import _bytes, assert_same_verdicts
 
 MIN_N = spectral.BIPARTITE_MIN_N
 
@@ -123,7 +123,7 @@ def test_off_the_route(monkeypatch, name, ham):
         dec, calls = _route_calls(monkeypatch, entry)
         assert calls == 0
     # only the n = 63 graphs are mirror symmetric: the route starts at 64
-    mirrored = spectral._mirrored(ham.n, ham.diagonal, ham.graph.src, ham.graph.dst, ham.values)
+    mirrored = spectral._mirrored(spectral._edge_form(ham))
     assert mirrored == np.array_equal(mat, mat[::-1, ::-1]) == (ham.n < MIN_N)
     np.testing.assert_allclose(np.repeat(dec.eigenvalues, dec.multiplicities),
                                np.linalg.eigvalsh(mat)[::-1], rtol=0, atol=1e-12 * dec.scale)
@@ -143,8 +143,9 @@ BIPARTITE_ROUTE = [
 @pytest.mark.parametrize("name,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])
 def test_bipartite_route_comes_first(monkeypatch, name, ham):
     # each is mirror symmetric too, but the bipartite route takes it
-    assert spectral._mirrored(ham.n, ham.diagonal, ham.graph.src, ham.graph.dst, ham.values)
-    assert spectral._route_parts(ham.n, ham.diagonal, ham.graph.src, ham.graph.dst) is not None
+    form = spectral._edge_form(ham)
+    assert spectral._mirrored(form)
+    assert spectral._route_parts(form) is not None
     _, calls = _route_calls(monkeypatch, ham)
     assert calls == 0
 
@@ -200,3 +201,32 @@ def test_middle_row_of_an_odd_matrix():
     np.testing.assert_allclose(ham.matrix @ vectors, vectors * evals, rtol=0, atol=1e-12 * scale)
     assert not vectors[32, 33:].any()
     np.testing.assert_allclose(vectors[:32], vectors[:32:-1] * np.r_[np.ones(33), -np.ones(32)], rtol=0, atol=0)
+
+
+K2 = pw.build_path(2)
+HALF_BLOCKS = [(f"K{p},{p}xK2-{kind}",
+                pw.hamiltonian(pw.cartesian_product(pw.build_complete_bipartite(p, p), K2), kind))
+               for p in (32, 40) for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
+
+
+@pytest.mark.parametrize("name,ham", HALF_BLOCKS, ids=[c[0] for c in HALF_BLOCKS])
+def test_half_block_takes_the_mirror_route(monkeypatch, name, ham):
+    """K_{p,p} x K2 takes the bipartite route, and its 2p x 2p half block,
+    +-(I + A(K_{p,p})), passes through the same route table: the bipartite
+    route declines its complete pattern and the mirror route takes it. It
+    must give what np.linalg.eigh of the whole matrix gives: the same
+    multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and
+    the same pst_decide and pst_partner verdicts on pair states."""
+    got, calls = _route_calls(monkeypatch, ham)
+    assert calls == 1
+    assert not isinstance(got.basis, np.ndarray)  # the top level is the bipartite route's
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "BIPARTITE_MIN_N", ham.n + 1)
+        want = pw.decompose(ham)
+    assert isinstance(want.basis, np.ndarray)
+    assert got.multiplicities == want.multiplicities
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * want.scale)
+    for j in range(want.k):
+        np.testing.assert_allclose(got.projector(j), want.projector(j), rtol=0, atol=1e-10)
+    assert got.warnings == want.warnings
+    assert_same_verdicts(got, want, ham.n)
