@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicableError, NumericFailureError
-from .spectral import as_state, fidelity
-from .states import check_pair, support
+from .spectral import Projection, fidelity, normalized_fidelity, walk
+from .states import _support, check_pair
 from .tolerances import BOUND_SLACK, DEFAULT_TOLERANCES, NEAR_ZERO, STENCIL_STEP, ToleranceConfig
 from .transfer import verify_pst_numeric
 
@@ -34,24 +34,27 @@ def fidelity_derivatives(
 
     Odd orders vanish; even order k equals an alternating binomial sum of
     moment products with sign +1 for k = 0 mod 4 and -1 for k = 2 mod 4. It
-    is summed on dec.moments, in units of scale**k, and rescaled once (an
+    is summed on y's moments, in units of scale**k, and rescaled once (an
     order beyond the float range reads +-inf or 0); bound_ok and near_zero
     compare in those units. Refuses a pair that check_strong_cospectrality
     refuses (InvalidPairError: unequal norms, or y = +-x) and inputs that do
     not transfer at tau; NumericFailureError when d2 or its bound leaves the
     float range.
     """
-    check_pair(as_state(x, dec.n), as_state(y, dec.n))
+    proj = Projection.of(dec, x, y)
+    x, y = proj.states.T
+    check_pair(x, y)
     if not verify_pst_numeric(dec, x, y, tau, cfg).passed:
         raise NotApplicableError("the moment formula is valid only at a transfer time")
     kk = max(k_max, 2)
-    moments = dec.moments(y, kk)
+    w = proj.weights()[:, 1:]  # ||E_j y||^2, whose sums against (lambda_j / scale)^k are the moments
+    moments = np.vander(dec.eigenvalues / (dec.scale or 1.0), kk + 1, increasing=True).T @ (w[:, 0] / np.dot(y, y))
     unit = {k: 0.0 for k in range(1, kk + 1)}  # d^k f/dt^k / scale**k
     for k in range(2, kk + 1, 2):
         terms = [(-1.0) ** j * math.comb(k, j) * moments[j] * moments[k - j] for j in range(k + 1)]
         unit[k] = (-1.0) ** (k // 2) * sum(terms)
-    prof = support(dec, y, cfg)
-    gap = float(prof.eigenvalues[0] - prof.eigenvalues[-1]) / (dec.scale or 1.0)
+    sup = dec.eigenvalues[_support(np.sqrt(w), proj.states[:, 1:], cfg)[:, 0]]
+    gap = float(sup[0] - sup[-1]) / (dec.scale or 1.0)
     bound_unit = -0.5 * gap * gap
     # value * scale**k in Python floats, left to right: +-inf or 0 out of range
     derivs = {k: math.prod([float(v)] + [dec.scale] * k) for k, v in unit.items()}
@@ -60,7 +63,7 @@ def fidelity_derivatives(
         raise NumericFailureError(f"f''(tau) leaves the float range at matrix scale {dec.scale:.3g}")
     # numeric corroboration of vanishing odd orders; limited to k <= 3 where
     # the stencil's roundoff still resolves zero. Both orders read one sampling.
-    samples = fidelity(dec, tau + STENCIL * STENCIL_STEP, x, y)
+    samples = normalized_fidelity(walk(dec, tau + STENCIL * STENCIL_STEP, proj.overlaps()), x, y)
     odd = max(abs(float(_stencil_weights(k, STENCIL_STEP) @ samples)) for k in range(1, min(kk, 3) + 1, 2))
     return SensitivityReport(
         tau=tau,

@@ -1,15 +1,14 @@
 """Eigendecomposition into distinct eigenvalues, each held as a block of
 orthonormal eigenvectors, and the walk operator built from them.
 
-The spectral projector of cluster j is E_j = V_j V_j^T, where V_j is the
-cluster's column block of the eigenvector matrix V. It is applied to a
-state as V_j (V_j^T x), which is independent of the basis eigh picked
-inside the cluster, and is never stored. Every stage reads V through
-V^T x (project) and V c (lift): eigh and the mirror route hold V as one
-dense (n, n) array, and the bipartite route holds it factored
-(BipartiteBasis), in O(n) numbers per level and the dense blocks of its
-last eigh or SVD, so a hypercube, path adjacency or even cycle is decided
-with no (n, n) array at all."""
+The projector E_j = V_j V_j^T of cluster j, V_j its column block of the
+eigenvector matrix V, is never stored: a stage projects its states once
+(Projection, c = V^T x) and reads cluster sums over c and lifts V c, which
+do not depend on the basis eigh picked inside a cluster. eigh and the
+mirror route hold V as one dense (n, n) array, and the bipartite route
+holds it factored (BipartiteBasis), in O(n) numbers per level and the
+dense blocks of its last eigh or SVD, so a hypercube, path adjacency or
+even cycle is decided with no (n, n) array at all."""
 
 from __future__ import annotations
 
@@ -150,9 +149,8 @@ class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
     V, which basis holds dense or factored (BipartiteBasis). The stages read
-    V only through project and lift; vectors, block, projector, eigenvector,
-    reconstruct and transition_matrix read V itself, which a factored basis
-    builds on first read and keeps."""
+    V through project and lift, inside a Projection; the dense readers
+    (vectors, block, projector, eigenvector, reconstruct) build V once."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
@@ -201,49 +199,6 @@ class SpectralDecomposition:
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum per-column values (along axis 0) over each cluster: (k[, b])."""
         return np.add.reduceat(values, self.offsets[:-1], axis=0)
-
-    def norms(self, x) -> np.ndarray:
-        """||E_j x|| for every cluster j, shape (k,) for a state and (k, b)
-        for an (n, b) state matrix."""
-        c = self.project(x)
-        return np.sqrt(self.cluster_sums(c * c))
-
-    def overlaps(self, x, y) -> np.ndarray:
-        """c_j = y^T E_j x, shape (k,), whose walk is y^T U(t) x."""
-        cx, cy = self.project(np.column_stack((x, y))).T
-        return self.cluster_sums(cx * cy)
-
-    def moments(self, x, k_max: int) -> np.ndarray:
-        """x^T M^k x / x^T x in units of scale**k (1 for the zero matrix) for
-        k = 0..k_max: sums of (lambda_j / scale)^k ||E_j x||^2 / ||x||^2."""
-        w = self.norms(x) ** 2 / np.dot(x, x)
-        return np.vander(self.eigenvalues / (self.scale or 1.0), k_max + 1, increasing=True).T @ w
-
-    def components(self, x, rows=None) -> np.ndarray:
-        """E_j x for each cluster j in rows (every cluster by default), as
-        the rows of an (m, n) array; x is a single state: the lift of V^T x
-        kept on one cluster per column."""
-        rows = range(self.k) if rows is None else rows
-        c = self.project(x)
-        coef = np.zeros((self.n, len(rows)))
-        for i, j in enumerate(rows):
-            coef[self.offsets[j]:self.offsets[j + 1], i] = c[self.offsets[j]:self.offsets[j + 1]]
-        return self.lift(coef).T
-
-    def reflect(self, x, clusters) -> np.ndarray:
-        """x - 2 sum_j E_j x over the given clusters j, for a state (n,) or
-        an (n, b) state matrix: the lift of V^T x kept on those clusters'
-        columns. A dense basis keeps the arithmetic V_F (V_F^T x) on the
-        gathered columns V_F, whose bytes the CLI prints."""
-        x = np.asarray(x, dtype=float)
-        cols = np.concatenate([np.arange(self.offsets[j], self.offsets[j + 1]) for j in clusters])
-        if isinstance(self.basis, np.ndarray):
-            vf = self.basis[:, cols]
-            return x - 2.0 * vf @ (vf.T @ x)
-        c = self.project(x)
-        flipped = np.zeros_like(c)
-        flipped[cols] = c[cols]
-        return x - 2.0 * self.lift(flipped)
 
     def projector(self, j: int) -> np.ndarray:
         """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
@@ -294,6 +249,42 @@ def as_state(x, n: int | None = None) -> np.ndarray:
         raise InvalidStateError(f"state has length {x.shape[0]}, expected {n}")
     check_magnitudes(x)
     return x
+
+
+class Projection:
+    """c = V^T X of an (n, b) state matrix X (of(): 1-D states), formed once
+    behind the one state check; per-state quantities are cluster sums or lifts."""
+
+    def __init__(self, dec: SpectralDecomposition, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != dec.n:
+            raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
+        check_magnitudes(X)
+        self.dec, self.states, self.coef = dec, X, dec.project(X)
+
+    @classmethod
+    def of(cls, dec: SpectralDecomposition, *states) -> Projection:
+        if any(np.shape(x) != (dec.n,) for x in states):
+            for x in states:  # refuses the first state in error, as one state at a time would
+                as_state(x, dec.n)
+        return cls(dec, np.array(states, dtype=float).T)
+
+    def weights(self) -> np.ndarray:
+        """||E_j x||^2 for every cluster j and column x: (k, b)."""
+        return self.dec.cluster_sums(self.coef * self.coef)
+
+    def overlaps(self) -> np.ndarray:
+        """y^T E_j x for the columns x, y: (k,), whose walk is y^T U(t) x."""
+        return self.dec.cluster_sums(self.coef[:, 0] * self.coef[:, 1])
+
+    def reflect(self, cols, clusters) -> np.ndarray:
+        """x - 2 sum_j E_j x over the clusters for the columns cols, a lift of c
+        on their rows F: a dense V_F times c[F], the bytes the CLI prints."""
+        flip = np.repeat(np.isin(np.arange(self.dec.k), clusters), self.dec.multiplicities)
+        c = self.coef[:, cols]
+        if isinstance(self.dec.basis, np.ndarray):
+            return self.states[:, cols] - 2.0 * self.dec.basis[:, flip] @ c[flip]
+        return self.states[:, cols] - 2.0 * self.dec.lift(np.where(flip[:, None], c, 0.0))
 
 
 BIPARTITE_MIN_N = 64  # measured crossover of the bipartite route against eigh
@@ -351,7 +342,8 @@ def _edge_form(m) -> EdgeForm:
     with no dense pass (a value of 0 is no entry of M, and its edge is
     dropped, as the nonzero mask of M drops it), or of a raw matrix, which
     must be square, non-empty and symmetric to SYMMETRY_TOL * ||M||_inf,
-    relative with no floor, so that scaling M by c > 0 keeps the verdict.
+    relative with no floor, so that scaling M by c > 0 keeps the verdict
+    (exactly symmetric, its ||M||_inf is _edge_scale's, as a Hamiltonian's).
     ||M||_inf and twice it, which bounds every eigenvalue gap, are finite."""
     if isinstance(m, Hamiltonian):
         g, src, dst, values = m.graph, m.graph.src, m.graph.dst, m.values
@@ -372,8 +364,10 @@ def _edge_form(m) -> EdgeForm:
         if asymmetry > SYMMETRY_TOL * scale:
             raise InvalidStateError("matrix must be symmetric")
         src, dst = _dense_edges(mat) if asymmetry == 0 else (None, None)
-        form = EdgeForm(len(mat), mat.diagonal(), src, dst, None if src is None else mat[src, dst], scale,
-                        lambda: mat)
+        entries = None if src is None else mat[src, dst]
+        if src is not None and math.isfinite(scale):  # exactly symmetric: a Hamiltonian's scale
+            scale = _edge_scale(len(mat), mat.diagonal(), src, dst, entries)
+        form = EdgeForm(len(mat), mat.diagonal(), src, dst, entries, scale, lambda: mat)
     if not math.isfinite(form.scale):
         raise NumericFailureError("matrix has a non-finite entry or infinity-norm")
     if not math.isfinite(2.0 * form.scale):
@@ -741,7 +735,6 @@ def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def fidelity(dec: SpectralDecomposition, t: float | np.ndarray, x, y) -> float | np.ndarray:
-    """normalized_fidelity of the walk of overlaps(x, y) at t (scalar or 1-D)."""
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    return normalized_fidelity(walk(dec, t, dec.overlaps(x, y)), x, y)
+    """normalized_fidelity of the walk of x and y's overlaps at t (scalar or 1-D)."""
+    proj = Projection.of(dec, x, y)
+    return normalized_fidelity(walk(dec, t, proj.overlaps()), *proj.states.T)

@@ -14,7 +14,7 @@ from .errors import (
     InvalidStateError,
     NotCospectralError,
 )
-from .spectral import SpectralDecomposition, as_state, check_magnitudes
+from .spectral import Projection, SpectralDecomposition
 from .tolerances import AMBIGUITY_BAND, DEFAULT_TOLERANCES, PAIR_TOL, ToleranceConfig
 
 FIXED = "fixed"
@@ -47,30 +47,32 @@ class CospectralityCertificate:
     profile: SupportProfile
 
 
-def support_mask(dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """The (k, b) support mask ||E_j x|| > tol_supp * ||x|| of each column x
-    of the (n, b) state matrix X; InvalidStateError for a column that
-    check_magnitudes refuses or that has an empty support."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != dec.n:
-        raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
-    check_magnitudes(X)
-    mask = dec.norms(X) > cfg.tol_supp * np.linalg.norm(X, axis=0)
+def _support(norms: np.ndarray, X: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """support_mask's rule on the (k, b) cluster norms ||E_j x|| of X's columns."""
+    mask = norms > cfg.tol_supp * np.linalg.norm(X, axis=0)
     if not np.all(mask.any(axis=0)):
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
     return mask
 
 
+def _profile(dec: SpectralDecomposition, mask: np.ndarray) -> SupportProfile:
+    idx = tuple(np.flatnonzero(mask).tolist())
+    kind = FIXED if len(idx) == 1 else SIZE2 if len(idx) == 2 else GENERAL
+    return SupportProfile(indices=idx, eigenvalues=dec.eigenvalues[list(idx)], kind=kind)
+
+
+def support_mask(dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The (k, b) support mask ||E_j x|| > tol_supp * ||x|| of each column x
+    of the (n, b) state matrix X; InvalidStateError for a column that
+    check_magnitudes refuses or that has an empty support."""
+    proj = Projection(dec, X)
+    return _support(np.sqrt(proj.weights()), proj.states, cfg)
+
+
 def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SupportProfile:
     """Support of the state x: the one-column case of support_mask."""
-    x = as_state(x, dec.n)
-    idx = tuple(int(j) for j in np.nonzero(support_mask(dec, x[:, None], cfg)[:, 0])[0])
-    kind = FIXED if len(idx) == 1 else SIZE2 if len(idx) == 2 else GENERAL
-    return SupportProfile(
-        indices=idx,
-        eigenvalues=dec.eigenvalues[list(idx)],
-        kind=kind,
-    )
+    proj = Projection.of(dec, x)
+    return _profile(dec, _support(np.sqrt(proj.weights()), proj.states, cfg)[:, 0])
 
 
 def coincident(x: np.ndarray, y: np.ndarray) -> bool:
@@ -102,16 +104,15 @@ def check_strong_cospectrality(
     tol_supp*||x|| or y leaves the support, and AmbiguousCospectralityError
     where a loser is also below AMBIGUITY_BAND times that tolerance.
     """
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    prof = support(dec, x, cfg)
+    proj = Projection.of(dec, x, y)
+    cx, cy = proj.coef.T  # ||E_j (x -+ y)|| = ||c_x -+ c_y|| on cluster j
+    nx, d_plus, d_minus, y_norms = np.sqrt(dec.cluster_sums(np.column_stack((cx, cx - cy, cx + cy, cy)) ** 2)).T
+    prof = _profile(dec, _support(nx[:, None], proj.states[:, :1], cfg)[:, 0])
     if prof.kind == FIXED:
         raise FixedStateError("a fixed state cannot be strongly cospectral")
+    x, y = proj.states.T
     check_pair(x, y)
     tol = cfg.tol_supp * float(np.linalg.norm(x))
-
-    # residuals for the + and - classifications, and the weights of y
-    d_plus, d_minus, y_norms = dec.norms(np.column_stack((x - y, x + y, y))).T
     plus, minus = [], []
     worst = 0.0
     ambiguous = None  # raised only when no eigenvalue fails outright

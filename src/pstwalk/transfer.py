@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import (
+    Projection,
     SpectralDecomposition,
     _grid_walk,
     as_state,
@@ -38,7 +39,7 @@ from .spectral import (
     normalized_fidelity,
     walk,
 )
-from .states import check_strong_cospectrality, support_mask
+from .states import _support, check_strong_cospectrality
 from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
 SPREAD_CHUNK = 1024    # edge masks per relabelling pass, and keys per stacked eigvalsh, of the spread oracle
@@ -191,14 +192,17 @@ def pst_partners(
 
     Columns sharing a support share one ratio table, and each group's
     partners are its reflection X_g - 2 sum_j E_j X_g over the table's
-    flips (SpectralDecomposition.reflect). The groups come from one
-    np.unique over the bit-packed mask columns, each viewed as a single void
-    scalar, and one stable argsort of the group labels split at the group
+    flips, from X's one Projection (Projection.reflect). The groups come
+    from one np.unique over the bit-packed mask columns, each viewed as a
+    void scalar, and one stable argsort of the labels split at the group
     sizes, so each group lists its columns in ascending order.
     """
-    X = np.asarray(X, dtype=float)
-    mask = support_mask(dec, X, cfg)
-    found = np.zeros(X.shape[1], dtype=bool)
+    return _partners(Projection(dec, X), cfg)
+
+
+def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    dec, X = proj.dec, proj.states
+    mask = _support(np.sqrt(proj.weights()), X, cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
@@ -209,14 +213,12 @@ def pst_partners(
         idx = np.nonzero(mask[:, cols[0]])[0]
         if len(idx) == 1:
             continue
-        sup = dec.eigenvalues[idx]
-        table = ratio_condition(sup, cfg)
+        table = ratio_condition(dec.eigenvalues[idx], cfg)
         if isinstance(table, NonPeriodic):
             continue
-        partners[:, cols] = dec.reflect(X[:, cols], idx[list(table.flips)])
+        partners[:, cols] = proj.reflect(cols, idx[list(table.flips)])
         tau[cols] = table.period / 2.0
-        found[cols] = True
-    return partners, found, mask.sum(axis=0) == 1, tau
+    return partners, ~np.isnan(tau), mask.sum(axis=0) == 1, tau
 
 
 def pst_partner(
@@ -225,8 +227,7 @@ def pst_partner(
     """The unique state admitting transfer from x, or None when x is not
     periodic; the one-column case of pst_partners. Raises FixedStateError
     for a single-eigenvalue support."""
-    x = as_state(x, dec.n)
-    partners, found, fixed, _ = pst_partners(dec, x[:, None], cfg)
+    partners, found, fixed, _ = _partners(Projection.of(dec, x), cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
     return partners[:, 0] if found[0] else None
@@ -270,7 +271,7 @@ def universal_pst_pair(
 
 def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) -> ScanResult:
     """Uniformly sampled fidelity with its peak refined by a safeguarded
-    Newton iteration, every value the walk of one overlaps(x, y) = c: the
+    Newton iteration, every value the walk of one Projection's overlaps c: the
     grid's from _grid_walk's factorised phase table (whose guard also covers
     np.linspace's times), the refinement's from scalar walks.
 
@@ -294,9 +295,9 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
         raise InvalidStateError("steps must be at least 2")
     if not math.isfinite(t_max):
         raise InvalidStateError("t_max must be finite")
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    amps = dec.overlaps(x, y)
+    proj = Projection.of(dec, x, y)
+    x, y = proj.states.T
+    amps = proj.overlaps()
     values = normalized_fidelity(_grid_walk(dec, t_max, steps, amps), x, y)
     times = np.linspace(0.0, t_max, steps)
     best = int(np.argmax(values))

@@ -1,6 +1,6 @@
 """Reference constructions the tests compare the engine against, built on
-the components and projectors of a SpectralDecomposition, and the
-three-pass ratio condition the one-pass rule replaced."""
+the dense projectors of a SpectralDecomposition, and the three-pass ratio
+condition the one-pass rule replaced."""
 
 import math
 
@@ -9,6 +9,22 @@ import numpy as np
 import pstwalk as pw
 from pstwalk.arith import reconstruct_fraction
 from pstwalk.periodicity import MAX_LCM, PHASE_ALIGNMENT, NonPeriodic, RatioTable, _validate_support
+from pstwalk.spectral import Projection
+
+
+def moments(dec, X, k_max):
+    """x^T M^k x / x^T x in units of scale**k (1 for the zero matrix) for
+    k = 0..k_max and each column x of X, (k_max + 1, b): sums of
+    (lambda_j / scale)^k ||E_j x||^2 / ||x||^2 over a Projection's weights."""
+    proj = Projection(dec, X)
+    w = proj.weights() / np.einsum("ij,ij->j", proj.states, proj.states)
+    return np.vander(dec.eigenvalues / (dec.scale or 1.0), k_max + 1, increasing=True).T @ w
+
+
+def components(dec, x, rows):
+    """E_j x for each cluster j in rows, as the rows of an (m, n) array, from
+    the dense projectors E_j."""
+    return np.array([dec.projector(j) @ x for j in rows]).reshape(len(rows), dec.n)
 
 
 def all_partners(dec, x):
@@ -16,7 +32,7 @@ def all_partners(dec, x):
     proper subset of its support negated, the largest support eigenvalue
     never among them; an empty list for a fixed state."""
     x = np.asarray(x, dtype=float)
-    comps = dec.components(x, pw.support(dec, x).indices)
+    comps = components(dec, x, pw.support(dec, x).indices)
     m = len(comps)
     flips = (np.arange(1, 2 ** (m - 1))[:, None] >> np.arange(m - 1)) & 1
     return list(x - 2.0 * flips @ comps[1:])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
-from oracles import all_partners
+from oracles import all_partners, moments
 from pstwalk.errors import (
     AmbiguousCospectralityError,
     FixedStateError,
@@ -27,7 +27,7 @@ from pstwalk.errors import (
     NotCospectralError,
 )
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.spectral import BipartiteBasis
+from pstwalk.spectral import BipartiteBasis, Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -222,11 +222,14 @@ def test_consumers_match_dense_projectors(case):
         <= TOL * max(1.0, dec.scale)
     for j in range(dec.k):
         assert np.max(np.abs(dec.projector(j) - P[j])) <= TOL
-    assert np.max(np.abs(dec.norms(x) - np.linalg.norm(P @ x, axis=1))) <= TOL
+    proj = Projection.of(dec, x)
+    assert np.max(np.abs(np.sqrt(proj.weights()[:, 0]) - np.linalg.norm(P @ x, axis=1))) <= TOL
 
     prof, ref_prof = pw.support(dec, x), _dense_support(dec, P, x)
     assert prof.indices == ref_prof.indices and prof.kind == ref_prof.kind
-    assert np.max(np.abs(dec.components(x, prof.indices) - P[list(ref_prof.indices)] @ x)) <= TOL
+    # E_j x as the record lifts it: (x - reflect on cluster j) / 2
+    comps = [(x - proj.reflect([0], [j])[:, 0]) / 2.0 for j in prof.indices]
+    assert np.max(np.abs(np.array(comps) - P[list(ref_prof.indices)] @ x)) <= TOL
 
     off = [j for j in range(dec.k) if j not in prof.indices]
     if y_kind == "partner" and prof.kind != FIXED:
@@ -291,8 +294,9 @@ def test_consumers_match_dense_projectors(case):
     assert abs(_dense_scan_values(dec, P, x, y, [scan.peak_time])[0] - scan.peak_value) <= TOL
     assert scan.peak_value >= ref_values.max() - TOL
 
-    for v in (x, y):
-        assert np.max(np.abs(dec.moments(v, 6) - _dense_moments(mat, dec.scale, v, 6))) <= 1e-10
+    mom = moments(dec, np.column_stack((x, y)), 6)
+    for col, v in enumerate((x, y)):
+        assert np.max(np.abs(mom[:, col] - _dense_moments(mat, dec.scale, v, 6))) <= 1e-10
 
 
 def _regular_factors():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis
+from pstwalk.spectral import BipartiteBasis, Projection
 from conftest import pair_state, random_tree
 
 
@@ -48,7 +48,7 @@ def _weighted_bipartite(seed, n, extra):
 
 def _check_basis(dec, rng):
     """project and lift against the materialised V, the round trip, and
-    the cluster sums of project(x)^2 against norms(x)^2."""
+    the cluster weights of a Projection against those of V^T x."""
     n = dec.n
     X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
     x = X[:, 0]
@@ -58,8 +58,8 @@ def _check_basis(dec, rng):
     np.testing.assert_allclose(dec.lift(X), v @ X, rtol=0, atol=1e-13 * size)
     np.testing.assert_allclose(dec.project(x), v.T @ x, rtol=0, atol=1e-13 * size)
     np.testing.assert_allclose(dec.lift(dec.project(x)), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
-    c = dec.project(x)
-    np.testing.assert_allclose(dec.cluster_sums(c * c), dec.norms(x) ** 2, rtol=0,
+    c = v.T @ x
+    np.testing.assert_allclose(Projection.of(dec, x).weights()[:, 0], dec.cluster_sums(c * c), rtol=0,
                                atol=1e-13 * np.dot(x, x))
 
 

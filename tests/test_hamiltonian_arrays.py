@@ -11,6 +11,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from pstwalk.graphs import REGULAR_TOL
+from conftest import random_tree
 
 
 def _weighted(g, weights):
@@ -91,6 +92,42 @@ def test_both_entries_decompose_alike(name, ham):
     assert not ham.matrix.flags.writeable
     assert_one_form(ham)
     assert pw.decompose(ham).scale == np.linalg.norm(np.array(ham.matrix), np.inf)
+
+
+def _float_weighted():
+    """Float-weighted Hamiltonians, whose row sums round: seeded random
+    connected graphs of 4 to 19 vertices with weights uniform in [0.1, 3),
+    and Q6 and P70 with such weights, on the bipartite route. Each kind,
+    and a custom matrix with a varying diagonal."""
+    rng = np.random.default_rng(20261019)
+    graphs = []
+    for i in range(24):
+        n = int(rng.integers(4, 20))
+        tree = [(u, v) for u, v, _ in random_tree(rng, n).edges]
+        extra = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(n, 2)) if u != v]
+        edges = {(min(e), max(e)) for e in tree + extra}
+        graphs.append((f"R{i}-{n}", pw.make_graph(n, [(u, v, float(rng.uniform(0.1, 3.0))) for u, v in sorted(edges)])))
+    for name, g in (("Q6", pw.build_hypercube(6)), ("P70", pw.build_path(70))):
+        graphs.append((f"{name}-f", _weighted(g, rng.uniform(0.1, 3.0, size=len(g.edges)))))
+    out = []
+    for name, g in graphs:
+        out += [(f"{name}-{kind}", pw.hamiltonian(g, kind)) for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
+        a = pw.hamiltonian(g, pw.ADJACENCY).matrix
+        out.append((f"{name}-custom-diag", pw.load_custom(0.3 * a + np.diag(rng.uniform(-1.0, 1.0, g.n)), g)))
+    return out
+
+
+FLOAT_WEIGHTED = _float_weighted()
+
+
+@pytest.mark.parametrize("name,ham", FLOAT_WEIGHTED, ids=[h[0] for h in FLOAT_WEIGHTED])
+def test_float_weighted_entries_share_one_form(name, ham):
+    """The door test on float weights: an exactly symmetric raw matrix takes
+    ||M||_inf from its edges, as its Hamiltonian does, not from numpy's
+    pairwise row sums, so dec.scale, the clustering threshold and every
+    byte of the decomposition agree between the entries."""
+    assert_one_form(ham)
+    assert _bytes(pw.decompose(ham)) == _bytes(pw.decompose(np.array(ham.matrix)))
 
 
 def test_zero_valued_edge_takes_one_route(monkeypatch):

@@ -1,0 +1,119 @@
+"""One projection per public call: every stage after decompose reads one
+Projection of its states, c = V^T X, formed by spectral._project. A spy
+counts each public call's top-level _project calls (the nested calls down a
+factored basis's chain are part of one product). A dense basis that tracks
+its transpose, and a spy on BipartiteBasis.project, show that no V^T
+product is made anywhere else."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import pstwalk as pw
+from pstwalk import spectral
+from pstwalk.spectral import BipartiteBasis
+from conftest import pair_state
+
+
+class _Tracked(np.ndarray):
+    """A dense V that counts the matmuls outside _project that form a V^T
+    product: its transpose on the left, or V itself on the right."""
+
+    transposed = False
+
+    @property
+    def T(self):
+        view = np.ndarray.T.__get__(self)
+        view.transposed = True
+        return view
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and not _Spy.depth:
+            left, right = inputs[0], inputs[1]
+            if getattr(left, "transposed", False) or isinstance(right, _Tracked):
+                _Spy.outside += 1
+        plain = [np.asarray(a) if isinstance(a, _Tracked) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class _Spy:
+    depth = 0     # _project calls open
+    top = 0       # top-level _project calls
+    outside = 0   # V^T products made outside _project
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    real_project, real_basis_project = spectral._project, BipartiteBasis.project
+
+    def project(basis, x):
+        _Spy.top += not _Spy.depth
+        _Spy.depth += 1
+        try:
+            return real_project(basis, x)
+        finally:
+            _Spy.depth -= 1
+
+    def basis_project(self, x):
+        _Spy.outside += not _Spy.depth
+        return real_basis_project(self, x)
+
+    monkeypatch.setattr(spectral, "_project", project)
+    monkeypatch.setattr(BipartiteBasis, "project", basis_project)
+    _Spy.depth = _Spy.top = _Spy.outside = 0
+
+    def count(call):
+        _Spy.top = _Spy.outside = 0
+        call()
+        return _Spy.top, _Spy.outside
+
+    return count
+
+
+def _case(name):
+    """(dec, x, y, tau): the P7 end pair on a tracked dense basis, or Q8's
+    e0 + e1 on the factored one, with its partner and transfer time."""
+    if name == "P7":
+        dec = pw.decompose(pw.hamiltonian(pw.build_path(7), pw.ADJACENCY))
+        dec = dataclasses.replace(dec, basis=dec.basis.view(_Tracked))
+        x = pair_state(7, 0, 6)
+    else:
+        dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(8), pw.ADJACENCY))
+        assert isinstance(dec.basis, BipartiteBasis)
+        x = pair_state(256, 0, 1, 1.0)
+    y = pw.pst_partner(dec, x)
+    verdict = pw.pst_decide(dec, x, y)
+    assert verdict.decision
+    return dec, x, y, verdict.tau_min
+
+
+@pytest.mark.parametrize("name", ["P7", "Q8"])
+def test_one_projection_per_public_call(spy, name):
+    dec, x, y, tau = _case(name)
+    X = np.column_stack((x, y, np.eye(dec.n)[2]))
+    calls = {
+        "pst_decide": (lambda: pw.pst_decide(dec, x, y), 1),
+        "pst_partners": (lambda: pw.pst_partners(dec, X), 1),
+        "pst_partner": (lambda: pw.pst_partner(dec, x), 1),
+        "fidelity_scan": (lambda: pw.fidelity_scan(dec, x, y, 2.0 * tau, 50), 1),
+        "support": (lambda: pw.support(dec, x), 1),
+        "support_mask": (lambda: pw.support_mask(dec, X), 1),
+        "check_strong_cospectrality": (lambda: pw.check_strong_cospectrality(dec, x, y), 1),
+        "verify_pst_numeric": (lambda: pw.verify_pst_numeric(dec, x, y, tau), 1),
+        "fidelity": (lambda: pw.fidelity(dec, tau, x, y), 1),
+        # one projection of (x, y), and verify's evolve
+        "fidelity_derivatives": (lambda: pw.fidelity_derivatives(dec, x, y, tau), 2),
+    }
+    for call_name, (call, limit) in calls.items():
+        top, outside = spy(call)
+        assert 1 <= top <= limit, call_name
+        assert outside == 0, call_name
+
+
+def test_tracked_basis_sees_a_stray_product(spy):
+    """The tracker itself: a V^T x outside _project is counted."""
+    dec, x, _, _ = _case("P7")
+    assert spy(lambda: dec.basis.T @ x) == (0, 1)
+    assert spy(lambda: x @ dec.basis) == (0, 1)
+    assert spy(lambda: dec.basis @ x) == (0, 0)

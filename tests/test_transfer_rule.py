@@ -13,6 +13,7 @@ import pstwalk as pw
 from conftest import pair_state
 from pstwalk.arith import two_adic_valuation
 from pstwalk.periodicity import NonPeriodic, RatioTable
+from pstwalk.spectral import Projection
 
 
 def reference_parity_ok(table, minus, m):
@@ -119,7 +120,7 @@ def test_end_pair_on_p280_is_not_periodic():
     assert pw.pst_partner(dec, x) is None
     _, found, fixed, tau = pw.pst_partners(dec, x[:, None])
     assert not found[0] and not fixed[0] and np.isnan(tau[0])
-    y = x - 2.0 * dec.components(x, [prof.indices[1]])[0]
+    y = Projection(dec, x[:, None]).reflect([0], [prof.indices[1]])[:, 0]  # x - 2 E_j x
     verdict = pw.pst_decide(dec, x, y)
     assert not verdict.decision and verdict.reason == "not-periodic"
 
