@@ -13,7 +13,7 @@ from .errors import NotApplicableError, NumericFailureError
 from .spectral import Projection, fidelity, normalized_fidelity, walk
 from .states import _support, check_pair
 from .tolerances import BOUND_SLACK, DEFAULT_TOLERANCES, NEAR_ZERO, STENCIL_STEP, ToleranceConfig
-from .transfer import verify_pst_numeric
+from .transfer import _verify
 
 
 @dataclass(eq=False)
@@ -44,7 +44,7 @@ def fidelity_derivatives(
     proj = Projection.of(dec, x, y)
     x, y = proj.states.T
     check_pair(x, y)
-    if not verify_pst_numeric(dec, x, y, tau, cfg).passed:
+    if not _verify(proj, tau, cfg).passed:
         raise NotApplicableError("the moment formula is valid only at a transfer time")
     kk = max(k_max, 2)
     w = proj.weights()[:, 1:]  # ||E_j y||^2, whose sums against (lambda_j / scale)^k are the moments
@@ -53,7 +53,7 @@ def fidelity_derivatives(
     for k in range(2, kk + 1, 2):
         terms = [(-1.0) ** j * math.comb(k, j) * moments[j] * moments[k - j] for j in range(k + 1)]
         unit[k] = (-1.0) ** (k // 2) * sum(terms)
-    sup = dec.eigenvalues[_support(np.sqrt(w), proj.states[:, 1:], cfg)[:, 0]]
+    sup = dec.eigenvalues[_support(w, cfg)[:, 0]]
     gap = float(sup[0] - sup[-1]) / (dec.scale or 1.0)
     bound_unit = -0.5 * gap * gap
     # value * scale**k in Python floats, left to right: +-inf or 0 out of range

@@ -2,9 +2,11 @@
 orthonormal eigenvectors, and the walk operator built from them.
 
 The projector E_j = V_j V_j^T of cluster j, V_j its column block of the
-eigenvector matrix V, is never stored: a stage projects its states once
-(Projection, c = V^T x) and reads cluster sums over c and lifts V c, which
-do not depend on the basis eigh picked inside a cluster. eigh and the
+eigenvector matrix V, is never stored. A stage reaches V only through the
+record of its states, Projection: c = V^T X formed once, read as cluster
+sums over c and lifts V c, which do not depend on the basis eigh picked
+inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
+denominator, the states' own, so that an inconsistent V shows. eigh and the
 mirror route hold V as one dense (n, n) array, and the bipartite route
 holds it factored (BipartiteBasis), in O(n) numbers per level and the
 dense blocks of its last eigh or SVD, so a hypercube, path adjacency or
@@ -148,9 +150,10 @@ def _lift(basis: np.ndarray | BipartiteBasis, c: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds dense or factored (BipartiteBasis). The stages read
-    V through project and lift, inside a Projection; the dense readers
-    (vectors, block, projector, eigenvector, reconstruct) build V once."""
+    V, which basis holds dense or factored (BipartiteBasis). The stages reach
+    V only through a Projection, which alone forms V^T X (_project); only its
+    reflect and evolve form V c (_lift). The dense readers (vectors, block,
+    projector, eigenvector, reconstruct) build V once."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
@@ -183,14 +186,6 @@ class SpectralDecomposition:
             self._vectors = self.basis.dense()
             self._vectors.setflags(write=False)
         return self._vectors
-
-    def project(self, x) -> np.ndarray:
-        """V^T x for a state (n,) or an (n, b) state matrix."""
-        return _project(self.basis, np.asarray(x, dtype=float))
-
-    def lift(self, c) -> np.ndarray:
-        """V c for coefficients (n,) or (n, b)."""
-        return _lift(self.basis, np.asarray(c, dtype=float))
 
     def block(self, j: int) -> np.ndarray:
         """V_j, the (n, m_j) orthonormal eigenvector block of cluster j."""
@@ -260,7 +255,7 @@ class Projection:
         if X.ndim != 2 or X.shape[0] != dec.n:
             raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
         check_magnitudes(X)
-        self.dec, self.states, self.coef = dec, X, dec.project(X)
+        self.dec, self.states, self.coef = dec, X, _project(dec.basis, X)
 
     @classmethod
     def of(cls, dec: SpectralDecomposition, *states) -> Projection:
@@ -284,7 +279,7 @@ class Projection:
         c = self.coef[:, cols]
         if isinstance(self.dec.basis, np.ndarray):
             return self.states[:, cols] - 2.0 * self.dec.basis[:, flip] @ c[flip]
-        return self.states[:, cols] - 2.0 * self.dec.lift(np.where(flip[:, None], c, 0.0))
+        return self.states[:, cols] - 2.0 * _lift(self.dec.basis, np.where(flip[:, None], c, 0.0))
 
 
 BIPARTITE_MIN_N = 64  # measured crossover of the bipartite route against eigh
@@ -721,10 +716,10 @@ def normalized_fidelity(amp, x, y):
 
 
 def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
-    """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x."""
-    x = as_state(x, dec.n)
-    coef = np.repeat(walk(dec, t), dec.multiplicities) * dec.project(x)
-    return dec.lift(coef.real) + 1j * dec.lift(coef.imag)
+    """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x, the
+    lift of x's Projection with its coefficients turned by the phases."""
+    coef = Projection.of(dec, x).coef[:, 0] * np.repeat(walk(dec, t), dec.multiplicities)  # x checked first
+    return _lift(dec.basis, coef.real) + 1j * _lift(dec.basis, coef.imag)
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:

@@ -47,9 +47,10 @@ class CospectralityCertificate:
     profile: SupportProfile
 
 
-def _support(norms: np.ndarray, X: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """support_mask's rule on the (k, b) cluster norms ||E_j x|| of X's columns."""
-    mask = norms > cfg.tol_supp * np.linalg.norm(X, axis=0)
+def _support(weights: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """support_mask's rule on the (k, b) cluster weights ||E_j x||^2 of a
+    Projection's columns, ||x|| being the square root of a column's sum."""
+    mask = np.sqrt(weights) > cfg.tol_supp * np.sqrt(weights.sum(axis=0))
     if not np.all(mask.any(axis=0)):
         raise InvalidStateError("state has empty eigenvalue support at this tolerance")
     return mask
@@ -65,31 +66,33 @@ def support_mask(dec: SpectralDecomposition, X, cfg: ToleranceConfig = DEFAULT_T
     """The (k, b) support mask ||E_j x|| > tol_supp * ||x|| of each column x
     of the (n, b) state matrix X; InvalidStateError for a column that
     check_magnitudes refuses or that has an empty support."""
-    proj = Projection(dec, X)
-    return _support(np.sqrt(proj.weights()), proj.states, cfg)
+    return _support(Projection(dec, X).weights(), cfg)
 
 
 def support(dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SupportProfile:
     """Support of the state x: the one-column case of support_mask."""
-    proj = Projection.of(dec, x)
-    return _profile(dec, _support(np.sqrt(proj.weights()), proj.states, cfg)[:, 0])
+    return _profile(dec, _support(Projection.of(dec, x).weights(), cfg)[:, 0])
+
+
+def _pair_rule(nx: float, ny: float, diff: float, total: float) -> str | None:
+    """The pair rule on ||x||, ||y||, ||x - y|| and ||x + y||: why a pair is
+    refused (norms apart by more than PAIR_TOL * max(||x||, ||y||), or y = +-x:
+    min(||x - y||, ||x + y||) within PAIR_TOL * ||x||), or None."""
+    if abs(nx - ny) > PAIR_TOL * max(nx, ny):
+        return "states must have equal norms"
+    return "y must differ from both x and -x" if min(diff, total) <= PAIR_TOL * nx else None
 
 
 def coincident(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether y = +-x under the pair rule: min(||x - y||, ||x + y||) is
-    within PAIR_TOL * ||x||. Coincident states have equal norms to that
-    bound, so they pass check_pair's norm test."""
-    return bool(min(np.linalg.norm(x - y), np.linalg.norm(x + y)) <= PAIR_TOL * np.linalg.norm(x))
+    """Whether y = +-x under the pair rule (whose norm test y = +-x passes)."""
+    nx = np.linalg.norm(x)
+    return _pair_rule(nx, nx, np.linalg.norm(x - y), np.linalg.norm(x + y)) is not None
 
 
 def check_pair(x: np.ndarray, y: np.ndarray) -> None:
-    """The pair rule: InvalidPairError unless ||x|| and ||y|| agree to
-    PAIR_TOL * max(||x||, ||y||) and y is not coincident with +-x."""
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if abs(nx - ny) > PAIR_TOL * max(nx, ny):
-        raise InvalidPairError("states must have equal norms")
-    if coincident(x, y):
-        raise InvalidPairError("y must differ from both x and -x")
+    """InvalidPairError where the raw vectors x and y break the pair rule."""
+    if refusal := _pair_rule(np.linalg.norm(x), np.linalg.norm(y), np.linalg.norm(x - y), np.linalg.norm(x + y)):
+        raise InvalidPairError(refusal)
 
 
 def check_strong_cospectrality(
@@ -104,15 +107,16 @@ def check_strong_cospectrality(
     tol_supp*||x|| or y leaves the support, and AmbiguousCospectralityError
     where a loser is also below AMBIGUITY_BAND times that tolerance.
     """
-    proj = Projection.of(dec, x, y)
-    cx, cy = proj.coef.T  # ||E_j (x -+ y)|| = ||c_x -+ c_y|| on cluster j
-    nx, d_plus, d_minus, y_norms = np.sqrt(dec.cluster_sums(np.column_stack((cx, cx - cy, cx + cy, cy)) ** 2)).T
-    prof = _profile(dec, _support(nx[:, None], proj.states[:, :1], cfg)[:, 0])
+    cx, cy = Projection.of(dec, x, y).coef.T  # ||E_j (x -+ y)|| = ||c_x -+ c_y|| on cluster j
+    weights = dec.cluster_sums(np.column_stack((cx, cx - cy, cx + cy, cy)) ** 2)
+    d_plus, d_minus, y_norms = np.sqrt(weights[:, 1:]).T
+    prof = _profile(dec, _support(weights[:, :1], cfg)[:, 0])
     if prof.kind == FIXED:
         raise FixedStateError("a fixed state cannot be strongly cospectral")
-    x, y = proj.states.T
-    check_pair(x, y)
-    tol = cfg.tol_supp * float(np.linalg.norm(x))
+    nx, diff, total, ny = np.sqrt(weights.sum(axis=0)).tolist()  # Parseval: the norms of x, x -+ y, y
+    if refusal := _pair_rule(nx, ny, diff, total):
+        raise InvalidPairError(refusal)
+    tol = cfg.tol_supp * nx
     plus, minus = [], []
     worst = 0.0
     ambiguous = None  # raised only when no eigenvalue fails outright

@@ -44,7 +44,7 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 # (spectral.check_magnitudes refuses a state outside it).
 STATE_PEAK = (1e-75, 1e75)
 # 1e-10, relative to ||x|| (to max(||x||, ||y||) for the norms): the pair rule
-# of states.check_pair. ||x|| and ||y|| must agree to it, and y = +-x when
+# (states._pair_rule). ||x|| and ||y|| must agree to it, and y = +-x when
 # min(||x - y||, ||x + y||) is within it (states.coincident).
 PAIR_TOL = 1e-10
 # 1e-10, relative to ||x||: constructions.join_pst takes x as orthogonal to

@@ -29,16 +29,7 @@ from .graphs import (
     make_graph,
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
-from .spectral import (
-    Projection,
-    SpectralDecomposition,
-    _grid_walk,
-    as_state,
-    decompose,
-    evolve,
-    normalized_fidelity,
-    walk,
-)
+from .spectral import Projection, SpectralDecomposition, _grid_walk, decompose, normalized_fidelity, walk
 from .states import _support, check_strong_cospectrality
 from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
@@ -202,7 +193,7 @@ def pst_partners(
 
 def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     dec, X = proj.dec, proj.states
-    mask = _support(np.sqrt(proj.weights()), X, cfg)
+    mask = _support(proj.weights(), cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
     packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
@@ -236,23 +227,31 @@ def pst_partner(
 def verify_pst_numeric(
     dec: SpectralDecomposition, x, y, tau: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PstVerification:
-    """Evolve x to time tau, extract the best unit phase against y, and pass
-    iff the residual ||U(tau) x - gamma y|| is within tol_phase * ||x||."""
+    """Pass iff ||U(tau) x - gamma y|| <= tol_phase * ||x||, gamma the unit
+    phase of the amplitude y^T U(tau) x: the walk of one Projection's
+    overlaps, as fidelity's, once a tau not positive and finite is refused.
+    By Parseval the residual is ||P c_x - gamma c_y|| and ||x|| is ||c_x||, P
+    the phases exp(i tau lambda_j) repeated over each cluster's columns; it is
+    formed in full, as ||x||^2 + ||y||^2 - 2 |amplitude| would cancel at tol_phase."""
+    _check_tau(tau)
+    return _verify(Projection.of(dec, x, y), tau, cfg)
+
+
+def _check_tau(tau: float) -> None:
     if not 0 < tau < math.inf:
         raise InvalidStateError("tau must be positive and finite")
-    x = as_state(x, dec.n)
-    y = as_state(y, dec.n)
-    z = evolve(dec, tau, x)
-    inner = complex(y @ z)
+
+
+def _verify(proj: Projection, tau: float, cfg: ToleranceConfig) -> PstVerification:
+    """verify_pst_numeric on a record of (x, y), as fidelity_derivatives reuses its own."""
+    _check_tau(tau)
+    phases = walk(proj.dec, tau)
+    inner = complex(phases @ proj.overlaps())
     gamma = inner / abs(inner) if abs(inner) > 0 else complex(1.0)
-    # formed in full: as ||x||^2 + ||y||^2 - 2|inner| it cancels at tol_phase
-    residual = float(np.linalg.norm(z - gamma * y))
-    return PstVerification(
-        fidelity=normalized_fidelity(inner, x, y),
-        phase=gamma,
-        residual=residual,
-        passed=residual <= cfg.tol_phase * float(np.linalg.norm(x)),
-    )
+    cx, cy = proj.coef.T
+    residual = float(np.linalg.norm(np.repeat(phases, proj.dec.multiplicities) * cx - gamma * cy))
+    return PstVerification(fidelity=normalized_fidelity(inner, *proj.states.T), phase=gamma, residual=residual,
+                           passed=residual <= cfg.tol_phase * float(np.linalg.norm(cx)))
 
 
 def universal_pst_pair(

@@ -8,10 +8,14 @@ The graphs are the connected distinct keys of transfer._degree_sorted_keys
   pst_partners partner that pst_decide accepts, at pst_partners' tau, and
   that verify_pst_numeric confirms at that tau;
 - paper result (ii): universal_pst_pair is decided yes at its tau and
-  verified there.
+  verified there;
+- the extremal theorem: the largest spread lambda_max - lambda_min over
+  the census graphs is the exhaustive spread oracle's max_spread
+  (extremal_min_pst_search), within SPREAD_TIE, and is n for the
+  Laplacian, whose joins attain the bound n.
 
 census(n) returns the digest of one n, per kind, with the violations of
-either result. tests/golden/census.json holds the digests of n = 2..6;
+any of them. tests/golden/census.json holds the digests of n = 2..6;
 tier-1 checks n <= 5 (test_census.py), and CI checks n = 6 with
 
     PYTHONPATH=src:tests python -c 'import census; census.check(6)'
@@ -25,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import pstwalk as pw
+from pstwalk.tolerances import SPREAD_TIE
 from pstwalk.transfer import _degree_sorted_keys
 
 DIGEST = Path(__file__).parent / "golden" / "census.json"
@@ -71,12 +76,14 @@ def census(n: int) -> tuple[dict, list[str]]:
     graphs whose universal pair is decided yes."""
     X = states(n)
     digest = {kind: Counter() for kind in KINDS}
+    spread = dict.fromkeys(KINDS, -np.inf)
     violations = []
     for g in graphs(n):
         for kind in KINDS:
             row = digest[kind]
             where = f"n={n} {kind} edges={[e[:2] for e in g.edges]}"
             dec = pw.decompose(pw.hamiltonian(g, kind))
+            spread[kind] = max(spread[kind], float(dec.eigenvalues[0] - dec.eigenvalues[-1]))
             partners, found, fixed, tau = pw.pst_partners(dec, X)
             row["graphs"] += 1
             row["states"] += X.shape[1]
@@ -104,6 +111,10 @@ def census(n: int) -> tuple[dict, list[str]]:
                 violations.append(f"(ii) {where}: {verdict.reason}")
                 continue
             row["universal_yes"] += 1
+    for kind in KINDS:
+        oracle = pw.extremal_min_pst_search(n, kind, exhaustive=True).oracle["max_spread"]
+        if abs(spread[kind] - oracle) > SPREAD_TIE or (kind == pw.LAPLACIAN and abs(spread[kind] - n) > SPREAD_TIE):
+            violations.append(f"(extremal) n={n} {kind}: largest spread {spread[kind]!r}, oracle {oracle!r}")
     keys = ("graphs", "states", "fixed", "nonperiodic", "found", "yes", "size2", "2a", "2b",
             "pair_partners", "plus_partners", "universal_yes")
     return {kind: {key: digest[kind][key] for key in keys} for kind in KINDS}, violations
@@ -115,7 +126,7 @@ def recorded(n: int) -> dict:
 
 
 def check(n: int) -> None:
-    """Run the census of n: SystemExit on a violation of either result or a
+    """Run the census of n: SystemExit on a violation of any result or a
     digest that differs from the committed one."""
     digest, violations = census(n)
     if violations:

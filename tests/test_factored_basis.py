@@ -2,8 +2,8 @@
 
 A route-taking decomposition holds V factored: an SVD of the half block,
 with null columns when |P| != |Q|, or a chain of symmetric half blocks down
-to one dense eigh. Its stages read V only through project (V^T x) and lift
-(V c), and vectors builds V on first read. project and lift must agree with
+to one dense eigh. Its stages read V only through _project (V^T x) and _lift
+(V c), and vectors builds V on first read. _project and _lift must agree with
 that V; a hypercube pair must be decided with V never built, every yes
 confirmed by scipy's expm; and relabelling the vertices, which can move a
 graph from the chain to the SVD, must not change a verdict."""
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis, Projection
+from pstwalk.spectral import BipartiteBasis, Projection, _lift, _project
 from conftest import pair_state, random_tree
 
 
@@ -47,17 +47,18 @@ def _weighted_bipartite(seed, n, extra):
 
 
 def _check_basis(dec, rng):
-    """project and lift against the materialised V, the round trip, and
+    """_project and _lift against the materialised V, the round trip, and
     the cluster weights of a Projection against those of V^T x."""
     n = dec.n
     X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
     x = X[:, 0]
     size = np.linalg.norm(X)
     v = dec.vectors
-    np.testing.assert_allclose(dec.project(X), v.T @ X, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(dec.lift(X), v @ X, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(dec.project(x), v.T @ x, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(dec.lift(dec.project(x)), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
+    basis = dec.basis
+    np.testing.assert_allclose(_project(basis, X), v.T @ X, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(_lift(basis, X), v @ X, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(_project(basis, x), v.T @ x, rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(_lift(basis, _project(basis, x)), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
     c = v.T @ x
     np.testing.assert_allclose(Projection.of(dec, x).weights()[:, 0], dec.cluster_sums(c * c), rtol=0,
                                atol=1e-13 * np.dot(x, x))

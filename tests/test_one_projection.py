@@ -3,7 +3,9 @@ Projection of its states, c = V^T X, formed by spectral._project. A spy
 counts each public call's top-level _project calls (the nested calls down a
 factored basis's chain are part of one product). A dense basis that tracks
 its transpose, and a spy on BipartiteBasis.project, show that no V^T
-product is made anywhere else."""
+product is made anywhere else. verify_pst_numeric works on the record's
+coefficients alone (no lift, spectral._lift), and pst_decide takes its norms
+from them (no np.linalg.norm call)."""
 
 import dataclasses
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
+from pstwalk import spectral, states
 from pstwalk.spectral import BipartiteBasis
 from conftest import pair_state
 
@@ -102,8 +104,7 @@ def test_one_projection_per_public_call(spy, name):
         "check_strong_cospectrality": (lambda: pw.check_strong_cospectrality(dec, x, y), 1),
         "verify_pst_numeric": (lambda: pw.verify_pst_numeric(dec, x, y, tau), 1),
         "fidelity": (lambda: pw.fidelity(dec, tau, x, y), 1),
-        # one projection of (x, y), and verify's evolve
-        "fidelity_derivatives": (lambda: pw.fidelity_derivatives(dec, x, y, tau), 2),
+        "fidelity_derivatives": (lambda: pw.fidelity_derivatives(dec, x, y, tau), 1),
     }
     for call_name, (call, limit) in calls.items():
         top, outside = spy(call)
@@ -117,3 +118,37 @@ def test_tracked_basis_sees_a_stray_product(spy):
     assert spy(lambda: dec.basis.T @ x) == (0, 1)
     assert spy(lambda: x @ dec.basis) == (0, 1)
     assert spy(lambda: dec.basis @ x) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["P7", "Q8"])
+def test_verify_makes_no_lift(monkeypatch, name):
+    dec, x, y, tau = _case(name)
+    lifts = []
+    real_lift = spectral._lift
+
+    def lift(basis, c):
+        lifts.append(c.shape)
+        return real_lift(basis, c)
+
+    monkeypatch.setattr(spectral, "_lift", lift)
+    assert pw.verify_pst_numeric(dec, x, y, tau).passed
+    assert lifts == []
+    pw.evolve(dec, tau, x)  # the spy sees evolve's lifts
+    assert lifts
+
+
+@pytest.mark.parametrize("name", ["P7", "Q8"])
+def test_decide_makes_no_norm_call(monkeypatch, name):
+    dec, x, y, _ = _case(name)
+    calls = []
+    real_norm = np.linalg.norm
+
+    def norm(*args, **kwargs):
+        calls.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    assert pw.pst_decide(dec, x, y).decision
+    assert calls == []
+    states.check_pair(x, y)  # the spy sees the raw-vector rule's four norms
+    assert len(calls) == 4
