@@ -8,14 +8,16 @@ The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
 C32xK2, C64xK2 and a seeded relabelled Q8, each with both kinds, and each
 kind decomposed as a Hamiltonian h, as the raw matrix np.array(h.matrix) and
 as 2.5 M + 0.75 I. The digest of one decomposition covers its eigenvalues,
-offsets, materialised vectors, scale, multiplicities and warnings. The
-script prints the digest of each input and one over all of them.
+offsets, dense V (the basis itself, or a factored basis's dense()), scale,
+multiplicities and warnings. The script prints the digest of each input and
+one over all of them.
 
 With --parent, the committed src/ of REV is exported (git archive) into a
 temporary directory, this script runs again in a fresh interpreter that
 imports pstwalk from there, and each input is reported as matching or
 differing. Only runs on one machine can be compared: LAPACK's last bits
-depend on the CPU. The exit status is 0 either way.
+depend on the CPU. Both sides run here on one machine, so a difference is a
+real change: the exit status is 1 when any input differs, else 0.
 """
 
 import argparse
@@ -55,7 +57,8 @@ def inputs():
 
 def digest(dec) -> str:
     h = hashlib.sha256()
-    for arr in (dec.eigenvalues, dec.offsets, dec.vectors):
+    vectors = dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
+    for arr in (dec.eigenvalues, dec.offsets, vectors):
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(repr((dec.scale, dec.multiplicities, dec.warnings)).encode())
     return h.hexdigest()
@@ -87,6 +90,8 @@ def main():
     if want:
         same = sum(want.get(name) == value for name, value in found.items() if name != "overall")
         print(f"{same} of {len(found) - 1} inputs byte-identical to {args.parent}")
+        if same < len(found) - 1:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

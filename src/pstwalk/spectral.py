@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -152,8 +152,8 @@ class SpectralDecomposition:
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
     V, which basis holds dense or factored (BipartiteBasis). The stages reach
     V only through a Projection, which alone forms V^T X (_project); only its
-    reflect and evolve form V c (_lift). The dense readers (vectors, block,
-    projector, eigenvector, reconstruct) build V once."""
+    reflect, evolve and universal_pst_pair form V c (_lift), and only
+    transition_matrix forms a dense V from a factored one."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
@@ -161,7 +161,6 @@ class SpectralDecomposition:
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
     warnings: tuple[str, ...] = ()            # one per cluster gap below GAP_WARNING x the threshold
-    _vectors: np.ndarray | None = field(default=None, init=False, repr=False)  # a factored V, once built
 
     @property
     def ambiguous(self) -> bool:
@@ -176,44 +175,9 @@ class SpectralDecomposition:
     def k(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """V, (n, n) and read-only: a dense basis itself, a factored one
-        built (BipartiteBasis.dense) on first read and kept."""
-        if isinstance(self.basis, np.ndarray):
-            return self.basis
-        if self._vectors is None:
-            self._vectors = self.basis.dense()
-            self._vectors.setflags(write=False)
-        return self._vectors
-
-    def block(self, j: int) -> np.ndarray:
-        """V_j, the (n, m_j) orthonormal eigenvector block of cluster j."""
-        return self.vectors[:, self.offsets[j]:self.offsets[j + 1]]
-
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum per-column values (along axis 0) over each cluster: (k[, b])."""
         return np.add.reduceat(values, self.offsets[:-1], axis=0)
-
-    def projector(self, j: int) -> np.ndarray:
-        """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
-        v = self.block(j)
-        e = v @ v.T
-        return (e + e.T) / 2.0
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * np.repeat(self.eigenvalues, self.multiplicities)) @ self.vectors.T
-
-    def eigenvector(self, j: int) -> np.ndarray:
-        """Deterministic unit eigenvector for the j-th distinct eigenvalue:
-        the column of E_j with the largest diagonal entry."""
-        v = self.block(j)
-        col = int(np.argmax(np.einsum("ij,ij->i", v, v)))  # diag(E_j)
-        vec = v @ v[col]
-        nrm = np.linalg.norm(vec)
-        if nrm == 0.0:
-            raise NumericFailureError("projector has no nonzero column")
-        return vec / nrm
 
 
 SCAN_BLOCK = 1 << 18          # phase factors walk forms at once for an array of times
@@ -562,8 +526,9 @@ ROUTES = (_bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dens
 def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, np.ndarray | BipartiteBasis]:
     """(values, V) from the first route of ROUTES that does not pass the form
     on (None): descending with V factored from the bipartite route, else
-    ascending with V dense. A form without edges goes to eigh."""
-    for route in ROUTES if form.src is not None else ROUTES[-1:]:
+    ascending with V dense. A form with no edges, or no edge list (symmetric
+    only to within SYMMETRY_TOL), goes to eigh."""
+    for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
             return pairs
@@ -719,13 +684,15 @@ def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
     """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x, the
     lift of x's Projection with its coefficients turned by the phases."""
     coef = Projection.of(dec, x).coef[:, 0] * np.repeat(walk(dec, t), dec.multiplicities)  # x checked first
-    return _lift(dec.basis, coef.real) + 1j * _lift(dec.basis, coef.imag)
+    z = _lift(dec.basis, np.column_stack((coef.real, coef.imag)))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Full walk operator at time t (complex symmetric unitary)."""
+    """Full walk operator at time t (complex symmetric unitary): the one
+    public call that forms a dense V from a factored basis."""
     phases = np.repeat(walk(dec, t), dec.multiplicities)
-    v = dec.vectors
+    v = dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
     return (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
+from oracles import projector
 
 
 @pytest.fixture
@@ -77,10 +78,10 @@ def random_support_state(rng, dec, positions, min_coef=0.1):
     with every component's coefficient bounded away from zero."""
     x = np.zeros(dec.n)
     for j in positions:
-        v = dec.projector(j) @ rng.normal(size=dec.n)
+        v = projector(dec, j) @ rng.normal(size=dec.n)
         nv = np.linalg.norm(v)
         while nv < 1e-8:
-            v = dec.projector(j) @ rng.normal(size=dec.n)
+            v = projector(dec, j) @ rng.normal(size=dec.n)
             nv = np.linalg.norm(v)
         coef = float(rng.uniform(min_coef, 1.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         x += coef * v / nv

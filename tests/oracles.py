@@ -1,6 +1,6 @@
 """Reference constructions the tests compare the engine against, built on
-the dense projectors of a SpectralDecomposition, and the three-pass ratio
-condition the one-pass rule replaced."""
+the dense V and projectors of a SpectralDecomposition, and the three-pass
+ratio condition the one-pass rule replaced."""
 
 import math
 
@@ -10,6 +10,33 @@ import pstwalk as pw
 from pstwalk.arith import reconstruct_fraction
 from pstwalk.periodicity import MAX_LCM, PHASE_ALIGNMENT, NonPeriodic, RatioTable, _validate_support
 from pstwalk.spectral import Projection
+
+
+def dense_basis(dec):
+    """V as one (n, n) array: the dense basis itself, or a factored one built."""
+    return dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
+
+
+def projector(dec, j):
+    """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
+    v = dense_basis(dec)[:, dec.offsets[j]:dec.offsets[j + 1]]
+    e = v @ v.T
+    return (e + e.T) / 2.0
+
+
+def reconstruct(dec):
+    """M as V diag(lambda) V^T."""
+    v = dense_basis(dec)
+    return (v * np.repeat(dec.eigenvalues, dec.multiplicities)) @ v.T
+
+
+def eigenvector(dec, j):
+    """The unit eigenvector universal_pst_pair takes for cluster j, from the
+    dense V: the column of E_j with the largest diagonal entry, normalised."""
+    v = dense_basis(dec)[:, dec.offsets[j]:dec.offsets[j + 1]]
+    col = int(np.argmax(np.einsum("ij,ij->i", v, v)))  # diag(E_j)
+    vec = v @ v[col]
+    return vec / np.linalg.norm(vec)
 
 
 def moments(dec, X, k_max):
@@ -24,7 +51,7 @@ def moments(dec, X, k_max):
 def components(dec, x, rows):
     """E_j x for each cluster j in rows, as the rows of an (m, n) array, from
     the dense projectors E_j."""
-    return np.array([dec.projector(j) @ x for j in rows]).reshape(len(rows), dec.n)
+    return np.array([projector(dec, j) @ x for j in rows]).reshape(len(rows), dec.n)
 
 
 def all_partners(dec, x):
@@ -42,7 +69,7 @@ def involution(dec, cert):
     """I - 2 * (sum of the minus projectors of a cospectrality certificate):
     orthogonal, squares to I, maps x to y and is the identity off the support."""
     minus = [cert.profile.indices[pos] for pos in cert.minus_positions]
-    return np.eye(dec.n) - 2.0 * sum(dec.projector(j) for j in minus)
+    return np.eye(dec.n) - 2.0 * sum(projector(dec, j) for j in minus)
 
 
 def three_pass_ratio_condition(supp, cfg=pw.DEFAULT_TOLERANCES):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
+from oracles import eigenvector
 from pstwalk import periodicity
 
 
@@ -112,8 +113,8 @@ def test_batch_matches_single_state(case):
                 x[u], x[v] = 1.0, s
                 cols.append(x)
     # fixed states and two-eigenvalue states, plus a random dense state
-    cols.append(dec.eigenvector(0))
-    cols.append(dec.eigenvector(0) + 0.5 * dec.eigenvector(dec.k - 1))
+    cols.append(eigenvector(dec, 0))
+    cols.append(eigenvector(dec, 0) + 0.5 * eigenvector(dec, dec.k - 1))
     cols.append(rng.normal(size=n))
     X = np.stack(cols, axis=1)
     partners, found, fixed, _ = pw.pst_partners(dec, X)

@@ -20,6 +20,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import pair_state
+from oracles import dense_basis, projector
 from test_hamiltonian_arrays import assert_one_form, assert_same_form
 
 MIN_N = spectral.BIPARTITE_MIN_N
@@ -211,7 +212,7 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
     assert got.multiplicities == want.multiplicities
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * scale)
     for j in range(want.k):
-        np.testing.assert_allclose(got.projector(j), want.projector(j), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(projector(got, j), projector(want, j), rtol=0, atol=1e-10)
     assert got.warnings == want.warnings
     assert_same_verdicts(got, want, n)
 
@@ -294,7 +295,7 @@ def _dense_half_block(h, i, k, entries):
 
 
 def _bytes(dec):
-    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.vectors.tobytes(), dec.scale,
+    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dense_basis(dec).tobytes(), dec.scale,
             dec.multiplicities, dec.warnings)
 
 
@@ -402,9 +403,26 @@ def test_symmetric_half_block_needs_no_svd(monkeypatch):
     _graph_matrix(pw.build_path(MIN_N + 6), pw.LAPLACIAN),           # degrees 1 and 2
     _graph_matrix(pw.build_complete_bipartite(30, 50), pw.ADJACENCY),
     _graph_matrix(pw.build_complete(MIN_N), pw.ADJACENCY),
-], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete"])
+    _graph_matrix(pw.build_empty(MIN_N), pw.ADJACENCY),
+    _graph_matrix(pw.build_empty(200), pw.LAPLACIAN),
+], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete", "edgeless-64", "edgeless-200"])
 def test_route_declined(monkeypatch, mat):
     assert _route_calls(monkeypatch, mat) == 0
+    assert isinstance(pw.decompose(mat).basis, np.ndarray)
+
+
+@pytest.mark.parametrize("n", [MIN_N, 200])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_edgeless_goes_to_eigh(monkeypatch, n, kind):
+    """A form with no edges skips both routes: no SVD of an (n, 0) block,
+    no mirror eighs, one cluster on a dense basis."""
+    def refuse(*args):
+        raise AssertionError("route taken")
+
+    monkeypatch.setattr(spectral, "_bipartite_eigh", refuse)
+    monkeypatch.setattr(spectral, "_mirror_eigh", refuse)
+    dec = pw.decompose(pw.hamiltonian(pw.build_empty(n), kind))
+    assert isinstance(dec.basis, np.ndarray) and dec.k == 1
 
 
 def test_route_declines_a_matrix_that_is_not_exactly_symmetric(monkeypatch):

@@ -3,12 +3,14 @@
 A route-taking decomposition holds V factored: an SVD of the half block,
 with null columns when |P| != |Q|, or a chain of symmetric half blocks down
 to one dense eigh. Its stages read V only through _project (V^T x) and _lift
-(V c), and vectors builds V on first read. _project and _lift must agree with
-that V; a hypercube pair must be decided with V never built, every yes
-confirmed by scipy's expm; and relabelling the vertices, which can move a
+(V c); BipartiteBasis.dense builds V, for transition_matrix alone. _project
+and _lift must agree with that V; a hypercube pair must be decided, and every
+other per-state call and the universal pair made, with V never built, every
+yes confirmed by scipy's expm; and relabelling the vertices, which can move a
 graph from the chain to the SVD, must not change a verdict."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 import pstwalk as pw
 from pstwalk.spectral import BipartiteBasis, Projection, _lift, _project
 from conftest import pair_state, random_tree
+from oracles import eigenvector
 
 
 def _weighted_bipartite(seed, n, extra):
@@ -53,8 +56,8 @@ def _check_basis(dec, rng):
     X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
     x = X[:, 0]
     size = np.linalg.norm(X)
-    v = dec.vectors
     basis = dec.basis
+    v = basis.dense()
     np.testing.assert_allclose(_project(basis, X), v.T @ X, rtol=0, atol=1e-13 * size)
     np.testing.assert_allclose(_lift(basis, X), v @ X, rtol=0, atol=1e-13 * size)
     np.testing.assert_allclose(_project(basis, x), v.T @ x, rtol=0, atol=1e-13 * size)
@@ -114,12 +117,13 @@ def _expm_transfer(ham, x, y, tau):
     return abs(y @ (u @ x)) / (np.linalg.norm(x) * np.linalg.norm(y))
 
 
-@pytest.mark.parametrize("d", [8, 9])
+@pytest.mark.parametrize("d", [8, 9, 10])
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
-    """A Q8 or Q9 pair through partner, decide, verify, scan and derivatives
-    never builds V; the yes verdict holds under expm, and the partner is the
-    one the dense V gives through V_F (V_F^T x)."""
+    """A Q8 to Q10 pair through partner, decide, verify, scan and
+    derivatives, and every other public call that reads states or V but
+    transition_matrix, never builds V; the yes verdict holds under expm, and
+    the partner is the one the dense V gives through V_F (V_F^T x)."""
     n = 1 << d
     ham = pw.hamiltonian(pw.build_hypercube(d), kind)
     dec = pw.decompose(ham)
@@ -136,14 +140,40 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
         check = pw.verify_pst_numeric(dec, x, y, verdict.tau_min)
         scan = pw.fidelity_scan(dec, x, y, 2.0 * verdict.tau_min, 64)
         report = pw.fidelity_derivatives(dec, x, y, verdict.tau_min)
-    assert dec._vectors is None
-    assert check.passed and report.bound_ok
+        pw.universal_pst_pair(dec)
+        z = pw.evolve(dec, verdict.tau_min, x)
+        value = pw.fidelity(dec, verdict.tau_min, x, y)
+        pw.support(dec, x)
+        pw.check_strong_cospectrality(dec, x, y)
+        _, found, _, _ = pw.pst_partners(dec, np.column_stack((x, y)))
+        with pytest.raises(AssertionError, match="vectors materialised"):
+            pw.transition_matrix(dec, verdict.tau_min)  # the one call that builds V
+    assert check.passed and report.bound_ok and found.all()
     assert scan.peak_value == pytest.approx(1.0, abs=1e-9)
+    assert value == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(z, check.phase * y, rtol=0, atol=1e-9)
     assert _expm_transfer(ham, x, y, verdict.tau_min) == pytest.approx(1.0, abs=1e-9)
     antipodes = pair_state(n, 3 ^ (n - 1), 100 ^ (n - 1), 1.0)  # up to sign
     assert min(np.abs(y - antipodes).max(), np.abs(y + antipodes).max()) <= 1e-9
-    dense = dataclasses.replace(dec, basis=np.array(dec.vectors))
+    dense = dataclasses.replace(dec, basis=dec.basis.dense())
     np.testing.assert_allclose(y, pw.pst_partner(dense, x), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [8, 9, 10])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_universal_pair_on_factored_hypercubes(d, kind):
+    """The universal pair from one lift of the factored basis agrees with the
+    dense construction (oracles.eigenvector), and is decided yes at
+    pi/(lambda_max - lambda_min)."""
+    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(d), kind))
+    assert isinstance(dec.basis, BipartiteBasis)
+    u, v, tau = pw.universal_pst_pair(dec)
+    top, bottom = eigenvector(dec, 0), eigenvector(dec, dec.k - 1)
+    np.testing.assert_allclose(u, top + bottom, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v, top - bottom, rtol=0, atol=1e-12)
+    assert tau == math.pi / float(dec.eigenvalues[0] - dec.eigenvalues[-1])
+    verdict = pw.pst_decide(dec, u, v)
+    assert verdict.decision and verdict.tau_min == pytest.approx(tau, rel=1e-12)
 
 
 def _relabelled(g, perm):
@@ -186,11 +216,3 @@ def test_relabelling_keeps_verdicts(name, g, kind):
         assert (a.decision, a.reason) == (b.decision, b.reason)
         if a.decision:
             assert b.tau_min == pytest.approx(a.tau_min, rel=1e-12)
-
-
-def test_vectors_built_once_and_read_only():
-    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(7), pw.ADJACENCY))
-    assert dec._vectors is None
-    v = dec.vectors
-    assert dec.vectors is v and not v.flags.writeable
-    assert np.shares_memory(dec.block(1), v)

@@ -16,6 +16,7 @@ import pytest
 
 import pstwalk as pw
 from conftest import basis_state, pair_state, random_connected_graph, random_support_state
+from oracles import dense_basis, eigenvector
 from pstwalk import serialize
 from pstwalk.cli import main
 from pstwalk.transfer import _degree_sorted_keys, _mask_spreads, _spread_oracle
@@ -31,7 +32,7 @@ def test_support_is_the_one_column_case_of_support_mask(rng):
     for n in (4, 7, 10):
         dec = _dec(random_connected_graph(rng, n, extra_edges=3), pw.LAPLACIAN)
         X = rng.normal(size=(n, 6))
-        X[:, 0] = dec.eigenvector(1)  # a fixed state
+        X[:, 0] = eigenvector(dec, 1)  # a fixed state
         X[:, 1] = random_support_state(rng, dec, [0, dec.k - 1])
         mask = pw.support_mask(dec, X)
         assert mask.shape == (dec.k, 6)
@@ -79,7 +80,7 @@ def test_empty_support_is_refused_by_every_consumer():
     # a state spread evenly over four clusters has ||E_j x|| = ||x|| / 2, so a
     # support tolerance of 0.6 leaves it no support
     dec = _dec(pw.build_path(4))
-    x = dec.vectors.sum(axis=1)
+    x = dense_basis(dec).sum(axis=1)
     cfg = pw.ToleranceConfig(tol_supp=0.6)
     message = "state has empty eigenvalue support at this tolerance"
     for call in (lambda: pw.support(dec, x, cfg), lambda: pw.pst_partners(dec, x[:, None], cfg),
@@ -175,7 +176,7 @@ def test_clear_violation_outranks_an_earlier_ambiguous_sign():
     # P3 eigenvalues sqrt(2), 0, -sqrt(2): x and y nearly tie on sqrt(2)
     # (ambiguous) and differ in magnitude on 0 (a clear violation)
     dec = _dec(pw.build_path(3))
-    v = dec.vectors
+    v = dense_basis(dec)
     x = v @ np.array([3e-8, 0.6, 0.8])
     y = v @ np.array([-3e-8, 0.8, 0.6])
     with pytest.raises(pw.NotCospectralError) as exc:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import pstwalk as pw
 from pstwalk import transfer
 from conftest import basis_state, pair_state
+from oracles import dense_basis
 from pstwalk.errors import NumericFailureError
 from test_metamorphic import cases
 
@@ -28,8 +29,9 @@ EPS = np.finfo(float).eps
 
 def _reference_fidelity(dec, t, x, y):
     phases = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
-    coef = phases * (dec.vectors.T @ x)
-    z = dec.vectors @ coef.real + 1j * (dec.vectors @ coef.imag)
+    v = dense_basis(dec)
+    coef = phases * (v.T @ x)
+    z = v @ coef.real + 1j * (v @ coef.imag)
     val = float(abs(y @ z) ** 2 / (np.dot(x, x) * np.dot(y, y)))
     return min(val, 1.0) if val <= 1.0 + 1e-9 else val
 
@@ -237,7 +239,7 @@ def test_fidelity_above_one_shows_alike():
     # eigenvectors scaled by 1.001 inflate every amplitude by 1.001^2: the
     # fidelity reads 1.001^4, above the 1 + 1e-9 clamp, on every path
     dec = _dec(pw.build_path(2), pw.ADJACENCY)
-    bad = dataclasses.replace(dec, basis=dec.vectors * 1.001)
+    bad = dataclasses.replace(dec, basis=dense_basis(dec) * 1.001)
     x, y = basis_state(2, 0), basis_state(2, 1)
     want = 1.001**4
     assert pw.fidelity(bad, math.pi / 2, x, y) == pytest.approx(want, rel=1e-12)
