@@ -151,9 +151,9 @@ class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
     V, which basis holds dense or factored (BipartiteBasis). The stages reach
-    V only through a Projection, which alone forms V^T X (_project); only its
-    reflect, evolve and universal_pst_pair form V c (_lift), and only
-    transition_matrix forms a dense V from a factored one."""
+    V^T X only through a Projection (_project); V c (_lift) is formed only by
+    Projection.reflect, evolve and universal_pst_pair, and a dense V from a
+    factored one only by transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
