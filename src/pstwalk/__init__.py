@@ -12,7 +12,6 @@ from .constructions import (
     product_pst,
 )
 from .errors import (
-    AmbiguousCospectralityError,
     FixedStateError,
     GraphError,
     InvalidPairError,
@@ -20,7 +19,6 @@ from .errors import (
     InvalidStateError,
     MalformedDocumentError,
     NotApplicableError,
-    NotCospectralError,
     NumericFailureError,
     PatternMismatchError,
     PstwalkError,
@@ -85,6 +83,7 @@ from .spectral import (
 )
 from .states import (
     CospectralityCertificate,
+    NotCospectral,
     SupportProfile,
     check_strong_cospectrality,
     support,

@@ -107,16 +107,14 @@ def join_transition_matrix(
     kind: str,
     t: float,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    check: bool = True,
 ) -> np.ndarray:
     """Closed-form walk operator of the join at time t, assembled from the
     factors' spectra: a rank-two part on the all-ones directions plus one
     term per factor. For the adjacency walk both factors must be regular.
     Every phase passes the walk kernel's check_phase guard, so a t at which
-    some t * lambda is not finite raises NumericFailureError.
-
-    With check=True the result is cross-validated against the generic
-    spectral operator of the join to JOIN_CHECK.
+    some t * lambda is not finite raises NumericFailureError. The result is
+    always cross-validated against the generic spectral operator of the join:
+    NumericFailureError where they differ by more than JOIN_CHECK.
     """
     m, n = g.n, h.n
     if kind == LAPLACIAN:
@@ -151,12 +149,10 @@ def join_transition_matrix(
     u[:m, :m] += _factor_term(decompose(hamiltonian(g, kind), cfg), t, shift_g, c_g)
     u[m:, m:] += _factor_term(decompose(hamiltonian(h, kind), cfg), t, shift_h, c_h)
 
-    if check:
-        dec_join = decompose(hamiltonian(join(g, h), kind), cfg)
-        generic = transition_matrix(dec_join, t)
-        err = float(np.max(np.abs(u - generic)))
-        if err > JOIN_CHECK:
-            raise NumericFailureError(f"join formula disagrees with the spectral operator by {err:.2e}")
+    generic = transition_matrix(decompose(hamiltonian(join(g, h), kind), cfg), t)
+    err = float(np.max(np.abs(u - generic)))
+    if err > JOIN_CHECK:
+        raise NumericFailureError(f"join formula disagrees with the spectral operator by {err:.2e}")
     return u
 
 

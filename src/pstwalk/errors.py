@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Expected negative decisions (a pair is not strongly cospectral, a state is
-fixed, ...) are raised as structured exceptions carrying the offending data,
-so callers can turn them into machine-readable refusal codes.
+An exception is for a request the package cannot answer: bad input, a fixed
+state asked for a partner, or a numeric failure. A decision is a value, never
+an exception: NonPeriodic, NotCospectral or PstVerdict.
 """
 
 
@@ -37,19 +37,6 @@ class InvalidPairError(PstwalkError, ValueError):
 
 class FixedStateError(PstwalkError):
     """The state is an eigenvector (support size one); it cannot transfer."""
-
-
-class NotCospectralError(PstwalkError):
-    """Strong cospectrality fails; carries the first violating eigenvalue."""
-
-    def __init__(self, eigenvalue, message=None):
-        self.eigenvalue = eigenvalue
-        super().__init__(message or f"not strongly cospectral at eigenvalue {eigenvalue}")
-
-
-class AmbiguousCospectralityError(NotCospectralError):
-    """Both sign residuals at the carried eigenvalue are within ten times the
-    support tolerance, so its sign is not numerically determined."""
 
 
 class NotApplicableError(PstwalkError):

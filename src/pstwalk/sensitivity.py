@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NotApplicableError, NumericFailureError
 from .spectral import Projection, fidelity, normalized_fidelity, walk
-from .states import _support, check_pair
+from .states import _check_pair_weights, _pair_weights, _support
 from .tolerances import BOUND_SLACK, DEFAULT_TOLERANCES, NEAR_ZERO, STENCIL_STEP, ToleranceConfig
 from .transfer import _verify
 
@@ -36,18 +36,19 @@ def fidelity_derivatives(
     moment products with sign +1 for k = 0 mod 4 and -1 for k = 2 mod 4. It
     is summed on y's moments, in units of scale**k, and rescaled once (an
     order beyond the float range reads +-inf or 0); bound_ok and near_zero
-    compare in those units. Refuses a pair that check_strong_cospectrality
-    refuses (InvalidPairError: unequal norms, or y = +-x) and inputs that do
-    not transfer at tau; NumericFailureError when d2 or its bound leaves the
-    float range.
+    compare in those units. Refuses a pair that breaks the pair rule on the
+    Parseval norms check_strong_cospectrality reads (InvalidPairError:
+    unequal norms, or y = +-x) and inputs that do not transfer at tau;
+    NumericFailureError when d2 or its bound leaves the float range.
     """
     proj = Projection.of(dec, x, y)
     x, y = proj.states.T
-    check_pair(x, y)
+    weights = _pair_weights(proj)
+    _check_pair_weights(weights)
     if not _verify(proj, tau, cfg).passed:
         raise NotApplicableError("the moment formula is valid only at a transfer time")
     kk = max(k_max, 2)
-    w = proj.weights()[:, 1:]  # ||E_j y||^2, whose sums against (lambda_j / scale)^k are the moments
+    w = weights[:, 3:]  # ||E_j y||^2, whose sums against (lambda_j / scale)^k are the moments
     moments = np.vander(dec.eigenvalues / (dec.scale or 1.0), kk + 1, increasing=True).T @ (w[:, 0] / np.dot(y, y))
     unit = {k: 0.0 for k in range(1, kk + 1)}  # d^k f/dt^k / scale**k
     for k in range(2, kk + 1, 2):

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousCospectralityError,
-    FixedStateError,
-    InvalidPairError,
-    InvalidStateError,
-    NotCospectralError,
-)
+from .errors import InvalidPairError, InvalidStateError
 from .spectral import Projection, SpectralDecomposition
 from .tolerances import AMBIGUITY_BAND, DEFAULT_TOLERANCES, PAIR_TOL, ToleranceConfig
 
@@ -45,6 +39,16 @@ class CospectralityCertificate:
     sigma_minus: np.ndarray
     residual: float                   # max_j || E_j x -+ E_j y || over the winner signs
     profile: SupportProfile
+
+
+@dataclass(frozen=True)
+class NotCospectral:
+    """Negative verdict of strong cospectrality: reason is pst_decide's refusal
+    (fixed-state, not-cospectral or ambiguous-cospectrality), eigenvalue the
+    one that decided it (None for a fixed state)."""
+
+    reason: str
+    eigenvalue: float | None = None
 
 
 def _support(weights: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -95,35 +99,52 @@ def check_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise InvalidPairError(refusal)
 
 
+def _pair_weights(proj: Projection) -> np.ndarray:
+    """(k, 4) cluster weights ||E_j x||^2, ||E_j (x - y)||^2, ||E_j (x + y)||^2
+    and ||E_j y||^2 of a Projection of (x, y): ||E_j (x -+ y)|| = ||c_x -+ c_y||
+    on cluster j, by linearity."""
+    cx, cy = proj.coef.T
+    return proj.dec.cluster_sums(np.column_stack((cx, cx - cy, cx + cy, cy)) ** 2)
+
+
+def _check_pair_weights(weights: np.ndarray) -> float:
+    """InvalidPairError where the Parseval norms of a _pair_weights table (its
+    column sums: ||x||, ||x - y||, ||x + y||, ||y||) break the pair rule; else ||x||."""
+    nx, diff, total, ny = np.sqrt(weights.sum(axis=0)).tolist()
+    if refusal := _pair_rule(nx, ny, diff, total):
+        raise InvalidPairError(refusal)
+    return nx
+
+
 def check_strong_cospectrality(
     dec: SpectralDecomposition, x, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CospectralityCertificate:
+) -> CospectralityCertificate | NotCospectral:
     """Classify E_j x = +-E_j y over the support of x.
 
     The sign per eigenvalue is whichever of ||E_j (x - y)||, ||E_j (x + y)||
-    is smaller (equal to ||V_j^T x -+ V_j^T y||, V_j having orthonormal
-    columns). Raises, in this order: FixedStateError for a single-eigenvalue
-    support of x, InvalidPairError, NotCospectralError where a winner exceeds
-    tol_supp*||x|| or y leaves the support, and AmbiguousCospectralityError
-    where a loser is also below AMBIGUITY_BAND times that tolerance.
+    is smaller. Every decision is returned; NotCospectral, in this order, for
+    a single-eigenvalue support of x (fixed-state), at the first support
+    eigenvalue whose winner exceeds tol_supp*||x|| or else where y leaves the
+    support (not-cospectral), and else at the first support eigenvalue whose
+    loser is also below AMBIGUITY_BAND times that tolerance
+    (ambiguous-cospectrality). Raises only for a request it cannot answer:
+    a state Projection refuses, and InvalidPairError for a pair that breaks
+    the pair rule (after the fixed-state test) or whose signs all agree
+    (numerically y = +-x).
     """
-    cx, cy = Projection.of(dec, x, y).coef.T  # ||E_j (x -+ y)|| = ||c_x -+ c_y|| on cluster j
-    weights = dec.cluster_sums(np.column_stack((cx, cx - cy, cx + cy, cy)) ** 2)
+    weights = _pair_weights(Projection.of(dec, x, y))
     d_plus, d_minus, y_norms = np.sqrt(weights[:, 1:]).T
     prof = _profile(dec, _support(weights[:, :1], cfg)[:, 0])
     if prof.kind == FIXED:
-        raise FixedStateError("a fixed state cannot be strongly cospectral")
-    nx, diff, total, ny = np.sqrt(weights.sum(axis=0)).tolist()  # Parseval: the norms of x, x -+ y, y
-    if refusal := _pair_rule(nx, ny, diff, total):
-        raise InvalidPairError(refusal)
-    tol = cfg.tol_supp * nx
+        return NotCospectral("fixed-state")
+    tol = cfg.tol_supp * _check_pair_weights(weights)
     plus, minus = [], []
     worst = 0.0
-    ambiguous = None  # raised only when no eigenvalue fails outright
+    ambiguous = None  # reported only when no eigenvalue fails outright
     for pos, j in enumerate(prof.indices):
         win, lose = sorted((float(d_plus[j]), float(d_minus[j])))
         if win > tol:
-            raise NotCospectralError(float(dec.eigenvalues[j]))
+            return NotCospectral("not-cospectral", float(dec.eigenvalues[j]))
         if lose < AMBIGUITY_BAND * tol and ambiguous is None:
             ambiguous = float(dec.eigenvalues[j])
         worst = max(worst, win)
@@ -132,9 +153,9 @@ def check_strong_cospectrality(
     outside = y_norms > tol
     outside[list(prof.indices)] = False
     if outside.any():
-        raise NotCospectralError(float(dec.eigenvalues[np.argmax(outside)]))
+        return NotCospectral("not-cospectral", float(dec.eigenvalues[np.argmax(outside)]))
     if ambiguous is not None:
-        raise AmbiguousCospectralityError(ambiguous)
+        return NotCospectral("ambiguous-cospectrality", ambiguous)
     if not plus or not minus:
         raise InvalidPairError("pair is numerically indistinguishable from y = +-x")
     return CospectralityCertificate(

@@ -10,14 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import symbolic_pi_multiple
-from .errors import (
-    AmbiguousCospectralityError,
-    FixedStateError,
-    InvalidSizeError,
-    InvalidStateError,
-    NotCospectralError,
-    NumericFailureError,
-)
+from .errors import FixedStateError, InvalidSizeError, InvalidStateError, NumericFailureError
 from .graphs import (
     ADJACENCY,
     LAPLACIAN,
@@ -31,7 +24,7 @@ from .graphs import (
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import Projection, SpectralDecomposition, _grid_walk, _lift, decompose, normalized_fidelity, walk
-from .states import _support, check_strong_cospectrality
+from .states import NotCospectral, _support, check_strong_cospectrality
 from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
 SPREAD_CHUNK = 1024    # edge masks per relabelling pass, and keys per stacked eigvalsh, of the spread oracle
@@ -115,24 +108,19 @@ def pst_decide(
 ) -> PstVerdict:
     """Decide perfect state transfer between x and y.
 
-    Decision tree: strong cospectrality over the support of x (refused as
-    fixed-state, not-cospectral or ambiguous-cospectrality), then the ratio
-    condition on that support, then the parity condition: with the largest
-    support eigenvalue in the plus class, the minus class must be exactly
-    the ratio table's flips (the positions with odd r_j, read on exact
-    reconstructed integers). The case label records the support size and,
-    for three or more eigenvalues, whether the second-largest sits in the
-    plus (2a) or minus (2b) class.
+    Decision tree, each step's "no" a returned value and no exception caught:
+    strong cospectrality over the support of x (NotCospectral: fixed-state,
+    not-cospectral or ambiguous-cospectrality, its eigenvalue the detail),
+    then the ratio condition on that support (NonPeriodic), then the parity
+    condition: with the largest support eigenvalue in the plus class, the
+    minus class must be exactly the ratio table's flips (the positions with
+    odd r_j, read on exact reconstructed integers). The case label records
+    the support size and, for three or more eigenvalues, whether the
+    second-largest sits in the plus (2a) or minus (2b) class.
     """
-    try:
-        cert = check_strong_cospectrality(dec, x, y, cfg)
-    except FixedStateError:
-        return _refusal("fixed-state")
-    except AmbiguousCospectralityError as exc:
-        return _refusal("ambiguous-cospectrality", detail=float(exc.eigenvalue))
-    except NotCospectralError as exc:
-        return _refusal("not-cospectral", detail=float(exc.eigenvalue))
-
+    cert = check_strong_cospectrality(dec, x, y, cfg)
+    if isinstance(cert, NotCospectral):
+        return _refusal(cert.reason, detail=cert.eigenvalue)
     sup = cert.profile.eigenvalues
     table = ratio_condition(sup, cfg)
     if isinstance(table, NonPeriodic):

@@ -459,7 +459,7 @@ def test_criterion_10_property_suites():
         triples.append((regular[int(i)], regular[int(j)], pw.ADJACENCY))
     for g, h, kind in triples:
         t = float(rng.uniform(0.0, 7.0))
-        u = pw.join_transition_matrix(g, h, kind, t, check=False)
+        u = pw.join_transition_matrix(g, h, kind, t)
         dj = _dec(pw.join(g, h), kind)
         assert np.max(np.abs(u - pw.transition_matrix(dj, t))) <= 1e-8
 

@@ -5,7 +5,7 @@ factored basis's chain are part of one product). A dense basis that tracks
 its transpose, and a spy on BipartiteBasis.project, show that no V^T
 product is made anywhere else. verify_pst_numeric works on the record's
 coefficients alone (no lift, spectral._lift), and pst_decide takes its norms
-from them (no np.linalg.norm call)."""
+from them (no np.linalg.norm call), as does fidelity_derivatives' pair rule."""
 
 import dataclasses
 
@@ -144,16 +144,21 @@ def test_verify_makes_no_lift(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["P7", "Q8"])
 def test_decide_makes_no_norm_call(monkeypatch, name):
-    dec, x, y, _ = _case(name)
+    dec, x, y, tau = _case(name)
     calls = []
     real_norm = np.linalg.norm
 
     def norm(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(args[0]))
         return real_norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm)
     assert pw.pst_decide(dec, x, y).decision
     assert calls == []
+    # the pair rule reads the record's Parseval norms: only _verify's two
+    # norms are left, on coefficient vectors
+    assert pw.fidelity_derivatives(dec, x, y, tau).bound_ok
+    assert calls == [dec.n, dec.n]
+    calls.clear()
     states.check_pair(x, y)  # the spy sees the raw-vector rule's four norms
     assert len(calls) == 4

@@ -1,6 +1,7 @@
 """One analysis pipeline: support_mask is the only support rule, the period
 is read from the ratio table, check_strong_cospectrality owns the support
-and the fixed-state test, near-tie signs are refused as ambiguous, the
+and the fixed-state test and returns its refusals as NotCospectral values,
+near-tie signs are refused as ambiguous, the
 eigenvalue clustering has no scale floor, and one chunked spread oracle
 serves both Hamiltonians, reading connectivity from the Laplacian spectrum."""
 
@@ -101,8 +102,7 @@ def test_fixed_state_is_refused_before_the_pair_contract():
     dec = _dec(pw.build_complete(5))
     x = np.ones(5)
     y = 2.0 * basis_state(5, 0)  # another norm
-    with pytest.raises(pw.FixedStateError):
-        pw.check_strong_cospectrality(dec, x, y)
+    assert pw.check_strong_cospectrality(dec, x, y) == pw.NotCospectral("fixed-state")
     assert pw.pst_decide(dec, x, y).reason == "fixed-state"
     # a non-fixed x against a y of another norm still breaks the pair contract
     with pytest.raises(pw.InvalidPairError):
@@ -163,9 +163,7 @@ def test_ambiguous_sign_is_refused_as_ambiguous():
     dec = _dec(pw.build_path(2))
     x = P2_V1 + 3e-8 * P2_V2
     y = pw.pst_partner(dec, x)
-    with pytest.raises(pw.AmbiguousCospectralityError) as exc:
-        pw.check_strong_cospectrality(dec, x, y)
-    assert isinstance(exc.value, pw.NotCospectralError) and exc.value.eigenvalue == -1.0
+    assert pw.check_strong_cospectrality(dec, x, y) == pw.NotCospectral("ambiguous-cospectrality", -1.0)
     verdict = pw.pst_decide(dec, x, y)
     assert (verdict.decision, verdict.reason, verdict.detail) == \
         (False, "ambiguous-cospectrality", -1.0)
@@ -179,21 +177,18 @@ def test_clear_violation_outranks_an_earlier_ambiguous_sign():
     v = dense_basis(dec)
     x = v @ np.array([3e-8, 0.6, 0.8])
     y = v @ np.array([-3e-8, 0.8, 0.6])
-    with pytest.raises(pw.NotCospectralError) as exc:
-        pw.check_strong_cospectrality(dec, x, y)
-    assert type(exc.value) is pw.NotCospectralError
-    assert exc.value.eigenvalue == pytest.approx(0.0, abs=1e-12)
+    refusal = pw.check_strong_cospectrality(dec, x, y)
+    assert refusal.reason == "not-cospectral"
+    assert refusal.eigenvalue == pytest.approx(0.0, abs=1e-12)
     assert pw.pst_decide(dec, x, y).reason == "not-cospectral"
     # so is weight of y on -sqrt(2), outside the support of x
     x = v @ np.array([2e-8, 0.6, 0.0])
     y = v @ np.array([-2e-8, 0.6, 1e-8])
-    with pytest.raises(pw.NotCospectralError) as exc:
-        pw.check_strong_cospectrality(dec, x, y)
-    assert type(exc.value) is pw.NotCospectralError
-    assert exc.value.eigenvalue == pytest.approx(-math.sqrt(2.0), abs=1e-12)
+    refusal = pw.check_strong_cospectrality(dec, x, y)
+    assert refusal.reason == "not-cospectral"
+    assert refusal.eigenvalue == pytest.approx(-math.sqrt(2.0), abs=1e-12)
     y[:] = v @ np.array([-2e-8, 0.6, 0.0])
-    with pytest.raises(pw.AmbiguousCospectralityError):
-        pw.check_strong_cospectrality(dec, x, y)
+    assert pw.check_strong_cospectrality(dec, x, y).reason == "ambiguous-cospectrality"
 
 
 def test_cli_pst_on_the_printed_partner_is_ambiguous(tmp_path, capsys):

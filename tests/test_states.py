@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import census
 import pstwalk as pw
 from conftest import basis_state, pair_state, random_connected_graph, random_tree, unit
 from oracles import all_partners, components, eigenvector, involution, moments
@@ -70,15 +71,41 @@ def test_strong_cospectrality_sum_difference(rng):
 
 def test_strong_cospectrality_refusals():
     k3 = pw.decompose(pw.hamiltonian(pw.build_complete(3), pw.ADJACENCY))
-    with pytest.raises(pw.NotCospectralError) as err:
-        pw.check_strong_cospectrality(k3, basis_state(3, 0), basis_state(3, 1))
-    assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-9)
+    refusal = pw.check_strong_cospectrality(k3, basis_state(3, 0), basis_state(3, 1))
+    assert refusal.reason == "not-cospectral"
+    assert refusal.eigenvalue == pytest.approx(-1.0, abs=1e-9)
     with pytest.raises(pw.InvalidPairError):
         pw.check_strong_cospectrality(k3, basis_state(3, 0), 2.0 * basis_state(3, 1))
     with pytest.raises(pw.InvalidPairError):
         pw.check_strong_cospectrality(k3, basis_state(3, 0), -basis_state(3, 0))
-    with pytest.raises(pw.FixedStateError):
-        pw.check_strong_cospectrality(k3, np.ones(3), unit(np.array([1.0, 1.0, -2.0])) * math.sqrt(3))
+    fixed = pw.check_strong_cospectrality(k3, np.ones(3), unit(np.array([1.0, 1.0, -2.0])) * math.sqrt(3))
+    assert fixed == pw.NotCospectral("fixed-state")
+
+
+def test_census_cospectrality_decisions_are_the_verdicts_refusals():
+    """Over every census graph on n <= 4 vertices, both kinds, and every
+    ordered pair of pair and plus states, check_strong_cospectrality raises
+    nothing but InvalidPairError, and each NotCospectral it returns is
+    pst_decide's refusal, its eigenvalue the verdict's detail."""
+    refusals = {"fixed-state", "not-cospectral", "ambiguous-cospectrality"}
+    seen = set()
+    for n in range(2, 5):
+        X = census.states(n)
+        for g in census.graphs(n):
+            for kind in census.KINDS:
+                dec = pw.decompose(pw.hamiltonian(g, kind))
+                for x, y in itertools.product(X.T, repeat=2):
+                    try:
+                        cert = pw.check_strong_cospectrality(dec, x, y)
+                    except pw.InvalidPairError:
+                        continue
+                    verdict = pw.pst_decide(dec, x, y)
+                    if isinstance(cert, pw.NotCospectral):
+                        seen.add(cert.reason)
+                        assert (verdict.reason, verdict.detail) == (cert.reason, cert.eigenvalue)
+                    else:
+                        assert verdict.reason not in refusals
+    assert seen == {"fixed-state", "not-cospectral"}
 
 
 def test_enumerate_partners_counts(rng):
