@@ -144,7 +144,7 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
         z = pw.evolve(dec, verdict.tau_min, x)
         value = pw.fidelity(dec, verdict.tau_min, x, y)
         pw.support(dec, x)
-        pw.check_strong_cospectrality(dec, x, y)
+        assert isinstance(pw.check_strong_cospectrality(dec, x, y), pw.CospectralityCertificate)
         _, found, _, _ = pw.pst_partners(dec, np.column_stack((x, y)))
         with pytest.raises(AssertionError, match="vectors materialised"):
             pw.transition_matrix(dec, verdict.tau_min)  # the one call that builds V
