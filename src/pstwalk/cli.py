@@ -5,6 +5,11 @@ Each invocation prints exactly one JSON document on stdout (a yes or a no is
 still exit 0) and a one-line human summary on stderr. Exit codes: 2 for I/O
 or parse failures (a document of the wrong shape included), 3 for numerical
 failures and memory exhaustion, 4 for invalid requests.
+
+Imports: at module level only what reading the inputs and `main` need
+(errors, graphs, serialize, spectral, tolerances). Each handler imports its
+own stages as its first statement, so a cold process loads only the modules
+its subcommand runs.
 """
 
 from __future__ import annotations
@@ -17,30 +22,10 @@ import sys
 import numpy as np
 
 from . import serialize
-from .arith import symbolic_pi_multiple
 from .errors import FixedStateError, MalformedDocumentError, NumericFailureError, PstwalkError
-from .families import (
-    CATALOG_GUARD,
-    complete_bipartite_pst,
-    complete_graph_pst,
-    cycle_pst_families,
-    pair_plus_catalog,
-    path_pst_families,
-)
 from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, check_dense, hamiltonian, load_custom
-from .periodicity import NonPeriodic, classify_form, ratio_condition
-from .sensitivity import fidelity_derivatives
 from .spectral import decompose
-from .states import FIXED, support
-from .synthesis import SynthesisRequest, synthesize
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
-from .transfer import (
-    extremal_min_pst_search,
-    fidelity_scan,
-    pst_decide,
-    pst_partners,
-    verify_pst_numeric,
-)
 
 KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": CUSTOM}
 # family subcommand name: (pair_plus_catalog family, Hamiltonian kind)
@@ -97,6 +82,10 @@ def _inputs(args, *state_names: str) -> tuple:
 
 
 def cmd_analyze(args) -> tuple[dict, str]:
+    from .arith import symbolic_pi_multiple
+    from .periodicity import NonPeriodic, classify_form, ratio_condition
+    from .states import FIXED, support
+
     cfg, dec, x = _inputs(args, "state")
     prof = support(dec, x, cfg)
     doc = {
@@ -128,6 +117,8 @@ def cmd_analyze(args) -> tuple[dict, str]:
 
 
 def cmd_pst(args) -> tuple[dict, str]:
+    from .transfer import pst_decide, verify_pst_numeric
+
     cfg, dec, x, y = _inputs(args, "x", "y")
     verdict = pst_decide(dec, x, y, cfg)
     doc = verdict.to_dict()
@@ -141,6 +132,9 @@ def cmd_pst(args) -> tuple[dict, str]:
 
 
 def cmd_partner(args) -> tuple[dict, str]:
+    from .arith import symbolic_pi_multiple
+    from .transfer import pst_partners
+
     cfg, dec, x = _inputs(args, "x")
     partners, found, fixed, taus = pst_partners(dec, x[:, None], cfg)
     if fixed[0]:
@@ -159,6 +153,8 @@ def cmd_partner(args) -> tuple[dict, str]:
 
 
 def cmd_synthesize(args) -> tuple[dict, str]:
+    from .synthesis import SynthesisRequest, synthesize
+
     x = serialize.state_from_doc(serialize.load_json(args.x))
     y = serialize.state_from_doc(serialize.load_json(args.y))
     m = synthesize(SynthesisRequest(x=x, y=y, tau=args.tau, m1=args.m1, m2=args.m2))
@@ -171,6 +167,9 @@ def _family_pairs(family: str, kind: str, sizes: list[int], cfg, rng) -> list[tu
     complete and complete bipartite graphs the partner of the first of
     RANDOM_DRAWS random states that is not fixed (none if all are), for
     cycles and paths one sample of each case."""
+    from .families import (complete_bipartite_pst, complete_graph_pst, cycle_pst_families,
+                           path_pst_families)
+
     if family in ("complete", "complete-bipartite"):
         check_dense(sum(sizes))  # before a draw of that length
         for _ in range(RANDOM_DRAWS):
@@ -186,6 +185,9 @@ def _family_pairs(family: str, kind: str, sizes: list[int], cfg, rng) -> list[tu
 
 
 def cmd_family(args) -> tuple[dict, str]:
+    from .arith import symbolic_pi_multiple
+    from .families import CATALOG_GUARD, pair_plus_catalog
+
     cfg = _config(args)
     rng = np.random.default_rng(args.seed)
     family, kind = FAMILIES[args.name]
@@ -216,6 +218,8 @@ def cmd_family(args) -> tuple[dict, str]:
 
 
 def cmd_scan(args) -> tuple[dict, str]:
+    from .transfer import fidelity_scan
+
     _, dec, x, y = _inputs(args, "x", "y")
     result = fidelity_scan(dec, x, y, args.tmax, args.steps)
     doc = {
@@ -235,6 +239,9 @@ def cmd_scan(args) -> tuple[dict, str]:
 
 
 def cmd_sensitivity(args) -> tuple[dict, str]:
+    from .sensitivity import fidelity_derivatives
+    from .transfer import pst_decide
+
     cfg, dec, x, y = _inputs(args, "x", "y")
     if args.tau is not None:
         tau = args.tau
@@ -256,6 +263,8 @@ def cmd_sensitivity(args) -> tuple[dict, str]:
 
 
 def cmd_extremal(args) -> tuple[dict, str]:
+    from .transfer import extremal_min_pst_search
+
     cfg = _config(args)
     kind = KINDS[args.kind]
     if kind == CUSTOM:

@@ -238,7 +238,7 @@ def test_tolerance_overrides(tmp_path, capsys):
 def test_partner_two_eigenvalue_state_without_cospectral_margin(tmp_path, capsys, monkeypatch):
     # the partner differs from x by 6e-8, under the margin pst_decide asks of
     # a pair; the partner command reads tau from the same partner pass
-    monkeypatch.setattr(cli, "pst_decide", None)
+    monkeypatch.setattr(pw.transfer, "pst_decide", None)
     v1 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     v2 = np.array([1.0, -1.0]) / math.sqrt(2.0)
     g = _graph_file(tmp_path, "p2.json", pw.build_path(2))
@@ -490,7 +490,7 @@ def test_family_random_draws_are_bounded(capsys, monkeypatch):
         calls.append(x)
         assert len(calls) <= 1000, "the random draws do not stop"
 
-    monkeypatch.setattr(cli, "complete_graph_pst", never)
+    monkeypatch.setattr(pw.families, "complete_graph_pst", never)
     code, doc, _ = _run(capsys, ["family", "complete", "4"])
     assert code == 0 and doc["pst_pairs"] == [] and len(calls) == cli.RANDOM_DRAWS == 64
     assert len(doc["pair_plus_catalog"]) > 0
