@@ -64,34 +64,39 @@ def digest(dec) -> str:
     return h.hexdigest()
 
 
-def parent_digests(rev: str) -> dict:
-    """name -> digest, as this script prints them for REV's committed src/."""
+def parent_digests(rev: str, script: str) -> dict:
+    """name -> digest, as `script` prints them for REV's committed src/."""
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
-        lines = subprocess.run([sys.executable, __file__], env=env, check=True, capture_output=True,
+        lines = subprocess.run([sys.executable, script], env=env, check=True, capture_output=True,
                                text=True).stdout.splitlines()
     return dict(line.split() for line in lines)
+
+
+def report(found: dict, rev: str | None, script: str) -> None:
+    """Print each input's digest and one over all of them; with a revision,
+    mark each as matching or differing from `script` run on REV's src/, and
+    exit with status 1 when any input differs."""
+    found["overall"] = hashlib.sha256("".join(found.values()).encode()).hexdigest()
+    want = parent_digests(rev, script) if rev else {}
+    for name, value in found.items():
+        status = "" if not want else "  match" if want.get(name) == value else "  DIFFERS"
+        print(f"{name:40s} {value}{status}")
+    if want:
+        same = sum(want.get(name) == value for name, value in found.items() if name != "overall")
+        print(f"{same} of {len(found) - 1} inputs byte-identical to {rev}")
+        if same < len(found) - 1:
+            sys.exit(1)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="git revision whose decompositions to compare against")
     args = ap.parse_args()
-
-    found = {name: digest(pw.decompose(m)) for name, m in inputs()}
-    found["overall"] = hashlib.sha256("".join(found.values()).encode()).hexdigest()
-    want = parent_digests(args.parent) if args.parent else {}
-    for name, value in found.items():
-        status = "" if not want else "  match" if want.get(name) == value else "  DIFFERS"
-        print(f"{name:40s} {value}{status}")
-    if want:
-        same = sum(want.get(name) == value for name, value in found.items() if name != "overall")
-        print(f"{same} of {len(found) - 1} inputs byte-identical to {args.parent}")
-        if same < len(found) - 1:
-            sys.exit(1)
+    report({name: digest(pw.decompose(m)) for name, m in inputs()}, args.parent, __file__)
 
 
 if __name__ == "__main__":

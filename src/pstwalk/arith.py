@@ -4,7 +4,6 @@ continued-fraction reconstruction, and symbolic rendering of times."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .tolerances import PI_FRACTION_FIT, PI_RANGE, PI_SQUARE_FIT, PI_SURD_FIT
 
@@ -38,11 +37,44 @@ def squarefree_split(n: int, limit: int = 10**6) -> tuple[int, int]:
     return s, d * n
 
 
+def _best_fraction(value: float, q_max: int) -> tuple[int, int]:
+    """The p/q with q <= q_max closest to value, as
+    Fraction(value).limit_denominator(q_max) gives it, on plain ints.
+
+    value.as_integer_ratio() is the exact value: it raises OverflowError for
+    an infinity and ValueError for a NaN, as Fraction(value) does, before
+    q_max < 1 raises ValueError. The continued fraction of n/d runs until the
+    next convergent's denominator exceeds q_max; the answer is then the last
+    convergent p1/q1 or the semiconvergent (p0 + k p1)/(q0 + k q1) with the
+    largest k in bounds, whichever lies closer to n/d, the convergent on a
+    tie, decided by exact cross-multiplication. Either is in lowest terms.
+    """
+    n, d = value.as_integer_ratio()
+    if q_max < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if d <= q_max:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > q_max:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (q_max - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |ps/qs - n/d|, both sides multiplied by d q1 qs
+    if abs(p1 * d - n * q1) * qs <= abs(ps * d - n * qs) * q1:
+        return p1, q1
+    return ps, qs
+
+
 def reconstruct_fraction(value: float, q_max: int) -> tuple[int, int, float]:
-    """Best rational p/q with q <= q_max (continued fractions); returns
-    (p, q, |value - p/q|) with gcd(p, q) = 1."""
-    frac = Fraction(value).limit_denominator(q_max)
-    p, q = frac.numerator, frac.denominator
+    """Best rational p/q with q <= q_max (continued fractions, _best_fraction);
+    returns (p, q, |value - p/q|) with gcd(p, q) = 1."""
+    p, q = _best_fraction(value, q_max)
     return p, q, abs(value - p / q)
 
 
@@ -70,15 +102,15 @@ def symbolic_pi_multiple(tau: float) -> str | None:
     # Rational multiple of pi. Small numerator and denominator caps plus a
     # tight residual keep close approximants of surds (e.g. 1/sqrt(2) and
     # 1000*sqrt(2)) out.
-    fr = Fraction(r).limit_denominator(10**4)
-    if 0 < fr.numerator <= 10**4 and abs(r - float(fr)) <= PI_FRACTION_FIT * r:
-        return _render_pi_fraction(fr.numerator, fr.denominator, 1)
+    p, q = _best_fraction(r, 10**4)
+    if 0 < p <= 10**4 and abs(r - p / q) <= PI_FRACTION_FIT * r:
+        return _render_pi_fraction(p, q, 1)
     # Quadratic-surd multiple: r**2 rational => r = a*sqrt(u) / (b*sqrt(v)).
-    fr2 = Fraction(r * r).limit_denominator(10**8)
-    if fr2 <= 0 or abs(r * r - float(fr2)) > PI_SQUARE_FIT * r * r:
+    p, q = _best_fraction(r * r, 10**8)
+    if p <= 0 or abs(r * r - p / q) > PI_SQUARE_FIT * r * r:
         return None
-    sa, u = squarefree_split(fr2.numerator)
-    sb, v = squarefree_split(fr2.denominator)
+    sa, u = squarefree_split(p)
+    sb, v = squarefree_split(q)
     d = u * v  # square-free since gcd(u, v) = 1 after reduction
     # tau = pi * sa*sqrt(u)/(sb*sqrt(v)): canonicalize to a*pi/(b*sqrt(d))
     # with a/b = sa*d/(sb*v) reduced.

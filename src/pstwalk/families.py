@@ -408,18 +408,18 @@ class CatalogEntry:
 
 
 def _pair_shapes(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of Y of the form +-(e_a + s e_b) with s in {-1, +1}: the two
-    largest magnitudes within SHAPE_UNIT of one and every other entry within
-    SHAPE_ZERO of zero. Returns (columns, s, a, b) with a < b; s is read with
-    the entry at a taken positive."""
+    """Columns of Y of the form +-(e_a + s e_b) with s in {-1, +1}: exactly
+    two entries within SHAPE_UNIT of one in magnitude and every other entry
+    within SHAPE_ZERO of zero, counted down each column (SHAPE_ZERO lies far
+    below 1 - SHAPE_UNIT, so the two unit entries are the two largest).
+    Returns (columns, s, a, b) with a < b the rows of the unit entries; s is
+    read with the entry at a taken positive."""
     mag = np.abs(Y)
-    order = np.argsort(-mag, axis=0)[:3]
-    cols = np.arange(Y.shape[1])
-    ok = np.all(np.abs(mag[order[:2], cols] - 1.0) <= SHAPE_UNIT, axis=0)
-    if Y.shape[0] > 2:
-        ok &= mag[order[2], cols] <= SHAPE_ZERO
-    cols = cols[ok]
-    a, b = np.sort(order[:2, ok], axis=0)
+    unit = np.abs(mag - 1.0) <= SHAPE_UNIT
+    zero = mag <= SHAPE_ZERO
+    ok = (np.count_nonzero(unit, axis=0) == 2) & (np.count_nonzero(zero, axis=0) == len(Y) - 2)
+    cols = np.flatnonzero(ok)
+    a, b = np.nonzero(unit[:, ok].T)[1].reshape(-1, 2).T
     s = np.where((Y[a, cols] > 0) == (Y[b, cols] > 0), 1, -1)
     return cols, s, a, b
 
@@ -431,9 +431,11 @@ def pair_plus_catalog(
     whose unique transfer partner is itself an s-pair state.
 
     One pass per sweep: the n(n-1) states form one state matrix for
-    pst_partners, so the support mask is one product per eigenvalue cluster
-    and each distinct support gets one ratio table. Only partners of pair
-    shape are confirmed with pst_decide; entries come in (u, v, s) order.
+    pst_partners, so the support mask is one product per eigenvalue cluster,
+    the supports are grouped by integer keys of their mask bits, and each
+    distinct support gets one ratio table, reconstructed on plain ints.
+    Only partners of pair shape (_pair_shapes, a count down each column) are
+    confirmed with pst_decide; entries come in (u, v, s) order.
     """
     build = {"path": build_path, "cycle": build_cycle, "complete": build_complete,
              "complete-bipartite": build_complete_bipartite}.get(family)

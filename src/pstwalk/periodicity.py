@@ -97,7 +97,8 @@ def _validate_support(supp) -> np.ndarray:
     vals = np.asarray(supp, dtype=float)
     if vals.ndim != 1 or len(vals) < 2:
         raise InvalidStateError("support needs at least two eigenvalues")
-    if np.any(np.diff(vals) >= 0):
+    # the differences np.diff takes, so that a NaN difference passes as it did
+    if (vals[1:] - vals[:-1] >= 0).any():
         raise InvalidStateError("support eigenvalues must be strictly decreasing")
     return vals
 
@@ -119,11 +120,12 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
     fails the phase test at that position.
     """
     vals = _validate_support(supp)
-    gap = vals[0] - vals[1]
+    lams = vals.tolist()   # the same IEEE arithmetic on Python floats, with no numpy scalars
+    gap = lams[0] - lams[1]
     ps, qs, res = [], [], []
     lcm, worst = 1, 0.0
-    for j in range(2, len(vals)):
-        ratio = (vals[0] - vals[j]) / gap
+    for j in range(2, len(lams)):
+        ratio = (lams[0] - lams[j]) / gap
         p, q, err = reconstruct_fraction(ratio, cfg.q_max)
         lcm, worst = math.lcm(lcm, q), max(worst, err)
         # phase misalignment at the running lcm, 2*pi*lcm*worst, never shrinks

@@ -102,8 +102,8 @@ PI_SURD_FIT = 1e-9
 # 1e-9, absolute: families._groups_for takes a closed-form eigenvalue as the
 # wanted value when within it.
 GROUP_MATCH = 1e-9
-# 1e-7, absolute on a unit column: families._pair_shapes needs the two
-# largest magnitudes of a +-(e_a + s e_b) column within it of one.
+# 1e-7, absolute on a unit column: families._pair_shapes needs exactly two
+# magnitudes of a +-(e_a + s e_b) column within it of one.
 SHAPE_UNIT = 1e-7
 # 1e-8, absolute on a unit column: and every other entry within it of zero.
 SHAPE_ZERO = 1e-8

@@ -172,10 +172,11 @@ def pst_partners(
 
     Columns sharing a support share one ratio table, and each group's
     partners are its reflection X_g - 2 sum_j E_j X_g over the table's
-    flips, from X's one Projection (Projection.reflect). The groups come
-    from one np.unique over the bit-packed mask columns, each viewed as a
-    void scalar, and one stable argsort of the labels split at the group
-    sizes, so each group lists its columns in ascending order.
+    flips, from X's one Projection (Projection.reflect). Each mask column
+    is keyed by ceil(k/63) int64 words of its bits, k the number of
+    eigenvalue clusters, each word one integer matmul over its 63 rows; one
+    stable np.lexsort of the keys is cut where consecutive keys differ, so
+    each group lists its columns in ascending order.
     """
     return _partners(Projection(dec, X), cfg)
 
@@ -185,11 +186,15 @@ def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.nd
     mask = _support(proj.weights(), cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
-    packed = np.ascontiguousarray(np.packbits(mask, axis=0).T)
-    _, labels, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                                  return_inverse=True, return_counts=True)
-    order = np.argsort(labels, kind="stable")
-    for cols in np.split(order, np.cumsum(counts))[:-1]:
+    bits = 1 << np.arange(63)   # row r of the mask is bit r % 63 of key word r // 63
+    keys = np.array([bits[:len(mask) - r] @ mask[r:r + 63] for r in range(0, len(mask), 63)])
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    first = np.ones(len(order), dtype=bool)   # the sorted columns that start a group
+    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    starts = np.flatnonzero(first).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        cols = order[lo:hi]
         idx = np.nonzero(mask[:, cols[0]])[0]
         if len(idx) == 1:
             continue
@@ -360,13 +365,18 @@ def _mask_spreads(n: int, kind: str) -> np.ndarray:
     """Spread (largest minus smallest eigenvalue) of the Laplacian or
     adjacency matrix of every edge mask on n vertices, -inf where the graph
     is disconnected. One eigvalsh per distinct degree-sorted key, in stacks
-    of SPREAD_CHUNK keys, scattered back to every mask with that key. A
+    of SPREAD_CHUNK keys, scattered back to every mask with that key. Keys
+    are below 2^m, m = n(n-1)/2, so a 2^m presence table lists the distinct
+    ones in ascending order and a 2^m table of spreads scatters them. A
     graph counts as connected iff its second-smallest Laplacian eigenvalue
     exceeds FIEDLER_CUT (Fiedler); for n <= 6 that eigenvalue is at least
     2 - 2cos(pi/6) ~ 0.268 on connected graphs, far from the cut."""
     iu = np.triu_indices(n, 1)
-    keys, inverse = np.unique(_degree_sorted_keys(n), return_inverse=True)
-    spreads = np.empty(len(keys))
+    mask_keys = _degree_sorted_keys(n)
+    present = np.zeros(len(mask_keys), dtype=bool)
+    present[mask_keys] = True
+    keys = np.flatnonzero(present)
+    spreads = np.empty(len(mask_keys))   # spread by key, set at the keys present
     for start in range(0, len(keys), SPREAD_CHUNK):
         chunk = keys[start:start + SPREAD_CHUNK]
         a = np.zeros((len(chunk), n, n))
@@ -376,8 +386,8 @@ def _mask_spreads(n: int, kind: str) -> np.ndarray:
         connected = w[:, 1] > FIEDLER_CUT
         if kind == ADJACENCY:
             w = np.linalg.eigvalsh(a)
-        spreads[start:start + len(chunk)] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
-    return spreads[inverse]
+        spreads[chunk] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
+    return spreads[mask_keys]
 
 
 def _spread_oracle(n: int, kind: str) -> dict:

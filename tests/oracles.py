@@ -1,6 +1,7 @@
 """Reference constructions the tests compare the engine against, built on
-the dense V and projectors of a SpectralDecomposition, and the three-pass
-ratio condition the one-pass rule replaced."""
+the dense V and projectors of a SpectralDecomposition, the three-pass
+ratio condition the one-pass rule replaced, and the argsort form of the
+catalog's pair-shape test."""
 
 import math
 
@@ -10,6 +11,7 @@ import pstwalk as pw
 from pstwalk.arith import reconstruct_fraction
 from pstwalk.periodicity import MAX_LCM, PHASE_ALIGNMENT, NonPeriodic, RatioTable, _validate_support
 from pstwalk.spectral import Projection
+from pstwalk.tolerances import SHAPE_UNIT, SHAPE_ZERO
 
 
 def dense_basis(dec):
@@ -98,3 +100,19 @@ def three_pass_ratio_condition(supp, cfg=pw.DEFAULT_TOLERANCES):
         if 2.0 * math.pi * lcm * err > PHASE_ALIGNMENT:
             return NonPeriodic(offending_index=j, ratio=(vals[0] - vals[j]) / gap, residual=err)
     return RatioTable(vals[0], vals[1], tuple(ps), tuple(qs), tuple(res))
+
+
+def argsort_pair_shapes(Y):
+    """families._pair_shapes read off a descending argsort of each column's
+    magnitudes: the two largest within SHAPE_UNIT of one and, for three rows
+    or more, the third largest within SHAPE_ZERO of zero."""
+    mag = np.abs(Y)
+    order = np.argsort(-mag, axis=0)[:3]
+    cols = np.arange(Y.shape[1])
+    ok = np.all(np.abs(mag[order[:2], cols] - 1.0) <= SHAPE_UNIT, axis=0)
+    if Y.shape[0] > 2:
+        ok &= mag[order[2], cols] <= SHAPE_ZERO
+    cols = cols[ok]
+    a, b = np.sort(order[:2, ok], axis=0)
+    s = np.where((Y[a, cols] > 0) == (Y[b, cols] > 0), 1, -1)
+    return cols, s, a, b

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,53 @@ def test_reconstruct_exact_rationals(p, q):
     frac = Fraction(p, q)
     assert (got_p, got_q) == (frac.numerator, frac.denominator)
     assert err <= 1e-12
+
+
+# any sign and magnitude, subnormals included; dyadic values m / 2**e; and
+# the midpoints (2i + 1) / (2q) of two neighbours i/q and (i + 1)/q, which
+# tie for q = 1 and q = 2
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DYADIC = st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-1074, 60))
+Q_MAX = st.sampled_from([1, 2, 10**4, 10**8])
+
+
+def _as_fraction(value, q_max):
+    frac = Fraction(value).limit_denominator(q_max)
+    return frac.numerator, frac.denominator, abs(value - frac.numerator / frac.denominator)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(FINITE, DYADIC), Q_MAX)
+def test_reconstruct_matches_limit_denominator(value, q_max):
+    assert reconstruct_fraction(value, q_max) == _as_fraction(value, q_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.sampled_from([1, 2]))
+def test_reconstruct_breaks_midpoint_ties_as_limit_denominator(i, q_max):
+    value = (2 * i + 1) / (2 * q_max)
+    got = reconstruct_fraction(value, q_max)
+    assert got == _as_fraction(value, q_max)
+    assert got[2] == 1 / (2 * q_max)
+
+
+@pytest.mark.parametrize("value,q_max", [(math.inf, 10), (-math.inf, 10), (math.nan, 10), (0.5, 0),
+                                         (0.5, -3), (math.inf, 0), (math.nan, -1)])
+def test_reconstruct_refuses_as_limit_denominator(value, q_max):
+    with pytest.raises((OverflowError, ValueError)) as want:
+        Fraction(value).limit_denominator(q_max)
+    with pytest.raises((OverflowError, ValueError)) as got:
+        reconstruct_fraction(value, q_max)
+    assert type(got.value) is type(want.value)
+
+
+def test_symbolic_rendering_frozen():
+    # 200 times: rational and surd multiples of pi, the same off by 1e-10
+    # and 1e-13, seeded random times, and edge values; the renderings as
+    # recorded when symbolic_pi_multiple still ran on fractions.Fraction
+    table = json.loads((Path(__file__).parent / "golden" / "symbolic_pi.json").read_text())
+    assert len(table) == 200
+    assert [symbolic_pi_multiple(float.fromhex(tau)) for tau, _ in table] == [want for _, want in table]
 
 
 def test_symbolic_rendering():

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import random_tree
-from oracles import eigenvector
+from oracles import argsort_pair_shapes, eigenvector
 from pstwalk import periodicity
+from pstwalk.families import _pair_shapes
+from pstwalk.tolerances import SHAPE_UNIT, SHAPE_ZERO
 
 
 def _reference_pair_state(y):
@@ -81,7 +83,7 @@ def test_catalog_matches_one_state_sweep():
         assert got == expected, (family, kind, sizes)
         assert [repr(e) for e in got] == [repr(e) for e in expected]
         hits += len(got)
-    assert hits > 100
+    assert hits > 40
 
 
 @st.composite
@@ -170,13 +172,51 @@ def test_sweep_reconstructs_each_support_ratio_once(monkeypatch):
     assert len(calls) == len(big) < distinct_ratios
 
 
-@pytest.mark.parametrize("k", [8, 9, 17])
+def _same_shapes(Y):
+    got, want = _pair_shapes(Y), argsort_pair_shapes(Y)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and g.dtype == w.dtype
+    return got
+
+
+def test_pair_shapes_match_argsort_form():
+    # the counting test against the argsort form on columns at and across
+    # each threshold: exactly 1 +- SHAPE_UNIT and SHAPE_ZERO and the floats
+    # next to them, three unit entries, ties in magnitude, n = 2, and
+    # matrices of no column (b = 0) and one column (b = 1)
+    up, down = np.nextafter(SHAPE_ZERO, 1.0), np.nextafter(SHAPE_ZERO, 0.0)
+    near_one = [1.0, 1.0 + SHAPE_UNIT, 1.0 - SHAPE_UNIT, np.nextafter(1.0 + SHAPE_UNIT, 2.0),
+                np.nextafter(1.0 - SHAPE_UNIT, 0.0), 1.0 + 2 * SHAPE_UNIT, 1.0 - SHAPE_UNIT / 2]
+    near_zero = [0.0, SHAPE_ZERO, up, down, SHAPE_ZERO / 2, 1e-3, 0.5]
+    palette = np.array(near_one + near_zero)
+    rng = np.random.default_rng(29)
+    fixed = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0 + SHAPE_UNIT], [1.0, up], [1.0, 0.0],
+             [1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 0.0], [1.0, 1.0, SHAPE_ZERO, SHAPE_ZERO],
+             [1.0, 1.0, up, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 1.0 - SHAPE_UNIT, down, -down],
+             [1.0 + SHAPE_UNIT, 1.0 + SHAPE_UNIT, 1.0 + SHAPE_UNIT, 0.0], [2.0, 1.0, 1.0]]
+    hits = 0
+    for n in range(2, 7):
+        cols = [np.array(c) for c in fixed if len(c) == n]
+        for _ in range(400):
+            col = np.zeros(n)
+            picks = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+            col[picks] = palette[rng.integers(len(palette), size=len(picks))]
+            cols.append(col * rng.choice([-1.0, 1.0], size=n))
+        Y = np.stack(cols, axis=1)
+        hits += len(_same_shapes(Y)[0])
+        for b in (0, 1):
+            _same_shapes(Y[:, :b])
+    assert hits > 40
+
+
+@pytest.mark.parametrize("k", [8, 9, 17, 62, 63, 64, 126, 127])
 def test_grouping_across_packed_bytes(k):
-    # k eigenvalue clusters pack into ceil(k/8) bytes per mask column; the
-    # supports below differ only in the bit of cluster 7, 8 or k-1, and every
-    # fourth eigenvalue is moved off the integers so that some supports are
-    # nonperiodic. Each column must get what it gets on its own, and
-    # permuting the columns must permute every output alike
+    # k eigenvalue clusters key each mask column by ceil(k/63) words of 63
+    # bits; the supports below differ only in the bit of cluster 7, 8, 62,
+    # 63 or k-1, and every fourth eigenvalue is moved off the integers so
+    # that some supports are nonperiodic. Each column must get what it gets
+    # on its own (one column, b = 1), permuting the columns must permute
+    # every output alike, and no column (b = 0) gives empty outputs
     rng = np.random.default_rng(k)
     vals = np.arange(k, 0, -1, dtype=float)
     vals[3::4] += math.sqrt(2.0) / 10.0
@@ -186,6 +226,9 @@ def test_grouping_across_packed_bytes(k):
     if k > 8:
         # [0] is fixed and [0, 8] is not; [0, 3] is periodic and [0, 3, 8] is not
         supports += [[0], [0, 8], [0, 3], [0, 3, 8], [0, 1, 8], [0, 1, 7, 8], [7, 8], [8]]
+    for bit in (62, 63):   # the last bit of the first word, the first of the second
+        if k > bit:
+            supports += [[0, 1, bit], [0, bit], [bit], [bit - 1, bit], [0, 1, bit - 1, bit]]
     supports += [sorted(rng.choice(k, size=rng.integers(1, k + 1), replace=False)) for _ in range(30)]
     cols = []
     for sup in supports:
@@ -206,7 +249,9 @@ def test_grouping_across_packed_bytes(k):
     assert np.array_equal(p_found, found[perm]) and np.array_equal(p_fixed, fixed[perm])
     assert np.array_equal(p_tau, tau[perm], equal_nan=True)
     assert np.allclose(p_partners, partners[:, perm], rtol=0.0, atol=1e-12, equal_nan=True)
-    assert [a.shape for a in pw.pst_partners(dec, X[:, :0])] == [(k, 0), (0,), (0,), (0,)]
+    empty = pw.pst_partners(dec, X[:, :0])
+    assert [a.shape for a in empty] == [(k, 0), (0,), (0,), (0,)]
+    assert [a.dtype for a in empty] == [float, bool, bool, float]
 
 
 def test_flip_selection_takes_largest_valuation():

@@ -1,8 +1,10 @@
 """Module budget of a cold process: `import pstwalk` loads no module of the
-package, and each CLI subcommand loads only the modules it runs.
+package, and each CLI subcommand loads only the modules it runs, and never
+`fractions` or `decimal`.
 
 Each case runs in a fresh interpreter on the golden inputs and reports the
-`pstwalk.*` entries of `sys.modules` after the run.
+`pstwalk.*` entries of `sys.modules` after the run, with `fractions` and
+`decimal` where loaded.
 """
 
 import json
@@ -18,7 +20,8 @@ import pstwalk
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 SRC = Path(pstwalk.__file__).resolve().parent.parent
 
-# print the pstwalk.* modules loaded after running the CLI on argv, if any
+# print the pstwalk.* modules, and fractions and decimal, loaded after
+# running the CLI on argv, if any
 CHILD = """
 import json, sys
 import pstwalk
@@ -26,10 +29,12 @@ if len(sys.argv) > 1:
     from pstwalk.cli import main
     code = main(sys.argv[1:])
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("pstwalk."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("pstwalk.") or m in ("fractions", "decimal"))))
 """
 
-CATALOG = {"families", "constructions", "sensitivity", "synthesis"}
+# the rational arithmetic runs on plain ints; fractions imports decimal
+STDLIB = {"fractions", "decimal"}
+CATALOG = {"families", "constructions", "sensitivity", "synthesis"} | STDLIB
 GRAPH_PAIR = ["p7.json", "p7_x.json", "p7_y.json"]
 
 # (argv with input file names relative to INPUTS, modules it must not load)
@@ -41,6 +46,8 @@ CASES = [
     (["synthesize", "p7_x.json", "p7_y.json", "--tau", "1.25", "--m1", "2", "--m2", "2"],
      CATALOG - {"synthesis"} | {"transfer", "periodicity"}),
     (["family", "cycle", "8", "--seed", "1"], CATALOG - {"families"}),
+    (["sensitivity", *GRAPH_PAIR], CATALOG - {"sensitivity"}),
+    (["extremal", "5", "--kind", "adj", "--exhaustive"], CATALOG),
 ]
 
 
