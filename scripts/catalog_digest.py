@@ -43,12 +43,18 @@ def sizes():
 
 
 def pair_plus_states(n: int) -> np.ndarray:
-    """The catalog's state matrix: column c is e_u + s e_v, in (u, v, s) order."""
-    u, v = np.repeat(np.triu_indices(n, 1), 2, axis=1)
-    X = np.zeros((n, len(u)))
-    X[u, np.arange(len(u))] = 1.0
-    X[v, np.arange(len(u))] = np.tile([-1.0, 1.0], len(u) // 2)
-    return X
+    """The state matrix pair_plus_catalog builds on n vertices."""
+    try:
+        from pstwalk.families import _pair_plus_states
+    except ImportError:
+        # revisions from before the helper built the same matrix inline in
+        # pair_plus_catalog; that committed code no longer changes
+        u, v = np.repeat(np.triu_indices(n, 1), 2, axis=1)
+        X = np.zeros((n, len(u)))
+        X[u, np.arange(len(u))] = 1.0
+        X[v, np.arange(len(u))] = np.tile([-1.0, 1.0], len(u) // 2)
+        return X
+    return _pair_plus_states(n)[3]
 
 
 def catalog_digest(family: str, kind: str, params: tuple) -> str:

@@ -424,6 +424,17 @@ def _pair_shapes(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return cols, s, a, b
 
 
+def _pair_plus_states(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """u, v, s and the state matrix X of the catalog on n vertices: column c
+    of X is e_u[c] + s[c] e_v[c], u < v, s = -1 or +1, in (u, v, s) order."""
+    u, v = np.repeat(np.triu_indices(n, 1), 2, axis=1)
+    s = np.tile([-1, 1], len(u) // 2)
+    X = np.zeros((n, len(u)))
+    X[u, np.arange(len(u))] = 1.0
+    X[v, np.arange(len(u))] = s
+    return u, v, s, X
+
+
 def pair_plus_catalog(
     family: str, kind: str, *sizes: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> list[CatalogEntry]:
@@ -447,12 +458,7 @@ def pair_plus_catalog(
     if g.n < 2:
         return []
     dec = decompose(hamiltonian(g, kind), cfg)
-    # column c is e_u[c] + s[c] e_v[c], in (u, v, s) order
-    u, v = np.repeat(np.triu_indices(g.n, 1), 2, axis=1)
-    s = np.tile([-1, 1], len(u) // 2)
-    X = np.zeros((g.n, len(u)))
-    X[u, np.arange(len(u))] = 1.0
-    X[v, np.arange(len(u))] = s
+    u, v, s, X = _pair_plus_states(g.n)
     partners, found, _, _ = pst_partners(dec, X, cfg)
     hits = np.nonzero(found)[0]
     cols, ps, pu, pv = _pair_shapes(partners[:, hits])

@@ -186,7 +186,7 @@ def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.nd
     mask = _support(proj.weights(), cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
-    bits = 1 << np.arange(63)   # row r of the mask is bit r % 63 of key word r // 63
+    bits = np.int64(1) << np.arange(63, dtype=np.int64)   # row r of the mask is bit r % 63 of key word r // 63
     keys = np.array([bits[:len(mask) - r] @ mask[r:r + 63] for r in range(0, len(mask), 63)])
     order = np.lexsort(keys)
     keys = keys[:, order]

@@ -83,7 +83,7 @@ def test_catalog_matches_one_state_sweep():
         assert got == expected, (family, kind, sizes)
         assert [repr(e) for e in got] == [repr(e) for e in expected]
         hits += len(got)
-    assert hits > 40
+    assert hits > 100
 
 
 @st.composite
