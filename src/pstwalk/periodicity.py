@@ -97,9 +97,11 @@ def _validate_support(supp) -> np.ndarray:
     vals = np.asarray(supp, dtype=float)
     if vals.ndim != 1 or len(vals) < 2:
         raise InvalidStateError("support needs at least two eigenvalues")
-    # the differences np.diff takes, so that a NaN difference passes as it did
-    if (vals[1:] - vals[:-1] >= 0).any():
+    # a comparison, not a difference: NaN fails it, and inf - inf never warns
+    if not (vals[:-1] > vals[1:]).all():
         raise InvalidStateError("support eigenvalues must be strictly decreasing")
+    if not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):   # so are those between
+        raise InvalidStateError("support eigenvalues must be finite")
     return vals
 
 

@@ -27,7 +27,7 @@ from .spectral import Projection, SpectralDecomposition, _grid_walk, _lift, deco
 from .states import NotCospectral, _support, check_strong_cospectrality
 from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
-SPREAD_CHUNK = 1024    # edge masks per relabelling pass, and keys per stacked eigvalsh, of the spread oracle
+SPREAD_CHUNK = 1024    # keys per stacked eigvalsh of the spread oracle
 
 
 @dataclass(eq=False)
@@ -336,88 +336,86 @@ def fidelity_scan(dec: SpectralDecomposition, x, y, t_max: float, steps: int) ->
     return ScanResult(times=times, values=values, peak_time=float(t), peak_value=float(peak))
 
 
-def _degree_sorted_keys(n: int) -> np.ndarray:
-    """Every edge mask on n vertices (bit e is edge e of triu_indices(n, 1)),
-    re-packed after relabelling its vertices by descending degree, ties kept
-    in label order. A relabelling keeps the spectra of A and L, so masks
-    sharing a key share their spectra. Built SPREAD_CHUNK masks at a time."""
-    iu = np.triu_indices(n, 1)
-    m = len(iu[0])
-    # a float incidence matrix: the degree product runs in BLAS, and its
-    # small integer counts are exact
-    incidence = np.zeros((m, n))
-    incidence[np.arange(m), iu[0]] = incidence[np.arange(m), iu[1]] = 1.0
-    position = np.zeros((n, n), dtype=np.int64)   # edge index of {u, v}
-    position[iu] = position[iu[1], iu[0]] = np.arange(m)
-    position = position.ravel()
-    keys = np.empty(1 << m, dtype=np.int64)
-    for start in range(0, 1 << m, SPREAD_CHUNK):
-        masks = np.arange(start, min(start + SPREAD_CHUNK, 1 << m))
-        bits = (masks[:, None] >> np.arange(m)) & 1
-        order = np.argsort(-(bits @ incidence), axis=1, kind="stable")
-        label = np.empty_like(order)   # new label of each old vertex
-        label[np.arange(len(masks))[:, None], order] = np.arange(n)
-        keys[start:start + len(masks)] = (bits << position[label[:, iu[0]] * n + label[:, iu[1]]]).sum(axis=1)
-    return keys
+def _edge_tables(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Bit e of an edge mask on n vertices is edge e of iu = triu_indices(n, 1). Returns iu,
+    every mask's uint8 popcount and the star masks: v has degree popcount[mask & star[v]]."""
+    iu, ends = np.triu_indices(n, 1), np.arange(n)[:, None]
+    popcount = np.zeros(1 << len(iu[0]), dtype=np.uint8)
+    for e in range(len(iu[0])):
+        popcount[1 << e:2 << e] = popcount[:1 << e] + 1
+    return iu, popcount, ((ends == iu[0]) | (ends == iu[1])) @ (1 << np.arange(len(iu[0])))
 
 
-def _mask_spreads(n: int, kind: str) -> np.ndarray:
-    """Spread (largest minus smallest eigenvalue) of the Laplacian or
-    adjacency matrix of every edge mask on n vertices, -inf where the graph
-    is disconnected. One eigvalsh per distinct degree-sorted key, in stacks
-    of SPREAD_CHUNK keys, scattered back to every mask with that key. Keys
-    are below 2^m, m = n(n-1)/2, so a 2^m presence table lists the distinct
-    ones in ascending order and a 2^m table of spreads scatters them. A
-    graph counts as connected iff its second-smallest Laplacian eigenvalue
-    exceeds FIEDLER_CUT (Fiedler); for n <= 6 that eigenvalue is at least
-    2 - 2cos(pi/6) ~ 0.268 on connected graphs, far from the cut."""
-    iu = np.triu_indices(n, 1)
-    mask_keys = _degree_sorted_keys(n)
-    present = np.zeros(len(mask_keys), dtype=bool)
-    present[mask_keys] = True
-    keys = np.flatnonzero(present)
-    spreads = np.empty(len(mask_keys))   # spread by key, set at the keys present
+def _degree_sorted(n: int, masks: np.ndarray) -> np.ndarray:
+    """Each edge mask's key: the mask after relabelling its vertices by
+    descending degree, ties kept in label order."""
+    iu, popcount, star = _edge_tables(n)
+    position = np.zeros((n, n), dtype=int)   # edge index of {u, v}
+    position[iu] = position[iu[1], iu[0]] = np.arange(len(iu[0]))
+    # float, as a uint8 stable argsort would page in numpy's radix sort code
+    order = np.argsort(-popcount[masks[:, None] & star].astype(float), axis=1, kind="stable")
+    label = np.empty_like(order)   # new label of each old vertex
+    label[np.arange(len(masks))[:, None], order] = np.arange(n)
+    bits = (masks[:, None] >> np.arange(len(iu[0]))) & 1
+    return (bits << position[label[:, iu[0]], label[:, iu[1]]]).sum(axis=1)
+
+
+def _spread_classes(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys on n vertices, ascending, how many masks have each, and their
+    spreads (-inf if disconnected) from eigvalsh on stacks of SPREAD_CHUNK.
+    A graph is connected iff its second-smallest Laplacian eigenvalue exceeds
+    FIEDLER_CUT (Fiedler): for n <= 6 it is 0 or at least 0.268."""
+    iu, popcount, star = _edge_tables(n)
+    masks = np.arange(len(popcount))
+    fixed, prev = True, popcount[masks & star[0]]
+    for s in star[1:].tolist():
+        degree = popcount[masks & s]
+        fixed, prev = fixed & (prev >= degree), degree
+    keys = np.flatnonzero(fixed)
+    rows = popcount[keys[:, None] & star] + n * np.arange(len(keys))[:, None]   # bin n * key index + degree
+    classes = np.bincount(rows.ravel(), minlength=n * len(keys)).reshape(-1, n)
+    factorial = np.cumprod([1, *range(1, n + 1)])
+    spreads = np.empty(len(keys))
     for start in range(0, len(keys), SPREAD_CHUNK):
         chunk = keys[start:start + SPREAD_CHUNK]
         a = np.zeros((len(chunk), n, n))
-        a[:, iu[0], iu[1]] = (chunk[:, None] >> np.arange(len(iu[0]))) & 1
-        a += a.transpose(0, 2, 1)
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = (chunk[:, None] >> np.arange(len(iu[0]))) & 1
         w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
         connected = w[:, 1] > FIEDLER_CUT
         if kind == ADJACENCY:
             w = np.linalg.eigvalsh(a)
-        spreads[chunk] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
-    return spreads[mask_keys]
+        spreads[start:start + len(chunk)] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
+    return keys, factorial[n] // factorial[classes].prod(axis=1), spreads
 
 
 def _spread_oracle(n: int, kind: str) -> dict:
     """Exhaustive maximum spread (largest minus smallest eigenvalue) of the
     Laplacian or adjacency matrix over connected unweighted graphs on n
-    vertices, guarded to 2 <= n <= 6.
+    vertices, guarded to 2 <= n <= 6. The minimum period of any state is at
+    least 2*pi/spread, so the maximum certifies the least period.
 
-    The minimum period of any state is at least 2*pi/spread, so the maximum
-    spread certifies the least achievable period. The spreads of all
-    2^(n(n-1)/2) labelled graphs come from _mask_spreads, which runs one
-    eigvalsh per degree-sorted relabelling (936 at n = 6) rather than one
-    per edge mask; every count is still over labelled graphs. Returns n,
-    connected_graphs, max_spread (the spread of the first connected graph
-    within SPREAD_TIE of the maximum, recomputed from that one matrix) and
-    attained_count (connected graphs whose spread exceeds max_spread - SPREAD_TIE).
+    Every edge mask has the spectra of its key, a mask whose degrees do not
+    increase along the labels (936 keys at n = 6). A key with degree classes
+    of sizes c_d is the key of n!/prod c_d! masks, one per way to give each
+    class its vertices. Returns n, connected_graphs, max_spread (of the
+    least mask within SPREAD_TIE of the maximum, from its own matrix) and
+    attained_count (connected graphs with spread above max_spread - SPREAD_TIE).
     """
     if not 2 <= n <= 6:
         raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
-    spreads = _mask_spreads(n, kind)
-    iu = np.triu_indices(n, 1)
-    first = int(np.argmax(spreads >= spreads.max() - SPREAD_TIE))
+    keys, multiplicity, spreads = _spread_classes(n, kind)
+    attains = spreads >= spreads.max() - SPREAD_TIE
+    iu, popcount, _ = _edge_tables(n)
+    # the first mask is at most the least attaining key (its own key) and has an attaining edge count
+    edges = np.zeros(len(iu[0]) + 1, dtype=bool)
+    edges[popcount[keys[attains]]] = True
+    masks = np.flatnonzero(edges[popcount[:keys[attains][0] + 1]])
+    first = int(masks[attains[np.searchsorted(keys, _degree_sorted(n, masks))]][0])
     g = make_graph(n, np.transpose(iu)[(first >> np.arange(len(iu[0]))) & 1 == 1])
     w = np.linalg.eigvalsh(hamiltonian(g, kind).matrix)
     best = float(w[-1] - w[0])
-    return {
-        "n": n,
-        "connected_graphs": int(np.count_nonzero(spreads > -np.inf)),
-        "max_spread": best,
-        "attained_count": int(np.count_nonzero(spreads > best - SPREAD_TIE)),
-    }
+    return {"n": n, "connected_graphs": int(multiplicity[spreads > -np.inf].sum()), "max_spread": best,
+            "attained_count": int(multiplicity[spreads > best - SPREAD_TIE].sum())}
 
 
 def extremal_min_pst_search(

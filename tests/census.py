@@ -1,7 +1,7 @@
 """Theorem census: the paper's results over every connected graph on n
 vertices, both Hamiltonians, and every pair and plus state e_u -+ e_v.
 
-The graphs are the connected distinct keys of transfer._degree_sorted_keys
+The graphs are the connected keys of transfer._spread_classes
 (61 at n = 5, 787 at n = 6, covering every isomorphism class). For each
 (graph, kind) the census checks
 - paper result (i): every periodic state that is not fixed has a
@@ -30,7 +30,7 @@ import numpy as np
 
 import pstwalk as pw
 from pstwalk.tolerances import SPREAD_TIE
-from pstwalk.transfer import _degree_sorted_keys
+from pstwalk.transfer import _spread_classes
 
 DIGEST = Path(__file__).parent / "golden" / "census.json"
 KINDS = (pw.ADJACENCY, pw.LAPLACIAN)
@@ -38,9 +38,9 @@ ROUND = 1e-9  # how far a partner entry may sit from an integer and still read a
 
 
 def graphs(n: int):
-    """The connected graphs among the distinct degree-sorted keys on n vertices."""
+    """The connected graphs among the degree-sorted keys on n vertices."""
     iu = np.transpose(np.triu_indices(n, 1))
-    for key in np.unique(_degree_sorted_keys(n)):
+    for key in _spread_classes(n, pw.LAPLACIAN)[0]:
         g = pw.make_graph(n, iu[(int(key) >> np.arange(len(iu))) & 1 == 1])
         if pw.is_connected(g):
             yield g

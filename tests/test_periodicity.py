@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_minimum_period_overflow_guard():
         table.period
     with pytest.raises(pw.InvalidStateError):
         pw.ratio_condition(np.array([1.0]))
+
+
+@pytest.mark.parametrize("supp", [[math.inf, math.inf], [math.nan, 1.0], [math.inf, 1.0],
+                                  [3.0, math.nan, 1.0], [math.inf, 0.0, -1.0],
+                                  [5.0, math.inf, math.inf, 1.0]])
+def test_ratio_condition_refuses_non_finite_supports(supp):
+    # refused before any arithmetic: inf - inf would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(pw.InvalidStateError):
+            pw.ratio_condition(supp)
 
 
 def test_classify_form_integer():

@@ -9,6 +9,7 @@ import ast
 import math
 import re
 import warnings
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from conftest import basis_state, pair_state, random_connected_graph, random_sup
 from oracles import dense_basis, eigenvector
 from pstwalk import serialize
 from pstwalk.cli import main
-from pstwalk.transfer import _degree_sorted_keys, _mask_spreads, _spread_oracle
+from pstwalk.transfer import _degree_sorted, _spread_classes, _spread_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
 
@@ -309,17 +310,37 @@ def _per_mask_spreads(n, kind, masks):
     return np.array(spreads)
 
 
+def _stable_degree_sort(n, mask):
+    """The mask re-packed after relabelling its vertices by descending
+    degree, ties kept in label order (sorted is stable)."""
+    a = _mask_graph(n, mask)
+    order = sorted(range(n), key=lambda v: -a[v].sum())
+    b = a[np.ix_(order, order)]
+    return sum(1 << e for e, (u, v) in enumerate(combinations(range(n), 2)) if b[u, v])
+
+
+def _key_spreads(n, kind, masks):
+    """The spread _spread_classes gives each mask's key, the key found by
+    the stable sort above."""
+    keys, _, spreads = _spread_classes(n, kind)
+    want = [_stable_degree_sort(n, int(mask)) for mask in masks]
+    at = np.searchsorted(keys, want)
+    assert np.array_equal(keys[at], want)
+    return spreads[at]
+
+
 @pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
 def test_relabelled_spreads_equal_the_per_mask_spectra(kind):
     # a degree-sorted relabelling keeps the spectrum, so the spread shared by
     # a key is each of its masks' own spread up to roundoff
     for n in range(2, 6):
-        spreads = _mask_spreads(n, kind)
-        want = _per_mask_spreads(n, kind, range(len(spreads)))
+        masks = range(1 << (n * (n - 1) // 2))
+        spreads = _key_spreads(n, kind, masks)
+        want = _per_mask_spreads(n, kind, masks)
         assert np.array_equal(spreads == -np.inf, want == -np.inf)
         assert np.allclose(spreads, want, rtol=0.0, atol=1e-12)
     masks = np.random.default_rng(6).choice(1 << 15, size=2000, replace=False)
-    spreads = _mask_spreads(6, kind)[masks]
+    spreads = _key_spreads(6, kind, masks)
     want = _per_mask_spreads(6, kind, masks)
     assert np.array_equal(spreads == -np.inf, want == -np.inf)
     assert np.allclose(spreads, want, rtol=0.0, atol=1e-12)
@@ -329,9 +350,34 @@ def test_degree_sorted_keys_cover_every_isomorphism_class():
     # isomorphic masks may keep distinct keys, but non-isomorphic ones never
     # share one, so there are at least as many keys as graphs on n vertices
     # (OEIS A000088)
-    counts = [len(np.unique(_degree_sorted_keys(n))) for n in range(2, 7)]
+    counts = [len(_spread_classes(n, pw.LAPLACIAN)[0]) for n in range(2, 7)]
     assert all(c >= g for c, g in zip(counts, [2, 4, 11, 34, 156]))
     assert counts == [2, 4, 16, 84, 936]
+
+
+@pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
+def test_key_multiplicities_sum_to_every_mask(kind):
+    for n in range(2, 7):
+        keys, multiplicity, _ = _spread_classes(n, kind)
+        assert multiplicity.sum() == 1 << (n * (n - 1) // 2)
+        assert np.all(multiplicity >= 1) and np.all(np.diff(keys) > 0)
+
+
+def test_key_multiplicities_count_the_masks_sorted_to_each_key():
+    # brute force: the stable degree sort of every mask, counted per key
+    for n in range(2, 6):
+        keys, multiplicity, _ = _spread_classes(n, pw.LAPLACIAN)
+        counted = Counter(_stable_degree_sort(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
+        assert counted == dict(zip(keys.tolist(), multiplicity.tolist()))
+
+
+def test_degree_sorted_relabels_as_a_stable_sort():
+    # the relabelling that finds the oracle's least attaining mask
+    for n in range(2, 6):
+        masks = np.arange(1 << (n * (n - 1) // 2))
+        assert _degree_sorted(n, masks).tolist() == [_stable_degree_sort(n, int(m)) for m in masks]
+    masks = np.random.default_rng(7).choice(1 << 15, size=500, replace=False)
+    assert _degree_sorted(6, masks).tolist() == [_stable_degree_sort(6, int(m)) for m in masks]
 
 
 def test_adjacency_spread_maximum_is_the_split_graph():
