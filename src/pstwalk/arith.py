@@ -7,6 +7,8 @@ import math
 
 from .tolerances import PI_FRACTION_FIT, PI_RANGE, PI_SQUARE_FIT, PI_SURD_FIT
 
+TRIAL_LIMIT = 10**6  # squarefree_split divides out the primes up to it
+
 
 def two_adic_valuation(a: int) -> float:
     """Exponent of the largest power of two dividing a; +inf for a = 0."""
@@ -16,16 +18,15 @@ def two_adic_valuation(a: int) -> float:
     return float((a & -a).bit_length() - 1)
 
 
-def squarefree_split(n: int, limit: int = 10**6) -> tuple[int, int]:
-    """Write n = s**2 * d with d square-free; returns (s, d).
-
-    Trial division up to `limit`; n is expected to be small (spectral data).
-    """
+def squarefree_split(n: int) -> tuple[int, int]:
+    """Write n = s**2 * d with d square-free; returns (s, d). Trial division
+    up to TRIAL_LIMIT leaves a cofactor with no smaller prime factor: below
+    10**18, 1, a prime, two primes' product or a prime squared, which one
+    isqrt settles."""
     if n <= 0:
         raise ValueError("squarefree_split requires a positive integer")
-    s, d = 1, 1
-    p = 2
-    while p * p <= n and p <= limit:
+    s, d, p = 1, 1, 2
+    while p * p <= n and p <= TRIAL_LIMIT:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -34,7 +35,8 @@ def squarefree_split(n: int, limit: int = 10**6) -> tuple[int, int]:
             s *= p ** (e // 2)
             d *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    return s, d * n
+    root = math.isqrt(n)
+    return (s * root, d) if root * root == n else (s, d * n)
 
 
 def _best_fraction(value: float, q_max: int) -> tuple[int, int]:

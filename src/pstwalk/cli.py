@@ -47,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser, kind: bool = True, tolerances: bool 
     if tolerances:  # --tol-group, --tol-supp, --tol-phase, --q-max, --int-tol
         for f in dataclasses.fields(ToleranceConfig):
             p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the result to this path")
 
 
@@ -302,7 +301,8 @@ COMMANDS = {
                    [("x", {}), ("y", {}), ("--tau", _TIME), ("--m1", _SIZE), ("--m2", _SIZE)],
                    {"kind": False, "tolerances": False}),
     "family": ("closed-form family pairs and s-pair catalog",
-               [("name", {"choices": list(FAMILIES)}), ("params", {"nargs": "+"})],
+               [("name", {"choices": list(FAMILIES)}), ("params", {"nargs": "+"}),
+                ("--seed", {"type": int, "default": 0})],
                {"kind": False}),
     "scan": ("fidelity series over a time window",
              [("graph", {}), ("x", {}), ("y", {}), ("--tmax", _TIME),

@@ -7,10 +7,11 @@ record of its states, Projection: c = V^T X formed once, read as cluster
 sums over c and lifts V c, which do not depend on the basis eigh picked
 inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
 denominator, the states' own, so that an inconsistent V shows. eigh and the
-mirror route hold V as one dense (n, n) array, and the bipartite route
-holds it factored (BipartiteBasis), in O(n) numbers per level and the
-dense blocks of its last eigh or SVD, so a hypercube, path adjacency or
-even cycle is decided with no (n, n) array at all."""
+mirror route hold V as one dense (n, n) array; the product route holds it
+as a Kronecker product of its factors' bases (KroneckerBasis), and the
+bipartite route as the SVD of its half block (BipartiteBasis), so a
+hypercube, path adjacency or even cycle is decided with no (n, n) array
+at all."""
 
 from __future__ import annotations
 
@@ -27,119 +28,104 @@ from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_P
 
 
 class BipartiteBasis:
-    """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, as
-    the bipartite route (_bipartite_eigh) finds them, held factored. With
-    B = U S W^T and r = min(|P|, |Q|), V's columns are the r plus vectors
-    [u_i; sign_i w_i] / sqrt(2) for i = col[0], col[1], ...; the null columns
-    u_i (rows P) or w_i (rows Q), i >= r, of the longer side; and the r minus
-    vectors [u_i; -sign_i w_i] / sqrt(2) in reverse.
+    """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, held
+    as the SVD B = U S W^T (u = U, v = W) of the bipartite route. With
+    r = min(|P|, |Q|), V's columns are the r plus vectors [u_i; w_i]/sqrt(2),
+    the null columns u_i (rows P) or w_i (rows Q), i >= r, of the longer
+    side, and the r minus vectors [u_i; -w_i]/sqrt(2) in reverse. project
+    (V^T x) and lift (V c) make no (n, n) array; dense() builds V."""
 
-    For an SVD, u and v are U and W (dense), and col (0, 1, ...) and sign
-    (all +1) are None. For a square symmetric B = W Lambda W^T, u and v are
-    one basis W (dense, or a BipartiteBasis one level down), col sorts
-    |lambda| descending and sign is sign(lambda). Such levels chain down to
-    a last basis (bottom), and V^T x is one gather of x's rows by all L
-    levels' parts (gather), the bottom's projection, the levels' butterflies
-    (a, b) -> (a + b, a - b) / sqrt(2) as one 2^L x 2^L matrix (mix), and one
-    gather into V's column order (order), which folds in each level's col
-    and sign. V c (lift) is its transpose, through the inverse gathers
-    unorder and scatter; neither makes an (n, n) array. dense() builds V."""
-
-    def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray | BipartiteBasis,
-                 v: np.ndarray | BipartiteBasis, col: np.ndarray | None = None,
-                 sign: np.ndarray | None = None):
-        self.p, self.q, self.u, self.v, self.col, self.sign = p, q, u, v, col, sign
-        self.n = n = len(p) + len(q)
-        if col is None:
-            return
-        h = len(p)
-        # the row of V's column j among the butterfly's 2h rows: a plus
-        # vector is a + b where sign is +1, a - b where it is -1
-        plus = np.where(sign > 0, col, col + h)
-        perm = np.concatenate((plus, np.where(sign > 0, col + h, col)[::-1]))
-        rows = np.column_stack((p, q))
-        pair = math.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])  # (a, b) -> (a + b, a - b) / sqrt(2)
-        if isinstance(u, BipartiteBasis) and u.col is not None:
-            self.bottom = u.bottom
-            self.gather = rows[u.gather]
-            self.order = np.concatenate((u.order, u.order + h))[perm]
-            self.mix = np.einsum("ab,ts->atsb", pair, u.mix).reshape(2 * len(u.mix), -1)
-        else:
-            self.bottom, self.gather, self.order, self.mix = u, rows, perm, pair
-        self.scatter = np.empty(n, dtype=np.intp)
-        self.scatter[self.gather.ravel()] = np.arange(n)
-        self.unorder = np.argsort(self.order)
+    def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self.p, self.q, self.u, self.v = p, q, u, v
+        self.n = len(p) + len(q)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """V^T x for an (n, b) x."""
-        if self.col is None:
-            n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
-            a, b = self.u.T @ x[self.p], self.v.T @ x[self.q]
-            out = np.empty((n, x.shape[1]))
-            np.add(a[:r], b[:r], out=out[:r])
-            np.subtract(a[:r], b[:r], out=out[n - r:][::-1])
-            out[:r] *= h
-            out[n - r:] *= h
-            out[r:n - r] = a[r:] if len(self.p) > r else b[r:]
-            return out
-        rows, sides = len(self.gather), len(self.mix)
-        z = _project(self.bottom, x[self.gather].reshape(rows, -1))
-        z = z.reshape(rows, sides, -1).transpose(1, 0, 2).reshape(sides, -1)
-        return (self.mix @ z).reshape(self.n, -1)[self.order]
+        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+        a, b = self.u.T @ x[self.p], self.v.T @ x[self.q]
+        out = np.empty((n, x.shape[1]))
+        np.add(a[:r], b[:r], out=out[:r])
+        np.subtract(a[:r], b[:r], out=out[n - r:][::-1])
+        out[:r] *= h
+        out[n - r:] *= h
+        out[r:n - r] = a[r:] if len(self.p) > r else b[r:]
+        return out
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """V c for an (n, b) c."""
-        if self.col is None:
-            n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
-            parts = []
-            for side, sub, fold in ((self.p, self.u, np.add), (self.q, self.v, np.subtract)):
-                z = np.empty((len(side), c.shape[1]))
-                fold(c[:r], c[n - r:][::-1], out=z[:r])
-                z[:r] *= h
-                if len(side) > r:  # the null columns are the longer side's
-                    z[r:] = c[r:n - r]
-                parts.append(sub @ z)
-            out = np.empty((n, c.shape[1]))
-            out[self.p], out[self.q] = parts
-            return out
-        rows, sides = len(self.gather), len(self.mix)
-        z = (self.mix.T @ c[self.unorder].reshape(sides, -1)).reshape(sides, rows, -1)
-        z = z.transpose(1, 0, 2).reshape(rows, -1)
-        return _lift(self.bottom, z).reshape(self.n, -1)[self.scatter]
+        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+        parts = []
+        for side, sub, fold in ((self.p, self.u, np.add), (self.q, self.v, np.subtract)):
+            z = np.empty((len(side), c.shape[1]))
+            fold(c[:r], c[n - r:][::-1], out=z[:r])
+            z[:r] *= h
+            if len(side) > r:  # the null columns are the longer side's
+                z[r:] = c[r:n - r]
+            parts.append(sub @ z)
+        out = np.empty((n, c.shape[1]))
+        out[self.p], out[self.q] = parts
+        return out
 
     def dense(self) -> np.ndarray:
-        """V as one (n, n) array. The rows P and Q are each one gather of
-        the dense basis's columns in their final order, scaled in place and
-        copied once into their rows: no zero-filled matrix, no scatter."""
-        n, r = self.n, min(len(self.p), len(self.q))
-        u = self.u if isinstance(self.u, np.ndarray) else self.u.dense()
-        v = u if self.v is self.u else self.v  # an SVD's W is dense
-        col = np.arange(r) if self.col is None else self.col
-        sign = np.ones(r) if self.sign is None else self.sign
-        h = math.sqrt(0.5)
-        # columns: c + s, c on the null vectors of the longer side (zero on the
-        # other), c - s reversed
-        vectors = np.empty((n, n))
-        for rows, basis, head, tail in ((self.p, u, np.full(r, h), np.full(r, h)),
-                                        (self.q, v, h * sign, -h * sign[::-1])):
-            nulls = np.arange(r, len(rows)) if len(rows) > r else np.zeros(n - 2 * r, dtype=int)
-            block = np.take(basis, np.concatenate((col, nulls, col[::-1])), axis=1)
-            block *= np.concatenate((head, np.ones(n - 2 * r), tail))
-            if len(rows) == r:
-                block[:, r:n - r] = 0.0
-            vectors[rows] = block
-            del block  # so the next take does not hold a second block alive
+        """V as one (n, n) array."""
+        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+        vectors = np.zeros((n, n))
+        for rows, basis, tail in ((self.p, self.u, h), (self.q, self.v, -h)):
+            vectors[rows, :r] = basis[:, :r] * h
+            vectors[rows, n - r:] = basis[:, :r][:, ::-1] * tail
+            if len(rows) > r:  # the null columns are the longer side's
+                vectors[rows, r:n - r] = basis[:, r:]
         return vectors
 
 
-def _project(basis: np.ndarray | BipartiteBasis, x: np.ndarray) -> np.ndarray:
+class KroneckerBasis:
+    """The eigenvectors V = (g (x) h)[:, order] of a box product
+    M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
+    product route finds them: G's basis g (dense or a BipartiteBasis), H's
+    dense h, and order, V's columns among the g_i (x) h_j (column i |H| + j).
+    A nested product folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x
+    read as an (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse:
+    neither makes an (n, n) array; dense() builds V."""
+
+    def __init__(self, g: np.ndarray | BipartiteBasis, h: np.ndarray, order: np.ndarray):
+        self.g, self.h, self.order = g, h, order
+        self.n = len(order)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        m, b = len(self.h), x.shape[1]
+        z = np.tensordot(x.reshape(-1, m, b), self.h, axes=(1, 0))  # (|G|, b, |H|)
+        z = _project(self.g, z.transpose(0, 2, 1).reshape(-1, m * b))
+        return z.reshape(self.n, b)[self.order]
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """V c for an (n, b) c."""
+        m, b = len(self.h), c.shape[1]
+        z = np.empty_like(c)
+        z[self.order] = c
+        z = _lift(self.g, z.reshape(-1, m * b))
+        z = np.tensordot(z.reshape(-1, m, b), self.h, axes=(1, 1))  # (|G|, b, |H|)
+        return z.transpose(0, 2, 1).reshape(self.n, b)
+
+    def dense(self) -> np.ndarray:
+        """V as one (n, n) array: column k is g_i (x) h_j for
+        (i, j) = divmod(order[k], |H|), formed as one broadcast product."""
+        g = self.g if isinstance(self.g, np.ndarray) else self.g.dense()
+        i, j = np.divmod(self.order, len(self.h))
+        return (g[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
+
+
+Basis = np.ndarray | BipartiteBasis | KroneckerBasis
+
+
+def _project(basis: Basis, x: np.ndarray) -> np.ndarray:
     """V^T x for x of shape (n,) or (n, b), on x's own shape."""
     if isinstance(basis, np.ndarray):
         return basis.T @ x
     return basis.project(x.reshape(basis.n, -1)).reshape(x.shape)
 
 
-def _lift(basis: np.ndarray | BipartiteBasis, c: np.ndarray) -> np.ndarray:
+def _lift(basis: Basis, c: np.ndarray) -> np.ndarray:
     """V c for c of shape (n,) or (n, b), on c's own shape."""
     if isinstance(basis, np.ndarray):
         return basis @ c
@@ -150,13 +136,13 @@ def _lift(basis: np.ndarray | BipartiteBasis, c: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds dense or factored (BipartiteBasis). The stages reach
-    V^T X only through a Projection (_project); V c (_lift) is formed only by
-    Projection.reflect, evolve and universal_pst_pair, and a dense V from a
-    factored one only by transition_matrix."""
+    V, which basis holds dense or factored (KroneckerBasis, BipartiteBasis).
+    The stages reach V^T X only through a Projection (_project); V c (_lift)
+    is formed only by Projection.reflect, evolve and universal_pst_pair, and
+    a dense V from a factored one only by transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
-    basis: np.ndarray | BipartiteBasis        # V, columns grouped by cluster
+    basis: Basis                              # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
@@ -246,7 +232,7 @@ class Projection:
         return self.states[:, cols] - 2.0 * _lift(self.dec.basis, np.where(flip[:, None], c, 0.0))
 
 
-BIPARTITE_MIN_N = 64  # measured crossover of the bipartite route against eigh
+BIPARTITE_MIN_N = 64  # measured crossover of the factored routes against eigh
 ASYMMETRY_BAND = 64   # rows per band of _asymmetry
 
 
@@ -395,34 +381,14 @@ def _block_entries(n: int, p: np.ndarray, q: np.ndarray, src: np.ndarray,
 
 
 def _dense_block(shape: tuple[int, int], i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The route's one dense builder: B = M[P, Q] of the given shape, with the
-    entries at (i, k) (_block_entries) and zero elsewhere, float for float
-    the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0),
-    made only where eigh or svd reads it."""
+    """The routes' one dense builder: B = M[P, Q] of the given shape, with
+    the entries at (i, k) (_block_entries) and zero elsewhere, float for
+    float the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0),
+    made only where eigh or svd reads it; also the product route's factor
+    M[0::2, 0::2], with its diagonal and both triangles as entries."""
     b = np.zeros(shape)
     b[i, k] = entries
     return b
-
-
-def _half_block(h: int, i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> EdgeForm | None:
-    """The EdgeForm of the h x h half block B = M[P, Q] with M's entries at
-    (i, k) (_block_entries), or None unless B is exactly symmetric, in
-    O(m log m) with no dense B: each entry equals the one at (k, i), or 0
-    where (k, i) is no entry. Its edges are those of _dense_edges(B)."""
-    key = i * h + k
-    order = np.argsort(key)
-    key, i, k, entries = key[order], i[order], k[order], entries[order]
-    mirror = k * h + i
-    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
-    if (entries != np.where(key[at] == mirror, entries[at], 0.0)).any():
-        return None
-    diagonal = np.zeros(h)
-    on = i == k
-    diagonal[i[on]] = entries[on]
-    upper = i < k
-    src, dst, values = i[upper], k[upper], entries[upper]
-    return EdgeForm(h, diagonal, src, dst, values, _edge_scale(h, diagonal, src, dst, values),
-                    lambda: _dense_block((h, h), i, k, entries))
 
 
 def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, BipartiteBasis]:
@@ -432,30 +398,37 @@ def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.nd
     (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|), and 0 on the
     columns [u; 0] (or [0; v]) of U (or V) past r. Neither M nor V is
     formed: V is returned factored (BipartiteBasis), and B is made dense
-    (_dense_block) only where eigh or svd reads it.
-
-    An exactly symmetric square B = W Lambda W^T has the SVD U = W,
-    V = W sign(Lambda) (sign(0) = +1), columns by |lambda| descending. Such
-    a B is itself an EdgeForm (_half_block), and W Lambda W^T comes from
-    the same route table as M's (_eigenpairs): the half block of a
-    bipartite G x K2 (cartesian_product(G, build_path(2))) is +-(I + A(G)),
-    that of Q_d as build_hypercube labels it is I plus a relabelled
-    Q_{d-1}'s adjacency, so Q10 goes 1024 -> 512 -> ... -> one eigh of a
-    32 x 32 W, with no SVD, and that of K_{p,p} x K2 takes the mirror route
-    from p = 32 on. Any other B keeps np.linalg.svd."""
+    (_dense_block) only for np.linalg.svd."""
     n, c = form.n, form.diagonal[0]
-    shape, (i, k) = (len(p), len(q)), _block_entries(n, p, q, form.src, form.dst)
-    half = _half_block(len(p), i, k, form.entries) if len(p) == len(q) else None
-    if half is not None:
-        lam, w = _eigenpairs(half)
-        col = np.argsort(-np.abs(lam), kind="stable")
-        s = np.abs(lam[col])
-        basis = BipartiteBasis(p, q, w, w, col, np.where(lam[col] < 0, -1.0, 1.0))
-    else:
-        u, s, vt = np.linalg.svd(_dense_block(shape, i, k, form.entries))
-        basis = BipartiteBasis(p, q, u, vt.T)
-    r = len(s)
-    return np.concatenate((c + s, np.full(n - 2 * r, c), (c - s)[::-1])), basis
+    i, k = _block_entries(n, p, q, form.src, form.dst)
+    u, s, vt = np.linalg.svd(_dense_block((len(p), len(q)), i, k, form.entries))
+    return np.concatenate((c + s, np.full(n - 2 * len(s), c), (c - s)[::-1])), BipartiteBasis(p, q, u, vt.T)
+
+
+def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
+    """G's EdgeForm and K2's 2 x 2 matrix when the form's M is exactly
+    M_G (x) I_2 + I_G (x) M_K2 in cartesian_product's labelling v = 2a + b,
+    from BIPARTITE_MIN_N on, else None. In O(m), with no dense M: each a has
+    a rung, the edge (2a, 2a + 1), all with one entry w; every other edge
+    keeps b, with one list for b = 0 and b = 1; and d(2a + 1) - d(2a) is one
+    constant delta. G's diagonal is then d(2a), and M_K2 = [[0, w], [w, delta]]."""
+    n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
+    if n < BIPARTITE_MIN_N or n % 2:
+        return None
+    low = src & 1 == 0
+    rung = low & (dst == src + 1)
+    w, shift = entries[rung], d[1::2] - d[0::2]
+    if len(w) != n // 2 or (w != w[0]).any() or (shift != shift[0]).any():
+        return None
+    top, bottom = low & ~rung, ~low
+    a, b, values = src[top] >> 1, dst[top] >> 1, entries[top]
+    if ((dst[top] & 1).any() or not np.array_equal(src[bottom], 2 * a + 1)
+            or not np.array_equal(dst[bottom], 2 * b + 1) or not np.array_equal(entries[bottom], values)):
+        return None
+    half, diagonal, r = n // 2, d[0::2], np.arange(n // 2)
+    g = EdgeForm(half, diagonal, a, b, values, _edge_scale(half, diagonal, a, b, values),
+                 lambda: _dense_block((half, half), np.r_[a, b, r], np.r_[b, a, r], np.r_[values, values, diagonal]))
+    return g, np.array([[0.0, w[0]], [w[0], shift[0]]])
 
 
 def _mirrored(form: EdgeForm) -> bool:
@@ -507,6 +480,23 @@ def _mirror_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((lam_s, lam_a)), vectors
 
 
+def _product_route(form: EdgeForm):
+    """A box product G x K2 (_box_factor) from its factors' eigenpairs: G's
+    from the route table (_eigenpairs), K2's from one 2 x 2 eigh, and the
+    eigenpairs (lambda_i + mu_j, g_i (x) h_j) sorted descending into a
+    KroneckerBasis, into which a factored G's own KroneckerBasis folds."""
+    factors = _box_factor(form)
+    if factors is None:
+        return None
+    (lam, g), (mu, h) = _eigenpairs(factors[0]), np.linalg.eigh(factors[1])
+    sums = np.add.outer(lam, mu).ravel()  # entry i * 2 + j: the column g_i (x) h_j
+    order = np.argsort(-sums, kind="stable")
+    evals = sums[order]
+    if isinstance(g, KroneckerBasis):  # g_i is the column g.order[i] of g.g (x) g.h
+        g, h, order = g.g, np.kron(g.h, h), (2 * g.order[:, None] + np.arange(2)).ravel()[order]
+    return evals, KroneckerBasis(g, h, order)
+
+
 def _bipartite_route(form: EdgeForm):
     parts = _route_parts(form)
     return None if parts is None else _bipartite_eigh(form, *parts)
@@ -520,14 +510,14 @@ def _mirror_route(form: EdgeForm):
     return evals[merge], vectors[:, merge]
 
 
-ROUTES = (_bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dense()))
+ROUTES = (_product_route, _bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dense()))
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, np.ndarray | BipartiteBasis]:
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis]:
     """(values, V) from the first route of ROUTES that does not pass the form
-    on (None): descending with V factored from the bipartite route, else
-    ascending with V dense. A form with no edges, or no edge list (symmetric
-    only to within SYMMETRY_TOL), goes to eigh."""
+    on (None): descending with V factored from the product or bipartite
+    route, else ascending with V dense. A form with no edges, or no edge
+    list (symmetric only to within SYMMETRY_TOL), goes to eigh."""
     for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
@@ -570,15 +560,20 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of one table
-    (_eigenpairs) that takes it, the first two from n = BIPARTITE_MIN_N on:
+    (_eigenpairs) that takes it, the first three from n = BIPARTITE_MIN_N on
+    (times against eigh's, one core of a 2-vCPU machine):
+    - the product route (_product_route), for G x K2 as cartesian_product
+      labels it (_box_factor), a hypercube among them, of any kind: G goes
+      back through the table, so Q10 splits down to one eigh of Q5 (Q10
+      built and decomposed: 0.8-0.9 ms against 230-270 ms; relabelled, by
+      the bipartite route's SVD: 60 ms);
     - the bipartite route (_bipartite_eigh), for M = cI + [[0, B], [B^T, 0]]:
-      bipartite adjacencies, regular bipartite Laplacians. It never reads
-      the dense matrix, which a Hamiltonian builds on first read, and holds
-      V factored (Q10, Hamiltonian built and decomposed: 5-6 ms against
-      230-270 ms for eigh, one core of a 2-vCPU machine);
+      bipartite adjacencies, regular bipartite Laplacians, by one SVD of B
+      (P300 adjacency: 3.7 against 7.5 ms). Neither of the two reads the
+      dense matrix, which a Hamiltonian builds on first read;
     - the mirror route (_mirror_eigh), two eighs of about n/2 when JMJ = M
       for the reversal J: path Laplacians, odd cycles, K_n and K_{p,p} as
-      their builders label them (C299 Laplacian: 6 ms against 10 ms);
+      their builders label them (C299 Laplacian: 6 against 10 ms);
     - np.linalg.eigh, the only route for a form without edges.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all

@@ -29,6 +29,14 @@ def test_squarefree_split():
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(97) == (1, 97)
     assert squarefree_split(180) == (6, 5)
+    # past the trial division: the cofactor is a prime, a prime squared or
+    # a product of two primes
+    big, other = 1000003, 1000033
+    assert squarefree_split(big) == (1, big)
+    assert squarefree_split(big * big) == (big, 1)
+    assert squarefree_split(12 * big * big) == (2 * big, 3)
+    assert squarefree_split(big * other) == (1, big * other)
+    assert squarefree_split(999983 ** 2) == (999983, 1)
     with pytest.raises(ValueError):
         squarefree_split(0)
 

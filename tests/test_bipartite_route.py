@@ -1,16 +1,15 @@
 """The bipartite route of decompose: for a matrix cI + [[0, B], [B^T, 0]] on
 the parts P, Q of a bipartite pattern, spectral._bipartite_eigh forms the
-eigenpairs from an SVD of B, which an exactly symmetric square B takes from
-its own eigenpairs by the same route (recursively) and any other B from
-np.linalg.svd. Called directly, so that small n is covered as well, it must
-give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
-1e-12 * scale, projectors to 1e-10, and the same pst_decide and pst_partner
-verdicts. decompose takes it only from BIPARTITE_MIN_N on, for an exactly
-symmetric matrix with one constant on its diagonal and a bipartite, not
-complete bipartite, edge pattern: spectral._route_parts decides, from the
+eigenpairs from np.linalg.svd of B. Called directly, so that small n is
+covered as well, it must give what np.linalg.eigh gives: the same
+multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and the
+same pst_decide and pst_partner verdicts. decompose takes it only from
+BIPARTITE_MIN_N on, for an exactly symmetric matrix with one constant on its
+diagonal and a bipartite, not complete bipartite, edge pattern that the
+product route before it passes on: spectral._route_parts decides, from the
 EdgeForm that decompose's door makes of a Hamiltonian's edge arrays or of a
-raw matrix's nonzeros above the diagonal. The route reads only that form,
-so a Hamiltonian on it never builds its dense matrix."""
+raw matrix's nonzeros above the diagonal. Both routes read only that form,
+so a Hamiltonian on either never builds its dense matrix."""
 
 import itertools
 
@@ -93,8 +92,8 @@ def _cases():
         signed[u, v] = signed[v, u] = w
     cases.append(("signed", signed, None))
     cases.append(("shifted-edgeless", 2.5 * np.eye(4), None))
-    # hypercubes as build_hypercube labels them and bipartite G x K2: the
-    # half block is exactly symmetric, and from Q7 on it takes the route again
+    # hypercubes as build_hypercube labels them and bipartite G x K2, which
+    # decompose leaves to the product route: forced onto this one, an SVD
     for d in (7, 8, 9, 10):
         for kind in (pw.ADJACENCY, pw.LAPLACIAN):
             cases.append((f"Q{d}-{kind}", _graph_matrix(pw.build_hypercube(d), kind), None))
@@ -140,12 +139,12 @@ CASES = _cases()
 
 
 def _route_decompose(monkeypatch, mat, parts):
-    """decompose with the route forced at every n, on these parts for mat
-    itself and on its own colouring for each half block it recurses into."""
-    colouring = spectral._route_parts
+    """decompose with the route forced at every n on these parts, and the
+    product route before it left out."""
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "_route_parts", lambda form: parts if form.n == len(mat) else colouring(form))
+        m.setattr(spectral, "ROUTES", spectral.ROUTES[1:])
+        m.setattr(spectral, "_route_parts", lambda form: parts)
         return pw.decompose(mat)
 
 
@@ -237,10 +236,10 @@ def test_route_taken_from_the_crossover_on(monkeypatch):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(pw.build_path(MIN_N - 1), pw.ADJACENCY)) == 0
-    # Q7's 64 x 64 half block takes the route again; its 32 x 32 one goes to eigh
-    assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(7), pw.LAPLACIAN)) == 2
-    for d in (8, 9, 10):
-        assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.ADJACENCY)) == d - 5
+    # a hypercube takes the product route first, down to Q5's eigh; relabelled, this one
+    for d in (7, 8, 9, 10):
+        assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.LAPLACIAN)) == 0
+    assert _route_calls(monkeypatch, _graph_matrix(_q8_relabelled(), pw.ADJACENCY)) == 1
 
 
 def _q8_relabelled():
@@ -280,18 +279,36 @@ def _half_block_cases():
 
 
 HALF_BLOCK_CASES = _half_block_cases()
-NO_HALF_BLOCK_ROUTE = {"P40xK2-laplacian", "Q8-relabelled-adjacency", "Q8-relabelled-laplacian"}
+NO_PRODUCT = {"Q8-relabelled-adjacency", "Q8-relabelled-laplacian", "split-labels-adjacency",
+              "split-labels-laplacian"}
+# Q7's factor has lost the rung (0, 1), so it is no product: the bipartite route takes it
+BOTH_ROUTES = {"Q7-zero-values"}
 
 
-def _dense_half_block(h, i, k, entries):
-    """The half block's symmetry and edge form from b itself, by _asymmetry,
-    the nonzero mask and the dense infinity norm: the O(n^2) passes per
-    level the edge arrays replace."""
-    b = spectral._dense_block((h, h), i, k, entries)
-    if spectral._asymmetry(b):
+def _form_matrix(form):
+    """The dense M of an EdgeForm, from its edges and diagonal."""
+    mat = np.zeros((form.n, form.n))
+    mat[form.src, form.dst] = mat[form.dst, form.src] = form.entries
+    np.fill_diagonal(mat, form.diagonal)
+    return mat
+
+
+def _dense_box_factor(form):
+    """spectral._box_factor from the dense M: M is M_G (x) I_2 + I_G (x) M_K2
+    in the labelling v = 2a + b when its block M[0::2, 1::2] is w I, w != 0,
+    and M[1::2, 1::2] is M[0::2, 0::2] + delta I; then G's form is the one
+    the dense passes over the half block M[0::2, 0::2] give."""
+    mat = form.dense()
+    n = len(mat)
+    if n < spectral.BIPARTITE_MIN_N or n % 2:
         return None
-    edges = spectral._dense_edges(b)
-    return spectral.EdgeForm(h, b.diagonal(), *edges, b[edges], np.linalg.norm(b, np.inf), lambda: b)
+    g, rungs, other = mat[0::2, 0::2], mat[0::2, 1::2], mat[1::2, 1::2]
+    w, delta = rungs[0, 0], other[0, 0] - g[0, 0]
+    if w == 0 or not (np.array_equal(rungs, w * np.eye(n // 2)) and np.array_equal(other, g + delta * np.eye(n // 2))):
+        return None
+    edges = spectral._dense_edges(g)
+    g_form = spectral.EdgeForm(len(g), g.diagonal(), *edges, g[edges], np.linalg.norm(g, np.inf), lambda: g)
+    return g_form, np.array([[0.0, w], [w, delta]])
 
 
 def _bytes(dec):
@@ -301,38 +318,40 @@ def _bytes(dec):
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCK_CASES, ids=[c[0] for c in HALF_BLOCK_CASES])
 def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
-    """At every level of the route, the block B built from the parent's edge
-    form is the gather M[P, Q] from the parent's dense M, byte for byte, and
-    the half block's symmetry and edge form, and so its parts, are what the
-    dense passes over it give; the decomposition, from either entry, is
-    bit-identical to theirs."""
+    """At every level, the half block a route builds from its parent's edge
+    form is the one the parent's dense M gives: the product route's factor
+    G, whose form is the dense passes over M[0::2, 0::2], and the bipartite
+    route's B, the gather M[P, Q] byte for byte. The decomposition, from
+    either entry, is bit-identical to the one built on the dense passes."""
     seen = []
-    real = spectral._bipartite_eigh
+    real_eigh, real_factor = spectral._bipartite_eigh, spectral._box_factor
 
-    def check(form, p, q):
-        n, src, dst, entries = form.n, form.src, form.dst, form.entries
-        mat = np.zeros((n, n))
-        mat[src, dst] = mat[dst, src] = entries
-        np.fill_diagonal(mat, form.diagonal)
-        i, k = spectral._block_entries(n, p, q, src, dst)
-        assert spectral._dense_block((len(p), len(q)), i, k, entries).tobytes() == mat[np.ix_(p, q)].tobytes()
-        if len(p) == len(q):
-            got = spectral._half_block(len(p), i, k, entries)
-            want = _dense_half_block(len(p), i, k, entries)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert_same_form(got, want)
-            seen.append(got is not None)
-        return real(form, p, q)
+    def check_block(form, p, q):
+        mat = _form_matrix(form)
+        i, k = spectral._block_entries(form.n, p, q, form.src, form.dst)
+        assert spectral._dense_block((len(p), len(q)), i, k, form.entries).tobytes() == mat[np.ix_(p, q)].tobytes()
+        seen.append("bipartite")
+        return real_eigh(form, p, q)
+
+    def check_factor(form):
+        got, want = real_factor(form), _dense_box_factor(form)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_form(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            seen.append("product")
+        return got
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_bipartite_eigh", check)
+        m.setattr(spectral, "_bipartite_eigh", check_block)
+        m.setattr(spectral, "_box_factor", check_factor)
         got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_half_block", _dense_half_block)
+        m.setattr(spectral, "_box_factor", _dense_box_factor)
         want = _bytes(pw.decompose(ham))
     assert got == [want, want]
-    assert any(seen) == (name not in NO_HALF_BLOCK_ROUTE)
+    assert ("product" in seen) == (name not in NO_PRODUCT)
+    assert ("bipartite" in seen) == (name in NO_PRODUCT | BOTH_ROUTES)
 
 
 def _random_weighted():
@@ -359,26 +378,30 @@ def _lazy_cases():
 
 
 LAZY_CASES = _lazy_cases()
-# the irregular Laplacians take the mirror route, the random graph eigh
-OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian", "P40xK2-laplacian",
+# the irregular path Laplacians take the mirror route, the random graph eigh
+OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian",
              "random-weighted-adjacency", "random-weighted-laplacian"}
 
 
 @pytest.mark.parametrize("name,g,kind", LAZY_CASES, ids=[c[0] for c in LAZY_CASES])
 def test_route_never_builds_the_dense_matrix(name, g, kind):
-    """A Hamiltonian on the bipartite route is decomposed from its edge
-    arrays alone: its dense matrix is not built, and the same matrix given as
-    a raw ndarray passes the door into the same form. The mirror route and
-    eigh still read the matrix."""
+    """A Hamiltonian on the product or the bipartite route is decomposed
+    from its edge arrays alone: its dense matrix is not built, and the same
+    matrix given as a raw ndarray passes the door into the same form. The
+    mirror route and eigh still read the matrix."""
     ham = pw.hamiltonian(g, kind)
-    on_route = spectral._route_parts(spectral._edge_form(ham)) is not None
+    form = spectral._edge_form(ham)
+    on_route = spectral._box_factor(form) is not None or spectral._route_parts(form) is not None
     assert on_route == (name not in OFF_ROUTE)
     pw.decompose(ham)
     assert ("matrix" in vars(ham)) == (not on_route)
     assert_one_form(ham)
 
 
-def test_symmetric_half_block_needs_no_svd(monkeypatch):
+def test_box_product_needs_no_svd(monkeypatch):
+    """Q8 and the G x K2 cases take the product route, whose factors here go
+    to eigh. A relabelled Q8 and every half block the bipartite route is
+    given, symmetric or not, go to the SVD."""
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -390,11 +413,11 @@ def test_symmetric_half_block_needs_no_svd(monkeypatch):
             assert pw.decompose(pw.hamiltonian(q8, kind)).multiplicities == (1, 8, 28, 56, 70, 56, 28, 8, 1)
             with pytest.raises(AssertionError, match="svd called"):
                 pw.decompose(pw.hamiltonian(relabelled, kind))
-        for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "signed-symmetric-block"):
-            _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
-        mat = cases["asymmetric-block"]
-        with pytest.raises(AssertionError, match="svd called"):
-            _bipartite_eigh(mat, *_forced_parts(mat))
+        for name in ("P40xK2", "C32xK2-adjacency", "C32xK2-laplacian", "Q8-adjacency", "Q10-laplacian"):
+            pw.decompose(cases[name])
+        for name in ("signed-symmetric-block", "asymmetric-block"):
+            with pytest.raises(AssertionError, match="svd called"):
+                _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
 
 
 @pytest.mark.parametrize("mat", [

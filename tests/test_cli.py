@@ -8,7 +8,7 @@ import pytest
 import pstwalk as pw
 from conftest import basis_state, pair_state
 from pstwalk import cli, serialize
-from pstwalk.cli import main
+from pstwalk.cli import build_parser, main
 
 
 def _write(tmp_path, name, doc):
@@ -202,6 +202,18 @@ def test_determinism(tmp_path, capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[2] == outputs[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "g", "x"], ["pst", "g", "x", "y"], ["partner", "g", "x"],
+    ["synthesize", "x", "y", "--tau", "1", "--m1", "1", "--m2", "1"], ["scan", "g", "x", "y", "--tmax", "1"],
+    ["sensitivity", "g", "x", "y"], ["extremal", "5"],
+], ids=lambda argv: argv[0])
+def test_seed_only_where_it_is_read(argv):
+    """family alone draws random states, so it alone takes --seed."""
+    parser = build_parser()
+    assert parser.parse_known_args(argv + ["--seed", "1"])[1] == ["--seed", "1"]
+    assert parser.parse_args(["family", "cycle", "8", "--seed", "3"]).seed == 3
 
 
 def test_float_round_trip():

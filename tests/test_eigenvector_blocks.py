@@ -22,7 +22,7 @@ from conftest import random_tree
 from oracles import all_partners, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.spectral import BipartiteBasis, Projection
+from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -322,7 +322,7 @@ def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
 def _held_bytes(obj, seen):
     """The bytes of every buffer the ndarrays of obj keep alive, a view
     counted by its base and each buffer once, through the basis record's
-    arrays and the records it holds."""
+    arrays and the basis records it holds, of either factored kind."""
     total = 0
     for v in vars(obj).values():
         if isinstance(v, np.ndarray):
@@ -330,7 +330,7 @@ def _held_bytes(obj, seen):
             if id(buf) not in seen:
                 seen.add(id(buf))
                 total += buf.nbytes
-        elif isinstance(v, BipartiteBasis):
+        elif isinstance(v, (BipartiteBasis, KroneckerBasis)):
             total += _held_bytes(v, seen)
     return total
 
@@ -344,9 +344,22 @@ def test_decomposition_holds_no_projector_tensor():
     assert _held_bytes(dec, set()) <= (n * n / 2 + 4 * n) * 8
 
 
+@pytest.mark.parametrize("d", [8, 9, 10])
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_hypercube_holds_two_small_blocks(d, kind):
+    """Q8 to Q10 take the product route down to Q5, and hold Q5's dense
+    32 x 32 basis, one dense block of at most 32 x 32 for the K2 factors,
+    V's n column indices and the clusters' few numbers: at Q10, 24 760
+    bytes, against 8 MiB for a dense V."""
+    n = 1 << d
+    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(d), kind))
+    assert isinstance(dec.basis, KroneckerBasis)
+    assert _held_bytes(dec, set()) <= 2 * 32 * 32 * 8 + n * 8 + 1024
+
+
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_route_peak_below_twice_the_matrix(kind):
-    """decompose(Q9) on the bipartite route allocates less than a quarter of
+    """decompose(Q9) on the product route allocates less than a quarter of
     one n x n float array at its peak (the bound was twice that array while
     the route built V; the name keeps the test's id): no dense matrix of the
     Hamiltonian and no dense V, only the factored basis and the route's

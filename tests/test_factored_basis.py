@@ -1,13 +1,15 @@
-"""The bipartite route's factored eigenvectors (spectral.BipartiteBasis).
+"""The factored eigenvectors of the product and bipartite routes
+(spectral.KroneckerBasis, spectral.BipartiteBasis).
 
-A route-taking decomposition holds V factored: an SVD of the half block,
-with null columns when |P| != |Q|, or a chain of symmetric half blocks down
-to one dense eigh. Its stages read V only through _project (V^T x) and _lift
-(V c); BipartiteBasis.dense builds V, for transition_matrix alone. _project
-and _lift must agree with that V; a hypercube pair must be decided, and every
+A route-taking decomposition holds V factored: a box product G x K2 as the
+Kronecker product of its factors' bases, a nested product folded into one
+dense block, and a bipartite pattern as an SVD of its half block, with null
+columns when |P| != |Q|. Its stages read V only through _project (V^T x) and
+_lift (V c); dense() builds V, for transition_matrix alone. _project and
+_lift must agree with that V; a hypercube pair must be decided, and every
 other per-state call and the universal pair made, with V never built, every
 yes confirmed by scipy's expm; and relabelling the vertices, which can move a
-graph from the chain to the SVD, must not change a verdict."""
+graph from the product route to the SVD, must not change a verdict."""
 
 import dataclasses
 import math
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis, Projection, _lift, _project
+from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection, _lift, _project
 from conftest import pair_state, random_tree
 from oracles import eigenvector
 
@@ -73,11 +75,11 @@ def test_svd_basis_with_null_columns(seed, n, extra):
     g = _weighted_bipartite(seed, n, extra)
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
     basis = dec.basis
-    assert isinstance(basis, BipartiteBasis) and basis.col is None
+    assert isinstance(basis, BipartiteBasis)
     _check_basis(dec, np.random.default_rng(seed))
 
 
-def _chain_graphs():
+def _product_graphs():
     k2 = pw.build_path(2)
     graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (6, 7, 8)]
     graphs += [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
@@ -87,28 +89,37 @@ def _chain_graphs():
     return graphs
 
 
-CHAIN_GRAPHS = _chain_graphs()
+PRODUCT_GRAPHS = _product_graphs()
 
 
 @settings(max_examples=20, deadline=None)
-@given(case=st.sampled_from(CHAIN_GRAPHS), kind=st.sampled_from([pw.ADJACENCY, pw.LAPLACIAN]),
+@given(case=st.sampled_from(PRODUCT_GRAPHS), kind=st.sampled_from([pw.ADJACENCY, pw.LAPLACIAN]),
        seed=st.integers(0, 2**32 - 1))
-def test_chain_basis(case, kind, seed):
+def test_product_basis(case, kind, seed):
+    """Every G x K2 of 64 vertices or more takes the product route, of
+    either kind: a Laplacian's degrees split as deg_G + 1 and K2's 1."""
     name, g = case
-    if kind == pw.LAPLACIAN and not g.is_regular():
-        kind = pw.ADJACENCY  # an irregular Laplacian takes the mirror route or eigh
     dec = pw.decompose(pw.hamiltonian(g, kind))
-    assert isinstance(dec.basis, BipartiteBasis) and dec.basis.col is not None, name
+    assert isinstance(dec.basis, KroneckerBasis), name
     _check_basis(dec, np.random.default_rng(seed))
 
 
-def test_chain_reaches_an_svd_at_its_bottom():
-    # C64 x K2: its half block I + A(C64) takes the route again, and that
-    # route's 32 x 32 block I + shift is not symmetric
+def test_product_factor_reaches_an_svd():
+    # C64 x K2: its factor C64 takes the bipartite route, whose 32 x 32
+    # block I + shift goes to the SVD
     g = pw.cartesian_product(pw.build_cycle(64), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
-    assert isinstance(dec.basis.bottom, BipartiteBasis) and dec.basis.bottom.col is None
+    assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.shape == (2, 2)
     _check_basis(dec, np.random.default_rng(64))
+
+
+def test_nested_products_fold_into_one_block():
+    """Q10 = Q5 x K2 x ... x K2 holds Q5's dense 32 x 32 basis and one
+    32 x 32 block for the five K2 factors, not a chain of them."""
+    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(10), pw.LAPLACIAN))
+    assert isinstance(dec.basis.g, np.ndarray)
+    assert dec.basis.g.shape == dec.basis.h.shape == (32, 32)
+    _check_basis(dec, np.random.default_rng(10))
 
 
 def _expm_transfer(ham, x, y, tau):
@@ -133,6 +144,7 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
         raise AssertionError("vectors materialised")
 
     with monkeypatch.context() as m:
+        m.setattr(KroneckerBasis, "dense", refuse)
         m.setattr(BipartiteBasis, "dense", refuse)
         y = pw.pst_partner(dec, x)
         verdict = pw.pst_decide(dec, x, y)
@@ -166,7 +178,7 @@ def test_universal_pair_on_factored_hypercubes(d, kind):
     dense construction (oracles.eigenvector), and is decided yes at
     pi/(lambda_max - lambda_min)."""
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(d), kind))
-    assert isinstance(dec.basis, BipartiteBasis)
+    assert isinstance(dec.basis, KroneckerBasis)
     u, v, tau = pw.universal_pst_pair(dec)
     top, bottom = eigenvector(dec, 0), eigenvector(dec, dec.k - 1)
     np.testing.assert_allclose(u, top + bottom, rtol=0, atol=1e-12)
@@ -189,15 +201,14 @@ RELABEL_CASES = [("Q8", pw.build_hypercube(8), pw.ADJACENCY),
 def test_relabelling_keeps_verdicts(name, g, kind):
     """Verdicts, reasons and transfer times agree between a graph and a
     seeded relabelling of it, and so do partners once relabelled back. The
-    relabelling moves Q8's half block off symmetry, from the chain to the
-    SVD."""
+    relabelling moves Q8 off cartesian_product's labelling, from the product
+    route to the SVD."""
     rng = np.random.default_rng(128)
     perm = rng.permutation(g.n)
     natural = pw.decompose(pw.hamiltonian(g, kind))
     moved = pw.decompose(pw.hamiltonian(_relabelled(g, perm), kind))
-    assert isinstance(natural.basis, BipartiteBasis) and isinstance(moved.basis, BipartiteBasis)
-    if name == "Q8":
-        assert natural.basis.col is not None and moved.basis.col is None
+    assert isinstance(moved.basis, BipartiteBasis)
+    assert isinstance(natural.basis, KroneckerBasis if name == "Q8" else BipartiteBasis)
     for _ in range(8):
         u, v = (int(a) for a in rng.choice(g.n, size=2, replace=False))
         x = pair_state(g.n, u, v, float(rng.choice([-1.0, 1.0])))

@@ -134,13 +134,19 @@ def test_float_weighted_entries_share_one_form(name, ham):
 def test_zero_valued_edge_takes_one_route(monkeypatch):
     """A value of 0 is no entry of M: from the Hamiltonian, as from its dense
     matrix, whose nonzero mask never sees it, Q6 plus a zero-valued edge
-    takes the bipartite route, and both decompose bit for bit alike."""
+    is Q5 x K2 to the product route, and both decompose bit for bit alike."""
     ham = _zero_valued_edge()
-    calls = []
-    real = spectral._bipartite_eigh
-    monkeypatch.setattr(spectral, "_bipartite_eigh", lambda *args: calls.append(1) or real(*args))
+    products = []
+    real = spectral._box_factor
+
+    def spy(form):
+        got = real(form)
+        products.append((form.n, got is not None))
+        return got
+
+    monkeypatch.setattr(spectral, "_box_factor", spy)
     got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
-    assert calls == [1, 1]
+    assert [found for n, found in products if n == 64] == [True, True]
     assert got[0] == got[1]
 
 

@@ -144,7 +144,8 @@ BIPARTITE_ROUTE = [
 
 @pytest.mark.parametrize("name,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])
 def test_bipartite_route_comes_first(monkeypatch, name, ham):
-    # each is mirror symmetric too, but the bipartite route takes it
+    # each is mirror symmetric too, but the bipartite route (or, for Q7
+    # and C32 x K2, the product route before it) takes it
     form = spectral._edge_form(ham)
     assert spectral._mirrored(form)
     assert spectral._route_parts(form) is not None
@@ -213,15 +214,16 @@ HALF_BLOCKS = [(f"K{p},{p}xK2-{kind}",
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCKS, ids=[c[0] for c in HALF_BLOCKS])
 def test_half_block_takes_the_mirror_route(monkeypatch, name, ham):
-    """K_{p,p} x K2 takes the bipartite route, and its 2p x 2p half block,
-    +-(I + A(K_{p,p})), passes through the same route table: the bipartite
-    route declines its complete pattern and the mirror route takes it. It
+    """K_{p,p} x K2 takes the product route, and its 2p x 2p half block,
+    the factor K_{p,p} (plus I for the Laplacian), passes through the same
+    route table: the bipartite route declines its complete pattern and the
+    mirror route takes it. It
     must give what np.linalg.eigh of the whole matrix gives: the same
     multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and
     the same pst_decide and pst_partner verdicts on pair states."""
     got, calls = _route_calls(monkeypatch, ham)
     assert calls == 1
-    assert not isinstance(got.basis, np.ndarray)  # the top level is the bipartite route's
+    assert isinstance(got.basis, spectral.KroneckerBasis)  # the top level is the product route's
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "BIPARTITE_MIN_N", ham.n + 1)
         want = pw.decompose(ham)

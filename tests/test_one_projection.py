@@ -1,9 +1,9 @@
 """One projection per public call: every stage after decompose reads one
 Projection of its states, c = V^T X, formed by spectral._project. A spy
-counts each public call's top-level _project calls (the nested calls down a
-factored basis's chain are part of one product). A dense basis that tracks
-its transpose, and a spy on BipartiteBasis.project, show that no V^T
-product is made anywhere else. verify_pst_numeric works on the record's
+counts each public call's top-level _project calls (the nested call into a
+factored basis's factor is part of one product). A dense basis that tracks
+its transpose, and spies on the factored bases' project methods, show that
+no V^T product is made anywhere else. verify_pst_numeric works on the record's
 coefficients alone (no lift, spectral._lift), and pst_decide takes its norms
 from them (no np.linalg.norm call), as does fidelity_derivatives' pair rule."""
 
@@ -14,7 +14,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral, states
-from pstwalk.spectral import BipartiteBasis
+from pstwalk.spectral import BipartiteBasis, KroneckerBasis
 from conftest import pair_state
 
 
@@ -47,7 +47,7 @@ class _Spy:
 
 @pytest.fixture
 def spy(monkeypatch):
-    real_project, real_basis_project = spectral._project, BipartiteBasis.project
+    real_project = spectral._project
 
     def project(basis, x):
         _Spy.top += not _Spy.depth
@@ -57,12 +57,15 @@ def spy(monkeypatch):
         finally:
             _Spy.depth -= 1
 
-    def basis_project(self, x):
-        _Spy.outside += not _Spy.depth
-        return real_basis_project(self, x)
+    def outside(real):
+        def basis_project(self, x):
+            _Spy.outside += not _Spy.depth
+            return real(self, x)
+        return basis_project
 
     monkeypatch.setattr(spectral, "_project", project)
-    monkeypatch.setattr(BipartiteBasis, "project", basis_project)
+    for cls in (BipartiteBasis, KroneckerBasis):
+        monkeypatch.setattr(cls, "project", outside(cls.project))
     _Spy.depth = _Spy.top = _Spy.outside = 0
 
     def count(call):
@@ -75,14 +78,15 @@ def spy(monkeypatch):
 
 def _case(name):
     """(dec, x, y, tau): the P7 end pair on a tracked dense basis, or Q8's
-    e0 + e1 on the factored one, with its partner and transfer time."""
+    e0 + e1 on the product route's factored one, with its partner and
+    transfer time."""
     if name == "P7":
         dec = pw.decompose(pw.hamiltonian(pw.build_path(7), pw.ADJACENCY))
         dec = dataclasses.replace(dec, basis=dec.basis.view(_Tracked))
         x = pair_state(7, 0, 6)
     else:
         dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(8), pw.ADJACENCY))
-        assert isinstance(dec.basis, BipartiteBasis)
+        assert isinstance(dec.basis, KroneckerBasis)
         x = pair_state(256, 0, 1, 1.0)
     y = pw.pst_partner(dec, x)
     verdict = pw.pst_decide(dec, x, y)
@@ -127,7 +131,7 @@ def test_verify_makes_no_lift(monkeypatch, name):
     real_lift = spectral._lift
 
     def lift(basis, c):
-        if not depth[0]:  # a factored basis lifts again down its chain
+        if not depth[0]:  # a factored basis lifts again through its factor
             lifts.append(c.shape)
         depth[0] += 1
         try:

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis
+from pstwalk.spectral import KroneckerBasis
 from conftest import pair_state, random_connected_graph
 
 
@@ -56,7 +56,7 @@ def test_coefficient_residual_is_the_state_residual(name, kind):
     if name == "C8":
         assert max(dec.multiplicities) == 2
     if name == "Q8":
-        assert isinstance(dec.basis, BipartiteBasis)
+        assert isinstance(dec.basis, KroneckerBasis)
     for x, y, tau in _pairs(dec):
         for t, transfers in ((tau, True), (0.37 * tau, False)):
             check = pw.verify_pst_numeric(dec, x, y, t)

@@ -101,6 +101,18 @@ def test_classify_form_integer():
     assert form.g == 1
 
 
+@pytest.mark.parametrize("w", [999983, 1000003])
+def test_classify_form_integer_past_the_trial_limit(w):
+    # the P3 Laplacian with both weights w on [1, 0, 0]: support {3w, w, 0},
+    # u = w, so nsq = w**2, whose prime lies below (999983) or above
+    # (1000003) squarefree_split's trial division
+    ham = pw.hamiltonian(pw.make_graph(3, [(0, 1, float(w)), (1, 2, float(w))]), pw.LAPLACIAN)
+    supp = pw.support(pw.decompose(ham), np.array([1.0, 0.0, 0.0])).eigenvalues
+    np.testing.assert_allclose(supp, [3.0 * w, w, 0.0], rtol=0, atol=1e-9 * w)
+    form = pw.classify_form(pw.ratio_condition(supp))
+    assert (form.variant, form.delta, form.g) == ("integer", 1, w)
+
+
 def test_classify_form_quadratic():
     form = pw.classify_form(pw.ratio_condition(np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)])))
     assert form.variant == "quadratic"

@@ -436,7 +436,7 @@ def test_synthesize_takes_no_tolerance_flags(tmp_path, capsys):
     y = tmp_path / "y.json"
     y.write_text("[0, 0, 1]")
     argv = ["synthesize", str(x), str(y), "--tau", "1", "--m1", "1", "--m2", "1"]
-    assert main(argv + ["--seed", "3"]) == 0
+    assert main(argv) == 0
     for flag in ("--tol-group", "--tol-supp", "--tol-phase", "--q-max", "--int-tol"):
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, "1"])
