@@ -8,8 +8,8 @@ The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
 C32xK2, C64xK2 and a seeded relabelled Q8, each with both kinds, and each
 kind decomposed as a Hamiltonian h, as the raw matrix np.array(h.matrix) and
 as 2.5 M + 0.75 I. The digest of one decomposition covers its eigenvalues,
-offsets, dense V (the basis itself, or a factored basis's dense()), scale,
-multiplicities and warnings. The script prints the digest of each input and
+offsets, dense V (its basis's dense(), or the basis itself where it is a bare
+array, as in older src/), scale, multiplicities and warnings. The script prints the digest of each input and
 one over all of them.
 
 With --parent, the committed src/ of REV is exported (git archive) into a
@@ -57,6 +57,7 @@ def inputs():
 
 def digest(dec) -> str:
     h = hashlib.sha256()
+    # --parent runs this same script on older src/, where a dense V is a bare array
     vectors = dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
     for arr in (dec.eigenvalues, dec.offsets, vectors):
         h.update(np.ascontiguousarray(arr).tobytes())

@@ -6,12 +6,12 @@ eigenvector matrix V, is never stored. A stage reaches V only through the
 record of its states, Projection: c = V^T X formed once, read as cluster
 sums over c and lifts V c, which do not depend on the basis eigh picked
 inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
-denominator, the states' own, so that an inconsistent V shows. eigh and the
-mirror route hold V as one dense (n, n) array; the product route holds it
-as a Kronecker product of its factors' bases (KroneckerBasis), and the
-bipartite route as the SVD of its half block (BipartiteBasis), so a
-hypercube, path adjacency or even cycle is decided with no (n, n) array
-at all."""
+denominator, the states' own, so that an inconsistent V shows. Each basis
+holds V in its own format behind one protocol (n, project, lift, dense):
+one (n, n) array from eigh and the mirror route (DenseBasis), a Kronecker
+product of its factors' bases from the product route (KroneckerBasis), the
+SVD of its half block from the bipartite route (BipartiteBasis), so a
+hypercube, path adjacency or even cycle is decided with no (n, n) array."""
 
 from __future__ import annotations
 
@@ -27,13 +27,32 @@ from .graphs import Hamiltonian
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
+class DenseBasis:
+    """The eigenvectors V as the one (n, n) array v of eigh or the mirror
+    route. lift gathers V's columns cols, so that V_F c[F] keeps its bytes."""
+
+    def __init__(self, v: np.ndarray):
+        self.v, self.n = v, len(v)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        return self.v.T @ x
+
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c for c with one row per column in cols (default all)."""
+        return self.v[:, cols] @ c
+
+    def dense(self) -> np.ndarray:
+        return self.v
+
+
 class BipartiteBasis:
     """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, held
     as the SVD B = U S W^T (u = U, v = W) of the bipartite route. With
     r = min(|P|, |Q|), V's columns are the r plus vectors [u_i; w_i]/sqrt(2),
     the null columns u_i (rows P) or w_i (rows Q), i >= r, of the longer
     side, and the r minus vectors [u_i; -w_i]/sqrt(2) in reverse. project
-    (V^T x) and lift (V c) make no (n, n) array; dense() builds V."""
+    and lift make no (n, n) array; dense() builds V."""
 
     def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray, v: np.ndarray):
         self.p, self.q, self.u, self.v = p, q, u, v
@@ -51,9 +70,11 @@ class BipartiteBasis:
         out[r:n - r] = a[r:] if len(self.p) > r else b[r:]
         return out
 
-    def lift(self, c: np.ndarray) -> np.ndarray:
-        """V c for an (n, b) c."""
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c, as V c with the rows of c outside cols zero."""
         n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
+        c, given = np.zeros((n, c.shape[1])), c
+        c[cols] = given
         parts = []
         for side, sub, fold in ((self.p, self.u, np.add), (self.q, self.v, np.subtract)):
             z = np.empty((len(side), c.shape[1]))
@@ -81,68 +102,50 @@ class BipartiteBasis:
 class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
-    product route finds them: G's basis g (dense or a BipartiteBasis), H's
+    product route finds them: G's basis g (DenseBasis or BipartiteBasis), H's
     dense h, and order, V's columns among the g_i (x) h_j (column i |H| + j).
     A nested product folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x
     read as an (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse:
     neither makes an (n, n) array; dense() builds V."""
 
-    def __init__(self, g: np.ndarray | BipartiteBasis, h: np.ndarray, order: np.ndarray):
+    def __init__(self, g: DenseBasis | BipartiteBasis, h: np.ndarray, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
         self.n = len(order)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """V^T x for an (n, b) x."""
-        m, b = len(self.h), x.shape[1]
-        z = np.tensordot(x.reshape(-1, m, b), self.h, axes=(1, 0))  # (|G|, b, |H|)
-        z = _project(self.g, z.transpose(0, 2, 1).reshape(-1, m * b))
+        g, m, b = self.g.n, len(self.h), x.shape[1]
+        z = np.tensordot(x.reshape(g, m, b), self.h, axes=(1, 0))  # (|G|, b, |H|)
+        z = self.g.project(z.transpose(0, 2, 1).reshape(g, m * b))
         return z.reshape(self.n, b)[self.order]
 
-    def lift(self, c: np.ndarray) -> np.ndarray:
-        """V c for an (n, b) c."""
-        m, b = len(self.h), c.shape[1]
-        z = np.empty_like(c)
-        z[self.order] = c
-        z = _lift(self.g, z.reshape(-1, m * b))
-        z = np.tensordot(z.reshape(-1, m, b), self.h, axes=(1, 1))  # (|G|, b, |H|)
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c, as V c with the rows of c outside cols zero."""
+        g, m, b = self.g.n, len(self.h), c.shape[1]
+        z = np.zeros((self.n, b))
+        z[self.order[cols]] = c
+        z = self.g.lift(z.reshape(g, m * b))
+        z = np.tensordot(z.reshape(g, m, b), self.h, axes=(1, 1))  # (|G|, b, |H|)
         return z.transpose(0, 2, 1).reshape(self.n, b)
 
     def dense(self) -> np.ndarray:
         """V as one (n, n) array: column k is g_i (x) h_j for
         (i, j) = divmod(order[k], |H|), formed as one broadcast product."""
-        g = self.g if isinstance(self.g, np.ndarray) else self.g.dense()
         i, j = np.divmod(self.order, len(self.h))
-        return (g[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
-
-
-Basis = np.ndarray | BipartiteBasis | KroneckerBasis
-
-
-def _project(basis: Basis, x: np.ndarray) -> np.ndarray:
-    """V^T x for x of shape (n,) or (n, b), on x's own shape."""
-    if isinstance(basis, np.ndarray):
-        return basis.T @ x
-    return basis.project(x.reshape(basis.n, -1)).reshape(x.shape)
-
-
-def _lift(basis: Basis, c: np.ndarray) -> np.ndarray:
-    """V c for c of shape (n,) or (n, b), on c's own shape."""
-    if isinstance(basis, np.ndarray):
-        return basis @ c
-    return basis.lift(c.reshape(basis.n, -1)).reshape(c.shape)
+        return (self.g.dense()[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
 
 
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds dense or factored (KroneckerBasis, BipartiteBasis).
-    The stages reach V^T X only through a Projection (_project); V c (_lift)
-    is formed only by Projection.reflect, evolve and universal_pst_pair, and
-    a dense V from a factored one only by transition_matrix."""
+    V, which basis holds (DenseBasis, KroneckerBasis or BipartiteBasis). The
+    stages reach V^T X only through a Projection (basis.project); a lift
+    V[:, cols] C is formed only by Projection.reflect, evolve and
+    universal_pst_pair, and V itself only by transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
-    basis: Basis                              # V, columns grouped by cluster
+    basis: DenseBasis | BipartiteBasis | KroneckerBasis  # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
@@ -205,7 +208,7 @@ class Projection:
         if X.ndim != 2 or X.shape[0] != dec.n:
             raise InvalidStateError(f"state matrix must have shape ({dec.n}, b)")
         check_magnitudes(X)
-        self.dec, self.states, self.coef = dec, X, _project(dec.basis, X)
+        self.dec, self.states, self.coef = dec, X, dec.basis.project(X)
 
     @classmethod
     def of(cls, dec: SpectralDecomposition, *states) -> Projection:
@@ -223,13 +226,10 @@ class Projection:
         return self.dec.cluster_sums(self.coef[:, 0] * self.coef[:, 1])
 
     def reflect(self, cols, clusters) -> np.ndarray:
-        """x - 2 sum_j E_j x over the clusters for the columns cols, a lift of c
-        on their rows F: a dense V_F times c[F], the bytes the CLI prints."""
+        """x - 2 sum_j E_j x over the clusters for the columns cols: the lift
+        V[:, F] c[F] of c on their rows F."""
         flip = np.repeat(np.isin(np.arange(self.dec.k), clusters), self.dec.multiplicities)
-        c = self.coef[:, cols]
-        if isinstance(self.dec.basis, np.ndarray):
-            return self.states[:, cols] - 2.0 * self.dec.basis[:, flip] @ c[flip]
-        return self.states[:, cols] - 2.0 * _lift(self.dec.basis, np.where(flip[:, None], c, 0.0))
+        return self.states[:, cols] - 2.0 * self.dec.basis.lift(self.coef[flip][:, cols], flip)
 
 
 BIPARTITE_MIN_N = 64  # measured crossover of the factored routes against eigh
@@ -513,15 +513,16 @@ def _mirror_route(form: EdgeForm):
 ROUTES = (_product_route, _bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dense()))
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis]:
-    """(values, V) from the first route of ROUTES that does not pass the form
-    on (None): descending with V factored from the product or bipartite
-    route, else ascending with V dense. A form with no edges, or no edge
-    list (symmetric only to within SYMMETRY_TOL), goes to eigh."""
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, DenseBasis | BipartiteBasis | KroneckerBasis]:
+    """(values, basis) from the first route of ROUTES that does not pass the
+    form on (None): descending from the product or bipartite route, else
+    ascending, the raw V of eigh or the mirror route made a DenseBasis. A form
+    with no edges, or no edge list (symmetric only to SYMMETRY_TOL), goes to eigh."""
     for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
-            return pairs
+            evals, basis = pairs
+            return evals, DenseBasis(basis) if isinstance(basis, np.ndarray) else basis
 
 
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -555,8 +556,9 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     Single-linkage clustering on the sorted spectrum with threshold
     tol_group * ||M||_inf, so that scaling M by c > 0 scales every cluster
     gap and the threshold alike; each cluster's eigenvalue is the mean and
-    its eigenvectors become one contiguous column block, blocks in
-    descending eigenvalue order.
+    its eigenvectors one contiguous column block of the basis, blocks in
+    descending eigenvalue order: every route's V comes as a basis of one
+    protocol, and only the ascending dense routes' one is regrouped.
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of one table
@@ -587,7 +589,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         evals, basis = _eigenpairs(form)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    dense = isinstance(basis, np.ndarray)
+    dense = isinstance(basis, DenseBasis)
     n, threshold = form.n, cfg.tol_group * form.scale
     bounds, means = _clusters(evals if dense else evals[::-1], threshold)
     values = means[::-1].copy()
@@ -597,8 +599,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         # clusters descending, each block's columns ascending: block j starts
         # at offsets[j] and takes V's columns from bounds[k - 1 - j]
         cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
-        basis = basis[:, cols]
-        basis.setflags(write=False)
+        basis = DenseBasis(basis.v[:, cols])
+        basis.v.setflags(write=False)
 
     gaps = values[:-1] - values[1:]
     warnings = tuple(
@@ -679,15 +681,15 @@ def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
     """Apply the walk operator at time t: sum_j exp(i t lambda_j) E_j x, the
     lift of x's Projection with its coefficients turned by the phases."""
     coef = Projection.of(dec, x).coef[:, 0] * np.repeat(walk(dec, t), dec.multiplicities)  # x checked first
-    z = _lift(dec.basis, np.column_stack((coef.real, coef.imag)))
+    z = dec.basis.lift(np.column_stack((coef.real, coef.imag)))
     return z[:, 0] + 1j * z[:, 1]
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Full walk operator at time t (complex symmetric unitary): the one
-    public call that forms a dense V from a factored basis."""
+    public call that reads V itself (basis.dense())."""
     phases = np.repeat(walk(dec, t), dec.multiplicities)
-    v = dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
+    v = dec.basis.dense()
     return (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
 
 

@@ -23,7 +23,7 @@ from .graphs import (
     make_graph,
 )
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
-from .spectral import Projection, SpectralDecomposition, _grid_walk, _lift, decompose, normalized_fidelity, walk
+from .spectral import Projection, SpectralDecomposition, _grid_walk, decompose, normalized_fidelity, walk
 from .states import NotCospectral, _support, check_strong_cospectrality
 from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
@@ -255,15 +255,12 @@ def universal_pst_pair(
     sums and differences of extreme-eigenvalue eigenvectors, at
     pi/(lambda_max - lambda_min). Each is the column of E_j = V_j V_j^T with
     the largest diagonal entry, normalised; the blocks V_j of both extreme
-    clusters come from one lift of their unit coefficient columns, which on
-    a dense V is an exact column gather."""
+    clusters come from one lift of their unit coefficient columns."""
     if dec.k < 2:
         raise InvalidStateError("matrix has a single eigenvalue; no pair exists")
     cols = np.r_[:dec.offsets[1], dec.offsets[-2]:dec.n]
-    unit = np.zeros((dec.n, len(cols)))
-    unit[cols, np.arange(len(cols))] = 1.0
     vecs = []
-    for block in np.split(_lift(dec.basis, unit), [dec.offsets[1]], axis=1):
+    for block in np.split(dec.basis.lift(np.eye(len(cols)), cols), [dec.offsets[1]], axis=1):
         col = int(np.argmax(np.einsum("ij,ij->i", block, block)))  # diag(E_j)
         vec = block @ block[col]
         nrm = np.linalg.norm(vec)

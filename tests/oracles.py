@@ -14,28 +14,23 @@ from pstwalk.spectral import Projection
 from pstwalk.tolerances import SHAPE_UNIT, SHAPE_ZERO
 
 
-def dense_basis(dec):
-    """V as one (n, n) array: the dense basis itself, or a factored one built."""
-    return dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
-
-
 def projector(dec, j):
     """The dense (n, n) projector E_j = V_j V_j^T, made exactly symmetric."""
-    v = dense_basis(dec)[:, dec.offsets[j]:dec.offsets[j + 1]]
+    v = dec.basis.dense()[:, dec.offsets[j]:dec.offsets[j + 1]]
     e = v @ v.T
     return (e + e.T) / 2.0
 
 
 def reconstruct(dec):
     """M as V diag(lambda) V^T."""
-    v = dense_basis(dec)
+    v = dec.basis.dense()
     return (v * np.repeat(dec.eigenvalues, dec.multiplicities)) @ v.T
 
 
 def eigenvector(dec, j):
     """The unit eigenvector universal_pst_pair takes for cluster j, from the
     dense V: the column of E_j with the largest diagonal entry, normalised."""
-    v = dense_basis(dec)[:, dec.offsets[j]:dec.offsets[j + 1]]
+    v = dec.basis.dense()[:, dec.offsets[j]:dec.offsets[j + 1]]
     col = int(np.argmax(np.einsum("ij,ij->i", v, v)))  # diag(E_j)
     vec = v @ v[col]
     return vec / np.linalg.norm(vec)

@@ -19,7 +19,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import pair_state
-from oracles import dense_basis, projector
+from oracles import projector
 from test_hamiltonian_arrays import assert_one_form, assert_same_form
 
 MIN_N = spectral.BIPARTITE_MIN_N
@@ -312,7 +312,7 @@ def _dense_box_factor(form):
 
 
 def _bytes(dec):
-    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dense_basis(dec).tobytes(), dec.scale,
+    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.basis.dense().tobytes(), dec.scale,
             dec.multiplicities, dec.warnings)
 
 
@@ -431,7 +431,7 @@ def test_box_product_needs_no_svd(monkeypatch):
 ], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete", "edgeless-64", "edgeless-200"])
 def test_route_declined(monkeypatch, mat):
     assert _route_calls(monkeypatch, mat) == 0
-    assert isinstance(pw.decompose(mat).basis, np.ndarray)
+    assert isinstance(pw.decompose(mat).basis, spectral.DenseBasis)
 
 
 @pytest.mark.parametrize("n", [MIN_N, 200])
@@ -445,7 +445,7 @@ def test_edgeless_goes_to_eigh(monkeypatch, n, kind):
     monkeypatch.setattr(spectral, "_bipartite_eigh", refuse)
     monkeypatch.setattr(spectral, "_mirror_eigh", refuse)
     dec = pw.decompose(pw.hamiltonian(pw.build_empty(n), kind))
-    assert isinstance(dec.basis, np.ndarray) and dec.k == 1
+    assert isinstance(dec.basis, spectral.DenseBasis) and dec.k == 1
 
 
 def test_route_declines_a_matrix_that_is_not_exactly_symmetric(monkeypatch):

@@ -22,7 +22,7 @@ from conftest import random_tree
 from oracles import all_partners, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection
+from pstwalk.spectral import BipartiteBasis, DenseBasis, KroneckerBasis, Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -322,7 +322,7 @@ def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
 def _held_bytes(obj, seen):
     """The bytes of every buffer the ndarrays of obj keep alive, a view
     counted by its base and each buffer once, through the basis record's
-    arrays and the basis records it holds, of either factored kind."""
+    arrays and the basis records it holds, of any kind."""
     total = 0
     for v in vars(obj).values():
         if isinstance(v, np.ndarray):
@@ -330,7 +330,7 @@ def _held_bytes(obj, seen):
             if id(buf) not in seen:
                 seen.add(id(buf))
                 total += buf.nbytes
-        elif isinstance(v, (BipartiteBasis, KroneckerBasis)):
+        elif isinstance(v, (DenseBasis, BipartiteBasis, KroneckerBasis)):
             total += _held_bytes(v, seen)
     return total
 

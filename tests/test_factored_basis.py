@@ -1,15 +1,17 @@
 """The factored eigenvectors of the product and bipartite routes
-(spectral.KroneckerBasis, spectral.BipartiteBasis).
+(spectral.KroneckerBasis, spectral.BipartiteBasis), and the one protocol
+they share with the dense V of eigh and the mirror route (spectral.DenseBasis).
 
 A route-taking decomposition holds V factored: a box product G x K2 as the
 Kronecker product of its factors' bases, a nested product folded into one
 dense block, and a bipartite pattern as an SVD of its half block, with null
-columns when |P| != |Q|. Its stages read V only through _project (V^T x) and
-_lift (V c); dense() builds V, for transition_matrix alone. _project and
-_lift must agree with that V; a hypercube pair must be decided, and every
-other per-state call and the universal pair made, with V never built, every
-yes confirmed by scipy's expm; and relabelling the vertices, which can move a
-graph from the product route to the SVD, must not change a verdict."""
+columns when |P| != |Q|. Its stages read V only through the basis's project
+(V^T X) and lift (V[:, cols] C); dense() builds V, for transition_matrix
+alone. project and lift must agree with that V on every basis kind; a
+hypercube pair must be decided, and every other per-state call and the
+universal pair made, with V never built, every yes confirmed by scipy's
+expm; and relabelling the vertices, which can move a graph from the product
+route to the SVD, must not change a verdict."""
 
 import dataclasses
 import math
@@ -21,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection, _lift, _project
+from pstwalk import spectral
+from pstwalk.spectral import BipartiteBasis, DenseBasis, KroneckerBasis, Projection
 from conftest import pair_state, random_tree
 from oracles import eigenvector
 
@@ -52,21 +55,64 @@ def _weighted_bipartite(seed, n, extra):
 
 
 def _check_basis(dec, rng):
-    """_project and _lift against the materialised V, the round trip, and
-    the cluster weights of a Projection against those of V^T x."""
+    """project and lift against the materialised V on b = 3, 1 and 0
+    columns, a lift on the columns cols (a bool mask, and an unsorted index
+    array) against V[:, cols], the round trip, and the cluster weights of a
+    Projection against those of V^T x. On a DenseBasis, the partner rule's
+    lift of c on the rows F is V_F c[F] bit for bit, the bytes the CLI prints."""
     n = dec.n
     X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
     x = X[:, 0]
     size = np.linalg.norm(X)
     basis = dec.basis
     v = basis.dense()
-    np.testing.assert_allclose(_project(basis, X), v.T @ X, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(_lift(basis, X), v @ X, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(_project(basis, x), v.T @ x, rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(_lift(basis, _project(basis, x)), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
+    assert basis.n == n and v.shape == (n, n)
+    for b in (3, 1, 0):
+        np.testing.assert_allclose(basis.project(X[:, :b]), v.T @ X[:, :b], rtol=0, atol=1e-13 * size)
+        np.testing.assert_allclose(basis.lift(X[:, :b]), v @ X[:, :b], rtol=0, atol=1e-13 * size)
+    flip = rng.random(n) < 0.5
+    for cols in (flip, rng.permutation(n)[:max(1, n // 3)]):
+        np.testing.assert_allclose(basis.lift(X[cols], cols), v[:, cols] @ X[cols], rtol=0, atol=1e-13 * size)
+    np.testing.assert_allclose(basis.lift(basis.project(X[:, :1]))[:, 0], x, rtol=0,
+                               atol=1e-13 * np.linalg.norm(x))
     c = v.T @ x
     np.testing.assert_allclose(Projection.of(dec, x).weights()[:, 0], dec.cluster_sums(c * c), rtol=0,
                                atol=1e-13 * np.dot(x, x))
+    if isinstance(basis, DenseBasis):  # a full lift of c zeroed off F differs in last bits on one column
+        for c in (basis.project(X), basis.project(X[:, :1])):
+            assert np.array_equal(basis.lift(c[flip], flip), v[:, flip] @ c[flip])
+
+
+DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), 0),
+               ("P150-laplacian", pw.hamiltonian(pw.build_path(150), pw.LAPLACIAN), 1)]
+
+
+@pytest.mark.parametrize("name,ham,mirror", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_basis(monkeypatch, name, ham, mirror, seed):
+    """P7 through eigh and the P150 Laplacian through the mirror route hold
+    V as a DenseBasis, which keeps the protocol of the factored bases."""
+    calls = []
+    real = spectral._mirror_eigh
+    monkeypatch.setattr(spectral, "_mirror_eigh", lambda mat: calls.append(len(mat)) or real(mat))
+    dec = pw.decompose(ham)
+    assert isinstance(dec.basis, DenseBasis) and len(calls) == mirror
+    _check_basis(dec, np.random.default_rng(seed))
+
+
+EMPTY_CASES = [("Q8", pw.build_hypercube(8), KroneckerBasis), ("P7", pw.build_path(7), DenseBasis),
+               ("P100", pw.build_path(100), BipartiteBasis)]
+
+
+@pytest.mark.parametrize("name,g,kind", EMPTY_CASES, ids=[c[0] for c in EMPTY_CASES])
+def test_empty_state_matrix(name, g, kind):
+    """An (n, 0) state matrix gives empty results on every basis kind: the
+    product route's basis reshapes by its factor's n, not by -1."""
+    dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
+    assert isinstance(dec.basis, kind)
+    empty = np.zeros((g.n, 0))
+    assert [np.shape(a) for a in pw.pst_partners(dec, empty)] == [(g.n, 0), (0,), (0,), (0,)]
+    assert pw.support_mask(dec, empty).shape == (dec.k, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,8 +163,8 @@ def test_nested_products_fold_into_one_block():
     """Q10 = Q5 x K2 x ... x K2 holds Q5's dense 32 x 32 basis and one
     32 x 32 block for the five K2 factors, not a chain of them."""
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(10), pw.LAPLACIAN))
-    assert isinstance(dec.basis.g, np.ndarray)
-    assert dec.basis.g.shape == dec.basis.h.shape == (32, 32)
+    assert isinstance(dec.basis.g, DenseBasis)
+    assert dec.basis.g.v.shape == dec.basis.h.shape == (32, 32)
     _check_basis(dec, np.random.default_rng(10))
 
 
@@ -167,7 +213,7 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
     assert _expm_transfer(ham, x, y, verdict.tau_min) == pytest.approx(1.0, abs=1e-9)
     antipodes = pair_state(n, 3 ^ (n - 1), 100 ^ (n - 1), 1.0)  # up to sign
     assert min(np.abs(y - antipodes).max(), np.abs(y + antipodes).max()) <= 1e-9
-    dense = dataclasses.replace(dec, basis=dec.basis.dense())
+    dense = dataclasses.replace(dec, basis=DenseBasis(dec.basis.dense()))
     np.testing.assert_allclose(y, pw.pst_partner(dense, x), rtol=0, atol=1e-9)
 
 

@@ -12,7 +12,6 @@ import pstwalk as pw
 from pstwalk import spectral
 from pstwalk.graphs import REGULAR_TOL
 from conftest import random_tree
-from oracles import dense_basis
 
 
 def _weighted(g, weights):
@@ -67,7 +66,7 @@ HAMILTONIANS = _hamiltonians()
 
 
 def _bytes(dec):
-    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dense_basis(dec).tobytes(), dec.scale,
+    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.basis.dense().tobytes(), dec.scale,
             dec.multiplicities, dec.ambiguous, dec.warnings)
 
 

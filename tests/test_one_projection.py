@@ -1,11 +1,12 @@
 """One projection per public call: every stage after decompose reads one
-Projection of its states, c = V^T X, formed by spectral._project. A spy
-counts each public call's top-level _project calls (the nested call into a
-factored basis's factor is part of one product). A dense basis that tracks
-its transpose, and spies on the factored bases' project methods, show that
-no V^T product is made anywhere else. verify_pst_numeric works on the record's
-coefficients alone (no lift, spectral._lift), and pst_decide takes its norms
-from them (no np.linalg.norm call), as does fidelity_derivatives' pair rule."""
+Projection of its states, c = V^T X, formed by its basis's project. A spy
+wraps project and lift of the three basis kinds with one depth counter and
+counts each public call's top-level project calls (the nested call into a
+factored basis's factor is part of one product). A dense V that tracks its
+transpose shows that no V^T product is made anywhere else. verify_pst_numeric
+works on the record's coefficients alone (no lift), and pst_decide takes its
+norms from them (no np.linalg.norm call), as does fidelity_derivatives' pair
+rule."""
 
 import dataclasses
 
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral, states
-from pstwalk.spectral import BipartiteBasis, KroneckerBasis
+from pstwalk import states
+from pstwalk.spectral import BipartiteBasis, DenseBasis, KroneckerBasis
 from conftest import pair_state
 
 
 class _Tracked(np.ndarray):
-    """A dense V that counts the matmuls outside _project that form a V^T
-    product: its transpose on the left, or V itself on the right."""
+    """A view of DenseBasis.v that counts the matmuls outside project and
+    lift that form a V^T product: its transpose on the left, or V itself on
+    the right."""
 
     transposed = False
 
@@ -40,33 +42,36 @@ class _Tracked(np.ndarray):
 
 
 class _Spy:
-    depth = 0     # _project calls open
-    top = 0       # top-level _project calls
-    outside = 0   # V^T products made outside _project
+    depth = 0     # project and lift calls open
+    top = 0       # top-level project calls
+    outside = 0   # V^T products made outside project and lift
+    lifts = []    # the shape of c of each top-level lift
+
+
+def _wrap(real, seen):
+    """real (a basis method) with seen(x) called on its top-level calls."""
+    def method(self, x, *args):
+        if not _Spy.depth:  # a factored basis projects or lifts again through its factor
+            seen(x)
+        _Spy.depth += 1
+        try:
+            return real(self, x, *args)
+        finally:
+            _Spy.depth -= 1
+    return method
+
+
+def _top_project(x):
+    _Spy.top += 1
 
 
 @pytest.fixture
 def spy(monkeypatch):
-    real_project = spectral._project
-
-    def project(basis, x):
-        _Spy.top += not _Spy.depth
-        _Spy.depth += 1
-        try:
-            return real_project(basis, x)
-        finally:
-            _Spy.depth -= 1
-
-    def outside(real):
-        def basis_project(self, x):
-            _Spy.outside += not _Spy.depth
-            return real(self, x)
-        return basis_project
-
-    monkeypatch.setattr(spectral, "_project", project)
-    for cls in (BipartiteBasis, KroneckerBasis):
-        monkeypatch.setattr(cls, "project", outside(cls.project))
+    for cls in (DenseBasis, BipartiteBasis, KroneckerBasis):
+        monkeypatch.setattr(cls, "project", _wrap(cls.project, _top_project))
+        monkeypatch.setattr(cls, "lift", _wrap(cls.lift, lambda c: _Spy.lifts.append(c.shape)))
     _Spy.depth = _Spy.top = _Spy.outside = 0
+    _Spy.lifts = []
 
     def count(call):
         _Spy.top = _Spy.outside = 0
@@ -82,7 +87,7 @@ def _case(name):
     transfer time."""
     if name == "P7":
         dec = pw.decompose(pw.hamiltonian(pw.build_path(7), pw.ADJACENCY))
-        dec = dataclasses.replace(dec, basis=dec.basis.view(_Tracked))
+        dec = dataclasses.replace(dec, basis=DenseBasis(dec.basis.v.view(_Tracked)))
         x = pair_state(7, 0, 6)
     else:
         dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(8), pw.ADJACENCY))
@@ -117,33 +122,23 @@ def test_one_projection_per_public_call(spy, name):
 
 
 def test_tracked_basis_sees_a_stray_product(spy):
-    """The tracker itself: a V^T x outside _project is counted."""
+    """The tracker itself: a V^T x outside project is counted."""
     dec, x, _, _ = _case("P7")
-    assert spy(lambda: dec.basis.T @ x) == (0, 1)
-    assert spy(lambda: x @ dec.basis) == (0, 1)
-    assert spy(lambda: dec.basis @ x) == (0, 0)
+    v = dec.basis.v
+    assert spy(lambda: v.T @ x) == (0, 1)
+    assert spy(lambda: x @ v) == (0, 1)
+    assert spy(lambda: v @ x) == (0, 0)
+    assert spy(lambda: dec.basis.project(x[:, None])) == (1, 0)
 
 
 @pytest.mark.parametrize("name", ["P7", "Q8"])
-def test_verify_makes_no_lift(monkeypatch, name):
+def test_verify_makes_no_lift(spy, name):
     dec, x, y, tau = _case(name)
-    lifts, depth = [], [0]
-    real_lift = spectral._lift
-
-    def lift(basis, c):
-        if not depth[0]:  # a factored basis lifts again through its factor
-            lifts.append(c.shape)
-        depth[0] += 1
-        try:
-            return real_lift(basis, c)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(spectral, "_lift", lift)
+    _Spy.lifts.clear()
     assert pw.verify_pst_numeric(dec, x, y, tau).passed
-    assert lifts == []
+    assert _Spy.lifts == []
     pw.evolve(dec, tau, x)  # the spy sees evolve's one lift, of [Re c, Im c]
-    assert lifts == [(dec.n, 2)]
+    assert _Spy.lifts == [(dec.n, 2)]
 
 
 @pytest.mark.parametrize("name", ["P7", "Q8"])

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import pstwalk as pw
-from pstwalk.spectral import KroneckerBasis
+from pstwalk.spectral import DenseBasis, KroneckerBasis
 from conftest import pair_state, random_connected_graph
 
 
@@ -52,7 +52,7 @@ def test_coefficient_residual_is_the_state_residual(name, kind):
     ham = pw.hamiltonian(GRAPHS[name](), kind)
     dec = pw.decompose(ham)
     if name in ("C8", "P7", "R40"):
-        assert isinstance(dec.basis, np.ndarray)
+        assert isinstance(dec.basis, DenseBasis)
     if name == "C8":
         assert max(dec.multiplicities) == 2
     if name == "Q8":

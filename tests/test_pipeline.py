@@ -18,7 +18,7 @@ import pytest
 
 import pstwalk as pw
 from conftest import basis_state, pair_state, random_connected_graph, random_support_state
-from oracles import dense_basis, eigenvector
+from oracles import eigenvector
 from pstwalk import serialize
 from pstwalk.cli import main
 from pstwalk.transfer import _degree_sorted, _spread_classes, _spread_oracle
@@ -82,7 +82,7 @@ def test_empty_support_is_refused_by_every_consumer():
     # a state spread evenly over four clusters has ||E_j x|| = ||x|| / 2, so a
     # support tolerance of 0.6 leaves it no support
     dec = _dec(pw.build_path(4))
-    x = dense_basis(dec).sum(axis=1)
+    x = dec.basis.dense().sum(axis=1)
     cfg = pw.ToleranceConfig(tol_supp=0.6)
     message = "state has empty eigenvalue support at this tolerance"
     for call in (lambda: pw.support(dec, x, cfg), lambda: pw.pst_partners(dec, x[:, None], cfg),
@@ -175,7 +175,7 @@ def test_clear_violation_outranks_an_earlier_ambiguous_sign():
     # P3 eigenvalues sqrt(2), 0, -sqrt(2): x and y nearly tie on sqrt(2)
     # (ambiguous) and differ in magnitude on 0 (a clear violation)
     dec = _dec(pw.build_path(3))
-    v = dense_basis(dec)
+    v = dec.basis.dense()
     x = v @ np.array([3e-8, 0.6, 0.8])
     y = v @ np.array([-3e-8, 0.8, 0.6])
     refusal = pw.check_strong_cospectrality(dec, x, y)

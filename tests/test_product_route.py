@@ -15,7 +15,6 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import pair_state
-from oracles import dense_basis
 from test_bipartite_route import _q8_relabelled, assert_same_verdicts
 
 K2 = pw.build_path(2)
@@ -43,7 +42,7 @@ def _eigh_decompose(monkeypatch, m):
 
 
 def _cluster_blocks(dec):
-    v = dense_basis(dec)
+    v = dec.basis.dense()
     return [v[:, dec.offsets[j]:dec.offsets[j + 1]] for j in range(dec.k)]
 
 
@@ -138,7 +137,7 @@ def test_weighted_product_with_a_potential(monkeypatch):
     one: the diagonal splits as d(2a) and d(2a + 1) - d(2a) = -1.5."""
     mat = _weighted_product()
     got = pw.decompose(mat)
-    assert isinstance(got.basis, spectral.KroneckerBasis) and isinstance(got.basis.g, np.ndarray)
+    assert isinstance(got.basis, spectral.KroneckerBasis) and isinstance(got.basis.g, spectral.DenseBasis)
     want = _eigh_decompose(monkeypatch, mat)
     assert got.multiplicities == want.multiplicities
     np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * want.scale)

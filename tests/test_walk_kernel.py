@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk import transfer
+from pstwalk import spectral, transfer
 from conftest import basis_state, pair_state
-from oracles import dense_basis
 from pstwalk.errors import NumericFailureError
 from test_metamorphic import cases
 
@@ -29,7 +28,7 @@ EPS = np.finfo(float).eps
 
 def _reference_fidelity(dec, t, x, y):
     phases = np.exp(1j * t * np.repeat(dec.eigenvalues, dec.multiplicities))
-    v = dense_basis(dec)
+    v = dec.basis.dense()
     coef = phases * (v.T @ x)
     z = v @ coef.real + 1j * (v @ coef.imag)
     val = float(abs(y @ z) ** 2 / (np.dot(x, x) * np.dot(y, y)))
@@ -239,7 +238,7 @@ def test_fidelity_above_one_shows_alike():
     # eigenvectors scaled by 1.001 inflate every amplitude by 1.001^2: the
     # fidelity reads 1.001^4, above the 1 + 1e-9 clamp, on every path
     dec = _dec(pw.build_path(2), pw.ADJACENCY)
-    bad = dataclasses.replace(dec, basis=dense_basis(dec) * 1.001)
+    bad = dataclasses.replace(dec, basis=spectral.DenseBasis(dec.basis.dense() * 1.001))
     x, y = basis_state(2, 0), basis_state(2, 1)
     want = 1.001**4
     assert pw.fidelity(bad, math.pi / 2, x, y) == pytest.approx(want, rel=1e-12)
