@@ -9,15 +9,18 @@ C32xK2, C64xK2 and a seeded relabelled Q8, each with both kinds, and each
 kind decomposed as a Hamiltonian h, as the raw matrix np.array(h.matrix) and
 as 2.5 M + 0.75 I. The digest of one decomposition covers its eigenvalues,
 offsets, dense V (its basis's dense(), or the basis itself where it is a bare
-array, as in older src/), scale, multiplicities and warnings. The script prints the digest of each input and
-one over all of them.
+array, as in older src/), scale, multiplicities and warnings. The script prints
+the digest of each input, with the class of its basis (a KroneckerBasis with
+its factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
+and one digest over all of them.
 
 With --parent, the committed src/ of REV is exported (git archive) into a
 temporary directory, this script runs again in a fresh interpreter that
 imports pstwalk from there, and each input is reported as matching or
-differing. Only runs on one machine can be compared: LAPACK's last bits
-depend on the CPU. Both sides run here on one machine, so a difference is a
-real change: the exit status is 1 when any input differs, else 0.
+differing, a differing one with REV's basis class where it changed. Only
+runs on one machine can be compared: LAPACK's last bits depend on the CPU.
+Both sides run here on one machine, so a difference is a real change: the
+exit status is 1 when any input differs, else 0.
 """
 
 import argparse
@@ -65,8 +68,15 @@ def digest(dec) -> str:
     return h.hexdigest()
 
 
+def basis_class(dec) -> str:
+    """The class of dec's basis, a KroneckerBasis's with its factor's."""
+    name = type(dec.basis).__name__
+    return f"{name}({type(dec.basis.g).__name__})" if hasattr(dec.basis, "g") else name
+
+
 def parent_digests(rev: str, script: str) -> dict:
-    """name -> digest, as `script` prints them for REV's committed src/."""
+    """name -> [digest] or [digest, basis class], as `script` prints them
+    for REV's committed src/."""
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
                                  capture_output=True).stdout
@@ -74,20 +84,27 @@ def parent_digests(rev: str, script: str) -> dict:
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         lines = subprocess.run([sys.executable, script], env=env, check=True, capture_output=True,
                                text=True).stdout.splitlines()
-    return dict(line.split() for line in lines)
+    return {name: fields for name, *fields in (line.split() for line in lines)}
 
 
-def report(found: dict, rev: str | None, script: str) -> None:
-    """Print each input's digest and one over all of them; with a revision,
-    mark each as matching or differing from `script` run on REV's src/, and
-    exit with status 1 when any input differs."""
+def report(found: dict, rev: str | None, script: str, kinds: dict | None = None) -> None:
+    """Print each input's digest, with its basis class where kinds (name ->
+    class) gives one, and one digest over all of them; with a revision,
+    mark each as matching or differing from `script` run on REV's src/, a
+    differing one with REV's class where that changed, and exit with status
+    1 when any input differs."""
     found["overall"] = hashlib.sha256("".join(found.values()).encode()).hexdigest()
     want = parent_digests(rev, script) if rev else {}
     for name, value in found.items():
-        status = "" if not want else "  match" if want.get(name) == value else "  DIFFERS"
-        print(f"{name:40s} {value}{status}")
+        line = f"{name:40s} {value}" + ("" if kinds is None else f" {kinds.get(name, ''):30s}")
+        if want:
+            was = want.get(name, [None])
+            line += "  match" if was[0] == value else "  DIFFERS"
+            if was[0] != value and was[1:] and was[1] != kinds.get(name):
+                line += f" (was {was[1]})"
+        print(line.rstrip())
     if want:
-        same = sum(want.get(name) == value for name, value in found.items() if name != "overall")
+        same = sum(want.get(name, [None])[0] == value for name, value in found.items() if name != "overall")
         print(f"{same} of {len(found) - 1} inputs byte-identical to {rev}")
         if same < len(found) - 1:
             sys.exit(1)
@@ -97,7 +114,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="git revision whose decompositions to compare against")
     args = ap.parse_args()
-    report({name: digest(pw.decompose(m)) for name, m in inputs()}, args.parent, __file__)
+    found, kinds = {}, {}
+    for name, m in inputs():
+        dec = pw.decompose(m)
+        found[name], kinds[name] = digest(dec), basis_class(dec)
+    report(found, args.parent, __file__, kinds)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ denominator, the states' own, so that an inconsistent V shows. Each basis
 holds V in its own format behind one protocol (n, project, lift, dense):
 one (n, n) array from eigh and the mirror route (DenseBasis), a Kronecker
 product of its factors' bases from the product route (KroneckerBasis), the
-SVD of its half block from the bipartite route (BipartiteBasis), so a
-hypercube, path adjacency or even cycle is decided with no (n, n) array."""
+real Fourier vectors of a circulant, applied by one real FFT, from the
+circulant route (FourierBasis), the SVD of its half block from the
+bipartite route (BipartiteBasis), so a hypercube, cycle, complete graph or
+path adjacency is decided with no (n, n) array."""
 
 from __future__ import annotations
 
@@ -99,16 +101,55 @@ class BipartiteBasis:
         return vectors
 
 
+class FourierBasis:
+    """The eigenvectors V of an n x n circulant M, the real Fourier vectors
+    of the circulant route (Davis, Circulant Matrices, 1979): with h =
+    n // 2 + 1, the layout's row k < h is the unit cosine vector of
+    frequency k, cos(2 pi k j / n), and its row h + k the unit sine vector,
+    for 0 < k < n/2; order holds V's columns among these n rows. project is
+    one orthonormal rfft X along axis 0, read as sqrt(2) Re X_k on a cosine
+    row, -sqrt(2) Im X_k on a sine row and Re X_k alone at frequency 0 and,
+    for even n, n/2, then gathered by order; lift divides by the same
+    weights, scatters into a half spectrum and runs one irfft: neither
+    makes an (n, n) array; dense() builds V."""
+
+    def __init__(self, n: int, order: np.ndarray):
+        self.n, self.order = n, order
+        h = n // 2 + 1
+        weight = np.full(2 * h, math.sqrt(2.0))
+        weight[h:] *= -1.0
+        weight[0] = 1.0
+        if n % 2 == 0:
+            weight[h - 1] = 1.0
+        self.weight = weight[order]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        z = np.fft.rfft(x, axis=0, norm="ortho")
+        return np.concatenate((z.real, z.imag))[self.order] * self.weight[:, None]
+
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c, as V c with the rows of c outside cols zero."""
+        h = self.n // 2 + 1
+        z = np.zeros((2 * h, c.shape[1]))
+        z[self.order[cols]] = c / self.weight[cols, None]
+        return np.fft.irfft(z[:h] + 1j * z[h:], self.n, axis=0, norm="ortho")
+
+    def dense(self) -> np.ndarray:
+        """V as one (n, n) array."""
+        return self.lift(np.eye(self.n))
+
+
 class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
-    product route finds them: G's basis g (DenseBasis or BipartiteBasis), H's
-    dense h, and order, V's columns among the g_i (x) h_j (column i |H| + j).
-    A nested product folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x
+    product route finds them: G's basis g (DenseBasis, BipartiteBasis, or
+    FourierBasis, as for a prism C_n x K2), H's dense h, and order, V's
+    columns among the g_i (x) h_j (column i |H| + j). A nested product folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x
     read as an (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse:
     neither makes an (n, n) array; dense() builds V."""
 
-    def __init__(self, g: DenseBasis | BipartiteBasis, h: np.ndarray, order: np.ndarray):
+    def __init__(self, g: DenseBasis | FourierBasis | BipartiteBasis, h: np.ndarray, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
         self.n = len(order)
 
@@ -139,13 +180,14 @@ class KroneckerBasis:
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds (DenseBasis, KroneckerBasis or BipartiteBasis). The
-    stages reach V^T X only through a Projection (basis.project); a lift
-    V[:, cols] C is formed only by Projection.reflect, evolve and
-    universal_pst_pair, and V itself only by transition_matrix."""
+    V, which basis holds (DenseBasis, KroneckerBasis, FourierBasis or
+    BipartiteBasis). The stages reach V^T X only through a Projection
+    (basis.project); a lift V[:, cols] C is formed only by
+    Projection.reflect, evolve and universal_pst_pair, and V itself only by
+    transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
-    basis: DenseBasis | BipartiteBasis | KroneckerBasis  # V, columns grouped by cluster
+    basis: DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis  # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
@@ -497,6 +539,40 @@ def _product_route(form: EdgeForm):
     return evals, KroneckerBasis(g, h, order)
 
 
+def _circulant_route(form: EdgeForm):
+    """A circulant M, m_ij = r_((j - i) mod n), from BIPARTITE_MIN_N on, by
+    one real FFT of its first row r: eigenvalue rfft(r)[k].real for the
+    cosine and the sine vector of frequency k alike, so each pair is
+    degenerate exactly, sorted descending into a FourierBasis. Detected
+    exactly in O(m) from the form: one diagonal value, and the circular
+    distance d = min(j - i, n - (j - i)) of every edge sorts the edges into
+    classes that are each empty or complete (n edges, n/2 at d = n/2, the
+    form's edges being distinct) and hold one entry each. numpy.fft loads
+    on first access (about 0.9 ms), so only a circulant reaches it."""
+    n, src, dst, entries = form.n, form.src, form.dst, form.entries
+    if n < BIPARTITE_MIN_N or (form.diagonal != form.diagonal[0]).any():
+        return None
+    step = dst - src
+    h = n // 2 + 1
+    full = np.full(h, n)
+    if n % 2 == 0:
+        full[-1] = n // 2  # the diameters
+    counts = np.bincount(np.minimum(step, n - step), minlength=h)
+    if ((counts != 0) & (counts != full)).any():
+        return None
+    row = np.zeros(n)
+    row[step] = entries
+    row[n - step] = entries
+    if (row[step] != entries).any():  # two entries in one class
+        return None
+    row[0] = form.diagonal[0]
+    lam = np.fft.rfft(row).real
+    rows = np.r_[:h, h + 1:n + 1]  # the layout's cosine rows, then its sine rows
+    values = np.concatenate((lam, lam))[rows]
+    order = np.argsort(-values, kind="stable")
+    return values[order], FourierBasis(n, rows[order])
+
+
 def _bipartite_route(form: EdgeForm):
     parts = _route_parts(form)
     return None if parts is None else _bipartite_eigh(form, *parts)
@@ -510,14 +586,16 @@ def _mirror_route(form: EdgeForm):
     return evals[merge], vectors[:, merge]
 
 
-ROUTES = (_product_route, _bipartite_route, _mirror_route, lambda form: np.linalg.eigh(form.dense()))
+ROUTES = (_product_route, _circulant_route, _bipartite_route, _mirror_route,
+          lambda form: np.linalg.eigh(form.dense()))
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, DenseBasis | BipartiteBasis | KroneckerBasis]:
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis]:
     """(values, basis) from the first route of ROUTES that does not pass the
-    form on (None): descending from the product or bipartite route, else
-    ascending, the raw V of eigh or the mirror route made a DenseBasis. A form
-    with no edges, or no edge list (symmetric only to SYMMETRY_TOL), goes to eigh."""
+    form on (None): descending from the product, circulant or bipartite
+    route, else ascending, the raw V of eigh or the mirror route made a
+    DenseBasis. A form with no edges, or no edge list (symmetric only to
+    SYMMETRY_TOL), goes to eigh."""
     for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
@@ -562,20 +640,25 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of one table
-    (_eigenpairs) that takes it, the first three from n = BIPARTITE_MIN_N on
+    (_eigenpairs) that takes it, the first four from n = BIPARTITE_MIN_N on
     (times against eigh's, one core of a 2-vCPU machine):
     - the product route (_product_route), for G x K2 as cartesian_product
       labels it (_box_factor), a hypercube among them, of any kind: G goes
       back through the table, so Q10 splits down to one eigh of Q5 (Q10
       built and decomposed: 0.8-0.9 ms against 230-270 ms; relabelled, by
       the bipartite route's SVD: 60 ms);
+    - the circulant route (_circulant_route), for M with m_ij = r_((j - i)
+      mod n): cycles and K_n as their builders label them, of either kind,
+      by one real FFT of r, into a FourierBasis (C300 Laplacian: 0.12 ms,
+      against 4.5 ms by the bipartite route's SVD; C201: 0.10 against 2.6
+      ms by the mirror route);
     - the bipartite route (_bipartite_eigh), for M = cI + [[0, B], [B^T, 0]]:
       bipartite adjacencies, regular bipartite Laplacians, by one SVD of B
-      (P300 adjacency: 3.7 against 7.5 ms). Neither of the two reads the
-      dense matrix, which a Hamiltonian builds on first read;
+      (P300 adjacency: 3.7 against 7.5 ms). None of the first three reads
+      the dense matrix, which a Hamiltonian builds on first read;
     - the mirror route (_mirror_eigh), two eighs of about n/2 when JMJ = M
-      for the reversal J: path Laplacians, odd cycles, K_n and K_{p,p} as
-      their builders label them (C299 Laplacian: 6 against 10 ms);
+      for the reversal J: path Laplacians and K_{p,p} as their builders
+      label them (P299 Laplacian: 4.7 against 8.1 ms);
     - np.linalg.eigh, the only route for a form without edges.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all

@@ -60,6 +60,13 @@ def random_tree(rng, n):
     return pw.make_graph(n, edges)
 
 
+def heavy_end_edge(g):
+    """g with weight 2 on its edge (0, n - 1), which the reversal
+    i -> n - 1 - i maps to itself: a cycle or complete graph stays mirror
+    symmetric but is no longer circulant."""
+    return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) == (0, g.n - 1) else w) for u, v, w in g.edges])
+
+
 def random_connected_graph(rng, n, extra_edges=2):
     """Random tree plus a few extra edges; unit weights."""
     tree = random_tree(rng, n)

@@ -6,10 +6,11 @@ multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and the
 same pst_decide and pst_partner verdicts. decompose takes it only from
 BIPARTITE_MIN_N on, for an exactly symmetric matrix with one constant on its
 diagonal and a bipartite, not complete bipartite, edge pattern that the
-product route before it passes on: spectral._route_parts decides, from the
-EdgeForm that decompose's door makes of a Hamiltonian's edge arrays or of a
-raw matrix's nonzeros above the diagonal. Both routes read only that form,
-so a Hamiltonian on either never builds its dense matrix."""
+product and circulant routes before it pass on: spectral._route_parts
+decides, from the EdgeForm that decompose's door makes of a Hamiltonian's
+edge arrays or of a raw matrix's nonzeros above the diagonal. Both routes
+read only that form, so a Hamiltonian on either never builds its dense
+matrix."""
 
 import itertools
 
@@ -18,7 +19,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from conftest import pair_state
+from conftest import heavy_end_edge, pair_state
 from oracles import projector
 from test_hamiltonian_arrays import assert_one_form, assert_same_form
 
@@ -231,8 +232,15 @@ def _route_calls(monkeypatch, mat):
     return len(calls)
 
 
+def _relabelled_cycle(n):
+    """The n-cycle on seeded vertex labels: off the circulant route, which
+    takes the cycle in build_cycle's labelling."""
+    p = np.random.default_rng(n).permutation(n)
+    return pw.make_graph(n, [(int(p[a]), int(p[b])) for a, b, _ in pw.build_cycle(n).edges])
+
+
 def test_route_taken_from_the_crossover_on(monkeypatch):
-    for build, kind in ((pw.build_path, pw.ADJACENCY), (pw.build_cycle, pw.LAPLACIAN)):
+    for build, kind in ((pw.build_path, pw.ADJACENCY), (_relabelled_cycle, pw.LAPLACIAN)):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(pw.build_path(MIN_N - 1), pw.ADJACENCY)) == 0
@@ -420,12 +428,13 @@ def test_box_product_needs_no_svd(monkeypatch):
                 _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
 
 
+# the odd cycle and K_n weighted off the circulant route, which comes first
 @pytest.mark.parametrize("mat", [
-    _graph_matrix(pw.build_cycle(MIN_N + 1), pw.ADJACENCY),          # odd cycle
-    _graph_matrix(pw.build_cycle(MIN_N + 1), pw.LAPLACIAN),
+    _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.ADJACENCY),  # odd cycle
+    _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.LAPLACIAN),
     _graph_matrix(pw.build_path(MIN_N + 6), pw.LAPLACIAN),           # degrees 1 and 2
     _graph_matrix(pw.build_complete_bipartite(30, 50), pw.ADJACENCY),
-    _graph_matrix(pw.build_complete(MIN_N), pw.ADJACENCY),
+    _graph_matrix(heavy_end_edge(pw.build_complete(MIN_N)), pw.ADJACENCY),
     _graph_matrix(pw.build_empty(MIN_N), pw.ADJACENCY),
     _graph_matrix(pw.build_empty(200), pw.LAPLACIAN),
 ], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete", "edgeless-64", "edgeless-200"])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import BipartiteBasis, DenseBasis, KroneckerBasis, Projection
+from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, Projection
 from conftest import pair_state, random_tree
 from oracles import eigenvector
 
@@ -151,9 +151,9 @@ def test_product_basis(case, kind, seed):
 
 
 def test_product_factor_reaches_an_svd():
-    # C64 x K2: its factor C64 takes the bipartite route, whose 32 x 32
-    # block I + shift goes to the SVD
-    g = pw.cartesian_product(pw.build_cycle(64), pw.build_path(2))
+    # P64 x K2: its factor P64 takes the bipartite route, whose 32 x 32
+    # block goes to the SVD
+    g = pw.cartesian_product(pw.build_path(64), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
     assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.shape == (2, 2)
     _check_basis(dec, np.random.default_rng(64))
@@ -248,13 +248,14 @@ def test_relabelling_keeps_verdicts(name, g, kind):
     """Verdicts, reasons and transfer times agree between a graph and a
     seeded relabelling of it, and so do partners once relabelled back. The
     relabelling moves Q8 off cartesian_product's labelling, from the product
-    route to the SVD."""
+    route to the SVD, and C128 off build_cycle's, from the circulant route
+    to the SVD."""
     rng = np.random.default_rng(128)
     perm = rng.permutation(g.n)
     natural = pw.decompose(pw.hamiltonian(g, kind))
     moved = pw.decompose(pw.hamiltonian(_relabelled(g, perm), kind))
     assert isinstance(moved.basis, BipartiteBasis)
-    assert isinstance(natural.basis, KroneckerBasis if name == "Q8" else BipartiteBasis)
+    assert isinstance(natural.basis, {"Q8": KroneckerBasis, "C128": FourierBasis}.get(name, BipartiteBasis))
     for _ in range(8):
         u, v = (int(a) for a in rng.choice(g.n, size=2, replace=False))
         x = pair_state(g.n, u, v, float(rng.choice([-1.0, 1.0])))

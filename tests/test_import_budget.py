@@ -1,10 +1,10 @@
 """Module budget of a cold process: `import pstwalk` loads no module of the
 package, and each CLI subcommand loads only the modules it runs, and never
-`fractions` or `decimal`.
+`fractions`, `decimal` or `numpy.fft`.
 
 Each case runs in a fresh interpreter on the golden inputs and reports the
-`pstwalk.*` entries of `sys.modules` after the run, with `fractions` and
-`decimal` where loaded.
+`pstwalk.*` entries of `sys.modules` after the run, with `fractions`,
+`decimal` and `numpy.fft` where loaded.
 """
 
 import json
@@ -20,8 +20,8 @@ import pstwalk
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 SRC = Path(pstwalk.__file__).resolve().parent.parent
 
-# print the pstwalk.* modules, and fractions and decimal, loaded after
-# running the CLI on argv, if any
+# print the pstwalk.* modules, and fractions, decimal and numpy.fft, loaded
+# after running the CLI on argv, if any
 CHILD = """
 import json, sys
 import pstwalk
@@ -29,12 +29,15 @@ if len(sys.argv) > 1:
     from pstwalk.cli import main
     code = main(sys.argv[1:])
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("pstwalk.") or m in ("fractions", "decimal"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("pstwalk.") or m in ("fractions", "decimal", "numpy.fft"))))
 """
 
-# the rational arithmetic runs on plain ints; fractions imports decimal
-STDLIB = {"fractions", "decimal"}
-CATALOG = {"families", "constructions", "sensitivity", "synthesis"} | STDLIB
+# the rational arithmetic runs on plain ints; fractions imports decimal; numpy
+# loads numpy.fft on first access, which only the circulant route makes, from
+# n = 64 on
+NEVER = {"fractions", "decimal", "numpy.fft"}
+CATALOG = {"families", "constructions", "sensitivity", "synthesis"} | NEVER
 GRAPH_PAIR = ["p7.json", "p7_x.json", "p7_y.json"]
 
 # (argv with input file names relative to INPUTS, modules it must not load)
