@@ -75,8 +75,8 @@ def basis_class(dec) -> str:
 
 
 def parent_digests(rev: str, script: str) -> dict:
-    """name -> [digest] or [digest, basis class], as `script` prints them
-    for REV's committed src/."""
+    """name -> value (a digest and any notes after it), as `script` prints
+    them for REV's committed src/."""
     with tempfile.TemporaryDirectory(prefix="digest-parent-") as tmp:
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
                                  capture_output=True).stdout
@@ -84,27 +84,28 @@ def parent_digests(rev: str, script: str) -> dict:
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         lines = subprocess.run([sys.executable, script], env=env, check=True, capture_output=True,
                                text=True).stdout.splitlines()
-    return {name: fields for name, *fields in (line.split() for line in lines)}
+    return dict(line.split(None, 1) for line in lines)
 
 
-def report(found: dict, rev: str | None, script: str, kinds: dict | None = None) -> None:
-    """Print each input's digest, with its basis class where kinds (name ->
-    class) gives one, and one digest over all of them; with a revision,
-    mark each as matching or differing from `script` run on REV's src/, a
-    differing one with REV's class where that changed, and exit with status
-    1 when any input differs."""
-    found["overall"] = hashlib.sha256("".join(found.values()).encode()).hexdigest()
-    want = parent_digests(rev, script) if rev else {}
+def report(found: dict, rev: str | None, script: str) -> None:
+    """Print each input's value, a digest and any notes after it, and one
+    digest over all the digests; with a revision, mark each as matching or
+    differing in its digest from `script` run on REV's src/, one whose notes
+    changed with REV's notes, and exit with status 1 when any input
+    differs."""
+    digest_of = {name: value.split()[0] for name, value in found.items()}
+    found["overall"] = digest_of["overall"] = hashlib.sha256("".join(digest_of.values()).encode()).hexdigest()
+    want = {name: value.split() for name, value in parent_digests(rev, script).items()} if rev else {}
     for name, value in found.items():
-        line = f"{name:40s} {value}" + ("" if kinds is None else f" {kinds.get(name, ''):30s}")
+        status = ""
         if want:
             was = want.get(name, [None])
-            line += "  match" if was[0] == value else "  DIFFERS"
-            if was[0] != value and was[1:] and was[1] != kinds.get(name):
-                line += f" (was {was[1]})"
-        print(line.rstrip())
+            status = "  match" if was[0] == digest_of[name] else "  DIFFERS"
+            if was[1:] and was[1:] != value.split()[1:]:
+                status += f" (was {' '.join(was[1:])})"
+        print(f"{name:40s} {value}{status}")
     if want:
-        same = sum(want.get(name, [None])[0] == value for name, value in found.items() if name != "overall")
+        same = sum(want.get(name, [None])[0] == digest_of[name] for name in found if name != "overall")
         print(f"{same} of {len(found) - 1} inputs byte-identical to {rev}")
         if same < len(found) - 1:
             sys.exit(1)
@@ -114,11 +115,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="git revision whose decompositions to compare against")
     args = ap.parse_args()
-    found, kinds = {}, {}
+    found = {}
     for name, m in inputs():
         dec = pw.decompose(m)
-        found[name], kinds[name] = digest(dec), basis_class(dec)
-    report(found, args.parent, __file__, kinds)
+        found[name] = f"{digest(dec)} {basis_class(dec)}"
+    report(found, args.parent, __file__)
 
 
 if __name__ == "__main__":

@@ -168,7 +168,7 @@ def _pairs(n, rng):
 
 
 METAMORPHIC = [c for c in ROUTE_CASES if c[0] in ("P64-laplacian", "P65-laplacian", "C65-adjacency",
-                                                  "C151-laplacian", "K64,64-laplacian",
+                                                  "C151-laplacian", "K64-adjacency", "K64,64-laplacian",
                                                   "chain64", "chain65")]
 
 
