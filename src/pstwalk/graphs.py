@@ -102,8 +102,8 @@ class Hamiltonian:
     def matrix(self) -> np.ndarray:
         """The dense matrix, read-only, built once on first read. decompose
         reads it only for the mirror route and np.linalg.eigh: the product,
-        circulant and bipartite routes work from diagonal and values, so a
-        Hamiltonian they take never builds this n x n array."""
+        circulant, path and bipartite routes work from diagonal and values,
+        so a Hamiltonian they take never builds this n x n array."""
         g = self.graph
         return _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values))
 

@@ -11,9 +11,11 @@ holds V in its own format behind one protocol (n, project, lift, dense):
 one (n, n) array from eigh and the mirror route (DenseBasis), a Kronecker
 product of its factors' bases from the product route (KroneckerBasis), the
 real Fourier vectors of a circulant, applied by one real FFT, from the
-circulant route (FourierBasis), the SVD of its half block from the
-bipartite route (BipartiteBasis), so a hypercube, cycle, complete graph or
-path adjacency is decided with no (n, n) array."""
+circulant route (FourierBasis), the sine or cosine vectors of a uniform
+path, applied by one real FFT, from the path route (PathBasis), the SVD of
+its half block from the bipartite route (BipartiteBasis), so a hypercube,
+cycle, complete graph or path of either kind is decided with no (n, n)
+array."""
 
 from __future__ import annotations
 
@@ -140,16 +142,73 @@ class FourierBasis:
         return self.lift(np.eye(self.n))
 
 
+class PathBasis:
+    """The eigenvectors V of a uniform path M = tridiag(w, a, w) of the path
+    route, the vectors of the DST-I for ends a (Dirichlet) or of the DCT-II
+    for ends a + w (Neumann) (Strang, SIAM Review 41, 1999): the layout's row
+    k is the unit vector sin(pi (k + 1)(j + 1) / (n + 1)), or
+    cos(pi k (j + 1/2) / n); order holds V's columns among these n rows.
+    project is one orthonormal rfft of the odd extension [0, x, 0, -Jx]
+    (length 2n + 2), read as -Im X_k, or of the even extension [x, Jx]
+    (length 2n), read as Re(exp(-i pi k / 2n) X_k), halved in power at
+    k = 0; then gathered by order. lift scatters by order and runs the same
+    DST-I, its own inverse, or one irfft of the twiddled coefficients
+    (DCT-III): neither makes an (n, n) array; dense() builds V."""
+
+    def __init__(self, n: int, neumann: bool, order: np.ndarray):
+        self.n, self.neumann, self.order = n, neumann, order
+
+    def _dst(self, x: np.ndarray) -> np.ndarray:
+        """S x for an (n, b) x and the orthonormal DST-I S = S^T = S^-1."""
+        n = self.n
+        ext = np.zeros((2 * n + 2, x.shape[1]))
+        ext[1:n + 1] = x
+        ext[n + 2:] = -x[::-1]
+        return -np.fft.rfft(ext, axis=0, norm="ortho").imag[1:n + 1]
+
+    def _twiddle(self) -> np.ndarray:
+        """The half-sample shifts exp(i pi k / 2n), k < n, as an (n, 1) column."""
+        return np.exp(1j * np.pi / (2 * self.n) * np.arange(self.n))[:, None]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        if not self.neumann:
+            return self._dst(x)[self.order]
+        z = np.fft.rfft(np.concatenate((x, x[::-1])), axis=0, norm="ortho")[:self.n]
+        out = (z * self._twiddle().conj()).real
+        out[0] *= math.sqrt(0.5)
+        return out[self.order]
+
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c, as V c with the rows of c outside cols zero."""
+        n = self.n
+        z = np.zeros((n, c.shape[1]))
+        z[self.order[cols]] = c
+        if not self.neumann:
+            return self._dst(z)
+        z[0] *= math.sqrt(2.0)
+        spectrum = np.zeros((n + 1, c.shape[1]), dtype=complex)
+        spectrum[:n] = z * self._twiddle()
+        return np.fft.irfft(spectrum, 2 * n, axis=0, norm="ortho")[:n]
+
+    def dense(self) -> np.ndarray:
+        """V as one (n, n) array."""
+        return self.lift(np.eye(self.n))
+
+
 class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
-    product route finds them: G's basis g (DenseBasis, BipartiteBasis, or
-    FourierBasis, as for a prism C_n x K2), H's dense h, and order, V's
-    columns among the g_i (x) h_j (column i |H| + j). A nested product folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x
-    read as an (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse:
-    neither makes an (n, n) array; dense() builds V."""
+    product route finds them: G's basis g (DenseBasis, BipartiteBasis,
+    FourierBasis, as for a prism C_n x K2, or PathBasis, as for a ladder
+    P_n x K2), H's dense h, and order, V's columns among the g_i (x) h_j
+    (column i |H| + j). A nested product folds into one h (Q10 is
+    V_Q5 (x) a 32 x 32 h). With x read as an (|G|, |H|) matrix X, V^T x is
+    g^T X h, and V c its reverse: neither makes an (n, n) array; dense()
+    builds V."""
 
-    def __init__(self, g: DenseBasis | FourierBasis | BipartiteBasis, h: np.ndarray, order: np.ndarray):
+    def __init__(self, g: DenseBasis | FourierBasis | PathBasis | BipartiteBasis, h: np.ndarray,
+                 order: np.ndarray):
         self.g, self.h, self.order = g, h, order
         self.n = len(order)
 
@@ -180,14 +239,14 @@ class KroneckerBasis:
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector
     blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds (DenseBasis, KroneckerBasis, FourierBasis or
-    BipartiteBasis). The stages reach V^T X only through a Projection
-    (basis.project); a lift V[:, cols] C is formed only by
+    V, which basis holds (DenseBasis, KroneckerBasis, FourierBasis,
+    PathBasis or BipartiteBasis). The stages reach V^T X only through a
+    Projection (basis.project); a lift V[:, cols] C is formed only by
     Projection.reflect, evolve and universal_pst_pair, and V itself only by
     transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
-    basis: DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis  # V, columns grouped by cluster
+    basis: DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis  # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
@@ -573,6 +632,29 @@ def _circulant_route(form: EdgeForm):
     return values[order], FourierBasis(n, rows[order])
 
 
+def _path_route(form: EdgeForm):
+    """A uniform path M = tridiag(w, a, w) from BIPARTITE_MIN_N on, in
+    closed form: with ends a (Dirichlet), the eigenvalues a + 2w cos(pi k /
+    (n + 1)), k = 1..n, on the DST-I vectors; with ends a + w (Neumann),
+    a + 2w cos(pi k / n), k = 0..n - 1, on the DCT-II vectors; sorted
+    descending into a PathBasis. Detected exactly in O(n) from the form:
+    the n - 1 edges (i, i + 1), all with one entry w, one interior diagonal
+    value a, and both ends equal to a or to a + w as it rounds. So a path
+    shifted by cI whose end sum a + w rounds away from its shifted end value
+    is passed on, to the mirror route, which is slower but as correct."""
+    n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
+    if n < BIPARTITE_MIN_N or len(src) != n - 1:
+        return None
+    w, a, r = entries[0], d[1], np.arange(n)
+    if (not np.array_equal(src, r[:-1]) or not np.array_equal(dst, r[1:]) or (entries != w).any()
+            or (d[1:-1] != a).any() or d[0] != d[-1] or d[0] not in (a, a + w)):
+        return None
+    neumann = bool(d[0] != a)
+    values = a + 2.0 * w * np.cos(np.pi / n * r if neumann else np.pi / (n + 1) * (r + 1))
+    order = np.argsort(-values, kind="stable")
+    return values[order], PathBasis(n, neumann, order)
+
+
 def _bipartite_route(form: EdgeForm):
     parts = _route_parts(form)
     return None if parts is None else _bipartite_eigh(form, *parts)
@@ -586,16 +668,17 @@ def _mirror_route(form: EdgeForm):
     return evals[merge], vectors[:, merge]
 
 
-ROUTES = (_product_route, _circulant_route, _bipartite_route, _mirror_route,
+ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route,
           lambda form: np.linalg.eigh(form.dense()))
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis]:
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray,
+                                         DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis]:
     """(values, basis) from the first route of ROUTES that does not pass the
-    form on (None): descending from the product, circulant or bipartite
-    route, else ascending, the raw V of eigh or the mirror route made a
-    DenseBasis. A form with no edges, or no edge list (symmetric only to
-    SYMMETRY_TOL), goes to eigh."""
+    form on (None): descending from the product, circulant, path or
+    bipartite route, else ascending, the raw V of eigh or the mirror route
+    made a DenseBasis. A form with no edges, or no edge list (symmetric only
+    to SYMMETRY_TOL), goes to eigh."""
     for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
@@ -640,8 +723,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of one table
-    (_eigenpairs) that takes it, the first four from n = BIPARTITE_MIN_N on
-    (times against eigh's, one core of a 2-vCPU machine):
+    (_eigenpairs) that takes it, the first five from n = BIPARTITE_MIN_N on
+    (best-of times against eigh's, one core of a 2-vCPU machine):
     - the product route (_product_route), for G x K2 as cartesian_product
       labels it (_box_factor), a hypercube among them, of any kind: G goes
       back through the table, so Q10 splits down to one eigh of Q5 (Q10
@@ -652,13 +735,20 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
       by one real FFT of r, into a FourierBasis (C300 Laplacian: 0.12 ms,
       against 4.5 ms by the bipartite route's SVD; C201: 0.10 against 2.6
       ms by the mirror route);
+    - the path route (_path_route), for a uniform path tridiag(w, a, w) with
+      ends a or a + w: paths as build_path labels them, of either kind, in
+      closed form into a PathBasis (P300: 0.09 ms adjacency, against 3.7 ms
+      by the bipartite route's SVD; 0.07 ms Laplacian, against 4.3 ms by
+      the mirror route);
     - the bipartite route (_bipartite_eigh), for M = cI + [[0, B], [B^T, 0]]:
       bipartite adjacencies, regular bipartite Laplacians, by one SVD of B
-      (P300 adjacency: 3.7 against 7.5 ms). None of the first three reads
-      the dense matrix, which a Hamiltonian builds on first read;
+      (P300 adjacency with weight 2 on both end edges: 3.4 against 8.2 ms).
+      None of the first four reads the dense matrix, which a Hamiltonian
+      builds on first read;
     - the mirror route (_mirror_eigh), two eighs of about n/2 when JMJ = M
-      for the reversal J: path Laplacians and K_{p,p} as their builders
-      label them (P299 Laplacian: 4.7 against 8.1 ms);
+      for the reversal J: K_{p,p} as its builder labels it, or a path
+      Laplacian off the path route (K150,150 adjacency: 3.6 against 7.1 ms;
+      P299 Laplacian with weight 2 on both end edges: 4.3 against 9.2 ms);
     - np.linalg.eigh, the only route for a form without edges.
     BIPARTITE_MIN_N is the crossover measured on paths, cycles and
     hypercubes; it also keeps the bytes of every recorded CLI golden, all

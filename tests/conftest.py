@@ -67,6 +67,14 @@ def heavy_end_edge(g):
     return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) == (0, g.n - 1) else w) for u, v, w in g.edges])
 
 
+def heavy_path_ends(g):
+    """The path g with weight 2 on its two end edges (0, 1) and (n - 2, n - 1),
+    which the reversal i -> n - 1 - i swaps: it stays mirror symmetric and
+    bipartite but is no longer uniform, so the path route passes it on."""
+    ends = {(0, 1), (g.n - 2, g.n - 1)}
+    return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) in ends else w) for u, v, w in g.edges])
+
+
 def random_connected_graph(rng, n, extra_edges=2):
     """Random tree plus a few extra edges; unit weights."""
     tree = random_tree(rng, n)

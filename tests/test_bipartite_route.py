@@ -6,7 +6,7 @@ multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and the
 same pst_decide and pst_partner verdicts. decompose takes it only from
 BIPARTITE_MIN_N on, for an exactly symmetric matrix with one constant on its
 diagonal and a bipartite, not complete bipartite, edge pattern that the
-product and circulant routes before it pass on: spectral._route_parts
+product, circulant and path routes before it pass on: spectral._route_parts
 decides, from the EdgeForm that decompose's door makes of a Hamiltonian's
 edge arrays or of a raw matrix's nonzeros above the diagonal. Both routes
 read only that form, so a Hamiltonian on either never builds its dense
@@ -19,7 +19,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from conftest import heavy_end_edge, pair_state
+from conftest import heavy_end_edge, heavy_path_ends, pair_state
 from oracles import projector
 from test_hamiltonian_arrays import assert_one_form, assert_same_form
 
@@ -141,8 +141,8 @@ CASES = _cases()
 
 def _route_decompose(monkeypatch, mat, parts):
     """decompose with the route forced at every n on these parts, and the
-    product and circulant routes before it left out."""
-    before = (spectral._product_route, spectral._circulant_route)
+    product, circulant and path routes before it left out."""
+    before = (spectral._product_route, spectral._circulant_route, spectral._path_route)
     with monkeypatch.context() as m:
         m.setattr(spectral, "BIPARTITE_MIN_N", 1)
         m.setattr(spectral, "ROUTES", tuple(r for r in spectral.ROUTES if r not in before))
@@ -243,11 +243,17 @@ def _relabelled_cycle(n):
     return pw.make_graph(n, [(int(p[a]), int(p[b])) for a, b, _ in pw.build_cycle(n).edges])
 
 
+def _heavy_path(n):
+    """The n-path with heavy end edges: off the path route, which takes the
+    uniform path."""
+    return heavy_path_ends(pw.build_path(n))
+
+
 def test_route_taken_from_the_crossover_on(monkeypatch):
-    for build, kind in ((pw.build_path, pw.ADJACENCY), (_relabelled_cycle, pw.LAPLACIAN)):
+    for build, kind in ((_heavy_path, pw.ADJACENCY), (_relabelled_cycle, pw.LAPLACIAN)):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
-    assert _route_calls(monkeypatch, _graph_matrix(pw.build_path(MIN_N - 1), pw.ADJACENCY)) == 0
+    assert _route_calls(monkeypatch, _graph_matrix(_heavy_path(MIN_N - 1), pw.ADJACENCY)) == 0
     # a hypercube takes the product route first, down to Q5's eigh; relabelled, this one
     for d in (7, 8, 9, 10):
         assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.LAPLACIAN)) == 0
@@ -379,7 +385,7 @@ def _random_weighted():
 def _lazy_cases():
     k2 = pw.build_path(2)
     graphs = ([(f"Q{d}", pw.build_hypercube(d)) for d in range(6, 11)]
-              + [(f"P{n}", pw.build_path(n)) for n in (64, 65, 100, 300)]
+              + [(f"P{n}", _heavy_path(n)) for n in (64, 65, 100, 300)]
               + [(f"C{n}", pw.build_cycle(n)) for n in (64, 128, 300)]
               + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
                  ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
@@ -390,7 +396,8 @@ def _lazy_cases():
 
 
 LAZY_CASES = _lazy_cases()
-# the irregular path Laplacians take the mirror route, the random graph eigh
+# the irregular path Laplacians (heavy ends keep them off the path route)
+# take the mirror route, the random graph eigh
 OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian",
              "random-weighted-adjacency", "random-weighted-laplacian"}
 
@@ -432,11 +439,11 @@ def test_box_product_needs_no_svd(monkeypatch):
                 _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
 
 
-# the odd cycle and K_n weighted off the circulant route, which comes first
+# the odd cycle, K_n and the path weighted off the circulant and path routes, which come first
 @pytest.mark.parametrize("mat", [
     _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.ADJACENCY),  # odd cycle
     _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.LAPLACIAN),
-    _graph_matrix(pw.build_path(MIN_N + 6), pw.LAPLACIAN),           # degrees 1 and 2
+    _graph_matrix(_heavy_path(MIN_N + 6), pw.LAPLACIAN),             # degrees 2 and 3
     _graph_matrix(pw.build_complete_bipartite(30, 50), pw.ADJACENCY),
     _graph_matrix(heavy_end_edge(pw.build_complete(MIN_N)), pw.ADJACENCY),
     _graph_matrix(pw.build_empty(MIN_N), pw.ADJACENCY),

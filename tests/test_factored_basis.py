@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, Projection
-from conftest import pair_state, random_tree
+from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis, Projection
+from conftest import heavy_path_ends, pair_state, random_tree
 from oracles import eigenvector
 
 
@@ -84,14 +84,15 @@ def _check_basis(dec, rng):
 
 
 DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), 0),
-               ("P150-laplacian", pw.hamiltonian(pw.build_path(150), pw.LAPLACIAN), 1)]
+               ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), 1)]
 
 
 @pytest.mark.parametrize("name,ham,mirror", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_basis(monkeypatch, name, ham, mirror, seed):
-    """P7 through eigh and the P150 Laplacian through the mirror route hold
-    V as a DenseBasis, which keeps the protocol of the factored bases."""
+    """P7 through eigh and the P150 Laplacian with heavy end edges (the path
+    route takes the uniform one) through the mirror route hold V as a
+    DenseBasis, which keeps the protocol of the factored bases."""
     calls = []
     real = spectral._mirror_eigh
     monkeypatch.setattr(spectral, "_mirror_eigh", lambda mat: calls.append(len(mat)) or real(mat))
@@ -101,7 +102,8 @@ def test_dense_basis(monkeypatch, name, ham, mirror, seed):
 
 
 EMPTY_CASES = [("Q8", pw.build_hypercube(8), KroneckerBasis), ("P7", pw.build_path(7), DenseBasis),
-               ("P100", pw.build_path(100), BipartiteBasis)]
+               ("P100", heavy_path_ends(pw.build_path(100)), BipartiteBasis),
+               ("P100-uniform", pw.build_path(100), PathBasis)]
 
 
 @pytest.mark.parametrize("name,g,kind", EMPTY_CASES, ids=[c[0] for c in EMPTY_CASES])
@@ -151,9 +153,10 @@ def test_product_basis(case, kind, seed):
 
 
 def test_product_factor_reaches_an_svd():
-    # P64 x K2: its factor P64 takes the bipartite route, whose 32 x 32
-    # block goes to the SVD
-    g = pw.cartesian_product(pw.build_path(64), pw.build_path(2))
+    # P64 x K2 with heavy end edges on P64: its factor takes the bipartite
+    # route (the path route takes the uniform P64), whose 32 x 32 block
+    # goes to the SVD
+    g = pw.cartesian_product(heavy_path_ends(pw.build_path(64)), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
     assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.shape == (2, 2)
     _check_basis(dec, np.random.default_rng(64))
@@ -248,14 +251,14 @@ def test_relabelling_keeps_verdicts(name, g, kind):
     """Verdicts, reasons and transfer times agree between a graph and a
     seeded relabelling of it, and so do partners once relabelled back. The
     relabelling moves Q8 off cartesian_product's labelling, from the product
-    route to the SVD, and C128 off build_cycle's, from the circulant route
-    to the SVD."""
+    route to the SVD, C128 off build_cycle's, from the circulant route to
+    the SVD, and P128 off build_path's, from the path route to the SVD."""
     rng = np.random.default_rng(128)
     perm = rng.permutation(g.n)
     natural = pw.decompose(pw.hamiltonian(g, kind))
     moved = pw.decompose(pw.hamiltonian(_relabelled(g, perm), kind))
     assert isinstance(moved.basis, BipartiteBasis)
-    assert isinstance(natural.basis, {"Q8": KroneckerBasis, "C128": FourierBasis}.get(name, BipartiteBasis))
+    assert isinstance(natural.basis, {"Q8": KroneckerBasis, "C128": FourierBasis, "P128": PathBasis}[name])
     for _ in range(8):
         u, v = (int(a) for a in rng.choice(g.n, size=2, replace=False))
         x = pair_state(g.n, u, v, float(rng.choice([-1.0, 1.0])))

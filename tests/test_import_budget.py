@@ -34,8 +34,8 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 # the rational arithmetic runs on plain ints; fractions imports decimal; numpy
-# loads numpy.fft on first access, which only the circulant route makes, from
-# n = 64 on
+# loads numpy.fft on first access, which only the circulant and path routes'
+# bases make, from n = 64 on
 NEVER = {"fractions", "decimal", "numpy.fft"}
 CATALOG = {"families", "constructions", "sensitivity", "synthesis"} | NEVER
 GRAPH_PAIR = ["p7.json", "p7_x.json", "p7_y.json"]

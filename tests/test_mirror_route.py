@@ -6,15 +6,16 @@ palindrome and the reversed edges, with their values, equal to the edges. It
 must give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
 1e-12 * scale and projectors to 1e-10, and the same verdicts as a
 relabelled copy of the graph, which takes eigh. The cycles and complete
-graphs here carry weight 2 on their edge (0, n - 1), which J fixes: the
-circulant route, before this one, takes them unweighted."""
+graphs here carry weight 2 on their edge (0, n - 1), which J fixes, and the
+paths weight 2 on both end edges, which J swaps: the circulant and the path
+routes, before this one, take them unweighted."""
 
 import numpy as np
 import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from conftest import heavy_end_edge, pair_state
+from conftest import heavy_end_edge, heavy_path_ends, pair_state
 from oracles import projector
 from test_bipartite_route import _bytes, assert_same_verdicts
 
@@ -34,7 +35,8 @@ def _mirror_chain(n):
 
 
 def _route_cases():
-    cases = [(f"P{n}-laplacian", pw.hamiltonian(pw.build_path(n), pw.LAPLACIAN)) for n in (64, 65, 101, 200, 300)]
+    cases = [(f"P{n}-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(n)), pw.LAPLACIAN))
+             for n in (64, 65, 101, 200, 300)]
     cases += [(f"C{n}-{kind}", pw.hamiltonian(heavy_end_edge(pw.build_cycle(n)), kind))
               for n in (65, 151, 299) for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
     cases += [("K64-adjacency", pw.hamiltonian(heavy_end_edge(pw.build_complete(64)), pw.ADJACENCY)),
@@ -147,8 +149,8 @@ BIPARTITE_ROUTE = [
 @pytest.mark.parametrize("name,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])
 def test_bipartite_route_comes_first(monkeypatch, name, ham):
     # each is mirror symmetric too, but a route before this one takes it:
-    # the product route Q7 and C32 x K2, the circulant route C64, else the
-    # bipartite route
+    # the product route Q7 and C32 x K2, the circulant route C64, the path
+    # route P64, else the bipartite route
     form = spectral._edge_form(ham)
     assert spectral._mirrored(form)
     assert spectral._route_parts(form) is not None
