@@ -100,10 +100,8 @@ class Hamiltonian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, read-only, built once on first read. decompose
-        reads it only for the mirror route and np.linalg.eigh: the product,
-        circulant, path and bipartite routes work from diagonal and values,
-        so a Hamiltonian they take never builds this n x n array."""
+        """The dense matrix, read-only, built once on first read: only by a
+        route of decompose that reads the dense M (the mirror route, eigh)."""
         g = self.graph
         return _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values))
 

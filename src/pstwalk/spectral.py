@@ -6,16 +6,10 @@ eigenvector matrix V, is never stored. A stage reaches V only through the
 record of its states, Projection: c = V^T X formed once, read as cluster
 sums over c and lifts V c, which do not depend on the basis eigh picked
 inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
-denominator, the states' own, so that an inconsistent V shows. Each basis
-holds V in its own format behind one protocol (n, project, lift, dense):
-one (n, n) array from eigh and the mirror route (DenseBasis), a Kronecker
-product of its factors' bases from the product route (KroneckerBasis), the
-real Fourier vectors of a circulant, applied by one real FFT, from the
-circulant route (FourierBasis), the sine or cosine vectors of a uniform
-path, applied by one real FFT, from the path route (PathBasis), the SVD of
-its half block from the bipartite route (BipartiteBasis), so a hypercube,
-cycle, complete graph or path of either kind is decided with no (n, n)
-array."""
+denominator, the states' own, so that an inconsistent V shows. Each route
+of decompose's table ROUTES holds V in its own format (one of Basis) behind
+one protocol (n, project, lift, dense), so a hypercube, cycle, complete
+graph or path of either kind is decided with no (n, n) array."""
 
 from __future__ import annotations
 
@@ -27,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import Hamiltonian
+from .graphs import Hamiltonian, _dense
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
@@ -207,8 +201,7 @@ class KroneckerBasis:
     g^T X h, and V c its reverse: neither makes an (n, n) array; dense()
     builds V."""
 
-    def __init__(self, g: DenseBasis | FourierBasis | PathBasis | BipartiteBasis, h: np.ndarray,
-                 order: np.ndarray):
+    def __init__(self, g: Basis, h: np.ndarray, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
         self.n = len(order)
 
@@ -235,18 +228,20 @@ class KroneckerBasis:
         return (self.g.dense()[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
 
 
+Basis = DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis  # V, as each route holds it
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (strictly decreasing) with their eigenvector
-    blocks: cluster j is spanned by the columns offsets[j]:offsets[j + 1] of
-    V, which basis holds (DenseBasis, KroneckerBasis, FourierBasis,
-    PathBasis or BipartiteBasis). The stages reach V^T X only through a
+    """Distinct eigenvalues (strictly decreasing) with their eigenvector blocks:
+    cluster j is spanned by the columns offsets[j]:offsets[j + 1] of V, which
+    basis holds (one of Basis). The stages reach V^T X only through a
     Projection (basis.project); a lift V[:, cols] C is formed only by
     Projection.reflect, evolve and universal_pst_pair, and V itself only by
     transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
-    basis: DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis  # V, columns grouped by cluster
+    basis: Basis                              # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
@@ -333,7 +328,7 @@ class Projection:
         return self.states[:, cols] - 2.0 * self.dec.basis.lift(self.coef[flip][:, cols], flip)
 
 
-BIPARTITE_MIN_N = 64  # measured crossover of the factored routes against eigh
+ROUTE_MIN_N = 64      # measured crossover of the routes against eigh: below it, eigh alone
 ASYMMETRY_BAND = 64   # rows per band of _asymmetry
 
 
@@ -423,16 +418,16 @@ def _edge_form(m) -> EdgeForm:
 
 def _route_parts(form: EdgeForm) -> tuple[np.ndarray, np.ndarray] | None:
     """The sorted parts P, Q on which the form takes the bipartite route
-    (_bipartite_eigh); None below BIPARTITE_MIN_N or for two diagonal
-    values. Vertex 0's edges settle the dense patterns in O(m): a triangle
-    through it has no 2-colouring, and a complete bipartite pattern is left
-    to the routes after it, while the SVD of its rank-one block is erratic
-    (1.8x eigh's time over K_{p,q}, 64 <= p + q <= 256). Otherwise a
-    breadth-first search colours each component from its least vertex,
-    refuses at the first edge inside a colour and stops once every vertex
-    is coloured; one pass over the edges then checks each joins P to Q."""
+    (_bipartite_eigh); None for two diagonal values. Vertex 0's edges settle
+    the dense patterns in O(m): a triangle through it has no 2-colouring, and
+    a complete bipartite pattern is left to the routes after it, while the SVD
+    of its rank-one block is erratic (1.8x eigh's time over K_{p,q}, 64 <= p +
+    q <= 256). Otherwise a breadth-first search colours each component from
+    its least vertex, refuses at the first edge inside a colour and stops once
+    every vertex is coloured; one pass over the edges then checks each joins P
+    to Q."""
     n, diagonal, src, dst = form.n, form.diagonal, form.src, form.dst
-    if n < BIPARTITE_MIN_N or (diagonal != diagonal[0]).any():
+    if (diagonal != diagonal[0]).any():
         return None
     d = int(np.searchsorted(src, 1))  # vertex 0's edges come first
     nbrs = np.zeros(n, dtype=bool)
@@ -482,11 +477,9 @@ def _block_entries(n: int, p: np.ndarray, q: np.ndarray, src: np.ndarray,
 
 
 def _dense_block(shape: tuple[int, int], i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The routes' one dense builder: B = M[P, Q] of the given shape, with
-    the entries at (i, k) (_block_entries) and zero elsewhere, float for
-    float the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0),
-    made only where eigh or svd reads it; also the product route's factor
-    M[0::2, 0::2], with its diagonal and both triangles as entries."""
+    """The SVD's rectangular block B = M[P, Q] of the given shape, with the
+    entries at (i, k) (_block_entries) and zero elsewhere, float for float
+    the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0)."""
     b = np.zeros(shape)
     b[i, k] = entries
     return b
@@ -509,12 +502,13 @@ def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.nd
 def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
     """G's EdgeForm and K2's 2 x 2 matrix when the form's M is exactly
     M_G (x) I_2 + I_G (x) M_K2 in cartesian_product's labelling v = 2a + b,
-    from BIPARTITE_MIN_N on, else None. In O(m), with no dense M: each a has
-    a rung, the edge (2a, 2a + 1), all with one entry w; every other edge
-    keeps b, with one list for b = 0 and b = 1; and d(2a + 1) - d(2a) is one
-    constant delta. G's diagonal is then d(2a), and M_K2 = [[0, w], [w, delta]]."""
+    else None. In O(m), with no dense M: each a has a rung, the edge
+    (2a, 2a + 1), all with one entry w; every other edge keeps b, with one
+    list for b = 0 and b = 1; and d(2a + 1) - d(2a) is one constant delta.
+    G's diagonal is then d(2a), and M_K2 = [[0, w], [w, delta]]; G's dense()
+    is graphs' one dense builder, as a Hamiltonian's."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
-    if n < BIPARTITE_MIN_N or n % 2:
+    if n % 2:
         return None
     low = src & 1 == 0
     rung = low & (dst == src + 1)
@@ -526,9 +520,9 @@ def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
     if ((dst[top] & 1).any() or not np.array_equal(src[bottom], 2 * a + 1)
             or not np.array_equal(dst[bottom], 2 * b + 1) or not np.array_equal(entries[bottom], values)):
         return None
-    half, diagonal, r = n // 2, d[0::2], np.arange(n // 2)
+    half, diagonal = n // 2, d[0::2]
     g = EdgeForm(half, diagonal, a, b, values, _edge_scale(half, diagonal, a, b, values),
-                 lambda: _dense_block((half, half), np.r_[a, b, r], np.r_[b, a, r], np.r_[values, values, diagonal]))
+                 lambda: _dense(half, a, b, diagonal, values))
     return g, np.array([[0.0, w[0]], [w[0], shift[0]]])
 
 
@@ -585,7 +579,10 @@ def _product_route(form: EdgeForm):
     """A box product G x K2 (_box_factor) from its factors' eigenpairs: G's
     from the route table (_eigenpairs), K2's from one 2 x 2 eigh, and the
     eigenpairs (lambda_i + mu_j, g_i (x) h_j) sorted descending into a
-    KroneckerBasis, into which a factored G's own KroneckerBasis folds."""
+    KroneckerBasis, into which a factored G's own KroneckerBasis folds, so
+    Q10 splits down to one eigh of Q5 (Q10 built and decomposed: 0.8-0.9 ms
+    against 230-270 ms by eigh, best of runs on one core of a 2-vCPU
+    machine, as every time here)."""
     factors = _box_factor(form)
     if factors is None:
         return None
@@ -599,17 +596,18 @@ def _product_route(form: EdgeForm):
 
 
 def _circulant_route(form: EdgeForm):
-    """A circulant M, m_ij = r_((j - i) mod n), from BIPARTITE_MIN_N on, by
-    one real FFT of its first row r: eigenvalue rfft(r)[k].real for the
-    cosine and the sine vector of frequency k alike, so each pair is
-    degenerate exactly, sorted descending into a FourierBasis. Detected
-    exactly in O(m) from the form: one diagonal value, and the circular
-    distance d = min(j - i, n - (j - i)) of every edge sorts the edges into
-    classes that are each empty or complete (n edges, n/2 at d = n/2, the
-    form's edges being distinct) and hold one entry each. numpy.fft loads
-    on first access (about 0.9 ms), so only a circulant reaches it."""
+    """A circulant M, m_ij = r_((j - i) mod n), by one real FFT of its first row
+    r: eigenvalue rfft(r)[k].real for the cosine and the sine vector of
+    frequency k alike, so each pair is degenerate exactly, sorted descending
+    into a FourierBasis. Detected exactly in O(m) from the form: one diagonal
+    value, and the circular distance d = min(j - i, n - (j - i)) of every edge
+    sorts the edges into classes that are each empty or complete (n edges, n/2
+    at d = n/2, the form's edges being distinct) and hold one entry each.
+    numpy.fft loads on first access (about 0.9 ms), so only a circulant
+    reaches it (C300 Laplacian: 0.12 ms, against 4.5 ms by the bipartite
+    route's SVD)."""
     n, src, dst, entries = form.n, form.src, form.dst, form.entries
-    if n < BIPARTITE_MIN_N or (form.diagonal != form.diagonal[0]).any():
+    if (form.diagonal != form.diagonal[0]).any():
         return None
     step = dst - src
     h = n // 2 + 1
@@ -633,17 +631,18 @@ def _circulant_route(form: EdgeForm):
 
 
 def _path_route(form: EdgeForm):
-    """A uniform path M = tridiag(w, a, w) from BIPARTITE_MIN_N on, in
-    closed form: with ends a (Dirichlet), the eigenvalues a + 2w cos(pi k /
-    (n + 1)), k = 1..n, on the DST-I vectors; with ends a + w (Neumann),
-    a + 2w cos(pi k / n), k = 0..n - 1, on the DCT-II vectors; sorted
-    descending into a PathBasis. Detected exactly in O(n) from the form:
-    the n - 1 edges (i, i + 1), all with one entry w, one interior diagonal
-    value a, and both ends equal to a or to a + w as it rounds. So a path
-    shifted by cI whose end sum a + w rounds away from its shifted end value
-    is passed on, to the mirror route, which is slower but as correct."""
+    """A uniform path M = tridiag(w, a, w) in closed form: with ends a
+    (Dirichlet), the eigenvalues a + 2w cos(pi k / (n + 1)), k = 1..n, on the
+    DST-I vectors; with ends a + w (Neumann), a + 2w cos(pi k / n), k = 0..n -
+    1, on the DCT-II vectors; sorted descending into a PathBasis. Detected
+    exactly in O(n) from the form: the n - 1 edges (i, i + 1), all with one
+    entry w, one interior diagonal value a, and both ends equal to a or to a +
+    w as it rounds. So a path shifted by cI whose end sum a + w rounds away
+    from its shifted end value is passed on, to the mirror route, which is
+    slower but as correct (P300 adjacency: 0.09 ms, against 3.7 ms by the
+    bipartite route's SVD)."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
-    if n < BIPARTITE_MIN_N or len(src) != n - 1:
+    if len(src) != n - 1:
         return None
     w, a, r = entries[0], d[1], np.arange(n)
     if (not np.array_equal(src, r[:-1]) or not np.array_equal(dst, r[1:]) or (entries != w).any()
@@ -656,34 +655,45 @@ def _path_route(form: EdgeForm):
 
 
 def _bipartite_route(form: EdgeForm):
+    """cI + [[0, B], [B^T, 0]] on the parts _route_parts finds, by one SVD of
+    B (_bipartite_eigh) (P300 adjacency with weight 2 on both end edges:
+    3.4 ms, against 8.2 ms by eigh)."""
     parts = _route_parts(form)
     return None if parts is None else _bipartite_eigh(form, *parts)
 
 
 def _mirror_route(form: EdgeForm):
-    if form.n < BIPARTITE_MIN_N or not _mirrored(form):
+    """A mirror-symmetric M (_mirrored) by two eighs of about n/2
+    (_mirror_eigh), merged into eigh's ascending order on a DenseBasis
+    (K150,150 adjacency: 3.6 ms, against 7.1 ms by eigh)."""
+    if not _mirrored(form):
         return None
     evals, vectors = _mirror_eigh(form.dense())
     merge = np.argsort(evals, kind="stable")  # its two ascending runs, merged as eigh orders them
-    return evals[merge], vectors[:, merge]
+    return evals[merge], DenseBasis(vectors[:, merge])
 
 
-ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route,
-          lambda form: np.linalg.eigh(form.dense()))
+def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
+    """np.linalg.eigh of the dense M, which takes every form (Q10's 1024 x
+    1024 matrix: 230-270 ms)."""
+    evals, vectors = np.linalg.eigh(form.dense())
+    return evals, DenseBasis(vectors)
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray,
-                                         DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis]:
+ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route, _eigh_route)
+
+
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis]:
     """(values, basis) from the first route of ROUTES that does not pass the
     form on (None): descending from the product, circulant, path or
-    bipartite route, else ascending, the raw V of eigh or the mirror route
-    made a DenseBasis. A form with no edges, or no edge list (symmetric only
-    to SYMMETRY_TOL), goes to eigh."""
-    for route in ROUTES if form.src is not None and len(form.src) else ROUTES[-1:]:
+    bipartite route, ascending on a DenseBasis from the mirror route or
+    eigh. A form below ROUTE_MIN_N, with no edges, or with no edge list
+    (symmetric only to SYMMETRY_TOL) goes to eigh alone."""
+    routed = form.n >= ROUTE_MIN_N and form.src is not None and len(form.src)
+    for route in ROUTES if routed else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
-            evals, basis = pairs
-            return evals, DenseBasis(basis) if isinstance(basis, np.ndarray) else basis
+            return pairs
 
 
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -722,37 +732,14 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     protocol, and only the ascending dense routes' one is regrouped.
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
-    EdgeForm, and the spectrum comes from the first route of one table
-    (_eigenpairs) that takes it, the first five from n = BIPARTITE_MIN_N on
-    (best-of times against eigh's, one core of a 2-vCPU machine):
-    - the product route (_product_route), for G x K2 as cartesian_product
-      labels it (_box_factor), a hypercube among them, of any kind: G goes
-      back through the table, so Q10 splits down to one eigh of Q5 (Q10
-      built and decomposed: 0.8-0.9 ms against 230-270 ms; relabelled, by
-      the bipartite route's SVD: 60 ms);
-    - the circulant route (_circulant_route), for M with m_ij = r_((j - i)
-      mod n): cycles and K_n as their builders label them, of either kind,
-      by one real FFT of r, into a FourierBasis (C300 Laplacian: 0.12 ms,
-      against 4.5 ms by the bipartite route's SVD; C201: 0.10 against 2.6
-      ms by the mirror route);
-    - the path route (_path_route), for a uniform path tridiag(w, a, w) with
-      ends a or a + w: paths as build_path labels them, of either kind, in
-      closed form into a PathBasis (P300: 0.09 ms adjacency, against 3.7 ms
-      by the bipartite route's SVD; 0.07 ms Laplacian, against 4.3 ms by
-      the mirror route);
-    - the bipartite route (_bipartite_eigh), for M = cI + [[0, B], [B^T, 0]]:
-      bipartite adjacencies, regular bipartite Laplacians, by one SVD of B
-      (P300 adjacency with weight 2 on both end edges: 3.4 against 8.2 ms).
-      None of the first four reads the dense matrix, which a Hamiltonian
-      builds on first read;
-    - the mirror route (_mirror_eigh), two eighs of about n/2 when JMJ = M
-      for the reversal J: K_{p,p} as its builder labels it, or a path
-      Laplacian off the path route (K150,150 adjacency: 3.6 against 7.1 ms;
-      P299 Laplacian with weight 2 on both end edges: 4.3 against 9.2 ms);
-    - np.linalg.eigh, the only route for a form without edges.
-    BIPARTITE_MIN_N is the crossover measured on paths, cycles and
-    hypercubes; it also keeps the bytes of every recorded CLI golden, all
-    smaller: the factorisations agree to rounding, not in their last bits.
+    EdgeForm, and the spectrum comes from the first route of one table,
+    ROUTES, that takes it (_eigenpairs): from ROUTE_MIN_N on, the product,
+    circulant, path, bipartite and mirror routes, each for one structure it
+    detects exactly on the form, and np.linalg.eigh for every form. The
+    first four never read the dense matrix. ROUTE_MIN_N is the crossover
+    measured on paths, cycles and hypercubes; it also keeps the bytes of
+    every recorded CLI golden, all smaller: the factorisations agree to
+    rounding, not in their last bits.
 
     Raises InvalidStateError for an empty, non-square or asymmetric matrix
     and NumericFailureError for a non-finite or overflowing M.

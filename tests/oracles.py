@@ -1,13 +1,17 @@
 """Reference constructions the tests compare the engine against, built on
-the dense V and projectors of a SpectralDecomposition, the three-pass
-ratio condition the one-pass rule replaced, and the argsort form of the
-catalog's pair-shape test."""
+the dense V and projectors of a SpectralDecomposition, decompose with its
+route table cut down (eigh alone, the reference every route is checked
+against), scipy's expm, the three-pass ratio condition the one-pass rule
+replaced, and the argsort form of the catalog's pair-shape test."""
 
 import math
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 import pstwalk as pw
+from pstwalk import spectral
 from pstwalk.arith import reconstruct_fraction
 from pstwalk.periodicity import MAX_LCM, PHASE_ALIGNMENT, NonPeriodic, RatioTable, _validate_support
 from pstwalk.spectral import Projection
@@ -19,6 +23,31 @@ def projector(dec, j):
     v = dec.basis.dense()[:, dec.offsets[j]:dec.offsets[j + 1]]
     e = v @ v.T
     return (e + e.T) / 2.0
+
+
+def forced_decompose(m, *routes, gate=None, **kernels):
+    """decompose(m) with ROUTES cut to the routes named ("bipartite" for
+    spectral._bipartite_route, ...) and then eigh, taken from n = gate on
+    (default ROUTE_MIN_N), and each spectral kernel given replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        table = tuple(getattr(spectral, f"_{route}_route") for route in routes) + (spectral._eigh_route,)
+        patch.setattr(spectral, "ROUTES", table)
+        if gate is not None:
+            patch.setattr(spectral, "ROUTE_MIN_N", gate)
+        for name, value in kernels.items():
+            patch.setattr(spectral, name, value)
+        return pw.decompose(m)
+
+
+def eigh_decompose(m):
+    """decompose(m) by np.linalg.eigh alone."""
+    return forced_decompose(m)
+
+
+def expm_transfer(mat, x, y, tau):
+    """|y^T exp(i tau M) x| / (||x|| ||y||) from scipy's expm of the dense M."""
+    u = scipy.linalg.expm(1j * tau * np.asarray(mat))
+    return abs(y @ (u @ x)) / (np.linalg.norm(x) * np.linalg.norm(y))
 
 
 def reconstruct(dec):

@@ -12,23 +12,17 @@ import pytest
 import pstwalk as pw
 from conftest import (
     basis_state,
+    decompose_graph,
     pair_state,
     random_connected_graph,
     random_support_state,
     random_tree,
+    same_state,
     unit,
 )
 from oracles import all_partners, eigenvector, moments, projector
 
 RNG = np.random.default_rng(987654321)
-
-
-def _dec(graph, kind=pw.ADJACENCY):
-    return pw.decompose(pw.hamiltonian(graph, kind))
-
-
-def _same_state(a, b, tol=1e-8):
-    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= tol * np.linalg.norm(a)
 
 
 def _margin_state(rng, n):
@@ -50,7 +44,7 @@ def _passline(k, name):
 
 def test_criterion_01_complete_graphs():
     for n in range(2, 9):
-        dec = _dec(pw.build_complete(n))
+        dec = decompose_graph(pw.build_complete(n))
         for _ in range(20):
             x = _margin_state(RNG, n)
             y = x - 2.0 * x.sum() / n * np.ones(n)
@@ -60,13 +54,13 @@ def test_criterion_01_complete_graphs():
     # plus pair of the 4-clique at pi/4, all reproduced exactly
     y, tau = pw.complete_graph_pst(3, np.array([1.0, 0.0, 2.0]))
     assert tau == pytest.approx(math.pi / 3, rel=1e-12)
-    assert _same_state(y, np.array([1.0, 2.0, 0.0]))
+    assert same_state(y, np.array([1.0, 2.0, 0.0]))
     y, tau = pw.complete_graph_pst(3, np.array([1.0, 0.0, 0.5]))
     assert tau == pytest.approx(math.pi / 3, rel=1e-12)
-    assert _same_state(y, np.array([0.0, 1.0, 0.5]))
+    assert same_state(y, np.array([0.0, 1.0, 0.5]))
     y, tau = pw.complete_graph_pst(4, basis_state(4, 0, 2))
     assert tau == pytest.approx(math.pi / 4, rel=1e-12)
-    assert _same_state(y, basis_state(4, 1, 3))
+    assert same_state(y, basis_state(4, 1, 3))
     _passline(1, "complete graphs")
 
 
@@ -76,7 +70,7 @@ def test_criterion_02_cycles():
         (8, basis_state(8, 0, 4), basis_state(8, 2, 6)),
         (12, basis_state(12, 0, 4, 8), basis_state(12, 2, 6, 10)),
     ]:
-        dec = _dec(pw.build_cycle(n))
+        dec = decompose_graph(pw.build_cycle(n))
         check = pw.verify_pst_numeric(dec, x, y, math.pi / 2)
         assert check.fidelity >= 1.0 - 1e-8
         verdict = pw.pst_decide(dec, x, y)
@@ -84,7 +78,7 @@ def test_criterion_02_cycles():
 
     # family classification versus the engine over 200 states per size
     for n in range(3, 17):
-        dec = _dec(pw.build_cycle(n))
+        dec = decompose_graph(pw.build_cycle(n))
         cases = pw.cycle_pst_families(n)
         states = []
         for case in cases:
@@ -106,7 +100,7 @@ def test_criterion_02_cycles():
                 continue
             if match is not None:
                 assert partner is not None
-                assert _same_state(match.y, partner, tol=1e-6)
+                assert same_state(match.y, partner, tol=1e-6)
                 verdict = pw.pst_decide(dec, x, partner)
                 assert verdict.tau_min == pytest.approx(match.tau, rel=1e-9)
             else:
@@ -169,7 +163,7 @@ def test_criterion_04_paths_laplacian():
         (5, pair_state(5, 1, 3), np.array([2.0, -1.0, 0.0, 1.0, -2.0]) / r5, math.pi / r5),
     ]
     for n, x, y, tau in instances:
-        dec = _dec(pw.build_path(n), pw.LAPLACIAN)
+        dec = decompose_graph(pw.build_path(n), pw.LAPLACIAN)
         check = pw.verify_pst_numeric(dec, x, y, tau)
         assert check.fidelity >= 1.0 - 1e-8, (n, tau)
         verdict = pw.pst_decide(dec, x, y)
@@ -225,7 +219,7 @@ def test_criterion_05_complete_bipartite():
                 (pw.ADJACENCY, math.pi / math.sqrt(m * n)),
                 (pw.LAPLACIAN, math.pi / math.gcd(m, n)),
             ]:
-                dec = _dec(pw.build_complete_bipartite(m, n), kind)
+                dec = decompose_graph(pw.build_complete_bipartite(m, n), kind)
                 hits = 0
                 for _ in range(8):
                     x = _bipartite_margin_state(RNG, m, n, kind)
@@ -308,33 +302,33 @@ def _yes_pair_pool():
     criteria 1 through 6, with margins keeping them numerically robust."""
     pool = []
     for n in (3, 5, 8):
-        dec = _dec(pw.build_complete(n))
+        dec = decompose_graph(pw.build_complete(n))
         for _ in range(3):
             x = _margin_state(RNG, n)
             y, tau = pw.complete_graph_pst(n, x)
             pool.append((dec, x, y, tau))
-    pool.append((_dec(pw.build_complete(3)), np.array([1.0, 0.0, 2.0]),
+    pool.append((decompose_graph(pw.build_complete(3)), np.array([1.0, 0.0, 2.0]),
                  np.array([-1.0, -2.0, 0.0]), math.pi / 3))
-    pool.append((_dec(pw.build_complete(4)), basis_state(4, 0, 2),
+    pool.append((decompose_graph(pw.build_complete(4)), basis_state(4, 0, 2),
                  basis_state(4, 1, 3), math.pi / 4))
-    pool.append((_dec(pw.build_cycle(8)), basis_state(8, 0, 4),
+    pool.append((decompose_graph(pw.build_cycle(8)), basis_state(8, 0, 4),
                  basis_state(8, 2, 6), math.pi / 2))
-    pool.append((_dec(pw.build_cycle(12)), basis_state(12, 0, 4, 8),
+    pool.append((decompose_graph(pw.build_cycle(12)), basis_state(12, 0, 4, 8),
                  basis_state(12, 2, 6, 10), math.pi / 2))
     for n in (8, 12):
-        dec = _dec(pw.build_cycle(n))
+        dec = decompose_graph(pw.build_cycle(n))
         for case in pw.cycle_pst_families(n):
             pair = case.sample(RNG, min_coef=0.3)
             pool.append((dec, pair.x, pair.y, pair.tau))
-    pool.append((_dec(pw.build_path(7)), pair_state(7, 0, 6),
+    pool.append((decompose_graph(pw.build_path(7)), pair_state(7, 0, 6),
                  pair_state(7, 2, 4), math.pi / math.sqrt(2.0)))
-    pool.append((_dec(pw.build_path(3), pw.LAPLACIAN), pair_state(3, 0, 1),
+    pool.append((decompose_graph(pw.build_path(3), pw.LAPLACIAN), pair_state(3, 0, 1),
                  pair_state(3, 2, 1), math.pi / 2))
-    pool.append((_dec(pw.build_path(5), pw.LAPLACIAN), pair_state(5, 0, 4),
+    pool.append((decompose_graph(pw.build_path(5), pw.LAPLACIAN), pair_state(5, 0, 4),
                  np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / math.sqrt(5.0),
                  math.pi / math.sqrt(5.0)))
     for m, n, kind in [(2, 3, pw.ADJACENCY), (3, 3, pw.LAPLACIAN), (2, 4, pw.LAPLACIAN)]:
-        dec = _dec(pw.build_complete_bipartite(m, n), kind)
+        dec = decompose_graph(pw.build_complete_bipartite(m, n), kind)
         for _ in range(2):
             x = _bipartite_margin_state(RNG, m, n, kind)
             got = pw.complete_bipartite_pst(m, n, kind, x)
@@ -355,7 +349,7 @@ def test_criterion_07_monogamy_and_minimality():
         verdict = pw.pst_decide(dec, x, y)
         assert verdict.decision
         for z in all_partners(dec, x):
-            if _same_state(z, y):
+            if same_state(z, y):
                 continue
             assert not pw.pst_decide(dec, x, z).decision
         assert pw.fidelity(dec, verdict.tau_min / 2.0, x, y) < 1.0 - 1e-4
@@ -379,13 +373,13 @@ def test_criterion_08_sensitivity():
     for graph, kind in [(pw.build_cycle(6), pw.ADJACENCY),
                         (pw.build_path(5), pw.LAPLACIAN),
                         (pw.build_petersen(), pw.ADJACENCY)]:
-        dec = _dec(graph, kind)
+        dec = decompose_graph(graph, kind)
         x, y, tau = pw.universal_pst_pair(dec)
         report = pw.fidelity_derivatives(dec, unit(x), unit(y), tau, k_max=2)
         assert report.d2 == pytest.approx(report.bound_lo, abs=1e-8)
 
     # the Petersen three-eigenvalue pair lands in [-25/2, 0)
-    dec = _dec(pw.build_petersen())
+    dec = decompose_graph(pw.build_petersen())
     c = unit(RNG.uniform(0.3, 1.0, size=3) * RNG.choice([-1.0, 1.0], size=3))
     vs = [eigenvector(dec, j) for j in range(3)]
     x = c[0] * vs[0] + c[1] * vs[1] + c[2] * vs[2]
@@ -417,7 +411,7 @@ def test_criterion_10_property_suites():
     # projector algebra
     for n in (6, 10):
         g = random_connected_graph(rng, n, 4)
-        dec = _dec(g, pw.LAPLACIAN)
+        dec = decompose_graph(g, pw.LAPLACIAN)
         projectors = [projector(dec, j) for j in range(dec.k)]
         assert np.max(np.abs(np.sum(projectors, axis=0) - np.eye(n))) <= 1e-9
         for j in range(dec.k):
@@ -428,7 +422,7 @@ def test_criterion_10_property_suites():
 
     # unitarity and complex symmetry of the walk operator
     g = random_connected_graph(rng, 9, 5)
-    dec = _dec(g, pw.ADJACENCY)
+    dec = decompose_graph(g, pw.ADJACENCY)
     for t in rng.uniform(0.0, 10.0, size=5):
         u = pw.transition_matrix(dec, t)
         assert np.max(np.abs(u @ u.conj().T - np.eye(9))) <= 1e-9
@@ -437,8 +431,8 @@ def test_criterion_10_property_suites():
     # tensor identity on box products
     g = random_connected_graph(rng, 4, 2)
     h = random_connected_graph(rng, 5, 2)
-    dg, dh = _dec(g, pw.ADJACENCY), _dec(h, pw.ADJACENCY)
-    dp = _dec(pw.cartesian_product(g, h), pw.ADJACENCY)
+    dg, dh = decompose_graph(g, pw.ADJACENCY), decompose_graph(h, pw.ADJACENCY)
+    dp = decompose_graph(pw.cartesian_product(g, h), pw.ADJACENCY)
     for _ in range(5):
         t = float(rng.uniform(0.0, 8.0))
         x, y = rng.normal(size=4), rng.normal(size=5)
@@ -460,7 +454,7 @@ def test_criterion_10_property_suites():
     for g, h, kind in triples:
         t = float(rng.uniform(0.0, 7.0))
         u = pw.join_transition_matrix(g, h, kind, t)
-        dj = _dec(pw.join(g, h), kind)
+        dj = decompose_graph(pw.join(g, h), kind)
         assert np.max(np.abs(u - pw.transition_matrix(dj, t))) <= 1e-8
 
     # covering-radius bound on 200 random nonnegative states
@@ -468,7 +462,7 @@ def test_criterion_10_property_suites():
     while checked < 200:
         n = int(rng.integers(4, 17))
         graph = random_tree(rng, n) if checked % 2 == 0 else pw.build_cycle(max(3, n))
-        dec = _dec(graph, pw.ADJACENCY)
+        dec = decompose_graph(graph, pw.ADJACENCY)
         x = np.zeros(graph.n)
         size = int(rng.integers(1, graph.n))
         chosen = rng.choice(graph.n, size=size, replace=False)
@@ -484,7 +478,7 @@ def test_criterion_10_property_suites():
     while produced < 100:
         n = int(rng.integers(4, 10))
         g = random_connected_graph(rng, n, 3)
-        dec = _dec(g, pw.ADJACENCY)
+        dec = decompose_graph(g, pw.ADJACENCY)
         x = rng.normal(size=n)
         for y in all_partners(dec, x)[:10]:
             mom = moments(dec, np.column_stack((x, y)), 10)

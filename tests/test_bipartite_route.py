@@ -4,7 +4,7 @@ eigenpairs from np.linalg.svd of B. Called directly, so that small n is
 covered as well, it must give what np.linalg.eigh gives: the same
 multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and the
 same pst_decide and pst_partner verdicts. decompose takes it only from
-BIPARTITE_MIN_N on, for an exactly symmetric matrix with one constant on its
+ROUTE_MIN_N on, for an exactly symmetric matrix with one constant on its
 diagonal and a bipartite, not complete bipartite, edge pattern that the
 product, circulant and path routes before it pass on: spectral._route_parts
 decides, from the EdgeForm that decompose's door makes of a Hamiltonian's
@@ -12,49 +12,31 @@ edge arrays or of a raw matrix's nonzeros above the diagonal. Both routes
 read only that form, so a Hamiltonian on either never builds its dense
 matrix."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from conftest import heavy_end_edge, heavy_path_ends, pair_state
-from oracles import projector
-from test_hamiltonian_arrays import assert_one_form, assert_same_form
+from conftest import (assert_one_form, assert_same_form, assert_same_verdicts, decomposition_bytes, entries,
+                      heavy_path_ends, route_calls, seeded_relabel, taken)
+from oracles import eigh_decompose, forced_decompose
+from route_table import assert_agrees, assert_declined, q8_relabelled, random_weighted, rows, split_labels
 
-MIN_N = spectral.BIPARTITE_MIN_N
+MIN_N = spectral.ROUTE_MIN_N
 
 
 def _graph_matrix(g, kind):
     return pw.hamiltonian(g, kind).matrix
 
 
-def _edges(mat):
-    """The nonzeros of mat above the diagonal, sorted by (row, column)."""
-    return np.nonzero(np.triu(mat, 1))
-
-
-def _form(mat):
-    """mat's EdgeForm: its diagonal, its nonzeros above the diagonal and
-    their entries, and its infinity norm."""
-    src, dst = _edges(mat)
-    return spectral.EdgeForm(len(mat), mat.diagonal(), src, dst, mat[src, dst], np.linalg.norm(mat, np.inf),
-                             lambda: mat)
-
-
 def _bipartite_eigh(mat, p, q):
-    """spectral._bipartite_eigh on mat's edge form; the eigenvectors built
-    from the factored basis."""
-    w, basis = spectral._bipartite_eigh(_form(mat), p, q)
-    return w, basis.dense()
+    """spectral._bipartite_eigh on mat's edge form."""
+    return spectral._bipartite_eigh(spectral._edge_form(mat), p, q)
 
 
 def _forced_parts(mat):
-    """_route_parts of mat's edge form, with the route allowed at every n."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        return spectral._route_parts(_form(mat))
+    """_route_parts of mat's edge form, at any n."""
+    return spectral._route_parts(spectral._edge_form(mat))
 
 
 def _parts(n, p):
@@ -139,59 +121,13 @@ def _halves(b, c):
 CASES = _cases()
 
 
-def _route_decompose(monkeypatch, mat, parts):
+def _route_decompose(mat, parts):
     """decompose with the route forced at every n on these parts, and the
-    product, circulant and path routes before it left out."""
-    before = (spectral._product_route, spectral._circulant_route, spectral._path_route)
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "BIPARTITE_MIN_N", 1)
-        m.setattr(spectral, "ROUTES", tuple(r for r in spectral.ROUTES if r not in before))
-        m.setattr(spectral, "_route_parts", lambda form: parts)
-        dec = pw.decompose(mat)
+    routes before it left out."""
+    dec = forced_decompose(mat, "bipartite", gate=1, _route_parts=lambda form: parts)
     # a form with no edges goes straight to eigh
-    assert isinstance(dec.basis, spectral.BipartiteBasis) or not _edges(mat)[0].size
+    assert isinstance(dec.basis, spectral.BipartiteBasis) or not np.triu(mat, 1).any()
     return dec
-
-
-def _eigh_decompose(monkeypatch, mat):
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "BIPARTITE_MIN_N", len(mat) + 1)
-        return pw.decompose(mat)
-
-
-def _test_states(n, rng):
-    """Basis states and e_u +- e_v pairs: every pair for small n, a seeded
-    sample of 12 otherwise."""
-    pairs = list(itertools.combinations(range(n), 2))
-    if len(pairs) > 12:
-        pairs = [pairs[i] for i in rng.choice(len(pairs), 12, replace=False)]
-    states = [np.eye(n)[u] for u in range(min(n, 4))]
-    for u, v in pairs:
-        states += [pair_state(n, u, v, 1.0), pair_state(n, u, v, -1.0)]
-    return states
-
-
-def _partner(dec, x):
-    try:
-        return pw.pst_partner(dec, x)
-    except pw.FixedStateError:
-        return "fixed"
-
-
-def assert_same_verdicts(got, want, n):
-    """pst_partner and pst_decide agree on got and want for the test states."""
-    for x in _test_states(n, np.random.default_rng(n)):
-        y_got, y_want = _partner(got, x), _partner(want, x)
-        if isinstance(y_want, str) or y_want is None:
-            assert isinstance(y_got, type(y_want)) and y_got == y_want
-            continue
-        np.testing.assert_allclose(y_got, y_want, rtol=0, atol=1e-9)
-        for y in (y_want, np.roll(x, 1)):
-            a, b = pw.pst_decide(got, x, y), pw.pst_decide(want, x, y)
-            assert (a.decision, a.reason, a.case) == (b.decision, b.reason, b.case)
-            if b.decision:
-                assert a.tau_min == pytest.approx(b.tau_min, rel=1e-12)
-                assert a.tau_symbolic == b.tau_symbolic
 
 
 @pytest.mark.parametrize("name,mat,parts", CASES, ids=[c[0] for c in CASES])
@@ -201,46 +137,16 @@ def test_route_matches_eigh(monkeypatch, name, mat, parts):
         assert parts is not None
     else:
         assert _forced_parts(mat) is None  # complete bipartite: eigh
-    p, q = parts
-    n = len(mat)
-    scale = max(np.linalg.norm(mat, np.inf), 1.0)
-
-    w, v = _bipartite_eigh(mat, p, q)
+    w, _ = _bipartite_eigh(mat, *parts)
     assert np.all(np.diff(w) <= 0)
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(mat)[::-1], rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(mat @ v, v * w, rtol=0, atol=1e-12 * scale)
-
-    got = _route_decompose(monkeypatch, mat, parts)
-    want = _eigh_decompose(monkeypatch, mat)
-    assert got.multiplicities == want.multiplicities
-    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * scale)
-    for j in range(want.k):
-        np.testing.assert_allclose(projector(got, j), projector(want, j), rtol=0, atol=1e-10)
-    assert got.warnings == want.warnings
-    assert_same_verdicts(got, want, n)
+    got, want = _route_decompose(mat, parts), eigh_decompose(mat)
+    assert_agrees(got, want, mat, proj_atol=1e-10)
+    assert_same_verdicts(got, want, len(mat))
 
 
-def _route_calls(monkeypatch, mat):
-    """How many times decompose(mat) ran the route."""
-    calls = []
-    real = spectral._bipartite_eigh
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "_bipartite_eigh", spy)
-        pw.decompose(mat)
-    return len(calls)
-
-
-def _relabelled_cycle(n):
-    """The n-cycle on seeded vertex labels: off the circulant route, which
-    takes the cycle in build_cycle's labelling."""
-    p = np.random.default_rng(n).permutation(n)
-    return pw.make_graph(n, [(int(p[a]), int(p[b])) for a, b, _ in pw.build_cycle(n).edges])
+def _route_calls(monkeypatch, m):
+    """How many times decompose(m) took the route."""
+    return taken(route_calls(monkeypatch, m)[1], "bipartite")
 
 
 def _heavy_path(n):
@@ -250,39 +156,23 @@ def _heavy_path(n):
 
 
 def test_route_taken_from_the_crossover_on(monkeypatch):
-    for build, kind in ((_heavy_path, pw.ADJACENCY), (_relabelled_cycle, pw.LAPLACIAN)):
+    # a cycle relabelled off the circulant route
+    for build, kind in ((_heavy_path, pw.ADJACENCY), (lambda n: seeded_relabel(pw.build_cycle(n), n), pw.LAPLACIAN)):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(_heavy_path(MIN_N - 1), pw.ADJACENCY)) == 0
     # a hypercube takes the product route first, down to Q5's eigh; relabelled, this one
     for d in (7, 8, 9, 10):
         assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.LAPLACIAN)) == 0
-    assert _route_calls(monkeypatch, _graph_matrix(_q8_relabelled(), pw.ADJACENCY)) == 1
-
-
-def _q8_relabelled():
-    q8 = pw.build_hypercube(8)
-    p = np.random.default_rng(8).permutation(q8.n)
-    return pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])
-
-
-def _split_labels():
-    """P = {0, 65, ..., 127} and Q = {1, ..., 64} with the half block I + A,
-    A the 64-cycle 0, 7, 14, ... (7j mod 64): B is symmetric, but M's edges,
-    sorted by their least end (mostly in Q, so by B's column), do not list
-    its entries in (row, column) order."""
-    p, q = [0] + list(range(65, 128)), list(range(1, 65))
-    cycle = [(7 * j % 64, 7 * (j + 1) % 64) for j in range(64)]
-    pairs = [(i, i) for i in range(64)] + cycle + [(k, i) for i, k in cycle]
-    return pw.make_graph(128, [(p[i], q[k]) for i, k in pairs])
+    assert _route_calls(monkeypatch, _graph_matrix(q8_relabelled(), pw.ADJACENCY)) == 1
 
 
 def _half_block_cases():
     graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (7, 8, 9, 10)] + [
         ("P40xK2", pw.cartesian_product(pw.build_path(40), pw.build_path(2))),
         ("C32xK2", pw.cartesian_product(pw.build_cycle(32), pw.build_path(2))),
-        ("Q8-relabelled", _q8_relabelled()),  # B is not symmetric: np.linalg.svd
-        ("split-labels", _split_labels()),
+        ("Q8-relabelled", q8_relabelled()),  # B is not symmetric: np.linalg.svd
+        ("split-labels", split_labels()),
     ]
     cases = [(f"{name}-{kind}", pw.hamiltonian(g, kind)) for name, g in graphs
              for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
@@ -318,7 +208,7 @@ def _dense_box_factor(form):
     the dense passes over the half block M[0::2, 0::2] give."""
     mat = form.dense()
     n = len(mat)
-    if n < spectral.BIPARTITE_MIN_N or n % 2:
+    if n % 2:
         return None
     g, rungs, other = mat[0::2, 0::2], mat[0::2, 1::2], mat[1::2, 1::2]
     w, delta = rungs[0, 0], other[0, 0] - g[0, 0]
@@ -327,11 +217,6 @@ def _dense_box_factor(form):
     edges = spectral._dense_edges(g)
     g_form = spectral.EdgeForm(len(g), g.diagonal(), *edges, g[edges], np.linalg.norm(g, np.inf), lambda: g)
     return g_form, np.array([[0.0, w], [w, delta]])
-
-
-def _bytes(dec):
-    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.basis.dense().tobytes(), dec.scale,
-            dec.multiplicities, dec.warnings)
 
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCK_CASES, ids=[c[0] for c in HALF_BLOCK_CASES])
@@ -363,23 +248,13 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
     with monkeypatch.context() as m:
         m.setattr(spectral, "_bipartite_eigh", check_block)
         m.setattr(spectral, "_box_factor", check_factor)
-        got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
+        got = [decomposition_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
         m.setattr(spectral, "_box_factor", _dense_box_factor)
-        want = _bytes(pw.decompose(ham))
+        want = decomposition_bytes(pw.decompose(ham))
     assert got == [want, want]
     assert ("product" in seen) == (name not in NO_PRODUCT)
     assert ("bipartite" in seen) == (name in NO_PRODUCT | BOTH_ROUTES)
-
-
-def _random_weighted():
-    """A seeded G(70, 0.1) with weights in [1, 4): triangles and an uneven
-    diagonal keep it on eigh."""
-    rng = np.random.default_rng(70)
-    u, v = np.triu_indices(70, 1)
-    keep = rng.random(len(u)) < 0.1
-    return pw.make_graph(70, [(a, b, w) for a, b, w in zip(u[keep].tolist(), v[keep].tolist(),
-                                                          rng.uniform(1.0, 4.0, keep.sum()).tolist())])
 
 
 def _lazy_cases():
@@ -390,8 +265,8 @@ def _lazy_cases():
               + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
                  ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
                  ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
-                 ("Q8-relabelled", _q8_relabelled()),  # B is not symmetric: np.linalg.svd
-                 ("random-weighted", _random_weighted())])
+                 ("Q8-relabelled", q8_relabelled()),  # B is not symmetric: np.linalg.svd
+                 ("random-weighted", random_weighted())])
     return [(f"{name}-{kind}", g, kind) for name, g in graphs for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
 
 
@@ -424,7 +299,7 @@ def test_box_product_needs_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
-    q8, relabelled = pw.build_hypercube(8), _q8_relabelled()
+    q8, relabelled = pw.build_hypercube(8), q8_relabelled()
     cases = {name: mat for name, mat, _ in CASES}
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", refuse)
@@ -439,32 +314,23 @@ def test_box_product_needs_no_svd(monkeypatch):
                 _bipartite_eigh(cases[name], *_forced_parts(cases[name]))
 
 
-# the odd cycle, K_n and the path weighted off the circulant and path routes, which come first
-@pytest.mark.parametrize("mat", [
-    _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.ADJACENCY),  # odd cycle
-    _graph_matrix(heavy_end_edge(pw.build_cycle(MIN_N + 1)), pw.LAPLACIAN),
-    _graph_matrix(_heavy_path(MIN_N + 6), pw.LAPLACIAN),             # degrees 2 and 3
-    _graph_matrix(pw.build_complete_bipartite(30, 50), pw.ADJACENCY),
-    _graph_matrix(heavy_end_edge(pw.build_complete(MIN_N)), pw.ADJACENCY),
-    _graph_matrix(pw.build_empty(MIN_N), pw.ADJACENCY),
-    _graph_matrix(pw.build_empty(200), pw.LAPLACIAN),
-], ids=["odd-cycle", "odd-cycle-lap", "path-lap", "complete-bipartite", "complete", "edgeless-64", "edgeless-200"])
-def test_route_declined(monkeypatch, mat):
-    assert _route_calls(monkeypatch, mat) == 0
-    assert isinstance(pw.decompose(mat).basis, spectral.DenseBasis)
+DECLINED = rows(declines="bipartite")
+
+
+@pytest.mark.parametrize("r", DECLINED, ids=[r.name for r in DECLINED])
+def test_route_declined(monkeypatch, r):
+    for _, m in entries(r.build(), r.shifted):
+        dec, _ = assert_declined(monkeypatch, m, "bipartite", r.route)
+        assert isinstance(dec.basis, spectral.DenseBasis)
 
 
 @pytest.mark.parametrize("n", [MIN_N, 200])
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_edgeless_goes_to_eigh(monkeypatch, n, kind):
-    """A form with no edges skips both routes: no SVD of an (n, 0) block,
+    """A form with no edges skips every route: no SVD of an (n, 0) block,
     no mirror eighs, one cluster on a dense basis."""
-    def refuse(*args):
-        raise AssertionError("route taken")
-
-    monkeypatch.setattr(spectral, "_bipartite_eigh", refuse)
-    monkeypatch.setattr(spectral, "_mirror_eigh", refuse)
-    dec = pw.decompose(pw.hamiltonian(pw.build_empty(n), kind))
+    dec, calls = route_calls(monkeypatch, pw.hamiltonian(pw.build_empty(n), kind))
+    assert calls == [("eigh", True)]
     assert isinstance(dec.basis, spectral.DenseBasis) and dec.k == 1
 
 

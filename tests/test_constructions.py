@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from conftest import basis_state, pair_state, random_connected_graph
-
-
-def _dec(graph, kind):
-    return pw.decompose(pw.hamiltonian(graph, kind))
+from conftest import basis_state, decompose_graph, pair_state, random_connected_graph
 
 
 def test_tensor_identity(rng):
     g = random_connected_graph(rng, 4, 2)
     h = random_connected_graph(rng, 5, 3)
     for kind in (pw.ADJACENCY, pw.LAPLACIAN):
-        dec_g, dec_h = _dec(g, kind), _dec(h, kind)
-        dec_p = _dec(pw.cartesian_product(g, h), kind)
+        dec_g, dec_h = decompose_graph(g, kind), decompose_graph(h, kind)
+        dec_p = decompose_graph(pw.cartesian_product(g, h), kind)
         for _ in range(4):
             t = float(rng.uniform(0.0, 8.0))
             x = rng.normal(size=4)
@@ -87,7 +83,7 @@ def test_join_transition_matrix_laplacian(rng):
     # disconnected first factor exercises the correction term
     g, h = pw.build_empty(2), pw.build_complete(3)
     u = pw.join_transition_matrix(g, h, pw.LAPLACIAN, math.pi / 5)
-    dec = _dec(pw.join(g, h), pw.LAPLACIAN)
+    dec = decompose_graph(pw.join(g, h), pw.LAPLACIAN)
     assert np.max(np.abs(u - pw.transition_matrix(dec, math.pi / 5))) <= 1e-8
 
     for _ in range(6):
@@ -95,7 +91,7 @@ def test_join_transition_matrix_laplacian(rng):
         h = random_connected_graph(rng, int(rng.integers(2, 6)), 2)
         t = float(rng.uniform(0.0, 7.0))
         u = pw.join_transition_matrix(g, h, pw.LAPLACIAN, t)
-        dec = _dec(pw.join(g, h), pw.LAPLACIAN)
+        dec = decompose_graph(pw.join(g, h), pw.LAPLACIAN)
         assert np.max(np.abs(u - pw.transition_matrix(dec, t))) <= 1e-8
 
 
@@ -109,7 +105,7 @@ def test_join_transition_matrix_adjacency():
     for g, h in cases:
         for t in (0.0, 0.77, 2.5):
             u = pw.join_transition_matrix(g, h, pw.ADJACENCY, t)
-            dec = _dec(pw.join(g, h), pw.ADJACENCY)
+            dec = decompose_graph(pw.join(g, h), pw.ADJACENCY)
             assert np.max(np.abs(u - pw.transition_matrix(dec, t))) <= 1e-8
     assert np.max(np.abs(
         pw.join_transition_matrix(pw.build_empty(2), pw.build_empty(2), pw.ADJACENCY, 0.0)
@@ -133,7 +129,7 @@ def test_join_reproduces_bipartite_closed_form():
 def test_join_pst_embedded():
     g, h = pw.build_path(3), pw.build_complete(3)
     x1 = np.array([1.0, -1.0, 0.0])
-    dec_g = _dec(g, pw.LAPLACIAN)
+    dec_g = decompose_graph(g, pw.LAPLACIAN)
     y1 = pw.pst_partner(dec_g, x1)
     verdict = pw.join_pst(g, h, pw.LAPLACIAN, x1, y1)
     assert verdict.decision and verdict.mode == "embedded"
@@ -147,7 +143,7 @@ def test_join_pst_embedded():
 def test_join_pst_combined_modular():
     p3 = pw.build_path(3)
     x1 = np.array([1.0, -1.0, 0.0])
-    dec = _dec(p3, pw.LAPLACIAN)
+    dec = decompose_graph(p3, pw.LAPLACIAN)
     y1 = pw.pst_partner(dec, x1)
     # same factor twice: the shift vanishes and a plus-class pair matches
     verdict = pw.join_pst(p3, p3, pw.LAPLACIAN, x1, y1, x1, y1, tau=math.pi / 2)
@@ -162,10 +158,10 @@ def test_join_pst_combined_modular_violation():
     p3 = pw.build_path(3)
     k24 = pw.build_complete_bipartite(2, 4)
     x1 = np.array([1.0, -1.0, 0.0])
-    y1 = pw.pst_partner(_dec(p3, pw.LAPLACIAN), x1)
+    y1 = pw.pst_partner(decompose_graph(p3, pw.LAPLACIAN), x1)
     x2 = np.zeros(6)
     x2[0], x2[2] = 1.0, -1.0
-    y2 = pw.pst_partner(_dec(k24, pw.LAPLACIAN), x2)
+    y2 = pw.pst_partner(decompose_graph(k24, pw.LAPLACIAN), x2)
     tau = math.pi / 2
     one = pw.join_pst(p3, k24, pw.LAPLACIAN, x1, y1, x2, y2, tau=tau)
     other = pw.join_pst(p3, k24, pw.LAPLACIAN, x1, y1, x2, -y2, tau=tau)

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from conftest import heavy_path_ends, random_tree
+from conftest import heavy_path_ends, held_bytes, random_tree
 from oracles import all_partners, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis, Projection
+from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -319,22 +319,6 @@ def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
     assert np.max(np.abs(u - _dense_join(g, h, kind, t))) <= TOL
 
 
-def _held_bytes(obj, seen):
-    """The bytes of every buffer the ndarrays of obj keep alive, a view
-    counted by its base and each buffer once, through the basis record's
-    arrays and the basis records it holds, of any kind."""
-    total = 0
-    for v in vars(obj).values():
-        if isinstance(v, np.ndarray):
-            buf = v.base if isinstance(v.base, np.ndarray) else v
-            if id(buf) not in seen:
-                seen.add(id(buf))
-                total += buf.nbytes
-        elif isinstance(v, (DenseBasis, BipartiteBasis, KroneckerBasis, FourierBasis, PathBasis)):
-            total += _held_bytes(v, seen)
-    return total
-
-
 def test_decomposition_holds_no_projector_tensor():
     """P400 adjacency with heavy end edges (off the path route, which takes
     the uniform path) takes the bipartite route, whose basis holds the SVD's
@@ -342,7 +326,7 @@ def test_decomposition_holds_no_projector_tensor():
     n = 400
     dec = pw.decompose(pw.hamiltonian(heavy_path_ends(pw.build_path(n)), pw.ADJACENCY))
     assert isinstance(dec.basis, BipartiteBasis)
-    assert _held_bytes(dec, set()) <= (n * n / 2 + 4 * n) * 8
+    assert held_bytes(dec) <= (n * n / 2 + 4 * n) * 8
 
 
 @pytest.mark.parametrize("d", [8, 9, 10])
@@ -355,7 +339,7 @@ def test_hypercube_holds_two_small_blocks(d, kind):
     n = 1 << d
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(d), kind))
     assert isinstance(dec.basis, KroneckerBasis)
-    assert _held_bytes(dec, set()) <= 2 * 32 * 32 * 8 + n * 8 + 1024
+    assert held_bytes(dec) <= 2 * 32 * 32 * 8 + n * 8 + 1024
 
 
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])

@@ -18,15 +18,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk import spectral
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis, Projection
-from conftest import heavy_path_ends, pair_state, random_tree
-from oracles import eigenvector
+from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis
+from conftest import check_basis, heavy_path_ends, pair_state, random_tree, relabel, route_calls, taken
+from oracles import eigenvector, expm_transfer
 
 
 def _weighted_bipartite(seed, n, extra):
@@ -54,35 +52,6 @@ def _weighted_bipartite(seed, n, extra):
     return pw.make_graph(n, [(u, v, float(rng.uniform(0.5, 3.0))) for u, v in sorted(edges)])
 
 
-def _check_basis(dec, rng):
-    """project and lift against the materialised V on b = 3, 1 and 0
-    columns, a lift on the columns cols (a bool mask, and an unsorted index
-    array) against V[:, cols], the round trip, and the cluster weights of a
-    Projection against those of V^T x. On a DenseBasis, the partner rule's
-    lift of c on the rows F is V_F c[F] bit for bit, the bytes the CLI prints."""
-    n = dec.n
-    X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
-    x = X[:, 0]
-    size = np.linalg.norm(X)
-    basis = dec.basis
-    v = basis.dense()
-    assert basis.n == n and v.shape == (n, n)
-    for b in (3, 1, 0):
-        np.testing.assert_allclose(basis.project(X[:, :b]), v.T @ X[:, :b], rtol=0, atol=1e-13 * size)
-        np.testing.assert_allclose(basis.lift(X[:, :b]), v @ X[:, :b], rtol=0, atol=1e-13 * size)
-    flip = rng.random(n) < 0.5
-    for cols in (flip, rng.permutation(n)[:max(1, n // 3)]):
-        np.testing.assert_allclose(basis.lift(X[cols], cols), v[:, cols] @ X[cols], rtol=0, atol=1e-13 * size)
-    np.testing.assert_allclose(basis.lift(basis.project(X[:, :1]))[:, 0], x, rtol=0,
-                               atol=1e-13 * np.linalg.norm(x))
-    c = v.T @ x
-    np.testing.assert_allclose(Projection.of(dec, x).weights()[:, 0], dec.cluster_sums(c * c), rtol=0,
-                               atol=1e-13 * np.dot(x, x))
-    if isinstance(basis, DenseBasis):  # a full lift of c zeroed off F differs in last bits on one column
-        for c in (basis.project(X), basis.project(X[:, :1])):
-            assert np.array_equal(basis.lift(c[flip], flip), v[:, flip] @ c[flip])
-
-
 DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), 0),
                ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), 1)]
 
@@ -93,12 +62,9 @@ def test_dense_basis(monkeypatch, name, ham, mirror, seed):
     """P7 through eigh and the P150 Laplacian with heavy end edges (the path
     route takes the uniform one) through the mirror route hold V as a
     DenseBasis, which keeps the protocol of the factored bases."""
-    calls = []
-    real = spectral._mirror_eigh
-    monkeypatch.setattr(spectral, "_mirror_eigh", lambda mat: calls.append(len(mat)) or real(mat))
-    dec = pw.decompose(ham)
-    assert isinstance(dec.basis, DenseBasis) and len(calls) == mirror
-    _check_basis(dec, np.random.default_rng(seed))
+    dec, calls = route_calls(monkeypatch, ham)
+    assert isinstance(dec.basis, DenseBasis) and taken(calls, "mirror") == mirror
+    check_basis(dec, np.random.default_rng(seed))
 
 
 EMPTY_CASES = [("Q8", pw.build_hypercube(8), KroneckerBasis), ("P7", pw.build_path(7), DenseBasis),
@@ -124,7 +90,7 @@ def test_svd_basis_with_null_columns(seed, n, extra):
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
     basis = dec.basis
     assert isinstance(basis, BipartiteBasis)
-    _check_basis(dec, np.random.default_rng(seed))
+    check_basis(dec, np.random.default_rng(seed))
 
 
 def _product_graphs():
@@ -149,7 +115,7 @@ def test_product_basis(case, kind, seed):
     name, g = case
     dec = pw.decompose(pw.hamiltonian(g, kind))
     assert isinstance(dec.basis, KroneckerBasis), name
-    _check_basis(dec, np.random.default_rng(seed))
+    check_basis(dec, np.random.default_rng(seed))
 
 
 def test_product_factor_reaches_an_svd():
@@ -159,7 +125,7 @@ def test_product_factor_reaches_an_svd():
     g = pw.cartesian_product(heavy_path_ends(pw.build_path(64)), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
     assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.shape == (2, 2)
-    _check_basis(dec, np.random.default_rng(64))
+    check_basis(dec, np.random.default_rng(64))
 
 
 def test_nested_products_fold_into_one_block():
@@ -168,13 +134,7 @@ def test_nested_products_fold_into_one_block():
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(10), pw.LAPLACIAN))
     assert isinstance(dec.basis.g, DenseBasis)
     assert dec.basis.g.v.shape == dec.basis.h.shape == (32, 32)
-    _check_basis(dec, np.random.default_rng(10))
-
-
-def _expm_transfer(ham, x, y, tau):
-    """|y^T exp(i tau M) x| / (||x|| ||y||) from scipy's expm of the dense M."""
-    u = scipy.linalg.expm(1j * tau * np.array(ham.matrix))
-    return abs(y @ (u @ x)) / (np.linalg.norm(x) * np.linalg.norm(y))
+    check_basis(dec, np.random.default_rng(10))
 
 
 @pytest.mark.parametrize("d", [8, 9, 10])
@@ -213,7 +173,7 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
     assert scan.peak_value == pytest.approx(1.0, abs=1e-9)
     assert value == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(z, check.phase * y, rtol=0, atol=1e-9)
-    assert _expm_transfer(ham, x, y, verdict.tau_min) == pytest.approx(1.0, abs=1e-9)
+    assert expm_transfer(ham.matrix, x, y, verdict.tau_min) == pytest.approx(1.0, abs=1e-9)
     antipodes = pair_state(n, 3 ^ (n - 1), 100 ^ (n - 1), 1.0)  # up to sign
     assert min(np.abs(y - antipodes).max(), np.abs(y + antipodes).max()) <= 1e-9
     dense = dataclasses.replace(dec, basis=DenseBasis(dec.basis.dense()))
@@ -237,10 +197,6 @@ def test_universal_pair_on_factored_hypercubes(d, kind):
     assert verdict.decision and verdict.tau_min == pytest.approx(tau, rel=1e-12)
 
 
-def _relabelled(g, perm):
-    return pw.make_graph(g.n, [(int(perm[a]), int(perm[b]), w) for a, b, w in g.edges])
-
-
 RELABEL_CASES = [("Q8", pw.build_hypercube(8), pw.ADJACENCY),
                  ("P128", pw.build_path(128), pw.ADJACENCY),
                  ("C128", pw.build_cycle(128), pw.LAPLACIAN)]
@@ -256,7 +212,7 @@ def test_relabelling_keeps_verdicts(name, g, kind):
     rng = np.random.default_rng(128)
     perm = rng.permutation(g.n)
     natural = pw.decompose(pw.hamiltonian(g, kind))
-    moved = pw.decompose(pw.hamiltonian(_relabelled(g, perm), kind))
+    moved = pw.decompose(pw.hamiltonian(relabel(g, perm), kind))
     assert isinstance(moved.basis, BipartiteBasis)
     assert isinstance(natural.basis, {"Q8": KroneckerBasis, "C128": FourierBasis, "P128": PathBasis}[name])
     for _ in range(8):

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from conftest import basis_state, pair_state, unit
-
-
-def _dec(graph, kind=pw.ADJACENCY):
-    return pw.decompose(pw.hamiltonian(graph, kind))
-
-
-def _same_state(a, b, tol=1e-8):
-    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= tol * np.linalg.norm(a)
+from conftest import basis_state, decompose_graph, pair_state, same_state, unit
 
 
 # ---------------------------------------------------------------------------
@@ -24,20 +16,20 @@ def test_complete_graph_examples():
     x = np.array([1.0, 0.0, 2.0])
     y, tau = pw.complete_graph_pst(3, x)
     assert tau == pytest.approx(math.pi / 3)
-    assert _same_state(y, np.array([1.0, 2.0, 0.0]))
-    dec = _dec(pw.build_complete(3))
+    assert same_state(y, np.array([1.0, 2.0, 0.0]))
+    dec = decompose_graph(pw.build_complete(3))
     assert pw.verify_pst_numeric(dec, x, y, tau).passed
 
     # half-pair in the triangle
     x = np.array([1.0, 0.0, 0.5])
     y, tau = pw.complete_graph_pst(3, x)
-    assert _same_state(y, np.array([0.0, 1.0, 0.5]))
+    assert same_state(y, np.array([0.0, 1.0, 0.5]))
 
     # plus pair in the 4-clique
     x = basis_state(4, 0, 2)
     y, tau = pw.complete_graph_pst(4, x)
     assert tau == pytest.approx(math.pi / 4)
-    assert _same_state(y, basis_state(4, 1, 3))
+    assert same_state(y, basis_state(4, 1, 3))
 
     assert pw.complete_graph_pst(4, np.ones(4)) is None
     assert pw.complete_graph_pst(4, np.array([1.0, -1.0, 0.0, 0.0])) is None
@@ -45,7 +37,7 @@ def test_complete_graph_examples():
 
 def test_complete_graph_random(rng):
     for n in range(2, 9):
-        dec = _dec(pw.build_complete(n))
+        dec = decompose_graph(pw.build_complete(n))
         for _ in range(5):
             x = rng.normal(size=n)
             while abs(x.sum()) < 0.05 * math.sqrt(n) * np.linalg.norm(x):
@@ -102,28 +94,28 @@ def test_cycle_families_listing():
 
 
 def test_cycle_c8_plus_example():
-    dec = _dec(pw.build_cycle(8))
+    dec = decompose_graph(pw.build_cycle(8))
     x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
     pair = pw.cycle_family_match(8, x)
     assert pair is not None and pair.case == "int-0pm2"
     assert pair.tau == pytest.approx(math.pi / 2)
-    assert _same_state(pair.y, y)
+    assert same_state(pair.y, y)
     assert pw.verify_pst_numeric(dec, x, y, math.pi / 2).fidelity >= 1.0 - 1e-8
 
 
 def test_cycle_c12_triple_example():
-    dec = _dec(pw.build_cycle(12))
+    dec = decompose_graph(pw.build_cycle(12))
     x = basis_state(12, 0, 4, 8)
     y = basis_state(12, 2, 6, 10)
     pair = pw.cycle_family_match(12, x)
     assert pair is not None and pair.tau == pytest.approx(math.pi / 2)
-    assert _same_state(pair.y, y)
+    assert same_state(pair.y, y)
     assert pw.verify_pst_numeric(dec, x, y, math.pi / 2).fidelity >= 1.0 - 1e-8
 
 
 def test_cycle_samples_verify(rng):
     for n in (6, 8, 12, 16):
-        dec = _dec(pw.build_cycle(n))
+        dec = decompose_graph(pw.build_cycle(n))
         for case in pw.cycle_pst_families(n):
             for _ in range(4):
                 pair = case.sample(rng, min_coef=0.2)
@@ -135,7 +127,7 @@ def test_cycle_samples_verify(rng):
 
 def test_cycle_match_agrees_with_engine(rng):
     for n in range(3, 17):
-        dec = _dec(pw.build_cycle(n))
+        dec = decompose_graph(pw.build_cycle(n))
         cases = pw.cycle_pst_families(n)
         states = []
         for case in cases:
@@ -163,7 +155,7 @@ def test_cycle_match_agrees_with_engine(rng):
                     assert engine_partner is None, (n, np.round(prof.eigenvalues, 4))
             else:
                 assert engine_partner is not None
-                assert _same_state(match.y, engine_partner, tol=1e-6)
+                assert same_state(match.y, engine_partner, tol=1e-6)
                 verdict = pw.pst_decide(dec, x, engine_partner)
                 assert verdict.tau_min == pytest.approx(match.tau, rel=1e-9)
 
@@ -192,12 +184,12 @@ def test_path_families_listing():
 
 
 def test_path_p7_pair_example():
-    dec = _dec(pw.build_path(7))
+    dec = decompose_graph(pw.build_path(7))
     x, y = pair_state(7, 0, 6), pair_state(7, 2, 4)
     pair = pw.path_family_match(7, pw.ADJACENCY, x)
     assert pair is not None and pair.case == "surd2"
     assert pair.tau == pytest.approx(math.pi / math.sqrt(2.0))
-    assert _same_state(pair.y, y)
+    assert same_state(pair.y, y)
 
 
 def test_path_p11_example():
@@ -206,16 +198,16 @@ def test_path_p11_example():
     x[0], x[6], x[8] = 1.0, -1.0, 1.0
     y = np.zeros(11)
     y[2], y[4], y[10] = 1.0, -1.0, 1.0
-    dec = _dec(pw.build_path(11))
+    dec = decompose_graph(pw.build_path(11))
     verdict = pw.pst_decide(dec, x, y)
     assert verdict.decision
     assert verdict.tau_min == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-12)
     pair = pw.path_family_match(11, pw.ADJACENCY, x)
-    assert pair is not None and _same_state(pair.y, y)
+    assert pair is not None and same_state(pair.y, y)
 
 
 def test_path_p5_laplacian_example():
-    dec = _dec(pw.build_path(5), pw.LAPLACIAN)
+    dec = decompose_graph(pw.build_path(5), pw.LAPLACIAN)
     x = pair_state(5, 0, 4)
     y = np.array([1.0, 2.0, 0.0, -2.0, -1.0]) / math.sqrt(5.0)
     verdict = pw.pst_decide(dec, x, y)
@@ -228,7 +220,7 @@ def test_path_samples_verify(rng):
     for n, kind in [(5, pw.ADJACENCY), (7, pw.ADJACENCY), (11, pw.ADJACENCY),
                     (6, pw.LAPLACIAN), (8, pw.LAPLACIAN), (9, pw.LAPLACIAN),
                     (12, pw.LAPLACIAN)]:
-        dec = _dec(pw.build_path(n), kind)
+        dec = decompose_graph(pw.build_path(n), kind)
         for case in pw.path_pst_families(n, kind):
             for _ in range(4):
                 pair = case.sample(rng, min_coef=0.2)
@@ -245,14 +237,14 @@ def test_path_least_time_limit():
         assert tau == pytest.approx(math.pi / (4.0 * math.cos(math.pi / (n + 1))), rel=1e-12)
         assert abs(tau - math.pi / 4.0) < tol
     tau, x, y = pw.path_least_pst_time(40, pw.LAPLACIAN)
-    dec = _dec(pw.build_path(40), pw.LAPLACIAN)
+    dec = decompose_graph(pw.build_path(40), pw.LAPLACIAN)
     verdict = pw.pst_decide(dec, x, y)
     assert verdict.decision and verdict.tau_min == pytest.approx(tau, rel=1e-9)
 
 
 def test_path_least_time_verifies_engine():
     tau, x, y = pw.path_least_pst_time(50, pw.ADJACENCY)
-    dec = _dec(pw.build_path(50))
+    dec = decompose_graph(pw.build_path(50))
     verdict = pw.pst_decide(dec, x, y)
     assert verdict.decision
     assert verdict.tau_min == pytest.approx(tau, rel=1e-9)
@@ -269,7 +261,7 @@ def test_complete_bipartite_adjacency():
     assert got is not None
     y, tau = got
     assert tau == pytest.approx(math.pi / math.sqrt(6.0))
-    dec = _dec(pw.build_complete_bipartite(2, 3))
+    dec = decompose_graph(pw.build_complete_bipartite(2, 3))
     assert pw.verify_pst_numeric(dec, x, y, tau).fidelity >= 1.0 - 1e-8
     # two-eigenvalue spans are refused (handled by the generic route)
     assert pw.complete_bipartite_pst(2, 3, pw.ADJACENCY, np.ones(5)) is None
@@ -287,7 +279,7 @@ def test_complete_bipartite_laplacian_cases(rng):
         -x[3:] + 2.0 / 3.0 * x[3:].sum() * np.ones(3),
     ])
     assert np.linalg.norm(y - want) <= 1e-12
-    dec = _dec(pw.build_complete_bipartite(3, 3), pw.LAPLACIAN)
+    dec = decompose_graph(pw.build_complete_bipartite(3, 3), pw.LAPLACIAN)
     assert pw.verify_pst_numeric(dec, x, y, tau).fidelity >= 1.0 - 1e-8
 
     # unequal valuations pick the asymmetric formulas
@@ -296,14 +288,14 @@ def test_complete_bipartite_laplacian_cases(rng):
     assert got is not None
     y, tau = got
     assert tau == pytest.approx(math.pi / 2.0)
-    dec = _dec(pw.build_complete_bipartite(2, 4), pw.LAPLACIAN)
+    dec = decompose_graph(pw.build_complete_bipartite(2, 4), pw.LAPLACIAN)
     assert pw.verify_pst_numeric(dec, x, y, tau).fidelity >= 1.0 - 1e-8
 
 
 def test_complete_bipartite_times_match_engine(rng):
     for m, n in [(1, 2), (2, 2), (2, 3), (3, 4), (2, 8), (5, 6)]:
         for kind in (pw.ADJACENCY, pw.LAPLACIAN):
-            dec = _dec(pw.build_complete_bipartite(m, n), kind)
+            dec = decompose_graph(pw.build_complete_bipartite(m, n), kind)
             hits = 0
             for _ in range(12):
                 x = rng.normal(size=m + n)
@@ -347,7 +339,7 @@ def test_plus_catalog_paths_adjacency():
 def test_catalog_matches_brute_force_sweep():
     # the catalog equals a direct decision sweep over every s-pair pair
     n = 5
-    dec = _dec(pw.build_path(n))
+    dec = decompose_graph(pw.build_path(n))
     catalog = {
         (e.s, e.u, e.v, e.partner_s, e.partner_u, e.partner_v)
         for e in pw.pair_plus_catalog("path", pw.ADJACENCY, n)

@@ -11,7 +11,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from pstwalk.graphs import REGULAR_TOL
-from conftest import random_tree
+from conftest import assert_one_form, decomposition_bytes, random_tree, route_calls, route_of
 
 
 def _weighted(g, weights):
@@ -20,7 +20,7 @@ def _weighted(g, weights):
 
 
 def _graphs():
-    """Integer-weight graphs on both sides of BIPARTITE_MIN_N."""
+    """Integer-weight graphs on both sides of ROUTE_MIN_N."""
     k2 = pw.build_path(2)
     c64k2 = pw.cartesian_product(pw.build_cycle(64), k2)
     k4090 = pw.build_complete_bipartite(40, 90)
@@ -65,28 +65,6 @@ def _zero_valued_edge():
 HAMILTONIANS = _hamiltonians()
 
 
-def _bytes(dec):
-    return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.basis.dense().tobytes(), dec.scale,
-            dec.multiplicities, dec.ambiguous, dec.warnings)
-
-
-def assert_same_form(got, want):
-    """Two EdgeForms field by field: n, the diagonal, the edges and their
-    entries byte for byte, the scale equal, and dense() the same matrix."""
-    assert got.n == want.n and got.scale == want.scale
-    for name in ("diagonal", "src", "dst", "entries"):
-        a, w = getattr(got, name), getattr(want, name)
-        assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
-    assert got.dense().tobytes() == want.dense().tobytes()
-
-
-def assert_one_form(ham):
-    """The door test: a Hamiltonian and its dense matrix as a raw ndarray
-    pass decompose's door into one EdgeForm. Every route reads only the
-    form, so both entries take one route and decompose bit for bit alike."""
-    assert_same_form(spectral._edge_form(ham), spectral._edge_form(np.array(ham.matrix)))
-
-
 @pytest.mark.parametrize("name,ham", HAMILTONIANS, ids=[h[0] for h in HAMILTONIANS])
 def test_both_entries_decompose_alike(name, ham):
     assert not ham.matrix.flags.writeable
@@ -127,7 +105,7 @@ def test_float_weighted_entries_share_one_form(name, ham):
     pairwise row sums, so dec.scale, the clustering threshold and every
     byte of the decomposition agree between the entries."""
     assert_one_form(ham)
-    assert _bytes(pw.decompose(ham)) == _bytes(pw.decompose(np.array(ham.matrix)))
+    assert decomposition_bytes(pw.decompose(ham)) == decomposition_bytes(pw.decompose(np.array(ham.matrix)))
 
 
 def test_zero_valued_edge_takes_one_route(monkeypatch):
@@ -135,18 +113,9 @@ def test_zero_valued_edge_takes_one_route(monkeypatch):
     matrix, whose nonzero mask never sees it, Q6 plus a zero-valued edge
     is Q5 x K2 to the product route, and both decompose bit for bit alike."""
     ham = _zero_valued_edge()
-    products = []
-    real = spectral._box_factor
-
-    def spy(form):
-        got = real(form)
-        products.append((form.n, got is not None))
-        return got
-
-    monkeypatch.setattr(spectral, "_box_factor", spy)
-    got = [_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
-    assert [found for n, found in products if n == 64] == [True, True]
-    assert got[0] == got[1]
+    decs = [route_calls(monkeypatch, entry) for entry in (ham, np.array(ham.matrix))]
+    assert [route_of(calls) for _, calls in decs] == ["product", "product"]
+    assert decomposition_bytes(decs[0][0]) == decomposition_bytes(decs[1][0])
 
 
 def test_matrix_is_built_once_on_first_read():
@@ -157,11 +126,13 @@ def test_matrix_is_built_once_on_first_read():
     assert m.tobytes() == pw.build_cycle(5).laplacian().tobytes()
 
 
-def test_route_reached_from_both_entries():
+def test_route_reached_from_both_entries(monkeypatch):
     # from n = 64 (Q6) on, the bipartite adjacencies, the regular Laplacians
-    # and the custom matrices with a constant diagonal take the route; both
-    # entries give one form (test_both_entries_decompose_alike)
-    on_route = {name for name, ham in HAMILTONIANS if spectral._route_parts(spectral._edge_form(ham))}
+    # and the custom matrices with a constant diagonal take the route, with
+    # the routes before it left out; both entries give one form
+    # (test_both_entries_decompose_alike)
+    monkeypatch.setattr(spectral, "ROUTES", (spectral._bipartite_route, spectral._eigh_route))
+    on_route = {name for name, ham in HAMILTONIANS if ("bipartite", True) in route_calls(monkeypatch, ham)[1]}
     bipartite = ("Q6", "Q7", "K40,90-e", "C64xK2", "C64xK2-w", "P70-w")
     want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}
     # the regular Laplacians, and Q6 with a zero-valued edge

@@ -8,11 +8,11 @@ for both kinds, at transfer times and at a time that is not one."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import pstwalk as pw
 from pstwalk.spectral import DenseBasis, KroneckerBasis
 from conftest import pair_state, random_connected_graph
+from oracles import expm_transfer
 
 
 def _weighted_random(seed=40, n=40):
@@ -41,11 +41,6 @@ def _pairs(dec):
     return out
 
 
-def _expm_fidelity(ham, x, y, tau):
-    amp = y @ (scipy.linalg.expm(1j * tau * np.array(ham.matrix)) @ x)
-    return abs(amp) ** 2 / (np.dot(x, x) * np.dot(y, y))
-
-
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_coefficient_residual_is_the_state_residual(name, kind):
@@ -63,7 +58,7 @@ def test_coefficient_residual_is_the_state_residual(name, kind):
             nx = np.linalg.norm(x)
             state = np.linalg.norm(pw.evolve(dec, t, x) - check.phase * y)
             assert abs(check.residual - state) <= 1e-13 * nx
-            assert abs(check.fidelity - _expm_fidelity(ham, x, y, t)) <= 1e-12
+            assert abs(check.fidelity - expm_transfer(ham.matrix, x, y, t) ** 2) <= 1e-12
             assert check.passed is transfers
             if not transfers:
                 assert check.residual > 0.1 * nx

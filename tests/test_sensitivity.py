@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from conftest import basis_state, unit
+from conftest import basis_state, decompose_graph, unit
 from oracles import eigenvector, moments
 from pstwalk.spectral import Projection
-
-
-def _dec(graph, kind=pw.ADJACENCY):
-    return pw.decompose(pw.hamiltonian(graph, kind))
 
 
 def _collect_pairs(rng, count):
@@ -32,7 +28,7 @@ def _collect_pairs(rng, count):
             pairs.append((pw.decompose(m), x, y, tau))
         elif kind == 1:
             n = int(rng.integers(2, 9))
-            dec = _dec(pw.build_complete(n))
+            dec = decompose_graph(pw.build_complete(n))
             x = rng.normal(size=n)
             while abs(x.sum()) < 0.1 * math.sqrt(n) * np.linalg.norm(x):
                 x = rng.normal(size=n)
@@ -41,7 +37,7 @@ def _collect_pairs(rng, count):
             pairs.append((dec, x, y, tau))
         else:
             n = int(rng.choice([8, 12, 16]))
-            dec = _dec(pw.build_cycle(n))
+            dec = decompose_graph(pw.build_cycle(n))
             case = pw.cycle_pst_families(n)[0]
             sample = case.sample(rng, min_coef=0.25)
             pairs.append((dec, sample.x, sample.y, sample.tau))
@@ -102,7 +98,7 @@ def test_cauchy_schwarz_step(rng):
 def test_size2_pairs_attain_bound(rng):
     for n in (4, 6, 9):
         g = pw.build_cycle(n)
-        dec = _dec(g)
+        dec = decompose_graph(g)
         x, y, tau = pw.universal_pst_pair(dec)
         x, y = unit(x), unit(y)
         report = pw.fidelity_derivatives(dec, x, y, tau, k_max=2)
@@ -110,7 +106,7 @@ def test_size2_pairs_attain_bound(rng):
 
 
 def test_petersen_example(rng):
-    dec = _dec(pw.build_petersen())
+    dec = decompose_graph(pw.build_petersen())
     c = rng.uniform(0.3, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
     c = c / np.linalg.norm(c)
     vs = [eigenvector(dec, j) for j in range(3)]
@@ -124,7 +120,7 @@ def test_petersen_example(rng):
 
 
 def test_refuses_non_transfer_input():
-    dec = _dec(pw.build_cycle(5))
+    dec = decompose_graph(pw.build_cycle(5))
     with pytest.raises(pw.NotApplicableError):
         pw.fidelity_derivatives(dec, basis_state(5, 0), basis_state(5, 1), 1.0)
 
@@ -132,7 +128,7 @@ def test_refuses_non_transfer_input():
 def test_refuses_what_the_cospectrality_check_refuses():
     # on P2, e0 returns to itself at tau = pi, so the numeric check alone
     # would pass y = +-x; unequal norms are refused before it too
-    dec = _dec(pw.build_path(2))
+    dec = decompose_graph(pw.build_path(2))
     e0 = basis_state(2, 0)
     for y in (e0, -e0):
         assert pw.verify_pst_numeric(dec, e0, y, math.pi).passed
@@ -146,7 +142,7 @@ def _extremal_sensitivity(n, kind):
     """The extremal-time pair on n vertices, its decomposition and the
     second-order report of its transfer."""
     rep = pw.extremal_min_pst_search(n, kind)
-    dec = _dec(rep.graph, kind)
+    dec = decompose_graph(rep.graph, kind)
     return rep, dec, pw.fidelity_derivatives(dec, rep.x, rep.y, rep.tau, 2)
 
 
@@ -169,7 +165,7 @@ def test_extremal_matches_finite_difference():
 def _p7_end_pair(c):
     """Decomposition of c times the P7 adjacency matrix, the end pair
     e0 - e6 with its partner, and their transfer time."""
-    dec = _dec(pw.make_graph(7, [(u, u + 1, c) for u in range(6)]))
+    dec = decompose_graph(pw.make_graph(7, [(u, u + 1, c) for u in range(6)]))
     x = basis_state(7, 0, (6, -1.0))
     y = pw.pst_partner(dec, x)
     return dec, x, y, pw.pst_decide(dec, x, y).tau_min
@@ -194,7 +190,7 @@ def test_sensitivity_verdict_is_scale_invariant(c):
 def test_moments_run_clean_at_large_scale():
     # P2 with weight w: f(t) = sin^2(w t), f'' = -2 w^2 and f'''' = 8 w^4 at
     # pi / 2w; the fourth derivative, 8e400, is beyond the float range
-    dec = _dec(pw.make_graph(2, [(0, 1, 1e100)]))
+    dec = decompose_graph(pw.make_graph(2, [(0, 1, 1e100)]))
     x, y = basis_state(2, 0), basis_state(2, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -207,7 +203,7 @@ def test_moments_run_clean_at_large_scale():
 
 def test_underflowing_second_derivative_is_a_numeric_failure():
     # f''(tau) = -2e-400 rounds to -0 at weight 1e-200
-    dec = _dec(pw.make_graph(2, [(0, 1, 1e-200)]))
+    dec = decompose_graph(pw.make_graph(2, [(0, 1, 1e-200)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pw.NumericFailureError, match="leaves the float range"):

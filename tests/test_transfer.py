@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from conftest import basis_state, pair_state, random_connected_graph, random_support_state, unit
+from conftest import basis_state, decompose_graph, pair_state, random_connected_graph, random_support_state, unit
 from oracles import all_partners
 
 
-def _dec(graph, kind=pw.ADJACENCY):
-    return pw.decompose(pw.hamiltonian(graph, kind))
-
-
 def test_decide_k4_plus_pair():
-    dec = _dec(pw.build_complete(4))
+    dec = decompose_graph(pw.build_complete(4))
     verdict = pw.pst_decide(dec, basis_state(4, 0, 2), basis_state(4, 1, 3))
     assert verdict.decision
     assert verdict.tau_min == pytest.approx(math.pi / 4, rel=1e-12)
@@ -22,7 +18,7 @@ def test_decide_k4_plus_pair():
 
 
 def test_decide_p7_pair():
-    dec = _dec(pw.build_path(7))
+    dec = decompose_graph(pw.build_path(7))
     x = pair_state(7, 0, 6)  # end-vertex difference (labels 1 and 7)
     y = pair_state(7, 2, 4)
     verdict = pw.pst_decide(dec, x, y)
@@ -33,7 +29,7 @@ def test_decide_p7_pair():
 
 
 def test_decide_p3_laplacian_plus_refusal():
-    dec = _dec(pw.build_path(3), pw.LAPLACIAN)
+    dec = decompose_graph(pw.build_path(3), pw.LAPLACIAN)
     x = np.array([1.0, 1.0, 0.0])
     y = np.array([0.0, 1.0, 1.0])
     # strongly cospectral and periodic, but the parity condition fails
@@ -45,12 +41,12 @@ def test_decide_p3_laplacian_plus_refusal():
 
 
 def test_decide_refusal_reasons():
-    k3 = _dec(pw.build_complete(3))
+    k3 = decompose_graph(pw.build_complete(3))
     v = pw.pst_decide(k3, np.ones(3), unit(np.array([1.0, -1.0, 0.0])) * math.sqrt(3.0))
     assert not v.decision and v.reason == "fixed-state"
     v = pw.pst_decide(k3, basis_state(3, 0), basis_state(3, 1))
     assert not v.decision and v.reason == "not-cospectral"
-    c5 = _dec(pw.build_cycle(5))
+    c5 = decompose_graph(pw.build_cycle(5))
     partners = all_partners(c5, basis_state(5, 0))
     v = pw.pst_decide(c5, basis_state(5, 0), partners[0])
     assert not v.decision and v.reason == "not-periodic"
@@ -60,7 +56,7 @@ def test_decide_refusal_reasons():
 
 def test_partner_constructions():
     # two-eigenvalue support: flip the second component
-    k5 = _dec(pw.build_complete(5))
+    k5 = decompose_graph(pw.build_complete(5))
     x = np.array([1.0, 2.0, 0.0, -0.5, 0.3])
     y = pw.pst_partner(k5, x)
     closed_form = x - 2.0 * x.sum() / 5.0 * np.ones(5)
@@ -69,7 +65,7 @@ def test_partner_constructions():
     verdict = pw.pst_decide(k5, x, y)
     assert verdict.decision and verdict.tau_min == pytest.approx(math.pi / 5)
 
-    c5 = _dec(pw.build_cycle(5))
+    c5 = decompose_graph(pw.build_cycle(5))
     assert pw.pst_partner(c5, basis_state(5, 0)) is None
 
     with pytest.raises(pw.FixedStateError):
@@ -83,7 +79,7 @@ def test_partner_matches_decide_on_families(rng):
         (pw.build_path(5), pw.LAPLACIAN),
         (pw.build_hypercube(3), pw.ADJACENCY),
     ]:
-        dec = _dec(graph, kind)
+        dec = decompose_graph(graph, kind)
         for _ in range(5):
             m = dec.k
             size = int(rng.integers(2, min(m, 4) + 1))
@@ -99,7 +95,7 @@ def test_partner_matches_decide_on_families(rng):
 
 
 def test_verify_pst_numeric():
-    c8 = _dec(pw.build_cycle(8))
+    c8 = decompose_graph(pw.build_cycle(8))
     x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
     ok = pw.verify_pst_numeric(c8, x, y, math.pi / 2)
     assert ok.passed and ok.fidelity >= 1.0 - 1e-12
@@ -110,7 +106,7 @@ def test_verify_pst_numeric():
 
 
 def test_phase_consistency():
-    c8 = _dec(pw.build_cycle(8))
+    c8 = decompose_graph(pw.build_cycle(8))
     x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
     verdict = pw.pst_decide(c8, x, y)
     check = pw.verify_pst_numeric(c8, x, y, verdict.tau_min)
@@ -129,7 +125,7 @@ def test_closed_form_time_fast_path():
          pair_state(6, 0, 2), pair_state(6, 1, 2)),
     ]
     for g, kind, x, y in cases:
-        verdict = pw.pst_decide(_dec(g, kind), x, y)
+        verdict = pw.pst_decide(decompose_graph(g, kind), x, y)
         assert verdict.decision
         form = pw.classify_form(verdict.ratio_table)
         assert form.variant in ("integer", "quadratic")
@@ -138,19 +134,19 @@ def test_closed_form_time_fast_path():
 
 
 def test_universal_pairs():
-    k2 = _dec(pw.build_path(2))
+    k2 = decompose_graph(pw.build_path(2))
     x, y, tau = pw.universal_pst_pair(k2)
     assert tau == pytest.approx(math.pi / 2)
     assert pw.pst_decide(k2, x, y).decision
 
-    pet = _dec(pw.build_petersen())
+    pet = decompose_graph(pw.build_petersen())
     x, y, tau = pw.universal_pst_pair(pet)
     assert tau == pytest.approx(math.pi / 5)  # spread 3 - (-2)
     assert pw.verify_pst_numeric(pet, x, y, tau).passed
 
     # Laplacian of a join on n vertices: universal time pi/n
     g = pw.join(pw.build_path(2), pw.build_cycle(3))
-    dec = _dec(g, pw.LAPLACIAN)
+    dec = decompose_graph(g, pw.LAPLACIAN)
     x, y, tau = pw.universal_pst_pair(dec)
     assert tau == pytest.approx(math.pi / g.n, rel=1e-12)
     assert pw.pst_decide(dec, x, y).decision
@@ -161,7 +157,7 @@ def test_universal_pairs():
 
 
 def test_monogamy(rng):
-    c8 = _dec(pw.build_cycle(8))
+    c8 = decompose_graph(pw.build_cycle(8))
     x = basis_state(8, 0, 4)
     y = pw.pst_partner(c8, x)
     for z in all_partners(c8, x):
@@ -172,9 +168,9 @@ def test_monogamy(rng):
 
 def test_minimality(rng):
     cases = []
-    c8 = _dec(pw.build_cycle(8))
+    c8 = decompose_graph(pw.build_cycle(8))
     cases.append((c8, basis_state(8, 0, 4), basis_state(8, 2, 6)))
-    k4 = _dec(pw.build_complete(4))
+    k4 = decompose_graph(pw.build_complete(4))
     cases.append((k4, basis_state(4, 0, 2), basis_state(4, 1, 3)))
     for dec, x, y in cases:
         verdict = pw.pst_decide(dec, x, y)
@@ -192,7 +188,7 @@ def test_decision_numeric_agreement(rng):
     ]
     grid = np.linspace(0.05, 20.0, 300)
     for graph, kind in graphs:
-        dec = _dec(graph, kind)
+        dec = decompose_graph(graph, kind)
         for _ in range(6):
             size = int(rng.integers(2, min(dec.k, 5) + 1))
             positions = sorted(rng.choice(dec.k, size=size, replace=False).tolist())
@@ -234,7 +230,7 @@ def test_exhaustive_spread_oracle():
 
 
 def test_fidelity_scan():
-    c8 = _dec(pw.build_cycle(8))
+    c8 = decompose_graph(pw.build_cycle(8))
     x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
     tau = math.pi / 2
     scan = pw.fidelity_scan(c8, x, y, 2 * tau, 200)
@@ -242,19 +238,19 @@ def test_fidelity_scan():
     assert abs(scan.peak_time - tau) <= 0.05
 
     # fixed state: constant series
-    k3 = _dec(pw.build_complete(3))
+    k3 = decompose_graph(pw.build_complete(3))
     scan = pw.fidelity_scan(k3, np.ones(3), np.ones(3), 10.0, 50)
     assert np.max(scan.values) - np.min(scan.values) <= 1e-10
 
     # no transfer: peak stays visibly below one
-    c5 = _dec(pw.build_cycle(5))
+    c5 = decompose_graph(pw.build_cycle(5))
     scan = pw.fidelity_scan(c5, basis_state(5, 0), basis_state(5, 1), 50.0, 2000)
     assert scan.peak_value < 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_non_finite_times_are_refused_without_a_warning(t):
-    dec = _dec(pw.build_cycle(8))
+    dec = decompose_graph(pw.build_cycle(8))
     x, y = basis_state(8, 0, 4), basis_state(8, 2, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

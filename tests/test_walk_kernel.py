@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from pstwalk import spectral, transfer
-from conftest import basis_state, pair_state
+from conftest import basis_state, cases, decompose_graph, pair_state
 from pstwalk.errors import NumericFailureError
-from test_metamorphic import cases
 
 TIMES = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12)
 EPS = np.finfo(float).eps
@@ -47,15 +46,11 @@ def _reference_fd(dec, x, y, tau, k, h):
     return float(weights @ np.array([_reference_fidelity(dec, tau + o * h, x, y) for o in offsets]))
 
 
-def _dec(g, kind):
-    return pw.decompose(pw.hamiltonian(g, kind))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases(), TIMES)
 def test_fidelity_of_an_array_equals_the_scalar_calls(case, times):
     g, kind, x, y, _ = case
-    dec = _dec(g, kind)
+    dec = decompose_graph(g, kind)
     got = pw.fidelity(dec, np.array(times), x, y)
     assert got.shape == (len(times),)
     want = [pw.fidelity(dec, t, x, y) for t in times]
@@ -87,7 +82,7 @@ def _check_scan(dec, x, y, t_max, steps):
 @given(cases(), st.floats(0.5, 20.0), st.integers(2, 300))
 def test_scan_values_are_the_fidelity_of_its_times(case, t_max, steps):
     g, kind, x, y, _ = case
-    _check_scan(_dec(g, kind), x, y, t_max, steps)
+    _check_scan(decompose_graph(g, kind), x, y, t_max, steps)
 
 
 SCAN_GRAPHS = {"P40": pw.build_path(40), "C31": pw.build_cycle(31),
@@ -101,7 +96,7 @@ def test_scan_grid_at_edge_sizes_and_times(name, kind, t_max):
     # steps around the square 256 = 16^2 (full last row, one more, one less),
     # the fewest, a prime and a long grid
     g = SCAN_GRAPHS[name]
-    dec = _dec(g, kind)
+    dec = decompose_graph(g, kind)
     x, y = pair_state(g.n, 0, 1, 1.0), pair_state(g.n, g.n - 2, g.n - 1, 1.0)
     for steps in (2, 3, 17, 255, 256, 257, 4001):
         _check_scan(dec, x, y, t_max, steps)
@@ -132,7 +127,7 @@ def test_peak_refinement_walks(monkeypatch, name, kind):
     bound of 64 walks holds there. The peak lies in the scanned window, for
     t_max <= 0 too."""
     g = SCAN_GRAPHS[name]
-    dec = _dec(g, kind)
+    dec = decompose_graph(g, kind)
     spread = dec.eigenvalues[0] - dec.eigenvalues[-1]
     x, y = pair_state(g.n, 0, 1, 1.0), pair_state(g.n, g.n - 2, g.n - 1, 1.0)
     for t_max in (0.0, 1e-3, -5.0, 1e5):
@@ -149,7 +144,7 @@ def test_peak_refinement_walks(monkeypatch, name, kind):
 def test_antipodal_peak_to_a_few_ulp(d, kind, t_max):
     # Q_d transfers a vertex to its antipode at every odd multiple of pi/2;
     # the golden-section refinement stopped about 5e-9 away
-    dec = _dec(pw.build_hypercube(d), kind)
+    dec = decompose_graph(pw.build_hypercube(d), kind)
     n = 1 << d
     scan = pw.fidelity_scan(dec, basis_state(n, 0), basis_state(n, n - 1), t_max, 256)
     want = round(scan.peak_time / (math.pi / 2)) * (math.pi / 2)
@@ -161,14 +156,14 @@ def test_roundoff_amplitudes_stop_at_the_first_walk(monkeypatch):
     # on C102 the overlaps of (26, 27) with (0, 1) cancel to roundoff: one
     # Newton walk sees a derivative inside its rounding bound, then the peak
     # takes the final walk
-    dec = _dec(pw.build_cycle(102), pw.ADJACENCY)
+    dec = decompose_graph(pw.build_cycle(102), pw.ADJACENCY)
     x, y = pair_state(102, 26, 27, 1.0), pair_state(102, 0, 1, 1.0)
     assert np.abs(pw.fidelity(dec, np.linspace(0.0, 2.0, 256), x, y)).max() < 1e-28
     _, walks = _walks(monkeypatch, dec, x, y, 2.0, 256)
     assert walks == 2
 
 
-P2 = _dec(pw.build_path(2), pw.ADJACENCY)
+P2 = decompose_graph(pw.build_path(2), pw.ADJACENCY)
 DBL_MAX = sys.float_info.max
 
 
@@ -201,7 +196,7 @@ def test_scan_near_the_float_maximum_is_refused_cleanly():
 @given(cases(), st.floats(0.0, 20.0), st.sampled_from([1, 2]))
 def test_fidelity_and_stencil_match_the_evolve_path(case, tau, k):
     g, kind, x, y, _ = case
-    dec = _dec(g, kind)
+    dec = decompose_graph(g, kind)
     assert abs(pw.fidelity(dec, tau, x, y) - _reference_fidelity(dec, tau, x, y)) <= 1e-12
     # samples agreeing to 1e-12 move the stencil by at most 1e-12 times its weight sum
     h = 1e-2
@@ -210,7 +205,7 @@ def test_fidelity_and_stencil_match_the_evolve_path(case, tau, k):
     assert abs(got - _reference_fd(dec, x, y, tau, k, h)) <= bound
 
 
-K5 = _dec(pw.build_complete(5), pw.ADJACENCY)
+K5 = decompose_graph(pw.build_complete(5), pw.ADJACENCY)
 X5, Y5 = pair_state(5, 0, 1), pair_state(5, 2, 3)
 
 
@@ -237,7 +232,7 @@ def test_overflowing_phase_is_a_numeric_failure(call):
 def test_fidelity_above_one_shows_alike():
     # eigenvectors scaled by 1.001 inflate every amplitude by 1.001^2: the
     # fidelity reads 1.001^4, above the 1 + 1e-9 clamp, on every path
-    dec = _dec(pw.build_path(2), pw.ADJACENCY)
+    dec = decompose_graph(pw.build_path(2), pw.ADJACENCY)
     bad = dataclasses.replace(dec, basis=spectral.DenseBasis(dec.basis.dense() * 1.001))
     x, y = basis_state(2, 0), basis_state(2, 1)
     want = 1.001**4
