@@ -39,8 +39,9 @@ def _vertex_sums(n: int, src: np.ndarray, dst: np.ndarray, values: np.ndarray) -
 
 
 def _dense(n: int, src: np.ndarray, dst: np.ndarray, diagonal, values: np.ndarray) -> np.ndarray:
-    """The one dense builder: diagonal, values on the edges, zero elsewhere."""
-    a = np.zeros((check_dense(n), n))
+    """The one dense builder: diagonal, values on the edges, zero elsewhere.
+    Unguarded: a graph's matrices check_dense first, a product's factor not."""
+    a = np.zeros((n, n))
     a[src, dst] = values
     a[dst, src] = values
     np.fill_diagonal(a, diagonal)
@@ -70,10 +71,10 @@ class Graph:
         return hash((self.n, self.edges))
 
     def adjacency(self) -> np.ndarray:
-        return _dense(self.n, self.src, self.dst, 0.0, self.w)
+        return _dense(check_dense(self.n), self.src, self.dst, 0.0, self.w)
 
     def laplacian(self) -> np.ndarray:
-        return _dense(self.n, self.src, self.dst, self.degrees(), -self.w)
+        return _dense(check_dense(self.n), self.src, self.dst, self.degrees(), -self.w)
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix), from the edge arrays."""
@@ -103,7 +104,7 @@ class Hamiltonian:
         """The dense matrix, read-only, built once on first read: only by a
         route of decompose that reads the dense M (the mirror route, eigh)."""
         g = self.graph
-        return _freeze(_dense(g.n, g.src, g.dst, self.diagonal, self.values))
+        return _freeze(_dense(check_dense(g.n), g.src, g.dst, self.diagonal, self.values))
 
     @property
     def n(self) -> int:

@@ -506,7 +506,7 @@ def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
     (2a, 2a + 1), all with one entry w; every other edge keeps b, with one
     list for b = 0 and b = 1; and d(2a + 1) - d(2a) is one constant delta.
     G's diagonal is then d(2a), and M_K2 = [[0, w], [w, delta]]; G's dense()
-    is graphs' one dense builder, as a Hamiltonian's."""
+    is graphs' one dense builder, unguarded, as a raw matrix's form is."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
     if n % 2:
         return None

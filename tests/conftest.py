@@ -1,4 +1,5 @@
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,9 +132,11 @@ def relabelled(ham, seed):
 
 def entries(ham, shifted=True):
     """(entry, matrix) for the Hamiltonian, its raw matrix and, with shifted,
-    2.5 M + 0.75 I."""
-    out = [("hamiltonian", ham), ("raw", np.array(ham.matrix))]
-    return out + [("shifted", 2.5 * ham.matrix + 0.75 * np.eye(ham.n))] if shifted else out
+    2.5 M + 0.75 I. The matrices are read from a copy, so a Hamiltonian that
+    has not built its matrix still has not."""
+    mat = replace(ham).matrix
+    out = [("hamiltonian", ham), ("raw", np.array(mat))]
+    return out + [("shifted", 2.5 * mat + 0.75 * np.eye(ham.n))] if shifted else out
 
 
 def route_calls(monkeypatch, m):

@@ -4,7 +4,8 @@ take it (and so to its basis class, ROUTE_BASIS), and an input built to
 differ from some route's structure in one place, or to sit just below
 ROUTE_MIN_N, also to the route that must pass it on. The route files run
 assert_matches_eigh on the rows their route takes and assert_declined on
-the rows it passes on; test_routes.py runs the checks that span the table."""
+the rows it passes on; test_routes.py runs them on the rows no route file
+takes, and checks both sides of the gate."""
 
 from functools import partial
 from typing import Callable, NamedTuple
@@ -20,6 +21,7 @@ from oracles import eigh_decompose, expm_transfer, projector
 
 ROUTE_BASIS = {"product": KroneckerBasis, "circulant": FourierBasis, "path": PathBasis,
                "bipartite": BipartiteBasis, "mirror": DenseBasis, "eigh": DenseBasis}
+DENSE_ROUTES = ("mirror", "eigh")  # the routes that read a Hamiltonian's matrix
 KINDS = (pw.ADJACENCY, pw.LAPLACIAN)
 LAP = pw.LAPLACIAN
 K2 = pw.build_path(2)
@@ -248,9 +250,10 @@ ROUTE_OF = (_taken() + _gate() + _declines("circulant", _circulant_declines())
 
 
 def rows(route=None, declines=None):
-    """The rows of ROUTE_OF that the route takes, or that declines passes on."""
+    """The rows of ROUTE_OF that the route takes, or that declines passes on
+    (declines=False: that no route passes on)."""
     return [row for row in ROUTE_OF if (route is None or row.route == route)
-            and (declines is None or row.declines == declines)]
+            and (declines is None or row.declines == (declines or None))]
 
 
 def row(route, name):
@@ -279,11 +282,21 @@ def assert_agrees(got, want, m, ulps=None, proj_atol=1e-12, ortho_atol=1e-12):
                                atol=ortho_atol * got.scale)
 
 
+def _assert_route(m, calls, dec, route):
+    """The route took m, dec has its basis class, and a Hamiltonian m has
+    built its matrix exactly when the route reads the dense M (mirror, eigh):
+    m must not have built it before decompose."""
+    assert route_of(calls) == route and isinstance(dec.basis, ROUTE_BASIS[route])
+    if isinstance(m, pw.Hamiltonian):
+        assert ("matrix" in vars(m)) == (route in DENSE_ROUTES)
+
+
 def assert_matches_eigh(monkeypatch, m, route, want=None, **tolerances):
-    """decompose(m) is taken by the route, and agrees (assert_agrees) with
-    eigh's decomposition of m, want if given. Returns both."""
+    """decompose(m) is taken by the route (_assert_route), and agrees
+    (assert_agrees) with eigh's decomposition of m, want if given. Returns
+    both."""
     got, calls = route_calls(monkeypatch, m)
-    assert route_of(calls) == route and isinstance(got.basis, ROUTE_BASIS[route])
+    _assert_route(m, calls, got, route)
     want = eigh_decompose(m) if want is None else want
     assert_agrees(got, want, m, **tolerances)
     return got, want
@@ -309,15 +322,19 @@ def assert_transfer(monkeypatch, dec, ref, ham, x):
 
 
 def assert_declined(monkeypatch, m, route, taker):
-    """decompose(m) never has the route take m (below ROUTE_MIN_N it never
-    calls it) and never reaches np.fft; the route taker does, and gives
-    eigh's multiplicities and eigenvalues to 1e-12 * scale. Returns the
-    decomposition and eigh's."""
+    """decompose(m) calls the route and it declines m (below ROUTE_MIN_N,
+    or with no edges, only eigh is called), with no np.fft reached; the
+    route taker takes m (_assert_route) and gives eigh's multiplicities and
+    eigenvalues to 1e-12 * scale. Returns the decomposition and eigh's."""
     with monkeypatch.context() as patch:
         patch.setattr(np, "fft", NoFFT())
         dec, calls = route_calls(monkeypatch, m)
-    assert (route, True) not in calls and route_of(calls) == taker
-    assert spectral._edge_form(m).n >= spectral.ROUTE_MIN_N or calls == [("eigh", True)]
+    _assert_route(m, calls, dec, taker)
+    form = spectral._edge_form(m)
+    if form.n >= spectral.ROUTE_MIN_N and len(form.src):
+        assert (route, False) in calls and (route, True) not in calls
+    else:  # below the gate, or no edges: eigh alone
+        assert calls == [("eigh", True)]
     ref = eigh_decompose(m)
     assert dec.multiplicities == ref.multiplicities
     np.testing.assert_allclose(dec.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12 * dec.scale)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
+from pstwalk import graphs, spectral
 from conftest import (assert_one_form, assert_same_form, assert_same_verdicts, decomposition_bytes, entries,
                       heavy_path_ends, route_calls, seeded_relabel, taken)
 from oracles import eigh_decompose, forced_decompose
@@ -193,14 +193,6 @@ NO_PRODUCT = {"Q8-relabelled-adjacency", "Q8-relabelled-laplacian", "split-label
 BOTH_ROUTES = {"Q7-zero-values"}
 
 
-def _form_matrix(form):
-    """The dense M of an EdgeForm, from its edges and diagonal."""
-    mat = np.zeros((form.n, form.n))
-    mat[form.src, form.dst] = mat[form.dst, form.src] = form.entries
-    np.fill_diagonal(mat, form.diagonal)
-    return mat
-
-
 def _dense_box_factor(form):
     """spectral._box_factor from the dense M: M is M_G (x) I_2 + I_G (x) M_K2
     in the labelling v = 2a + b when its block M[0::2, 1::2] is w I, w != 0,
@@ -230,7 +222,7 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
     real_eigh, real_factor = spectral._bipartite_eigh, spectral._box_factor
 
     def check_block(form, p, q):
-        mat = _form_matrix(form)
+        mat = graphs._dense(form.n, form.src, form.dst, form.diagonal, form.entries)
         i, k = spectral._block_entries(form.n, p, q, form.src, form.dst)
         assert spectral._dense_block((len(p), len(q)), i, k, form.entries).tobytes() == mat[np.ix_(p, q)].tobytes()
         seen.append("bipartite")

@@ -17,18 +17,20 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, outcome, pair_state,
-                      relabelled, route_calls, taken)
-from route_table import assert_declined, assert_matches_eigh, mirror_chain, rows
+                      relabelled, route_calls, route_of, taken)
+from route_table import assert_declined, assert_matches_eigh, mirror_chain, row, rows
 
 ROUTE_CASES = [(r.name, r.build()) for r in rows("mirror")]
 
 
 @pytest.mark.parametrize("name,m", ROUTE_CASES, ids=[c[0] for c in ROUTE_CASES])
 def test_route_matches_eigh(monkeypatch, name, m):
-    assert np.array_equal(m.matrix, m.matrix[::-1, ::-1])
     got, _ = assert_matches_eigh(monkeypatch, m, "mirror", proj_atol=1e-10)
+    assert np.array_equal(m.matrix, m.matrix[::-1, ::-1])
     # both entries reach the route through the same test, so the same bytes
-    assert all(decomposition_bytes(pw.decompose(e)) == decomposition_bytes(got) for _, e in entries(m, False))
+    for _, e in entries(m, False):
+        dec, calls = route_calls(monkeypatch, e)
+        assert route_of(calls) == "mirror" and decomposition_bytes(dec) == decomposition_bytes(got)
 
 
 # the n = 63 rows of the gate, under the names this test has always had
@@ -50,15 +52,9 @@ def test_off_the_route(monkeypatch, name, r):
     assert mirrored == np.array_equal(mat, mat[::-1, ::-1]) == (ham.n < spectral.ROUTE_MIN_N)
 
 
-BIPARTITE_ROUTE = [
-    ("P64-adjacency", pw.hamiltonian(pw.build_path(64), pw.ADJACENCY)),
-    ("C64-adjacency", pw.hamiltonian(pw.build_cycle(64), pw.ADJACENCY)),
-    ("C64-laplacian", pw.hamiltonian(pw.build_cycle(64), pw.LAPLACIAN)),
-    ("Q7-adjacency", pw.hamiltonian(pw.build_hypercube(7), pw.ADJACENCY)),
-    ("Q7-laplacian", pw.hamiltonian(pw.build_hypercube(7), pw.LAPLACIAN)),
-    ("C32xK2-adjacency", pw.hamiltonian(pw.cartesian_product(pw.build_cycle(32), pw.build_path(2)),
-                                        pw.ADJACENCY)),
-]
+BIPARTITE_ROUTE = [(name, row(route, name).build()) for route, name in (
+    ("path", "P64-adjacency"), ("circulant", "C64-adjacency"), ("circulant", "C64-laplacian"),
+    ("product", "Q7-adjacency"), ("product", "Q7-laplacian"), ("product", "C32xK2-adjacency"))]
 
 
 @pytest.mark.parametrize("name,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
-from conftest import assert_same_verdicts, entries, pair_state
-from route_table import assert_declined, assert_matches_eigh, rows
+from pstwalk import graphs, spectral
+from conftest import assert_same_verdicts, decomposition_bytes, entries, pair_state, route_calls, route_of
+from route_table import assert_declined, assert_matches_eigh, row, rows
 
 DIGEST_PRODUCTS = [(r.name, r) for r in rows("product")]
 
@@ -69,3 +69,19 @@ def test_weighted_product_with_a_potential(monkeypatch):
     assert_same_verdicts(got, want, len(mat))
     x = pair_state(len(mat), 0, 1, 1.0)
     np.testing.assert_allclose(pw.evolve(got, 0.8, x), pw.evolve(want, 0.8, x), rtol=0, atol=1e-10)
+
+
+def test_factor_past_the_dense_guard(monkeypatch):
+    """DENSE_GUARD refuses a graph's dense matrix, not a route's work: with
+    it below Q6's factor Q5, which eigh reads, Q6 still decomposes from
+    either entry, and a raw matrix off every other route goes to eigh."""
+    ham = row("product", "Q6-adjacency").build()
+    raw, off_route = entries(ham, False)[1][1], entries(row("eigh", "random-weighted-adjacency").build(), False)[1][1]
+    monkeypatch.setattr(graphs, "DENSE_GUARD", 16)
+    with pytest.raises(pw.InvalidSizeError):
+        pw.hamiltonian(pw.build_hypercube(5), pw.ADJACENCY)
+    got, _ = assert_matches_eigh(monkeypatch, raw, "product")
+    dec, calls = route_calls(monkeypatch, ham)
+    assert route_of(calls) == "product" and "matrix" not in vars(ham)
+    assert decomposition_bytes(dec) == decomposition_bytes(got)
+    assert_matches_eigh(monkeypatch, off_route, "eigh")

@@ -1,20 +1,17 @@
-"""The route contract over the one table of inputs, route_table.ROUTE_OF:
-each input, as a Hamiltonian, as its raw matrix and (where marked) shifted,
-takes the route the table names and that route's basis class; on the four
-factored routes a Hamiltonian never builds its matrix; below ROUTE_MIN_N
-only eigh is called. The bipartite rows agree with eigh and keep the basis
-protocol here; the route files check the other routes' rows."""
+"""The route contract across the table of inputs, route_table.ROUTE_OF:
+below ROUTE_MIN_N only eigh is called, and at it each route takes its own
+input. The bipartite rows, and the rows eigh takes that no route passes on,
+agree with eigh and keep the basis protocol here; the route files check
+the other rows, each through assert_matches_eigh or assert_declined, which
+also check the route, its basis class and when a Hamiltonian builds its
+matrix."""
 
 import numpy as np
 import pytest
 
-import pstwalk as pw
 from pstwalk import spectral
-from conftest import check_basis, entries, route_calls, route_of
-from route_table import ROUTE_BASIS, ROUTE_OF, assert_matches_eigh, row, rows
-
-FACTORED = ("product", "circulant", "path", "bipartite")
-CASES = [(r, entry) for r in ROUTE_OF for entry in ("hamiltonian", "raw", "shifted")[:3 if r.shifted else 2]]
+from conftest import check_basis, entries, route_calls
+from route_table import assert_matches_eigh, row, rows
 
 
 def _entry(r, entry):
@@ -22,16 +19,6 @@ def _entry(r, entry):
     matrix yet."""
     ham = r.build()
     return ham if entry == "hamiltonian" else dict(entries(ham, r.shifted))[entry]
-
-
-@pytest.mark.parametrize("r,entry", CASES, ids=[f"{r.route}-{r.name}-{entry}" for r, entry in CASES])
-def test_route_of(monkeypatch, r, entry):
-    m = _entry(r, entry)
-    dec, calls = route_calls(monkeypatch, m)
-    assert route_of(calls) == r.route
-    assert isinstance(dec.basis, ROUTE_BASIS[r.route])
-    if isinstance(m, pw.Hamiltonian):
-        assert ("matrix" in vars(m)) == (r.route not in FACTORED)
 
 
 BELOW = ["P63-adjacency", "P63", "C63", "C63-laplacian", "P63-heavy-adjacency", "P63-heavy-laplacian",
@@ -66,12 +53,14 @@ def test_gate_at(monkeypatch, route, name, entry):
     assert calls == factor + [(r, False) for r in before] + [(route, True)]
 
 
-BIPARTITE = [(f"{r.name}-{entry}", m) for r in rows("bipartite") for entry, m in entries(r.build(), r.shifted)]
+# the rows no route file checks: the bipartite route's, and those eigh takes
+# that no route passes on
+TAKEN = [(f"{r.route}-{r.name}-{entry}", r.route, m) for r in rows("bipartite") + rows("eigh", declines=False)
+         for entry, m in entries(r.build(), r.shifted)]
 
 
-@pytest.mark.parametrize("name,m", BIPARTITE, ids=[c[0] for c in BIPARTITE])
-def test_route_matches_eigh(monkeypatch, name, m):
-    """The bipartite route's rows agree with eigh, as the route files check
-    theirs."""
-    got, _ = assert_matches_eigh(monkeypatch, m, "bipartite", proj_atol=1e-10)
+@pytest.mark.parametrize("name,route,m", TAKEN, ids=[c[0] for c in TAKEN])
+def test_route_matches_eigh(monkeypatch, name, route, m):
+    """These rows agree with eigh, as the route files check theirs."""
+    got, _ = assert_matches_eigh(monkeypatch, m, route, proj_atol=1e-10)
     check_basis(got, np.random.default_rng(got.n))
