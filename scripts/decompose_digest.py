@@ -1,15 +1,17 @@
-"""sha256 digests of 96 decompositions, to check that a change keeps their bytes.
+"""sha256 digests of 120 decompositions, to check that a change keeps their bytes.
 
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python scripts/decompose_digest.py [--parent REV]
 
 The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
-C32xK2, C64xK2 and a seeded relabelled Q8, each with both kinds, and each
-kind decomposed as a Hamiltonian h, as the raw matrix np.array(h.matrix) and
-as 2.5 M + 0.75 I. The digest of one decomposition covers its eigenvalues,
-offsets, dense V (its basis's dense(), or the basis itself where it is a bare
-array, as in older src/), scale, multiplicities and warnings. The script prints
+C32xK2, C64xK2 and a seeded relabelled Q8, which the factored routes take,
+and P40 and C40 (below the routes' size gate), a seeded random weighted
+graph on 100 vertices, which eigh takes, and K32,32, which the mirror route
+takes; each with both kinds, and each kind decomposed as a Hamiltonian h, as
+the raw matrix np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one
+decomposition covers its eigenvalues, offsets, dense V (its basis's
+dense()), scale, multiplicities and warnings. The script prints
 the digest of each input, with the class of its basis (a KroneckerBasis with
 its factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
 and one digest over all of them.
@@ -38,8 +40,18 @@ import pstwalk as pw
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def random_weighted():
+    """A seeded G(100, 0.1) with weights in [1, 4): its triangles and uneven
+    degrees leave it to eigh."""
+    rng = np.random.default_rng(100)
+    u, v = np.triu_indices(100, 1)
+    keep = rng.random(len(u)) < 0.1
+    return pw.make_graph(100, list(zip(u[keep].tolist(), v[keep].tolist(),
+                                       rng.uniform(1.0, 4.0, keep.sum()).tolist())))
+
+
 def inputs():
-    """(name, Hamiltonian or raw matrix) for the 96 decompositions."""
+    """(name, Hamiltonian or raw matrix) for the 120 decompositions."""
     q8 = pw.build_hypercube(8)
     p = np.random.default_rng(8).permutation(q8.n)
     k2 = pw.build_path(2)
@@ -49,7 +61,9 @@ def inputs():
               + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
                  ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
                  ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
-                 ("Q8-relabelled", pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges]))])
+                 ("Q8-relabelled", pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])),
+                 ("P40", pw.build_path(40)), ("C40", pw.build_cycle(40)),
+                 ("random-weighted100", random_weighted()), ("K32,32", pw.build_complete_bipartite(32, 32))])
     for name, g in graphs:
         for kind in (pw.ADJACENCY, pw.LAPLACIAN):
             h = pw.hamiltonian(g, kind)
@@ -60,9 +74,7 @@ def inputs():
 
 def digest(dec) -> str:
     h = hashlib.sha256()
-    # --parent runs this same script on older src/, where a dense V is a bare array
-    vectors = dec.basis if isinstance(dec.basis, np.ndarray) else dec.basis.dense()
-    for arr in (dec.eigenvalues, dec.offsets, vectors):
+    for arr in (dec.eigenvalues, dec.offsets, dec.basis.dense()):
         h.update(np.ascontiguousarray(arr).tobytes())
     h.update(repr((dec.scale, dec.multiplicities, dec.warnings)).encode())
     return h.hexdigest()

@@ -235,16 +235,18 @@ Basis = DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis 
 class SpectralDecomposition:
     """Distinct eigenvalues (strictly decreasing) with their eigenvector blocks:
     cluster j is spanned by the columns offsets[j]:offsets[j + 1] of V, which
-    basis holds (one of Basis). The stages reach V^T X only through a
-    Projection (basis.project); a lift V[:, cols] C is formed only by
-    Projection.reflect, evolve and universal_pst_pair, and V itself only by
-    transition_matrix."""
+    basis holds (one of Basis) as the named route found it. The stages reach
+    V^T X only through a Projection (basis.project); a lift V[:, cols] C is
+    formed only by Projection.reflect, evolve and universal_pst_pair, and V
+    itself only by transition_matrix."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: Basis                              # V, columns grouped by cluster
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
+    route: str                                # ROUTES' entry that took M: product, ..., mirror or eigh
+    widths: np.ndarray                        # shape (k,), each cluster's lambda_first - lambda_last
     warnings: tuple[str, ...] = ()            # one per cluster gap below GAP_WARNING x the threshold
 
     @property
@@ -586,7 +588,7 @@ def _product_route(form: EdgeForm):
     factors = _box_factor(form)
     if factors is None:
         return None
-    (lam, g), (mu, h) = _eigenpairs(factors[0]), np.linalg.eigh(factors[1])
+    (lam, g, _), (mu, h) = _eigenpairs(factors[0]), np.linalg.eigh(factors[1])
     sums = np.add.outer(lam, mu).ravel()  # entry i * 2 + j: the column g_i (x) h_j
     order = np.argsort(-sums, kind="stable")
     evals = sums[order]
@@ -664,12 +666,12 @@ def _bipartite_route(form: EdgeForm):
 
 def _mirror_route(form: EdgeForm):
     """A mirror-symmetric M (_mirrored) by two eighs of about n/2
-    (_mirror_eigh), merged into eigh's ascending order on a DenseBasis
+    (_mirror_eigh), its two sorted runs merged into one on a DenseBasis
     (K150,150 adjacency: 3.6 ms, against 7.1 ms by eigh)."""
     if not _mirrored(form):
         return None
     evals, vectors = _mirror_eigh(form.dense())
-    merge = np.argsort(evals, kind="stable")  # its two ascending runs, merged as eigh orders them
+    merge = np.argsort(evals, kind="stable")  # its two ascending runs, merged
     return evals[merge], DenseBasis(vectors[:, merge])
 
 
@@ -683,17 +685,17 @@ def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
 ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route, _eigh_route)
 
 
-def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis]:
-    """(values, basis) from the first route of ROUTES that does not pass the
-    form on (None): descending from the product, circulant, path or
-    bipartite route, ascending on a DenseBasis from the mirror route or
-    eigh. A form below ROUTE_MIN_N, with no edges, or with no edge list
-    (symmetric only to SYMMETRY_TOL) goes to eigh alone."""
+def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis, str]:
+    """(values, basis, name) from the first route of ROUTES that does not
+    pass the form on (None), name its short name (eigh for _eigh_route).
+    Every route returns its values sorted, in either direction, which
+    decompose reads from them. A form below ROUTE_MIN_N, with no edges, or
+    with no edge list (symmetric only to SYMMETRY_TOL) goes to eigh alone."""
     routed = form.n >= ROUTE_MIN_N and form.src is not None and len(form.src)
     for route in ROUTES if routed else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
-            return pairs
+            return (*pairs, route.__name__[1:-len("_route")])
 
 
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -728,8 +730,9 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     tol_group * ||M||_inf, so that scaling M by c > 0 scales every cluster
     gap and the threshold alike; each cluster's eigenvalue is the mean and
     its eigenvectors one contiguous column block of the basis, blocks in
-    descending eigenvalue order: every route's V comes as a basis of one
-    protocol, and only the ascending dense routes' one is regrouped.
+    descending eigenvalue order. Every route returns its V as a basis of one
+    protocol and its values sorted either way (else NumericFailureError), read
+    by one np.diff pass; an ascending answer's blocks are reversed by dense().
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of one table,
@@ -746,20 +749,24 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     """
     form = _edge_form(m)
     try:
-        evals, basis = _eigenpairs(form)
+        evals, basis, route = _eigenpairs(form)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    dense = isinstance(basis, DenseBasis)
+    steps = np.diff(evals)
+    ascending = bool((steps >= 0).all())
+    if not (ascending or (steps <= 0).all()):
+        raise NumericFailureError(f"the {route} route returned unsorted eigenvalues")
     n, threshold = form.n, cfg.tol_group * form.scale
-    bounds, means = _clusters(evals if dense else evals[::-1], threshold)
-    values = means[::-1].copy()
+    evals = evals if ascending else evals[::-1]
+    bounds, means = _clusters(evals, threshold)
+    values, widths = means[::-1].copy(), (evals[bounds[1:] - 1] - evals[bounds[:-1]])[::-1]
     offsets = n - bounds[::-1]
     counts = np.diff(offsets)
-    if dense:
+    if ascending:
         # clusters descending, each block's columns ascending: block j starts
         # at offsets[j] and takes V's columns from bounds[k - 1 - j]
         cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
-        basis = DenseBasis(basis.v[:, cols])
+        basis = DenseBasis(basis.dense()[:, cols])
         basis.v.setflags(write=False)
 
     gaps = values[:-1] - values[1:]
@@ -768,9 +775,9 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         f"and {values[j + 1]:.6g} is below twice the clustering threshold"
         for j in np.flatnonzero(gaps < GAP_WARNING * threshold)
     )
-    for arr in (values, offsets):
+    for arr in (values, offsets, widths):
         arr.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=values, basis=basis, offsets=offsets,
+    return SpectralDecomposition(eigenvalues=values, basis=basis, offsets=offsets, route=route, widths=widths,
                                  multiplicities=tuple(counts.tolist()), scale=form.scale, warnings=warnings)
 
 

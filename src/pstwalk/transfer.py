@@ -25,7 +25,7 @@ from .graphs import (
 from .periodicity import NonPeriodic, RatioTable, ratio_condition
 from .spectral import Projection, SpectralDecomposition, _grid_walk, decompose, normalized_fidelity, walk
 from .states import NotCospectral, _support, check_strong_cospectrality
-from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
+from .tolerances import CLUSTER_SPREAD, DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
 SPREAD_CHUNK = 1024    # keys per stacked eigvalsh of the spread oracle
 
@@ -111,12 +111,14 @@ def pst_decide(
     Decision tree, each step's "no" a returned value and no exception caught:
     strong cospectrality over the support of x (NotCospectral: fixed-state,
     not-cospectral or ambiguous-cospectrality, its eigenvalue the detail),
-    then the ratio condition on that support (NonPeriodic), then the parity
-    condition: with the largest support eigenvalue in the plus class, the
-    minus class must be exactly the ratio table's flips (the positions with
-    odd r_j, read on exact reconstructed integers). The case label records
-    the support size and, for three or more eigenvalues, whether the
-    second-largest sits in the plus (2a) or minus (2b) class.
+    then the ratio condition on that support (NonPeriodic), then the largest
+    phase spread tau * width of a support cluster (ambiguous-clustering above
+    CLUSTER_SPREAD, the spread the detail), then the parity condition: with
+    the largest support eigenvalue in the plus class, the minus class must be
+    exactly the ratio table's flips (the positions with odd r_j, read on
+    exact reconstructed integers). The case label records the support size
+    and, for three or more eigenvalues, whether the second-largest sits in
+    the plus (2a) or minus (2b) class.
     """
     cert = check_strong_cospectrality(dec, x, y, cfg)
     if isinstance(cert, NotCospectral):
@@ -131,6 +133,9 @@ def pst_decide(
             sigma_minus=cert.sigma_minus,
         )
     tau = table.period / 2.0
+    spread = tau * float(dec.widths[list(cert.profile.indices)].max())
+    if spread > CLUSTER_SPREAD:
+        return _refusal("ambiguous-clustering", detail=spread)
     minus = set(cert.minus_positions)
     if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
         minus = set(cert.plus_positions)

@@ -1,5 +1,6 @@
 import heapq
 from dataclasses import replace
+from functools import wraps
 
 import numpy as np
 import pytest
@@ -142,10 +143,12 @@ def entries(ham, shifted=True):
 def route_calls(monkeypatch, m):
     """decompose(m) with every entry of ROUTES spied: the decomposition and
     each call as (route, took), in the order the calls return, a product
-    route's factor before the product; the last one that took is m's route."""
+    route's factor before the product; the last one that took is m's route.
+    Each spy keeps its route's name, which dec.route reads."""
     calls = []
 
     def spy(route):
+        @wraps(route)
         def run(form):
             pairs = route(form)
             calls.append((route.__name__[1:-len("_route")], pairs is not None))

@@ -282,21 +282,32 @@ def assert_agrees(got, want, m, ulps=None, proj_atol=1e-12, ortho_atol=1e-12):
                                atol=ortho_atol * got.scale)
 
 
-def _assert_route(m, calls, dec, route):
-    """The route took m, dec has its basis class, and a Hamiltonian m has
-    built its matrix exactly when the route reads the dense M (mirror, eigh):
-    m must not have built it before decompose."""
-    assert route_of(calls) == route and isinstance(dec.basis, ROUTE_BASIS[route])
+def assert_widths(dec):
+    """Each cluster's width is read-only, 0 for a singleton and at most its
+    links, multiplicity - 1, times the clustering threshold."""
+    widths, counts = dec.widths, np.array(dec.multiplicities)
+    assert widths.shape == (dec.k,) and not widths.flags.writeable
+    assert (widths >= 0).all() and not widths[counts == 1].any()
+    assert (widths <= (counts - 1) * pw.DEFAULT_TOLERANCES.tol_group * dec.scale).all()
+
+
+def _assert_route(m, calls, dec, route, basis=None):
+    """The route took m, as dec.route records, dec has its basis class (or
+    basis) and its cluster widths (assert_widths), and a Hamiltonian m has
+    built its matrix exactly when the route reads the dense M (mirror,
+    eigh): m must not have built it before decompose."""
+    assert route_of(calls) == dec.route == route and isinstance(dec.basis, basis or ROUTE_BASIS[route])
+    assert_widths(dec)
     if isinstance(m, pw.Hamiltonian):
         assert ("matrix" in vars(m)) == (route in DENSE_ROUTES)
 
 
-def assert_matches_eigh(monkeypatch, m, route, want=None, **tolerances):
-    """decompose(m) is taken by the route (_assert_route), and agrees
-    (assert_agrees) with eigh's decomposition of m, want if given. Returns
-    both."""
+def assert_matches_eigh(monkeypatch, m, route, want=None, basis=None, **tolerances):
+    """decompose(m) is taken by the route (_assert_route, with basis), and
+    agrees (assert_agrees) with eigh's decomposition of m, want if given.
+    Returns both."""
     got, calls = route_calls(monkeypatch, m)
-    _assert_route(m, calls, got, route)
+    _assert_route(m, calls, got, route, basis)
     want = eigh_decompose(m) if want is None else want
     assert_agrees(got, want, m, **tolerances)
     return got, want

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis
-from conftest import check_basis, heavy_path_ends, pair_state, random_tree, relabel, route_calls, taken
+from conftest import check_basis, heavy_path_ends, pair_state, random_tree, relabel
 from oracles import eigenvector, expm_transfer
 
 
@@ -52,18 +52,18 @@ def _weighted_bipartite(seed, n, extra):
     return pw.make_graph(n, [(u, v, float(rng.uniform(0.5, 3.0))) for u, v in sorted(edges)])
 
 
-DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), 0),
-               ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), 1)]
+DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), "eigh"),
+               ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), "mirror")]
 
 
-@pytest.mark.parametrize("name,ham,mirror", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+@pytest.mark.parametrize("name,ham,route", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_dense_basis(monkeypatch, name, ham, mirror, seed):
+def test_dense_basis(name, ham, route, seed):
     """P7 through eigh and the P150 Laplacian with heavy end edges (the path
     route takes the uniform one) through the mirror route hold V as a
     DenseBasis, which keeps the protocol of the factored bases."""
-    dec, calls = route_calls(monkeypatch, ham)
-    assert isinstance(dec.basis, DenseBasis) and taken(calls, "mirror") == mirror
+    dec = pw.decompose(ham)
+    assert isinstance(dec.basis, DenseBasis) and dec.route == route
     check_basis(dec, np.random.default_rng(seed))
 
 

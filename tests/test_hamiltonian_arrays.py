@@ -11,7 +11,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from pstwalk.graphs import REGULAR_TOL
-from conftest import assert_one_form, decomposition_bytes, random_tree, route_calls, route_of
+from conftest import assert_one_form, decomposition_bytes, random_tree
 
 
 def _weighted(g, weights):
@@ -108,14 +108,14 @@ def test_float_weighted_entries_share_one_form(name, ham):
     assert decomposition_bytes(pw.decompose(ham)) == decomposition_bytes(pw.decompose(np.array(ham.matrix)))
 
 
-def test_zero_valued_edge_takes_one_route(monkeypatch):
+def test_zero_valued_edge_takes_one_route():
     """A value of 0 is no entry of M: from the Hamiltonian, as from its dense
     matrix, whose nonzero mask never sees it, Q6 plus a zero-valued edge
     is Q5 x K2 to the product route, and both decompose bit for bit alike."""
     ham = _zero_valued_edge()
-    decs = [route_calls(monkeypatch, entry) for entry in (ham, np.array(ham.matrix))]
-    assert [route_of(calls) for _, calls in decs] == ["product", "product"]
-    assert decomposition_bytes(decs[0][0]) == decomposition_bytes(decs[1][0])
+    decs = [pw.decompose(entry) for entry in (ham, np.array(ham.matrix))]
+    assert [dec.route for dec in decs] == ["product", "product"]
+    assert decomposition_bytes(decs[0]) == decomposition_bytes(decs[1])
 
 
 def test_matrix_is_built_once_on_first_read():
@@ -132,7 +132,7 @@ def test_route_reached_from_both_entries(monkeypatch):
     # the routes before it left out; both entries give one form
     # (test_both_entries_decompose_alike)
     monkeypatch.setattr(spectral, "ROUTES", (spectral._bipartite_route, spectral._eigh_route))
-    on_route = {name for name, ham in HAMILTONIANS if ("bipartite", True) in route_calls(monkeypatch, ham)[1]}
+    on_route = {name for name, ham in HAMILTONIANS if pw.decompose(ham).route == "bipartite"}
     bipartite = ("Q6", "Q7", "K40,90-e", "C64xK2", "C64xK2-w", "P70-w")
     want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}
     # the regular Laplacians, and Q6 with a zero-valued edge

@@ -17,7 +17,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, outcome, pair_state,
-                      relabelled, route_calls, route_of, taken)
+                      relabelled, route_calls, taken)
 from route_table import assert_declined, assert_matches_eigh, mirror_chain, row, rows
 
 ROUTE_CASES = [(r.name, r.build()) for r in rows("mirror")]
@@ -29,8 +29,8 @@ def test_route_matches_eigh(monkeypatch, name, m):
     assert np.array_equal(m.matrix, m.matrix[::-1, ::-1])
     # both entries reach the route through the same test, so the same bytes
     for _, e in entries(m, False):
-        dec, calls = route_calls(monkeypatch, e)
-        assert route_of(calls) == "mirror" and decomposition_bytes(dec) == decomposition_bytes(got)
+        dec = pw.decompose(e)
+        assert dec.route == "mirror" and decomposition_bytes(dec) == decomposition_bytes(got)
 
 
 # the n = 63 rows of the gate, under the names this test has always had
@@ -52,21 +52,20 @@ def test_off_the_route(monkeypatch, name, r):
     assert mirrored == np.array_equal(mat, mat[::-1, ::-1]) == (ham.n < spectral.ROUTE_MIN_N)
 
 
-BIPARTITE_ROUTE = [(name, row(route, name).build()) for route, name in (
+BIPARTITE_ROUTE = [(name, route, row(route, name).build()) for route, name in (
     ("path", "P64-adjacency"), ("circulant", "C64-adjacency"), ("circulant", "C64-laplacian"),
     ("product", "Q7-adjacency"), ("product", "Q7-laplacian"), ("product", "C32xK2-adjacency"))]
 
 
-@pytest.mark.parametrize("name,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])
-def test_bipartite_route_comes_first(monkeypatch, name, ham):
+@pytest.mark.parametrize("name,route,ham", BIPARTITE_ROUTE, ids=[c[0] for c in BIPARTITE_ROUTE])
+def test_bipartite_route_comes_first(name, route, ham):
     # each is mirror symmetric too, but a route before this one takes it:
     # the product route Q7 and C32 x K2, the circulant route C64, the path
     # route P64, else the bipartite route
     form = spectral._edge_form(ham)
     assert spectral._mirrored(form)
     assert spectral._route_parts(form) is not None
-    _, calls = route_calls(monkeypatch, ham)
-    assert not taken(calls, "mirror")
+    assert pw.decompose(ham).route == route
 
 
 def _pairs(n, rng):
@@ -86,13 +85,12 @@ METAMORPHIC = [c for c in ROUTE_CASES if c[0] in ("P64-laplacian", "P65-laplacia
 
 
 @pytest.mark.parametrize("name,ham", METAMORPHIC, ids=[c[0] for c in METAMORPHIC])
-def test_verdicts_match_the_relabelled_graph(monkeypatch, name, ham):
+def test_verdicts_match_the_relabelled_graph(name, ham):
     """The route's verdicts against eigh's on a relabelled copy: the same
     partner, decision, reason and case, and tau to 1e-12."""
     other, p = relabelled(ham, 5)
-    dec, calls = route_calls(monkeypatch, ham)
-    ref, ref_calls = route_calls(monkeypatch, other)
-    assert (taken(calls, "mirror"), taken(ref_calls, "mirror")) == (1, 0)
+    dec, ref = pw.decompose(ham), pw.decompose(other)
+    assert (dec.route, ref.route) == ("mirror", "eigh")
     n = ham.n
     for u, v, s in _pairs(n, np.random.default_rng(n)):
         x, y = pair_state(n, u, v, s), pair_state(n, (u + 1) % n, (v + 1) % n, s)

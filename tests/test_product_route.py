@@ -15,7 +15,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import graphs, spectral
-from conftest import assert_same_verdicts, decomposition_bytes, entries, pair_state, route_calls, route_of
+from conftest import assert_same_verdicts, decomposition_bytes, entries, pair_state
 from route_table import assert_declined, assert_matches_eigh, row, rows
 
 DIGEST_PRODUCTS = [(r.name, r) for r in rows("product")]
@@ -81,7 +81,7 @@ def test_factor_past_the_dense_guard(monkeypatch):
     with pytest.raises(pw.InvalidSizeError):
         pw.hamiltonian(pw.build_hypercube(5), pw.ADJACENCY)
     got, _ = assert_matches_eigh(monkeypatch, raw, "product")
-    dec, calls = route_calls(monkeypatch, ham)
-    assert route_of(calls) == "product" and "matrix" not in vars(ham)
+    dec = pw.decompose(ham)
+    assert dec.route == "product" and "matrix" not in vars(ham)
     assert decomposition_bytes(dec) == decomposition_bytes(got)
     assert_matches_eigh(monkeypatch, off_route, "eigh")

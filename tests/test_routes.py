@@ -4,14 +4,22 @@ input. The bipartite rows, and the rows eigh takes that no route passes on,
 agree with eigh and keep the basis protocol here; the route files check
 the other rows, each through assert_matches_eigh or assert_declined, which
 also check the route, its basis class and when a Hamiltonian builds its
-matrix."""
+matrix. Every route returns its values sorted, in either direction, and
+each cluster's width stays within its links to the clustering threshold."""
+
+import importlib.util
+from functools import wraps
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pstwalk as pw
 from pstwalk import spectral
+from pstwalk.spectral import DenseBasis, FourierBasis
+import census
 from conftest import check_basis, entries, route_calls
-from route_table import assert_matches_eigh, row, rows
+from route_table import KINDS, assert_matches_eigh, assert_widths, row, rows
 
 
 def _entry(r, entry):
@@ -64,3 +72,89 @@ def test_route_matches_eigh(monkeypatch, name, route, m):
     """These rows agree with eigh, as the route files check theirs."""
     got, _ = assert_matches_eigh(monkeypatch, m, route, proj_atol=1e-10)
     check_basis(got, np.random.default_rng(got.n))
+
+
+def _plant(monkeypatch, planted):
+    """ROUTES with the entry of planted's name replaced by planted."""
+    monkeypatch.setattr(spectral, "ROUTES", tuple(planted if r.__name__ == planted.__name__ else r
+                                                  for r in spectral.ROUTES))
+
+
+def _swapped(route):
+    """route with its first value swapped with the first that differs from
+    it: sorted in neither direction."""
+    @wraps(route)
+    def planted(form):
+        values, basis = route(form)
+        j = np.flatnonzero(values != values[0])[0]
+        values[[0, j]] = values[[j, 0]]
+        return values, basis
+    return planted
+
+
+@wraps(spectral._circulant_route)
+def _ascending_circulant(form):
+    """The circulant route with its values and its basis's order reversed."""
+    pairs = spectral._circulant_route(form)
+    if pairs is None:
+        return None
+    values, basis = pairs
+    return values[::-1], FourierBasis(form.n, basis.order[::-1])
+
+
+@wraps(spectral._eigh_route)
+def _descending_eigh(form):
+    """eigh with its values and its vectors reversed."""
+    values, basis = spectral._eigh_route(form)
+    return values[::-1], DenseBasis(basis.v[:, ::-1])
+
+
+@pytest.mark.parametrize("route,name", [("eigh", "P63"), ("eigh", "random-weighted-laplacian"),
+                                        ("circulant", "C64-adjacency"), ("circulant", "circ97-125-laplacian")])
+def test_unsorted_route_raises(monkeypatch, route, name):
+    """A route whose values are sorted in neither direction is refused at
+    once, never clustered."""
+    _plant(monkeypatch, _swapped(getattr(spectral, f"_{route}_route")))
+    with pytest.raises(pw.NumericFailureError, match=f"the {route} route returned unsorted eigenvalues"):
+        pw.decompose(row(route, name).build())
+
+
+ASCENDING = ["C64-adjacency", "C65-laplacian", "K64-adjacency", "K64-laplacian", "circ97-125-adjacency",
+             "C80-diameters-laplacian"]
+DESCENDING = ["P63", "K63-adjacency", "K31,32-laplacian", "random-weighted-adjacency", "edgeless-64"]
+
+
+@pytest.mark.parametrize("name", ASCENDING)
+def test_ascending_factored_route(monkeypatch, name):
+    """The circulant route planted ascending: decompose reads the order from
+    its values and regroups the blocks through basis.dense(), so it keeps
+    eigh's answer on a DenseBasis."""
+    _plant(monkeypatch, _ascending_circulant)
+    assert_matches_eigh(monkeypatch, row("circulant", name).build(), "circulant", basis=DenseBasis)
+
+
+@pytest.mark.parametrize("name", DESCENDING)
+def test_descending_eigh(monkeypatch, name):
+    """eigh planted descending keeps its answer, with no regrouping."""
+    _plant(monkeypatch, _descending_eigh)
+    assert_matches_eigh(monkeypatch, row("eigh", name).build(), "eigh")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cluster_widths_on_the_census(kind):
+    """The widths of every census graph with n <= 5, as _assert_route checks
+    them on every row of ROUTE_OF."""
+    for n in range(2, 6):
+        for g in census.graphs(n):
+            assert_widths(pw.decompose(pw.hamiltonian(g, kind)))
+
+
+def test_digest_inputs_take_every_route():
+    """scripts/decompose_digest.py decomposes inputs on every route, so its
+    digests gate each route's bytes."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "decompose_digest.py"
+    spec = importlib.util.spec_from_file_location("decompose_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    routes = {pw.decompose(m).route for _, m in script.inputs()}
+    assert routes == {r.__name__[1:-len("_route")] for r in spectral.ROUTES}

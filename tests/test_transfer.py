@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
+from pstwalk.tolerances import CLUSTER_SPREAD
 from conftest import basis_state, decompose_graph, pair_state, random_connected_graph, random_support_state, unit
-from oracles import all_partners
+from oracles import all_partners, expm_transfer
 
 
 def test_decide_k4_plus_pair():
@@ -52,6 +53,54 @@ def test_decide_refusal_reasons():
     assert not v.decision and v.reason == "not-periodic"
     with pytest.raises(pw.InvalidPairError):
         pw.pst_decide(k3, basis_state(3, 0), 2.0 * basis_state(3, 1))
+
+
+def test_wide_cluster_is_refused():
+    """The star K_{1,4} Laplacian plus 1e8 I: its clustering threshold
+    tol_group ||M||_inf is about 1, so 1e8 + 0 and 1e8 + 1 merge into one
+    cluster of width 1, and e0 - e1, whose transfer time is pi/4, would be
+    decided yes at 4 pi/17. The phase spread tau * width, 0.74, refuses it;
+    unshifted, the pair is decided yes at pi/4 with every width 0."""
+    star = pw.hamiltonian(pw.join(pw.build_empty(1), pw.build_empty(4)), pw.LAPLACIAN).matrix
+    x = pair_state(5, 0, 1)
+    dec = pw.decompose(star + 1e8 * np.eye(5))
+    assert dec.widths.max() == pytest.approx(1.0, rel=1e-6)
+    verdict = pw.pst_decide(dec, x, pw.pst_partner(dec, x))
+    assert (verdict.decision, verdict.reason) == (False, "ambiguous-clustering")
+    assert verdict.detail == pytest.approx(0.739, abs=1e-3)
+    dec = pw.decompose(star)
+    verdict = pw.pst_decide(dec, x, pw.pst_partner(dec, x))
+    assert verdict.decision and verdict.tau_symbolic == "pi/4" and not dec.widths.any()
+
+
+def test_heavy_end_paths_decide_no_false_yes():
+    """P4-P6 with weight W in {1e6, 1e7, 1e8} on the end edge (0, 1), both
+    kinds, every pair and plus state against its partner: where W's roundoff
+    merges eigenvalues 1 apart (each such verdict was a false yes, the
+    mixed-weight P6 and x = e2 + e3 among them), the verdict is refused, with
+    a phase spread far above CLUSTER_SPREAD; every yes transfers under expm
+    (some pairs are refused as ambiguous-cospectrality)."""
+    spreads = []
+    for n in (4, 5, 6):
+        for w in (1e6, 1e7, 1e8):
+            g = pw.make_graph(n, [(0, 1, w)] + [(i, i + 1, 1.0) for i in range(1, n - 1)])
+            for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+                ham = pw.hamiltonian(g, kind)
+                dec = pw.decompose(ham)
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        for s in (1.0, -1.0):
+                            x = pair_state(n, u, v, s)
+                            partners, found, _, _ = pw.pst_partners(dec, x[:, None])
+                            if not found[0]:
+                                continue
+                            verdict = pw.pst_decide(dec, x, partners[:, 0])
+                            if verdict.decision:
+                                assert expm_transfer(ham.matrix, x, partners[:, 0], verdict.tau_min) == \
+                                    pytest.approx(1.0, abs=1e-6)
+                            elif verdict.reason == "ambiguous-clustering":
+                                spreads.append(verdict.detail)
+    assert spreads and min(spreads) > 1e3 * CLUSTER_SPREAD
 
 
 def test_partner_constructions():
