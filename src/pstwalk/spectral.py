@@ -27,10 +27,11 @@ from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_P
 
 class DenseBasis:
     """The eigenvectors V as the one (n, n) array v of eigh or the mirror
-    route. lift gathers V's columns cols, so that V_F c[F] keeps its bytes."""
+    route, read-only. lift gathers V's columns cols: V_F c[F] keeps its bytes."""
 
     def __init__(self, v: np.ndarray):
         self.v, self.n = v, len(v)
+        v.setflags(write=False)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """V^T x for an (n, b) x."""
@@ -685,17 +686,21 @@ def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
 ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route, _eigh_route)
 
 
+def route_name(route) -> str:
+    """A route's name in SpectralDecomposition.route: eigh for _eigh_route."""
+    return route.__name__[1:-len("_route")]
+
+
 def _eigenpairs(form: EdgeForm) -> tuple[np.ndarray, Basis, str]:
-    """(values, basis, name) from the first route of ROUTES that does not
-    pass the form on (None), name its short name (eigh for _eigh_route).
-    Every route returns its values sorted, in either direction, which
-    decompose reads from them. A form below ROUTE_MIN_N, with no edges, or
-    with no edge list (symmetric only to SYMMETRY_TOL) goes to eigh alone."""
+    """(values, basis, route_name) of the first route of ROUTES that does not
+    pass the form on (None), its values sorted in either direction. A form
+    below ROUTE_MIN_N, with no edges, or with no edge list (symmetric only to
+    SYMMETRY_TOL) goes to eigh alone."""
     routed = form.n >= ROUTE_MIN_N and form.src is not None and len(form.src)
     for route in ROUTES if routed else ROUTES[-1:]:
         pairs = route(form)
         if pairs is not None:
-            return (*pairs, route.__name__[1:-len("_route")])
+            return (*pairs, route_name(route))
 
 
 def _clusters(evals: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -730,19 +735,17 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     tol_group * ||M||_inf, so that scaling M by c > 0 scales every cluster
     gap and the threshold alike; each cluster's eigenvalue is the mean and
     its eigenvectors one contiguous column block of the basis, blocks in
-    descending eigenvalue order. Every route returns its V as a basis of one
-    protocol and its values sorted either way (else NumericFailureError), read
-    by one np.diff pass; an ascending answer's blocks are reversed by dense().
+    descending order. Every route returns its values sorted either way
+    (else NumericFailureError); an ascending answer's blocks are reversed
+    through dense(), values that all tie are left as they are.
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
-    EdgeForm, and the spectrum comes from the first route of one table,
-    ROUTES, that takes it (_eigenpairs): from ROUTE_MIN_N on, the product,
-    circulant, path, bipartite and mirror routes, each for one structure it
-    detects exactly on the form, and np.linalg.eigh for every form. The
-    first four never read the dense matrix. ROUTE_MIN_N is the crossover
-    measured on paths, cycles and hypercubes; it also keeps the bytes of
-    every recorded CLI golden, all smaller: the factorisations agree to
-    rounding, not in their last bits.
+    EdgeForm, and the spectrum comes from the first route of ROUTES that
+    takes it (_eigenpairs): from ROUTE_MIN_N on, five routes for structures
+    detected exactly on the form, the first four never reading the dense
+    matrix, and np.linalg.eigh for every form. ROUTE_MIN_N is the crossover
+    measured on paths, cycles and hypercubes and keeps the bytes of every
+    CLI golden, all smaller: the routes agree with eigh to rounding only.
 
     Raises InvalidStateError for an empty, non-square or asymmetric matrix
     and NumericFailureError for a non-finite or overflowing M.
@@ -753,7 +756,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
     steps = np.diff(evals)
-    ascending = bool((steps >= 0).all())
+    ascending = bool((steps >= 0).all() and (steps > 0).any())
     if not (ascending or (steps <= 0).all()):
         raise NumericFailureError(f"the {route} route returned unsorted eigenvalues")
     n, threshold = form.n, cfg.tol_group * form.scale
@@ -767,8 +770,6 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
         # at offsets[j] and takes V's columns from bounds[k - 1 - j]
         cols = np.arange(n) + np.repeat(bounds[-2::-1] - offsets[:-1], counts)
         basis = DenseBasis(basis.dense()[:, cols])
-        basis.v.setflags(write=False)
-
     gaps = values[:-1] - values[1:]
     warnings = tuple(
         f"cluster gap {gaps[j]:.3e} between eigenvalues {values[j]:.6g} "

@@ -78,7 +78,7 @@ PHASE_ALIGNMENT = 1e-7
 
 # -- transfer times and fidelities --------------------------------------------
 # 1e-4, absolute phase: transfer.pst_decide refuses a yes as ambiguous-clustering
-# when tau times a support cluster's width (spectral widths) exceeds it.
+# when tau times a support cluster's width exceeds it.
 CLUSTER_SPREAD = 1e-4
 # 1e-9, absolute: a fidelity in (1, 1 + FIDELITY_CLAMP] reads as 1
 # (spectral.normalized_fidelity); a larger one is shown as it is.

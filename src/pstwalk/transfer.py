@@ -111,14 +111,13 @@ def pst_decide(
     Decision tree, each step's "no" a returned value and no exception caught:
     strong cospectrality over the support of x (NotCospectral: fixed-state,
     not-cospectral or ambiguous-cospectrality, its eigenvalue the detail),
-    then the ratio condition on that support (NonPeriodic), then the largest
-    phase spread tau * width of a support cluster (ambiguous-clustering above
+    then the ratio condition on that support (NonPeriodic), then the phase
+    spread tau * width of its widest cluster (ambiguous-clustering above
     CLUSTER_SPREAD, the spread the detail), then the parity condition: with
-    the largest support eigenvalue in the plus class, the minus class must be
-    exactly the ratio table's flips (the positions with odd r_j, read on
-    exact reconstructed integers). The case label records the support size
-    and, for three or more eigenvalues, whether the second-largest sits in
-    the plus (2a) or minus (2b) class.
+    the largest support eigenvalue plus, the minus class must be exactly the
+    ratio table's flips (odd r_j, read on exact reconstructed integers). The
+    case label records the support size and, for three or more eigenvalues,
+    whether the second-largest is plus (2a) or minus (2b).
     """
     cert = check_strong_cospectrality(dec, x, y, cfg)
     if isinstance(cert, NotCospectral):

@@ -151,7 +151,7 @@ def route_calls(monkeypatch, m):
         @wraps(route)
         def run(form):
             pairs = route(form)
-            calls.append((route.__name__[1:-len("_route")], pairs is not None))
+            calls.append((spectral.route_name(route), pairs is not None))
             return pairs
         return run
 

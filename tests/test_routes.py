@@ -16,7 +16,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import DenseBasis, FourierBasis
+from pstwalk.spectral import DenseBasis, FourierBasis, PathBasis
 import census
 from conftest import check_basis, entries, route_calls
 from route_table import KINDS, assert_matches_eigh, assert_widths, row, rows
@@ -55,7 +55,7 @@ def test_gate_at(monkeypatch, route, name, entry):
     m = _entry(row(route, name), entry)
     assert spectral._edge_form(m).n == spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
-    before = [r.__name__[1:-len("_route")] for r in spectral.ROUTES]
+    before = [spectral.route_name(r) for r in spectral.ROUTES]
     before = before[:before.index(route)]
     factor = [("eigh", True)] if route == "product" else []
     assert calls == factor + [(r, False) for r in before] + [(route, True)]
@@ -135,9 +135,26 @@ def test_ascending_factored_route(monkeypatch, name):
 
 @pytest.mark.parametrize("name", DESCENDING)
 def test_descending_eigh(monkeypatch, name):
-    """eigh planted descending keeps its answer, with no regrouping."""
+    """eigh planted descending keeps its answer, with no regrouping, its V
+    read-only as an ascending answer's is."""
     _plant(monkeypatch, _descending_eigh)
-    assert_matches_eigh(monkeypatch, row("eigh", name).build(), "eigh")
+    got, _ = assert_matches_eigh(monkeypatch, row("eigh", name).build(), "eigh")
+    assert not got.basis.v.flags.writeable
+
+
+@pytest.mark.parametrize("name,route,basis", [("C64", "circulant", FourierBasis), ("P64", "path", PathBasis),
+                                              ("P5", "eigh", DenseBasis)])
+def test_tied_values_keep_their_basis(name, route, basis):
+    """A Laplacian plus 1e20 I, whose values all round to 1e20: one cluster
+    of width 0 on the route's own basis, not regrouped into a dense one;
+    eigh's V is its own array, read-only."""
+    g = pw.build_cycle(64) if name == "C64" else pw.build_path(int(name[1:]))
+    m = np.array(pw.hamiltonian(g, pw.LAPLACIAN).matrix) + 1e20 * np.eye(g.n)
+    dec = pw.decompose(m)
+    assert (dec.route, type(dec.basis), dec.multiplicities) == (route, basis, (g.n,))
+    assert dec.eigenvalues.tolist() == [1e20] and dec.widths.tolist() == [0.0]
+    if basis is DenseBasis:
+        assert np.array_equal(dec.basis.v, np.linalg.eigh(m)[1]) and not dec.basis.v.flags.writeable
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -157,4 +174,4 @@ def test_digest_inputs_take_every_route():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     routes = {pw.decompose(m).route for _, m in script.inputs()}
-    assert routes == {r.__name__[1:-len("_route")] for r in spectral.ROUTES}
+    assert routes == {spectral.route_name(r) for r in spectral.ROUTES}

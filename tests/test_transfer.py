@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
+from pstwalk import transfer
 from pstwalk.tolerances import CLUSTER_SPREAD
 from conftest import basis_state, decompose_graph, pair_state, random_connected_graph, random_support_state, unit
 from oracles import all_partners, expm_transfer
@@ -73,14 +74,17 @@ def test_wide_cluster_is_refused():
     assert verdict.decision and verdict.tau_symbolic == "pi/4" and not dec.widths.any()
 
 
-def test_heavy_end_paths_decide_no_false_yes():
+def test_heavy_end_paths_decide_no_false_yes(monkeypatch):
     """P4-P6 with weight W in {1e6, 1e7, 1e8} on the end edge (0, 1), both
-    kinds, every pair and plus state against its partner: where W's roundoff
-    merges eigenvalues 1 apart (each such verdict was a false yes, the
-    mixed-weight P6 and x = e2 + e3 among them), the verdict is refused, with
-    a phase spread far above CLUSTER_SPREAD; every yes transfers under expm
-    (some pairs are refused as ambiguous-cospectrality)."""
-    spreads = []
+    kinds, every pair state e_u +- e_v against its partner: where W's
+    roundoff merges eigenvalues 1 apart, the verdict is refused, with a phase
+    spread far above CLUSTER_SPREAD; every yes transfers under expm (some
+    pairs are refused as ambiguous-cospectrality). The refusal is
+    conservative: of the 15 yes verdicts it withholds (read with
+    CLUSTER_SPREAD lifted), 11 are false (the mixed-weight P6 and x = e2 + e3
+    among them) and 4 transfer under expm (P6 adjacency at W = 1e8, x = e2 +-
+    e5 and e3 +- e4, spread 1.4)."""
+    spreads, withheld = [], []
     for n in (4, 5, 6):
         for w in (1e6, 1e7, 1e8):
             g = pw.make_graph(n, [(0, 1, w)] + [(i, i + 1, 1.0) for i in range(1, n - 1)])
@@ -100,7 +104,14 @@ def test_heavy_end_paths_decide_no_false_yes():
                                     pytest.approx(1.0, abs=1e-6)
                             elif verdict.reason == "ambiguous-clustering":
                                 spreads.append(verdict.detail)
+                                with monkeypatch.context() as patch:
+                                    patch.setattr(transfer, "CLUSTER_SPREAD", math.inf)
+                                    lifted = pw.pst_decide(dec, x, partners[:, 0])
+                                assert lifted.decision
+                                fidelity = expm_transfer(ham.matrix, x, partners[:, 0], lifted.tau_min)
+                                withheld.append(fidelity == pytest.approx(1.0, abs=1e-6))
     assert spreads and min(spreads) > 1e3 * CLUSTER_SPREAD
+    assert (len(withheld), sum(withheld)) == (15, 4)
 
 
 def test_partner_constructions():
