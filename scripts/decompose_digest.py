@@ -1,17 +1,19 @@
-"""sha256 digests of 120 decompositions, to check that a change keeps their bytes.
+"""sha256 digests of 150 decompositions, to check that a change keeps their bytes.
 
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python scripts/decompose_digest.py [--parent REV]
 
 The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
-C32xK2, C64xK2 and a seeded relabelled Q8, which the factored routes take,
-and P40 and C40 (below the routes' size gate), a seeded random weighted
-graph on 100 vertices, which eigh takes, and K32,32, which the mirror route
-takes; each with both kinds, and each kind decomposed as a Hamiltonian h, as
-the raw matrix np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one
-decomposition covers its eigenvalues, offsets, dense V (its basis's
-dense()), scale, multiplicities and warnings. The script prints
+C32xK2, C64xK2, a seeded relabelled Q8, K32,32, K50,80, C40vK100, Q6vC70
+and E50vK30 (the empty graph joined to K30), which the factored routes
+take, and P40 and C40 (below the routes' size gate), a seeded random
+weighted graph on 100 vertices, which eigh takes, and K32,32 with weight 2
+on its edge (0, 63), which the mirror route takes; each with both kinds,
+and each kind decomposed as a Hamiltonian h, as the raw matrix
+np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one decomposition
+covers its eigenvalues, offsets, dense V (its basis's dense()), scale,
+multiplicities and warnings. The script prints
 the digest of each input, with the class of its basis (a KroneckerBasis with
 its factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
 and one digest over all of them.
@@ -51,10 +53,10 @@ def random_weighted():
 
 
 def inputs():
-    """(name, Hamiltonian or raw matrix) for the 120 decompositions."""
+    """(name, Hamiltonian or raw matrix) for the 150 decompositions."""
     q8 = pw.build_hypercube(8)
     p = np.random.default_rng(8).permutation(q8.n)
-    k2 = pw.build_path(2)
+    k2, k3232 = pw.build_path(2), pw.build_complete_bipartite(32, 32)
     graphs = ([(f"Q{d}", pw.build_hypercube(d)) for d in range(6, 11)]
               + [(f"P{n}", pw.build_path(n)) for n in (64, 65, 100, 300)]
               + [(f"C{n}", pw.build_cycle(n)) for n in (64, 128, 300)]
@@ -63,7 +65,13 @@ def inputs():
                  ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
                  ("Q8-relabelled", pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])),
                  ("P40", pw.build_path(40)), ("C40", pw.build_cycle(40)),
-                 ("random-weighted100", random_weighted()), ("K32,32", pw.build_complete_bipartite(32, 32))])
+                 ("random-weighted100", random_weighted()), ("K32,32", k3232),
+                 ("K32,32-heavy", pw.make_graph(64, [(u, v, 2.0 if (u, v) == (0, 63) else w)
+                                                     for u, v, w in k3232.edges])),
+                 ("K50,80", pw.build_complete_bipartite(50, 80)),
+                 ("C40vK100", pw.join(pw.build_cycle(40), pw.build_complete(100))),
+                 ("Q6vC70", pw.join(pw.build_hypercube(6), pw.build_cycle(70))),
+                 ("E50vK30", pw.join(pw.build_empty(50), pw.build_complete(30)))])
     for name, g in graphs:
         for kind in (pw.ADJACENCY, pw.LAPLACIAN):
             h = pw.hamiltonian(g, kind)

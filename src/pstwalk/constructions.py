@@ -1,18 +1,18 @@
 """Transfer-preserving constructions: box products of walks and joins,
-including the closed-form join transition matrices."""
+and the join's walk operator."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NotApplicableError, NumericFailureError
+from .errors import InvalidStateError, NotApplicableError
 from .graphs import ADJACENCY, LAPLACIAN, Graph, cartesian_product, hamiltonian, is_connected, join
-from .spectral import as_state, check_phase, decompose, transition_matrix, walk
+from .spectral import as_state, decompose, transition_matrix
 from .states import coincident
-from .tolerances import DEFAULT_TOLERANCES, JOIN_CHECK, MEAN_ZERO, PHASE_ALIGNMENT, ToleranceConfig
+from .tolerances import DEFAULT_TOLERANCES, MEAN_ZERO, PHASE_ALIGNMENT, ToleranceConfig
 from .transfer import pst_decide, verify_pst_numeric
 
 
@@ -92,15 +92,6 @@ def product_pst(
     )
 
 
-def _factor_term(dec, t: float, shift: float, c: float) -> np.ndarray:
-    """One factor's diagonal block of the join operator: its walk with every
-    eigenvalue shifted by `shift`, less exp(i t c) J/m. The factor's all-ones
-    component J/m, which the join's own rank-two part replaces, lies in the
-    cluster whose shifted eigenvalue is c, and takes that cluster's phase."""
-    dec = replace(dec, eigenvalues=dec.eigenvalues + shift)
-    return transition_matrix(dec, t) - walk(dec, t)[np.argmin(np.abs(dec.eigenvalues - c))] / dec.n
-
-
 def join_transition_matrix(
     g: Graph,
     h: Graph,
@@ -108,52 +99,18 @@ def join_transition_matrix(
     t: float,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Closed-form walk operator of the join at time t, assembled from the
-    factors' spectra: a rank-two part on the all-ones directions plus one
-    term per factor. For the adjacency walk both factors must be regular.
-    Every phase passes the walk kernel's check_phase guard, so a t at which
-    some t * lambda is not finite raises NumericFailureError. The result is
-    always cross-validated against the generic spectral operator of the join:
-    NumericFailureError where they differ by more than JOIN_CHECK.
+    """Walk operator of the join at time t: transition_matrix of the join's
+    decomposition, which the join route of decompose assembles from the
+    factors' spectra from ROUTE_MIN_N vertices on (eigh below it). For the
+    adjacency walk both factors must be regular (NotApplicableError), as
+    join_pst asks. A t at which some t * lambda is not finite raises
+    NumericFailureError at the walk kernel's check_phase guard.
     """
-    m, n = g.n, h.n
-    if kind == LAPLACIAN:
-        total = m + n
-        check_phase(abs(t), float(total))
-        u = np.ones((total, total), dtype=complex) / total
-        corner = np.zeros((total, total))
-        corner[:m, :m] = n * n
-        corner[:m, m:] = -m * n
-        corner[m:, :m] = -m * n
-        corner[m:, m:] = m * m
-        u = u + np.exp(1j * t * total) / (m * n * total) * corner
-        # L(G + H) restricted to G's mean-zero vectors is L(G) + |H| I
-        shift_g = c_g = float(n)
-        shift_h = c_h = float(m)
-    elif kind == ADJACENCY:
-        if not (g.is_regular() and h.is_regular()):
-            raise NotApplicableError("adjacency join formula needs regular factors")
-        k, ell = float(g.degrees()[0]), float(h.degrees()[0])
-        disc = math.sqrt((k - ell) ** 2 + 4.0 * m * n)
-        lam_p = 0.5 * (k + ell + disc)
-        lam_m = 0.5 * (k + ell - disc)
-        check_phase(abs(t), max(lam_p, -lam_m))
-        uvec = np.concatenate([(k - lam_m) * np.ones(m), m * np.ones(n)])
-        vvec = np.concatenate([(k - lam_p) * np.ones(m), m * np.ones(n)])
-        u = np.exp(1j * t * lam_p) / (m * disc * (k - lam_m)) * np.outer(uvec, uvec)
-        u = u + np.exp(1j * t * lam_m) / (m * disc * (lam_p - k)) * np.outer(vvec, vvec)
-        shift_g, c_g = 0.0, k
-        shift_h, c_h = 0.0, ell
-    else:
+    if kind not in (ADJACENCY, LAPLACIAN):
         raise ValueError(f"unknown kind {kind!r}")
-    u[:m, :m] += _factor_term(decompose(hamiltonian(g, kind), cfg), t, shift_g, c_g)
-    u[m:, m:] += _factor_term(decompose(hamiltonian(h, kind), cfg), t, shift_h, c_h)
-
-    generic = transition_matrix(decompose(hamiltonian(join(g, h), kind), cfg), t)
-    err = float(np.max(np.abs(u - generic)))
-    if err > JOIN_CHECK:
-        raise NumericFailureError(f"join formula disagrees with the spectral operator by {err:.2e}")
-    return u
+    if kind == ADJACENCY and not (g.is_regular() and h.is_regular()):
+        raise NotApplicableError("adjacency join formula needs regular factors")
+    return transition_matrix(decompose(hamiltonian(join(g, h), kind), cfg), t)
 
 
 def _mod_2pi_distance(value: float) -> float:

@@ -9,7 +9,8 @@ inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
 denominator, the states' own, so that an inconsistent V shows. Each route
 of decompose's table ROUTES holds V in its own format (one of Basis) behind
 one protocol (n, project, lift, dense), so a hypercube, cycle, complete
-graph or path of either kind is decided with no (n, n) array."""
+graph, path, complete bipartite graph or join of either kind is decided
+with no (n, n) array of its size."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import Hamiltonian, _dense
+from .graphs import Hamiltonian, _dense, _vertex_sums
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
@@ -195,12 +196,12 @@ class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
     product route finds them: G's basis g (DenseBasis, BipartiteBasis,
-    FourierBasis, as for a prism C_n x K2, or PathBasis, as for a ladder
-    P_n x K2), H's dense h, and order, V's columns among the g_i (x) h_j
-    (column i |H| + j). A nested product folds into one h (Q10 is
-    V_Q5 (x) a 32 x 32 h). With x read as an (|G|, |H|) matrix X, V^T x is
-    g^T X h, and V c its reverse: neither makes an (n, n) array; dense()
-    builds V."""
+    FourierBasis, as for a prism C_n x K2, PathBasis, as for a ladder
+    P_n x K2, or JoinBasis, as for K_{p,p} x K2), H's dense h, and order,
+    V's columns among the g_i (x) h_j (column i |H| + j). A nested product
+    folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x read as an
+    (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse: neither
+    makes an (n, n) array; dense() builds V."""
 
     def __init__(self, g: Basis, h: np.ndarray, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
@@ -229,7 +230,53 @@ class KroneckerBasis:
         return (self.g.dense()[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
 
 
-Basis = DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis  # V, as each route holds it
+def _reflect(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(I - 2 w w^T) y for a unit w and an (len(w), b) y, in O(len(w) b)."""
+    return y - np.outer(w, 2.0 * (w @ y))
+
+
+class JoinBasis:
+    """The eigenvectors V of a join M = [[A, cJ], [cJ, B]] on the vertices
+    [0, s) and [s, n), A and B with constant row sums, as the join route
+    finds them (Merris, Linear Algebra Appl. 278, 1998): for each factor,
+    its basis (any of Basis, or None for an edgeless factor, whose basis is
+    I) turned by the Householder reflection I - 2 w w^T of its coefficients
+    that maps the factor's unit ones vector to its column k, so that its
+    other columns are orthogonal to it; then the 2 x 2 rotation q of the
+    two ones columns into the quotient's eigenvectors. order holds V's
+    columns among the n of this layout, A's first. project and lift make no
+    (n, n) array, an edgeless factor's costing O(p); dense() builds V."""
+
+    def __init__(self, s: int, sides: tuple, q: np.ndarray, order: np.ndarray):
+        self.s, self.sides, self.q, self.order = s, sides, q, order  # sides: (basis, w, k) of A, of B
+        self.n = len(order)
+        self.ends = [sides[0][2], s + sides[1][2]]  # the layout rows of the two ones columns
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x for an (n, b) x."""
+        z = np.concatenate([_reflect(w, part if basis is None else basis.project(part))
+                            for (basis, w, _), part in zip(self.sides, (x[:self.s], x[self.s:]))])
+        z[self.ends] = self.q.T @ z[self.ends]
+        return z[self.order]
+
+    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """V[:, cols] c, as V c with the rows of c outside cols zero."""
+        z = np.zeros((self.n, c.shape[1]))
+        z[self.order[cols]] = c
+        z[self.ends] = self.q @ z[self.ends]
+        for (basis, w, _), part in zip(self.sides, (z[:self.s], z[self.s:])):
+            part[:] = _reflect(w, part)
+            if basis is not None:
+                part[:] = basis.lift(part)
+        return z
+
+    def dense(self) -> np.ndarray:
+        """V as one (n, n) array."""
+        return self.lift(np.eye(self.n))
+
+
+# V, as each route holds it
+Basis = DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis | JoinBasis
 
 
 @dataclass(eq=False)
@@ -246,7 +293,7 @@ class SpectralDecomposition:
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
-    route: str                                # ROUTES' entry that took M: product, ..., mirror or eigh
+    route: str                                # ROUTES' entry that took M: product, ..., join, ..., eigh
     widths: np.ndarray                        # shape (k,), each cluster's lambda_first - lambda_last
     warnings: tuple[str, ...] = ()            # one per cluster gap below GAP_WARNING x the threshold
 
@@ -425,7 +472,8 @@ def _route_parts(form: EdgeForm) -> tuple[np.ndarray, np.ndarray] | None:
     the dense patterns in O(m): a triangle through it has no 2-colouring, and
     a complete bipartite pattern is left to the routes after it, while the SVD
     of its rank-one block is erratic (1.8x eigh's time over K_{p,q}, 64 <= p +
-    q <= 256). Otherwise a breadth-first search colours each component from
+    q <= 256); a uniform one, K_{p,q} as built, meets the join route before
+    this one. Otherwise a breadth-first search colours each component from
     its least vertex, refuses at the first edge inside a colour and stops once
     every vertex is coloured; one pass over the edges then checks each joins P
     to Q."""
@@ -523,10 +571,61 @@ def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
     if ((dst[top] & 1).any() or not np.array_equal(src[bottom], 2 * a + 1)
             or not np.array_equal(dst[bottom], 2 * b + 1) or not np.array_equal(entries[bottom], values)):
         return None
-    half, diagonal = n // 2, d[0::2]
-    g = EdgeForm(half, diagonal, a, b, values, _edge_scale(half, diagonal, a, b, values),
-                 lambda: _dense(half, a, b, diagonal, values))
-    return g, np.array([[0.0, w[0]], [w[0], shift[0]]])
+    return _factor_form(n // 2, d[0::2], a, b, values), np.array([[0.0, w[0]], [w[0], shift[0]]])
+
+
+def _factor_form(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray, entries: np.ndarray) -> EdgeForm:
+    """A factor's EdgeForm (of a product or a join) from its arrays; its
+    dense() is graphs' one dense builder, unguarded, as a raw matrix's form
+    is."""
+    return EdgeForm(n, diagonal, src, dst, entries, _edge_scale(n, diagonal, src, dst, entries),
+                    lambda: _dense(n, src, dst, diagonal, entries))
+
+
+def _join_factors(form: EdgeForm) -> tuple[float, list[tuple[EdgeForm, float]]] | None:
+    """(c, [(A's EdgeForm, its row sum), (B's, its)]) when the form's M is
+    exactly [[A, cJ], [cJ, B]] in join's labelling, A on [0, s) and B on
+    [s, n), each with constant row sums, else None. In O(m), with no dense
+    M. Vertex 0 must meet every vertex from some lo on, and vertex n - 1
+    every vertex below some hi, so lo <= s <= hi. Where lo < hi, the splits
+    with all s (n - s) cross edges u < s <= v are counted in one pass, and s
+    is the first of them at which the number of edges per vertex changes,
+    else the first (K_b = K_1 v K_(b-1) makes C_a v K_b a join at every
+    split from a on, and its Laplacian row sums are constant at each). The
+    s (n - s) cross edges must then all be there, with one entry c."""
+    n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
+    k = int(np.searchsorted(src, 1))  # vertex 0's edges come first
+    near = dst[:k]
+    if not k or near[-1] != n - 1:
+        return None
+    gaps = np.flatnonzero(near != np.arange(n - k, n))
+    lo = n - k + (gaps[-1] + 1 if gaps.size else 0)
+    far = src[dst == n - 1]
+    gaps = np.flatnonzero(far != np.arange(len(far)))
+    hi = gaps[0] if gaps.size else len(far)
+    if lo > hi:
+        return None
+    s = int(lo)
+    if lo < hi:
+        splits = np.arange(lo, hi + 1)
+        cross = np.searchsorted(src, splits) - np.cumsum(np.bincount(dst, minlength=n))[splits - 1]
+        splits = splits[cross == splits * (n - splits)]
+        degree = np.bincount(np.concatenate((src, dst)), minlength=n)
+        steps = splits[degree[splits] != degree[splits - 1]]
+        s = int(steps[0] if steps.size else splits[0] if splits.size else lo)
+    tail = int(np.searchsorted(src, s))  # B's edges come last; before them, A's and the cross edges
+    in_a = dst[:tail] < s
+    c = entries[:tail][~in_a]
+    if len(c) != s * (n - s) or (c != c[0]).any():
+        return None
+    factors = []
+    for f in (_factor_form(s, d[:s], src[:tail][in_a], dst[:tail][in_a], entries[:tail][in_a]),
+              _factor_form(n - s, d[s:], src[tail:] - s, dst[tail:] - s, entries[tail:])):
+        sums = _vertex_sums(f.n, f.src, f.dst, f.entries) + f.diagonal
+        if (sums != sums[0]).any():
+            return None
+        factors.append((f, float(sums[0])))
+    return float(c[0]), factors
 
 
 def _mirrored(form: EdgeForm) -> bool:
@@ -657,6 +756,46 @@ def _path_route(form: EdgeForm):
     return values[order], PathBasis(n, neumann, order)
 
 
+def _join_route(form: EdgeForm):
+    """A join [[A, cJ], [cJ, B]] (_join_factors), A of p vertices with row
+    sums alpha and B of q with beta, from its factors' eigenpairs (Cvetkovic,
+    Rowlinson and Simic, An Introduction to the Theory of Graph Spectra,
+    2010): each eigenvector of A orthogonal to its ones vector, padded with
+    zeros, keeps its eigenvalue, and so does each of B's; the quotient
+    [[alpha, c sqrt(pq)], [c sqrt(pq), beta]] on the two unit ones vectors
+    gives the last two. A and B go back through the table (_eigenpairs),
+    but for an edgeless factor, alpha I, whose basis is I; in each, a
+    Householder reflection splits the ones vector off the columns that hold
+    it (a disconnected factor's cluster at alpha, say); all sorted
+    descending into a JoinBasis (K_{88,162} Laplacian built and decomposed:
+    0.39-0.40 ms, against 3.3 ms by eigh)."""
+    join = _join_factors(form)
+    if join is None:
+        return None
+    c, factors = join
+    values, sides, signs = [], [], []
+    for f, alpha in factors:
+        unit = np.full(f.n, 1.0 / math.sqrt(f.n))  # the unit ones vector
+        if len(f.src):
+            lam, basis, _ = _eigenpairs(f)
+            z = basis.project(unit[:, None])[:, 0]
+        else:
+            lam, basis, z = np.full(f.n, alpha), None, unit
+        k = int(np.argmax(np.abs(z)))
+        signs.append(math.copysign(1.0, z[k]))
+        w = z.copy()
+        w[k] += signs[-1]  # the reflection maps z to -sign(z_k) e_k
+        sides.append((basis, w / np.linalg.norm(w), k))
+        values.append(np.array(lam, dtype=float))
+    (a, alpha), (b, beta) = factors
+    off = signs[0] * signs[1] * c * math.sqrt(a.n * b.n)
+    mu, q = np.linalg.eigh(np.array([[alpha, off], [off, beta]]))
+    values[0][sides[0][2]], values[1][sides[1][2]] = mu
+    values = np.concatenate(values)
+    order = np.argsort(-values, kind="stable")
+    return values[order], JoinBasis(a.n, tuple(sides), q, order)
+
+
 def _bipartite_route(form: EdgeForm):
     """cI + [[0, B], [B^T, 0]] on the parts _route_parts finds, by one SVD of
     B (_bipartite_eigh) (P300 adjacency with weight 2 on both end edges:
@@ -668,7 +807,8 @@ def _bipartite_route(form: EdgeForm):
 def _mirror_route(form: EdgeForm):
     """A mirror-symmetric M (_mirrored) by two eighs of about n/2
     (_mirror_eigh), its two sorted runs merged into one on a DenseBasis
-    (K150,150 adjacency: 3.6 ms, against 7.1 ms by eigh)."""
+    (K150,150 adjacency with weight 2 on its edge (0, 299), which the join
+    route declines: 4.2 ms, against 5.7 ms by eigh)."""
     if not _mirrored(form):
         return None
     evals, vectors = _mirror_eigh(form.dense())
@@ -683,7 +823,8 @@ def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
     return evals, DenseBasis(vectors)
 
 
-ROUTES = (_product_route, _circulant_route, _path_route, _bipartite_route, _mirror_route, _eigh_route)
+ROUTES = (_product_route, _circulant_route, _path_route, _join_route, _bipartite_route, _mirror_route,
+          _eigh_route)
 
 
 def route_name(route) -> str:
@@ -741,8 +882,8 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of ROUTES that
-    takes it (_eigenpairs): from ROUTE_MIN_N on, five routes for structures
-    detected exactly on the form, the first four never reading the dense
+    takes it (_eigenpairs): from ROUTE_MIN_N on, six routes for structures
+    detected exactly on the form, the first five never reading the dense
     matrix, and np.linalg.eigh for every form. ROUTE_MIN_N is the crossover
     measured on paths, cycles and hypercubes and keeps the bytes of every
     CLI golden, all smaller: the routes agree with eigh to rounding only.

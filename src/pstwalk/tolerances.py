@@ -121,6 +121,3 @@ NEAR_ZERO = 1e-10
 # 1e-3, absolute time: the step h of fidelity_derivatives' 9-point stencil,
 # which corroborates the vanishing odd orders.
 STENCIL_STEP = 1e-3
-# 1e-8, absolute on unitary entries: join_transition_matrix
-# refuses a closed form that differs from the spectral operator by more.
-JOIN_CHECK = 1e-8

@@ -1,7 +1,7 @@
 """Reference constructions the tests compare the engine against, built on
 the dense V and projectors of a SpectralDecomposition, decompose with its
 route table cut down (eigh alone, the reference every route is checked
-against), scipy's expm, the three-pass ratio condition the one-pass rule
+against), scipy's expm (of a walk, a join's among them), the three-pass ratio condition the one-pass rule
 replaced, and the argsort form of the catalog's pair-shape test."""
 
 import math
@@ -44,9 +44,20 @@ def eigh_decompose(m):
     return forced_decompose(m)
 
 
+def expm_walk(mat, t):
+    """The walk operator exp(i t M) from scipy's expm of the dense M."""
+    return scipy.linalg.expm(1j * t * np.asarray(mat))
+
+
+def join_walk(g, h, kind, t):
+    """expm_walk of the join of g and h: the reference join_transition_matrix
+    is checked against."""
+    return expm_walk(pw.hamiltonian(pw.join(g, h), kind).matrix, t)
+
+
 def expm_transfer(mat, x, y, tau):
     """|y^T exp(i tau M) x| / (||x|| ||y||) from scipy's expm of the dense M."""
-    u = scipy.linalg.expm(1j * tau * np.asarray(mat))
+    u = expm_walk(mat, tau)
     return abs(y @ (u @ x)) / (np.linalg.norm(x) * np.linalg.norm(y))
 
 

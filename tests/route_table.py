@@ -15,11 +15,11 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis
+from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
 from conftest import NoFFT, heavy_end_edge, heavy_path_ends, relabelled, route_calls, route_of, seeded_relabel
 from oracles import eigh_decompose, expm_transfer, projector
 
-ROUTE_BASIS = {"product": KroneckerBasis, "circulant": FourierBasis, "path": PathBasis,
+ROUTE_BASIS = {"product": KroneckerBasis, "circulant": FourierBasis, "path": PathBasis, "join": JoinBasis,
                "bipartite": BipartiteBasis, "mirror": DenseBasis, "eigh": DenseBasis}
 DENSE_ROUTES = ("mirror", "eigh")  # the routes that read a Hamiltonian's matrix
 KINDS = (pw.ADJACENCY, pw.LAPLACIAN)
@@ -81,6 +81,11 @@ def random_weighted():
                                                           rng.uniform(1.0, 4.0, keep.sum()).tolist())])
 
 
+def two_cycles(n):
+    """Two disjoint n-cycles, the second on the vertices n..2n - 1."""
+    return pw.make_graph(2 * n, [(i + a, (i + 1) % n + a, 1.0) for a in (0, n) for i in range(n)])
+
+
 def q8_relabelled():
     return seeded_relabel(pw.build_hypercube(8), 8)
 
@@ -125,8 +130,16 @@ def _taken():
         rows += _kinds(f"C{n}", heavy_end_edge(pw.build_cycle(n)), "mirror")
     rows += _kinds("K64", heavy_end_edge(pw.build_complete(64)), "mirror")
     rows.append(Row("K150-adjacency", _ham(heavy_end_edge(pw.build_complete(150))), "mirror"))
-    rows += _kinds("K64,64", pw.build_complete_bipartite(64, 64), "mirror")
+    rows += _kinds("K64,64", heavy_end_edge(pw.build_complete_bipartite(64, 64)), "mirror")
     rows += [Row(f"chain{n}", partial(mirror_chain, n), "mirror") for n in (64, 65)]
+    empty, cycle, complete = pw.build_empty, pw.build_cycle, pw.build_complete
+    for name, g in [("K30,50", pw.build_complete_bipartite(30, 50)),
+                    ("K64,64", pw.build_complete_bipartite(64, 64)),
+                    ("C40vK100", pw.join(cycle(40), complete(100))),
+                    ("Q6vC70", pw.join(pw.build_hypercube(6), cycle(70))),
+                    ("C60vC60", pw.join(cycle(60), cycle(60))), ("E40vK30", pw.join(empty(40), complete(30)))]:
+        rows += _kinds(name, g, "join", shifted=True)
+    rows.append(Row("2C20vC40-laplacian", _ham(pw.join(two_cycles(20), cycle(40)), LAP), "join", shifted=True))
     rows += [Row(f"P{n}-heavy-adjacency", _ham(heavy_path_ends(pw.build_path(n))), "bipartite")
              for n in (64, 65, 100, 300)]
     rows += [Row("C128-relabelled-laplacian", _ham(seeded_relabel(pw.build_cycle(128), 128), LAP), "bipartite"),
@@ -140,8 +153,9 @@ def _taken():
 
 def _gate():
     """Just below ROUTE_MIN_N, each passed on by the route its sibling at
-    ROUTE_MIN_N takes, to eigh alone; and K_{32,32}, the mirror route's
-    input at the gate (P64, C64, Q6 and the heavy-ended P64 are rows above).
+    ROUTE_MIN_N takes, to eigh alone; and K_{32,32}, the join route's input
+    at the gate, and the mirror route's with weight 2 on its edge (0, 63)
+    (P64, C64, Q6 and the heavy-ended P64 are rows above).
     The P63 Laplacian and the C63 adjacency keep their short names."""
     p63, c63, heavy = pw.build_path(63), pw.build_cycle(63), heavy_path_ends(pw.build_path(63))
     return [
@@ -154,7 +168,8 @@ def _gate():
         Row("P63-heavy-laplacian", _ham(heavy, LAP), "eigh", "mirror"),
         *_kinds("K31,32", pw.build_complete_bipartite(31, 32), "eigh"),
         *_kinds("C31xK2", pw.cartesian_product(pw.build_cycle(31), K2), "eigh", declines="product"),
-        *_kinds("K32,32", pw.build_complete_bipartite(32, 32), "mirror"),
+        *_kinds("K32,32", pw.build_complete_bipartite(32, 32), "join"),
+        *_kinds("K32,32", heavy_end_edge(pw.build_complete_bipartite(32, 32)), "mirror"),
     ]
 
 
@@ -169,7 +184,8 @@ def _circulant_declines():
         Row("C64-one-diameter", _ham(pw.make_graph(64, c64.edges + ((3, 35, 1.0),))), "eigh"),
         Row("C64-relabelled", _ham(seeded_relabel(c64, 64), LAP), "bipartite"),
         Row("C64-potential", _custom(c64, potential, c64.w), "eigh"),
-        Row("K64-minus-an-edge", _ham(pw.make_graph(64, pw.build_complete(64).edges[1:])), "eigh"),
+        # the empty K2 joined to K62
+        Row("K64-minus-an-edge", _ham(pw.make_graph(64, pw.build_complete(64).edges[1:])), "join"),
     ]
 
 
@@ -195,13 +211,14 @@ def _path_declines():
 def _bipartite_declines():
     """No bipartite pattern, a complete one, or no edges; the odd cycle, K_n
     and the path weighted off the circulant and path routes, which come
-    first."""
+    first, and the complete pattern off the join route by its weight 2 on
+    the edge (0, n - 1)."""
     odd = heavy_end_edge(pw.build_cycle(65))
     return [
         Row("odd-cycle", _ham(odd), "mirror"),
         Row("odd-cycle-lap", _ham(odd, LAP), "mirror"),
         Row("path-lap", _ham(heavy_path_ends(pw.build_path(70)), LAP), "mirror"),
-        Row("complete-bipartite", _ham(pw.build_complete_bipartite(30, 50)), "eigh"),
+        Row("complete-bipartite", _ham(heavy_end_edge(pw.build_complete_bipartite(30, 50))), "eigh"),
         Row("complete", _ham(heavy_end_edge(pw.build_complete(64))), "mirror"),
         Row("edgeless-64", _ham(pw.build_empty(64)), "eigh"),
         Row("edgeless-200", _ham(pw.build_empty(200), LAP), "eigh"),
@@ -240,13 +257,30 @@ def _mirror_declines():
     ]
 
 
+def _join_declines():
+    """Each off [[A, cJ], [cJ, B]] in join's labelling by one change: a
+    missing or heavier cross edge, an irregular factor's adjacency, or the
+    labels; K31,32, below the gate, is a row of _gate."""
+    k3050 = pw.build_complete_bipartite(30, 50)
+    missing = pw.make_graph(80, k3050.edges[:-1])
+    p30c40 = pw.join(pw.build_path(30), pw.build_cycle(40))
+    return [
+        Row("K30,50-one-cross-edge-missing-adjacency", _ham(missing), "bipartite"),
+        Row("K30,50-one-cross-edge-missing-laplacian", _ham(missing, LAP), "eigh"),  # two diagonal values
+        *_kinds("K30,50-one-cross-edge-weight-2", _reweighted(k3050, 10, 45, 2.0), "eigh"),
+        Row("P30vC40-adjacency", _ham(p30c40), "eigh"),
+        Row("K40,60-relabelled-adjacency", _ham(seeded_relabel(pw.build_complete_bipartite(40, 60), 100)), "eigh"),
+    ]
+
+
 def _declines(route, rows):
     return [row._replace(declines=route) for row in rows]
 
 
 ROUTE_OF = (_taken() + _gate() + _declines("circulant", _circulant_declines())
             + _declines("path", _path_declines()) + _declines("bipartite", _bipartite_declines())
-            + _declines("product", _product_declines()) + _declines("mirror", _mirror_declines()))
+            + _declines("product", _product_declines()) + _declines("mirror", _mirror_declines())
+            + _declines("join", _join_declines()))
 
 
 def rows(route=None, declines=None):

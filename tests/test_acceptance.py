@@ -20,7 +20,7 @@ from conftest import (
     same_state,
     unit,
 )
-from oracles import all_partners, eigenvector, moments, projector
+from oracles import all_partners, eigenvector, join_walk, moments, projector
 
 RNG = np.random.default_rng(987654321)
 
@@ -440,8 +440,8 @@ def test_criterion_10_property_suites():
         right = np.kron(pw.evolve(dg, t, x), pw.evolve(dh, t, y))
         assert np.max(np.abs(left - right)) <= 1e-9
 
-    # join closed form versus the generic operator: twenty triples, first one
-    # with a disconnected factor
+    # join operator versus scipy's expm of the join: twenty triples, first
+    # one with a disconnected factor
     triples = [(pw.build_empty(2), pw.build_complete(3), pw.LAPLACIAN)]
     regular = [pw.build_cycle(4), pw.build_complete(3), pw.build_empty(3), pw.build_cycle(5)]
     while len(triples) < 14:
@@ -454,8 +454,7 @@ def test_criterion_10_property_suites():
     for g, h, kind in triples:
         t = float(rng.uniform(0.0, 7.0))
         u = pw.join_transition_matrix(g, h, kind, t)
-        dj = decompose_graph(pw.join(g, h), kind)
-        assert np.max(np.abs(u - pw.transition_matrix(dj, t))) <= 1e-8
+        assert np.max(np.abs(u - join_walk(g, h, kind, t))) <= 1e-8
 
     # covering-radius bound on 200 random nonnegative states
     checked = 0

@@ -5,6 +5,7 @@ import pytest
 
 import pstwalk as pw
 from conftest import basis_state, decompose_graph, pair_state, random_connected_graph
+from oracles import join_walk
 
 
 def test_tensor_identity(rng):
@@ -80,33 +81,33 @@ def test_product_guard():
 
 
 def test_join_transition_matrix_laplacian(rng):
-    # disconnected first factor exercises the correction term
-    g, h = pw.build_empty(2), pw.build_complete(3)
-    u = pw.join_transition_matrix(g, h, pw.LAPLACIAN, math.pi / 5)
-    dec = decompose_graph(pw.join(g, h), pw.LAPLACIAN)
-    assert np.max(np.abs(u - pw.transition_matrix(dec, math.pi / 5))) <= 1e-8
+    # a disconnected first factor, and C40 v K100, past the gate
+    for g, h, t in [(pw.build_empty(2), pw.build_complete(3), math.pi / 5),
+                    (pw.build_cycle(40), pw.build_complete(100), 0.37)]:
+        u = pw.join_transition_matrix(g, h, pw.LAPLACIAN, t)
+        assert np.max(np.abs(u - join_walk(g, h, pw.LAPLACIAN, t))) <= 1e-8
 
     for _ in range(6):
         g = random_connected_graph(rng, int(rng.integers(2, 6)), 2)
         h = random_connected_graph(rng, int(rng.integers(2, 6)), 2)
         t = float(rng.uniform(0.0, 7.0))
         u = pw.join_transition_matrix(g, h, pw.LAPLACIAN, t)
-        dec = decompose_graph(pw.join(g, h), pw.LAPLACIAN)
-        assert np.max(np.abs(u - pw.transition_matrix(dec, t))) <= 1e-8
+        assert np.max(np.abs(u - join_walk(g, h, pw.LAPLACIAN, t))) <= 1e-8
 
 
 def test_join_transition_matrix_adjacency():
-    # regular factors, including disconnected empty parts
+    # regular factors, including disconnected empty parts, and C40 v K100,
+    # past the gate
     cases = [
         (pw.build_empty(2), pw.build_empty(3)),   # the complete bipartite graph
         (pw.build_cycle(4), pw.build_complete(3)),
         (pw.build_empty(3), pw.build_cycle(5)),
+        (pw.build_cycle(40), pw.build_complete(100)),
     ]
     for g, h in cases:
         for t in (0.0, 0.77, 2.5):
             u = pw.join_transition_matrix(g, h, pw.ADJACENCY, t)
-            dec = decompose_graph(pw.join(g, h), pw.ADJACENCY)
-            assert np.max(np.abs(u - pw.transition_matrix(dec, t))) <= 1e-8
+            assert np.max(np.abs(u - join_walk(g, h, pw.ADJACENCY, t))) <= 1e-8
     assert np.max(np.abs(
         pw.join_transition_matrix(pw.build_empty(2), pw.build_empty(2), pw.ADJACENCY, 0.0)
         - np.eye(4))) <= 1e-10
@@ -116,14 +117,15 @@ def test_join_transition_matrix_adjacency():
 
 def test_join_reproduces_bipartite_closed_form():
     # the join of empty parts is the complete bipartite graph; its operator at
-    # the transfer time negates the per-part means
-    m, n = 2, 3
-    tau = math.pi / math.sqrt(m * n)
-    u = pw.join_transition_matrix(pw.build_empty(m), pw.build_empty(n), pw.ADJACENCY, tau)
-    block = np.zeros((m + n, m + n))
-    block[:m, :m] = 1.0 / m
-    block[m:, m:] = 1.0 / n
-    assert np.max(np.abs(u - (np.eye(m + n) - 2.0 * block))) <= 1e-8
+    # the transfer time negates the per-part means, also past the gate
+    for m, n in ((2, 3), (64, 80)):
+        tau = math.pi / math.sqrt(m * n)
+        u = pw.join_transition_matrix(pw.build_empty(m), pw.build_empty(n), pw.ADJACENCY, tau)
+        block = np.zeros((m + n, m + n))
+        block[:m, :m] = 1.0 / m
+        block[m:, m:] = 1.0 / n
+        assert np.max(np.abs(u - (np.eye(m + n) - 2.0 * block))) <= 1e-8
+        assert np.max(np.abs(u - join_walk(pw.build_empty(m), pw.build_empty(n), pw.ADJACENCY, tau))) <= 1e-8
 
 
 def test_join_pst_embedded():

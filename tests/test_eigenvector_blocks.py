@@ -4,7 +4,8 @@
 fresh eigh of the matrix, and the `_dense_*` functions are the formulas that
 read that tensor, or the matrix itself, directly. Every consumer of the decomposition must agree
 with them to 1e-12 (the moments, in units of scale**k, to 1e-10), with
-identical verdicts and reasons.
+identical verdicts and reasons; the join operator agrees with scipy's expm
+of the join to 1e-12.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import heavy_path_ends, held_bytes, random_tree
-from oracles import all_partners, moments, projector, reconstruct
+from oracles import all_partners, join_walk, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
 from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection
@@ -111,47 +112,6 @@ def _dense_moments(mat, scale, x, k_max):
     for _ in range(k_max):
         powers.append(mat @ powers[-1] / (scale or 1.0))
     return np.array([x @ p for p in powers]) / np.dot(x, x)
-
-
-def _dense_join(g, h, kind, t):
-    """The join operator from the factors' dense projectors, with separate
-    kernel corrections for disconnected factors."""
-    m, n = g.n, h.n
-    jm, jn = np.ones((m, m)), np.ones((n, n))
-    factors = []
-    for graph in (g, h):
-        mat = pw.hamiltonian(graph, kind).matrix
-        dec = pw.decompose(mat)
-        factors.append((dec, dense_projectors(mat, dec)))
-    u = np.zeros((m + n, m + n), dtype=complex)
-    if kind == pw.LAPLACIAN:
-        total = m + n
-        u += 1.0 / total
-        corner = np.block([[n * n * jm, -m * n * np.ones((m, n))],
-                           [-m * n * np.ones((n, m)), m * m * jn]])
-        u += np.exp(1j * t * total) / (m * n * total) * corner
-        tops = (0.0, 0.0)          # eigenvalue holding the all-ones vector
-        shifts = (float(n), float(m))
-    else:
-        k, ell = float(g.degrees()[0]), float(h.degrees()[0])
-        disc = math.sqrt((k - ell) ** 2 + 4.0 * m * n)
-        lam_p, lam_m = 0.5 * (k + ell + disc), 0.5 * (k + ell - disc)
-        uvec = np.concatenate([(k - lam_m) * np.ones(m), m * np.ones(n)])
-        vvec = np.concatenate([(k - lam_p) * np.ones(m), m * np.ones(n)])
-        u += np.exp(1j * t * lam_p) / (m * disc * (k - lam_m)) * np.outer(uvec, uvec)
-        u += np.exp(1j * t * lam_m) / (m * disc * (lam_p - k)) * np.outer(vvec, vvec)
-        tops = (k, ell)
-        shifts = (0.0, 0.0)
-    for (dec, P), sl, size, top, shift in zip(
-            factors, (slice(0, m), slice(m, m + n)), (m, n), tops, shifts):
-        for lam, proj in zip(dec.eigenvalues, P):
-            if abs(lam - top) > 1e-8 * max(1.0, dec.scale):
-                u[sl, sl] += np.exp(1j * t * (lam + shift)) * proj
-            else:
-                ker = proj - np.ones((size, size)) / size
-                if np.max(np.abs(ker)) > 1e-12:
-                    u[sl, sl] += np.exp(1j * t * (top + shift)) * ker
-    return u
 
 
 def _weighted(rng, n):
@@ -316,7 +276,7 @@ BUILD = {"cycle": pw.build_cycle, "complete": pw.build_complete,
 def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
     g, h = BUILD[gspec[0]](gspec[1]), BUILD[hspec[0]](hspec[1])
     u = pw.join_transition_matrix(g, h, kind, t)
-    assert np.max(np.abs(u - _dense_join(g, h, kind, t))) <= TOL
+    assert np.max(np.abs(u - join_walk(g, h, kind, t))) <= TOL
 
 
 def test_decomposition_holds_no_projector_tensor():

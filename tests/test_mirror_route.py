@@ -6,18 +6,19 @@ palindrome and the reversed edges, with their values, equal to the edges. It
 must give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
 1e-12 * scale and projectors to 1e-10, and the same verdicts as a
 relabelled copy of the graph, which takes eigh. The cycles and complete
-graphs here carry weight 2 on their edge (0, n - 1), which J fixes, and the
-paths weight 2 on both end edges, which J swaps: the circulant and the path
-routes, before this one, take them unweighted. The inputs are
-route_table.ROUTE_OF's rows that the route takes or passes on."""
+graphs here, and K_{p,p}, carry weight 2 on their edge (0, n - 1), which J
+fixes, and the paths weight 2 on both end edges, which J swaps: the
+circulant, path and join routes, before this one, take them unweighted.
+The inputs are route_table.ROUTE_OF's rows that the route takes or passes
+on."""
 
 import numpy as np
 import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, outcome, pair_state,
-                      relabelled, route_calls, taken)
+from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, heavy_end_edge,
+                      outcome, pair_state, relabelled, route_calls, taken)
 from route_table import assert_declined, assert_matches_eigh, mirror_chain, row, rows
 
 ROUTE_CASES = [(r.name, r.build()) for r in rows("mirror")]
@@ -113,16 +114,17 @@ def test_middle_row_of_an_odd_matrix():
 
 K2 = pw.build_path(2)
 HALF_BLOCKS = [(f"K{p},{p}xK2-{kind}",
-                pw.hamiltonian(pw.cartesian_product(pw.build_complete_bipartite(p, p), K2), kind))
+                pw.hamiltonian(pw.cartesian_product(heavy_end_edge(pw.build_complete_bipartite(p, p)), K2), kind))
                for p in (32, 40) for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
 
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCKS, ids=[c[0] for c in HALF_BLOCKS])
 def test_half_block_takes_the_mirror_route(monkeypatch, name, ham):
-    """K_{p,p} x K2 takes the product route, and its 2p x 2p half block,
-    the factor K_{p,p} (plus I for the Laplacian), passes through the same
-    route table: the bipartite route declines its complete pattern and the
-    mirror route takes it. It
+    """K_{p,p} x K2, with weight 2 on the factor's edge (0, 2p - 1), takes
+    the product route, and its 2p x 2p half block, the factor (plus I for
+    the Laplacian), passes through the same route table: the join route
+    declines its heavy cross edge, the bipartite route its complete pattern,
+    and the mirror route takes it (unweighted, the join route takes it). It
     must give what np.linalg.eigh of the whole matrix gives: the same
     multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and
     the same pst_decide and pst_partner verdicts on pair states."""

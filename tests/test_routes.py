@@ -33,14 +33,15 @@ BELOW = ["P63-adjacency", "P63", "C63", "C63-laplacian", "P63-heavy-adjacency", 
          "K31,32-adjacency", "K31,32-laplacian", "C31xK2-adjacency", "C31xK2-laplacian"]
 AT = [("path", "P64-adjacency"), ("path", "P64-laplacian"), ("circulant", "C64-adjacency"),
       ("circulant", "C64-laplacian"), ("product", "Q6-adjacency"), ("product", "Q6-laplacian"),
-      ("bipartite", "P64-heavy-adjacency"), ("mirror", "K32,32-adjacency"), ("mirror", "K32,32-laplacian")]
+      ("join", "K32,32-adjacency"), ("join", "K32,32-laplacian"), ("bipartite", "P64-heavy-adjacency"),
+      ("mirror", "K32,32-adjacency"), ("mirror", "K32,32-laplacian")]
 
 
 @pytest.mark.parametrize("entry", ["hamiltonian", "raw"])
 @pytest.mark.parametrize("name", BELOW)
 def test_gate_below(monkeypatch, name, entry):
-    """Just below ROUTE_MIN_N, the product, circulant, path, bipartite and
-    mirror routes are never called: eigh alone decides."""
+    """Just below ROUTE_MIN_N, the product, circulant, path, join, bipartite
+    and mirror routes are never called: eigh alone decides."""
     m = _entry(row("eigh", name), entry)
     assert spectral._edge_form(m).n < spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
