@@ -1,21 +1,22 @@
-"""sha256 digests of 150 decompositions, to check that a change keeps their bytes.
+"""sha256 digests of 168 decompositions, to check that a change keeps their bytes.
 
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python scripts/decompose_digest.py [--parent REV]
 
 The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
-C32xK2, C64xK2, a seeded relabelled Q8, K32,32, K50,80, C40vK100, Q6vC70
-and E50vK30 (the empty graph joined to K30), which the factored routes
-take, and P40 and C40 (below the routes' size gate), a seeded random
-weighted graph on 100 vertices, which eigh takes, and K32,32 with weight 2
-on its edge (0, 63), which the mirror route takes; each with both kinds,
-and each kind decomposed as a Hamiltonian h, as the raw matrix
-np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one decomposition
-covers its eigenvalues, offsets, dense V (its basis's dense()), scale,
-multiplicities and warnings. The script prints
-the digest of each input, with the class of its basis (a KroneckerBasis with
-its factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
+C32xK2, C64xK2, the grid P8xP8 (at the routes' size gate), the tori C9xC9
+and C16xP8, a seeded relabelled Q8, K32,32, K50,80, C40vK100, Q6vC70 and
+E50vK30 (the empty graph joined to K30), which the factored routes take,
+and P40 and C40 (below the size gate), a seeded random weighted graph on
+100 vertices and K32,32 with weight 2 on its edge (0, 63), which eigh
+takes (the last took the mirror route until that route was deleted); each
+with both kinds, and each kind decomposed as a Hamiltonian h, as the raw
+matrix np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one
+decomposition covers its eigenvalues, offsets, dense V (its basis's
+dense()), scale, multiplicities and warnings. The script prints the digest
+of each input, with the class of its basis (a KroneckerBasis with its
+factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
 and one digest over all of them.
 
 With --parent, the committed src/ of REV is exported (git archive) into a
@@ -53,7 +54,7 @@ def random_weighted():
 
 
 def inputs():
-    """(name, Hamiltonian or raw matrix) for the 150 decompositions."""
+    """(name, Hamiltonian or raw matrix) for the 168 decompositions."""
     q8 = pw.build_hypercube(8)
     p = np.random.default_rng(8).permutation(q8.n)
     k2, k3232 = pw.build_path(2), pw.build_complete_bipartite(32, 32)
@@ -63,6 +64,9 @@ def inputs():
               + [("P40xK2", pw.cartesian_product(pw.build_path(40), k2)),
                  ("C32xK2", pw.cartesian_product(pw.build_cycle(32), k2)),
                  ("C64xK2", pw.cartesian_product(pw.build_cycle(64), k2)),
+                 ("P8xP8", pw.cartesian_product(pw.build_path(8), pw.build_path(8))),
+                 ("C9xC9", pw.cartesian_product(pw.build_cycle(9), pw.build_cycle(9))),
+                 ("C16xP8", pw.cartesian_product(pw.build_cycle(16), pw.build_path(8))),
                  ("Q8-relabelled", pw.make_graph(q8.n, [(int(p[a]), int(p[b]), w) for a, b, w in q8.edges])),
                  ("P40", pw.build_path(40)), ("C40", pw.build_cycle(40)),
                  ("random-weighted100", random_weighted()), ("K32,32", k3232),

@@ -24,7 +24,7 @@ import numpy as np
 from . import serialize
 from .errors import FixedStateError, MalformedDocumentError, NumericFailureError, PstwalkError
 from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, check_dense, hamiltonian, load_custom
-from .spectral import decompose
+from .spectral import Projection, decompose
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": CUSTOM}
@@ -132,15 +132,16 @@ def cmd_pst(args) -> tuple[dict, str]:
 
 def cmd_partner(args) -> tuple[dict, str]:
     from .arith import symbolic_pi_multiple
-    from .transfer import pst_partners
+    from .transfer import _partners
 
     cfg, dec, x = _inputs(args, "x")
-    partners, found, fixed, taus = pst_partners(dec, x[:, None], cfg)
+    partners, found, fixed, taus, refused = _partners(Projection(dec, x[:, None]), cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
     if not found[0]:
-        return {"partner": None, "tau": None, "tau_symbolic": None,
-                "reason": "not-periodic"}, "no partner (not periodic)"
+        reason = "ambiguous-clustering" if refused[0] else "not-periodic"
+        doc = {"partner": None, "tau": None, "tau_symbolic": None, "reason": reason}
+        return doc, f"no partner ({reason.replace('-', ' ')})"
     tau = float(taus[0])
     doc = {
         "partner": serialize.state_to_doc(partners[:, 0]),

@@ -101,8 +101,8 @@ class Hamiltonian:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, read-only, built once on first read: only by a
-        route of decompose that reads the dense M (the mirror route, eigh)."""
+        """The dense matrix, read-only, built once on first read: of
+        decompose's routes, only eigh reads it."""
         g = self.graph
         return _freeze(_dense(check_dense(g.n), g.src, g.dst, self.diagonal, self.values))
 

@@ -8,9 +8,9 @@ sums over c and lifts V c, which do not depend on the basis eigh picked
 inside a cluster. Norms are sums over c too (Parseval), but for a fidelity's
 denominator, the states' own, so that an inconsistent V shows. Each route
 of decompose's table ROUTES holds V in its own format (one of Basis) behind
-one protocol (n, project, lift, dense), so a hypercube, cycle, complete
-graph, path, complete bipartite graph or join of either kind is decided
-with no (n, n) array of its size."""
+one protocol (n, project, lift, dense), so a hypercube, grid, torus, cycle,
+complete graph, path, complete bipartite graph or join of either kind is
+decided with no (n, n) array of its size."""
 
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_P
 
 
 class DenseBasis:
-    """The eigenvectors V as the one (n, n) array v of eigh or the mirror
-    route, read-only. lift gathers V's columns cols: V_F c[F] keeps its bytes."""
+    """The eigenvectors V as the one (n, n) array v of eigh, read-only. lift
+    gathers V's columns cols: V_F c[F] keeps its bytes."""
 
     def __init__(self, v: np.ndarray):
         self.v, self.n = v, len(v)
@@ -195,13 +195,13 @@ class PathBasis:
 class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
-    product route finds them: G's basis g (DenseBasis, BipartiteBasis,
-    FourierBasis, as for a prism C_n x K2, PathBasis, as for a ladder
-    P_n x K2, or JoinBasis, as for K_{p,p} x K2), H's dense h, and order,
-    V's columns among the g_i (x) h_j (column i |H| + j). A nested product
-    folds into one h (Q10 is V_Q5 (x) a 32 x 32 h). With x read as an
-    (|G|, |H|) matrix X, V^T x is g^T X h, and V c its reverse: neither
-    makes an (n, n) array; dense() builds V."""
+    product route finds them: G's basis g (any of Basis but this one:
+    FourierBasis, as for a prism C_n x K2 or a torus, PathBasis, as for a
+    ladder P_n x K2, JoinBasis, as for K_{p,p} x K2), H's dense h, whatever
+    route took H, and order, V's columns among the g_i (x) h_j (column
+    i |H| + j). A nested product folds into one h (Q10 is V_Q5 (x) a
+    32 x 32 h). With x read as an (|G|, |H|) matrix X, V^T x is g^T X h, and
+    V c its reverse: neither makes an (n, n) array; dense() builds V."""
 
     def __init__(self, g: Basis, h: np.ndarray, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
@@ -385,7 +385,8 @@ ASYMMETRY_BAND = 64   # rows per band of _asymmetry
 class EdgeForm(NamedTuple):
     """The real symmetric n x n M as every route reads it: its diagonal, its
     nonzero entries on the edges src < dst, sorted by (src, dst), and
-    scale = ||M||_inf; dense() gives M. src, dst and entries are None for a
+    scale = ||M||_inf, which only decompose reads (None on a product's or a
+    join's factor); dense() gives M. src, dst and entries are None for a
     matrix symmetric only to within SYMMETRY_TOL, which eigh reads as is."""
 
     n: int
@@ -393,7 +394,7 @@ class EdgeForm(NamedTuple):
     src: np.ndarray | None
     dst: np.ndarray | None
     entries: np.ndarray | None
-    scale: float
+    scale: float | None
     dense: Callable[[], np.ndarray]
 
 
@@ -550,36 +551,76 @@ def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.nd
     return np.concatenate((c + s, np.full(n - 2 * len(s), c), (c - s)[::-1])), BipartiteBasis(p, q, u, vt.T)
 
 
-def _box_factor(form: EdgeForm) -> tuple[EdgeForm, np.ndarray] | None:
-    """G's EdgeForm and K2's 2 x 2 matrix when the form's M is exactly
-    M_G (x) I_2 + I_G (x) M_K2 in cartesian_product's labelling v = 2a + b,
-    else None. In O(m), with no dense M: each a has a rung, the edge
-    (2a, 2a + 1), all with one entry w; every other edge keeps b, with one
-    list for b = 0 and b = 1; and d(2a + 1) - d(2a) is one constant delta.
-    G's diagonal is then d(2a), and M_K2 = [[0, w], [w, delta]]; G's dense()
-    is graphs' one dense builder, unguarded, as a raw matrix's form is."""
+def _divisors(n: int) -> list[int]:
+    """The divisors q of n with 1 < q < n, ascending."""
+    small = [q for q in range(2, math.isqrt(n) + 1) if n % q == 0]
+    return small + [n // q for q in reversed(small) if q * q != n]
+
+
+def _box_split(form: EdgeForm) -> tuple[EdgeForm, EdgeForm] | None:
+    """G's and H's EdgeForms at the least divisor q of n at which the form's
+    M is a box product (_box_factors), else None. Vertices 0 = (0, 0) and
+    1 = (0, 1) settle most q at once: vertex 0 needs a neighbour below q, in
+    its copy of H, and one at or past q, in its copy of G, each of these a
+    multiple of q, and vertex 1's neighbours at or past q are those plus 1.
+    So a path, a cycle or a random graph is passed on in microseconds, as is
+    a product whose copy of G or of H through vertex 0 has no edge there."""
+    k, k1 = np.searchsorted(form.src, [1, 2]).tolist()  # vertex 0's edges come first, then vertex 1's
+    near, after, j = form.dst[:k].tolist(), form.dst[k:k1].tolist(), 0
+    for q in _divisors(form.n):
+        while j < k and near[j] < q:
+            j += 1
+        if j == k:
+            return None
+        if (j and near[j] % q == 0 and math.gcd(*near[j:]) % q == 0
+                and [v - 1 for v in after if v >= q] == near[j:]):
+            factors = _box_factors(form, q)
+            if factors is not None:
+                return factors
+    return None
+
+
+def _box_factors(form: EdgeForm, q: int) -> tuple[EdgeForm, EdgeForm] | None:
+    """G's and H's EdgeForms when the form's M is exactly
+    M_G (x) I_q + I_p (x) M_H, p = n / q, in cartesian_product's labelling
+    v = a q + b, else None. In O(m) on the edge keys src n + dst: the edges
+    within a block are p runs of H's, each the last shifted by q; every other
+    edge joins two blocks in one column b, those with b < q - 1 shifted by 1
+    are those with b > 0, and column 0 holds G's. Each d(a q + b) - d(a q)
+    must be d(b) - d(0): G's diagonal is d(a q), H's d(b) - d(0)."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
-    if n % 2:
+    p = n // q
+    block = d.reshape(p, q)
+    low = block[0] - block[0, 0]
+    if (block - block[:, :1] != low).any():
         return None
-    low = src & 1 == 0
-    rung = low & (dst == src + 1)
-    w, shift = entries[rung], d[1::2] - d[0::2]
-    if len(w) != n // 2 or (w != w[0]).any() or (shift != shift[0]).any():
+    a = src // q  # each edge's lesser end is a q + b
+    base = a * q
+    col = src - base
+    inner = dst - base < q
+    key = src * n + dst
+    i = np.flatnonzero(inner)
+    k, e = key[i], entries[i]
+    h = int(np.searchsorted(k, q * n))  # block 0's edges, H's, come first
+    if len(i) != p * h or (k[h:] - k[:-h] != q * (n + 1)).any() or (e[h:] != e[:-h]).any():
         return None
-    top, bottom = low & ~rung, ~low
-    a, b, values = src[top] >> 1, dst[top] >> 1, entries[top]
-    if ((dst[top] & 1).any() or not np.array_equal(src[bottom], 2 * a + 1)
-            or not np.array_equal(dst[bottom], 2 * b + 1) or not np.array_equal(entries[bottom], values)):
+    outer = ~inner
+    lo, hi = np.flatnonzero(outer & (col < q - 1)), np.flatnonzero(outer & (col > 0))
+    if len(lo) != len(hi) or (key[hi] - key[lo] != n + 1).any() or (entries[hi] != entries[lo]).any():
         return None
-    return _factor_form(n // 2, d[0::2], a, b, values), np.array([[0.0, w[0]], [w[0], shift[0]]])
+    g = lo[col[lo] == 0]
+    far = dst[g]
+    b = far // q
+    if (b * q != far).any():
+        return None
+    return _factor_form(p, block[:, 0], a[g], b, entries[g]), _factor_form(q, low, src[i[:h]], dst[i[:h]], e[:h])
 
 
 def _factor_form(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray, entries: np.ndarray) -> EdgeForm:
-    """A factor's EdgeForm (of a product or a join) from its arrays; its
-    dense() is graphs' one dense builder, unguarded, as a raw matrix's form
-    is."""
-    return EdgeForm(n, diagonal, src, dst, entries, _edge_scale(n, diagonal, src, dst, entries),
-                    lambda: _dense(n, src, dst, diagonal, entries))
+    """A factor's EdgeForm (of a product or a join) from its arrays, with no
+    scale, which no route reads; its dense() is graphs' one dense builder,
+    unguarded, as a raw matrix's form is."""
+    return EdgeForm(n, diagonal, src, dst, entries, None, lambda: _dense(n, src, dst, diagonal, entries))
 
 
 def _join_factors(form: EdgeForm) -> tuple[float, list[tuple[EdgeForm, float]]] | None:
@@ -628,72 +669,26 @@ def _join_factors(form: EdgeForm) -> tuple[float, list[tuple[EdgeForm, float]]] 
     return float(c[0]), factors
 
 
-def _mirrored(form: EdgeForm) -> bool:
-    """Whether the form's M is mirror symmetric: JMJ = M for the reversal
-    J: i -> n - 1 - i. Exact, in O(m log m) with no pass over a dense
-    matrix: the diagonal is a palindrome, and the keys
-    (n-1-dst) n + (n-1-src) of the reversed edges, sorted, with their
-    entries, are the edge keys src n + dst with theirs."""
-    n, src, dst, entries = form.n, form.src, form.dst, form.entries
-    if (form.diagonal != form.diagonal[::-1]).any():
-        return False
-    image = (n - 1 - dst) * n + (n - 1 - src)
-    order = np.argsort(image, kind="stable")
-    return bool(np.array_equal(image[order], src * n + dst) and np.array_equal(entries[order], entries))
-
-
-def _mirror_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of a mirror-symmetric (_mirrored) mat from two eighs of
-    about half its size (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
-    With h = n // 2, A the leading h x h block and B the top right one,
-    JMJ = M makes BJ symmetric, and [w; Jw] / sqrt(2) for each eigenvector w
-    of A + BJ, [w; -Jw] / sqrt(2) for each of A - BJ, are eigenvectors of M
-    with the same eigenvalues. For odd n the middle row b and entry c join
-    the symmetric block as [[A + BJ, sqrt(2) b], [sqrt(2) b^T, c]], whose
-    eigenvector (w, z) gives [w; sqrt(2) z; Jw] / sqrt(2); the antisymmetric
-    ones are zero in the middle row. Returns the symmetric block's
-    eigenvalues, ascending, then the antisymmetric block's, ascending, with
-    their unit eigenvectors as the columns in the same order."""
-    n = len(mat)
-    h = n // 2
-    s = n - h  # the symmetric block's size: h, or h + 1 with the middle row
-    a, bj = mat[:h, :h], mat[:h, ::-1][:, :h]  # B J: B's columns reversed
-    sym = np.empty((s, s))
-    np.add(a, bj, out=sym[:h, :h])
-    if s > h:
-        sym[h, :h] = sym[:h, h] = math.sqrt(2.0) * mat[:h, h]
-        sym[h, h] = mat[h, h]
-    lam_s, w_s = np.linalg.eigh(sym)
-    lam_a, w_a = np.linalg.eigh(a - bj)
-    r = math.sqrt(0.5)
-    vectors = np.empty((n, n))
-    np.multiply(w_s[:h], r, out=vectors[:h, :s])
-    np.multiply(w_s[:h][::-1], r, out=vectors[s:, :s])
-    np.multiply(w_a, r, out=vectors[:h, s:])
-    np.multiply(w_a[::-1], -r, out=vectors[s:, s:])
-    if s > h:
-        vectors[h, :s] = w_s[h]
-        vectors[h, s:] = 0.0
-    return np.concatenate((lam_s, lam_a)), vectors
-
-
 def _product_route(form: EdgeForm):
-    """A box product G x K2 (_box_factor) from its factors' eigenpairs: G's
-    from the route table (_eigenpairs), K2's from one 2 x 2 eigh, and the
-    eigenpairs (lambda_i + mu_j, g_i (x) h_j) sorted descending into a
-    KroneckerBasis, into which a factored G's own KroneckerBasis folds, so
-    Q10 splits down to one eigh of Q5 (Q10 built and decomposed: 0.8-0.9 ms
-    against 230-270 ms by eigh, best of runs on one core of a 2-vCPU
-    machine, as every time here)."""
-    factors = _box_factor(form)
+    """A box product G x H (_box_split) from its factors' eigenpairs, each
+    from the route table (_eigenpairs), H's held dense: the eigenpairs
+    (lambda_i + mu_j, g_i (x) h_j) sorted descending into a KroneckerBasis,
+    into which a factored G's own KroneckerBasis folds, so Q10 splits down
+    to one eigh of Q5 (Q10 built and decomposed: 0.8-0.9 ms against 230-270
+    ms by eigh; the P45 x P45 grid: 1.0-1.1 ms against 220-320 ms by eigh or
+    the bipartite route's SVD; best of runs on one core of a 2-vCPU machine,
+    as every time here)."""
+    factors = _box_split(form)
     if factors is None:
         return None
-    (lam, g, _), (mu, h) = _eigenpairs(factors[0]), np.linalg.eigh(factors[1])
-    sums = np.add.outer(lam, mu).ravel()  # entry i * 2 + j: the column g_i (x) h_j
+    (lam, g, _), (mu, h, _) = _eigenpairs(factors[0]), _eigenpairs(factors[1])
+    h, q = h.dense(), factors[1].n
+    sums = np.add.outer(lam, mu).ravel()  # entry i q + j: the column g_i (x) h_j
     order = np.argsort(-sums, kind="stable")
     evals = sums[order]
     if isinstance(g, KroneckerBasis):  # g_i is the column g.order[i] of g.g (x) g.h
-        g, h, order = g.g, np.kron(g.h, h), (2 * g.order[:, None] + np.arange(2)).ravel()[order]
+        h = (g.h[:, None, :, None] * h[None, :, None, :]).reshape(len(g.h) * q, -1)  # np.kron(g.h, h)
+        g, order = g.g, (q * g.order[:, None] + np.arange(q)).ravel()[order]
     return evals, KroneckerBasis(g, h, order)
 
 
@@ -740,9 +735,9 @@ def _path_route(form: EdgeForm):
     exactly in O(n) from the form: the n - 1 edges (i, i + 1), all with one
     entry w, one interior diagonal value a, and both ends equal to a or to a +
     w as it rounds. So a path shifted by cI whose end sum a + w rounds away
-    from its shifted end value is passed on, to the mirror route, which is
-    slower but as correct (P300 adjacency: 0.09 ms, against 3.7 ms by the
-    bipartite route's SVD)."""
+    from its shifted end value is passed on, to eigh, which is slower but as
+    correct (P300 adjacency: 0.09 ms, against 3.7 ms by the bipartite route's
+    SVD)."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
     if len(src) != n - 1:
         return None
@@ -804,18 +799,6 @@ def _bipartite_route(form: EdgeForm):
     return None if parts is None else _bipartite_eigh(form, *parts)
 
 
-def _mirror_route(form: EdgeForm):
-    """A mirror-symmetric M (_mirrored) by two eighs of about n/2
-    (_mirror_eigh), its two sorted runs merged into one on a DenseBasis
-    (K150,150 adjacency with weight 2 on its edge (0, 299), which the join
-    route declines: 4.2 ms, against 5.7 ms by eigh)."""
-    if not _mirrored(form):
-        return None
-    evals, vectors = _mirror_eigh(form.dense())
-    merge = np.argsort(evals, kind="stable")  # its two ascending runs, merged
-    return evals[merge], DenseBasis(vectors[:, merge])
-
-
 def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
     """np.linalg.eigh of the dense M, which takes every form (Q10's 1024 x
     1024 matrix: 230-270 ms)."""
@@ -823,8 +806,7 @@ def _eigh_route(form: EdgeForm) -> tuple[np.ndarray, DenseBasis]:
     return evals, DenseBasis(vectors)
 
 
-ROUTES = (_product_route, _circulant_route, _path_route, _join_route, _bipartite_route, _mirror_route,
-          _eigh_route)
+ROUTES = (_product_route, _circulant_route, _path_route, _join_route, _bipartite_route, _eigh_route)
 
 
 def route_name(route) -> str:
@@ -882,9 +864,9 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
 
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from the first route of ROUTES that
-    takes it (_eigenpairs): from ROUTE_MIN_N on, six routes for structures
-    detected exactly on the form, the first five never reading the dense
-    matrix, and np.linalg.eigh for every form. ROUTE_MIN_N is the crossover
+    takes it (_eigenpairs): from ROUTE_MIN_N on, five routes for structures
+    detected exactly on the form, none reading the dense matrix, and
+    np.linalg.eigh for every form. ROUTE_MIN_N is the crossover
     measured on paths, cycles and hypercubes and keeps the bytes of every
     CLI golden, all smaller: the routes agree with eigh to rounding only.
 

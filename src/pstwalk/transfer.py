@@ -103,6 +103,14 @@ def _refusal(reason: str, detail: float | None = None, **kw) -> PstVerdict:
     return PstVerdict(decision=False, reason=reason, detail=detail, **kw)
 
 
+def _ambiguous(dec: SpectralDecomposition, clusters, tau: float) -> float | None:
+    """The phase spread tau * width of the widest of the clusters where it
+    exceeds CLUSTER_SPREAD, else None: pst_decide's and _partners' one
+    ambiguous-clustering check."""
+    spread = tau * float(dec.widths[clusters].max())
+    return spread if spread > CLUSTER_SPREAD else None
+
+
 def pst_decide(
     dec: SpectralDecomposition, x, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PstVerdict:
@@ -132,8 +140,8 @@ def pst_decide(
             sigma_minus=cert.sigma_minus,
         )
     tau = table.period / 2.0
-    spread = tau * float(dec.widths[list(cert.profile.indices)].max())
-    if spread > CLUSTER_SPREAD:
+    spread = _ambiguous(dec, list(cert.profile.indices), tau)
+    if spread is not None:
         return _refusal("ambiguous-clustering", detail=spread)
     minus = set(cert.minus_positions)
     if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
@@ -171,8 +179,9 @@ def pst_partners(
     set and NaN elsewhere; tau (b,) is the minimum transfer time, half the
     minimum period, where found and NaN elsewhere; fixed (b,) marks
     single-eigenvalue supports. A column that is neither found nor fixed is
-    not periodic. Nothing is raised for those states; a column that
-    support_mask refuses raises InvalidStateError.
+    not periodic or, as pst_decide would refuse it, ambiguous-clustering.
+    Nothing is raised for those states; a column that support_mask refuses
+    raises InvalidStateError.
 
     Columns sharing a support share one ratio table, and each group's
     partners are its reflection X_g - 2 sum_j E_j X_g over the table's
@@ -182,14 +191,17 @@ def pst_partners(
     stable np.lexsort of the keys is cut where consecutive keys differ, so
     each group lists its columns in ascending order.
     """
-    return _partners(Projection(dec, X), cfg)
+    return _partners(Projection(dec, X), cfg)[:4]
 
 
-def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    """pst_partners' four arrays, then the mask (b,) of the periodic columns
+    refused as ambiguous-clustering (_ambiguous), which are not found."""
     dec, X = proj.dec, proj.states
     mask = _support(proj.weights(), cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
+    refused = np.zeros(X.shape[1], dtype=bool)
     bits = np.int64(1) << np.arange(63, dtype=np.int64)   # row r of the mask is bit r % 63 of key word r // 63
     keys = np.array([bits[:len(mask) - r] @ mask[r:r + 63] for r in range(0, len(mask), 63)])
     order = np.lexsort(keys)
@@ -205,18 +217,21 @@ def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.nd
         table = ratio_condition(dec.eigenvalues[idx], cfg)
         if isinstance(table, NonPeriodic):
             continue
+        if _ambiguous(dec, idx, table.period / 2.0) is not None:
+            refused[cols] = True
+            continue
         partners[:, cols] = proj.reflect(cols, idx[list(table.flips)])
         tau[cols] = table.period / 2.0
-    return partners, ~np.isnan(tau), mask.sum(axis=0) == 1, tau
+    return partners, ~np.isnan(tau), mask.sum(axis=0) == 1, tau, refused
 
 
 def pst_partner(
     dec: SpectralDecomposition, x, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> np.ndarray | None:
     """The unique state admitting transfer from x, or None when x is not
-    periodic; the one-column case of pst_partners. Raises FixedStateError
-    for a single-eigenvalue support."""
-    partners, found, fixed, _ = _partners(Projection.of(dec, x), cfg)
+    periodic or ambiguous-clustering; the one-column case of pst_partners.
+    Raises FixedStateError for a single-eigenvalue support."""
+    partners, found, fixed, _, _ = _partners(Projection.of(dec, x), cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
     return partners[:, 0] if found[0] else None

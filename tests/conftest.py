@@ -71,16 +71,16 @@ def random_tree(rng, n):
 
 
 def heavy_end_edge(g):
-    """g with weight 2 on its edge (0, n - 1), which the reversal
-    i -> n - 1 - i maps to itself: a cycle or complete graph stays mirror
-    symmetric but is no longer circulant."""
+    """g with weight 2 on its edge (0, n - 1): a cycle or complete graph is
+    no longer circulant, and K_{p,q} no longer a join, so the circulant and
+    join routes pass it on."""
     return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) == (0, g.n - 1) else w) for u, v, w in g.edges])
 
 
 def heavy_path_ends(g):
-    """The path g with weight 2 on its two end edges (0, 1) and (n - 2, n - 1),
-    which the reversal i -> n - 1 - i swaps: it stays mirror symmetric and
-    bipartite but is no longer uniform, so the path route passes it on."""
+    """The path g with weight 2 on its two end edges (0, 1) and (n - 2, n - 1):
+    it stays bipartite but is no longer uniform, so the path route passes it
+    on (to the bipartite route, or to eigh for a Laplacian)."""
     ends = {(0, 1), (g.n - 2, g.n - 1)}
     return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) in ends else w) for u, v, w in g.edges])
 

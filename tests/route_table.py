@@ -16,12 +16,12 @@ import pytest
 import pstwalk as pw
 from pstwalk import spectral
 from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
-from conftest import NoFFT, heavy_end_edge, heavy_path_ends, relabelled, route_calls, route_of, seeded_relabel
+from conftest import NoFFT, heavy_end_edge, heavy_path_ends, route_calls, route_of, seeded_relabel
 from oracles import eigh_decompose, expm_transfer, projector
 
 ROUTE_BASIS = {"product": KroneckerBasis, "circulant": FourierBasis, "path": PathBasis, "join": JoinBasis,
-               "bipartite": BipartiteBasis, "mirror": DenseBasis, "eigh": DenseBasis}
-DENSE_ROUTES = ("mirror", "eigh")  # the routes that read a Hamiltonian's matrix
+               "bipartite": BipartiteBasis, "eigh": DenseBasis}
+DENSE_ROUTES = ("eigh",)  # the routes that read a Hamiltonian's matrix
 KINDS = (pw.ADJACENCY, pw.LAPLACIAN)
 LAP = pw.LAPLACIAN
 K2 = pw.build_path(2)
@@ -47,17 +47,6 @@ def uniform_path(n, w, a, neumann):
     diagonal = np.full(n, a)
     diagonal[[0, -1]] = a + w if neumann else a
     return pw.Hamiltonian(pw.CUSTOM, pw.build_path(n), diagonal, np.full(n - 1, w))
-
-
-def mirror_chain(n):
-    """The Krawtchouk chain, weights sqrt((i + 1)(n - 1 - i)) (Kay, IJQI 8,
-    2010), plus the potential |i - (n - 1)/2|: mirror symmetric, and off the
-    bipartite route, which needs one constant on the diagonal. One well, so
-    its eigenvalues stay 5e-3 apart (a well at each end would pair them up
-    within 1e-5, and leave their projectors ill-conditioned)."""
-    i = np.arange(n - 1)
-    g = pw.make_graph(n, [(int(a), int(a) + 1, w) for a, w in zip(i, np.sqrt((i + 1.0) * (n - 1 - i)))])
-    return pw.Hamiltonian(pw.CUSTOM, g, np.abs(np.arange(n) - (n - 1) / 2), g.w)
 
 
 def split_labels():
@@ -88,6 +77,20 @@ def two_cycles(n):
 
 def q8_relabelled():
     return seeded_relabel(pw.build_hypercube(8), 8)
+
+
+def box(*factors):
+    """The box product of the factors, left to right, in cartesian_product's
+    labelling."""
+    out = factors[0]
+    for g in factors[1:]:
+        out = pw.cartesian_product(out, g)
+    return out
+
+
+P, C = pw.build_path, pw.build_cycle
+# the grids and tori the product route takes at q > 2, by name
+GRIDS = {"P8xP8": (P(8), P(8)), "C9xC9": (C(9), C(9)), "C16xP8": (C(16), P(8)), "P4xP4xP4": (P(4), P(4), P(4))}
 
 
 def _reweighted(g, u, v, w):
@@ -124,14 +127,11 @@ def _taken():
                        (("P40", pw.build_path(40)), ("C32", pw.build_cycle(32)), ("C64", pw.build_cycle(64)),
                         ("P64", pw.build_path(64)))]):
         rows += _kinds(name, g, "product", shifted=True)
-    rows += [Row(f"P{n}-laplacian", _ham(heavy_path_ends(pw.build_path(n)), LAP), "mirror")
-             for n in (64, 65, 101, 200, 300)]
-    for n in (65, 151, 299):
-        rows += _kinds(f"C{n}", heavy_end_edge(pw.build_cycle(n)), "mirror")
-    rows += _kinds("K64", heavy_end_edge(pw.build_complete(64)), "mirror")
-    rows.append(Row("K150-adjacency", _ham(heavy_end_edge(pw.build_complete(150))), "mirror"))
-    rows += _kinds("K64,64", heavy_end_edge(pw.build_complete_bipartite(64, 64)), "mirror")
-    rows += [Row(f"chain{n}", partial(mirror_chain, n), "mirror") for n in (64, 65)]
+    for name, factors in GRIDS.items():
+        rows += _kinds(name, box(*factors), "product", shifted=True)
+    # H = C32 and P40, at q = 32 and 40
+    rows += [Row("K2xC32-adjacency", _ham(pw.cartesian_product(K2, C(32))), "product", shifted=True),
+             Row("K2xP40-laplacian", _ham(pw.cartesian_product(K2, P(40)), LAP), "product", shifted=True)]
     empty, cycle, complete = pw.build_empty, pw.build_cycle, pw.build_complete
     for name, g in [("K30,50", pw.build_complete_bipartite(30, 50)),
                     ("K64,64", pw.build_complete_bipartite(64, 64)),
@@ -154,8 +154,9 @@ def _taken():
 def _gate():
     """Just below ROUTE_MIN_N, each passed on by the route its sibling at
     ROUTE_MIN_N takes, to eigh alone; and K_{32,32}, the join route's input
-    at the gate, and the mirror route's with weight 2 on its edge (0, 63)
-    (P64, C64, Q6 and the heavy-ended P64 are rows above).
+    at the gate, and with weight 2 on its edge (0, 63), which every route
+    passes on to eigh (P64, C64, Q6, P8xP8 and the heavy-ended P64 are rows
+    above).
     The P63 Laplacian and the C63 adjacency keep their short names."""
     p63, c63, heavy = pw.build_path(63), pw.build_cycle(63), heavy_path_ends(pw.build_path(63))
     return [
@@ -165,11 +166,11 @@ def _gate():
         Row("C63-laplacian", _ham(c63, LAP), "eigh", "circulant"),
         *_kinds("K63", pw.build_complete(63), "eigh", declines="circulant"),
         Row("P63-heavy-adjacency", _ham(heavy), "eigh", "bipartite"),
-        Row("P63-heavy-laplacian", _ham(heavy, LAP), "eigh", "mirror"),
+        Row("P63-heavy-laplacian", _ham(heavy, LAP), "eigh"),
         *_kinds("K31,32", pw.build_complete_bipartite(31, 32), "eigh"),
         *_kinds("C31xK2", pw.cartesian_product(pw.build_cycle(31), K2), "eigh", declines="product"),
         *_kinds("K32,32", pw.build_complete_bipartite(32, 32), "join"),
-        *_kinds("K32,32", heavy_end_edge(pw.build_complete_bipartite(32, 32)), "mirror"),
+        *_kinds("K32,32", heavy_end_edge(pw.build_complete_bipartite(32, 32)), "eigh"),
     ]
 
 
@@ -202,9 +203,9 @@ def _path_declines():
         Row("P100-relabelled", _ham(seeded_relabel(p100, n), LAP), "eigh"),
         Row("P100-one-weight", _custom(p100, np.zeros(n), np.r_[np.ones(40), 1.5, np.ones(58)]), "bipartite"),
         Row("P100-one-end-potential", _custom(p100, potential, p100.w), "eigh"),
-        Row("P100-signless", _custom(p100, signless, p100.w), "mirror"),
+        Row("P100-signless", _custom(p100, signless, p100.w), "eigh"),
         Row("P100-chord", _ham(pw.make_graph(n, p100.edges + ((10, 30, 1.0),))), "eigh"),
-        Row("P100-end-one-ulp-off", _custom(p100, ulp, lap.values), "mirror"),
+        Row("P100-end-one-ulp-off", _custom(p100, ulp, lap.values), "eigh"),
     ]
 
 
@@ -215,45 +216,55 @@ def _bipartite_declines():
     the edge (0, n - 1)."""
     odd = heavy_end_edge(pw.build_cycle(65))
     return [
-        Row("odd-cycle", _ham(odd), "mirror"),
-        Row("odd-cycle-lap", _ham(odd, LAP), "mirror"),
-        Row("path-lap", _ham(heavy_path_ends(pw.build_path(70)), LAP), "mirror"),
+        Row("odd-cycle", _ham(odd), "eigh"),
+        Row("odd-cycle-lap", _ham(odd, LAP), "eigh"),
+        Row("path-lap", _ham(heavy_path_ends(pw.build_path(70)), LAP), "eigh"),
         Row("complete-bipartite", _ham(heavy_end_edge(pw.build_complete_bipartite(30, 50))), "eigh"),
-        Row("complete", _ham(heavy_end_edge(pw.build_complete(64))), "mirror"),
+        Row("complete", _ham(heavy_end_edge(pw.build_complete(64))), "eigh"),
         Row("edgeless-64", _ham(pw.build_empty(64)), "eigh"),
         Row("edgeless-200", _ham(pw.build_empty(200), LAP), "eigh"),
     ]
 
 
+def _twisted(g, a, q):
+    """g, a product in v = a q + b, with G's edge (a, a + 1) copied onto the
+    columns b -> b + 1, (a q + b, (a + 1) q + b + 1), in place of b -> b:
+    shifted along the columns like a copy of G, but off them."""
+    cut = {(a * q + b, (a + 1) * q + b) for b in range(q)}
+    return pw.make_graph(g.n, [e for e in g.edges if e[:2] not in cut]
+                         + [(a * q + b, (a + 1) * q + b + 1, 1.0) for b in range(q)])
+
+
+def _one_vertex_off(g, v):
+    """g's Laplacian with 1 added to the diagonal at vertex v."""
+    lap = pw.hamiltonian(g, LAP)
+    diagonal = lap.diagonal.copy()
+    diagonal[v] += 1.0
+    return pw.Hamiltonian(pw.CUSTOM, g, diagonal, lap.values)
+
+
 def _product_declines():
-    """Each off M_G (x) I_2 + I_G (x) M_K2 in v = 2a + b by one change."""
-    q7 = pw.build_hypercube(7)
+    """Each off M_G (x) I_q + I_p (x) M_H in v = a q + b, for every divisor
+    q of n, by one change: at q = 2 (a K2 factor), and at q = 8 or 9 one
+    copy's edge reweighted, one G edge's copies moved one column on, the
+    diagonal split off by one on a single vertex, or the labels."""
+    q7, c16p8, c9c9 = pw.build_hypercube(7), box(*GRIDS["C16xP8"]), box(*GRIDS["C9xC9"])
     return [
         Row("rung-weight", _ham(_reweighted(pw.build_hypercube(8), 4, 5, 2.0)), "bipartite"),
         Row("one-copy-edge", _ham(_reweighted(pw.cartesian_product(pw.build_cycle(32), K2), 0, 2, 2.0)), "bipartite"),
         # d(127) - d(126) is 1, every other d(2a + 1) - d(2a) 0
         Row("diagonal-split", _custom(q7, np.r_[np.zeros(127), 1.0], q7.w), "eigh"),
         Row("odd-n", _ham(pw.make_graph(65, pw.build_hypercube(6).edges + ((63, 64, 1.0),))), "bipartite"),
-        Row("K2xC32", _ham(pw.cartesian_product(K2, pw.build_cycle(32))), "bipartite"),
-        Row("K2xP40-laplacian", _ham(pw.cartesian_product(K2, pw.build_path(40)), LAP), "mirror"),
         Row("Q8-relabelled", _ham(q8_relabelled()), "bipartite"),
         Row("Q5", _ham(pw.build_hypercube(5)), "eigh"),  # below the gate
-    ]
-
-
-def _mirror_declines():
-    """Off the route: relabelled, or mirror symmetric but for one value."""
-    p101, c151 = pw.build_path(101), pw.build_cycle(151)
-    return [
-        Row("P200-laplacian-relabelled",
-            lambda: relabelled(pw.hamiltonian(heavy_path_ends(pw.build_path(200)), LAP), 3)[0], "eigh"),
-        Row("C151-adjacency-relabelled", lambda: relabelled(pw.hamiltonian(heavy_end_edge(c151), pw.ADJACENCY), 3)[0],
-            "eigh"),
-        Row("chain65-relabelled", lambda: relabelled(mirror_chain(65), 3)[0], "eigh"),
-        # mirror-symmetric edges, but a diagonal that is no palindrome
-        Row("P101-ramp", _custom(p101, np.arange(101.0), p101.w), "eigh"),
-        # mirror-symmetric pattern, but one value differs from its mirror image
-        Row("C151-one-weight", _custom(c151, np.zeros(151), np.r_[2.0, np.ones(150)]), "eigh"),
+        # the edge (43, 44) of the copy of P8 on block 5
+        Row("C16xP8-one-copy-edge", _ham(_reweighted(c16p8, 43, 44, 2.0)), "bipartite"),
+        # the edge (8, 16) of the copy of C16 on column 0
+        Row("C16xP8-one-G-edge", _ham(_reweighted(c16p8, 8, 16, 2.0)), "bipartite"),
+        Row("C16xP8-twisted", _ham(_twisted(c16p8, 3, 8)), "eigh"),
+        Row("C9xC9-diagonal-split", partial(_one_vertex_off, c9c9, 40), "eigh"),
+        Row("P8xP8-relabelled", _ham(seeded_relabel(box(*GRIDS["P8xP8"]), 64)), "bipartite"),
+        Row("C9xC9-relabelled-laplacian", _ham(seeded_relabel(c9c9, 81), LAP), "eigh"),
     ]
 
 
@@ -279,7 +290,7 @@ def _declines(route, rows):
 
 ROUTE_OF = (_taken() + _gate() + _declines("circulant", _circulant_declines())
             + _declines("path", _path_declines()) + _declines("bipartite", _bipartite_declines())
-            + _declines("product", _product_declines()) + _declines("mirror", _mirror_declines())
+            + _declines("product", _product_declines())
             + _declines("join", _join_declines()))
 
 
@@ -328,8 +339,8 @@ def assert_widths(dec):
 def _assert_route(m, calls, dec, route, basis=None):
     """The route took m, as dec.route records, dec has its basis class (or
     basis) and its cluster widths (assert_widths), and a Hamiltonian m has
-    built its matrix exactly when the route reads the dense M (mirror,
-    eigh): m must not have built it before decompose."""
+    built its matrix exactly when the route reads the dense M (eigh): m
+    must not have built it before decompose."""
     assert route_of(calls) == dec.route == route and isinstance(dec.basis, basis or ROUTE_BASIS[route])
     assert_widths(dec)
     if isinstance(m, pw.Hamiltonian):

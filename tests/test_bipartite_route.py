@@ -20,7 +20,8 @@ from pstwalk import graphs, spectral
 from conftest import (assert_one_form, assert_same_form, assert_same_verdicts, decomposition_bytes, entries,
                       heavy_path_ends, route_calls, seeded_relabel, taken)
 from oracles import eigh_decompose, forced_decompose
-from route_table import assert_agrees, assert_declined, q8_relabelled, random_weighted, rows, split_labels
+from route_table import (GRIDS, assert_agrees, assert_declined, box, q8_relabelled, random_weighted, rows,
+                         split_labels)
 
 MIN_N = spectral.ROUTE_MIN_N
 
@@ -171,6 +172,7 @@ def _half_block_cases():
     graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (7, 8, 9, 10)] + [
         ("P40xK2", pw.cartesian_product(pw.build_path(40), pw.build_path(2))),
         ("C32xK2", pw.cartesian_product(pw.build_cycle(32), pw.build_path(2))),
+        *((name, box(*factors)) for name, factors in GRIDS.items()),
         ("Q8-relabelled", q8_relabelled()),  # B is not symmetric: np.linalg.svd
         ("split-labels", split_labels()),
     ]
@@ -193,33 +195,41 @@ NO_PRODUCT = {"Q8-relabelled-adjacency", "Q8-relabelled-laplacian", "split-label
 BOTH_ROUTES = {"Q7-zero-values"}
 
 
-def _dense_box_factor(form):
-    """spectral._box_factor from the dense M: M is M_G (x) I_2 + I_G (x) M_K2
-    in the labelling v = 2a + b when its block M[0::2, 1::2] is w I, w != 0,
-    and M[1::2, 1::2] is M[0::2, 0::2] + delta I; then G's form is the one
-    the dense passes over the half block M[0::2, 0::2] give."""
+def _dense_box_factors(form, q):
+    """spectral._box_factors from the dense M: M is M_G (x) I_q + I_p (x) M_H
+    in the labelling v = a q + b when each q x q block M[a q:, a' q:] with
+    a != a' is G[a, a'] I, G = M[0::q, 0::q], each diagonal block has block
+    0's entries off its diagonal, and each d(a q + b) - d(a q) is
+    d(b) - d(0); then G's form is the one the dense passes over G give, and
+    H's those over block 0 with the diagonal d(b) - d(0)."""
     mat = form.dense()
-    n = len(mat)
-    if n % 2:
+    p = len(mat) // q
+    blocks = mat.reshape(p, q, p, q).transpose(0, 2, 1, 3)  # blocks[a, a'] = M[a q:, a' q:], q x q
+    g, eye, apart = mat[0::q, 0::q], np.eye(q, dtype=bool), ~np.eye(p, dtype=bool)
+    d = mat.diagonal().reshape(p, q)
+    h = np.where(eye, 0.0, blocks[0, 0])
+    h[eye] = d[0] - d[0, 0]
+    if not (np.array_equal(blocks[apart], g[apart][:, None, None] * eye)
+            and np.array_equal(np.where(eye, 0.0, blocks[np.arange(p), np.arange(p)]), np.where(eye, 0.0, h)[None].repeat(p, 0))
+            and np.array_equal(d - d[:, :1], (d[0] - d[0, 0])[None].repeat(p, 0))):
         return None
-    g, rungs, other = mat[0::2, 0::2], mat[0::2, 1::2], mat[1::2, 1::2]
-    w, delta = rungs[0, 0], other[0, 0] - g[0, 0]
-    if w == 0 or not (np.array_equal(rungs, w * np.eye(n // 2)) and np.array_equal(other, g + delta * np.eye(n // 2))):
-        return None
-    edges = spectral._dense_edges(g)
-    g_form = spectral.EdgeForm(len(g), g.diagonal(), *edges, g[edges], np.linalg.norm(g, np.inf), lambda: g)
-    return g_form, np.array([[0.0, w], [w, delta]])
+    forms = []
+    for m in (g, h):
+        edges = spectral._dense_edges(m)
+        forms.append(spectral.EdgeForm(len(m), m.diagonal(), *edges, m[edges], None, lambda m=m: m))
+    return tuple(forms)
 
 
 @pytest.mark.parametrize("name,ham", HALF_BLOCK_CASES, ids=[c[0] for c in HALF_BLOCK_CASES])
 def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
     """At every level, the half block a route builds from its parent's edge
-    form is the one the parent's dense M gives: the product route's factor
-    G, whose form is the dense passes over M[0::2, 0::2], and the bipartite
-    route's B, the gather M[P, Q] byte for byte. The decomposition, from
-    either entry, is bit-identical to the one built on the dense passes."""
+    form is the one the parent's dense M gives: the product route's factors
+    G and H, at every divisor q it tries, whose forms are the dense passes
+    over M[0::q, 0::q] and M's block 0, and the bipartite route's B, the
+    gather M[P, Q] byte for byte. The decomposition, from either entry, is
+    bit-identical to the one built on the dense passes."""
     seen = []
-    real_eigh, real_factor = spectral._bipartite_eigh, spectral._box_factor
+    real_eigh, real_factors = spectral._bipartite_eigh, spectral._box_factors
 
     def check_block(form, p, q):
         mat = graphs._dense(form.n, form.src, form.dst, form.diagonal, form.entries)
@@ -228,21 +238,21 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
         seen.append("bipartite")
         return real_eigh(form, p, q)
 
-    def check_factor(form):
-        got, want = real_factor(form), _dense_box_factor(form)
+    def check_factors(form, q):
+        got, want = real_factors(form, q), _dense_box_factors(form, q)
         assert (got is None) == (want is None)
         if got is not None:
-            assert_same_form(got[0], want[0])
-            assert got[1].tobytes() == want[1].tobytes()
+            for g, w in zip(got, want):
+                assert_same_form(g, w)
             seen.append("product")
         return got
 
     with monkeypatch.context() as m:
         m.setattr(spectral, "_bipartite_eigh", check_block)
-        m.setattr(spectral, "_box_factor", check_factor)
+        m.setattr(spectral, "_box_factors", check_factors)
         got = [decomposition_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_box_factor", _dense_box_factor)
+        m.setattr(spectral, "_box_factors", _dense_box_factors)
         want = decomposition_bytes(pw.decompose(ham))
     assert got == [want, want]
     assert ("product" in seen) == (name not in NO_PRODUCT)
@@ -264,7 +274,7 @@ def _lazy_cases():
 
 LAZY_CASES = _lazy_cases()
 # the irregular path Laplacians (heavy ends keep them off the path route)
-# take the mirror route, the random graph eigh
+# and the random graph take eigh
 OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian",
              "random-weighted-adjacency", "random-weighted-laplacian"}
 
@@ -273,11 +283,11 @@ OFF_ROUTE = {"P64-laplacian", "P65-laplacian", "P100-laplacian", "P300-laplacian
 def test_route_never_builds_the_dense_matrix(name, g, kind):
     """A Hamiltonian on the product or the bipartite route is decomposed
     from its edge arrays alone: its dense matrix is not built, and the same
-    matrix given as a raw ndarray passes the door into the same form. The
-    mirror route and eigh still read the matrix."""
+    matrix given as a raw ndarray passes the door into the same form. eigh
+    still reads the matrix."""
     ham = pw.hamiltonian(g, kind)
     form = spectral._edge_form(ham)
-    on_route = spectral._box_factor(form) is not None or spectral._route_parts(form) is not None
+    on_route = spectral._box_split(form) is not None or spectral._route_parts(form) is not None
     assert on_route == (name not in OFF_ROUTE)
     pw.decompose(ham)
     assert ("matrix" in vars(ham)) == (not on_route)
@@ -320,7 +330,7 @@ def test_route_declined(monkeypatch, r):
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_edgeless_goes_to_eigh(monkeypatch, n, kind):
     """A form with no edges skips every route: no SVD of an (n, 0) block,
-    no mirror eighs, one cluster on a dense basis."""
+    one cluster on a dense basis."""
     dec, calls = route_calls(monkeypatch, pw.hamiltonian(pw.build_empty(n), kind))
     assert calls == [("eigh", True)]
     assert isinstance(dec.basis, spectral.DenseBasis) and dec.k == 1

@@ -271,6 +271,24 @@ def test_p280_end_pair_is_not_periodic(tmp_path, capsys):
     assert code == 0 and doc["partner"] is None and doc["reason"] == "not-periodic"
 
 
+def test_partner_refuses_a_wide_cluster(tmp_path, capsys):
+    """The star K_{1,4} Laplacian plus 1e8 I with x = e0 - e1: the partner
+    command refuses, as pst does, with the reason ambiguous-clustering, no
+    partner and exit 0; pst refuses the pair with the unshifted star's
+    partner e0 + (e1 - e2 - e3 - e4) / 2 alike."""
+    star = pw.join(pw.build_empty(1), pw.build_empty(4))
+    g = _graph_file(tmp_path, "star.json", star)
+    m = _write(tmp_path, "m.json", serialize.matrix_to_doc(star.laplacian() + 1e8 * np.eye(5)))
+    x = _state_file(tmp_path, "x.json", pair_state(5, 0, 1))
+    code, doc, err = _run(capsys, ["partner", g, x, "--kind", "custom", "--custom-matrix", m])
+    assert code == 0 and doc == {"partner": None, "tau": None, "tau_symbolic": None,
+                                 "reason": "ambiguous-clustering"}
+    assert err.startswith("no partner (ambiguous clustering)")
+    y = _state_file(tmp_path, "y.json", np.array([1.0, 0.5, -0.5, -0.5, -0.5]))
+    code, doc, _ = _run(capsys, ["pst", g, x, y, "--kind", "custom", "--custom-matrix", m])
+    assert code == 0 and (doc["decision"], doc["reason"]) == ("no", "ambiguous-clustering")
+
+
 @pytest.mark.parametrize("weight,kind,code,message", [
     # finite weights whose Laplacian degree or adjacency norm overflows
     ("1e308", "lap", 3, "matrix has a non-finite entry or infinity-norm"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
+from pstwalk import constructions
 from conftest import basis_state, decompose_graph, pair_state, random_connected_graph
-from oracles import join_walk
+from oracles import expm_transfer, join_walk
 
 
 def test_tensor_identity(rng):
@@ -23,14 +24,25 @@ def test_tensor_identity(rng):
             assert np.max(np.abs(left - right)) <= 1e-9
 
 
-def test_product_hypercube_cycle():
+def test_product_hypercube_cycle(monkeypatch):
+    """Q3 x C8, 64 vertices, at the routes' size gate, of either kind: the
+    product's own decomposition takes the product route (C8's 8 x 8 factor
+    as H, at q = 8), and its witness transfers under scipy's expm of the
+    product's dense matrix."""
     q3 = pw.build_hypercube(3)
     c8 = pw.build_cycle(8)
     x1, y1 = basis_state(8, 0), basis_state(8, 7)  # antipodal hypercube vertices
     x2, y2 = basis_state(8, 0, 4), basis_state(8, 2, 6)
-    witness = pw.product_pst(q3, c8, pw.ADJACENCY, x1, y1, x2, y2, math.pi / 2)
-    assert witness.decision and witness.product_passed and witness.agree
-    assert witness.mode == "pst-pst"
+    decs = []
+    monkeypatch.setattr(constructions, "decompose", lambda m, cfg: decs.append(pw.decompose(m, cfg)) or decs[-1])
+    for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+        witness = pw.product_pst(q3, c8, kind, x1, y1, x2, y2, math.pi / 2)
+        assert witness.decision and witness.product_passed and witness.agree
+        assert witness.mode == "pst-pst"
+        product = decs[-1]
+        assert product.n == 64 and product.route == "product" and product.basis.h.shape == (8, 8)
+        mat = pw.hamiltonian(pw.cartesian_product(q3, c8), kind).matrix
+        assert expm_transfer(mat, witness.x, witness.y, witness.tau) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_product_p3_with_p7():

@@ -1,11 +1,11 @@
 """The factored eigenvectors of the product and bipartite routes
 (spectral.KroneckerBasis, spectral.BipartiteBasis), and the one protocol
-they share with the dense V of eigh and the mirror route (spectral.DenseBasis).
+they share with the dense V of eigh (spectral.DenseBasis).
 
-A route-taking decomposition holds V factored: a box product G x K2 as the
-Kronecker product of its factors' bases, a nested product folded into one
-dense block, and a bipartite pattern as an SVD of its half block, with null
-columns when |P| != |Q|. Its stages read V only through the basis's project
+A route-taking decomposition holds V factored: a box product G x H as the
+Kronecker product of G's basis and H's dense one, a nested product folded
+into one dense block, and a bipartite pattern as an SVD of its half block,
+with null columns when |P| != |Q|. Its stages read V only through the basis's project
 (V^T X) and lift (V[:, cols] C); dense() builds V, for transition_matrix
 alone. project and lift must agree with that V on every basis kind; a
 hypercube pair must be decided, and every other per-state call and the
@@ -53,15 +53,15 @@ def _weighted_bipartite(seed, n, extra):
 
 
 DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), "eigh"),
-               ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), "mirror")]
+               ("P150-laplacian", pw.hamiltonian(heavy_path_ends(pw.build_path(150)), pw.LAPLACIAN), "eigh")]
 
 
 @pytest.mark.parametrize("name,ham,route", DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_basis(name, ham, route, seed):
-    """P7 through eigh and the P150 Laplacian with heavy end edges (the path
-    route takes the uniform one) through the mirror route hold V as a
-    DenseBasis, which keeps the protocol of the factored bases."""
+    """P7 and the P150 Laplacian with heavy end edges (the path route takes
+    the uniform one) through eigh hold V as a DenseBasis, which keeps the
+    protocol of the factored bases."""
     dec = pw.decompose(ham)
     assert isinstance(dec.basis, DenseBasis) and dec.route == route
     check_basis(dec, np.random.default_rng(seed))

@@ -33,15 +33,16 @@ BELOW = ["P63-adjacency", "P63", "C63", "C63-laplacian", "P63-heavy-adjacency", 
          "K31,32-adjacency", "K31,32-laplacian", "C31xK2-adjacency", "C31xK2-laplacian"]
 AT = [("path", "P64-adjacency"), ("path", "P64-laplacian"), ("circulant", "C64-adjacency"),
       ("circulant", "C64-laplacian"), ("product", "Q6-adjacency"), ("product", "Q6-laplacian"),
-      ("join", "K32,32-adjacency"), ("join", "K32,32-laplacian"), ("bipartite", "P64-heavy-adjacency"),
-      ("mirror", "K32,32-adjacency"), ("mirror", "K32,32-laplacian")]
+      ("product", "P8xP8-adjacency"), ("product", "P8xP8-laplacian"), ("join", "K32,32-adjacency"),
+      ("join", "K32,32-laplacian"), ("bipartite", "P64-heavy-adjacency"), ("eigh", "K32,32-adjacency"),
+      ("eigh", "K32,32-laplacian")]
 
 
 @pytest.mark.parametrize("entry", ["hamiltonian", "raw"])
 @pytest.mark.parametrize("name", BELOW)
 def test_gate_below(monkeypatch, name, entry):
-    """Just below ROUTE_MIN_N, the product, circulant, path, join, bipartite
-    and mirror routes are never called: eigh alone decides."""
+    """Just below ROUTE_MIN_N, the product, circulant, path, join and
+    bipartite routes are never called: eigh alone decides."""
     m = _entry(row("eigh", name), entry)
     assert spectral._edge_form(m).n < spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
@@ -52,25 +53,34 @@ def test_gate_below(monkeypatch, name, entry):
 @pytest.mark.parametrize("route,name", AT)
 def test_gate_at(monkeypatch, route, name, entry):
     """At ROUTE_MIN_N each route takes its own input, the routes before it
-    passing it on (a product's factor goes to eigh, below the gate)."""
+    passing it on (a product's factors, G then H, go to eigh, below the
+    gate)."""
     m = _entry(row(route, name), entry)
     assert spectral._edge_form(m).n == spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
     before = [spectral.route_name(r) for r in spectral.ROUTES]
     before = before[:before.index(route)]
-    factor = [("eigh", True)] if route == "product" else []
+    factor = [("eigh", True)] * 2 if route == "product" else []
     assert calls == factor + [(r, False) for r in before] + [(route, True)]
 
 
 # the rows no route file checks: the bipartite route's, and those eigh takes
-# that no route passes on
-TAKEN = [(f"{r.route}-{r.name}-{entry}", r.route, m) for r in rows("bipartite") + rows("eigh", declines=False)
-         for entry, m in entries(r.build(), r.shifted)]
+# that no route passes on; and K2xC32, a product at q = 32 that the bipartite
+# route took before the product route read q > 2, with the product route held
+# off, so the bipartite route still meets a product of an even cycle
+TAKEN = ([(f"{r.route}-{r.name}-{entry}", r.route, m, None)
+          for r in rows("bipartite") + rows("eigh", declines=False) for entry, m in entries(r.build(), r.shifted)]
+         + [(f"bipartite-K2xC32-{entry}", "bipartite", m, "product")
+            for entry, m in entries(row("product", "K2xC32-adjacency").build(), shifted=False)])
 
 
-@pytest.mark.parametrize("name,route,m", TAKEN, ids=[c[0] for c in TAKEN])
-def test_route_matches_eigh(monkeypatch, name, route, m):
-    """These rows agree with eigh, as the route files check theirs."""
+@pytest.mark.parametrize("name,route,m,held_off", TAKEN, ids=[c[0] for c in TAKEN])
+def test_route_matches_eigh(monkeypatch, name, route, m, held_off):
+    """These rows agree with eigh, as the route files check theirs; a route
+    held off is taken out of ROUTES first."""
+    if held_off:
+        monkeypatch.setattr(spectral, "ROUTES", tuple(r for r in spectral.ROUTES
+                                                      if spectral.route_name(r) != held_off))
     got, _ = assert_matches_eigh(monkeypatch, m, route, proj_atol=1e-10)
     check_basis(got, np.random.default_rng(got.n))
 

@@ -56,19 +56,42 @@ def test_decide_refusal_reasons():
         pw.pst_decide(k3, basis_state(3, 0), 2.0 * basis_state(3, 1))
 
 
-def test_wide_cluster_is_refused():
+def _lifted_partners(monkeypatch, dec, X):
+    """pst_partners of the columns of X with CLUSTER_SPREAD lifted: every
+    periodic column's partner, a wide cluster's too."""
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "CLUSTER_SPREAD", math.inf)
+        return pw.pst_partners(dec, X)
+
+
+def _star_shifted():
+    """The star K_{1,4} Laplacian plus 1e8 I."""
+    star = pw.hamiltonian(pw.join(pw.build_empty(1), pw.build_empty(4)), pw.LAPLACIAN).matrix
+    return star, star + 1e8 * np.eye(5)
+
+
+def test_wide_cluster_is_refused(monkeypatch):
     """The star K_{1,4} Laplacian plus 1e8 I: its clustering threshold
     tol_group ||M||_inf is about 1, so 1e8 + 0 and 1e8 + 1 merge into one
     cluster of width 1, and e0 - e1, whose transfer time is pi/4, would be
-    decided yes at 4 pi/17. The phase spread tau * width, 0.74, refuses it;
-    unshifted, the pair is decided yes at pi/4 with every width 0."""
-    star = pw.hamiltonian(pw.join(pw.build_empty(1), pw.build_empty(4)), pw.LAPLACIAN).matrix
+    decided yes at 4 pi/17. The phase spread tau * width, 0.74, refuses it,
+    in pst_decide against the partner read with the bound lifted (whose
+    expm fidelity at 4 pi/17 is 0.996) and in the partner rule itself,
+    which finds no partner; unshifted, the pair is decided yes at pi/4 with
+    every width 0."""
+    star, shifted = _star_shifted()
     x = pair_state(5, 0, 1)
-    dec = pw.decompose(star + 1e8 * np.eye(5))
+    dec = pw.decompose(shifted)
     assert dec.widths.max() == pytest.approx(1.0, rel=1e-6)
-    verdict = pw.pst_decide(dec, x, pw.pst_partner(dec, x))
+    partners, found, _, tau = _lifted_partners(monkeypatch, dec, x[:, None])
+    assert found[0] and tau[0] == pytest.approx(4 * math.pi / 17, rel=1e-12)
+    assert expm_transfer(shifted, x, partners[:, 0], tau[0]) == pytest.approx(0.996, abs=1e-3)
+    verdict = pw.pst_decide(dec, x, partners[:, 0])
     assert (verdict.decision, verdict.reason) == (False, "ambiguous-clustering")
     assert verdict.detail == pytest.approx(0.739, abs=1e-3)
+    partners, found, fixed, tau = pw.pst_partners(dec, x[:, None])
+    assert not found[0] and not fixed[0] and np.isnan(tau[0]) and np.isnan(partners).all()
+    assert pw.pst_partner(dec, x) is None
     dec = pw.decompose(star)
     verdict = pw.pst_decide(dec, x, pw.pst_partner(dec, x))
     assert verdict.decision and verdict.tau_symbolic == "pi/4" and not dec.widths.any()
@@ -76,14 +99,15 @@ def test_wide_cluster_is_refused():
 
 def test_heavy_end_paths_decide_no_false_yes(monkeypatch):
     """P4-P6 with weight W in {1e6, 1e7, 1e8} on the end edge (0, 1), both
-    kinds, every pair state e_u +- e_v against its partner: where W's
-    roundoff merges eigenvalues 1 apart, the verdict is refused, with a phase
-    spread far above CLUSTER_SPREAD; every yes transfers under expm (some
-    pairs are refused as ambiguous-cospectrality). The refusal is
-    conservative: of the 15 yes verdicts it withholds (read with
-    CLUSTER_SPREAD lifted), 11 are false (the mixed-weight P6 and x = e2 + e3
-    among them) and 4 transfer under expm (P6 adjacency at W = 1e8, x = e2 +-
-    e5 and e3 +- e4, spread 1.4)."""
+    kinds, every pair state e_u +- e_v against its partner (read with
+    CLUSTER_SPREAD lifted): where W's roundoff merges eigenvalues 1 apart,
+    the verdict is refused, with a phase spread far above CLUSTER_SPREAD,
+    and the partner rule refuses the same states, finding no partner; every
+    yes transfers under expm (some pairs are refused as
+    ambiguous-cospectrality). The refusal is conservative: of the 15 yes
+    verdicts it withholds (read with CLUSTER_SPREAD lifted), 11 are false
+    (the mixed-weight P6 and x = e2 + e3 among them) and 4 transfer under
+    expm (P6 adjacency at W = 1e8, x = e2 +- e5 and e3 +- e4, spread 1.4)."""
     spreads, withheld = [], []
     for n in (4, 5, 6):
         for w in (1e6, 1e7, 1e8):
@@ -95,14 +119,16 @@ def test_heavy_end_paths_decide_no_false_yes(monkeypatch):
                     for v in range(u + 1, n):
                         for s in (1.0, -1.0):
                             x = pair_state(n, u, v, s)
-                            partners, found, _, _ = pw.pst_partners(dec, x[:, None])
+                            partners, found, _, _ = _lifted_partners(monkeypatch, dec, x[:, None])
                             if not found[0]:
                                 continue
                             verdict = pw.pst_decide(dec, x, partners[:, 0])
+                            refused = verdict.reason == "ambiguous-clustering"
+                            assert pw.pst_partners(dec, x[:, None])[1][0] == (not refused)
                             if verdict.decision:
                                 assert expm_transfer(ham.matrix, x, partners[:, 0], verdict.tau_min) == \
                                     pytest.approx(1.0, abs=1e-6)
-                            elif verdict.reason == "ambiguous-clustering":
+                            elif refused:
                                 spreads.append(verdict.detail)
                                 with monkeypatch.context() as patch:
                                     patch.setattr(transfer, "CLUSTER_SPREAD", math.inf)
@@ -112,6 +138,29 @@ def test_heavy_end_paths_decide_no_false_yes(monkeypatch):
                                 withheld.append(fidelity == pytest.approx(1.0, abs=1e-6))
     assert spreads and min(spreads) > 1e3 * CLUSTER_SPREAD
     assert (len(withheld), sum(withheld)) == (15, 4)
+
+
+def test_heavy_end_p6_partners_are_refused(monkeypatch):
+    """The mixed-weight P6 adjacency (weights 1e8, 1, 1, 1, 1): x = e2 + e3
+    was given a partner at pi/sqrt(5) whose expm fidelity is 0.76. The
+    partner rule refuses exactly the pair states pst_decide refuses as
+    ambiguous-clustering, with no partner and no time, in one batch as one
+    at a time."""
+    g = pw.make_graph(6, [(0, 1, 1e8)] + [(i, i + 1, 1.0) for i in range(1, 5)])
+    ham = pw.hamiltonian(g, pw.ADJACENCY)
+    dec = pw.decompose(ham)
+    X = np.array([pair_state(6, u, v, s) for u in range(6) for v in range(u + 1, 6) for s in (1.0, -1.0)]).T
+    lifted, periodic, _, _ = _lifted_partners(monkeypatch, dec, X)
+    refused = {c for c in np.flatnonzero(periodic).tolist()
+               if pw.pst_decide(dec, X[:, c], lifted[:, c]).reason == "ambiguous-clustering"}
+    partners, found, _, tau = pw.pst_partners(dec, X)
+    assert set(np.flatnonzero(periodic & ~found).tolist()) == refused
+    c23 = next(c for c in range(X.shape[1]) if np.array_equal(X[:, c], pair_state(6, 2, 3, 1.0)))
+    assert c23 in refused
+    assert expm_transfer(ham.matrix, X[:, c23], lifted[:, c23], math.pi / math.sqrt(5)) == pytest.approx(0.763, abs=1e-3)
+    for c in refused:
+        assert np.isnan(tau[c]) and np.isnan(partners[:, c]).all()
+        assert pw.pst_partner(dec, X[:, c]) is None
 
 
 def test_partner_constructions():
