@@ -131,14 +131,23 @@ def _graph(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """The one validator: the graph on n vertices with edges (u[i], v[i], w[i])
     in any order and orientation. It refuses, as a per-edge check in input order
     would, the first self-loop, endpoint out of range, weight not positive and
-    finite, or repeated edge."""
+    finite, or repeated edge. Edges whose keys min n + max strictly increase,
+    as every builder here emits them, are taken in O(m) as they come: distinct
+    keys rule out a repeat, so neither the sort nor the repeat scan runs, and
+    below n = 2^31, where no key overflows, increasing keys of edges in range
+    are edges sorted by (src, dst). The Graph's arrays are its own, never the
+    caller's."""
     if n < 1:
         raise InvalidSizeError("graph needs at least one vertex")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))  # stable: a repeat sorts after the edge it repeats
-    src, dst = lo[order], hi[order]
+    key = lo * n + hi if n < 1 << 31 else None
     bad = (u == v) | (lo < 0) | (hi >= n) | ~(w > 0) | ~np.isfinite(w)
-    bad[order[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
+    if key is not None and (key[1:] > key[:-1]).all():
+        src, dst, weights = lo, hi, w.copy()
+    else:
+        order = np.lexsort((hi, lo))  # stable: a repeat sorts after the edge it repeats
+        src, dst, weights = lo[order], hi[order], w[order]
+        bad[order[1:][(src[1:] == src[:-1]) & (dst[1:] == dst[:-1])]] = True
     if bad.any():
         i = int(bad.argmax())
         a, b, x = int(u[i]), int(v[i]), float(w[i])
@@ -149,7 +158,7 @@ def _graph(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
         if not 0 < x < math.inf:
             raise GraphError(f"edge ({a},{b}) has {'non-positive' if x <= 0 else 'non-finite'} weight {x}")
         raise GraphError(f"duplicate edge ({min(a, b)},{max(a, b)})")
-    return Graph(n, _freeze(src), _freeze(dst), _freeze(w[order]))
+    return Graph(n, _freeze(src), _freeze(dst), _freeze(weights))
 
 
 def make_graph(n, edges) -> Graph:
@@ -176,10 +185,12 @@ def build_path(n: int) -> Graph:
 
 
 def build_cycle(n: int) -> Graph:
+    """C_n, its edges emitted sorted, (0, 1), (0, n - 1), then (i, i + 1)
+    for 0 < i < n - 1, so _graph takes them as they come."""
     if n < 3:
         raise InvalidSizeError("cycle needs n >= 3")
-    u = np.arange(n)
-    return _graph(n, u, (u + 1) % n, np.ones(n))
+    u = np.arange(n - 1)
+    return _graph(n, np.concatenate(([0], u)), np.concatenate(([1, n - 1], u[1:] + 1)), np.ones(n))
 
 
 def build_complete(n: int) -> Graph:
@@ -217,19 +228,38 @@ def build_petersen() -> Graph:
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: vertex (a, b) maps to index a*|V(h)| + b, so the
-    adjacency/Laplacian matrices equal the Kronecker sum of the factors'."""
-    k, row = np.arange(h.n), np.arange(g.n)[:, None] * h.n
-    u = np.concatenate([(g.src[:, None] * h.n + k).ravel(), (row + h.src).ravel()])
-    v = np.concatenate([(g.dst[:, None] * h.n + k).ravel(), (row + h.dst).ravel()])
-    return _graph(g.n * h.n, u, v, np.concatenate([np.repeat(g.w, h.n), np.tile(h.w, g.n)]))
+    adjacency/Laplacian matrices equal the Kronecker sum of the factors'.
+    The edges are placed in (src, dst) order as they are made, with no sort:
+    vertex (a, b)'s come in a block, h's from b in copy a, then g's from a
+    in copy b, each in its factor's order."""
+    p, q = g.n, h.n
+    hout = np.bincount(h.src, minlength=q)
+    counts = (np.bincount(g.src, minlength=p)[:, None] + hout).ravel()
+    start = (np.cumsum(counts) - counts).reshape(p, q)  # each vertex's block
+    at_h = start[:, h.src] + (np.arange(len(h.src)) - np.searchsorted(h.src, h.src))  # (p, |E(h)|)
+    at_g = start[g.src] + hout + (np.arange(len(g.src)) - np.searchsorted(g.src, g.src))[:, None]  # (|E(g)|, q)
+    size = int(counts.sum())
+    (u, v), w = np.empty((2, size), dtype=np.int64), np.empty(size)
+    k, row = np.arange(q), np.arange(p)[:, None] * q
+    u[at_h], v[at_h], w[at_h] = row + h.src, row + h.dst, h.w
+    u[at_g], v[at_g], w[at_g] = g.src[:, None] * q + k, g.dst[:, None] * q + k, g.w[:, None]
+    return _graph(p * q, u, v, w)
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus all cross edges with weight one; g's vertices first."""
+    """Disjoint union plus all cross edges with weight one; g's vertices
+    first. The edges are placed in (src, dst) order as they are made, with
+    no sort: vertex i < |V(g)| has g's edges from i, then its cross edges;
+    h's edges come last."""
     m, n = g.n, h.n
-    u = np.concatenate([g.src, m + h.src, np.repeat(np.arange(m), n)])
-    v = np.concatenate([g.dst, m + h.dst, m + np.tile(np.arange(n), m)])
-    return _graph(m + n, u, v, np.concatenate([g.w, h.w, np.ones(m * n)]))
+    tail = len(g.src) + m * n  # where h's edges start
+    at_g = np.arange(len(g.src)) + n * g.src  # after the cross edges of the vertices below
+    at_cross = (np.cumsum(np.bincount(g.src, minlength=m) + n) - n)[:, None] + np.arange(n)
+    (u, v), w = np.empty((2, tail + len(h.src)), dtype=np.int64), np.ones(tail + len(h.src))
+    u[at_g], v[at_g], w[at_g] = g.src, g.dst, g.w
+    u[at_cross], v[at_cross] = np.arange(m)[:, None], m + np.arange(n)
+    u[tail:], v[tail:], w[tail:] = m + h.src, m + h.dst, h.w
+    return _graph(m + n, u, v, w)
 
 
 def _distances(g: Graph, reached: np.ndarray) -> np.ndarray:

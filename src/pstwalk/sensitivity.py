@@ -65,7 +65,7 @@ def fidelity_derivatives(
     # numeric corroboration of vanishing odd orders; limited to k <= 3 where
     # the stencil's roundoff still resolves zero. Both orders read one sampling.
     samples = normalized_fidelity(walk(dec, tau + STENCIL * STENCIL_STEP, proj.overlaps()), x, y)
-    odd = max(abs(float(_stencil_weights(k, STENCIL_STEP) @ samples)) for k in range(1, min(kk, 3) + 1, 2))
+    odd = max(abs(float(weights @ samples)) for weights in ODD_WEIGHTS[:(min(kk, 3) + 1) // 2])
     return SensitivityReport(
         tau=tau,
         derivatives=derivs,
@@ -85,6 +85,9 @@ def _stencil_weights(k: int, h: float) -> np.ndarray:
     solved from the local Vandermonde system."""
     vander = np.vander(STENCIL, 9, increasing=True).T  # row p: offsets**p
     return np.linalg.solve(vander, math.factorial(k) * np.eye(9)[k]) / h**k
+
+
+ODD_WEIGHTS = [_stencil_weights(k, STENCIL_STEP) for k in (1, 3)]  # fidelity_derivatives' odd orders, solved once
 
 
 def finite_difference_oracle(dec, x, y, tau: float, k: int, h: float) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import Hamiltonian, _dense, _vertex_sums
+from .graphs import LAPLACIAN, Hamiltonian, _dense, _vertex_sums
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 
@@ -285,8 +285,12 @@ class SpectralDecomposition:
     cluster j is spanned by the columns offsets[j]:offsets[j + 1] of V, which
     basis holds (one of Basis) as the named route found it. The stages reach
     V^T X only through a Projection (basis.project); a lift V[:, cols] C is
-    formed only by Projection.reflect, evolve and universal_pst_pair, and V
-    itself only by transition_matrix."""
+    formed only by Projection.reflect, evolve, universal_pst_pair and
+    transition_matrix (of the identity, on the columns outside the largest
+    cluster), and V itself by no public call. Projection.of keeps the states
+    and coefficients of its last PROJECTION_MEMO state tuples on the
+    decomposition, outside its fields (dataclasses.replace starts empty), as
+    arrays only, so the memo makes no reference cycle."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: Basis                              # V, columns grouped by cluster
@@ -309,6 +313,9 @@ class SpectralDecomposition:
     @property
     def k(self) -> int:
         return len(self.eigenvalues)
+
+    def __post_init__(self):
+        self._projections: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # Projection.of's memo
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum per-column values (along axis 0) over each cluster: (k[, b])."""
@@ -345,9 +352,16 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return x
 
 
+PROJECTION_MEMO = 4   # state tuples whose projection Projection.of keeps per decomposition
+
+
 class Projection:
     """c = V^T X of an (n, b) state matrix X (of(): 1-D states), formed once
-    behind the one state check; per-state quantities are cluster sums or lifts."""
+    behind the one state check; per-state quantities are cluster sums or lifts.
+    of() projects a tuple of states once per decomposition while it stays
+    among the last PROJECTION_MEMO: the key is the bytes of the checked
+    float array, so a repeat reads back the bits a fresh projection gives,
+    as read-only arrays."""
 
     def __init__(self, dec: SpectralDecomposition, X):
         X = np.asarray(X, dtype=float)
@@ -361,7 +375,20 @@ class Projection:
         if any(np.shape(x) != (dec.n,) for x in states):
             for x in states:  # refuses the first state in error, as one state at a time would
                 as_state(x, dec.n)
-        return cls(dec, np.array(states, dtype=float).T)
+        rows = np.array(states, dtype=float)
+        key, memo = rows.tobytes(), dec._projections
+        if key in memo:
+            memo[key] = memo.pop(key)  # now the newest
+            proj = cls.__new__(cls)
+            proj.dec, (proj.states, proj.coef) = dec, memo[key]
+            return proj
+        proj = cls(dec, rows.T)
+        for arr in (proj.states, proj.coef):
+            arr.setflags(write=False)
+        memo[key] = proj.states, proj.coef
+        if len(memo) > PROJECTION_MEMO:
+            del memo[next(iter(memo))]  # the least recently read
+        return proj
 
     def weights(self) -> np.ndarray:
         """||E_j x||^2 for every cluster j and column x: (k, b)."""
@@ -436,10 +463,16 @@ def _edge_form(m) -> EdgeForm:
     must be square, non-empty and symmetric to SYMMETRY_TOL * ||M||_inf,
     relative with no floor, so that scaling M by c > 0 keeps the verdict
     (exactly symmetric, its ||M||_inf is _edge_scale's, as a Hamiltonian's).
+    A Laplacian's is read off its diagonal as 2 max(d), bit for bit
+    _edge_scale's: d is _vertex_sums of w, added in the order in which
+    _edge_scale adds |-w|, so each row sum is d_i + d_i (inf on overflow).
     ||M||_inf and twice it, which bounds every eigenvalue gap, are finite."""
     if isinstance(m, Hamiltonian):
         g, src, dst, values = m.graph, m.graph.src, m.graph.dst, m.values
-        scale = _edge_scale(g.n, m.diagonal, src, dst, values)
+        if m.kind == LAPLACIAN:
+            scale = 2.0 * float(m.diagonal.max())
+        else:
+            scale = _edge_scale(g.n, m.diagonal, src, dst, values)
         if np.count_nonzero(values) < len(values):
             keep = values != 0
             src, dst, values = src[keep], dst[keep], values[keep]
@@ -977,11 +1010,24 @@ def evolve(dec: SpectralDecomposition, t: float, x) -> np.ndarray:
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Full walk operator at time t (complex symmetric unitary): the one
-    public call that reads V itself (basis.dense())."""
-    phases = np.repeat(walk(dec, t), dec.multiplicities)
-    v = dec.basis.dense()
-    return (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
+    """Full walk operator at time t (complex symmetric unitary), from outside
+    its largest cluster *: as sum_j E_j = I, U = p_* I + V_R diag(p_j - p_*)
+    V_R^T with p_j = exp(i t lambda_j) and V_R the n - m_* columns of V
+    outside *: a lift of the identity, with no dense(), or a dense V's own
+    columns. A join's adjacency is mostly one eigenspace (K_p v K_q is
+    K_{p+q}, m_* = n - 1), so V_R is a few columns; for M = cI, V_R is empty
+    and U is p_* I."""
+    phases = walk(dec, t)
+    big = int(np.argmax(dec.multiplicities))
+    rest = np.repeat(np.arange(dec.k) != big, dec.multiplicities)  # V's columns outside *
+    delta = np.repeat(phases - phases[big], dec.multiplicities)[rest]
+    basis = dec.basis
+    v = basis.v[:, rest] if isinstance(basis, DenseBasis) else basis.lift(np.eye(len(delta)), rest)
+    u = np.empty((dec.n, dec.n), dtype=complex)
+    u.real = (v * delta.real) @ v.T
+    u.imag = (v * delta.imag) @ v.T
+    u.flat[::dec.n + 1] += phases[big]
+    return u
 
 
 def fidelity(dec: SpectralDecomposition, t: float | np.ndarray, x, y) -> float | np.ndarray:

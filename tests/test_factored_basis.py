@@ -6,10 +6,12 @@ A route-taking decomposition holds V factored: a box product G x H as the
 Kronecker product of G's basis and H's dense one, a nested product folded
 into one dense block, and a bipartite pattern as an SVD of its half block,
 with null columns when |P| != |Q|. Its stages read V only through the basis's project
-(V^T X) and lift (V[:, cols] C); dense() builds V, for transition_matrix
-alone. project and lift must agree with that V on every basis kind; a
-hypercube pair must be decided, and every other per-state call and the
-universal pair made, with V never built, every yes confirmed by scipy's
+(V^T X) and lift (V[:, cols] C); dense() builds V, for no public call.
+project and lift must agree with that V on every basis kind; a
+hypercube pair must be decided, every other per-state call and the
+universal pair made and the walk operator formed, with V never built
+(transition_matrix lifts only the columns outside its largest cluster),
+every yes confirmed by scipy's
 expm; and relabelling the vertices, which can move a graph from the product
 route to the SVD, must not change a verdict."""
 
@@ -141,20 +143,29 @@ def test_nested_products_fold_into_one_block():
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
     """A Q8 to Q10 pair through partner, decide, verify, scan and
-    derivatives, and every other public call that reads states or V but
-    transition_matrix, never builds V; the yes verdict holds under expm, and
-    the partner is the one the dense V gives through V_F (V_F^T x)."""
+    derivatives, and every other public call that reads states or V,
+    transition_matrix included, never builds V; transition_matrix lifts the
+    identity on exactly the n - m_* columns outside the largest cluster. The
+    yes verdict holds under expm, and the partner is the one the dense V
+    gives through V_F (V_F^T x)."""
     n = 1 << d
     ham = pw.hamiltonian(pw.build_hypercube(d), kind)
     dec = pw.decompose(ham)
     x = pair_state(n, 3, 100, 1.0)
+    lifted = []
 
     def refuse(self):
         raise AssertionError("vectors materialised")
 
+    def lift(self, c, cols=slice(None)):
+        lifted.append(c.shape)
+        return real_lift(self, c, cols)
+
+    real_lift = KroneckerBasis.lift
     with monkeypatch.context() as m:
         m.setattr(KroneckerBasis, "dense", refuse)
         m.setattr(BipartiteBasis, "dense", refuse)
+        m.setattr(DenseBasis, "dense", refuse)
         y = pw.pst_partner(dec, x)
         verdict = pw.pst_decide(dec, x, y)
         assert verdict.decision
@@ -167,8 +178,11 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
         pw.support(dec, x)
         assert isinstance(pw.check_strong_cospectrality(dec, x, y), pw.CospectralityCertificate)
         _, found, _, _ = pw.pst_partners(dec, np.column_stack((x, y)))
-        with pytest.raises(AssertionError, match="vectors materialised"):
-            pw.transition_matrix(dec, verdict.tau_min)  # the one call that builds V
+        m.setattr(KroneckerBasis, "lift", lift)
+        u = pw.transition_matrix(dec, verdict.tau_min)
+    rest = n - max(dec.multiplicities)
+    assert lifted == [(rest, rest)]
+    np.testing.assert_allclose(u @ x, check.phase * y, rtol=0, atol=1e-9)
     assert check.passed and report.bound_ok and found.all()
     assert scan.peak_value == pytest.approx(1.0, abs=1e-9)
     assert value == pytest.approx(1.0, abs=1e-9)

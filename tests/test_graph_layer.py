@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 import reference_graphs as ref
-from pstwalk.graphs import DENSE_GUARD, check_dense
+from pstwalk.graphs import DENSE_GUARD, _graph, check_dense
 
 
 def _same(g, r):
@@ -236,3 +236,121 @@ def test_builders_refuse_empty_graphs():
         with pytest.raises(pw.InvalidSizeError, match="graph needs at least one vertex"):
             bad()
     assert pw.make_graph(4, []) == pw.build_empty(4)
+
+
+# The sorted path of graphs._graph: edges whose keys min n + max strictly
+# increase are taken as they come, with no lexsort and no repeat scan.
+
+def _lexsorts(monkeypatch):
+    """A list that counts np.lexsort calls from here on."""
+    calls = []
+    real = np.lexsort
+
+    def spy(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return calls
+
+
+def _graph_bytes(g):
+    return g.n, g.src.dtype, g.dst.dtype, g.w.dtype, g.src.tobytes(), g.dst.tobytes(), g.w.tobytes()
+
+
+def _sorted_graphs(rng):
+    """Every builder, seeded random weighted graphs, and the joins and box
+    products of pairs of them."""
+    graphs = [pw.build_path(9), pw.build_cycle(3), pw.build_cycle(8), pw.build_complete(7),
+              pw.build_complete_bipartite(3, 5), pw.build_empty(4), pw.build_hypercube(4),
+              pw.build_petersen(), pw.build_path(1)]
+    for n in (2, 6, 11, 17):
+        keep = np.triu(rng.random((n, n)) < 0.4, 1)
+        u, v = np.nonzero(keep)
+        graphs.append(pw.make_graph(n, zip(u.tolist(), v.tolist(), rng.uniform(0.1, 3.0, len(u)).tolist())))
+    picks = [graphs[i] for i in rng.choice(len(graphs), 8, replace=False)]
+    graphs += [f(g, h) for g, h in zip(picks[::2], picks[1::2]) for f in (pw.join, pw.cartesian_product)]
+    return graphs
+
+
+def test_builders_emit_sorted_edges(monkeypatch, rng):
+    """Each builder, join and cartesian_product hands _graph its edges
+    sorted, so no lexsort runs; _graph gives the same Graph bytes for them
+    sorted, shuffled and reoriented."""
+    calls = _lexsorts(monkeypatch)
+    graphs = _sorted_graphs(rng)
+    for g in graphs:
+        assert g == pw.make_graph(g.n, g.edges)
+    assert calls == []
+    for g in graphs:
+        perm = rng.permutation(len(g.src))
+        flip = rng.random(len(perm)) < 0.5
+        u, v = np.where(flip, g.dst[perm], g.src[perm]), np.where(flip, g.src[perm], g.dst[perm])
+        assert _graph_bytes(_graph(g.n, u, v, g.w[perm])) == _graph_bytes(g)
+        before = len(calls)
+        assert _graph_bytes(_graph(g.n, g.src, g.dst, g.w)) == _graph_bytes(g)
+        assert len(calls) == before
+
+
+def _plant(rng, n, src, dst, w):
+    """A sorted edge list with one defect planted at a random position: a
+    self-loop (u, u), an endpoint out of range, a weight not positive and
+    finite, or a repeat. Only the repeat breaks the increasing keys."""
+    u, v, w = src.tolist(), dst.tolist(), w.tolist()
+    kinds = ["loop", "range"] + (["weight", "repeat"] if u else [])
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "loop":  # (a, a) sorts just before a's first edge
+        a = int(rng.integers(n))
+        i = int(np.searchsorted(src, a))
+        u.insert(i, a), v.insert(i, a), w.insert(i, 1.0)
+    elif kind == "range":  # a negative end sorts first, one past n - 1 last
+        first = bool(rng.random() < 0.5)
+        i = 0 if first else len(u)
+        u.insert(i, -1 if first else n - 1), v.insert(i, int(rng.integers(n)) if first else n), w.insert(i, 1.0)
+    elif kind == "weight":
+        w[int(rng.integers(len(w)))] = float(rng.choice([0.0, -0.0, -2.0, -math.inf, math.inf, math.nan]))
+    else:  # the repeat right after its edge
+        i = int(rng.integers(len(u)))
+        u.insert(i + 1, v[i]), v.insert(i + 1, u[i]), w.insert(i + 1, 2.0)
+    return kind, (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
+
+
+def test_sorted_path_raises_the_first_error(monkeypatch, rng):
+    """A defect planted in a sorted list is refused with the error and the
+    message a per-edge check in input order gives (the reference); every
+    defect but a repeat keeps the keys increasing and is found with no
+    lexsort."""
+    graphs = _sorted_graphs(rng)
+    calls = _lexsorts(monkeypatch)
+    kinds = set()
+    for g in graphs * 6:
+        kind, (u, v, w) = _plant(rng, g.n, g.src, g.dst, g.w)
+        before = len(calls)
+        items = list(zip(u.tolist(), v.tolist(), w.tolist()))
+        want = _outcome(ref.make_graph, g.n, items)
+        assert want is not None
+        assert _outcome(lambda n, _: _graph(n, u, v, w), g.n, items) == want
+        assert len(calls) == before + (kind == "repeat"), kind
+        kinds.add(kind)
+    assert kinds == {"loop", "range", "weight", "repeat"}
+
+
+def test_sorted_path_owns_its_arrays():
+    """The Graph's arrays are copies: the caller's arrays stay writable and
+    share no memory with it."""
+    u, v, w = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, 2.0, 3.0])
+    g = _graph(3, u, v, w)
+    for given, held in ((u, g.src), (v, g.dst), (w, g.w)):
+        assert given.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(given, held)
+    w[0] = 5.0
+    assert g.w.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_unsorted_keys_above_the_key_range_are_sorted():
+    """From n = 2^31 the keys min n + max can overflow, so _graph sorts: at
+    n = 2^40 the key of (2^24, 2^24 + 1) wraps to 2^24 + 1 in int64, below
+    the key of (1, 2)."""
+    n, a = 1 << 40, 1 << 24
+    g = _graph(n, np.array([a, 1]), np.array([a + 1, 2]), np.ones(2))
+    assert g.src.tolist() == [1, a] and g.dst.tolist() == [2, a + 1]

@@ -221,3 +221,38 @@ def test_huge_degrees_are_inf_without_a_warning():
     assert ham.matrix[1, 1] == np.inf
     with pytest.raises(pw.NumericFailureError, match=NON_FINITE):
         pw.decompose(ham)
+
+
+def test_laplacian_scale_is_twice_the_largest_degree():
+    """A Laplacian's ||L||_inf is read off its diagonal as 2 max(d), bit for
+    bit _edge_scale's over weights from 1e-300 to 1e300 (overflowing degrees
+    included), and the raw matrix's form agrees where it is finite."""
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        keep = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+        u, v = np.nonzero(keep)
+        weights = 10.0 ** rng.uniform(-300, 300, len(u))
+        ham = pw.hamiltonian(pw.make_graph(n, zip(u.tolist(), v.tolist(), weights.tolist())), pw.LAPLACIAN)
+        g = ham.graph
+        want = spectral._edge_scale(n, ham.diagonal, g.src, g.dst, ham.values)
+        got = 2.0 * float(ham.diagonal.max())
+        assert np.array_equal(got, want)
+        if np.isfinite(2.0 * want):
+            assert spectral._edge_form(ham).scale == want
+            if n <= 8:
+                assert spectral._edge_form(np.array(ham.matrix)).scale == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weights,message", [
+    ([1e308, 1.0], NON_FINITE),                          # 2 d_max = 2e308 overflows, d_max does not
+    ([6e307, 6e307], NON_FINITE),                        # d_1 = 1.2e308, twice it overflows
+    ([5e307, 1.0], "matrix infinity-norm 1e+308 overflows eigenvalue differences"),
+])
+def test_laplacian_scale_overflow_is_refused(weights, message):
+    ham = pw.hamiltonian(_weighted(pw.build_path(3), weights), pw.LAPLACIAN)
+    assert np.isfinite(ham.diagonal).all()
+    for m in (ham, np.array(ham.matrix)):
+        with pytest.raises(pw.NumericFailureError, match=f"^{message}$".replace("+", r"\+")):
+            pw.decompose(m)
