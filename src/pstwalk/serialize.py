@@ -41,6 +41,10 @@ def _emit(obj, out: list[str]) -> None:
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        if not np.isfinite(obj).all():  # format_float's check, once for the array
+            raise ValueError("cannot serialize non-finite float")
+        out.append("[" + ", ".join([format(v, ".17g") for v in obj.tolist()]) + "]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):

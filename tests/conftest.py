@@ -7,8 +7,9 @@ import pytest
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk import spectral
-from pstwalk.spectral import Basis, DenseBasis, Projection
+from pstwalk import routes, spectral
+from pstwalk.routes import Basis
+from pstwalk.spectral import DenseBasis, Projection
 from oracles import projector
 
 
@@ -140,11 +141,20 @@ def entries(ham, shifted=True):
     return out + [("shifted", 2.5 * mat + 0.75 * np.eye(ham.n))] if shifted else out
 
 
+def set_routes(patch, table):
+    """Patch routes.ROUTES to the table, and spectral._eigh_route, which
+    alone decides a form below ROUTE_MIN_N, to its last entry, an eigh
+    route: the one table every form of decompose reads."""
+    patch.setattr(routes, "ROUTES", table)
+    patch.setattr(spectral, "_eigh_route", table[-1])
+
+
 def route_calls(monkeypatch, m):
-    """decompose(m) with every entry of ROUTES spied: the decomposition and
-    each call as (route, took), in the order the calls return, a product
-    route's factor before the product; the last one that took is m's route.
-    Each spy keeps its route's name, which dec.route reads."""
+    """decompose(m) with every entry of ROUTES spied (set_routes): the
+    decomposition and each call as (route, took), in the order the calls
+    return, a product route's factor before the product; the last one that
+    took is m's route. Each spy keeps its route's name, which dec.route
+    reads."""
     calls = []
 
     def spy(route):
@@ -156,7 +166,7 @@ def route_calls(monkeypatch, m):
         return run
 
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "ROUTES", tuple(spy(r) for r in spectral.ROUTES))
+        set_routes(patch, tuple(spy(r) for r in routes.ROUTES))
         dec = pw.decompose(m)
     return dec, calls
 

@@ -11,10 +11,10 @@ import pytest
 import scipy.linalg
 
 import pstwalk as pw
-from pstwalk import spectral
+from pstwalk import routes, spectral
 from pstwalk.arith import reconstruct_fraction
 from pstwalk.periodicity import MAX_LCM, PHASE_ALIGNMENT, NonPeriodic, RatioTable, _validate_support
-from pstwalk.spectral import Projection
+from pstwalk.spectral import Projection, _eigh_route
 from pstwalk.tolerances import SHAPE_UNIT, SHAPE_ZERO
 
 
@@ -25,17 +25,19 @@ def projector(dec, j):
     return (e + e.T) / 2.0
 
 
-def forced_decompose(m, *routes, gate=None, **kernels):
+def forced_decompose(m, *names, gate=None, **kernels):
     """decompose(m) with ROUTES cut to the routes named ("bipartite" for
-    spectral._bipartite_route, ...) and then eigh, taken from n = gate on
-    (default ROUTE_MIN_N), and each spectral kernel given replaced."""
+    routes._bipartite_route, ...) and then eigh, taken from n = gate on
+    (default ROUTE_MIN_N), and each route kernel given replaced. Its eigh is
+    spectral's own, whatever a test has planted in its place."""
     with pytest.MonkeyPatch.context() as patch:
-        table = tuple(getattr(spectral, f"_{route}_route") for route in routes) + (spectral._eigh_route,)
-        patch.setattr(spectral, "ROUTES", table)
+        table = tuple(getattr(routes, f"_{name}_route") for name in names) + (_eigh_route,)
+        patch.setattr(routes, "ROUTES", table)
+        patch.setattr(spectral, "_eigh_route", _eigh_route)
         if gate is not None:
             patch.setattr(spectral, "ROUTE_MIN_N", gate)
         for name, value in kernels.items():
-            patch.setattr(spectral, name, value)
+            patch.setattr(routes, name, value)
         return pw.decompose(m)
 
 

@@ -1,5 +1,5 @@
 """The route contract of decompose, as one table and the checks every route
-shares. ROUTE_OF maps each input to the route of spectral.ROUTES that must
+shares. ROUTE_OF maps each input to the route of routes.ROUTES that must
 take it (and so to its basis class, ROUTE_BASIS), and an input built to
 differ from some route's structure in one place, or to sit just below
 ROUTE_MIN_N, also to the route that must pass it on. The route files run
@@ -15,7 +15,8 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.spectral import DenseBasis
 from conftest import NoFFT, heavy_end_edge, heavy_path_ends, route_calls, route_of, seeded_relabel
 from oracles import eigh_decompose, expm_transfer, projector
 

@@ -1,12 +1,12 @@
 """The bipartite route of decompose: for a matrix cI + [[0, B], [B^T, 0]] on
-the parts P, Q of a bipartite pattern, spectral._bipartite_eigh forms the
+the parts P, Q of a bipartite pattern, routes._bipartite_eigh forms the
 eigenpairs from np.linalg.svd of B. Called directly, so that small n is
 covered as well, it must give what np.linalg.eigh gives: the same
 multiplicities, eigenvalues to 1e-12 * scale, projectors to 1e-10, and the
 same pst_decide and pst_partner verdicts. decompose takes it only from
 ROUTE_MIN_N on, for an exactly symmetric matrix with one constant on its
 diagonal and a bipartite, not complete bipartite, edge pattern that the
-product, circulant and path routes before it pass on: spectral._route_parts
+product, circulant and path routes before it pass on: routes._route_parts
 decides, from the EdgeForm that decompose's door makes of a Hamiltonian's
 edge arrays or of a raw matrix's nonzeros above the diagonal. Both routes
 read only that form, so a Hamiltonian on either never builds its dense
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import graphs, spectral
+from pstwalk import graphs, routes, spectral
 from conftest import (assert_one_form, assert_same_form, assert_same_verdicts, decomposition_bytes, entries,
                       heavy_path_ends, route_calls, seeded_relabel, taken)
 from oracles import eigh_decompose, forced_decompose
@@ -31,13 +31,13 @@ def _graph_matrix(g, kind):
 
 
 def _bipartite_eigh(mat, p, q):
-    """spectral._bipartite_eigh on mat's edge form."""
-    return spectral._bipartite_eigh(spectral._edge_form(mat), p, q)
+    """routes._bipartite_eigh on mat's edge form."""
+    return routes._bipartite_eigh(spectral._edge_form(mat), p, q)
 
 
 def _forced_parts(mat):
     """_route_parts of mat's edge form, at any n."""
-    return spectral._route_parts(spectral._edge_form(mat))
+    return routes._route_parts(spectral._edge_form(mat))
 
 
 def _parts(n, p):
@@ -127,7 +127,7 @@ def _route_decompose(mat, parts):
     routes before it left out."""
     dec = forced_decompose(mat, "bipartite", gate=1, _route_parts=lambda form: parts)
     # a form with no edges goes straight to eigh
-    assert isinstance(dec.basis, spectral.BipartiteBasis) or not np.triu(mat, 1).any()
+    assert isinstance(dec.basis, routes.BipartiteBasis) or not np.triu(mat, 1).any()
     return dec
 
 
@@ -196,7 +196,7 @@ BOTH_ROUTES = {"Q7-zero-values"}
 
 
 def _dense_box_factors(form, q):
-    """spectral._box_factors from the dense M: M is M_G (x) I_q + I_p (x) M_H
+    """routes._box_factors from the dense M: M is M_G (x) I_q + I_p (x) M_H
     in the labelling v = a q + b when each q x q block M[a q:, a' q:] with
     a != a' is G[a, a'] I, G = M[0::q, 0::q], each diagonal block has block
     0's entries off its diagonal, and each d(a q + b) - d(a q) is
@@ -229,12 +229,12 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
     gather M[P, Q] byte for byte. The decomposition, from either entry, is
     bit-identical to the one built on the dense passes."""
     seen = []
-    real_eigh, real_factors = spectral._bipartite_eigh, spectral._box_factors
+    real_eigh, real_factors = routes._bipartite_eigh, routes._box_factors
 
     def check_block(form, p, q):
         mat = graphs._dense(form.n, form.src, form.dst, form.diagonal, form.entries)
-        i, k = spectral._block_entries(form.n, p, q, form.src, form.dst)
-        assert spectral._dense_block((len(p), len(q)), i, k, form.entries).tobytes() == mat[np.ix_(p, q)].tobytes()
+        i, k = routes._block_entries(form.n, p, q, form.src, form.dst)
+        assert routes._dense_block((len(p), len(q)), i, k, form.entries).tobytes() == mat[np.ix_(p, q)].tobytes()
         seen.append("bipartite")
         return real_eigh(form, p, q)
 
@@ -248,11 +248,11 @@ def test_half_block_edges_come_from_the_parent(monkeypatch, name, ham):
         return got
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_bipartite_eigh", check_block)
-        m.setattr(spectral, "_box_factors", check_factors)
+        m.setattr(routes, "_bipartite_eigh", check_block)
+        m.setattr(routes, "_box_factors", check_factors)
         got = [decomposition_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_box_factors", _dense_box_factors)
+        m.setattr(routes, "_box_factors", _dense_box_factors)
         want = decomposition_bytes(pw.decompose(ham))
     assert got == [want, want]
     assert ("product" in seen) == (name not in NO_PRODUCT)
@@ -287,7 +287,7 @@ def test_route_never_builds_the_dense_matrix(name, g, kind):
     still reads the matrix."""
     ham = pw.hamiltonian(g, kind)
     form = spectral._edge_form(ham)
-    on_route = spectral._box_split(form) is not None or spectral._route_parts(form) is not None
+    on_route = routes._box_split(form) is not None or routes._route_parts(form) is not None
     assert on_route == (name not in OFF_ROUTE)
     pw.decompose(ham)
     assert ("matrix" in vars(ham)) == (not on_route)
@@ -387,7 +387,7 @@ def test_route_parts_from_either_entry(monkeypatch, name, g, p, kind):
     from its least vertex, which lands in P. A Laplacian takes the route
     only when the graph is regular."""
     ham = pw.hamiltonian(g, kind)
-    got = spectral._route_parts(spectral._edge_form(ham))
+    got = routes._route_parts(spectral._edge_form(ham))
     assert_one_form(ham)
     if p is None or not (kind == pw.ADJACENCY or g.is_regular()):
         assert got is None

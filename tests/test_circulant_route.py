@@ -1,6 +1,6 @@
 """The circulant route of decompose: a circulant M, m_ij = r_((j - i) mod n),
 has the real Fourier vectors for eigenvectors (Davis, Circulant Matrices,
-1979), so spectral._circulant_route takes its eigenvalues from one rfft of
+1979), so routes._circulant_route takes its eigenvalues from one rfft of
 the first row r and holds V as a FourierBasis. decompose takes it from
 ROUTE_MIN_N on, after the product route: cycles and complete graphs in
 their builders' labelling, any weighted circulant, of either kind, as a
@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
-from pstwalk.spectral import FourierBasis, KroneckerBasis
+from pstwalk import routes, spectral
+from pstwalk.routes import FourierBasis, KroneckerBasis
 from conftest import check_basis, entries, pair_state
 from oracles import eigh_decompose
 from route_table import assert_declined, assert_matches_eigh, assert_transfer, row, rows
@@ -34,7 +34,7 @@ def test_pairs_are_degenerate_exactly():
     # frequency k gives its cosine and its sine vector one eigenvalue, so a
     # cycle's clusters are the pairs k, n - k, with no spread inside them
     n = 128
-    evals, _ = spectral._circulant_route(spectral._edge_form(pw.hamiltonian(pw.build_cycle(n), pw.ADJACENCY)))
+    evals, _ = routes._circulant_route(spectral._edge_form(pw.hamiltonian(pw.build_cycle(n), pw.ADJACENCY)))
     assert np.all(np.diff(evals) <= 0)
     assert len(np.unique(evals)) == n // 2 + 1
     np.testing.assert_allclose(evals, np.sort(2 * np.cos(2 * np.pi * np.arange(n) / n))[::-1], rtol=0, atol=1e-14)

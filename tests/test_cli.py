@@ -210,16 +210,35 @@ def test_determinism(tmp_path, capsys):
     ["sensitivity", "g", "x", "y"], ["extremal", "5"],
 ], ids=lambda argv: argv[0])
 def test_seed_only_where_it_is_read(argv):
-    """family alone draws random states, so it alone takes --seed."""
-    parser = build_parser()
-    assert parser.parse_known_args(argv + ["--seed", "1"])[1] == ["--seed", "1"]
-    assert parser.parse_args(["family", "cycle", "8", "--seed", "3"]).seed == 3
+    """family alone draws random states, so it alone takes --seed; each
+    parser is built for the subcommand it parses, as main builds it."""
+    assert build_parser(argv[0]).parse_known_args(argv + ["--seed", "1"])[1] == ["--seed", "1"]
+    assert build_parser("family").parse_args(["family", "cycle", "8", "--seed", "3"]).seed == 3
+
+
+def test_parser_builds_only_the_invoked_subcommand(capsys):
+    """A parser built for one subcommand keeps the others' names and help
+    alone: they take no arguments."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser("pst").parse_args(["analyze", "g", "x"])
+    assert exc.value.code == 2 and "unrecognized arguments: g x" in capsys.readouterr().err
 
 
 def test_float_round_trip():
     values = [1.0 / 3.0, math.pi, 1e-17, -2.5, 123456789.123456789]
     for v in values:
         assert float(serialize.format_float(v)) == v
+
+
+def test_float_array_is_written_as_its_floats():
+    """A 1-D float array is written in one pass, byte for byte as the list of
+    its floats, and one with a non-finite entry is refused as a float is."""
+    x = np.array([1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, 2.0, -1e-300])
+    for arr in (x, x[::-2], np.array([0.1, -0.0, 3.0], dtype=np.float32), np.array([]), x.reshape(2, 3)):
+        assert serialize.dumps({"a": arr}) == serialize.dumps({"a": arr.tolist()})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            serialize.dumps(np.array([0.0, bad]))
 
 
 def test_graph_and_state_json_round_trip():
@@ -238,9 +257,9 @@ def test_tolerance_overrides(tmp_path, capsys):
 
     g = _graph_file(tmp_path, "p7.json", pw.build_path(7))
     x = _state_file(tmp_path, "x.json", pair_state(7, 0, 6))
-    args = build_parser().parse_args(["analyze", g, x, "--tol-supp", "1e-7", "--q-max", "100"])
+    args = build_parser("analyze").parse_args(["analyze", g, x, "--tol-supp", "1e-7", "--q-max", "100"])
     assert _config(args) == pw.ToleranceConfig(tol_supp=1e-7, q_max=100)
-    assert _config(build_parser().parse_args(["analyze", g, x])) == pw.ToleranceConfig()
+    assert _config(build_parser("analyze").parse_args(["analyze", g, x])) == pw.ToleranceConfig()
     # --tol-proj set a threshold nothing read; it is now a usage error
     with pytest.raises(SystemExit) as exc:
         main(["analyze", g, x, "--tol-proj", "1e-9"])

@@ -23,7 +23,8 @@ from conftest import heavy_path_ends, held_bytes, random_tree
 from oracles import all_partners, join_walk, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.spectral import BipartiteBasis, KroneckerBasis, Projection
+from pstwalk.routes import BipartiteBasis, KroneckerBasis
+from pstwalk.spectral import Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")

@@ -1,5 +1,5 @@
 """The factored eigenvectors of the product and bipartite routes
-(spectral.KroneckerBasis, spectral.BipartiteBasis), and the one protocol
+(routes.KroneckerBasis, routes.BipartiteBasis), and the one protocol
 they share with the dense V of eigh (spectral.DenseBasis).
 
 A route-taking decomposition holds V factored: a box product G x H as the
@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import BipartiteBasis, FourierBasis, KroneckerBasis, PathBasis
+from pstwalk.spectral import DenseBasis
 from conftest import check_basis, heavy_path_ends, pair_state, random_tree, relabel
 from oracles import eigenvector, expm_transfer
 

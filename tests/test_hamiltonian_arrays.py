@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
+from pstwalk import routes, spectral
 from pstwalk.graphs import REGULAR_TOL
 from conftest import assert_one_form, decomposition_bytes, random_tree
 
@@ -131,7 +131,7 @@ def test_route_reached_from_both_entries(monkeypatch):
     # and the custom matrices with a constant diagonal take the route, with
     # the routes before it left out; both entries give one form
     # (test_both_entries_decompose_alike)
-    monkeypatch.setattr(spectral, "ROUTES", (spectral._bipartite_route, spectral._eigh_route))
+    monkeypatch.setattr(routes, "ROUTES", (routes._bipartite_route, routes._eigh_route))
     on_route = {name for name, ham in HAMILTONIANS if pw.decompose(ham).route == "bipartite"}
     bipartite = ("Q6", "Q7", "K40,90-e", "C64xK2", "C64xK2-w", "P70-w")
     want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}

@@ -2,7 +2,7 @@
 labelling, A and B with constant row sums alpha and beta, keeps each
 factor's eigenpairs orthogonal to its ones vector, and takes the last two
 from the quotient [[alpha, c sqrt(pq)], [c sqrt(pq), beta]] (Merris, Linear
-Algebra Appl. 278, 1998). spectral._join_route reads the split from the
+Algebra Appl. 278, 1998). routes._join_route reads the split from the
 EdgeForm, sends each factor back through the route table, or gives an
 edgeless one the basis I, and holds V as a JoinBasis. decompose takes it
 from ROUTE_MIN_N on, after the product, circulant and path routes: K_{p,q}
@@ -18,7 +18,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.spectral import JoinBasis
+from pstwalk.routes import JoinBasis
 from conftest import (assert_same_verdicts, check_basis, entries, pair_state, route_calls, route_of, taken)
 from oracles import eigh_decompose
 from route_table import KINDS, assert_declined, assert_matches_eigh, assert_transfer, row, rows

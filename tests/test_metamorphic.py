@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 from conftest import cases, decompose_graph, pair_state, relabel, route_calls, taken
-from pstwalk import spectral
+from pstwalk import routes, spectral
 
 def _same_verdict(got, want, tau_scale=1.0, reason=True, rel=1e-9):
     assert got.decision == want.decision
@@ -78,7 +78,7 @@ def _route_graphs():
 
 def _route_parts(ham):
     """The parts decompose(ham) factors on, from the Hamiltonian's arrays."""
-    return spectral._route_parts(spectral._edge_form(ham))
+    return routes._route_parts(spectral._edge_form(ham))
 
 
 @pytest.mark.parametrize("name,g,pairs", _route_graphs(), ids=[c[0] for c in _route_graphs()])

@@ -20,8 +20,8 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import states
-from pstwalk.spectral import (PROJECTION_MEMO, BipartiteBasis, DenseBasis, FourierBasis, JoinBasis, KroneckerBasis,
-                              PathBasis, Projection)
+from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.spectral import PROJECTION_MEMO, DenseBasis, Projection
 from conftest import pair_state
 
 

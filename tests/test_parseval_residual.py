@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk.spectral import DenseBasis, KroneckerBasis
+from pstwalk.routes import KroneckerBasis
+from pstwalk.spectral import DenseBasis
 from conftest import pair_state, random_connected_graph
 from oracles import expm_transfer
 

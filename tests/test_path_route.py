@@ -1,7 +1,7 @@
 """The path route of decompose: a uniform path M = tridiag(w, a, w) has the
 vectors of the DST-I (ends a, Dirichlet) or of the DCT-II (ends a + w,
 Neumann) for eigenvectors (Strang, SIAM Review 41, 1999), so
-spectral._path_route takes its eigenvalues in closed form and holds V as a
+routes._path_route takes its eigenvalues in closed form and holds V as a
 PathBasis, applied by one real FFT. decompose takes it from ROUTE_MIN_N
 on, after the product and circulant routes: paths as build_path labels them,
 of either kind, and any uniform weighted path, as a Hamiltonian, as a raw
@@ -21,7 +21,7 @@ import scipy.fft
 
 import pstwalk as pw
 from pstwalk.families import path_adj_eigenbasis, path_lap_eigenbasis
-from pstwalk.spectral import KroneckerBasis, PathBasis
+from pstwalk.routes import KroneckerBasis, PathBasis
 from conftest import assert_same_outcome, check_basis, entries, held_bytes, outcome, pair_state, relabelled
 from oracles import eigh_decompose
 from route_table import assert_declined, assert_matches_eigh, assert_transfer, row, rows, uniform_path

@@ -1,9 +1,9 @@
 """The product route of decompose: a matrix that is exactly
 M_G (x) I_q + I_p (x) M_H in cartesian_product's labelling v = a q + b, for
 some divisor q of n, from ROUTE_MIN_N on, takes its eigenpairs from its
-factors' (spectral._product_route), each from the route table, held as a
-KroneckerBasis. spectral._box_split tries the divisors from the least, and
-spectral._box_factors detects the product at one q from the edge form
+factors' (routes._product_route), each from the route table, held as a
+KroneckerBasis. routes._box_split tries the divisors from the least, and
+routes._box_factors detects the product at one q from the edge form
 alone. On route_table.ROUTE_OF's product rows (the inputs of
 scripts/decompose_digest.py that take it, Q6-Q10, P40xK2, C32xK2, C64xK2,
 P8xP8, C9xC9 and C16xP8, and P64xK2, P4xP4xP4, K2xC32 and K2xP40, as a
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import graphs, spectral
+from pstwalk import graphs, routes, spectral
 from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, outcome, pair_state,
                       relabelled)
 from route_table import GRIDS, C, P, assert_declined, assert_matches_eigh, box, row, rows
@@ -76,7 +76,7 @@ def test_near_products_are_refused(monkeypatch, r):
     it decides it as eigh does."""
     for _, m in entries(r.build(), r.shifted):
         got, want = assert_declined(monkeypatch, m, "product", r.route)
-        assert not isinstance(got.basis, spectral.KroneckerBasis)
+        assert not isinstance(got.basis, routes.KroneckerBasis)
         assert_same_verdicts(got, want, got.n)
 
 
@@ -92,10 +92,10 @@ def test_one_change_fails_the_detector(near, product, q):
     there into G on n / q vertices and H on q."""
     near_form = spectral._edge_form(next(r for r in NEAR_PRODUCTS if r.name == near).build())
     form = spectral._edge_form(row("product", product).build())
-    assert spectral._box_factors(near_form, q) is None and spectral._box_split(near_form) is None
-    g, h = spectral._box_factors(form, q)
+    assert routes._box_factors(near_form, q) is None and routes._box_split(near_form) is None
+    g, h = routes._box_factors(form, q)
     assert (g.n, h.n) == (form.n // q, q)
-    assert [f.n for f in spectral._box_split(form)] == [g.n, h.n]
+    assert [f.n for f in routes._box_split(form)] == [g.n, h.n]
 
 
 def _pairs(n, rng):

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import spectral
-from pstwalk.spectral import DenseBasis, FourierBasis, PathBasis
+from pstwalk import routes, spectral
+from pstwalk.routes import FourierBasis, PathBasis
+from pstwalk.spectral import DenseBasis, _eigh_route
 import census
-from conftest import check_basis, entries, route_calls
+from conftest import check_basis, entries, route_calls, set_routes
 from route_table import KINDS, assert_matches_eigh, assert_widths, row, rows
 
 
@@ -58,7 +59,7 @@ def test_gate_at(monkeypatch, route, name, entry):
     m = _entry(row(route, name), entry)
     assert spectral._edge_form(m).n == spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
-    before = [spectral.route_name(r) for r in spectral.ROUTES]
+    before = [spectral.route_name(r) for r in routes.ROUTES]
     before = before[:before.index(route)]
     factor = [("eigh", True)] * 2 if route == "product" else []
     assert calls == factor + [(r, False) for r in before] + [(route, True)]
@@ -79,16 +80,14 @@ def test_route_matches_eigh(monkeypatch, name, route, m, held_off):
     """These rows agree with eigh, as the route files check theirs; a route
     held off is taken out of ROUTES first."""
     if held_off:
-        monkeypatch.setattr(spectral, "ROUTES", tuple(r for r in spectral.ROUTES
-                                                      if spectral.route_name(r) != held_off))
+        set_routes(monkeypatch, tuple(r for r in routes.ROUTES if spectral.route_name(r) != held_off))
     got, _ = assert_matches_eigh(monkeypatch, m, route, proj_atol=1e-10)
     check_basis(got, np.random.default_rng(got.n))
 
 
 def _plant(monkeypatch, planted):
-    """ROUTES with the entry of planted's name replaced by planted."""
-    monkeypatch.setattr(spectral, "ROUTES", tuple(planted if r.__name__ == planted.__name__ else r
-                                                  for r in spectral.ROUTES))
+    """ROUTES (set_routes) with the entry of planted's name replaced by planted."""
+    set_routes(monkeypatch, tuple(planted if r.__name__ == planted.__name__ else r for r in routes.ROUTES))
 
 
 def _swapped(route):
@@ -103,20 +102,20 @@ def _swapped(route):
     return planted
 
 
-@wraps(spectral._circulant_route)
+@wraps(routes._circulant_route)
 def _ascending_circulant(form):
     """The circulant route with its values and its basis's order reversed."""
-    pairs = spectral._circulant_route(form)
+    pairs = routes._circulant_route(form)
     if pairs is None:
         return None
     values, basis = pairs
     return values[::-1], FourierBasis(form.n, basis.order[::-1])
 
 
-@wraps(spectral._eigh_route)
+@wraps(_eigh_route)
 def _descending_eigh(form):
     """eigh with its values and its vectors reversed."""
-    values, basis = spectral._eigh_route(form)
+    values, basis = _eigh_route(form)
     return values[::-1], DenseBasis(basis.v[:, ::-1])
 
 
@@ -125,7 +124,7 @@ def _descending_eigh(form):
 def test_unsorted_route_raises(monkeypatch, route, name):
     """A route whose values are sorted in neither direction is refused at
     once, never clustered."""
-    _plant(monkeypatch, _swapped(getattr(spectral, f"_{route}_route")))
+    _plant(monkeypatch, _swapped(getattr(routes, f"_{route}_route")))
     with pytest.raises(pw.NumericFailureError, match=f"the {route} route returned unsorted eigenvalues"):
         pw.decompose(row(route, name).build())
 
@@ -184,5 +183,5 @@ def test_digest_inputs_take_every_route():
     spec = importlib.util.spec_from_file_location("decompose_digest", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    routes = {pw.decompose(m).route for _, m in script.inputs()}
-    assert routes == {spectral.route_name(r) for r in spectral.ROUTES}
+    taken = {pw.decompose(m).route for _, m in script.inputs()}
+    assert taken == {spectral.route_name(r) for r in routes.ROUTES}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk.spectral import BipartiteBasis, DenseBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis, walk
+from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.spectral import DenseBasis, walk
 from oracles import expm_walk
 from conftest import random_connected_graph, random_tree
 
