@@ -15,9 +15,10 @@ with both kinds, and each kind decomposed as a Hamiltonian h, as the raw
 matrix np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one
 decomposition covers its eigenvalues, offsets, dense V (its basis's
 dense()), scale, multiplicities and warnings. The script prints the digest
-of each input, with the class of its basis (a KroneckerBasis with its
-factor's, as KroneckerBasis(FourierBasis)), which names the route it took,
-and one digest over all of them.
+of each input, with the class of its basis (a KroneckerBasis with both
+factors' as one token, as KroneckerBasis(FourierBasis,DenseBasis), an H
+held as a dense array named ndarray), which names the route it took and,
+for a product, its split, and one digest over all of them.
 
 With --parent, the committed src/ of REV is exported (git archive) into a
 temporary directory, this script runs again in a fresh interpreter that
@@ -93,9 +94,12 @@ def digest(dec) -> str:
 
 
 def basis_class(dec) -> str:
-    """The class of dec's basis, a KroneckerBasis's with its factor's."""
-    name = type(dec.basis).__name__
-    return f"{name}({type(dec.basis.g).__name__})" if hasattr(dec.basis, "g") else name
+    """The class of dec's basis, a KroneckerBasis's with its two factors',
+    as KroneckerBasis(DenseBasis,DenseBasis), so that a changed split
+    shows; a revision that held H as an array names it ndarray."""
+    basis = dec.basis
+    name = type(basis).__name__
+    return f"{name}({type(basis.g).__name__},{type(basis.h).__name__})" if hasattr(basis, "g") else name
 
 
 def parent_digests(rev: str, script: str) -> dict:

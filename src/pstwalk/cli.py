@@ -231,12 +231,8 @@ def cmd_scan(args) -> tuple[dict, str]:
         "values": result.values,
     }
     if args.out:
-        rows = ["t,fidelity"]
-        rows += [
-            f"{serialize.format_float(t)},{serialize.format_float(v)}"
-            for t, v in zip(result.times, result.values)
-        ]
-        serialize.write_text(args.out, "\n".join(rows) + "\n")
+        rows = map(",".join, zip(serialize.float_texts(result.times), serialize.float_texts(result.values)))
+        serialize.write_text(args.out, "\n".join(["t,fidelity", *rows]) + "\n")
     return doc, f"peak {result.peak_value:.9f} near t={result.peak_time:.9g}"
 
 

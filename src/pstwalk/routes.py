@@ -169,39 +169,37 @@ class PathBasis:
 class KroneckerBasis:
     """The eigenvectors V = (g (x) h)[:, order] of a box product
     M = M_G (x) I + I (x) M_H on the vertices v = a |H| + b, held as the
-    product route finds them: G's basis g (any of Basis but this one:
-    FourierBasis, as for a prism C_n x K2 or a torus, PathBasis, as for a
-    ladder P_n x K2, JoinBasis, as for K_{p,p} x K2), H's dense h, whatever
-    route took H, and order, V's columns among the g_i (x) h_j (column
-    i |H| + j). A nested product folds into one h (Q10 is V_Q5 (x) a
-    32 x 32 h). With x read as an (|G|, |H|) matrix X, V^T x is g^T X h, and
+    product route finds them: G's basis g and H's basis h, each any of Basis
+    (Q12 = Q6 x Q6 holds two of this class), and order, V's columns among
+    the g_i (x) h_j (column i |H| + j). With x read as an (|G|, |H|) matrix
+    X, V^T x is g^T X h, by g.project and h.project along the two axes, and
     V c its reverse: neither makes an (n, n) array; dense() builds V."""
 
-    def __init__(self, g: Basis, h: np.ndarray, order: np.ndarray):
+    def __init__(self, g: Basis, h: Basis, order: np.ndarray):
         self.g, self.h, self.order = g, h, order
         self.n = len(order)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """V^T x for an (n, b) x."""
-        g, m, b = self.g.n, len(self.h), x.shape[1]
-        z = np.tensordot(x.reshape(g, m, b), self.h, axes=(1, 0))  # (|G|, b, |H|)
-        z = self.g.project(z.transpose(0, 2, 1).reshape(g, m * b))
-        return z.reshape(self.n, b)[self.order]
+        g, m, b = self.g.n, self.h.n, x.shape[1]
+        z = self.g.project(x.reshape(g, m * b))
+        z = self.h.project(z.reshape(g, m, b).transpose(1, 0, 2).reshape(m, g * b))
+        return z.reshape(m, g, b).transpose(1, 0, 2).reshape(self.n, b)[self.order]
 
     def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
         """V[:, cols] c, as V c with the rows of c outside cols zero."""
-        g, m, b = self.g.n, len(self.h), c.shape[1]
+        g, m, b = self.g.n, self.h.n, c.shape[1]
         z = np.zeros((self.n, b))
         z[self.order[cols]] = c
         z = self.g.lift(z.reshape(g, m * b))
-        z = np.tensordot(z.reshape(g, m, b), self.h, axes=(1, 1))  # (|G|, b, |H|)
-        return z.transpose(0, 2, 1).reshape(self.n, b)
+        z = self.h.lift(z.reshape(g, m, b).transpose(1, 0, 2).reshape(m, g * b))
+        return z.reshape(m, g, b).transpose(1, 0, 2).reshape(self.n, b)
 
     def dense(self) -> np.ndarray:
         """V as one (n, n) array: column k is g_i (x) h_j for
         (i, j) = divmod(order[k], |H|), formed as one broadcast product."""
-        i, j = np.divmod(self.order, len(self.h))
-        return (self.g.dense()[:, i][:, None, :] * self.h[:, j][None, :, :]).reshape(self.n, self.n)
+        i, j = np.divmod(self.order, self.h.n)
+        return (self.g.dense()[:, i][:, None, :] * self.h.dense()[:, j][None, :, :]).reshape(self.n, self.n)
 
 
 def _reflect(w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -344,25 +342,28 @@ def _divisors(n: int) -> list[int]:
 
 
 def _box_split(form: EdgeForm) -> tuple[EdgeForm, EdgeForm] | None:
-    """G's and H's EdgeForms at the least divisor q of n at which the form's
-    M is a box product (_box_factors), else None. Vertices 0 = (0, 0) and
-    1 = (0, 1) settle most q at once: vertex 0 needs a neighbour below q, in
-    its copy of H, and one at or past q, in its copy of G, each of these a
-    multiple of q, and vertex 1's neighbours at or past q are those plus 1.
-    So a path, a cycle or a random graph is passed on in microseconds, as is
-    a product whose copy of G or of H through vertex 0 has no edge there."""
+    """G's and H's EdgeForms at the most balanced divisor q of n, least
+    max(q, n / q) and then least q, at which the form's M is a box product
+    (_box_factors), else None. Vertices 0 = (0, 0) and 1 = (0, 1) screen the
+    divisors from the least: vertex 0 needs a neighbour below q, in its copy
+    of H, and one at or past q, in its copy of G, each of these a multiple of
+    q, and vertex 1's neighbours at or past q are those plus 1. So a path, a
+    cycle or a random graph is passed on in microseconds, Q10 splits once,
+    as Q5 x Q5, and P45 x P45 is checked at q = 45 only, not at 3, 5, 9, 15."""
     k, k1 = np.searchsorted(form.src, [1, 2]).tolist()  # vertex 0's edges come first, then vertex 1's
-    near, after, j = form.dst[:k].tolist(), form.dst[k:k1].tolist(), 0
+    near, after, j, passed = form.dst[:k].tolist(), form.dst[k:k1].tolist(), 0, []
     for q in _divisors(form.n):
         while j < k and near[j] < q:
             j += 1
         if j == k:
-            return None
+            break
         if (j and near[j] % q == 0 and math.gcd(*near[j:]) % q == 0
                 and [v - 1 for v in after if v >= q] == near[j:]):
-            factors = _box_factors(form, q)
-            if factors is not None:
-                return factors
+            passed.append(q)
+    for q in sorted(passed, key=lambda q: max(q, form.n // q)):  # a stable sort: the smaller q on a tie
+        factors = _box_factors(form, q)
+        if factors is not None:
+            return factors
     return None
 
 
@@ -457,25 +458,19 @@ def _join_factors(form: EdgeForm) -> tuple[float, list[tuple[EdgeForm, float]]] 
 
 def _product_route(form: EdgeForm):
     """A box product G x H (_box_split) from its factors' eigenpairs, each
-    from the route table (_eigenpairs), H's held dense: the eigenpairs
-    (lambda_i + mu_j, g_i (x) h_j) sorted descending into a KroneckerBasis,
-    into which a factored G's own KroneckerBasis folds, so Q10 splits down
-    to one eigh of Q5 (Q10 built and decomposed: 0.8-0.9 ms against 230-270
-    ms by eigh; the P45 x P45 grid: 1.0-1.1 ms against 220-320 ms by eigh or
-    the bipartite route's SVD; best of runs on one core of a 2-vCPU machine,
-    as every time here)."""
+    from the route table (_eigenpairs) in its own basis: the eigenpairs
+    (lambda_i + mu_j, g_i (x) h_j) sorted descending into a KroneckerBasis
+    (Q10 built and decomposed: 0.7-0.8 ms against 230-270 ms by eigh; the
+    P45 x P45 grid: 0.95-1.05 ms against 220-320 ms by eigh or the bipartite
+    route's SVD; best of runs on one core of a 2-vCPU machine, as every time
+    here)."""
     factors = _box_split(form)
     if factors is None:
         return None
     (lam, g, _), (mu, h, _) = _eigenpairs(factors[0]), _eigenpairs(factors[1])
-    h, q = h.dense(), factors[1].n
-    sums = np.add.outer(lam, mu).ravel()  # entry i q + j: the column g_i (x) h_j
+    sums = np.add.outer(lam, mu).ravel()  # entry i |H| + j: the column g_i (x) h_j
     order = np.argsort(-sums, kind="stable")
-    evals = sums[order]
-    if isinstance(g, KroneckerBasis):  # g_i is the column g.order[i] of g.g (x) g.h
-        h = (g.h[:, None, :, None] * h[None, :, None, :]).reshape(len(g.h) * q, -1)  # np.kron(g.h, h)
-        g, order = g.g, (q * g.order[:, None] + np.arange(q)).ravel()[order]
-    return evals, KroneckerBasis(g, h, order)
+    return sums[order], KroneckerBasis(g, h, order)
 
 
 def _circulant_route(form: EdgeForm):

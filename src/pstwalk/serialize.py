@@ -23,6 +23,14 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def float_texts(values: np.ndarray) -> list[str]:
+    """format_float of each entry of a float array, in one pass: one
+    isfinite check for the array, then format(v, ".17g") over tolist()."""
+    if not np.isfinite(values).all():  # format_float's check, once for the array
+        raise ValueError("cannot serialize non-finite float")
+    return [format(v, ".17g") for v in values.tolist()]
+
+
 def dumps(obj) -> str:
     """Serialize dicts/lists/scalars deterministically (insertion order kept)."""
     pieces: list[str] = []
@@ -42,9 +50,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
-        if not np.isfinite(obj).all():  # format_float's check, once for the array
-            raise ValueError("cannot serialize non-finite float")
-        out.append("[" + ", ".join([format(v, ".17g") for v in obj.tolist()]) + "]")
+        out.append("[" + ", ".join(float_texts(obj)) + "]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):

@@ -1,4 +1,6 @@
 import heapq
+import importlib
+import pkgutil
 from dataclasses import replace
 from functools import wraps
 
@@ -216,6 +218,16 @@ def check_basis(dec, rng):
     if isinstance(basis, DenseBasis):  # a full lift of c zeroed off F differs in last bits on one column
         for c in (basis.project(X), basis.project(X[:, :1])):
             assert np.array_equal(basis.lift(c[flip], flip), v[:, flip] @ c[flip])
+
+
+def load_package():
+    """Import every module of the package (but __main__, which runs the CLI),
+    and numpy.fft, which the circulant and path routes load on first use, so
+    that a call traced on its own does not count an import's allocations."""
+    for module in pkgutil.iter_modules(pw.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"pstwalk.{module.name}")
+    np.fft.rfft(np.zeros(2))
 
 
 def held_bytes(obj, seen=None):

@@ -133,6 +133,9 @@ def _taken():
     # H = C32 and P40, at q = 32 and 40
     rows += [Row("K2xC32-adjacency", _ham(pw.cartesian_product(K2, C(32))), "product", shifted=True),
              Row("K2xP40-laplacian", _ham(pw.cartesian_product(K2, P(40)), LAP), "product", shifted=True)]
+    # H = C128 and P100, at q = 128 and 100, each on a route of its own
+    rows += _kinds("K2xC128", pw.cartesian_product(K2, C(128)), "product", shifted=True)
+    rows += _kinds("K2xP100", pw.cartesian_product(K2, P(100)), "product", shifted=True)
     empty, cycle, complete = pw.build_empty, pw.build_cycle, pw.build_complete
     for name, g in [("K30,50", pw.build_complete_bipartite(30, 50)),
                     ("K64,64", pw.build_complete_bipartite(64, 64)),

@@ -162,7 +162,7 @@ def test_route_taken_from_the_crossover_on(monkeypatch):
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N), kind)) == 1
         assert _route_calls(monkeypatch, _graph_matrix(build(MIN_N - 2), kind)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(_heavy_path(MIN_N - 1), pw.ADJACENCY)) == 0
-    # a hypercube takes the product route first, down to Q5's eigh; relabelled, this one
+    # a hypercube takes the product route first, one level down, to its halves' eigh; relabelled, this one
     for d in (7, 8, 9, 10):
         assert _route_calls(monkeypatch, _graph_matrix(pw.build_hypercube(d), pw.LAPLACIAN)) == 0
     assert _route_calls(monkeypatch, _graph_matrix(q8_relabelled(), pw.ADJACENCY)) == 1

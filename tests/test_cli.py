@@ -124,6 +124,20 @@ def test_scan_no_pair(tmp_path, capsys):
     assert len(lines) == 501
 
 
+def test_scan_csv_is_the_per_value_text(tmp_path, capsys):
+    """A 3000-step scan's CSV, written from one pass over each array, holds
+    byte for byte the rows of two format_float calls per time, and its
+    JSON the same floats."""
+    g = _graph_file(tmp_path, "p3.json", pw.build_path(3))
+    x = _state_file(tmp_path, "x.json", basis_state(3, 0))
+    y = _state_file(tmp_path, "y.json", basis_state(3, 2))
+    out = tmp_path / "series.csv"
+    code, doc, _ = _run(capsys, ["scan", g, x, y, "--tmax", "40", "--steps", "3000", "--out", str(out)])
+    assert code == 0 and len(doc["times"]) == 3000
+    rows = [f"{serialize.format_float(t)},{serialize.format_float(v)}" for t, v in zip(doc["times"], doc["values"])]
+    assert out.read_text() == "\n".join(["t,fidelity", *rows]) + "\n"
+
+
 def test_sensitivity_command(tmp_path, capsys):
     g = _graph_file(tmp_path, "c8.json", pw.build_cycle(8))
     x = _state_file(tmp_path, "x.json", basis_state(8, 0, 4))

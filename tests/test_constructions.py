@@ -40,7 +40,7 @@ def test_product_hypercube_cycle(monkeypatch):
         assert witness.decision and witness.product_passed and witness.agree
         assert witness.mode == "pst-pst"
         product = decs[-1]
-        assert product.n == 64 and product.route == "product" and product.basis.h.shape == (8, 8)
+        assert product.n == 64 and product.route == "product" and product.basis.h.n == 8
         mat = pw.hamiltonian(pw.cartesian_product(q3, c8), kind).matrix
         assert expm_transfer(mat, witness.x, witness.y, witness.tau) == pytest.approx(1.0, abs=1e-9)
 

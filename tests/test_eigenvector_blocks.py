@@ -293,10 +293,10 @@ def test_decomposition_holds_no_projector_tensor():
 @pytest.mark.parametrize("d", [8, 9, 10])
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
 def test_hypercube_holds_two_small_blocks(d, kind):
-    """Q8 to Q10 take the product route down to Q5, and hold Q5's dense
-    32 x 32 basis, one dense block of at most 32 x 32 for the K2 factors,
-    V's n column indices and the clusters' few numbers: at Q10, 24 760
-    bytes, against 8 MiB for a dense V."""
+    """Q8 to Q10 take the product route one level deep, and hold the two
+    halves' dense bases, each at most 32 x 32 (Q10 = Q5 x Q5), V's n column
+    indices and the clusters' few numbers: at Q10, 24 848 bytes, against
+    8 MiB for a dense V."""
     n = 1 << d
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(d), kind))
     assert isinstance(dec.basis, KroneckerBasis)

@@ -2,10 +2,10 @@
 (routes.KroneckerBasis, routes.BipartiteBasis), and the one protocol
 they share with the dense V of eigh (spectral.DenseBasis).
 
-A route-taking decomposition holds V factored: a box product G x H as the
-Kronecker product of G's basis and H's dense one, a nested product folded
-into one dense block, and a bipartite pattern as an SVD of its half block,
-with null columns when |P| != |Q|. Its stages read V only through the basis's project
+A route-taking decomposition holds V factored: a box product G x H, split
+at its most balanced divisor, as the Kronecker product of G's basis and
+H's, and a bipartite pattern as an SVD of its half block, with null
+columns when |P| != |Q|. Its stages read V only through the basis's project
 (V^T X) and lift (V[:, cols] C); dense() builds V, for no public call.
 project and lift must agree with that V on every basis kind; a
 hypercube pair must be decided, every other per-state call and the
@@ -127,17 +127,34 @@ def test_product_factor_reaches_an_svd():
     # goes to the SVD
     g = pw.cartesian_product(heavy_path_ends(pw.build_path(64)), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
-    assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.shape == (2, 2)
+    assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.n == 2
     check_basis(dec, np.random.default_rng(64))
 
 
-def test_nested_products_fold_into_one_block():
-    """Q10 = Q5 x K2 x ... x K2 holds Q5's dense 32 x 32 basis and one
-    32 x 32 block for the five K2 factors, not a chain of them."""
+def test_products_split_at_the_most_balanced_divisor():
+    """A hypercube splits one level deep, at the divisor q of n that
+    minimises max(q, n / q), the smaller q on a tie: Q10 = Q5 x Q5 holds
+    Q5's dense 32 x 32 basis on each side, and Q9 = Q5 x Q4 G's on 32 and
+    H's on 16. Q12, at the dense guard, is Q6 x Q6, each side itself a
+    product: its multiplicities are C(12, k), and its universal pair is
+    decided yes at pi/24 and verified."""
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(10), pw.LAPLACIAN))
-    assert isinstance(dec.basis.g, DenseBasis)
-    assert dec.basis.g.v.shape == dec.basis.h.shape == (32, 32)
+    assert isinstance(dec.basis.g, DenseBasis) and isinstance(dec.basis.h, DenseBasis)
+    assert dec.basis.g.v.shape == dec.basis.h.v.shape == (32, 32)
     check_basis(dec, np.random.default_rng(10))
+    dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(9), pw.ADJACENCY))
+    assert isinstance(dec.basis.g, DenseBasis) and isinstance(dec.basis.h, DenseBasis)
+    assert (dec.basis.g.n, dec.basis.h.n) == (32, 16)
+    check_basis(dec, np.random.default_rng(9))
+    for kind in (pw.ADJACENCY, pw.LAPLACIAN):
+        dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(12), kind))
+        assert all(isinstance(side, KroneckerBasis) and side.n == 64 for side in (dec.basis.g, dec.basis.h))
+        assert dec.multiplicities == tuple(math.comb(12, k) for k in range(13))
+        u, v, tau = pw.universal_pst_pair(dec)
+        verdict = pw.pst_decide(dec, u, v)
+        assert tau == pytest.approx(math.pi / 24, rel=1e-12)
+        assert verdict.decision and verdict.tau_min == pytest.approx(tau, rel=1e-12)
+        assert pw.verify_pst_numeric(dec, u, v, verdict.tau_min).passed
 
 
 @pytest.mark.parametrize("d", [8, 9, 10])

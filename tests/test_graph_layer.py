@@ -2,9 +2,7 @@
 reference_graphs.py, the input type rules of make_graph, and the dense-size
 guards."""
 
-import importlib
 import math
-import pkgutil
 import re
 import tracemalloc
 
@@ -15,6 +13,7 @@ from hypothesis import strategies as st
 
 import pstwalk as pw
 import reference_graphs as ref
+from conftest import load_package
 from pstwalk.graphs import DENSE_GUARD, _graph, check_dense
 
 
@@ -175,17 +174,8 @@ def test_load_custom_matches_reference(graph, rnd):
         assert np.array_equal(pw.load_custom(m, g).matrix, want)
 
 
-def _load_package():
-    """Import every module of the package (but __main__, which runs the CLI),
-    so that a guarded call traced on its own does not count an import's
-    allocations: the package loads its modules on first use."""
-    for module in pkgutil.iter_modules(pw.__path__):
-        if module.name != "__main__":
-            importlib.import_module(f"pstwalk.{module.name}")
-
-
 def _refused_before_allocating(call, message="dense limit"):
-    _load_package()
+    load_package()
     tracemalloc.start()
     try:
         with pytest.raises(pw.InvalidSizeError, match=message):
@@ -211,7 +201,7 @@ def test_dense_guard_refuses_before_allocating():
                  lambda: pw.path_pst_families(n, pw.LAPLACIAN),
                  lambda: pw.path_least_pst_time(n, pw.ADJACENCY)):
         _refused_before_allocating(call)
-    _load_package()
+    load_package()
     tracemalloc.start()  # degrees come from the edge arrays: no dense matrix, no refusal
     try:
         degrees, regular = big.degrees(), big.is_regular()

@@ -111,7 +111,7 @@ def test_float_weighted_entries_share_one_form(name, ham):
 def test_zero_valued_edge_takes_one_route():
     """A value of 0 is no entry of M: from the Hamiltonian, as from its dense
     matrix, whose nonzero mask never sees it, Q6 plus a zero-valued edge
-    is Q5 x K2 to the product route, and both decompose bit for bit alike."""
+    is Q3 x Q3 to the product route, and both decompose bit for bit alike."""
     ham = _zero_valued_edge()
     decs = [pw.decompose(entry) for entry in (ham, np.array(ham.matrix))]
     assert [dec.route for dec in decs] == ["product", "product"]

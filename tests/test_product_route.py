@@ -1,36 +1,49 @@
 """The product route of decompose: a matrix that is exactly
 M_G (x) I_q + I_p (x) M_H in cartesian_product's labelling v = a q + b, for
 some divisor q of n, from ROUTE_MIN_N on, takes its eigenpairs from its
-factors' (routes._product_route), each from the route table, held as a
-KroneckerBasis. routes._box_split tries the divisors from the least, and
-routes._box_factors detects the product at one q from the edge form
-alone. On route_table.ROUTE_OF's product rows (the inputs of
+factors' (routes._product_route), each from the route table and held in
+its own basis, as a KroneckerBasis of the two. routes._box_split screens
+the divisors on vertices 0 and 1 and tries those that pass from the most
+balanced, and routes._box_factors detects the product at one q from the
+edge form alone. On route_table.ROUTE_OF's product rows (the inputs of
 scripts/decompose_digest.py that take it, Q6-Q10, P40xK2, C32xK2, C64xK2,
-P8xP8, C9xC9 and C16xP8, and P64xK2, P4xP4xP4, K2xC32 and K2xP40, as a
-Hamiltonian, a raw matrix and shifted and scaled), it must give what
-np.linalg.eigh gives: the same multiplicities, eigenvalues to 1e-12 * scale
-and every cluster projector to 1e-12. A near product, ROUTE_OF's rows the
-route passes on, is refused and decided as by eigh."""
+P8xP8, C9xC9 and C16xP8, and P64xK2, P4xP4xP4, K2xC32, K2xP40, K2xC128 and
+K2xP100, as a Hamiltonian, a raw matrix and shifted and scaled), it must
+give what np.linalg.eigh gives: the same multiplicities, eigenvalues to
+1e-12 * scale and every cluster projector to 1e-12 (1e-10 where eigh's own
+are off by more, PROJ_ATOL). A near product, ROUTE_OF's rows the route
+passes on, is refused and decided as by eigh."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pstwalk as pw
 from pstwalk import graphs, routes, spectral
-from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, outcome, pair_state,
-                      relabelled)
+from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, load_package, outcome,
+                      pair_state, relabelled)
 from route_table import GRIDS, C, P, assert_declined, assert_matches_eigh, box, row, rows
 
 DIGEST_PRODUCTS = [(r.name, r) for r in rows("product")]
+# the rows whose H takes a route of its own, and the basis that route holds H in
+H_BASIS = {"K2xC128": routes.FourierBasis, "K2xP100": routes.PathBasis}
+# eigh's projectors miss the closed-form ones by 1.4e-12 on the K2 x P100
+# Laplacian, whose spectrum 2 - 2 cos(pi k / 100) + {0, 2} has near
+# coincidences (the route's by 7e-16): it is held to the join route's 1e-10
+PROJ_ATOL = {"K2xP100-laplacian": 1e-10}
 
 
 @pytest.mark.parametrize("name,r", DIGEST_PRODUCTS, ids=[c[0] for c in DIGEST_PRODUCTS])
 def test_product_route_matches_eigh(monkeypatch, name, r):
     """Each entry: the Hamiltonian, its raw matrix (one eigh serves both),
-    and 2.5 M + 0.75 I."""
-    want = None
+    and 2.5 M + 0.75 I; an H on a route of its own keeps its basis."""
+    stem, want = name.rsplit("-", 1)[0], None
     for entry, m in entries(r.build(), r.shifted):
-        _, want = assert_matches_eigh(monkeypatch, m, "product", want=want if entry == "raw" else None)
+        got, want = assert_matches_eigh(monkeypatch, m, "product", want=want if entry == "raw" else None,
+                                        proj_atol=PROJ_ATOL.get(name, 1e-12))
+        assert stem not in H_BASIS or isinstance(got.basis.h, H_BASIS[stem])
 
 
 def _weighted_product(q):
@@ -60,7 +73,7 @@ def test_weighted_product_with_a_potential(monkeypatch):
     for q in (2, 5):
         mat = _weighted_product(q)
         got, want = assert_matches_eigh(monkeypatch, mat, "product", proj_atol=1e-10)
-        assert isinstance(got.basis.g, spectral.DenseBasis) and got.basis.h.shape == (q, q)
+        assert isinstance(got.basis.g, spectral.DenseBasis) and got.basis.h.n == q
         assert_same_verdicts(got, want, len(mat))
         x = pair_state(len(mat), 0, 1, 1.0)
         np.testing.assert_allclose(pw.evolve(got, 0.8, x), pw.evolve(want, 0.8, x), rtol=0, atol=1e-10)
@@ -154,15 +167,37 @@ def test_large_grids_and_tori(name, g, kind):
     np.testing.assert_allclose(dec.basis.project(v), c, rtol=0, atol=1e-12 * size)
 
 
+@pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
+def test_large_h_keeps_its_own_basis(kind):
+    """P2 x C2048 splits at q = 2048, with H = C2048 on the circulant route:
+    decompose holds H's FourierBasis, with no 2048 x 2048 array of it (32
+    MiB) at a traced peak under 4 MiB, and the universal pair is decided
+    yes at pi/6."""
+    ham = pw.hamiltonian(pw.cartesian_product(P(2), C(2048)), kind)
+    load_package()
+    tracemalloc.start()
+    try:
+        dec = pw.decompose(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert dec.route == "product" and isinstance(dec.basis.h, routes.FourierBasis) and dec.basis.h.n == 2048
+    u, v, tau = pw.universal_pst_pair(dec)
+    verdict = pw.pst_decide(dec, u, v)
+    assert tau == pytest.approx(math.pi / 6, rel=1e-12)
+    assert verdict.decision and verdict.tau_min == pytest.approx(tau, rel=1e-12)
+
+
 def test_factor_past_the_dense_guard(monkeypatch):
     """DENSE_GUARD refuses a graph's dense matrix, not a route's work: with
-    it below Q6's factor Q5, which eigh reads, Q6 still decomposes from
+    it below Q6's factors Q3, which eigh reads, Q6 still decomposes from
     either entry, and a raw matrix off every other route goes to eigh."""
     ham = row("product", "Q6-adjacency").build()
     raw, off_route = entries(ham, False)[1][1], entries(row("eigh", "random-weighted-adjacency").build(), False)[1][1]
-    monkeypatch.setattr(graphs, "DENSE_GUARD", 16)
+    monkeypatch.setattr(graphs, "DENSE_GUARD", 4)
     with pytest.raises(pw.InvalidSizeError):
-        pw.hamiltonian(pw.build_hypercube(5), pw.ADJACENCY)
+        pw.hamiltonian(pw.build_hypercube(3), pw.ADJACENCY)
     got, _ = assert_matches_eigh(monkeypatch, raw, "product")
     dec = pw.decompose(ham)
     assert dec.route == "product" and "matrix" not in vars(ham)
