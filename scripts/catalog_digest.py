@@ -29,7 +29,7 @@ import numpy as np
 
 import pstwalk as pw
 from decompose_digest import report
-from pstwalk.families import CATALOG_GUARD
+from pstwalk.families import CATALOG_GUARD, _pair_plus_states
 from pstwalk.transfer import _spread_oracle
 
 
@@ -42,21 +42,6 @@ def sizes():
                 for n in range(m, CATALOG_GUARD - m + 1))
 
 
-def pair_plus_states(n: int) -> np.ndarray:
-    """The state matrix pair_plus_catalog builds on n vertices."""
-    try:
-        from pstwalk.families import _pair_plus_states
-    except ImportError:
-        # revisions from before the helper built the same matrix inline in
-        # pair_plus_catalog; that committed code no longer changes
-        u, v = np.repeat(np.triu_indices(n, 1), 2, axis=1)
-        X = np.zeros((n, len(u)))
-        X[u, np.arange(len(u))] = 1.0
-        X[v, np.arange(len(u))] = np.tile([-1.0, 1.0], len(u) // 2)
-        return X
-    return _pair_plus_states(n)[3]
-
-
 def catalog_digest(family: str, kind: str, params: tuple) -> str:
     h = hashlib.sha256()
     for e in pw.pair_plus_catalog(family, kind, *params):
@@ -66,7 +51,7 @@ def catalog_digest(family: str, kind: str, params: tuple) -> str:
              "complete-bipartite": pw.build_complete_bipartite}[family]
     g = build(*params)
     dec = pw.decompose(pw.hamiltonian(g, kind))
-    for arr in pw.pst_partners(dec, pair_plus_states(g.n)):
+    for arr in pw.pst_partners(dec, _pair_plus_states(g.n)[3]):  # the catalog's state matrix
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 

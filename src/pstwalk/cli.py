@@ -86,6 +86,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
     from .arith import symbolic_pi_multiple
     from .periodicity import NonPeriodic, classify_form, ratio_condition
     from .states import FIXED, support
+    from .transfer import _ambiguous
 
     cfg, dec, x = _inputs(args, "state")
     prof = support(dec, x, cfg)
@@ -105,6 +106,9 @@ def cmd_analyze(args) -> tuple[dict, str]:
         if isinstance(table, NonPeriodic):
             doc["periodic"] = False
             summary = "not periodic"
+        elif _ambiguous(dec, list(prof.indices), table.period / 2.0) is not None:
+            # the width check of pst and partner: periodic, rho and spectral_form stay null
+            return doc, f"support size {prof.size} ({prof.kind}); ambiguous clustering"
         else:
             rho = table.period
             doc["periodic"] = True

@@ -92,7 +92,10 @@ class Hamiltonian:
     """Real symmetric matrix held as its `diagonal` and the `values` on the
     edges graph.src, graph.dst; the dense `matrix` is built from them on
     first read, so it is exactly symmetric with off-diagonal support on the
-    edges."""
+    edges. Kinds ADJACENCY and LAPLACIAN promise the graph's own arrays, as
+    `hamiltonian` builds them: decompose reads a Laplacian's ||M||_inf off
+    its diagonal as 2 max(d), so one built by hand with another diagonal
+    decomposes at a wrong scale. Any other matrix is CUSTOM."""
 
     kind: str
     graph: Graph

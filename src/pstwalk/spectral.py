@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, NumericFailureError
-from .graphs import LAPLACIAN, Hamiltonian
+from .graphs import LAPLACIAN, Hamiltonian, _vertex_sums
 from .tolerances import DEFAULT_TOLERANCES, FIDELITY_CLAMP, GAP_WARNING, STATE_PEAK, SYMMETRY_TOL, ToleranceConfig
 
 if TYPE_CHECKING:
@@ -60,10 +60,10 @@ class SpectralDecomposition:
     V^T X only through a Projection (basis.project); a lift V[:, cols] C is
     formed only by Projection.reflect, evolve, universal_pst_pair and
     transition_matrix (of the identity, on the columns outside the largest
-    cluster), and V itself by no public call. Projection.of keeps the states
-    and coefficients of its last PROJECTION_MEMO state tuples on the
+    cluster), and V itself by no public call. Projection.of keeps the key,
+    states and coefficients of its last state tuple in one slot on the
     decomposition, outside its fields (dataclasses.replace starts empty), as
-    arrays only, so the memo makes no reference cycle."""
+    arrays only, so the slot makes no reference cycle."""
 
     eigenvalues: np.ndarray                   # shape (k,), descending
     basis: Basis                              # V, columns grouped by cluster
@@ -88,7 +88,7 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
     def __post_init__(self):
-        self._projections: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # Projection.of's memo
+        self._projection: tuple[bytes, np.ndarray, np.ndarray] | None = None  # Projection.of's slot
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum per-column values (along axis 0) over each cluster: (k[, b])."""
@@ -125,16 +125,12 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return x
 
 
-PROJECTION_MEMO = 4   # state tuples whose projection Projection.of keeps per decomposition
-
-
 class Projection:
     """c = V^T X of an (n, b) state matrix X (of(): 1-D states), formed once
     behind the one state check; per-state quantities are cluster sums or lifts.
-    of() projects a tuple of states once per decomposition while it stays
-    among the last PROJECTION_MEMO: the key is the bytes of the checked
-    float array, so a repeat reads back the bits a fresh projection gives,
-    as read-only arrays."""
+    of() keeps the last tuple of states it projected on the decomposition,
+    keyed by the bytes of the checked float array, so the same tuple again
+    reads back the bits a fresh projection gives, as read-only arrays."""
 
     def __init__(self, dec: SpectralDecomposition, X):
         X = np.asarray(X, dtype=float)
@@ -149,18 +145,15 @@ class Projection:
             for x in states:  # refuses the first state in error, as one state at a time would
                 as_state(x, dec.n)
         rows = np.array(states, dtype=float)
-        key, memo = rows.tobytes(), dec._projections
-        if key in memo:
-            memo[key] = memo.pop(key)  # now the newest
+        key, slot = rows.tobytes(), dec._projection
+        if slot is not None and slot[0] == key:
             proj = cls.__new__(cls)
-            proj.dec, (proj.states, proj.coef) = dec, memo[key]
+            proj.dec, proj.states, proj.coef = dec, *slot[1:]
             return proj
         proj = cls(dec, rows.T)
         for arr in (proj.states, proj.coef):
             arr.setflags(write=False)
-        memo[key] = proj.states, proj.coef
-        if len(memo) > PROJECTION_MEMO:
-            del memo[next(iter(memo))]  # the least recently read
+        dec._projection = key, proj.states, proj.coef
         return proj
 
     def weights(self) -> np.ndarray:
@@ -223,12 +216,10 @@ def _dense_edges(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _edge_scale(n: int, diagonal: np.ndarray, src: np.ndarray, dst: np.ndarray, entries: np.ndarray) -> float:
-    """||M||_inf = max_i (sum of |entries| at i, then + |d_i|) in one bincount,
-    which adds in input order, as graphs._vertex_sums, and leaves an
-    overflowing row sum inf with no warning, unlike a ufunc."""
-    size = np.abs(entries)
-    ends = np.concatenate((dst, src, np.arange(n)))
-    return float(np.bincount(ends, np.concatenate((size, size, np.abs(diagonal))), n).max())
+    """||M||_inf = max_i (the graphs._vertex_sums row sum of |entries| at i,
+    then + |d_i|), inf with no warning on overflow."""
+    with np.errstate(over="ignore"):
+        return float((_vertex_sums(n, src, dst, np.abs(entries)) + np.abs(diagonal)).max())
 
 
 def _edge_form(m) -> EdgeForm:
@@ -238,9 +229,7 @@ def _edge_form(m) -> EdgeForm:
     must be square, non-empty and symmetric to SYMMETRY_TOL * ||M||_inf,
     relative with no floor, so that scaling M by c > 0 keeps the verdict
     (exactly symmetric, its ||M||_inf is _edge_scale's, as a Hamiltonian's).
-    A Laplacian's is read off its diagonal as 2 max(d), bit for bit
-    _edge_scale's: d is _vertex_sums of w, added in the order in which
-    _edge_scale adds |-w|, so each row sum is d_i + d_i (inf on overflow).
+    A Laplacian's is 2 max(d): _edge_scale's _vertex_sums(|-w|) + |d| is d + d.
     ||M||_inf and twice it, which bounds every eigenvalue gap, are finite."""
     if isinstance(m, Hamiltonian):
         g, src, dst, values = m.graph, m.graph.src, m.graph.dst, m.values

@@ -27,8 +27,6 @@ from .spectral import Projection, SpectralDecomposition, _grid_walk, decompose, 
 from .states import NotCospectral, _support, check_strong_cospectrality
 from .tolerances import CLUSTER_SPREAD, DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
-SPREAD_CHUNK = 1024    # keys per stacked eigvalsh of the spread oracle
-
 
 @dataclass(eq=False)
 class PstVerdict:
@@ -378,7 +376,7 @@ def _degree_sorted(n: int, masks: np.ndarray) -> np.ndarray:
 
 def _spread_classes(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The keys on n vertices, ascending, how many masks have each, and their
-    spreads (-inf if disconnected) from eigvalsh on stacks of SPREAD_CHUNK.
+    spreads (-inf if disconnected) from eigvalsh on one (keys, n, n) stack.
     A graph is connected iff its second-smallest Laplacian eigenvalue exceeds
     FIEDLER_CUT (Fiedler): for n <= 6 it is 0 or at least 0.268."""
     iu, popcount, star = _edge_tables(n)
@@ -391,16 +389,13 @@ def _spread_classes(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
     rows = popcount[keys[:, None] & star] + n * np.arange(len(keys))[:, None]   # bin n * key index + degree
     classes = np.bincount(rows.ravel(), minlength=n * len(keys)).reshape(-1, n)
     factorial = np.cumprod([1, *range(1, n + 1)])
-    spreads = np.empty(len(keys))
-    for start in range(0, len(keys), SPREAD_CHUNK):
-        chunk = keys[start:start + SPREAD_CHUNK]
-        a = np.zeros((len(chunk), n, n))
-        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = (chunk[:, None] >> np.arange(len(iu[0]))) & 1
-        w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
-        connected = w[:, 1] > FIEDLER_CUT
-        if kind == ADJACENCY:
-            w = np.linalg.eigvalsh(a)
-        spreads[start:start + len(chunk)] = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
+    a = np.zeros((len(keys), n, n))
+    a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = (keys[:, None] >> np.arange(len(iu[0]))) & 1
+    w = np.linalg.eigvalsh(a.sum(axis=2)[:, :, None] * np.eye(n) - a)
+    connected = w[:, 1] > FIEDLER_CUT
+    if kind == ADJACENCY:
+        w = np.linalg.eigvalsh(a)
+    spreads = np.where(connected, w[:, -1] - w[:, 0], -np.inf)
     return keys, factorial[n] // factorial[classes].prod(axis=1), spreads
 
 

@@ -9,6 +9,9 @@ import pstwalk as pw
 from conftest import basis_state, pair_state
 from pstwalk import cli, serialize
 from pstwalk.cli import build_parser, main
+from pstwalk.families import _pair_plus_states
+from pstwalk.spectral import Projection
+from pstwalk.transfer import _partners
 
 
 def _write(tmp_path, name, doc):
@@ -320,6 +323,45 @@ def test_partner_refuses_a_wide_cluster(tmp_path, capsys):
     y = _state_file(tmp_path, "y.json", np.array([1.0, 0.5, -0.5, -0.5, -0.5]))
     code, doc, _ = _run(capsys, ["pst", g, x, y, "--kind", "custom", "--custom-matrix", m])
     assert code == 0 and (doc["decision"], doc["reason"]) == ("no", "ambiguous-clustering")
+
+
+def _wide_cluster_cases(tmp_path):
+    """(graph, state, options) of the two wide-cluster inputs: the star
+    K_{1,4} Laplacian plus 1e8 I with x = e0 - e1, and P6 with weights
+    (1e8, 1, 1, 1, 1) with x = e2 + e3."""
+    star = pw.join(pw.build_empty(1), pw.build_empty(4))
+    m = _write(tmp_path, "m.json", serialize.matrix_to_doc(star.laplacian() + 1e8 * np.eye(5)))
+    p6 = pw.make_graph(6, [(0, 1, 1e8), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
+    return [(_graph_file(tmp_path, "star.json", star), _state_file(tmp_path, "x.json", pair_state(5, 0, 1)),
+             ["--kind", "custom", "--custom-matrix", m]),
+            (_graph_file(tmp_path, "p6.json", p6), _state_file(tmp_path, "x23.json", basis_state(6, 2, 3)), [])]
+
+
+def test_analyze_refuses_a_wide_cluster(tmp_path, capsys):
+    """analyze applies the width check of pst and partner: on both inputs
+    periodic, rho, rho_symbolic and spectral_form are null, and partner
+    still refuses with ambiguous-clustering."""
+    for g, x, options in _wide_cluster_cases(tmp_path):
+        code, doc, err = _run(capsys, ["analyze", g, x, *options])
+        assert code == 0 and doc["class"] == "size2" and len(doc["support"]) == 2
+        assert [doc[key] for key in ("periodic", "rho", "rho_symbolic", "spectral_form")] == [None] * 4
+        assert err == "support size 2 (size2); ambiguous clustering\n"
+        code, doc, _ = _run(capsys, ["partner", g, x, *options])
+        assert code == 0 and doc["reason"] == "ambiguous-clustering"
+
+
+def test_analyze_refuses_where_partners_refuse(tmp_path, capsys):
+    """On the pair and plus states of the mixed-weight P6, analyze reports
+    periodic null exactly where pst_partners refuses a periodic support as
+    ambiguous-clustering, and true or false elsewhere."""
+    p6 = pw.make_graph(6, [(0, 1, 1e8), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
+    g = _graph_file(tmp_path, "p6.json", p6)
+    X = _pair_plus_states(6)[3]
+    refused = _partners(Projection(pw.decompose(pw.hamiltonian(p6, pw.ADJACENCY)), X), pw.DEFAULT_TOLERANCES)[4]
+    assert X.shape[1] == 30 and 0 < refused.sum() < 30
+    for c, column in enumerate(X.T):
+        code, doc, _ = _run(capsys, ["analyze", g, _state_file(tmp_path, "x.json", column)])
+        assert code == 0 and (doc["periodic"] is None) == refused[c], c
 
 
 @pytest.mark.parametrize("weight,kind,code,message", [

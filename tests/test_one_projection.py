@@ -6,10 +6,11 @@ factored basis's factor is part of one product). A dense V that tracks its
 transpose shows that no V^T product is made anywhere else. verify_pst_numeric
 works on the record's coefficients alone (no lift), and pst_decide takes its
 norms from them (no np.linalg.norm call), as does fidelity_derivatives' pair
-rule. Projection.of keeps its last PROJECTION_MEMO state tuples' projections
-on the decomposition: a repeat projects nothing and reads back the bits of a
-fresh projection, the memo stays bounded, holds no reference to the
-decomposition and starts empty on a dataclasses.replace twin."""
+rule. Projection.of keeps its last state tuple's projection in one slot on
+the decomposition: a repeat projects nothing and reads back the bits of a
+fresh projection, another tuple takes the slot, which holds no reference to
+the decomposition and starts empty on a dataclasses.replace twin; the op
+sequence of one large-graph pair projects twice."""
 
 import dataclasses
 import gc
@@ -21,7 +22,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import states
 from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
-from pstwalk.spectral import PROJECTION_MEMO, DenseBasis, Projection
+from pstwalk.spectral import DenseBasis, Projection
 from conftest import pair_state
 
 
@@ -109,7 +110,7 @@ def _case(name):
 def test_one_projection_per_public_call(spy, name):
     """On a decomposition that has not seen its states, each public call
     projects once; the same call again projects nothing where it goes
-    through Projection.of's memo, and once more where it takes a state
+    through Projection.of's slot, and once more where it takes a state
     matrix (pst_partners, support_mask)."""
     dec, x, y, tau = _case(name)
     X = np.column_stack((x, y, np.eye(dec.n)[2]))
@@ -126,7 +127,7 @@ def test_one_projection_per_public_call(spy, name):
         "fidelity_derivatives": (lambda d: pw.fidelity_derivatives(d, x, y, tau), 0),
     }
     for call_name, (call, again) in calls.items():
-        fresh = dataclasses.replace(dec)  # the same basis, an empty memo
+        fresh = dataclasses.replace(dec)  # the same basis, an empty slot
         assert spy(lambda: call(fresh)) == (1, 0), call_name
         assert spy(lambda: call(fresh)) == (again, 0), call_name
 
@@ -200,26 +201,38 @@ def test_memo_hit_is_a_fresh_projection(spy, name, dec):
 
 
 def test_memo_is_bounded(spy):
+    """One slot: the newest tuple is kept, and the one before it projects again."""
     dec = pw.decompose(pw.hamiltonian(pw.build_hypercube(8), pw.ADJACENCY))
-    states = np.random.default_rng(6).normal(size=(3 * PROJECTION_MEMO, dec.n))
-    for x in states:
-        Projection.of(dec, x)
-        assert len(dec._projections) <= PROJECTION_MEMO
-    # the last PROJECTION_MEMO are kept, the ones before them dropped
-    kept = states[-PROJECTION_MEMO:]
-    assert spy(lambda: [Projection.of(dec, x) for x in kept]) == (0, 0)
-    assert spy(lambda: Projection.of(dec, states[0])) == (1, 0)  # drops kept[0]
-    # a read makes a tuple the newest: a miss drops the least recently read
-    Projection.of(dec, kept[1])
-    Projection.of(dec, states[1])
-    assert spy(lambda: Projection.of(dec, kept[1])) == (0, 0)
-    assert spy(lambda: Projection.of(dec, kept[2])) == (1, 0)
+    x, y = np.random.default_rng(6).normal(size=(2, dec.n))
+    assert spy(lambda: Projection.of(dec, x)) == (1, 0)
+    assert spy(lambda: Projection.of(dec, y)) == (1, 0)
+    assert dec._projection[0] == y.tobytes()
+    assert spy(lambda: Projection.of(dec, y)) == (0, 0)
+    assert spy(lambda: Projection.of(dec, x)) == (1, 0)
+    assert spy(lambda: Projection.of(dec, y)) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["P7", "Q8"])
+def test_pair_op_sequence_projects_twice(spy, name):
+    """The ops large-graph runs on one pair: pst_partner projects x, and
+    pst_decide (x, y), which verify, scan and derivatives read back."""
+    dec, x, _, _ = _case(name)
+    dec = dataclasses.replace(dec)  # an empty slot
+
+    def sequence():
+        y = pw.pst_partner(dec, x)
+        tau = pw.pst_decide(dec, x, y).tau_min
+        assert pw.verify_pst_numeric(dec, x, y, tau).passed
+        pw.fidelity_scan(dec, x, y, 2.0 * tau, 64)
+        assert pw.fidelity_derivatives(dec, x, y, tau).bound_ok
+
+    assert spy(sequence) == (2, 0)
 
 
 @pytest.mark.parametrize("name,dec", _decompositions(), ids=lambda v: v if isinstance(v, str) else "")
 def test_pipeline_leaves_no_reference_cycle(name, dec):
     """With the cyclic collector off, a decomposition that ran every stage
-    dies on del: the memo holds arrays only."""
+    dies on del: the slot holds arrays only."""
     dec = dataclasses.replace(dec)  # the parametrize list keeps the original
     x = pair_state(dec.n, 0, dec.n - 1, 1.0)
     gc.collect()
@@ -235,7 +248,7 @@ def test_pipeline_leaves_no_reference_cycle(name, dec):
             pw.fidelity_derivatives(dec, x, y, tau)
         pw.evolve(dec, tau, x), pw.fidelity(dec, tau, x, y), pw.support(dec, x)
         pw.pst_partners(dec, np.column_stack((x, y))), pw.transition_matrix(dec, tau)
-        assert dec._projections
+        assert dec._projection is not None
         ref = weakref.ref(dec)
         del dec, verdict
         assert ref() is None
@@ -248,7 +261,7 @@ def test_replace_twin_projects_through_its_own_basis(spy):
     x, y = pair_state(7, 0, 6), pair_state(7, 1, 5)
     coef = Projection.of(dec, x, y).coef
     twin = dataclasses.replace(dec, basis=DenseBasis(-dec.basis.v))
-    assert twin._projections == {} and len(dec._projections) == 1
+    assert twin._projection is None and dec._projection[0] == np.array([x, y]).tobytes()
     assert spy(lambda: Projection.of(twin, x, y)) == (1, 0)
     assert np.array_equal(Projection.of(twin, x, y).coef, -coef)
     assert np.array_equal(Projection.of(dec, x, y).coef, coef)
