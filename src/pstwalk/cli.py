@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from . import serialize
-from .errors import FixedStateError, MalformedDocumentError, NumericFailureError, PstwalkError
+from .errors import MalformedDocumentError, NumericFailureError, PstwalkError
 from .graphs import ADJACENCY, CUSTOM, LAPLACIAN, check_dense, hamiltonian, load_custom
-from .spectral import Projection, decompose
+from .spectral import decompose
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 KINDS = {"adj": ADJACENCY, "lap": LAPLACIAN, "custom": CUSTOM}
@@ -84,9 +84,8 @@ def _inputs(args, *state_names: str) -> tuple:
 
 def cmd_analyze(args) -> tuple[dict, str]:
     from .arith import symbolic_pi_multiple
-    from .periodicity import NonPeriodic, classify_form, ratio_condition
+    from .periodicity import Ambiguous, NonPeriodic, classify_form, support_period
     from .states import FIXED, support
-    from .transfer import _ambiguous
 
     cfg, dec, x = _inputs(args, "state")
     prof = support(dec, x, cfg)
@@ -102,12 +101,12 @@ def cmd_analyze(args) -> tuple[dict, str]:
         doc["periodic"] = True  # trivially: the state only acquires a phase
         summary = "fixed state"
     else:
-        table = ratio_condition(prof.eigenvalues, cfg)
+        table = support_period(dec, prof.indices, cfg)
         if isinstance(table, NonPeriodic):
             doc["periodic"] = False
             summary = "not periodic"
-        elif _ambiguous(dec, list(prof.indices), table.period / 2.0) is not None:
-            # the width check of pst and partner: periodic, rho and spectral_form stay null
+        elif isinstance(table, Ambiguous):
+            # as pst and partner refuse it: periodic, rho and spectral_form stay null
             return doc, f"support size {prof.size} ({prof.kind}); ambiguous clustering"
         else:
             rho = table.period
@@ -138,19 +137,20 @@ def cmd_pst(args) -> tuple[dict, str]:
 
 def cmd_partner(args) -> tuple[dict, str]:
     from .arith import symbolic_pi_multiple
-    from .transfer import _partners
+    from .periodicity import Ambiguous, RatioTable, support_period
+    from .states import support
+    from .transfer import pst_partner
 
     cfg, dec, x = _inputs(args, "x")
-    partners, found, fixed, taus, refused = _partners(Projection(dec, x[:, None]), cfg)
-    if fixed[0]:
-        raise FixedStateError("fixed states admit no transfer")
-    if not found[0]:
-        reason = "ambiguous-clustering" if refused[0] else "not-periodic"
+    partner = pst_partner(dec, x, cfg)
+    table = support_period(dec, support(dec, x, cfg).indices, cfg)   # support reads x's projection back
+    if not isinstance(table, RatioTable):
+        reason = "ambiguous-clustering" if isinstance(table, Ambiguous) else "not-periodic"
         doc = {"partner": None, "tau": None, "tau_symbolic": None, "reason": reason}
         return doc, f"no partner ({reason.replace('-', ' ')})"
-    tau = float(taus[0])
+    tau = table.period / 2.0
     doc = {
-        "partner": serialize.state_to_doc(partners[:, 0]),
+        "partner": serialize.state_to_doc(partner),
         "tau": tau,
         "tau_symbolic": symbolic_pi_multiple(tau),
         "reason": None,

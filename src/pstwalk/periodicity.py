@@ -1,6 +1,6 @@
 """Periodicity of states: the ratio condition with exact rational
-reconstruction, and the minimum period and the spectral form (integer vs
-quadratic) read from its table."""
+reconstruction, the one periodicity stage of a support (that table, then its
+width check), and the minimum period and spectral form read from the table."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .arith import reconstruct_fraction, squarefree_split
 from .errors import InvalidStateError, NumericFailureError
-from .tolerances import DEFAULT_TOLERANCES, PHASE_ALIGNMENT, ToleranceConfig
+from .tolerances import CLUSTER_SPREAD, DEFAULT_TOLERANCES, PHASE_ALIGNMENT, ToleranceConfig
 
 # A period's denominator lcm must stay below this bound: ratio_condition reports
 # a support whose running lcm reaches it as NonPeriodic, and RatioTable.period
@@ -82,6 +82,14 @@ class NonPeriodic:
 
 
 @dataclass(frozen=True)
+class Ambiguous:
+    """Negative verdict: a periodic support whose phase spread, half the
+    period times the width of its widest cluster, exceeds CLUSTER_SPREAD."""
+
+    spread: float
+
+
+@dataclass(frozen=True)
 class SpectralForm:
     """Shape of a support: integer spectrum or half-integers a + b_j*sqrt(d)
     over two, with the gcd g used by the closed-form minimum period."""
@@ -137,6 +145,18 @@ def ratio_condition(supp, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTab
         qs.append(q)
         res.append(err)
     return RatioTable(vals[0], vals[1], tuple(ps), tuple(qs), tuple(res))
+
+
+def support_period(dec, indices, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RatioTable | NonPeriodic | Ambiguous:
+    """pst_decide's, pst_partners' and analyze's periodicity stage on the support of
+    at least two clusters of dec at indices: ratio_condition's verdict, or Ambiguous
+    where a periodic table's spread tau * width, tau = period / 2, exceeds CLUSTER_SPREAD."""
+    indices = list(indices)
+    table = ratio_condition(dec.eigenvalues[indices], cfg)
+    if isinstance(table, NonPeriodic):
+        return table
+    spread = table.period / 2.0 * float(dec.widths[indices].max())
+    return Ambiguous(spread) if spread > CLUSTER_SPREAD else table
 
 
 def classify_form(

@@ -77,8 +77,8 @@ DEP_TOL = 1e-8
 PHASE_ALIGNMENT = 1e-7
 
 # -- transfer times and fidelities --------------------------------------------
-# 1e-4, absolute phase: transfer.pst_decide refuses a yes as ambiguous-clustering
-# when tau times a support cluster's width exceeds it.
+# 1e-4, absolute phase: periodicity.support_period refuses a periodic support as
+# ambiguous-clustering, for pst, partner and analyze, when tau times a cluster's width exceeds it.
 CLUSTER_SPREAD = 1e-4
 # 1e-9, absolute: a fidelity in (1, 1 + FIDELITY_CLAMP] reads as 1
 # (spectral.normalized_fidelity); a larger one is shown as it is.

@@ -22,10 +22,10 @@ from .graphs import (
     join,
     make_graph,
 )
-from .periodicity import NonPeriodic, RatioTable, ratio_condition
+from .periodicity import Ambiguous, NonPeriodic, RatioTable, support_period
 from .spectral import Projection, SpectralDecomposition, _grid_walk, decompose, normalized_fidelity, walk
 from .states import NotCospectral, _support, check_strong_cospectrality
-from .tolerances import CLUSTER_SPREAD, DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
+from .tolerances import DEFAULT_TOLERANCES, FIEDLER_CUT, SPREAD_TIE, ToleranceConfig
 
 
 @dataclass(eq=False)
@@ -101,14 +101,6 @@ def _refusal(reason: str, detail: float | None = None, **kw) -> PstVerdict:
     return PstVerdict(decision=False, reason=reason, detail=detail, **kw)
 
 
-def _ambiguous(dec: SpectralDecomposition, clusters, tau: float) -> float | None:
-    """The phase spread tau * width of the widest of the clusters where it
-    exceeds CLUSTER_SPREAD, else None: pst_decide's and _partners' one
-    ambiguous-clustering check."""
-    spread = tau * float(dec.widths[clusters].max())
-    return spread if spread > CLUSTER_SPREAD else None
-
-
 def pst_decide(
     dec: SpectralDecomposition, x, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> PstVerdict:
@@ -117,10 +109,9 @@ def pst_decide(
     Decision tree, each step's "no" a returned value and no exception caught:
     strong cospectrality over the support of x (NotCospectral: fixed-state,
     not-cospectral or ambiguous-cospectrality, its eigenvalue the detail),
-    then the ratio condition on that support (NonPeriodic), then the phase
-    spread tau * width of its widest cluster (ambiguous-clustering above
-    CLUSTER_SPREAD, the spread the detail), then the parity condition: with
-    the largest support eigenvalue plus, the minus class must be exactly the
+    then support_period on that support (not-periodic, or ambiguous-clustering
+    with the phase spread the detail), then the parity condition: with the
+    largest support eigenvalue plus, the minus class must be exactly the
     ratio table's flips (odd r_j, read on exact reconstructed integers). The
     case label records the support size and, for three or more eigenvalues,
     whether the second-largest is plus (2a) or minus (2b).
@@ -129,7 +120,7 @@ def pst_decide(
     if isinstance(cert, NotCospectral):
         return _refusal(cert.reason, detail=cert.eigenvalue)
     sup = cert.profile.eigenvalues
-    table = ratio_condition(sup, cfg)
+    table = support_period(dec, cert.profile.indices, cfg)
     if isinstance(table, NonPeriodic):
         return _refusal(
             "not-periodic",
@@ -137,10 +128,9 @@ def pst_decide(
             sigma_plus=cert.sigma_plus,
             sigma_minus=cert.sigma_minus,
         )
+    if isinstance(table, Ambiguous):
+        return _refusal("ambiguous-clustering", detail=table.spread)
     tau = table.period / 2.0
-    spread = _ambiguous(dec, list(cert.profile.indices), tau)
-    if spread is not None:
-        return _refusal("ambiguous-clustering", detail=spread)
     minus = set(cert.minus_positions)
     if 0 in minus:  # canonicalize: largest support eigenvalue kept positive
         minus = set(cert.plus_positions)
@@ -189,17 +179,15 @@ def pst_partners(
     stable np.lexsort of the keys is cut where consecutive keys differ, so
     each group lists its columns in ascending order.
     """
-    return _partners(Projection(dec, X), cfg)[:4]
+    return _partners(Projection(dec, X), cfg)
 
 
-def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
-    """pst_partners' four arrays, then the mask (b,) of the periodic columns
-    refused as ambiguous-clustering (_ambiguous), which are not found."""
+def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pst_partners' four arrays, of a Projection's columns."""
     dec, X = proj.dec, proj.states
     mask = _support(proj.weights(), cfg)
     partners = np.full(X.shape, np.nan)
     tau = np.full(X.shape[1], np.nan)
-    refused = np.zeros(X.shape[1], dtype=bool)
     bits = np.int64(1) << np.arange(63, dtype=np.int64)   # row r of the mask is bit r % 63 of key word r // 63
     keys = np.array([bits[:len(mask) - r] @ mask[r:r + 63] for r in range(0, len(mask), 63)])
     order = np.lexsort(keys)
@@ -212,15 +200,12 @@ def _partners(proj: Projection, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
         idx = np.nonzero(mask[:, cols[0]])[0]
         if len(idx) == 1:
             continue
-        table = ratio_condition(dec.eigenvalues[idx], cfg)
-        if isinstance(table, NonPeriodic):
-            continue
-        if _ambiguous(dec, idx, table.period / 2.0) is not None:
-            refused[cols] = True
+        table = support_period(dec, idx, cfg)
+        if not isinstance(table, RatioTable):
             continue
         partners[:, cols] = proj.reflect(cols, idx[list(table.flips)])
         tau[cols] = table.period / 2.0
-    return partners, ~np.isnan(tau), mask.sum(axis=0) == 1, tau, refused
+    return partners, ~np.isnan(tau), mask.sum(axis=0) == 1, tau
 
 
 def pst_partner(
@@ -229,7 +214,7 @@ def pst_partner(
     """The unique state admitting transfer from x, or None when x is not
     periodic or ambiguous-clustering; the one-column case of pst_partners.
     Raises FixedStateError for a single-eigenvalue support."""
-    partners, found, fixed, _, _ = _partners(Projection.of(dec, x), cfg)
+    partners, found, fixed, _ = _partners(Projection.of(dec, x), cfg)
     if fixed[0]:
         raise FixedStateError("fixed states admit no transfer")
     return partners[:, 0] if found[0] else None

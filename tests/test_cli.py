@@ -1,17 +1,19 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pstwalk as pw
 from conftest import basis_state, pair_state
-from pstwalk import cli, serialize
+from pstwalk import cli, periodicity, serialize
 from pstwalk.cli import build_parser, main
 from pstwalk.families import _pair_plus_states
-from pstwalk.spectral import Projection
-from pstwalk.transfer import _partners
+from pstwalk.periodicity import Ambiguous, support_period
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _write(tmp_path, name, doc):
@@ -357,11 +359,32 @@ def test_analyze_refuses_where_partners_refuse(tmp_path, capsys):
     p6 = pw.make_graph(6, [(0, 1, 1e8), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)])
     g = _graph_file(tmp_path, "p6.json", p6)
     X = _pair_plus_states(6)[3]
-    refused = _partners(Projection(pw.decompose(pw.hamiltonian(p6, pw.ADJACENCY)), X), pw.DEFAULT_TOLERANCES)[4]
+    dec = pw.decompose(pw.hamiltonian(p6, pw.ADJACENCY))
+    supports = [np.flatnonzero(column) for column in pw.support_mask(dec, X).T]
+    refused = np.array([len(idx) > 1 and isinstance(support_period(dec, idx), Ambiguous) for idx in supports])
     assert X.shape[1] == 30 and 0 < refused.sum() < 30
     for c, column in enumerate(X.T):
         code, doc, _ = _run(capsys, ["analyze", g, _state_file(tmp_path, "x.json", column)])
         assert code == 0 and (doc["periodic"] is None) == refused[c], c
+
+
+def test_planted_width_rule_reaches_every_surface(monkeypatch, capsys):
+    """pst, partner and analyze read the width check from periodicity alone:
+    lifted to infinity, the heavy-end P6 golden state (spread 1.405) is
+    decided yes, given a partner and a period, all at one time; at -1 every
+    periodic support is refused, the P7 golden pair on all three."""
+    heavy = [str(GOLDEN_INPUTS / name) for name in ("p6_heavy.json", "p6_heavy_x.json", "p6_heavy_y.json")]
+    p7 = [str(GOLDEN_INPUTS / name) for name in ("p7.json", "p7_x.json", "p7_y.json")]
+    monkeypatch.setattr(periodicity, "CLUSTER_SPREAD", math.inf)
+    _, verdict, _ = _run(capsys, ["pst", *heavy])
+    _, partner, _ = _run(capsys, ["partner", *heavy[:2]])
+    _, analysis, _ = _run(capsys, ["analyze", *heavy[:2]])
+    assert verdict["decision"] == "yes" and partner["partner"] is not None and analysis["periodic"] is True
+    assert verdict["tau_min"] == partner["tau"] == analysis["rho"] / 2.0
+    monkeypatch.setattr(periodicity, "CLUSTER_SPREAD", -1.0)
+    assert _run(capsys, ["pst", *p7])[1]["reason"] == "ambiguous-clustering"
+    assert _run(capsys, ["partner", *p7[:2]])[1]["reason"] == "ambiguous-clustering"
+    assert _run(capsys, ["analyze", *p7[:2]])[1]["periodic"] is None
 
 
 @pytest.mark.parametrize("weight,kind,code,message", [

@@ -40,6 +40,14 @@ CASES = [
     ("pst-p7-not-cospectral", ["pst", "p7.json", "p7_x.json", "p7_e01.json"], 0),
     ("extremal-6-lap-exhaustive", ["extremal", "6", "--kind", "lap", "--exhaustive"], 0),
     ("extremal-6-adj-exhaustive", ["extremal", "6", "--kind", "adj", "--exhaustive"], 0),
+    # the P6 adjacency with edge (0, 1) at weight 1e8: x = e2 + e5 is periodic,
+    # but its phase spread at tau is 1.405, so all three refuse it as ambiguous-clustering
+    ("pst-p6-heavy", ["pst", "p6_heavy.json", "p6_heavy_x.json", "p6_heavy_y.json"], 0),
+    ("partner-p6-heavy", ["partner", "p6_heavy.json", "p6_heavy_x.json"], 0),
+    ("analyze-p6-heavy", ["analyze", "p6_heavy.json", "p6_heavy_x.json"], 0),
+    # x = e0 + e1 on P7 is not periodic
+    ("partner-p7-nonperiodic", ["partner", "p7.json", "p7_e0p1.json"], 0),
+    ("analyze-p7-nonperiodic", ["analyze", "p7.json", "p7_e0p1.json"], 0),
 ]
 
 

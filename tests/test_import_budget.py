@@ -70,7 +70,7 @@ GRAPH_PAIR = ["p7.json", "p7_x.json", "p7_y.json"]
 CASES = [
     (["pst", *GRAPH_PAIR], CATALOG),
     (["partner", "p7.json", "p7_x.json"], CATALOG),
-    (["analyze", "p7.json", "p7_x.json"], CATALOG),
+    (["analyze", "p7.json", "p7_x.json"], CATALOG | {"transfer"}),
     (["scan", *GRAPH_PAIR, "--tmax", "3", "--steps", "40"], CATALOG),
     (["synthesize", "p7_x.json", "p7_y.json", "--tau", "1.25", "--m1", "2", "--m2", "2"],
      CATALOG - {"synthesis"} | {"transfer", "periodicity"}),

@@ -291,7 +291,7 @@ def test_spread_oracle_reads_connectivity_from_the_spectrum():
 
 
 @pytest.mark.parametrize("kind", [pw.LAPLACIAN, pw.ADJACENCY])
-def test_chunked_spread_oracle_equals_the_per_mask_loop(kind):
+def test_spread_oracle_equals_the_per_mask_loop(kind):
     for n in range(2, 7):
         assert _spread_oracle(n, kind) == reference_spread_oracle(n, kind)
 

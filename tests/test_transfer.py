@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import transfer
+from pstwalk import periodicity
 from pstwalk.tolerances import CLUSTER_SPREAD
 from conftest import basis_state, decompose_graph, pair_state, random_connected_graph, random_support_state, unit
 from oracles import all_partners, expm_transfer
@@ -60,7 +60,7 @@ def _lifted_partners(monkeypatch, dec, X):
     """pst_partners of the columns of X with CLUSTER_SPREAD lifted: every
     periodic column's partner, a wide cluster's too."""
     with monkeypatch.context() as patch:
-        patch.setattr(transfer, "CLUSTER_SPREAD", math.inf)
+        patch.setattr(periodicity, "CLUSTER_SPREAD", math.inf)
         return pw.pst_partners(dec, X)
 
 
@@ -131,7 +131,7 @@ def test_heavy_end_paths_decide_no_false_yes(monkeypatch):
                             elif refused:
                                 spreads.append(verdict.detail)
                                 with monkeypatch.context() as patch:
-                                    patch.setattr(transfer, "CLUSTER_SPREAD", math.inf)
+                                    patch.setattr(periodicity, "CLUSTER_SPREAD", math.inf)
                                     lifted = pw.pst_decide(dec, x, partners[:, 0])
                                 assert lifted.decision
                                 fidelity = expm_transfer(ham.matrix, x, partners[:, 0], lifted.tau_min)
