@@ -6,11 +6,12 @@ Usage, from the root of a checkout:
 
 The inputs are Q6-Q10, P64, P65, P100, P300, C64, C128, C300, P40xK2,
 C32xK2, C64xK2, the grid P8xP8 (at the routes' size gate), the tori C9xC9
-and C16xP8, a seeded relabelled Q8, K32,32, K50,80, C40vK100, Q6vC70 and
-E50vK30 (the empty graph joined to K30), which the factored routes take,
-and P40 and C40 (below the size gate), a seeded random weighted graph on
-100 vertices and K32,32 with weight 2 on its edge (0, 63), which eigh
-takes (the last took the mirror route until that route was deleted); each
+and C16xP8, K32,32, K50,80, C40vK100, Q6vC70 and E50vK30 (the empty graph
+joined to K30), which the factored routes take, and P40 and C40 (below the
+size gate), a seeded relabelled Q8, a seeded random weighted graph on 100
+vertices and K32,32 with weight 2 on its edge (0, 63), which eigh takes
+(the relabelled Q8 took the bipartite route, and the heavy K32,32 the
+mirror route, until those routes were deleted); each
 with both kinds, and each kind decomposed as a Hamiltonian h, as the raw
 matrix np.array(h.matrix) and as 2.5 M + 0.75 I. The digest of one
 decomposition covers its eigenvalues, offsets, dense V (its basis's

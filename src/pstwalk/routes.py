@@ -1,8 +1,9 @@
 """The route table of decompose, ROUTES, and the factored bases its routes
-hold V in: each route detects one structure exactly on the EdgeForm, in
-O(m), and returns its eigenpairs (values sorted in either direction, and a
-basis of spectral's protocol n, project, lift, dense) or passes the form on
-(None); ROUTES ends in spectral._eigh_route, which takes every form.
+hold V in: each of the four structure routes (product, circulant, path,
+join) detects one structure exactly on the EdgeForm, in O(m), and returns
+its eigenpairs (values sorted in either direction, and a basis of
+spectral's protocol n, project, lift, dense) or passes the form on (None);
+ROUTES ends in spectral._eigh_route, which takes every form.
 
 spectral._eigenpairs imports this module on the first form of ROUTE_MIN_N
 vertices or more and reads ROUTES through it on each call, so a process
@@ -18,59 +19,6 @@ import numpy as np
 
 from .graphs import _dense, _vertex_sums
 from .spectral import DenseBasis, EdgeForm, _eigenpairs, _eigh_route
-
-
-class BipartiteBasis:
-    """The eigenvectors V of cI + [[0, B], [B^T, 0]] on the parts P, Q, held
-    as the SVD B = U S W^T (u = U, v = W) of the bipartite route. With
-    r = min(|P|, |Q|), V's columns are the r plus vectors [u_i; w_i]/sqrt(2),
-    the null columns u_i (rows P) or w_i (rows Q), i >= r, of the longer
-    side, and the r minus vectors [u_i; -w_i]/sqrt(2) in reverse. project
-    and lift make no (n, n) array; dense() builds V."""
-
-    def __init__(self, p: np.ndarray, q: np.ndarray, u: np.ndarray, v: np.ndarray):
-        self.p, self.q, self.u, self.v = p, q, u, v
-        self.n = len(p) + len(q)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """V^T x for an (n, b) x."""
-        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
-        a, b = self.u.T @ x[self.p], self.v.T @ x[self.q]
-        out = np.empty((n, x.shape[1]))
-        np.add(a[:r], b[:r], out=out[:r])
-        np.subtract(a[:r], b[:r], out=out[n - r:][::-1])
-        out[:r] *= h
-        out[n - r:] *= h
-        out[r:n - r] = a[r:] if len(self.p) > r else b[r:]
-        return out
-
-    def lift(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """V[:, cols] c, as V c with the rows of c outside cols zero."""
-        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
-        c, given = np.zeros((n, c.shape[1])), c
-        c[cols] = given
-        parts = []
-        for side, sub, fold in ((self.p, self.u, np.add), (self.q, self.v, np.subtract)):
-            z = np.empty((len(side), c.shape[1]))
-            fold(c[:r], c[n - r:][::-1], out=z[:r])
-            z[:r] *= h
-            if len(side) > r:  # the null columns are the longer side's
-                z[r:] = c[r:n - r]
-            parts.append(sub @ z)
-        out = np.empty((n, c.shape[1]))
-        out[self.p], out[self.q] = parts
-        return out
-
-    def dense(self) -> np.ndarray:
-        """V as one (n, n) array."""
-        n, r, h = self.n, min(len(self.p), len(self.q)), math.sqrt(0.5)
-        vectors = np.zeros((n, n))
-        for rows, basis, tail in ((self.p, self.u, h), (self.q, self.v, -h)):
-            vectors[rows, :r] = basis[:, :r] * h
-            vectors[rows, n - r:] = basis[:, :r][:, ::-1] * tail
-            if len(rows) > r:  # the null columns are the longer side's
-                vectors[rows, r:n - r] = basis[:, r:]
-        return vectors
 
 
 class FourierBasis:
@@ -248,91 +196,7 @@ class JoinBasis:
 
 
 # V, as each route holds it
-Basis = DenseBasis | BipartiteBasis | KroneckerBasis | FourierBasis | PathBasis | JoinBasis
-
-
-def _route_parts(form: EdgeForm) -> tuple[np.ndarray, np.ndarray] | None:
-    """The sorted parts P, Q on which the form takes the bipartite route
-    (_bipartite_eigh); None for two diagonal values. Vertex 0's edges settle
-    the dense patterns in O(m): a triangle through it has no 2-colouring, and
-    a complete bipartite pattern is left to the routes after it, while the SVD
-    of its rank-one block is erratic (1.8x eigh's time over K_{p,q}, 64 <= p +
-    q <= 256); a uniform one, K_{p,q} as built, meets the join route before
-    this one. Otherwise a breadth-first search colours each component from
-    its least vertex, refuses at the first edge inside a colour and stops once
-    every vertex is coloured; one pass over the edges then checks each joins P
-    to Q."""
-    n, diagonal, src, dst = form.n, form.diagonal, form.src, form.dst
-    if (diagonal != diagonal[0]).any():
-        return None
-    d = int(np.searchsorted(src, 1))  # vertex 0's edges come first
-    nbrs = np.zeros(n, dtype=bool)
-    nbrs[dst[:d]] = True
-    if (nbrs[src] & nbrs[dst]).any() or len(src) == d * (n - d) > 0 and (nbrs[src] != nbrs[dst]).all():
-        return None
-    ends = np.concatenate((src, dst))
-    order = np.argsort(ends, kind="stable")
-    adj = np.concatenate((dst, src))[order].tolist()
-    starts = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
-    colour = [-1] * n
-    left = n
-    for root in range(n):
-        if colour[root] >= 0:
-            continue
-        colour[root] = 0
-        left -= 1
-        queue = [root]
-        for u in queue:  # grows while it is read
-            if not left:
-                break
-            other = 1 - colour[u]
-            for v in adj[starts[u]:starts[u + 1]]:
-                if colour[v] < 0:
-                    colour[v] = other
-                    left -= 1
-                    queue.append(v)
-                elif colour[v] != other:
-                    return None
-    side = np.array(colour, dtype=bool)
-    if (side[src] == side[dst]).any():
-        return None
-    return np.flatnonzero(~side), np.flatnonzero(side)
-
-
-def _block_entries(n: int, p: np.ndarray, q: np.ndarray, src: np.ndarray,
-                   dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, k) for each edge (src, dst) of the n x n M, which each join P to
-    Q: the edge (p_i, q_k) is the entry (i, k) of B = M[P, Q]."""
-    in_q = np.zeros(n, dtype=bool)
-    in_q[q] = True
-    rank = np.empty(n, dtype=np.intp)
-    rank[p] = np.arange(len(p))
-    rank[q] = np.arange(len(q))
-    flip = in_q[src]
-    return rank[np.where(flip, dst, src)], rank[np.where(flip, src, dst)]
-
-
-def _dense_block(shape: tuple[int, int], i: np.ndarray, k: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """The SVD's rectangular block B = M[P, Q] of the given shape, with the
-    entries at (i, k) (_block_entries) and zero elsewhere, float for float
-    the gather from the dense M (a -0.0 off M's nonzeros reads as 0.0)."""
-    b = np.zeros(shape)
-    b[i, k] = entries
-    return b
-
-
-def _bipartite_eigh(form: EdgeForm, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, BipartiteBasis]:
-    """The eigenpairs, descending, of the form's M = cI + A, A zero inside P
-    and inside Q, from an SVD of the half-size block B = M[P, Q] = U S V^T
-    (Golub and Van Loan, Matrix Computations, 8.6): A has the eigenpairs
-    (+-s_i, [u_i; +-v_i]/sqrt(2)) for i < r = min(|P|, |Q|), and 0 on the
-    columns [u; 0] (or [0; v]) of U (or V) past r. Neither M nor V is
-    formed: V is returned factored (BipartiteBasis), and B is made dense
-    (_dense_block) only for np.linalg.svd."""
-    n, c = form.n, form.diagonal[0]
-    i, k = _block_entries(n, p, q, form.src, form.dst)
-    u, s, vt = np.linalg.svd(_dense_block((len(p), len(q)), i, k, form.entries))
-    return np.concatenate((c + s, np.full(n - 2 * len(s), c), (c - s)[::-1])), BipartiteBasis(p, q, u, vt.T)
+Basis = DenseBasis | KroneckerBasis | FourierBasis | PathBasis | JoinBasis
 
 
 def _divisors(n: int) -> list[int]:
@@ -461,9 +325,8 @@ def _product_route(form: EdgeForm):
     from the route table (_eigenpairs) in its own basis: the eigenpairs
     (lambda_i + mu_j, g_i (x) h_j) sorted descending into a KroneckerBasis
     (Q10 built and decomposed: 0.7-0.8 ms against 230-270 ms by eigh; the
-    P45 x P45 grid: 0.95-1.05 ms against 220-320 ms by eigh or the bipartite
-    route's SVD; best of runs on one core of a 2-vCPU machine, as every time
-    here)."""
+    P45 x P45 grid: 0.9-1.3 ms against 750-820 ms by eigh; best of runs on
+    one core of a 2-vCPU machine, as every time here)."""
     factors = _box_split(form)
     if factors is None:
         return None
@@ -484,8 +347,8 @@ def _circulant_route(form: EdgeForm):
     Every circulant is regular, so a form with 2m != n deg(0) is passed on
     first, in O(log m) (K100,156 adjacency: 1.7 us, against 36 us for the
     class count). numpy.fft loads on first access (about 0.9 ms), so only a
-    circulant reaches it (C300 Laplacian: 0.12 ms, against 4.5 ms by the
-    bipartite route's SVD)."""
+    circulant reaches it (C300 Laplacian: 0.14-0.15 ms, against 6.5-7.0 ms
+    by eigh)."""
     n, src, dst, entries = form.n, form.src, form.dst, form.entries
     if 2 * len(src) != n * int(src.searchsorted(1)):  # vertex 0's edges come first
         return None
@@ -521,8 +384,7 @@ def _path_route(form: EdgeForm):
     entry w, one interior diagonal value a, and both ends equal to a or to a +
     w as it rounds. So a path shifted by cI whose end sum a + w rounds away
     from its shifted end value is passed on, to eigh, which is slower but as
-    correct (P300 adjacency: 0.09 ms, against 3.7 ms by the bipartite route's
-    SVD)."""
+    correct (P300 adjacency: 0.10-0.15 ms, against 6.3-6.8 ms by eigh)."""
     n, d, src, dst, entries = form.n, form.diagonal, form.src, form.dst, form.entries
     if len(src) != n - 1:
         return None
@@ -576,12 +438,4 @@ def _join_route(form: EdgeForm):
     return values[order], JoinBasis(a.n, tuple(sides), q, order)
 
 
-def _bipartite_route(form: EdgeForm):
-    """cI + [[0, B], [B^T, 0]] on the parts _route_parts finds, by one SVD of
-    B (_bipartite_eigh) (P300 adjacency with weight 2 on both end edges:
-    3.4 ms, against 8.2 ms by eigh)."""
-    parts = _route_parts(form)
-    return None if parts is None else _bipartite_eigh(form, *parts)
-
-
-ROUTES = (_product_route, _circulant_route, _path_route, _join_route, _bipartite_route, _eigh_route)
+ROUTES = (_product_route, _circulant_route, _path_route, _join_route, _eigh_route)

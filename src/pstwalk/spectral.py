@@ -70,14 +70,9 @@ class SpectralDecomposition:
     offsets: np.ndarray                       # shape (k + 1,), cluster column boundaries
     multiplicities: tuple[int, ...]
     scale: float                              # ||M||_inf of the decomposed matrix
-    route: str                                # the route that took M: product, ..., join, ..., eigh
+    route: str                                # the route that took M: product, circulant, path, join or eigh
     widths: np.ndarray                        # shape (k,), each cluster's lambda_first - lambda_last
     warnings: tuple[str, ...] = ()            # one per cluster gap below GAP_WARNING x the threshold
-
-    @property
-    def ambiguous(self) -> bool:
-        """Whether some cluster gap was below GAP_WARNING times the clustering threshold."""
-        return bool(self.warnings)
 
     @property
     def n(self) -> int:
@@ -330,7 +325,7 @@ def decompose(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SpectralDecomposi
     A Hamiltonian or a raw matrix m passes one door (_edge_form) into an
     EdgeForm, and the spectrum comes from _eigenpairs: below ROUTE_MIN_N,
     np.linalg.eigh alone; from it on, the first route of routes.ROUTES
-    that takes the form, five routes for structures detected exactly on
+    that takes the form, four routes for structures detected exactly on
     it, none reading the dense matrix, and np.linalg.eigh for every form.
     ROUTE_MIN_N is the crossover measured on paths, cycles and hypercubes
     and keeps the bytes of every CLI golden, all smaller: the routes agree

@@ -345,20 +345,6 @@ def _edge_tables(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return iu, popcount, ((ends == iu[0]) | (ends == iu[1])) @ (1 << np.arange(len(iu[0])))
 
 
-def _degree_sorted(n: int, masks: np.ndarray) -> np.ndarray:
-    """Each edge mask's key: the mask after relabelling its vertices by
-    descending degree, ties kept in label order."""
-    iu, popcount, star = _edge_tables(n)
-    position = np.zeros((n, n), dtype=int)   # edge index of {u, v}
-    position[iu] = position[iu[1], iu[0]] = np.arange(len(iu[0]))
-    # float, as a uint8 stable argsort would page in numpy's radix sort code
-    order = np.argsort(-popcount[masks[:, None] & star].astype(float), axis=1, kind="stable")
-    label = np.empty_like(order)   # new label of each old vertex
-    label[np.arange(len(masks))[:, None], order] = np.arange(n)
-    bits = (masks[:, None] >> np.arange(len(iu[0]))) & 1
-    return (bits << position[label[:, iu[0]], label[:, iu[1]]]).sum(axis=1)
-
-
 def _spread_classes(n: int, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The keys on n vertices, ascending, how many masks have each, and their
     spreads (-inf if disconnected) from eigvalsh on one (keys, n, n) stack.
@@ -394,19 +380,15 @@ def _spread_oracle(n: int, kind: str) -> dict:
     increase along the labels (936 keys at n = 6). A key with degree classes
     of sizes c_d is the key of n!/prod c_d! masks, one per way to give each
     class its vertices. Returns n, connected_graphs, max_spread (of the
-    least mask within SPREAD_TIE of the maximum, from its own matrix) and
+    least key within SPREAD_TIE of the maximum, from its own matrix) and
     attained_count (connected graphs with spread above max_spread - SPREAD_TIE).
     """
     if not 2 <= n <= 6:
         raise InvalidSizeError("exhaustive search is guarded to 2 <= n <= 6")
     keys, multiplicity, spreads = _spread_classes(n, kind)
     attains = spreads >= spreads.max() - SPREAD_TIE
-    iu, popcount, _ = _edge_tables(n)
-    # the first mask is at most the least attaining key (its own key) and has an attaining edge count
-    edges = np.zeros(len(iu[0]) + 1, dtype=bool)
-    edges[popcount[keys[attains]]] = True
-    masks = np.flatnonzero(edges[popcount[:keys[attains][0] + 1]])
-    first = int(masks[attains[np.searchsorted(keys, _degree_sorted(n, masks))]][0])
+    iu = np.triu_indices(n, 1)
+    first = int(keys[attains][0])
     g = make_graph(n, np.transpose(iu)[(first >> np.arange(len(iu[0]))) & 1 == 1])
     w = np.linalg.eigvalsh(hamiltonian(g, kind).matrix)
     best = float(w[-1] - w[0])

@@ -83,7 +83,7 @@ def heavy_end_edge(g):
 def heavy_path_ends(g):
     """The path g with weight 2 on its two end edges (0, 1) and (n - 2, n - 1):
     it stays bipartite but is no longer uniform, so the path route passes it
-    on (to the bipartite route, or to eigh for a Laplacian)."""
+    on, to eigh."""
     ends = {(0, 1), (g.n - 2, g.n - 1)}
     return pw.make_graph(g.n, [(u, v, 2.0 if (u, v) in ends else w) for u, v, w in g.edges])
 
@@ -250,7 +250,7 @@ def held_bytes(obj, seen=None):
 def decomposition_bytes(dec):
     """Every byte of a decomposition, with the dense V."""
     return (dec.eigenvalues.tobytes(), dec.offsets.tobytes(), dec.basis.dense().tobytes(), dec.scale,
-            dec.multiplicities, dec.ambiguous, dec.warnings)
+            dec.multiplicities, dec.warnings)
 
 
 def assert_same_form(got, want):

@@ -25,25 +25,13 @@ def projector(dec, j):
     return (e + e.T) / 2.0
 
 
-def forced_decompose(m, *names, gate=None, **kernels):
-    """decompose(m) with ROUTES cut to the routes named ("bipartite" for
-    routes._bipartite_route, ...) and then eigh, taken from n = gate on
-    (default ROUTE_MIN_N), and each route kernel given replaced. Its eigh is
-    spectral's own, whatever a test has planted in its place."""
-    with pytest.MonkeyPatch.context() as patch:
-        table = tuple(getattr(routes, f"_{name}_route") for name in names) + (_eigh_route,)
-        patch.setattr(routes, "ROUTES", table)
-        patch.setattr(spectral, "_eigh_route", _eigh_route)
-        if gate is not None:
-            patch.setattr(spectral, "ROUTE_MIN_N", gate)
-        for name, value in kernels.items():
-            patch.setattr(routes, name, value)
-        return pw.decompose(m)
-
-
 def eigh_decompose(m):
-    """decompose(m) by np.linalg.eigh alone."""
-    return forced_decompose(m)
+    """decompose(m) by np.linalg.eigh alone: ROUTES cut to spectral's own
+    eigh, whatever a test has planted in its place."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routes, "ROUTES", (_eigh_route,))
+        patch.setattr(spectral, "_eigh_route", _eigh_route)
+        return pw.decompose(m)
 
 
 def expm_walk(mat, t):

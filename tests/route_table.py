@@ -15,13 +15,13 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import spectral
-from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import FourierBasis, JoinBasis, KroneckerBasis, PathBasis
 from pstwalk.spectral import DenseBasis
 from conftest import NoFFT, heavy_end_edge, heavy_path_ends, route_calls, route_of, seeded_relabel
 from oracles import eigh_decompose, expm_transfer, projector
 
 ROUTE_BASIS = {"product": KroneckerBasis, "circulant": FourierBasis, "path": PathBasis, "join": JoinBasis,
-               "bipartite": BipartiteBasis, "eigh": DenseBasis}
+               "eigh": DenseBasis}
 DENSE_ROUTES = ("eigh",)  # the routes that read a Hamiltonian's matrix
 KINDS = (pw.ADJACENCY, pw.LAPLACIAN)
 LAP = pw.LAPLACIAN
@@ -48,17 +48,6 @@ def uniform_path(n, w, a, neumann):
     diagonal = np.full(n, a)
     diagonal[[0, -1]] = a + w if neumann else a
     return pw.Hamiltonian(pw.CUSTOM, pw.build_path(n), diagonal, np.full(n - 1, w))
-
-
-def split_labels():
-    """P = {0, 65, ..., 127} and Q = {1, ..., 64} with the half block I + A,
-    A the 64-cycle 0, 7, 14, ... (7j mod 64): B is symmetric, but M's edges,
-    sorted by their least end (mostly in Q, so by B's column), do not list
-    its entries in (row, column) order."""
-    p, q = [0] + list(range(65, 128)), list(range(1, 65))
-    cycle = [(7 * j % 64, 7 * (j + 1) % 64) for j in range(64)]
-    pairs = [(i, i) for i in range(64)] + cycle + [(k, i) for i, k in cycle]
-    return pw.make_graph(128, [(p[i], q[k]) for i, k in pairs])
 
 
 def random_weighted():
@@ -112,7 +101,8 @@ def _kinds(name, g, route, **fields):
 
 
 def _taken():
-    """The rows each route but eigh takes, and a graph eigh takes."""
+    """The rows each route but eigh takes, and the bipartite patterns, the
+    random graph and the edgeless graphs that eigh takes."""
     rows = []
     for name, g in [("C64", pw.build_cycle(64)), ("C65", pw.build_cycle(65)), ("C128", pw.build_cycle(128)),
                     ("C300", pw.build_cycle(300)), ("K64", pw.build_complete(64)),
@@ -144,14 +134,16 @@ def _taken():
                     ("C60vC60", pw.join(cycle(60), cycle(60))), ("E40vK30", pw.join(empty(40), complete(30)))]:
         rows += _kinds(name, g, "join", shifted=True)
     rows.append(Row("2C20vC40-laplacian", _ham(pw.join(two_cycles(20), cycle(40)), LAP), "join", shifted=True))
-    rows += [Row(f"P{n}-heavy-adjacency", _ham(heavy_path_ends(pw.build_path(n))), "bipartite")
+    # bipartite patterns that no structure route takes
+    rows += [Row(f"P{n}-heavy-adjacency", _ham(heavy_path_ends(pw.build_path(n))), "eigh")
              for n in (64, 65, 100, 300)]
-    rows += [Row("C128-relabelled-laplacian", _ham(seeded_relabel(pw.build_cycle(128), 128), LAP), "bipartite"),
-             Row("Q8-relabelled-laplacian", _ham(q8_relabelled(), LAP), "bipartite"),
-             *_kinds("split-labels", split_labels(), "bipartite"),
+    rows += [Row("C128-relabelled-laplacian", _ham(seeded_relabel(pw.build_cycle(128), 128), LAP), "eigh"),
+             Row("Q8-relabelled-laplacian", _ham(q8_relabelled(), LAP), "eigh"),
              Row("K40,90-e-adjacency", _ham(pw.make_graph(130, pw.build_complete_bipartite(40, 90).edges[1:])),
-                 "bipartite"),
-             *_kinds("random-weighted", random_weighted(), "eigh")]
+                 "eigh"),
+             *_kinds("random-weighted", random_weighted(), "eigh"),
+             Row("edgeless-64", _ham(pw.build_empty(64)), "eigh"),
+             Row("edgeless-200", _ham(pw.build_empty(200), LAP), "eigh")]
     return rows
 
 
@@ -169,7 +161,7 @@ def _gate():
         Row("C63", _ham(c63), "eigh", "circulant"),
         Row("C63-laplacian", _ham(c63, LAP), "eigh", "circulant"),
         *_kinds("K63", pw.build_complete(63), "eigh", declines="circulant"),
-        Row("P63-heavy-adjacency", _ham(heavy), "eigh", "bipartite"),
+        Row("P63-heavy-adjacency", _ham(heavy), "eigh"),
         Row("P63-heavy-laplacian", _ham(heavy, LAP), "eigh"),
         *_kinds("K31,32", pw.build_complete_bipartite(31, 32), "eigh"),
         *_kinds("C31xK2", pw.cartesian_product(pw.build_cycle(31), K2), "eigh", declines="product"),
@@ -179,18 +171,24 @@ def _gate():
 
 
 def _circulant_declines():
-    """Each differs from a circulant in one place."""
+    """Each differs from a circulant in one place: the cycles and K64 by a
+    weight, an edge, a potential or the labels, and the odd cycle C65 and
+    K64 by weight 2 on the edge (0, n - 1)."""
     c64 = pw.build_cycle(64)
     potential = np.zeros(64)
     potential[9] = 0.5
+    odd = heavy_end_edge(pw.build_cycle(65))
     return [
-        Row("C64-one-weight", _custom(c64, np.zeros(64), np.r_[np.ones(5), 1.5, np.ones(58)]), "bipartite"),
-        Row("C64-chord", _ham(pw.make_graph(64, c64.edges + ((0, 7, 1.0),))), "bipartite"),
+        Row("C64-one-weight", _custom(c64, np.zeros(64), np.r_[np.ones(5), 1.5, np.ones(58)]), "eigh"),
+        Row("C64-chord", _ham(pw.make_graph(64, c64.edges + ((0, 7, 1.0),))), "eigh"),
         Row("C64-one-diameter", _ham(pw.make_graph(64, c64.edges + ((3, 35, 1.0),))), "eigh"),
-        Row("C64-relabelled", _ham(seeded_relabel(c64, 64), LAP), "bipartite"),
+        Row("C64-relabelled", _ham(seeded_relabel(c64, 64), LAP), "eigh"),
         Row("C64-potential", _custom(c64, potential, c64.w), "eigh"),
         # the empty K2 joined to K62
         Row("K64-minus-an-edge", _ham(pw.make_graph(64, pw.build_complete(64).edges[1:])), "join"),
+        Row("odd-cycle", _ham(odd), "eigh"),
+        Row("odd-cycle-lap", _ham(odd, LAP), "eigh"),
+        Row("complete", _ham(heavy_end_edge(pw.build_complete(64))), "eigh"),
     ]
 
 
@@ -205,28 +203,12 @@ def _path_declines():
     ulp[[0, -1]] = np.nextafter(1.0, 2.0)
     return [
         Row("P100-relabelled", _ham(seeded_relabel(p100, n), LAP), "eigh"),
-        Row("P100-one-weight", _custom(p100, np.zeros(n), np.r_[np.ones(40), 1.5, np.ones(58)]), "bipartite"),
+        Row("P100-one-weight", _custom(p100, np.zeros(n), np.r_[np.ones(40), 1.5, np.ones(58)]), "eigh"),
         Row("P100-one-end-potential", _custom(p100, potential, p100.w), "eigh"),
         Row("P100-signless", _custom(p100, signless, p100.w), "eigh"),
         Row("P100-chord", _ham(pw.make_graph(n, p100.edges + ((10, 30, 1.0),))), "eigh"),
         Row("P100-end-one-ulp-off", _custom(p100, ulp, lap.values), "eigh"),
-    ]
-
-
-def _bipartite_declines():
-    """No bipartite pattern, a complete one, or no edges; the odd cycle, K_n
-    and the path weighted off the circulant and path routes, which come
-    first, and the complete pattern off the join route by its weight 2 on
-    the edge (0, n - 1)."""
-    odd = heavy_end_edge(pw.build_cycle(65))
-    return [
-        Row("odd-cycle", _ham(odd), "eigh"),
-        Row("odd-cycle-lap", _ham(odd, LAP), "eigh"),
         Row("path-lap", _ham(heavy_path_ends(pw.build_path(70)), LAP), "eigh"),
-        Row("complete-bipartite", _ham(heavy_end_edge(pw.build_complete_bipartite(30, 50))), "eigh"),
-        Row("complete", _ham(heavy_end_edge(pw.build_complete(64))), "eigh"),
-        Row("edgeless-64", _ham(pw.build_empty(64)), "eigh"),
-        Row("edgeless-200", _ham(pw.build_empty(200), LAP), "eigh"),
     ]
 
 
@@ -254,20 +236,20 @@ def _product_declines():
     diagonal split off by one on a single vertex, or the labels."""
     q7, c16p8, c9c9 = pw.build_hypercube(7), box(*GRIDS["C16xP8"]), box(*GRIDS["C9xC9"])
     return [
-        Row("rung-weight", _ham(_reweighted(pw.build_hypercube(8), 4, 5, 2.0)), "bipartite"),
-        Row("one-copy-edge", _ham(_reweighted(pw.cartesian_product(pw.build_cycle(32), K2), 0, 2, 2.0)), "bipartite"),
+        Row("rung-weight", _ham(_reweighted(pw.build_hypercube(8), 4, 5, 2.0)), "eigh"),
+        Row("one-copy-edge", _ham(_reweighted(pw.cartesian_product(pw.build_cycle(32), K2), 0, 2, 2.0)), "eigh"),
         # d(127) - d(126) is 1, every other d(2a + 1) - d(2a) 0
         Row("diagonal-split", _custom(q7, np.r_[np.zeros(127), 1.0], q7.w), "eigh"),
-        Row("odd-n", _ham(pw.make_graph(65, pw.build_hypercube(6).edges + ((63, 64, 1.0),))), "bipartite"),
-        Row("Q8-relabelled", _ham(q8_relabelled()), "bipartite"),
+        Row("odd-n", _ham(pw.make_graph(65, pw.build_hypercube(6).edges + ((63, 64, 1.0),))), "eigh"),
+        Row("Q8-relabelled", _ham(q8_relabelled()), "eigh"),
         Row("Q5", _ham(pw.build_hypercube(5)), "eigh"),  # below the gate
         # the edge (43, 44) of the copy of P8 on block 5
-        Row("C16xP8-one-copy-edge", _ham(_reweighted(c16p8, 43, 44, 2.0)), "bipartite"),
+        Row("C16xP8-one-copy-edge", _ham(_reweighted(c16p8, 43, 44, 2.0)), "eigh"),
         # the edge (8, 16) of the copy of C16 on column 0
-        Row("C16xP8-one-G-edge", _ham(_reweighted(c16p8, 8, 16, 2.0)), "bipartite"),
+        Row("C16xP8-one-G-edge", _ham(_reweighted(c16p8, 8, 16, 2.0)), "eigh"),
         Row("C16xP8-twisted", _ham(_twisted(c16p8, 3, 8)), "eigh"),
         Row("C9xC9-diagonal-split", partial(_one_vertex_off, c9c9, 40), "eigh"),
-        Row("P8xP8-relabelled", _ham(seeded_relabel(box(*GRIDS["P8xP8"]), 64)), "bipartite"),
+        Row("P8xP8-relabelled", _ham(seeded_relabel(box(*GRIDS["P8xP8"]), 64)), "eigh"),
         Row("C9xC9-relabelled-laplacian", _ham(seeded_relabel(c9c9, 81), LAP), "eigh"),
     ]
 
@@ -280,8 +262,8 @@ def _join_declines():
     missing = pw.make_graph(80, k3050.edges[:-1])
     p30c40 = pw.join(pw.build_path(30), pw.build_cycle(40))
     return [
-        Row("K30,50-one-cross-edge-missing-adjacency", _ham(missing), "bipartite"),
-        Row("K30,50-one-cross-edge-missing-laplacian", _ham(missing, LAP), "eigh"),  # two diagonal values
+        Row("K30,50-one-cross-edge-missing-adjacency", _ham(missing), "eigh"),
+        Row("K30,50-one-cross-edge-missing-laplacian", _ham(missing, LAP), "eigh"),
         *_kinds("K30,50-one-cross-edge-weight-2", _reweighted(k3050, 10, 45, 2.0), "eigh"),
         Row("P30vC40-adjacency", _ham(p30c40), "eigh"),
         Row("K40,60-relabelled-adjacency", _ham(seeded_relabel(pw.build_complete_bipartite(40, 60), 100)), "eigh"),
@@ -293,7 +275,7 @@ def _declines(route, rows):
 
 
 ROUTE_OF = (_taken() + _gate() + _declines("circulant", _circulant_declines())
-            + _declines("path", _path_declines()) + _declines("bipartite", _bipartite_declines())
+            + _declines("path", _path_declines())
             + _declines("product", _product_declines())
             + _declines("join", _join_declines()))
 

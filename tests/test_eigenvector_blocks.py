@@ -23,8 +23,8 @@ from conftest import heavy_path_ends, held_bytes, random_tree
 from oracles import all_partners, join_walk, moments, projector, reconstruct
 from pstwalk.errors import FixedStateError, InvalidPairError
 from pstwalk.periodicity import NonPeriodic, ratio_condition
-from pstwalk.routes import BipartiteBasis, KroneckerBasis
-from pstwalk.spectral import Projection
+from pstwalk.routes import KroneckerBasis
+from pstwalk.spectral import DenseBasis, Projection
 from pstwalk.states import FIXED, GENERAL, SIZE2
 
 transfer = importlib.import_module("pstwalk.transfer")
@@ -282,12 +282,12 @@ def test_join_operator_matches_dense_projectors(gspec, hspec, kind, t):
 
 def test_decomposition_holds_no_projector_tensor():
     """P400 adjacency with heavy end edges (off the path route, which takes
-    the uniform path) takes the bipartite route, whose basis holds the SVD's
-    U and V of 200 x 200 each and O(n) numbers besides: no n x n array."""
+    the uniform path) takes eigh, whose basis holds V, one n x n array, and
+    O(n) numbers besides: no projector of any cluster."""
     n = 400
     dec = pw.decompose(pw.hamiltonian(heavy_path_ends(pw.build_path(n)), pw.ADJACENCY))
-    assert isinstance(dec.basis, BipartiteBasis)
-    assert held_bytes(dec) <= (n * n / 2 + 4 * n) * 8
+    assert isinstance(dec.basis, DenseBasis)
+    assert held_bytes(dec) <= (n * n + 4 * n) * 8
 
 
 @pytest.mark.parametrize("d", [8, 9, 10])

@@ -1,19 +1,18 @@
-"""The factored eigenvectors of the product and bipartite routes
-(routes.KroneckerBasis, routes.BipartiteBasis), and the one protocol
-they share with the dense V of eigh (spectral.DenseBasis).
+"""The factored eigenvectors of the product route (routes.KroneckerBasis),
+and the one protocol the factored bases share with the dense V of eigh
+(spectral.DenseBasis).
 
 A route-taking decomposition holds V factored: a box product G x H, split
 at its most balanced divisor, as the Kronecker product of G's basis and
-H's, and a bipartite pattern as an SVD of its half block, with null
-columns when |P| != |Q|. Its stages read V only through the basis's project
-(V^T X) and lift (V[:, cols] C); dense() builds V, for no public call.
+H's. Its stages read V only through the basis's project (V^T X) and lift
+(V[:, cols] C); dense() builds V, for no public call.
 project and lift must agree with that V on every basis kind; a
 hypercube pair must be decided, every other per-state call and the
 universal pair made and the walk operator formed, with V never built
 (transition_matrix lifts only the columns outside its largest cluster),
 every yes confirmed by scipy's
-expm; and relabelling the vertices, which can move a graph from the product
-route to the SVD, must not change a verdict."""
+expm; and relabelling the vertices, which can move a graph from a
+structure route to eigh, must not change a verdict."""
 
 import dataclasses
 import math
@@ -24,35 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from pstwalk.routes import BipartiteBasis, FourierBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import FourierBasis, KroneckerBasis, PathBasis
 from pstwalk.spectral import DenseBasis
 from conftest import check_basis, heavy_path_ends, pair_state, random_tree, relabel
 from oracles import eigenvector, expm_transfer
-
-
-def _weighted_bipartite(seed, n, extra):
-    """A random tree on n vertices with weights in [0.5, 3) and up to extra
-    more edges across its two colour classes: bipartite, not complete
-    bipartite, and with parts of unequal size for most seeds."""
-    rng = np.random.default_rng(seed)
-    edges = {(u, v) for u, v, _ in random_tree(rng, n).edges}
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    side = np.zeros(n, dtype=bool)  # the tree's 2-colouring, by breadth-first search from 0
-    seen, queue = {0}, [0]
-    for u in queue:
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                side[v] = not side[u]
-                queue.append(v)
-    p, q = np.flatnonzero(~side), np.flatnonzero(side)
-    for _ in range(extra):
-        a, b = int(rng.choice(p)), int(rng.choice(q))
-        edges.add((min(a, b), max(a, b)))
-    return pw.make_graph(n, [(u, v, float(rng.uniform(0.5, 3.0))) for u, v in sorted(edges)])
 
 
 DENSE_CASES = [("P7", pw.hamiltonian(pw.build_path(7), pw.ADJACENCY), "eigh"),
@@ -71,7 +45,7 @@ def test_dense_basis(name, ham, route, seed):
 
 
 EMPTY_CASES = [("Q8", pw.build_hypercube(8), KroneckerBasis), ("P7", pw.build_path(7), DenseBasis),
-               ("P100", heavy_path_ends(pw.build_path(100)), BipartiteBasis),
+               ("P100", heavy_path_ends(pw.build_path(100)), DenseBasis),
                ("P100-uniform", pw.build_path(100), PathBasis)]
 
 
@@ -84,16 +58,6 @@ def test_empty_state_matrix(name, g, kind):
     empty = np.zeros((g.n, 0))
     assert [np.shape(a) for a in pw.pst_partners(dec, empty)] == [(g.n, 0), (0,), (0,), (0,)]
     assert pw.support_mask(dec, empty).shape == (dec.k, 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(64, 160), extra=st.integers(0, 40))
-def test_svd_basis_with_null_columns(seed, n, extra):
-    g = _weighted_bipartite(seed, n, extra)
-    dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
-    basis = dec.basis
-    assert isinstance(basis, BipartiteBasis)
-    check_basis(dec, np.random.default_rng(seed))
 
 
 def _product_graphs():
@@ -121,13 +85,13 @@ def test_product_basis(case, kind, seed):
     check_basis(dec, np.random.default_rng(seed))
 
 
-def test_product_factor_reaches_an_svd():
-    # P64 x K2 with heavy end edges on P64: its factor takes the bipartite
-    # route (the path route takes the uniform P64), whose 32 x 32 block
-    # goes to the SVD
+def test_product_factor_reaches_eigh():
+    # P64 x K2 with heavy end edges on P64: its factor, at the size gate,
+    # passes every structure route (the path route takes the uniform P64)
+    # and takes eigh
     g = pw.cartesian_product(heavy_path_ends(pw.build_path(64)), pw.build_path(2))
     dec = pw.decompose(pw.hamiltonian(g, pw.ADJACENCY))
-    assert isinstance(dec.basis.g, BipartiteBasis) and dec.basis.h.n == 2
+    assert isinstance(dec.basis.g, DenseBasis) and dec.basis.h.n == 2
     check_basis(dec, np.random.default_rng(64))
 
 
@@ -182,7 +146,6 @@ def test_hypercube_pair_decided_without_vectors(monkeypatch, d, kind):
     real_lift = KroneckerBasis.lift
     with monkeypatch.context() as m:
         m.setattr(KroneckerBasis, "dense", refuse)
-        m.setattr(BipartiteBasis, "dense", refuse)
         m.setattr(DenseBasis, "dense", refuse)
         y = pw.pst_partner(dec, x)
         verdict = pw.pst_decide(dec, x, y)
@@ -239,13 +202,13 @@ def test_relabelling_keeps_verdicts(name, g, kind):
     """Verdicts, reasons and transfer times agree between a graph and a
     seeded relabelling of it, and so do partners once relabelled back. The
     relabelling moves Q8 off cartesian_product's labelling, from the product
-    route to the SVD, C128 off build_cycle's, from the circulant route to
-    the SVD, and P128 off build_path's, from the path route to the SVD."""
+    route to eigh, C128 off build_cycle's, from the circulant route to eigh,
+    and P128 off build_path's, from the path route to eigh."""
     rng = np.random.default_rng(128)
     perm = rng.permutation(g.n)
     natural = pw.decompose(pw.hamiltonian(g, kind))
     moved = pw.decompose(pw.hamiltonian(relabel(g, perm), kind))
-    assert isinstance(moved.basis, BipartiteBasis)
+    assert isinstance(moved.basis, DenseBasis)
     assert isinstance(natural.basis, {"Q8": KroneckerBasis, "C128": FourierBasis, "P128": PathBasis}[name])
     for _ in range(8):
         u, v = (int(a) for a in rng.choice(g.n, size=2, replace=False))

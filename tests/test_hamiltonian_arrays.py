@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import routes, spectral
+from pstwalk import spectral
 from pstwalk.graphs import REGULAR_TOL
 from conftest import assert_one_form, decomposition_bytes, random_tree
 
@@ -45,7 +45,7 @@ def _hamiltonians():
         for kind in (pw.ADJACENCY, pw.LAPLACIAN):
             out.append((f"{name}-{kind}", pw.hamiltonian(g, kind)))
         a = pw.hamiltonian(g, pw.ADJACENCY).matrix
-        # integer custom matrices: a constant diagonal (the route's shape) and a varying one
+        # integer custom matrices: a constant diagonal and a varying one
         out.append((f"{name}-custom", pw.load_custom(2.0 * a - 3.0 * np.eye(g.n), g)))
         out.append((f"{name}-custom-diag", pw.load_custom(-a + np.diag(np.arange(g.n) % 4), g)))
     out.append(("Q6+e03-zero", _zero_valued_edge()))
@@ -75,8 +75,8 @@ def test_both_entries_decompose_alike(name, ham):
 def _float_weighted():
     """Float-weighted Hamiltonians, whose row sums round: seeded random
     connected graphs of 4 to 19 vertices with weights uniform in [0.1, 3),
-    and Q6 and P70 with such weights, on the bipartite route. Each kind,
-    and a custom matrix with a varying diagonal."""
+    and Q6 and P70 with such weights, which eigh takes. Each kind, and a
+    custom matrix with a varying diagonal."""
     rng = np.random.default_rng(20261019)
     graphs = []
     for i in range(24):
@@ -126,17 +126,20 @@ def test_matrix_is_built_once_on_first_read():
     assert m.tobytes() == pw.build_cycle(5).laplacian().tobytes()
 
 
-def test_route_reached_from_both_entries(monkeypatch):
-    # from n = 64 (Q6) on, the bipartite adjacencies, the regular Laplacians
-    # and the custom matrices with a constant diagonal take the route, with
-    # the routes before it left out; both entries give one form
-    # (test_both_entries_decompose_alike)
-    monkeypatch.setattr(routes, "ROUTES", (routes._bipartite_route, routes._eigh_route))
-    on_route = {name for name, ham in HAMILTONIANS if pw.decompose(ham).route == "bipartite"}
-    bipartite = ("Q6", "Q7", "K40,90-e", "C64xK2", "C64xK2-w", "P70-w")
-    want = {f"{name}-{kind}" for name in bipartite for kind in (pw.ADJACENCY, "custom")}
-    # the regular Laplacians, and Q6 with a zero-valued edge
-    assert on_route == want | {"Q6-laplacian", "Q7-laplacian", "C64xK2-laplacian", "Q6+e03-zero"}
+def test_route_reached_from_both_entries():
+    # both entries give one form (test_both_entries_decompose_alike), so one
+    # route: from n = 64 (Q6) on, the product route takes the hypercubes and
+    # C64 x K2 with unit weights, every kind, and the join route K40,90 and
+    # C40 v K30 but for a varying diagonal; eigh takes the rest
+    taken = {}
+    for name, ham in HAMILTONIANS:
+        route, = {pw.decompose(entry).route for entry in (ham, np.array(ham.matrix))}
+        taken.setdefault(route, set()).add(name)
+    kinds = (pw.ADJACENCY, pw.LAPLACIAN, "custom")
+    assert taken["product"] == {f"{name}-{kind}" for name in ("Q6", "Q7", "C64xK2")
+                                for kind in kinds + ("custom-diag",)} | {"Q6+e03-zero"}
+    assert taken["join"] == {f"{name}-{kind}" for name in ("K40,90", "C40+K30") for kind in kinds}
+    assert set(taken) == {"product", "join", "eigh"}
 
 
 def test_arrays_of_each_kind():

@@ -2,10 +2,8 @@
 and the family builders: relabelling the vertices keeps the verdict and the
 time, negating either state or swapping them keeps the decision, and scaling
 the weights by c > 0 divides the time by c. The same relations hold, with tau
-to 1e-12 relative, on graphs decompose factors through a half-size block,
-where relabelling moves the parts P and Q that make up the block: in their
-own labelling Q8 and P40 x K2 have an exactly symmetric block, factored by
-decompose's own route, and relabelled ones a block np.linalg.svd factors.
+to 1e-12 relative, across routes: in their own labelling Q8, P40 x K2, P129
+and K_{40,90} take a structure route of decompose, and relabelled ones eigh.
 
 A shift of M by s*I is left out: it should keep tau and multiply the phase
 by exp(i*tau*s), but a large shift still collapses the clusters (ROADMAP
@@ -19,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
-from conftest import cases, decompose_graph, pair_state, relabel, route_calls, taken
-from pstwalk import routes, spectral
+from conftest import cases, decompose_graph, pair_state, relabel
 
 def _same_verdict(got, want, tau_scale=1.0, reason=True, rel=1e-9):
     assert got.decision == want.decision
@@ -62,11 +59,9 @@ def test_metamorphic_cases_include_transfers():
 
 
 def _route_graphs():
-    """Graphs decompose factors through a half-size block (Q8, by its own
-    route as labelled and by an SVD once relabelled, P129 with a 65 x 64
-    block and one extra kernel vector, K_{40,90} less one edge with a
-    40 x 90 block) and K_{40,90}, whose complete pattern stays on eigh; each
-    with pair states (u, v, s)."""
+    """Bipartite graphs on the product, path and join routes as labelled
+    (Q8, P129 and K_{40,90}) and K_{40,90} less one edge, which is on eigh
+    as labelled; each with pair states (u, v, s)."""
     k4090 = [(u, v) for u in range(40) for v in range(40, 130)]
     return [
         ("Q8", pw.build_hypercube(8), [(0, 1, 1.0), (0, 3, -1.0), (5, 9, 1.0)]),
@@ -76,28 +71,20 @@ def _route_graphs():
     ]
 
 
-def _route_parts(ham):
-    """The parts decompose(ham) factors on, from the Hamiltonian's arrays."""
-    return routes._route_parts(spectral._edge_form(ham))
+ROUTE = {"Q8": "product", "P129": "path", "K40,90": "join", "K40,90-e": "eigh"}
 
 
 @pytest.mark.parametrize("name,g,pairs", _route_graphs(), ids=[c[0] for c in _route_graphs()])
 @pytest.mark.parametrize("kind", [pw.ADJACENCY, pw.LAPLACIAN])
-def test_svd_route_metamorphic(name, g, pairs, kind):
-    ham = pw.hamiltonian(g, kind)
-    parts = _route_parts(ham)
-    on_route = name != "K40,90" and (kind == pw.ADJACENCY or name == "Q8")
-    assert (parts is not None) == on_route
-    dec = pw.decompose(ham)
+def test_structure_route_metamorphic(name, g, pairs, kind):
+    """The verdicts keep under relabelling (which takes each graph to eigh),
+    negation, swapping and scaling."""
+    dec = pw.decompose(pw.hamiltonian(g, kind))
     p = np.random.default_rng(g.n).permutation(g.n)
     relabelled = relabel(g, p)
-    if on_route:  # the parts follow the vertices, so other rows make up B
-        moved = _route_parts(pw.hamiltonian(relabelled, kind))
-        images = {tuple(np.sort(p[part])) for part in parts}
-        assert images == {tuple(part) for part in moved}
-        assert not np.array_equal(moved[0], parts[0])
     scaled = pw.make_graph(g.n, [(a, b, 3.7 * w) for a, b, w in g.edges])
     dec_relabelled, dec_scaled = decompose_graph(relabelled, kind), decompose_graph(scaled, kind)
+    assert (dec.route, dec_relabelled.route, dec_scaled.route) == (ROUTE[name], "eigh", ROUTE[name])
     yes = 0
     for u, v, s in pairs:
         x = np.zeros(g.n)
@@ -120,12 +107,6 @@ def test_svd_route_metamorphic(name, g, pairs, kind):
     assert yes or name in ("P129", "K40,90-e")
 
 
-def _svd_calls_decompose(monkeypatch, g, kind):
-    """decompose(g's kind), with how many times the bipartite route's SVD took a form."""
-    dec, calls = route_calls(monkeypatch, pw.hamiltonian(g, kind))
-    return dec, taken(calls, "bipartite")
-
-
 CROSS_ROUTE = [
     ("Q8", pw.build_hypercube(8), pw.ADJACENCY, (0, 3, -1.0), (255, 252, -1.0)),
     ("Q8-lap", pw.build_hypercube(8), pw.LAPLACIAN, (5, 9, 1.0), (250, 246, 1.0)),
@@ -135,19 +116,18 @@ CROSS_ROUTE = [
 
 
 @pytest.mark.parametrize("name,g,kind,x,y", CROSS_ROUTE, ids=[c[0] for c in CROSS_ROUTE])
-def test_cross_route_metamorphic(monkeypatch, name, g, kind, x, y):
-    """In their own labelling these graphs take the bipartite route on an
-    exactly symmetric half block (recursively on Q8), with no SVD; under a
-    seeded relabelling the half block is not symmetric and np.linalg.svd
-    factors it. Both give one verdict (PST between antipodal pair states on
-    Q8, none from the P40 x K2 pair state to its mirror image), tau to 1e-12
-    relative, and one partner once the relabelled one is mapped back."""
+def test_cross_route_metamorphic(name, g, kind, x, y):
+    """In their own labelling these graphs take the product route; under a
+    seeded relabelling, eigh. Both give one verdict (PST between antipodal
+    pair states on Q8, none from the P40 x K2 pair state to its mirror
+    image), tau to 1e-12 relative, and one partner once the relabelled one
+    is mapped back."""
     x, y = pair_state(g.n, *x), pair_state(g.n, *y)
-    dec, natural_svds = _svd_calls_decompose(monkeypatch, g, kind)
+    dec = decompose_graph(g, kind)
     p = np.random.default_rng(g.n).permutation(g.n)
     relabelled = relabel(g, p)
-    dec_relabelled, relabelled_svds = _svd_calls_decompose(monkeypatch, relabelled, kind)
-    assert natural_svds == 0 and relabelled_svds > 0
+    dec_relabelled = decompose_graph(relabelled, kind)
+    assert (dec.route, dec_relabelled.route) == ("product", "eigh")
     px, py = np.empty(g.n), np.empty(g.n)
     px[p], py[p] = x, y
     want = pw.pst_decide(dec, x, y)

@@ -21,7 +21,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import states
-from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import FourierBasis, JoinBasis, KroneckerBasis, PathBasis
 from pstwalk.spectral import DenseBasis, Projection
 from conftest import pair_state
 
@@ -74,7 +74,7 @@ def _top_project(x):
 
 @pytest.fixture
 def spy(monkeypatch):
-    for cls in (DenseBasis, BipartiteBasis, KroneckerBasis, FourierBasis, PathBasis, JoinBasis):
+    for cls in (DenseBasis, KroneckerBasis, FourierBasis, PathBasis, JoinBasis):
         monkeypatch.setattr(cls, "project", _wrap(cls.project, _top_project))
         monkeypatch.setattr(cls, "lift", _wrap(cls.lift, lambda c: _Spy.lifts.append(c.shape)))
     _Spy.depth = _Spy.top = _Spy.outside = 0

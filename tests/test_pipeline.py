@@ -21,7 +21,7 @@ from conftest import basis_state, pair_state, random_connected_graph, random_sup
 from oracles import eigenvector
 from pstwalk import serialize
 from pstwalk.cli import main
-from pstwalk.transfer import _degree_sorted, _spread_classes, _spread_oracle
+from pstwalk.transfer import _spread_classes, _spread_oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pstwalk"
 
@@ -369,15 +369,6 @@ def test_key_multiplicities_count_the_masks_sorted_to_each_key():
         keys, multiplicity, _ = _spread_classes(n, pw.LAPLACIAN)
         counted = Counter(_stable_degree_sort(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
         assert counted == dict(zip(keys.tolist(), multiplicity.tolist()))
-
-
-def test_degree_sorted_relabels_as_a_stable_sort():
-    # the relabelling that finds the oracle's least attaining mask
-    for n in range(2, 6):
-        masks = np.arange(1 << (n * (n - 1) // 2))
-        assert _degree_sorted(n, masks).tolist() == [_stable_degree_sort(n, int(m)) for m in masks]
-    masks = np.random.default_rng(7).choice(1 << 15, size=500, replace=False)
-    assert _degree_sorted(6, masks).tolist() == [_stable_degree_sort(6, int(m)) for m in masks]
 
 
 def test_adjacency_spread_maximum_is_the_split_graph():

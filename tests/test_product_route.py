@@ -22,8 +22,8 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import graphs, routes, spectral
-from conftest import (assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries, load_package, outcome,
-                      pair_state, relabelled)
+from conftest import (assert_same_form, assert_same_outcome, assert_same_verdicts, decomposition_bytes, entries,
+                      load_package, outcome, pair_state, relabelled)
 from route_table import GRIDS, C, P, assert_declined, assert_matches_eigh, box, row, rows
 
 DIGEST_PRODUCTS = [(r.name, r) for r in rows("product")]
@@ -111,6 +111,77 @@ def test_one_change_fails_the_detector(near, product, q):
     assert [f.n for f in routes._box_split(form)] == [g.n, h.n]
 
 
+def _factor_cases():
+    graphs = [(f"Q{d}", pw.build_hypercube(d)) for d in (7, 8, 9, 10)] + [
+        ("P40xK2", pw.cartesian_product(P(40), P(2))), ("C32xK2", pw.cartesian_product(C(32), P(2))),
+        *((name, box(*factors)) for name, factors in GRIDS.items())]
+    cases = [(f"{name}-{kind}", pw.hamiltonian(g, kind)) for name, g in graphs
+             for kind in (pw.ADJACENCY, pw.LAPLACIAN)]
+    # Q7 with zero values on the edges (0, 2) and (1, 3), which are no edges
+    # of M: it splits only at q = 2, and its G, which has lost the edge
+    # (0, 1), is no product
+    q7 = pw.build_hypercube(7)
+    values = q7.w.copy()
+    values[[1, 7]] = 0.0
+    cases.append(("Q7-zero-values", pw.Hamiltonian(pw.ADJACENCY, q7, np.zeros(q7.n), values)))
+    return cases
+
+
+FACTOR_CASES = _factor_cases()
+
+
+def _dense_box_factors(form, q):
+    """routes._box_factors from the dense M: M is M_G (x) I_q + I_p (x) M_H
+    in the labelling v = a q + b when each q x q block M[a q:, a' q:] with
+    a != a' is G[a, a'] I, G = M[0::q, 0::q], each diagonal block has block
+    0's entries off its diagonal, and each d(a q + b) - d(a q) is
+    d(b) - d(0); then G's form is the one the dense passes over G give, and
+    H's those over block 0 with the diagonal d(b) - d(0)."""
+    mat = form.dense()
+    p = len(mat) // q
+    blocks = mat.reshape(p, q, p, q).transpose(0, 2, 1, 3)  # blocks[a, a'] = M[a q:, a' q:], q x q
+    g, eye, apart = mat[0::q, 0::q], np.eye(q, dtype=bool), ~np.eye(p, dtype=bool)
+    d = mat.diagonal().reshape(p, q)
+    h = np.where(eye, 0.0, blocks[0, 0])
+    h[eye] = d[0] - d[0, 0]
+    if not (np.array_equal(blocks[apart], g[apart][:, None, None] * eye)
+            and np.array_equal(np.where(eye, 0.0, blocks[np.arange(p), np.arange(p)]), np.where(eye, 0.0, h)[None].repeat(p, 0))
+            and np.array_equal(d - d[:, :1], (d[0] - d[0, 0])[None].repeat(p, 0))):
+        return None
+    forms = []
+    for m in (g, h):
+        edges = spectral._dense_edges(m)
+        forms.append(spectral.EdgeForm(len(m), m.diagonal(), *edges, m[edges], None, lambda m=m: m))
+    return tuple(forms)
+
+
+@pytest.mark.parametrize("name,ham", FACTOR_CASES, ids=[c[0] for c in FACTOR_CASES])
+def test_factor_forms_come_from_the_parent(monkeypatch, name, ham):
+    """At every level and every divisor q the product route tries, the
+    factor forms it builds from its parent's edge form are the dense passes
+    over M[0::q, 0::q] and M's block 0, and the decomposition, from either
+    entry, is bit-identical to the one built on the dense passes."""
+    split = []
+    real = routes._box_factors
+
+    def check_factors(form, q):
+        got, want = real(form, q), _dense_box_factors(form, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            for g, w in zip(got, want):
+                assert_same_form(g, w)
+            split.append(q)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(routes, "_box_factors", check_factors)
+        got = [decomposition_bytes(pw.decompose(entry)) for entry in (ham, np.array(ham.matrix))]
+    with monkeypatch.context() as m:
+        m.setattr(routes, "_box_factors", _dense_box_factors)
+        want = decomposition_bytes(pw.decompose(ham))
+    assert got == [want, want] and split
+
+
 def _pairs(n, rng):
     """Seeded e_u +- e_v pairs, and each vertex's antipodal pair e_u +- e_{n-1-u}."""
     out = []
@@ -128,12 +199,12 @@ RELABELLED = [(r.name, r) for r in rows("product") if r.name.split("-")[0] in GR
 @pytest.mark.parametrize("name,r", RELABELLED, ids=[c[0] for c in RELABELLED])
 def test_verdicts_match_the_relabelled_graph(name, r):
     """The route's verdicts on a grid or torus against those on a relabelled
-    copy, which the bipartite route or eigh takes: the same partner,
+    copy, which eigh takes: the same partner,
     decision, reason and case, and tau to 1e-12."""
     ham = r.build()
     other, p = relabelled(ham, 5)
     dec, ref = pw.decompose(ham), pw.decompose(other)
-    assert dec.route == "product" and ref.route in ("bipartite", "eigh")
+    assert (dec.route, ref.route) == ("product", "eigh")
     n = ham.n
     for u, v, s in _pairs(n, np.random.default_rng(n)):
         x, y = pair_state(n, u, v, s), pair_state(n, (u + 1) % n, (v + 1) % n, s)

@@ -1,13 +1,14 @@
 """The route contract across the table of inputs, route_table.ROUTE_OF:
 below ROUTE_MIN_N only eigh is called, and at it each route takes its own
-input. The bipartite rows, and the rows eigh takes that no route passes on,
-agree with eigh and keep the basis protocol here; the route files check
-the other rows, each through assert_matches_eigh or assert_declined, which
-also check the route, its basis class and when a Hamiltonian builds its
-matrix. Every route returns its values sorted, in either direction, and
-each cluster's width stays within its links to the clustering threshold."""
+input. The rows eigh takes that no route passes on agree with eigh and
+keep the basis protocol here; the route files check the other rows, each
+through assert_matches_eigh or assert_declined, which also check the
+route, its basis class and when a Hamiltonian builds its matrix. Every route returns its values sorted, in either direction, and
+each cluster's width stays within its links to the clustering threshold.
+ROUTE_BASIS and the README's route table name the routes of ROUTES."""
 
 import importlib.util
+import re
 from functools import wraps
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from pstwalk.routes import FourierBasis, PathBasis
 from pstwalk.spectral import DenseBasis, _eigh_route
 import census
 from conftest import check_basis, entries, route_calls, set_routes
-from route_table import KINDS, assert_matches_eigh, assert_widths, row, rows
+from route_table import KINDS, ROUTE_BASIS, assert_matches_eigh, assert_widths, row, rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _entry(r, entry):
@@ -35,15 +38,15 @@ BELOW = ["P63-adjacency", "P63", "C63", "C63-laplacian", "P63-heavy-adjacency", 
 AT = [("path", "P64-adjacency"), ("path", "P64-laplacian"), ("circulant", "C64-adjacency"),
       ("circulant", "C64-laplacian"), ("product", "Q6-adjacency"), ("product", "Q6-laplacian"),
       ("product", "P8xP8-adjacency"), ("product", "P8xP8-laplacian"), ("join", "K32,32-adjacency"),
-      ("join", "K32,32-laplacian"), ("bipartite", "P64-heavy-adjacency"), ("eigh", "K32,32-adjacency"),
+      ("join", "K32,32-laplacian"), ("eigh", "P64-heavy-adjacency"), ("eigh", "K32,32-adjacency"),
       ("eigh", "K32,32-laplacian")]
 
 
 @pytest.mark.parametrize("entry", ["hamiltonian", "raw"])
 @pytest.mark.parametrize("name", BELOW)
 def test_gate_below(monkeypatch, name, entry):
-    """Just below ROUTE_MIN_N, the product, circulant, path, join and
-    bipartite routes are never called: eigh alone decides."""
+    """Just below ROUTE_MIN_N, the product, circulant, path and join routes
+    are never called: eigh alone decides."""
     m = _entry(row("eigh", name), entry)
     assert spectral._edge_form(m).n < spectral.ROUTE_MIN_N
     _, calls = route_calls(monkeypatch, m)
@@ -65,22 +68,14 @@ def test_gate_at(monkeypatch, route, name, entry):
     assert calls == factor + [(r, False) for r in before] + [(route, True)]
 
 
-# the rows no route file checks: the bipartite route's, and those eigh takes
-# that no route passes on; and K2xC32, a product at q = 32 that the bipartite
-# route took before the product route read q > 2, with the product route held
-# off, so the bipartite route still meets a product of an even cycle
-TAKEN = ([(f"{r.route}-{r.name}-{entry}", r.route, m, None)
-          for r in rows("bipartite") + rows("eigh", declines=False) for entry, m in entries(r.build(), r.shifted)]
-         + [(f"bipartite-K2xC32-{entry}", "bipartite", m, "product")
-            for entry, m in entries(row("product", "K2xC32-adjacency").build(), shifted=False)])
+# the rows no route file checks: those eigh takes that no route passes on
+TAKEN = [(f"{r.route}-{r.name}-{entry}", r.route, m)
+         for r in rows("eigh", declines=False) for entry, m in entries(r.build(), r.shifted)]
 
 
-@pytest.mark.parametrize("name,route,m,held_off", TAKEN, ids=[c[0] for c in TAKEN])
-def test_route_matches_eigh(monkeypatch, name, route, m, held_off):
-    """These rows agree with eigh, as the route files check theirs; a route
-    held off is taken out of ROUTES first."""
-    if held_off:
-        set_routes(monkeypatch, tuple(r for r in routes.ROUTES if spectral.route_name(r) != held_off))
+@pytest.mark.parametrize("name,route,m", TAKEN, ids=[c[0] for c in TAKEN])
+def test_route_matches_eigh(monkeypatch, name, route, m):
+    """These rows agree with eigh, as the route files check theirs."""
     got, _ = assert_matches_eigh(monkeypatch, m, route, proj_atol=1e-10)
     check_basis(got, np.random.default_rng(got.n))
 
@@ -179,9 +174,39 @@ def test_cluster_widths_on_the_census(kind):
 def test_digest_inputs_take_every_route():
     """scripts/decompose_digest.py decomposes inputs on every route, so its
     digests gate each route's bytes."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "decompose_digest.py"
+    path = ROOT / "scripts" / "decompose_digest.py"
     spec = importlib.util.spec_from_file_location("decompose_digest", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     taken = {pw.decompose(m).route for _, m in script.inputs()}
     assert taken == {spectral.route_name(r) for r in routes.ROUTES}
+
+
+def test_every_table_names_the_routes():
+    """ROUTE_BASIS and the README's route table name exactly the routes of
+    ROUTES, the README's rows in their order and each with its basis class,
+    so that a route added or deleted leaves no stale row."""
+    names = [spectral.route_name(r) for r in routes.ROUTES]
+    assert list(ROUTE_BASIS) == names
+    readme = (ROOT / "README.md").read_text()
+    table = re.findall(r"^\| `_(\w+)_route` \| [^|]* \| `(\w+)`", readme, flags=re.M)
+    assert table == [(name, ROUTE_BASIS[name].__name__) for name in names]
+
+
+@pytest.mark.parametrize("n", [spectral.ROUTE_MIN_N, 200])
+@pytest.mark.parametrize("kind", KINDS)
+def test_edgeless_goes_to_eigh(monkeypatch, n, kind):
+    """A form with no edges skips every route: one cluster on a dense basis."""
+    dec, calls = route_calls(monkeypatch, pw.hamiltonian(pw.build_empty(n), kind))
+    assert calls == [("eigh", True)]
+    assert isinstance(dec.basis, DenseBasis) and dec.k == 1
+
+
+def test_route_declines_a_matrix_that_is_not_exactly_symmetric(monkeypatch):
+    """P64's adjacency, which the path route takes, symmetric only to within
+    decompose's tolerance: its form has no edge list, so eigh alone takes it."""
+    mat = pw.hamiltonian(pw.build_path(spectral.ROUTE_MIN_N), pw.ADJACENCY).matrix.copy()
+    mat[0, 1] += 1e-15
+    dec, calls = route_calls(monkeypatch, mat)
+    assert calls == [("eigh", True)]
+    assert dec.k == spectral.ROUTE_MIN_N

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstwalk as pw
+from pstwalk import spectral
 from conftest import basis_state, random_connected_graph
 from oracles import projector, reconstruct
 
@@ -170,9 +171,8 @@ def test_cluster_ambiguity_flag():
     # than one threshold: decomposition succeeds with a warning
     m = np.diag([0.0, 1.5e-8, 1.0])
     dec = pw.decompose(m)
-    assert dec.ambiguous
-    assert dec.warnings
-    assert not pw.decompose(np.diag([0.0, 1.0])).ambiguous
+    assert bool(dec.warnings)
+    assert not pw.decompose(np.diag([0.0, 1.0])).warnings
 
 
 def test_decompose_refuses_a_norm_whose_eigenvalue_differences_overflow():
@@ -203,3 +203,34 @@ def test_support_tolerance_must_be_below_one():
         with pytest.raises(ValueError, match="tol_supp must be below 1"):
             pw.ToleranceConfig(tol_supp=value)
     assert pw.ToleranceConfig(tol_supp=0.999).tol_supp == 0.999
+
+
+def _reference_clusters(evals, threshold):
+    """The per-eigenvalue loop decompose used before its clustering was
+    vectorised: the reference for bit equality."""
+    clusters = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] <= threshold:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    values = np.array([np.mean(evals[idx]) if len(idx) > 1 else evals[idx[0]] for idx in clusters])
+    return [len(idx) for idx in clusters], values
+
+
+def test_clusters_bit_identical_to_the_loop():
+    rng = np.random.default_rng(7)
+    q10 = np.linalg.eigvalsh(pw.hamiltonian(pw.build_hypercube(10), pw.LAPLACIAN).matrix)
+    spectra = [q10, np.array([-0.0, -0.0, 0.0]), np.array([5.0])]
+    for _ in range(50):
+        sizes = rng.choice([1, 2, 3, 5, 7, 8, 9, 40], size=rng.integers(1, 12))
+        centres = np.sort(rng.uniform(-1e3, 1e3, len(sizes)))
+        spectra.append(np.sort(np.concatenate(
+            [c + rng.uniform(-1e-9, 1e-9, s) for c, s in zip(centres, sizes)])))
+    for evals in spectra:
+        threshold = 1e-8 * max(1.0, np.abs(evals).max())
+        bounds, values = spectral._clusters(evals, threshold)
+        sizes, want = _reference_clusters(evals, threshold)
+        assert np.diff(bounds).tolist() == sizes
+        assert values.tobytes() == want.tobytes()
+    assert 252 in np.diff(spectral._clusters(q10, 1e-8 * 20)[0])  # Q10's eigenvalue 0 (as 10)

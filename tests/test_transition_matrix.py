@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk.routes import BipartiteBasis, FourierBasis, JoinBasis, KroneckerBasis, PathBasis
+from pstwalk.routes import FourierBasis, JoinBasis, KroneckerBasis, PathBasis
 from pstwalk.spectral import DenseBasis, walk
 from oracles import expm_walk
 from conftest import random_connected_graph, random_tree
 
-CLASSES = (DenseBasis, BipartiteBasis, FourierBasis, PathBasis, KroneckerBasis, JoinBasis)
+CLASSES = (DenseBasis, FourierBasis, PathBasis, KroneckerBasis, JoinBasis)
 
 
 def _full(dec, t):
